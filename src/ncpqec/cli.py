@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical failure.
 The working tolerance is the ``--tol`` flag if given, else the
-``QEC_TOL`` environment variable, else ``1e-9``.
+``QEC_TOL`` environment variable, else ``1e-9``.  ``qec`` applies it
+relative to the map's scale on the code, except for trace preservation.
 """
 
 from __future__ import annotations

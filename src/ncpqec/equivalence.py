@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MapsNotEqual, OperatorsNotEqual, SingularCoefficientMatrix
-from .pseudolinalg import DEFAULT_TOL, Signature
+from .pseudolinalg import DEFAULT_TOL, Signature, _max_abs
 from .superop import (
     SignedOperatorSum,
     b_from_operator_sum,
@@ -43,10 +43,6 @@ __all__ = [
     "connecting_pseudounitary",
     "ensemble_connection",
 ]
-
-
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 @dataclass(frozen=True)

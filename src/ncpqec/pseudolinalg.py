@@ -172,8 +172,8 @@ def pseudo_gram_schmidt(
 
 
 def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
-    """Group indices of ``values`` whose sorted gaps are at most ``gap``."""
-    order = np.argsort(values)
+    """Group indices of ``values`` whose sorted gaps are at most ``gap``; ties keep input order."""
+    order = np.argsort(values, kind="stable")
     clusters: list[list[int]] = []
     for idx in order:
         if clusters and values[idx] - values[clusters[-1][-1]] <= gap:
@@ -181,6 +181,31 @@ def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
         else:
             clusters.append([int(idx)])
     return clusters
+
+
+def _projected_basis(span: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal basis of the column span of ``span``.
+
+    Projects the columns of ``candidates`` onto that span and
+    orthonormalizes them in index order, keeping the first
+    ``span.shape[1]`` whose residual norm exceeds ``1e-8`` times the
+    largest candidate norm.  This removes an eigensolver's arbitrary
+    choice of basis inside a degenerate eigenspace.
+    """
+    k = span.shape[1]
+    floor = 1e-8 * float(np.max(np.linalg.norm(candidates, axis=0)))
+    basis: list[np.ndarray] = []
+    for w in (span @ (span.conj().T @ candidates)).T:
+        if len(basis) == k:
+            break
+        for b in basis:
+            w = w - b * np.vdot(b, w)
+        wn = float(np.linalg.norm(w))
+        if wn > floor:
+            basis.append(w / wn)
+    if len(basis) != k:  # pragma: no cover - the candidates span the whole space
+        raise RuntimeError("failed to construct a deterministic basis")
+    return np.column_stack(basis)
 
 
 def pseudo_diagonalize(

@@ -1,21 +1,24 @@
 """Error-correction analysis for signed operator sums on a code space.
 
-Given a code space (projector ``P``) and a signed decomposition
-``rho -> sum_i sign_i E_i rho E_i^dag``, the correctability conditions
-take the signed form ``sign_i P E_i^dag E_j P = c_ij P``.  When they
-hold, a pseudounitary mixing of the terms makes the condition matrix
-diagonal; polar-decomposing each diagonalized term on the code space
-then yields pairwise-orthogonal syndrome projectors, exactly as in the
+Given a code space (logical isometry ``B``, projector ``P = B B^dag``)
+and a signed decomposition ``rho -> sum_i sign_i E_i rho E_i^dag``, the
+correctability conditions take the signed form
+``sign_i P E_i^dag E_j P = c_ij P``.  :func:`analyze` decides them on the
+map restricted to the code: one Hermitian eigendecomposition gives its
+canonical terms ``F = E T``, whose conditions are diagonal when the
+conditions hold; polar-decomposing each ``F_k`` on the code space then
+yields pairwise-orthogonal syndrome projectors, exactly as in the
 completely positive theory.
 
-The sign structure adds one genuinely new outcome: if a term from the
-negative block still acts on the code space, measuring its syndrome
-would return a *negative* probability on some code state.  Such a state
+The sign structure adds one genuinely new outcome: if a negative
+canonical term acts on the code space, its syndrome returns the
+*negative* probability ``-d_k`` on every code state.  Such a state
 certifies that the code space lies outside the domain where the map is
-a physical evolution, and :func:`analyze` reports it as a witness.  If
-instead the negative block annihilates the code space, the evolution
-restricted to the code is reversible with positive output and a
-recovery channel is constructed from the syndromes.
+a physical evolution, and :func:`analyze` reports it as a witness.
+Otherwise the evolution restricted to the code is reversible with
+positive output and a recovery channel is built from the syndromes.
+Analysis gates compare against ``tol`` times the map's scale on the
+code; trace preservation, scale-dependent by definition, uses ``tol``.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from .errors import (
     WitnessSearchFailed,
     ZeroTrace,
 )
-from .pseudolinalg import DEFAULT_TOL, eta_metric, polar_on_code, pseudo_diagonalize
-from .superop import SignedOperatorSum, apply_map, transform_by_pseudounitary
+from .pseudolinalg import DEFAULT_TOL, _cluster_indices, _max_abs, _projected_basis, polar_on_code
+from .superop import SignedOperatorSum, _signed_gram, _stacked, apply_map
 
 __all__ = [
     "CodeSpace",
@@ -56,13 +59,7 @@ __all__ = [
     "verify_recovery",
 ]
 
-_WITNESS_SEED = 709297
 _VERIFY_SEED = 424033
-_N_RANDOM_WITNESS_STATES = 64
-
-
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -152,8 +149,11 @@ class Verdict(str, enum.Enum):
 class QecReport:
     """Full outcome of :func:`analyze`.
 
-    ``diagonalizer``, ``diagonal`` and ``syndromes`` are absent when the
-    conditions already fail; ``recovery`` is present exactly for the
+    ``condition`` holds the canonical conditions that decided the
+    verdict (the ``1 x 1`` zero matrix for a map that annihilates the
+    code).  ``diagonalizer`` (``T``), ``diagonal`` (``d``) and
+    ``syndromes`` come from :func:`diagonalize_conditions` and are absent
+    when the conditions fail; ``recovery`` is present exactly for the
     reversible verdict and ``witness`` exactly for the outside-domain
     verdict.
     """
@@ -199,35 +199,29 @@ def projector_from_basis(vectors: Sequence[np.ndarray], tol: float = DEFAULT_TOL
         if wn <= tol * max(1.0, float(np.linalg.norm(v))):
             raise LinearDependence(f"basis vector {k} lies in the span of its predecessors")
         basis.append(w / wn)
-    proj = np.zeros((dim, dim), dtype=complex)
-    for b in basis:
-        proj += np.outer(b, b.conj())
-    return CodeSpace(dim, tuple(basis), proj)
+    b = np.column_stack(basis)
+    return CodeSpace(dim, tuple(basis), b @ b.conj().T)
 
 
-def _condition_fit(
-    operators: Sequence[np.ndarray],
-    signs: Sequence[int] | None,
-    code: CodeSpace,
-    tol: float,
-    form: str,
-) -> ConditionMatrix:
-    p = code.projector
-    r = code.rank
-    n = len(operators)
-    entries = np.zeros((n, n), dtype=complex)
-    residual = 0.0
-    for i in range(n):
-        for j in range(n):
-            block = p @ operators[i].conj().T @ operators[j] @ p
-            c = np.trace(block) / r
-            if signs is not None:
-                c = signs[i] * c
-                dev = _max_abs(signs[i] * block - c * p)
-            else:
-                dev = _max_abs(block - c * p)
-            entries[i, j] = c
-            residual = max(residual, dev)
+def _on_code(ops: SignedOperatorSum, code: CodeSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked terms ``E``, terms on the code ``V_k = E_k B`` and blocks.
+
+    ``B`` is the ``d x r`` logical isometry; the blocks
+    ``B^dag E_k^dag E_l B`` have shape ``(n, n, r, r)``.
+    """
+    if ops.dim != code.dim:
+        raise ValueError(f"operator dimension {ops.dim} does not match code dimension {code.dim}")
+    stack = _stacked(ops)
+    v = stack @ np.column_stack(code.logical_basis)
+    return stack, v, np.einsum("kda,ldb->klab", v.conj(), v)
+
+
+def _condition_fit(blocks: np.ndarray, signs: Sequence[int] | None, form: str) -> ConditionMatrix:
+    r = blocks.shape[-1]
+    entries = np.einsum("klaa->kl", blocks) / r
+    residual = _max_abs(blocks - entries[:, :, None, None] * np.eye(r))
+    if signs is not None:
+        entries = np.asarray(signs)[:, None] * entries
     return ConditionMatrix(entries, residual, form)
 
 
@@ -236,16 +230,14 @@ def cp_condition_matrix(
 ) -> ConditionMatrix:
     """Fit ``P E_i^dag E_j P = c_ij P`` for an unsigned operator list.
 
-    The residual is the largest entrywise deviation of any block from
-    ``c_ij P``; conditions hold iff it is at most ``tol``.
+    The residual is the largest entrywise deviation of any block
+    ``B^dag E_i^dag E_j B`` from ``c_ij`` times the identity, in the
+    logical basis ``B``.
     """
-    ops = [np.asarray(op, dtype=complex) for op in operators]
-    if not ops:
+    if not len(operators):
         raise ValueError("at least one operator is required")
-    for k, op in enumerate(ops):
-        if op.shape != (code.dim, code.dim):
-            raise ValueError(f"operator {k} has shape {op.shape}, expected ({code.dim}, {code.dim})")
-    return _condition_fit(ops, None, code, tol, "hermitian")
+    ops = SignedOperatorSum(code.dim, (1,) * len(operators), tuple(operators))
+    return _condition_fit(_on_code(ops, code)[2], None, "hermitian")
 
 
 def ph_condition_matrix(
@@ -254,45 +246,75 @@ def ph_condition_matrix(
     """Fit the signed conditions ``sign_i P E_i^dag E_j P = c_ij P``.
 
     The resulting coefficient matrix is pseudohermitian for the metric
-    of ``ops.signature`` whenever the residual is small.
+    of ``ops.signature``.  The residual is measured as in
+    :func:`cp_condition_matrix`.
     """
-    if ops.dim != code.dim:
-        raise ValueError(f"operator dimension {ops.dim} does not match code dimension {code.dim}")
-    return _condition_fit(ops.operators, ops.signs, code, tol, "pseudohermitian")
+    return _condition_fit(_on_code(ops, code)[2], ops.signs, "pseudohermitian")
+
+
+def _canonical_terms(
+    signs: Sequence[int], stack: np.ndarray, blocks: np.ndarray, tol: float
+) -> tuple[SignedOperatorSum, np.ndarray, np.ndarray, ConditionMatrix, float]:
+    """Canonical decomposition of the map restricted to the code.
+
+    With ``G = tr_r(blocks) / r = R^dag R`` the Gram matrix of the terms
+    on the code and ``R eta R^dag = W L W^dag`` (``L`` is the spectrum of
+    the restricted dynamical matrix over ``r``), returns ``(F, d, T,
+    condition, scale)``: ``T = R^+ W |L|^(1/2)``, ``F = E T``, ``d = |L|``
+    and ``scale = max eig G``.  Eigenvalues up to ``tol * scale`` drop.
+    """
+    r = blocks.shape[-1]
+    mu, q = np.linalg.eigh(np.einsum("klaa->kl", blocks) / r)
+    scale = float(mu.max(initial=0.0))
+    keep = mu > tol * scale
+    root = np.sqrt(mu[keep])
+    factor = root[:, None] * q[:, keep].conj().T  # R, with G = R^dag R
+    lam, w = np.linalg.eigh((factor * np.asarray(signs)) @ factor.conj().T)
+    kept = np.flatnonzero(np.abs(lam) > tol * scale)
+    clusters = [kept[c] for c in _cluster_indices(lam[kept], tol * scale)]
+    clusters.sort(key=lambda c: (lam[c[0]] < 0, -abs(lam[c[0]])))  # clusters are contiguous runs
+    values = np.array([np.mean(lam[c]) for c in clusters for _ in c])
+    # Each eigenspace gets the basis spanned by the input terms (columns
+    # of R) in index order, so already-diagonal conditions give T = I.
+    columns = [_projected_basis(w[:, c], factor) for c in clusters]
+    w_fixed = np.concatenate([np.zeros((root.size, 0))] + columns, axis=1)
+    d, new_signs = np.abs(values), np.sign(values)
+    t = (q[:, keep] / root) @ w_fixed * np.sqrt(d)
+    # The traced part of T^dag blocks T is diag(d) by construction, so the
+    # fit's residual is the deviation from diag(d) x identity.
+    canonical = np.einsum("ki,klab,lj->ijab", t.conj(), blocks, t)
+    condition = _condition_fit(canonical, new_signs, "pseudohermitian")
+    f = SignedOperatorSum(stack.shape[1], new_signs, tuple(np.tensordot(t, stack, axes=([0], [0]))))
+    return f, d, t, condition, scale
 
 
 def diagonalize_conditions(
     ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL
 ) -> tuple[SignedOperatorSum, np.ndarray, np.ndarray]:
-    """Mix the terms pseudounitarily so the conditions become diagonal.
+    """Canonical terms of the map on the code, with diagonal conditions.
 
-    Returns ``(F, d, u)`` where ``F = transform_by_pseudounitary(ops, u)``
-    satisfies ``P F_k^dag F_l P = d[k] delta_kl P`` with ``d >= 0``.
+    Returns ``(F, d, T)`` where ``F = E T`` satisfies
+    ``P F_k^dag F_l P = d[k] delta_kl P`` with ``d > 0``, positive signs
+    first, then descending ``d``.  ``T`` is ``n x m`` with ``m`` the rank
+    of the map restricted to the code; it is the square pseudounitary
+    connecting the two decompositions whenever the terms are linearly
+    independent on the code.  ``F`` generates the same map as ``ops`` on
+    operators supported on the code space.
 
     Raises
     ------
     ConditionsViolated
-        If the signed conditions fail at ``tol``.
-    PseudoDiagonalizationFailure
-        If the condition matrix cannot be diagonalized pseudounitarily
-        (propagated from :func:`~ncpqec.pseudolinalg.pseudo_diagonalize`).
+        If the canonical residual exceeds ``tol`` times the map's scale on
+        the code.
     """
-    condition = ph_condition_matrix(ops, code, tol)
-    if condition.residual > tol:
+    stack, _, blocks = _on_code(ops, code)
+    f, d, t, condition, scale = _canonical_terms(ops.signs, stack, blocks, tol)
+    if condition.residual > tol * scale:
         raise ConditionsViolated(
-            f"signed correctability conditions fail: residual {condition.residual:.3e} > {tol:.1e}"
+            f"signed correctability conditions fail: residual {condition.residual:.3e} "
+            f"> {tol:.1e} x scale {scale:.3e}"
         )
-    eta = eta_metric(ops.signature)
-    diag = pseudo_diagonalize(condition.entries, eta, tol)
-    u = diag.transform
-    # entries = eta * gram, so the diagonalized gram is eta * eigenvalues >= 0
-    d = np.diag(eta).real * diag.eigenvalues
-    d = np.clip(d, 0.0, None)
-    # pseudo_diagonalize guarantees pseudounitarity only up to 10*tol
-    # (scaled by the condition-matrix norm), so check u at that bound.
-    u_tol = 10 * tol * max(1.0, _max_abs(condition.entries))
-    f = transform_by_pseudounitary(ops, u, u_tol)
-    return f, d, u
+    return f, d, t
 
 
 def build_syndromes(
@@ -300,11 +322,11 @@ def build_syndromes(
 ) -> SyndromeSet:
     """Syndrome projectors and correction unitaries for diagonalized terms.
 
-    Term ``k`` with weight ``d[k] > tol`` satisfies
+    Term ``k`` with weight ``d[k] > tol * max(d)`` satisfies
     ``F_k P = sqrt(d[k]) U_k P`` with ``U_k`` from the polar
     decomposition of ``F_k P``; its syndrome projector is
-    ``U_k P U_k^dag``.  Terms with ``d[k] <= tol`` act trivially on the
-    code space and are skipped.
+    ``U_k P U_k^dag``.  Lighter terms act trivially on the code space
+    and are skipped.
 
     Raises
     ------
@@ -316,9 +338,10 @@ def build_syndromes(
     if d.shape != (f_ops.n_terms,):
         raise ValueError(f"weight vector has shape {d.shape}, expected ({f_ops.n_terms},)")
     p = code.projector
+    cut = tol * float(d.max()) if d.size else 0.0
     syndromes: list[Syndrome] = []
     for k in range(f_ops.n_terms):
-        if d[k] <= tol:
+        if d[k] <= cut:
             continue
         factors = polar_on_code(f_ops.operators[k], p, tol)
         u_k = factors.unitary_part
@@ -336,19 +359,13 @@ def build_syndromes(
 
 
 def negative_part_on_code(ops: SignedOperatorSum, code: CodeSpace) -> float:
-    """Largest Frobenius norm of ``E_k P`` over the negative-sign block.
+    """Largest Frobenius norm of ``E_k P = E_k B`` over the negative-sign block.
 
     Zero exactly when the negative part of the decomposition annihilates
     the code space (the reversibility-with-positivity requirement).
     """
-    if ops.dim != code.dim:
-        raise ValueError(f"operator dimension {ops.dim} does not match code dimension {code.dim}")
-    p = code.projector
-    worst = 0.0
-    for s, op in zip(ops.signs, ops.operators):
-        if s < 0:
-            worst = max(worst, float(np.linalg.norm(op @ p)))
-    return worst
+    v = _on_code(ops, code)[1]
+    return max((float(np.linalg.norm(v[k])) for k, s in enumerate(ops.signs) if s < 0), default=0.0)
 
 
 def build_recovery(syndromes: SyndromeSet) -> SignedOperatorSum:
@@ -372,55 +389,42 @@ def _logical_state(code: CodeSpace, coeffs: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _witness_candidates(code: CodeSpace) -> "list[np.ndarray]":
-    candidates = [np.outer(b, b.conj()) for b in code.logical_basis]
-    candidates.append(code.projector / code.rank)
-    rng = np.random.default_rng(_WITNESS_SEED)
-    for _ in range(_N_RANDOM_WITNESS_STATES):
-        coeffs = rng.standard_normal(code.rank) + 1j * rng.standard_normal(code.rank)
-        candidates.append(_logical_state(code, coeffs))
-    return candidates
-
-
 def domain_witness(
     ops: SignedOperatorSum,
     code: CodeSpace,
     syndromes: SyndromeSet,
     tol: float = DEFAULT_TOL,
 ) -> NegativityWitness | None:
-    """Search for a code state with a negative syndrome probability.
+    """Code state with a negative syndrome probability, in closed form.
 
-    Returns ``None`` when the negative block annihilates the code space
-    (nothing to witness).  Otherwise scans candidate states -- logical
-    basis states first, then the uniform code mixture, then 64
-    reproducible random code states -- against every retained
-    negative-sign syndrome, and returns the first state whose
-    (unnormalized) outcome probability ``tr(P_j E(rho) P_j)`` is at most
-    ``-tol``.
+    On a code state ``rho``, the syndrome of a retained negative-sign
+    diagonal term ``F_j`` has outcome probability
+    ``tr(P_j E(rho) P_j) = -d_j tr(rho)``.  Returns ``None`` when no
+    retained syndrome has a negative sign (nothing to witness).
+    Otherwise returns the first logical basis state against the first
+    negative syndrome, with its probability from one
+    :func:`~ncpqec.superop.apply_map` cross-check.
 
     Raises
     ------
     WitnessSearchFailed
-        If the negative block acts on the code space but no scanned
-        candidate produced a negative probability.
+        If the cross-checked probability is not at most ``-tol`` times the
+        largest syndrome weight, i.e. the syndromes do not belong to
+        ``ops`` on this code.
     """
-    if negative_part_on_code(ops, code) <= tol:
+    j = next((j for j, s in enumerate(syndromes) if s.sign < 0), None)
+    if j is None:
         return None
-    negative_indices = [j for j, s in enumerate(syndromes) if s.sign < 0]
-    if not negative_indices:
+    b = code.logical_basis[0]
+    state = np.outer(b, b.conj())
+    proj = syndromes[j].projector
+    prob = float(np.trace(proj @ apply_map(ops, state) @ proj).real)
+    if prob > -tol * max(s.weight for s in syndromes):
         raise WitnessSearchFailed(
-            "negative block acts on the code space but produced no retained syndrome"
+            f"negative syndrome {j} has probability {prob:.3e} on the first logical basis state, "
+            f"expected {-syndromes[j].weight:.3e}"
         )
-    for state in _witness_candidates(code):
-        out = apply_map(ops, state)
-        for j in negative_indices:
-            proj = syndromes[j].projector
-            prob = float(np.trace(proj @ out @ proj).real)
-            if prob <= -tol:
-                return NegativityWitness(state, j, prob)
-    raise WitnessSearchFailed(
-        "no candidate code state produced a negative syndrome probability"
-    )
+    return NegativityWitness(state, j, prob)
 
 
 def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -> QecReport:
@@ -428,35 +432,36 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
 
     The verdict is
 
-    * ``conditions_violated`` when the signed correctability conditions
-      fail on the code space (or when they hold but the map does not
-      preserve trace on the code space, so no physically meaningful
-      recovery exists);
-    * ``code_outside_domain`` when the conditions hold but the negative
-      block still acts on the code space -- a witness state with a
+    * ``conditions_violated`` when the canonical residual exceeds ``tol``
+      times the map's scale on the code, when the map annihilates the
+      code space, or when the conditions hold but the map does not
+      preserve trace on the code space (at the absolute ``tol``), so no
+      physically meaningful recovery exists;
+    * ``code_outside_domain`` when the conditions hold and a negative
+      canonical term acts on the code space -- a witness state with a
       negative outcome probability is attached;
-    * ``reversible_positive`` when the conditions hold and the negative
-      block annihilates the code space -- a recovery channel built from
-      the syndromes is attached.
+    * ``reversible_positive`` when the conditions hold and every
+      canonical term acting on the code space is positive -- a recovery
+      channel built from the syndromes is attached.
+
+    The verdict depends on the map and the code, not on the signed
+    decomposition that represents the map.
     """
-    condition = ph_condition_matrix(ops, code, tol)
-    if condition.residual > tol:
+    stack, v, blocks = _on_code(ops, code)
+    f, d, t, condition, scale = _canonical_terms(ops.signs, stack, blocks, tol)
+    if not d.size:
+        zero = ConditionMatrix(np.zeros((1, 1)), 0.0, "pseudohermitian")
+        return QecReport(zero, None, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
+    if condition.residual > tol * scale:
         return QecReport(condition, None, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
-    f, d, u = diagonalize_conditions(ops, code, tol)
     syndromes = build_syndromes(f, code, d, tol)
-    if negative_part_on_code(f, code) > tol:
-        witness = domain_witness(f, code, syndromes, tol)
-        return QecReport(condition, u, d, syndromes, None, Verdict.CODE_OUTSIDE_DOMAIN, witness)
-    # Reversibility with a physical recovery additionally needs trace
-    # preservation on the code space.
-    p = code.projector
-    acc = np.zeros((ops.dim, ops.dim), dtype=complex)
-    for s, op in zip(ops.signs, ops.operators):
-        acc += s * (op.conj().T @ op)
-    if _max_abs(p @ acc @ p - p) > tol:
-        return QecReport(condition, u, d, syndromes, None, Verdict.CONDITIONS_VIOLATED, None)
+    if any(s.sign < 0 for s in syndromes):
+        witness = domain_witness(ops, code, syndromes, tol)
+        return QecReport(condition, t, d, syndromes, None, Verdict.CODE_OUTSIDE_DOMAIN, witness)
+    if _max_abs(_signed_gram(ops.signs, v) - np.eye(code.rank)) > tol:
+        return QecReport(condition, t, d, syndromes, None, Verdict.CONDITIONS_VIOLATED, None)
     recovery = build_recovery(syndromes)
-    return QecReport(condition, u, d, syndromes, recovery, Verdict.REVERSIBLE_POSITIVE, None)
+    return QecReport(condition, t, d, syndromes, recovery, Verdict.REVERSIBLE_POSITIVE, None)
 
 
 def _recovery_samples(code: CodeSpace, trials: int) -> list[np.ndarray]:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import NotHermitian, NotPseudoUnitary
 from .pseudolinalg import DEFAULT_TOL, Signature, eta_metric, is_pseudounitary
+from .pseudolinalg import _cluster_indices, _max_abs, _projected_basis
 
 __all__ = [
     "AMatrix",
@@ -46,10 +47,6 @@ __all__ = [
     "validate_density_matrix",
     "is_positive_semidefinite",
 ]
-
-
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -210,11 +207,18 @@ def check_trace_preserving(x: AMatrix | SignedOperatorSum, tol: float = DEFAULT_
         t = x.matrix.reshape(d, d, d, d)
         return _max_abs(np.einsum("iirs->rs", t) - np.eye(d)) <= tol
     if isinstance(x, SignedOperatorSum):
-        acc = np.zeros((x.dim, x.dim), dtype=complex)
-        for s, op in zip(x.signs, x.operators):
-            acc += s * (op.conj().T @ op)
-        return _max_abs(acc - np.eye(x.dim)) <= tol
+        return _max_abs(_signed_gram(x.signs, _stacked(x)) - np.eye(x.dim)) <= tol
     raise TypeError(f"expected AMatrix or SignedOperatorSum, got {type(x).__name__}")
+
+
+def _stacked(ops: SignedOperatorSum) -> np.ndarray:
+    """The operators as one ``(n_terms, dim, dim)`` array."""
+    return np.asarray(ops.operators, dtype=complex).reshape(ops.n_terms, ops.dim, ops.dim)
+
+
+def _signed_gram(signs: Sequence[int], terms: np.ndarray) -> np.ndarray:
+    """``sum_k signs[k] terms[k]^dag terms[k]`` over a stack of matrices."""
+    return np.einsum("k,kia,kib->ab", np.asarray(signs, dtype=float), terms.conj(), terms)
 
 
 def b_from_operator_sum(ops: SignedOperatorSum) -> BMatrix:
@@ -230,30 +234,6 @@ def b_from_operator_sum(ops: SignedOperatorSum) -> BMatrix:
 def a_from_operator_sum(ops: SignedOperatorSum) -> AMatrix:
     """Transition matrix of a signed operator sum (via :func:`reshuffle`)."""
     return reshuffle(b_from_operator_sum(ops))
-
-
-def _deterministic_eigenbasis(vectors: np.ndarray) -> list[np.ndarray]:
-    """Deterministic orthonormal basis of the span of ``vectors``' columns.
-
-    Projects the standard basis vectors onto the span in index order and
-    orthogonalizes, removing the eigensolver's arbitrary choice of basis
-    inside degenerate eigenspaces.
-    """
-    k = vectors.shape[1]
-    q = vectors @ vectors.conj().T
-    basis: list[np.ndarray] = []
-    for j in range(q.shape[0]):
-        if len(basis) == k:
-            break
-        w = q[:, j].copy()
-        for b in basis:
-            w = w - b * np.vdot(b, w)
-        wn = float(np.linalg.norm(w))
-        if wn > 1e-8:
-            basis.append(w / wn)
-    if len(basis) != k:  # pragma: no cover - span always reachable from projector columns
-        raise RuntimeError("failed to construct a deterministic eigenbasis")
-    return basis
 
 
 def _lex_key(v: np.ndarray) -> tuple:
@@ -274,29 +254,16 @@ def canonical_signed_eigensystem(
     """
     lam, v = np.linalg.eigh(b)
     lmax = _max_abs(lam)
-    if lmax == 0.0:
-        return []
-    keep = [i for i in range(lam.size) if abs(lam[i]) > tol * lmax]
-    if not keep:
-        return []
-    gap = tol * lmax
-    kept_lam = lam[keep]
-    order = np.argsort(kept_lam)
-    clusters: list[list[int]] = []
-    for oi in order:
-        i = keep[int(oi)]
-        if clusters and lam[i] - lam[clusters[-1][-1]] <= gap:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+    keep = np.flatnonzero(np.abs(lam) > tol * lmax)
     triples: list[tuple[int, float, np.ndarray]] = []
-    for cluster in clusters:
+    for c in _cluster_indices(lam[keep], tol * lmax):
+        cluster = keep[c]
         value = float(np.mean(lam[cluster]))
         sign = 1 if value > 0 else -1
         if len(cluster) == 1:
             vecs = [v[:, cluster[0]]]
         else:
-            vecs = _deterministic_eigenbasis(v[:, cluster])
+            vecs = _projected_basis(v[:, cluster], np.eye(lam.size)).T
         for u in vecs:
             triples.append((sign, abs(value), u))
     triples.sort(key=lambda t: (-t[0], -t[1], _lex_key(t[2] * np.sqrt(t[1]))))
@@ -406,11 +373,8 @@ def transform_by_pseudounitary(
     eta = eta_metric(ops.signature)
     if not is_pseudounitary(u, eta, tol):
         raise NotPseudoUnitary("u does not preserve the metric of the term signature")
-    if n == 0:
-        return ops
-    stack = np.stack(ops.operators)  # (n, d, d)
-    mixed = np.tensordot(u, stack, axes=([0], [0]))  # F_j = sum_k E_k u[k, j]
-    return SignedOperatorSum(ops.dim, ops.signs, tuple(mixed[j] for j in range(n)))
+    mixed = np.tensordot(u, _stacked(ops), axes=([0], [0]))  # F_j = sum_k E_k u[k, j]
+    return SignedOperatorSum(ops.dim, ops.signs, tuple(mixed))
 
 
 def validate_density_matrix(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

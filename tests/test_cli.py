@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ncpqec.documents import channel_document, parse_analysis_document, parse_channel_document
-from ncpqec.superop import AMatrix, SignedOperatorSum, a_from_operator_sum, b_from_operator_sum
+from ncpqec.superop import AMatrix, BMatrix, SignedOperatorSum, a_from_operator_sum, b_from_operator_sum
 
 from helpers import I2, X, bitflip_ops
 
@@ -189,6 +189,28 @@ def test_qec_conditions_violated(tmp_path):
     ops = SignedOperatorSum.from_terms(
         [1, 1], [np.sqrt(0.8) * np.eye(8, dtype=complex), np.sqrt(0.2) * z1]
     )
+    chan = write_channel(tmp_path / "chan.json", ops)
+    code = write_repetition_code(tmp_path / "code.json")
+    proc = run_cli("qec", chan, "--code", code, "--json")
+    assert proc.returncode == 0, proc.stderr
+    parsed = parse_analysis_document(json.loads(proc.stdout))
+    assert parsed["verdict"] == "conditions_violated"
+
+
+def test_qec_zero_map_document_reparses(tmp_path):
+    # The zero B matrix decomposes into an empty term list.
+    chan = write_channel(tmp_path / "chan.json", BMatrix(8, np.zeros((64, 64))))
+    code = write_repetition_code(tmp_path / "code.json")
+    proc = run_cli("qec", chan, "--code", code, "--json")
+    assert proc.returncode == 0, proc.stderr
+    parsed = parse_analysis_document(json.loads(proc.stdout))
+    assert parsed["verdict"] == "conditions_violated"
+
+
+def test_qec_map_annihilating_the_code_document_reparses(tmp_path):
+    # Both terms send |000> and |111> to zero: no canonical term survives.
+    kill = np.diag([0.0, 1, 1, 1, 1, 1, 1, 0]).astype(complex)
+    ops = SignedOperatorSum.from_terms([1, -1], [kill, 0.5 * kill])
     chan = write_channel(tmp_path / "chan.json", ops)
     code = write_repetition_code(tmp_path / "code.json")
     proc = run_cli("qec", chan, "--code", code, "--json")

@@ -1,0 +1,139 @@
+"""Property tests: the verdict depends only on the map and the code.
+
+Hypothesis draws conditioned Pauli maps on the three-qubit repetition
+code: NCP maps, whose code space lies outside the domain, and
+trace-normalized CP maps, which are reversible.  Re-decomposing a map
+(pseudounitary boosts, canceling pairs, the base decomposition) must
+change neither the verdict nor the sorted weights ``d``; rescaling
+scales ``d`` and keeps the verdict except where trace preservation is
+lost.  Runs are derandomized and keep no example database, so the suite
+is reproducible.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from ncpqec import (
+    PseudoDiagonalizationFailure,
+    SignedOperatorSum,
+    Verdict,
+    analyze,
+    eta_metric,
+    ph_condition_matrix,
+    pseudo_diagonalize,
+    to_base_map,
+    transform_by_pseudounitary,
+)
+
+from helpers import (
+    bitflip_ops,
+    conditioned_pauli_map,
+    pauli_string,
+    random_complex,
+    random_pu,
+    repetition_code,
+)
+
+CODE = repetition_code()
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def maps(draw):
+    """A conditioned Pauli map and a generator for re-decomposing it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return conditioned_pauli_map(rng), rng
+    cp = conditioned_pauli_map(rng, require_negative=False)
+    weight = sum(float(np.vdot(op, op).real) for op in cp.operators) / 8
+    return SignedOperatorSum(8, cp.signs, tuple(op / np.sqrt(weight) for op in cp.operators)), rng
+
+
+def weights(report):
+    return np.sort(np.abs(report.diagonal))
+
+
+def assert_same_outcome(base, other):
+    assert other.verdict is base.verdict
+    assert weights(other) == pytest.approx(weights(base), rel=1e-9, abs=1e-12)
+
+
+def with_pair(ops, k):
+    """``ops`` with the canceling pair ``(+k, -k)`` appended."""
+    pos = [op for s, op in zip(ops.signs, ops.operators) if s > 0]
+    neg = [op for s, op in zip(ops.signs, ops.operators) if s < 0]
+    return SignedOperatorSum.from_terms([1] * (len(pos) + 1) + [-1] * (len(neg) + 1), pos + [k] + neg + [k])
+
+
+@PROPERTY
+@given(maps())
+def test_pseudounitary_boost_keeps_outcome(case):
+    ops, rng = case
+    moved = transform_by_pseudounitary(ops, random_pu(rng, ops.signature), tol=1e-7)
+    assert_same_outcome(analyze(ops, CODE), analyze(moved, CODE))
+
+
+@PROPERTY
+@given(maps(), st.booleans())
+def test_canceling_pair_keeps_outcome(case, dense):
+    ops, rng = case
+    if dense:  # outside the span of the map's terms
+        k = random_complex(rng, (8, 8))
+    else:
+        k = rng.uniform(0.1, 2.0) * ops.operators[int(rng.integers(ops.n_terms))]
+    assert_same_outcome(analyze(ops, CODE), analyze(with_pair(ops, k), CODE))
+
+
+@PROPERTY
+@given(maps())
+def test_base_map_keeps_outcome(case):
+    ops, _ = case
+    assert_same_outcome(analyze(ops, CODE), analyze(to_base_map(ops), CODE))
+
+
+@PROPERTY
+@given(maps(), st.floats(-6.0, 6.0))
+def test_rescaling_scales_weights(case, exponent):
+    ops, _ = case
+    alpha = 10.0**exponent
+    # Keep clear of the trace-preservation gate at |alpha - 1| = tol.
+    assume(not 1e-10 < abs(alpha - 1.0) < 1e-8)
+    scaled = SignedOperatorSum(8, ops.signs, tuple(np.sqrt(alpha) * op for op in ops.operators))
+    base, report = analyze(ops, CODE), analyze(scaled, CODE)
+    assert weights(report) == pytest.approx(alpha * weights(base), rel=1e-9)
+    if base.verdict is Verdict.REVERSIBLE_POSITIVE and abs(alpha - 1.0) > 1e-9:
+        # Trace preservation does not survive scaling.
+        assert report.verdict is Verdict.CONDITIONS_VIOLATED
+    else:
+        assert report.verdict is base.verdict
+    if base.witness is not None:
+        assert report.witness.probability == pytest.approx(alpha * base.witness.probability, rel=1e-9)
+
+
+@PROPERTY
+@given(maps(), st.booleans())
+def test_pseudo_diagonalize_oracle_matches_weights(case, boosted):
+    ops, rng = case
+    if boosted:
+        ops = transform_by_pseudounitary(ops, random_pu(rng, ops.signature), tol=1e-7)
+    entries = ph_condition_matrix(ops, CODE).entries
+    try:
+        oracle = pseudo_diagonalize(entries, eta_metric(ops.signature))
+    except PseudoDiagonalizationFailure:
+        assume(False)
+    assert np.sort(np.abs(oracle.eigenvalues)) == pytest.approx(weights(analyze(ops, CODE)), rel=1e-9)
+
+
+def test_known_redecompositions_get_base_verdicts():
+    x1 = pauli_string("XII")
+    pair = with_pair(bitflip_ops(0.7), 0.1 * x1)
+    report = analyze(pair, CODE)
+    assert report.verdict is Verdict.REVERSIBLE_POSITIVE
+    assert weights(report) == pytest.approx([0.1, 0.1, 0.1, 0.7])
+
+    inverted = bitflip_ops(-0.2)
+    tiny = SignedOperatorSum(8, inverted.signs, tuple(1e-5 * op for op in inverted.operators))
+    report = analyze(tiny, CODE)
+    assert report.verdict is Verdict.CODE_OUTSIDE_DOMAIN
+    assert report.witness.probability == pytest.approx(-0.2e-10, rel=1e-9)

@@ -216,6 +216,16 @@ def test_pseudo_diagonalize_degenerate_cluster():
     assert is_pseudounitary(res.transform, eta, 1e-9)
 
 
+def test_pseudo_diagonalize_keeps_eigensolver_order_in_cluster():
+    # The conditions of the four-qubit inverted bit-flip map: already
+    # diagonal, so the transform must be the identity, not a reordering
+    # inside the four-fold cluster.
+    eta = eta_metric(Signature(4, 1))
+    res = pseudo_diagonalize(np.diag([0.3, 0.3, 0.3, 0.3, -0.2]), eta)
+    assert np.abs(res.transform - np.eye(5)).max() < 1e-12
+    assert res.permutation == (0, 1, 2, 3, 4)
+
+
 def test_polar_on_code_identity_and_flip():
     p0 = np.diag([1.0, 0]).astype(complex)
     res = polar_on_code(np.eye(2), p0)
