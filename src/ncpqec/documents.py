@@ -19,6 +19,7 @@ from .pseudolinalg import Signature
 
 SCHEMA_VERSION = "1"
 REPRESENTATIONS = ("a_matrix", "b_matrix", "operator_sum")
+_NUMBER = (int, float)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -81,6 +82,14 @@ def _require(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _field(obj: dict, key: str, where: str, kind: type | tuple, what: str, ok=lambda value: True) -> Any:
+    """The required ``obj[key]``, checked to be a ``kind`` (never a bool) passing ``ok``."""
+    value = _require(obj, key, where)
+    if not isinstance(value, kind) or isinstance(value, bool) or not ok(value):
+        raise ValueError(f"{where}.{key} must be {what}, got {value!r}")
+    return value
+
+
 def _check_version(obj: dict, where: str) -> None:
     version = _require(obj, "schema_version", where)
     if version != SCHEMA_VERSION:
@@ -88,10 +97,7 @@ def _check_version(obj: dict, where: str) -> None:
 
 
 def _check_dim(obj: dict, where: str) -> int:
-    dim = _require(obj, "dim", where)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ValueError(f"{where}: dim must be a positive integer, got {dim!r}")
-    return dim
+    return _field(obj, "dim", where, int, "a positive integer", lambda dim: dim >= 1)
 
 
 def channel_document(channel: AMatrix | BMatrix | SignedOperatorSum) -> dict:
@@ -239,27 +245,23 @@ def parse_analysis_document(obj: Any) -> dict:
     if verdict not in verdicts:
         raise ValueError(f"analysis: unknown verdict {verdict!r}")
     sig = _require(obj, "signature", "analysis")
-    if (
-        not isinstance(sig, dict)
-        or not isinstance(sig.get("p"), int)
-        or not isinstance(sig.get("q"), int)
-        or sig["p"] < 0
-        or sig["q"] < 0
-    ):
-        raise ValueError("analysis.signature: expected non-negative integers p and q")
+    if not isinstance(sig, dict):
+        raise ValueError("analysis.signature must be a JSON object")
+    where = "analysis.signature"
+    p, q = (_field(sig, key, where, int, "a non-negative integer", lambda x: x >= 0) for key in "pq")
     condition = _require(obj, "condition", "analysis")
     if not isinstance(condition, dict):
         raise ValueError("analysis.condition must be a JSON object")
     entries = decode_matrix(_require(condition, "entries", "analysis.condition"), "analysis.condition.entries")
-    residual = _require(condition, "residual", "analysis.condition")
-    if not isinstance(residual, (int, float)) or isinstance(residual, bool) or residual < 0:
-        raise ValueError("analysis.condition.residual must be a non-negative number")
+    residual = _field(
+        condition, "residual", "analysis.condition", _NUMBER, "a non-negative number", lambda x: x >= 0
+    )
     form = _require(condition, "form", "analysis.condition")
     if form not in ("hermitian", "pseudohermitian"):
         raise ValueError(f"analysis.condition.form: unknown form {form!r}")
     out: dict[str, Any] = {
         "verdict": verdict,
-        "signature": (sig["p"], sig["q"]),
+        "signature": (p, q),
         "condition_entries": entries,
         "condition_residual": float(residual),
         "condition_form": form,
@@ -280,15 +282,16 @@ def parse_analysis_document(obj: Any) -> dict:
         out["diagonal"] = np.array(diag, dtype=float)
     if obj.get("syndromes") is not None:
         decoded = []
-        for k, s in enumerate(obj["syndromes"]):
+        for k, s in enumerate(_field(obj, "syndromes", "analysis", list, "a list")):
+            where = f"analysis.syndromes[{k}]"
             if not isinstance(s, dict):
-                raise ValueError(f"analysis.syndromes[{k}] must be a JSON object")
+                raise ValueError(f"{where} must be a JSON object")
             decoded.append(
                 {
-                    "projector": decode_matrix(_require(s, "projector", f"analysis.syndromes[{k}]")),
-                    "unitary": decode_matrix(_require(s, "unitary", f"analysis.syndromes[{k}]")),
-                    "weight": float(_require(s, "weight", f"analysis.syndromes[{k}]")),
-                    "sign": int(_require(s, "sign", f"analysis.syndromes[{k}]")),
+                    "projector": decode_matrix(_require(s, "projector", where), f"{where}.projector"),
+                    "unitary": decode_matrix(_require(s, "unitary", where), f"{where}.unitary"),
+                    "weight": float(_field(s, "weight", where, _NUMBER, "a number")),
+                    "sign": _field(s, "sign", where, int, "+1 or -1", lambda x: x in (1, -1)),
                 }
             )
         out["syndromes"] = decoded
@@ -298,18 +301,19 @@ def parse_analysis_document(obj: Any) -> dict:
             raise ValueError("analysis.recovery must be a JSON object")
         ops = [
             decode_matrix(m, f"analysis.recovery.operators[{k}]")
-            for k, m in enumerate(_require(rec, "operators", "analysis.recovery"))
+            for k, m in enumerate(_field(rec, "operators", "analysis.recovery", list, "a list"))
         ]
-        out["recovery"] = SignedOperatorSum.from_terms(_require(rec, "signs", "analysis.recovery"), ops)
+        signs = _field(rec, "signs", "analysis.recovery", list, "a list")
+        try:
+            out["recovery"] = SignedOperatorSum.from_terms(signs, ops)
+        except ValueError as exc:
+            raise ValueError(f"analysis.recovery: {exc}") from exc
     if witness is not None:
         if not isinstance(witness, dict):
             raise ValueError("analysis.witness must be a JSON object")
-        prob = _require(witness, "probability", "analysis.witness")
-        if not isinstance(prob, (int, float)) or isinstance(prob, bool) or prob >= 0:
-            raise ValueError("analysis.witness.probability must be a negative number")
-        out["witness"] = NegativityWitness(
-            decode_matrix(_require(witness, "state", "analysis.witness"), "analysis.witness.state"),
-            int(_require(witness, "syndrome_index", "analysis.witness")),
-            float(prob),
-        )
+        where = "analysis.witness"
+        state = decode_matrix(_require(witness, "state", where), f"{where}.state")
+        index = _field(witness, "syndrome_index", where, int, "a non-negative integer", lambda x: x >= 0)
+        prob = _field(witness, "probability", where, _NUMBER, "a negative number", lambda x: x < 0)
+        out["witness"] = NegativityWitness(state, index, float(prob))
     return out

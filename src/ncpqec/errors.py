@@ -48,7 +48,12 @@ class OrthogonalityViolation(NumericalFailure):
 
 
 class WitnessSearchFailed(NumericalFailure):
-    """No code state with a negative outcome probability was found."""
+    """The closed-form witness failed its ``apply_map`` cross-check.
+
+    The negative syndrome's outcome probability on a code state was not
+    negative at the tolerance, so the syndromes do not belong to the map
+    on this code.
+    """
 
 
 class MapsNotEqual(NumericalFailure):

@@ -30,7 +30,9 @@ from .errors import (
     PseudoDiagonalizationFailure,
 )
 
-#: Default absolute tolerance used across the package.
+#: Default tolerance used across the package.  The analysis gates of
+#: :mod:`ncpqec.qec` apply it relative to the map's scale on the code;
+#: checks such as trace preservation apply it as an absolute bound.
 DEFAULT_TOL = 1e-9
 
 
@@ -77,6 +79,13 @@ class PolarFactors:
 
 def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only complex copy of ``a``, for the immutable records."""
+    out = np.array(a, dtype=complex, copy=True)
+    out.setflags(write=False)
+    return out
 
 
 def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:

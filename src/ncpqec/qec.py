@@ -36,7 +36,7 @@ from .errors import (
     WitnessSearchFailed,
     ZeroTrace,
 )
-from .pseudolinalg import DEFAULT_TOL, _cluster_indices, _max_abs, _projected_basis, polar_on_code
+from .pseudolinalg import DEFAULT_TOL, _cluster_indices, _frozen, _max_abs, _projected_basis, polar_on_code
 from .superop import SignedOperatorSum, _signed_gram, _stacked, apply_map
 
 __all__ = [
@@ -71,8 +71,8 @@ class CodeSpace:
     projector: np.ndarray
 
     def __post_init__(self) -> None:
-        basis = tuple(np.asarray(v, dtype=complex) for v in self.logical_basis)
-        proj = np.asarray(self.projector, dtype=complex)
+        basis = tuple(_frozen(v) for v in self.logical_basis)
+        proj = _frozen(self.projector)
         if not basis:
             raise ValueError("code space needs at least one logical basis vector")
         for v in basis:
@@ -80,15 +80,8 @@ class CodeSpace:
                 raise ValueError(f"basis vector has shape {v.shape}, expected ({self.dim},)")
         if proj.shape != (self.dim, self.dim):
             raise ValueError(f"projector has shape {proj.shape}, expected ({self.dim}, {self.dim})")
-        frozen_basis = []
-        for v in basis:
-            fv = np.array(v, copy=True)
-            fv.setflags(write=False)
-            frozen_basis.append(fv)
-        fp = np.array(proj, copy=True)
-        fp.setflags(write=False)
-        object.__setattr__(self, "logical_basis", tuple(frozen_basis))
-        object.__setattr__(self, "projector", fp)
+        object.__setattr__(self, "logical_basis", basis)
+        object.__setattr__(self, "projector", proj)
 
     @property
     def rank(self) -> int:
@@ -111,9 +104,7 @@ class ConditionMatrix:
     def __post_init__(self) -> None:
         if self.form not in ("hermitian", "pseudohermitian"):
             raise ValueError(f"unknown condition form {self.form!r}")
-        e = np.array(np.asarray(self.entries, dtype=complex), copy=True)
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "entries", _frozen(self.entries))
 
 
 @dataclass(frozen=True)
@@ -188,19 +179,20 @@ def projector_from_basis(vectors: Sequence[np.ndarray], tol: float = DEFAULT_TOL
     if not vecs:
         raise ValueError("at least one basis vector is required")
     dim = vecs[0].shape[0]
-    basis: list[np.ndarray] = []
     for k, v in enumerate(vecs):
         if v.shape != (dim,):
             raise ValueError(f"vector {k} has shape {v.shape}, expected ({dim},)")
-        w = v.copy()
-        for b in basis:
-            w = w - b * np.vdot(b, w)
-        wn = float(np.linalg.norm(w))
-        if wn <= tol * max(1.0, float(np.linalg.norm(v))):
-            raise LinearDependence(f"basis vector {k} lies in the span of its predecessors")
-        basis.append(w / wn)
-    b = np.column_stack(basis)
-    return CodeSpace(dim, tuple(basis), b @ b.conj().T)
+    m = np.column_stack(vecs)
+    q, r = np.linalg.qr(m)
+    # |R_kk| is the norm of vector k orthogonal to its predecessors; past
+    # column dim every vector is dependent.
+    diag = np.diag(r)
+    small = np.abs(diag) <= tol * np.maximum(1.0, np.linalg.norm(m, axis=0)[: diag.size])
+    if small.any() or len(vecs) > dim:
+        k = int(np.argmax(small)) if small.any() else dim
+        raise LinearDependence(f"basis vector {k} lies in the span of its predecessors")
+    b = q * (diag / np.abs(diag))  # the phases of Gram-Schmidt in input order
+    return CodeSpace(dim, tuple(b.T), b @ b.conj().T)
 
 
 def _on_code(ops: SignedOperatorSum, code: CodeSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -324,7 +316,8 @@ def build_syndromes(
 
     Term ``k`` with weight ``d[k] > tol * max(d)`` satisfies
     ``F_k P = sqrt(d[k]) U_k P`` with ``U_k`` from the polar
-    decomposition of ``F_k P``; its syndrome projector is
+    decomposition of the isometry ``F_k P / sqrt(d[k])``, whose singular
+    values are all 1 at any scale of the map; its syndrome projector is
     ``U_k P U_k^dag``.  Lighter terms act trivially on the code space
     and are skipped.
 
@@ -343,7 +336,7 @@ def build_syndromes(
     for k in range(f_ops.n_terms):
         if d[k] <= cut:
             continue
-        factors = polar_on_code(f_ops.operators[k], p, tol)
+        factors = polar_on_code(f_ops.operators[k] / np.sqrt(d[k]), p, tol)
         u_k = factors.unitary_part
         proj = u_k @ p @ u_k.conj().T
         syndromes.append(Syndrome(proj, u_k, float(d[k]), f_ops.signs[k], k))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NotHermitian, NotPseudoUnitary
 from .pseudolinalg import DEFAULT_TOL, Signature, eta_metric, is_pseudounitary
-from .pseudolinalg import _cluster_indices, _max_abs, _projected_basis
+from .pseudolinalg import _cluster_indices, _frozen, _max_abs, _projected_basis
 
 __all__ = [
     "AMatrix",
@@ -49,12 +49,6 @@ __all__ = [
 ]
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 def vec(m: np.ndarray) -> np.ndarray:
     """Row-major vectorization: ``vec(M)[r*d + s] = M[r, s]``."""
     return np.asarray(m, dtype=complex).reshape(-1)
@@ -69,6 +63,19 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(d, d)
 
 
+def _check_map_matrix(x: AMatrix | BMatrix, name: str) -> None:
+    """Check that ``x.matrix`` is a finite ``d^2 x d^2`` array and freeze it."""
+    m = np.asarray(x.matrix, dtype=complex)
+    d2 = x.dim * x.dim
+    if x.dim < 1:
+        raise ValueError("dim must be positive")
+    if m.shape != (d2, d2):
+        raise ValueError(f"{name} for dim {x.dim} must have shape ({d2}, {d2}), got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} contains non-finite entries")
+    object.__setattr__(x, "matrix", _frozen(m))
+
+
 @dataclass(frozen=True)
 class AMatrix:
     """Transition-matrix form acting on row-major vectorized states."""
@@ -77,15 +84,7 @@ class AMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        d2 = self.dim * self.dim
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if m.shape != (d2, d2):
-            raise ValueError(f"A-matrix for dim {self.dim} must have shape ({d2}, {d2}), got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("A-matrix contains non-finite entries")
-        object.__setattr__(self, "matrix", _frozen(m))
+        _check_map_matrix(self, "A-matrix")
 
 
 @dataclass(frozen=True)
@@ -96,19 +95,53 @@ class BMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        d2 = self.dim * self.dim
+        _check_map_matrix(self, "B-matrix")
+
+
+class _SignedTerms:
+    """Sign handling shared by the signed term lists (+1 block first)."""
+
+    dim: int
+    signs: tuple[int, ...]
+
+    def _check_terms(self, field: str, shape: tuple[int, ...]) -> None:
+        """Validate ``signs`` and the terms in ``field``, then store both frozen.
+
+        Each sign must equal +1 or -1 exactly (bools are rejected), there
+        must be one per term and the +1 block must come first; every term
+        must be a finite array of ``shape``.
+        """
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        if m.shape != (d2, d2):
-            raise ValueError(f"B-matrix for dim {self.dim} must have shape ({d2}, {d2}), got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("B-matrix contains non-finite entries")
-        object.__setattr__(self, "matrix", _frozen(m))
+        signs = tuple(self.signs)
+        terms = tuple(np.asarray(t, dtype=complex) for t in getattr(self, field))
+        if len(signs) != len(terms):
+            raise ValueError(f"{len(signs)} signs but {len(terms)} {field}")
+        if any(isinstance(s, (bool, np.bool_)) or s not in (1, -1) for s in signs):
+            raise ValueError(f"signs must be +1 or -1, got {signs}")
+        signs = tuple(int(s) for s in signs)
+        if any(a < b for a, b in zip(signs, signs[1:])):
+            raise ValueError("positive-sign terms must precede negative-sign terms")
+        for k, t in enumerate(terms):
+            if t.shape != shape:
+                raise ValueError(f"{field[:-1]} {k} has shape {t.shape}, expected {shape}")
+            if not np.all(np.isfinite(t)):
+                raise ValueError(f"{field[:-1]} {k} contains non-finite entries")
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, field, tuple(_frozen(t) for t in terms))
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.signs)
+
+    @property
+    def signature(self) -> Signature:
+        p = sum(1 for s in self.signs if s > 0)
+        return Signature(p, len(self.signs) - p)
 
 
 @dataclass(frozen=True)
-class SignedOperatorSum:
+class SignedOperatorSum(_SignedTerms):
     """Decomposition ``rho -> sum_i signs[i] * operators[i] rho operators[i]^dag``.
 
     Terms are stored with all +1 signs before all -1 signs; the
@@ -121,23 +154,7 @@ class SignedOperatorSum:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        signs = tuple(int(s) for s in self.signs)
-        ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
-        if len(signs) != len(ops):
-            raise ValueError(f"{len(signs)} signs but {len(ops)} operators")
-        if any(s not in (1, -1) for s in signs):
-            raise ValueError(f"signs must be +1 or -1, got {signs}")
-        if any(signs[i] < signs[i + 1] for i in range(len(signs) - 1)):
-            raise ValueError("positive-sign terms must precede negative-sign terms")
-        for k, op in enumerate(ops):
-            if op.shape != (self.dim, self.dim):
-                raise ValueError(f"operator {k} has shape {op.shape}, expected ({self.dim}, {self.dim})")
-            if not np.all(np.isfinite(op)):
-                raise ValueError(f"operator {k} contains non-finite entries")
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "operators", tuple(_frozen(op) for op in ops))
+        self._check_terms("operators", (self.dim, self.dim))
 
     @classmethod
     def from_terms(
@@ -151,16 +168,7 @@ class SignedOperatorSum:
             if not operators:
                 raise ValueError("dim is required for an empty term list")
             dim = int(np.asarray(operators[0]).shape[0])
-        return cls(dim, tuple(int(s) for s in signs), tuple(operators))
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.signs)
-
-    @property
-    def signature(self) -> Signature:
-        p = sum(1 for s in self.signs if s > 0)
-        return Signature(p, len(self.signs) - p)
+        return cls(dim, tuple(signs), tuple(operators))
 
 
 class MapClass(NamedTuple):
@@ -221,14 +229,17 @@ def _signed_gram(signs: Sequence[int], terms: np.ndarray) -> np.ndarray:
     return np.einsum("k,kia,kib->ab", np.asarray(signs, dtype=float), terms.conj(), terms)
 
 
+def _signed_outer_sum(signs: Sequence[int], vectors: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """``sum_k signs[k] v_k v_k^dag`` over vectors of length ``n``."""
+    out = np.zeros((n, n), dtype=complex)
+    for s, v in zip(signs, vectors):
+        out += s * np.outer(v, v.conj())
+    return out
+
+
 def b_from_operator_sum(ops: SignedOperatorSum) -> BMatrix:
     """Dynamical matrix ``sum_i sign_i vec(E_i) vec(E_i)^dag``."""
-    d = ops.dim
-    b = np.zeros((d * d, d * d), dtype=complex)
-    for s, op in zip(ops.signs, ops.operators):
-        v = vec(op)
-        b += s * np.outer(v, v.conj())
-    return BMatrix(d, b)
+    return BMatrix(ops.dim, _signed_outer_sum(ops.signs, map(vec, ops.operators), ops.dim**2))
 
 
 def a_from_operator_sum(ops: SignedOperatorSum) -> AMatrix:
@@ -270,6 +281,14 @@ def canonical_signed_eigensystem(
     return triples
 
 
+def _hermitian_part(b: BMatrix, tol: float) -> np.ndarray:
+    """``(B + B^dag) / 2``, once ``B`` is Hermitian within ``tol`` times its largest entry."""
+    m = b.matrix
+    if _max_abs(m - m.conj().T) > tol * max(1.0, _max_abs(m)):
+        raise NotHermitian("B is not Hermitian: the map does not preserve Hermiticity")
+    return (m + m.conj().T) / 2
+
+
 def operator_sum_from_b(b: BMatrix, tol: float = DEFAULT_TOL) -> SignedOperatorSum:
     """Signed operator sum from the eigendecomposition of ``B``.
 
@@ -285,13 +304,9 @@ def operator_sum_from_b(b: BMatrix, tol: float = DEFAULT_TOL) -> SignedOperatorS
         If ``B`` is not Hermitian within ``tol`` (scaled by the largest
         entry), i.e. the map does not preserve Hermiticity.
     """
-    m = b.matrix
-    if _max_abs(m - m.conj().T) > tol * max(1.0, _max_abs(m)):
-        raise NotHermitian("B is not Hermitian: the map does not preserve Hermiticity")
-    m = (m + m.conj().T) / 2
     signs: list[int] = []
     operators: list[np.ndarray] = []
-    for sign, mag, u in canonical_signed_eigensystem(m, tol):
+    for sign, mag, u in canonical_signed_eigensystem(_hermitian_part(b, tol), tol):
         signs.append(sign)
         operators.append(unvec(np.sqrt(mag) * u))
     return SignedOperatorSum(b.dim, tuple(signs), tuple(operators))
@@ -328,10 +343,7 @@ def classify(b: BMatrix, tol: float = DEFAULT_TOL) -> MapClass:
     NotHermitian
         If ``B`` is not Hermitian within tolerance.
     """
-    m = b.matrix
-    if _max_abs(m - m.conj().T) > tol * max(1.0, _max_abs(m)):
-        raise NotHermitian("B is not Hermitian: the map does not preserve Hermiticity")
-    lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    lam = np.linalg.eigvalsh(_hermitian_part(b, tol))
     p = int(np.sum(lam > tol))
     q = int(np.sum(lam < -tol))
     kind = "CP" if q == 0 else "NCP"

@@ -350,3 +350,16 @@ def test_json_flag_is_single_line(tmp_path):
     pretty = run_cli("classify", path)
     assert pretty.stdout.strip().count("\n") > 0
     assert json.loads(compact.stdout) == json.loads(pretty.stdout)
+
+
+@pytest.mark.parametrize("signs", [[1.5, -1.9], [True, "-1"]])
+def test_qec_inexact_signs_exit_2(tmp_path, signs):
+    doc = channel_document(SignedOperatorSum.from_terms([1, -1], [I2, 0.5 * X]))
+    doc["payload"]["signs"] = signs
+    chan = tmp_path / "chan.json"
+    chan.write_text(json.dumps(doc))
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]]]))
+    proc = run_cli("qec", str(chan), "--code", str(code))
+    assert proc.returncode == 2
+    assert "signs" in proc.stderr

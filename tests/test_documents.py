@@ -245,3 +245,80 @@ def test_documents_are_json_serializable():
     json.dumps(analysis_document(report, sig))
     json.dumps(channel_document(bitflip_ops(0.7)))
     json.dumps(channel_document(b_from_operator_sum(bitflip_ops(-0.2))))
+
+
+@pytest.mark.parametrize("signs", [[1.5, -1.9], [True, "-1"], [1, -2]])
+def test_parse_channel_document_rejects_inexact_signs(signs):
+    doc = channel_document(SignedOperatorSum.from_terms([1, -1], [I2, 0.5 * X]))
+    doc["payload"]["signs"] = signs
+    with pytest.raises(ValueError, match="signs"):
+        parse_channel_document(_roundtrip(doc))
+
+
+def _break_syndromes(doc):
+    doc["syndromes"] = 5
+
+
+def _break_weight(doc):
+    doc["syndromes"][0]["weight"] = [1]
+
+
+def _break_sign(doc):
+    doc["syndromes"][0]["sign"] = "-1"
+
+
+def _break_sign_value(doc):
+    doc["syndromes"][0]["sign"] = 2
+
+
+def _break_projector(doc):
+    doc["syndromes"][0]["projector"] = 7
+
+
+def _break_signature(doc):
+    doc["signature"]["q"] = True
+
+
+def _break_index(doc):
+    doc["witness"]["syndrome_index"] = "0"
+
+
+def _break_negative_index(doc):
+    doc["witness"]["syndrome_index"] = -1
+
+
+@pytest.mark.parametrize(
+    "breaker, hint",
+    [
+        (_break_syndromes, "analysis.syndromes"),
+        (_break_weight, r"analysis.syndromes\[0\].weight"),
+        (_break_sign, r"analysis.syndromes\[0\].sign"),
+        (_break_sign_value, r"analysis.syndromes\[0\].sign"),
+        (_break_projector, r"analysis.syndromes\[0\].projector"),
+        (_break_signature, "analysis.signature.q"),
+        (_break_index, "analysis.witness.syndrome_index"),
+        (_break_negative_index, "analysis.witness.syndrome_index"),
+    ],
+)
+def test_parse_analysis_document_malformed_outside_domain(breaker, hint):
+    report, sig = _report(-0.2)
+    doc = _roundtrip(analysis_document(report, sig))
+    breaker(doc)
+    with pytest.raises(ValueError, match=hint):
+        parse_analysis_document(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value, hint",
+    [
+        ("operators", 5, "analysis.recovery.operators"),
+        ("signs", 5, "analysis.recovery.signs"),
+        ("signs", [1.5, 1, 1, 1], "analysis.recovery: signs"),
+    ],
+)
+def test_parse_analysis_document_malformed_recovery(field, value, hint):
+    report, sig = _report(0.7)
+    doc = _roundtrip(analysis_document(report, sig))
+    doc["recovery"][field] = value
+    with pytest.raises(ValueError, match=hint):
+        parse_analysis_document(doc)

@@ -353,3 +353,42 @@ def test_ensemble_connection_random_corpus():
         for i in range(a.n_terms):
             rebuilt = sum(res.u[i, j] * b.vectors[j] for j in range(b.n_terms))
             assert np.abs(rebuilt - a.vectors[i]).max() < 1e-7
+
+
+def _vec_ensemble(ops):
+    return SignedEnsemble(ops.dim**2, ops.signs, tuple(op.reshape(-1) for op in ops.operators))
+
+
+def test_ensemble_connection_pads_the_shorter_ensemble():
+    # b is a boost of a with one explicit zero vector in its + block
+    v0 = np.array([1.0, 0.0], dtype=complex)
+    v1 = np.array([0.0, 0.5], dtype=complex)
+    a = SignedEnsemble(2, (1, -1), (v0, v1))
+    inv = np.linalg.inv(_boost(0.4))
+    b0 = inv[0, 0] * v0 + inv[0, 1] * v1
+    b1 = inv[1, 0] * v0 + inv[1, 1] * v1
+    b = SignedEnsemble(2, (1, 1, -1), (b0, np.zeros(2), b1))
+    res = ensemble_connection(a, b)
+    assert res.signature == Signature(2, 1)
+    assert res.padding_added == (1, 0)
+    assert is_pseudounitary(res.u, eta_metric(res.signature))
+    # rows of u mix b's vectors into a's vectors padded blockwise: (v0, 0, v1)
+    padded_a = (v0, np.zeros(2), v1)
+    for i, target in enumerate(padded_a):
+        rebuilt = sum(res.u[i, j] * b.vectors[j] for j in range(b.n_terms))
+        assert np.abs(rebuilt - target).max() < 1e-12
+    assert res.residual < 1e-12
+    assert ensemble_connection(b, a).padding_added == (0, 1)
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_map_connection_is_the_transposed_ensemble_connection(padded):
+    a, b = _boosted_pair(0.45)
+    if padded:
+        b = pad_to_signature(a, Signature(3, 2))
+    maps = connecting_pseudounitary(a, b)
+    ensembles = ensemble_connection(_vec_ensemble(b), _vec_ensemble(a))
+    assert np.array_equal(maps.u, ensembles.u.T)
+    assert maps.signature == ensembles.signature
+    assert maps.padding_added == ensembles.padding_added[::-1]
+    assert maps.residual == ensembles.residual

@@ -481,3 +481,40 @@ def test_negative_condition_block_never_reversible():
         assert report.verdict != Verdict.REVERSIBLE_POSITIVE
         assert report.witness is not None
         assert report.witness.probability <= -1e-6
+
+
+@pytest.mark.parametrize("scale", [1e-9, 3e-9, 1e-12, 1e-18])
+def test_analyze_small_scale_keeps_orthogonal_syndromes(scale):
+    # The polar cut must not depend on the map's scale: weights ~ scale^2
+    # once fell below the absolute tolerance and merged the syndromes.
+    ops = bitflip_ops(-0.2)
+    small = SignedOperatorSum(ops.dim, ops.signs, tuple(scale * op for op in ops.operators))
+    report = analyze(small, repetition_code())
+    assert report.verdict == Verdict.CODE_OUTSIDE_DOMAIN
+    assert len(report.syndromes) == 4
+    assert report.witness.probability / scale**2 == pytest.approx(-0.2, rel=1e-9)
+
+
+def test_projector_from_basis_matches_gram_schmidt():
+    rng = np.random.default_rng(31)
+    vecs = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(3)]
+    basis = []
+    for v in vecs:
+        w = v - sum(b * np.vdot(b, v) for b in basis)
+        basis.append(w / np.linalg.norm(w))
+    code = projector_from_basis(vecs)
+    for got, want in zip(code.logical_basis, basis):
+        assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "vectors, index",
+    [
+        ([ket(0, 3), ket(1, 3), ket(0, 3) + 2 * ket(1, 3)], 2),
+        ([ket(0, 3), np.zeros(3), ket(1, 3)], 1),
+        ([ket(0, 2), ket(1, 2), ket(0, 2) + ket(1, 2)], 2),
+    ],
+)
+def test_projector_from_basis_names_first_dependent_vector(vectors, index):
+    with pytest.raises(LinearDependence, match=f"basis vector {index} "):
+        projector_from_basis(vectors)

@@ -362,3 +362,20 @@ def test_validate_density_matrix():
 def test_is_positive_semidefinite():
     assert is_positive_semidefinite(np.diag([0.5, 0.5]).astype(complex))
     assert not is_positive_semidefinite(np.diag([1.5, -0.5]).astype(complex))
+
+
+@pytest.mark.parametrize("signs", [(1.0, -1.0), (np.float64(1.0), np.int64(-1)), (1, np.sign(-0.3))])
+def test_signed_operator_sum_accepts_exact_unit_signs(signs):
+    ops = SignedOperatorSum(2, signs, (np.eye(2), np.eye(2)))
+    assert ops.signs == (1, -1)
+    assert all(type(s) is int for s in ops.signs)
+
+
+@pytest.mark.parametrize(
+    "signs", [(1.5, -1.9), (True, -1), (1, "-1"), ("1", -1), (1, np.False_), (1, -1.0000001), (1, None)]
+)
+def test_signed_operator_sum_rejects_inexact_signs(signs):
+    with pytest.raises(ValueError, match="signs"):
+        SignedOperatorSum(2, signs, (np.eye(2), np.eye(2)))
+    with pytest.raises(ValueError, match="signs"):
+        SignedOperatorSum.from_terms(signs, (np.eye(2), np.eye(2)))
