@@ -3,12 +3,15 @@
 Complex scalars are encoded as two-element ``[re, im]`` arrays and
 matrices as row-major nested lists of those pairs.  Every document
 carries a ``schema_version`` so formats can evolve; parsing rejects
-unknown versions.  Parsers raise ``ValueError`` with a path-like hint
-for malformed input.
+unknown versions.  Channel documents are version ``"1"`` and analysis
+documents version ``"2"``, whose syndromes are ``d x r`` isometries.
+Parsers raise ``ValueError`` with a path-like hint for malformed input,
+including NaN and infinite numbers.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Any
 
 import numpy as np
@@ -18,8 +21,10 @@ from .superop import AMatrix, BMatrix, SignedOperatorSum
 from .pseudolinalg import Signature
 
 SCHEMA_VERSION = "1"
+_ANALYSIS_VERSION = "2"
 REPRESENTATIONS = ("a_matrix", "b_matrix", "operator_sum")
 _NUMBER = (int, float)
+_FLOAT_MAX = sys.float_info.max
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -39,14 +44,9 @@ def _encode_complex(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _decode_complex(obj: Any, where: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
-    ):
-        raise ValueError(f"{where}: complex entries must be [re, im] number pairs, got {obj!r}")
-    return complex(obj[0], obj[1])
+def _finite(x: Any) -> bool:
+    """``x`` is an int or float (never a bool) that a float holds finitely."""
+    return isinstance(x, _NUMBER) and not isinstance(x, bool) and -_FLOAT_MAX <= x <= _FLOAT_MAX
 
 
 def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
@@ -61,9 +61,7 @@ def decode_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
     ncols = len(obj[0])
     if ncols == 0 or any(len(r) != ncols for r in obj):
         raise ValueError(f"{where}: rows must be non-empty and of equal length")
-    return np.array(
-        [[_decode_complex(z, f"{where}[{i}][{j}]") for j, z in enumerate(row)] for i, row in enumerate(obj)]
-    )
+    return np.array([decode_vector(row, f"{where}[{i}]") for i, row in enumerate(obj)])
 
 
 def encode_vector(v: np.ndarray) -> list[list[float]]:
@@ -73,7 +71,11 @@ def encode_vector(v: np.ndarray) -> list[list[float]]:
 def decode_vector(obj: Any, where: str = "vector") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{where}: expected a non-empty list of [re, im] pairs")
-    return np.array([_decode_complex(z, f"{where}[{i}]") for i, z in enumerate(obj)])
+    for i, z in enumerate(obj):
+        if not (isinstance(z, (list, tuple)) and len(z) == 2 and _finite(z[0]) and _finite(z[1])):
+            raise ValueError(f"{where}[{i}]: complex entries must be [re, im] pairs of finite numbers, got {z!r}")
+    # The checked pairs, read bit for bit as complex128.
+    return np.array(obj, dtype=float).view(complex)[:, 0]
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
@@ -90,9 +92,9 @@ def _field(obj: dict, key: str, where: str, kind: type | tuple, what: str, ok=la
     return value
 
 
-def _check_version(obj: dict, where: str) -> None:
+def _check_version(obj: dict, where: str, expected: str = SCHEMA_VERSION) -> None:
     version = _require(obj, "schema_version", where)
-    if version != SCHEMA_VERSION:
+    if version != expected:
         raise ValueError(f"{where}: unsupported schema_version {version!r}")
 
 
@@ -188,8 +190,7 @@ def _encode_syndromes(report: QecReport) -> list[dict] | None:
         return None
     return [
         {
-            "projector": encode_matrix(s.projector),
-            "unitary": encode_matrix(s.unitary),
+            "isometry": encode_matrix(s.isometry),
             "weight": float(s.weight),
             "sign": int(s.sign),
             "term_index": int(s.term_index),
@@ -214,7 +215,7 @@ def analysis_document(report: QecReport, signature: Signature) -> dict:
             "probability": float(report.witness.probability),
         }
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": _ANALYSIS_VERSION,
         "verdict": report.verdict.value,
         "signature": {"p": signature.p, "q": signature.q},
         "condition": {
@@ -239,7 +240,7 @@ def parse_analysis_document(obj: Any) -> dict:
     """
     if not isinstance(obj, dict):
         raise ValueError("analysis document must be a JSON object")
-    _check_version(obj, "analysis")
+    _check_version(obj, "analysis", _ANALYSIS_VERSION)
     verdict = _require(obj, "verdict", "analysis")
     verdicts = ("reversible_positive", "code_outside_domain", "conditions_violated")
     if verdict not in verdicts:
@@ -274,11 +275,7 @@ def parse_analysis_document(obj: Any) -> dict:
     if obj.get("diagonalizer") is not None:
         out["diagonalizer"] = decode_matrix(obj["diagonalizer"], "analysis.diagonalizer")
     if obj.get("diagonal") is not None:
-        diag = obj["diagonal"]
-        if not isinstance(diag, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in diag
-        ):
-            raise ValueError("analysis.diagonal must be a list of numbers")
+        diag = _field(obj, "diagonal", "analysis", list, "a list of finite numbers", lambda xs: all(map(_finite, xs)))
         out["diagonal"] = np.array(diag, dtype=float)
     if obj.get("syndromes") is not None:
         decoded = []
@@ -288,10 +285,10 @@ def parse_analysis_document(obj: Any) -> dict:
                 raise ValueError(f"{where} must be a JSON object")
             decoded.append(
                 {
-                    "projector": decode_matrix(_require(s, "projector", where), f"{where}.projector"),
-                    "unitary": decode_matrix(_require(s, "unitary", where), f"{where}.unitary"),
-                    "weight": float(_field(s, "weight", where, _NUMBER, "a number")),
+                    "isometry": decode_matrix(_require(s, "isometry", where), f"{where}.isometry"),
+                    "weight": float(_field(s, "weight", where, _NUMBER, "a finite number", _finite)),
                     "sign": _field(s, "sign", where, int, "+1 or -1", lambda x: x in (1, -1)),
+                    "term_index": _field(s, "term_index", where, int, "a non-negative integer", lambda x: x >= 0),
                 }
             )
         out["syndromes"] = decoded

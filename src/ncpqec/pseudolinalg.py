@@ -71,9 +71,9 @@ class PseudoDiagonalization(NamedTuple):
 
 @dataclass(frozen=True)
 class PolarFactors:
-    """Unitary and positive-semidefinite factors of a polar decomposition."""
+    """Isometry and positive-semidefinite factors of a polar decomposition."""
 
-    unitary_part: np.ndarray
+    isometry: np.ndarray
     positive_part: np.ndarray
 
 
@@ -309,60 +309,25 @@ def pseudo_diagonalize(
     return PseudoDiagonalization(s, d, eta_diag.copy(), tuple(perm))
 
 
-def _complete_orthonormal(columns: list[np.ndarray], n: int) -> np.ndarray:
-    """Extend orthonormal ``columns`` to a full basis of C^n.
+def polar_on_code(m: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> PolarFactors:
+    """Polar decomposition of ``M B`` for a ``d x r`` isometry ``B``.
 
-    Completion vectors are obtained by orthogonalizing the standard
-    basis vectors in index order, so the result is deterministic.
-    """
-    basis = [c.copy() for c in columns]
-    for j in range(n):
-        if len(basis) == n:
-            break
-        w = np.zeros(n, dtype=complex)
-        w[j] = 1.0
-        for b in basis:
-            w = w - b * np.vdot(b, w)
-        wn = float(np.linalg.norm(w))
-        if wn > 1e-8:
-            basis.append(w / wn)
-    if len(basis) != n:
-        raise RuntimeError("failed to complete orthonormal basis")  # pragma: no cover
-    return np.column_stack(basis)
-
-
-def polar_on_code(m: np.ndarray, p: np.ndarray, tol: float = DEFAULT_TOL) -> PolarFactors:
-    """Polar decomposition of ``M P`` for a projector ``P``.
-
-    Returns ``PolarFactors(U, sqrt(P M^dag M P))`` with ``U`` a full
-    unitary satisfying ``M P = U sqrt(P M^dag M P)``.  On the support of
-    the positive part ``U`` is the canonical polar isometry; off the
-    support it is completed deterministically by orthogonalizing the
-    standard basis vectors in index order (so ``M = 0`` yields the
-    identity).
+    Returns ``PolarFactors(W, H)`` from one thin SVD ``M B = L S R^dag``:
+    the ``d x r`` isometry ``W = L R^dag`` and the ``r x r`` positive
+    part ``H = R S R^dag = sqrt(B^dag M^dag M B)``, so ``M B = W H``.
+    ``W`` is the canonical polar isometry on the support of ``H``.
 
     Raises
     ------
     NotAProjector
-        If ``P`` is not Hermitian idempotent within ``tol``.
+        If ``B^dag B`` is not the identity within ``tol``, i.e. ``B B^dag``
+        is not an orthogonal projector.
     """
     m = _as_square(m, "M")
-    p = _as_square(p, "P")
-    n = m.shape[0]
-    if p.shape[0] != n:
-        raise ValueError(f"M and P have mismatched sizes {n} and {p.shape[0]}")
-    if _max_abs(p - p.conj().T) > tol or _max_abs(p @ p - p) > tol:
-        raise NotAProjector("P is not an orthogonal projector within tolerance")
-
-    mp = m @ p
-    ls, sv, rh = np.linalg.svd(mp)
-    positive_part = (rh.conj().T * sv) @ rh
-
-    # Keep the singular pairs that carry weight; tiny ones are numerical
-    # kernel noise whose "left vectors" would be garbage directions.
-    right = [rh[i].conj() for i in range(n) if sv[i] > tol]
-    left = [ls[:, i] for i in range(n) if sv[i] > tol]
-    r_full = _complete_orthonormal(right, n)
-    l_full = _complete_orthonormal(left, n)
-    unitary = l_full @ r_full.conj().T
-    return PolarFactors(unitary, positive_part)
+    b = np.asarray(b, dtype=complex)
+    if b.ndim != 2 or b.shape[0] != m.shape[0]:
+        raise ValueError(f"B has shape {b.shape}, expected ({m.shape[0]}, r)")
+    if not _max_abs(b.conj().T @ b - np.eye(b.shape[1])) <= tol:  # NaN fails too
+        raise NotAProjector("B is not an isometry within tolerance")
+    left, sv, right_h = np.linalg.svd(m @ b, full_matrices=False)
+    return PolarFactors(left @ right_h, (right_h.conj().T * sv) @ right_h)

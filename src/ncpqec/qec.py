@@ -6,9 +6,9 @@ correctability conditions take the signed form
 ``sign_i P E_i^dag E_j P = c_ij P``.  :func:`analyze` decides them on the
 map restricted to the code: one Hermitian eigendecomposition gives its
 canonical terms ``F = E T``, whose conditions are diagonal when the
-conditions hold; polar-decomposing each ``F_k`` on the code space then
-yields pairwise-orthogonal syndrome projectors, exactly as in the
-completely positive theory.
+conditions hold; polar-decomposing each ``F_k B`` then yields
+``d x r`` isometries ``W_k`` with pairwise-orthogonal ranges, the
+syndrome projectors ``W_k W_k^dag`` of the completely positive theory.
 
 The sign structure adds one genuinely new outcome: if a negative
 canonical term acts on the code space, its syndrome returns the
@@ -109,13 +109,23 @@ class ConditionMatrix:
 
 @dataclass(frozen=True)
 class Syndrome:
-    """One measurement branch: projector, correction unitary, weight, sign."""
+    """One measurement branch of diagonal term ``F_k``, on the code space.
 
-    projector: np.ndarray
-    unitary: np.ndarray
+    ``isometry`` is the ``d x r`` polar isometry ``W_k`` with
+    ``F_k B = sqrt(weight) W_k``; ``code_isometry`` is the code's ``B``,
+    one array shared by all syndromes of a set.
+    """
+
+    isometry: np.ndarray
+    code_isometry: np.ndarray
     weight: float
     sign: int
     term_index: int
+
+    @property
+    def projector(self) -> np.ndarray:
+        """The syndrome projector ``W_k W_k^dag``."""
+        return self.isometry @ self.isometry.conj().T
 
 
 SyndromeSet = tuple[Syndrome, ...]
@@ -178,10 +188,14 @@ def projector_from_basis(vectors: Sequence[np.ndarray], tol: float = DEFAULT_TOL
     vecs = [np.asarray(v, dtype=complex) for v in vectors]
     if not vecs:
         raise ValueError("at least one basis vector is required")
-    dim = vecs[0].shape[0]
     for k, v in enumerate(vecs):
-        if v.shape != (dim,):
-            raise ValueError(f"vector {k} has shape {v.shape}, expected ({dim},)")
+        if v.ndim != 1:
+            raise ValueError(f"vector {k} has shape {v.shape}, expected a 1-D array")
+        if v.shape != vecs[0].shape:
+            raise ValueError(f"vector {k} has shape {v.shape}, expected {vecs[0].shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"vector {k} contains non-finite entries")
+    dim = vecs[0].size
     m = np.column_stack(vecs)
     q, r = np.linalg.qr(m)
     # |R_kk| is the norm of vector k orthogonal to its predecessors; past
@@ -312,43 +326,39 @@ def diagonalize_conditions(
 def build_syndromes(
     f_ops: SignedOperatorSum, code: CodeSpace, d: np.ndarray, tol: float = DEFAULT_TOL
 ) -> SyndromeSet:
-    """Syndrome projectors and correction unitaries for diagonalized terms.
+    """Syndrome isometries for diagonalized terms.
 
     Term ``k`` with weight ``d[k] > tol * max(d)`` satisfies
-    ``F_k P = sqrt(d[k]) U_k P`` with ``U_k`` from the polar
-    decomposition of the isometry ``F_k P / sqrt(d[k])``, whose singular
-    values are all 1 at any scale of the map; its syndrome projector is
-    ``U_k P U_k^dag``.  Lighter terms act trivially on the code space
-    and are skipped.
+    ``F_k B = sqrt(d[k]) W_k`` with ``W_k`` the polar isometry of
+    ``F_k B / sqrt(d[k])``, whose singular values are all 1 at any scale
+    of the map; its syndrome projector is ``W_k W_k^dag``.  Lighter terms
+    act trivially on the code space and are skipped.
 
     Raises
     ------
     OrthogonalityViolation
-        If two retained syndrome projectors fail to be orthogonal, which
-        signals that the conditions were not actually diagonal.
+        If two retained syndromes overlap (an entry of ``W_a^dag W_b``
+        exceeds ``10 tol``), which signals that the conditions were not
+        actually diagonal.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (f_ops.n_terms,):
         raise ValueError(f"weight vector has shape {d.shape}, expected ({f_ops.n_terms},)")
-    p = code.projector
+    b = _frozen(np.column_stack(code.logical_basis))
     cut = tol * float(d.max()) if d.size else 0.0
-    syndromes: list[Syndrome] = []
-    for k in range(f_ops.n_terms):
-        if d[k] <= cut:
-            continue
-        factors = polar_on_code(f_ops.operators[k] / np.sqrt(d[k]), p, tol)
-        u_k = factors.unitary_part
-        proj = u_k @ p @ u_k.conj().T
-        syndromes.append(Syndrome(proj, u_k, float(d[k]), f_ops.signs[k], k))
-    bound = 10 * tol
-    for a in range(len(syndromes)):
-        for b in range(a + 1, len(syndromes)):
-            overlap = _max_abs(syndromes[a].projector @ syndromes[b].projector)
-            if overlap > bound:
-                raise OrthogonalityViolation(
-                    f"syndrome projectors {a} and {b} overlap by {overlap:.3e}"
-                )
-    return tuple(syndromes)
+    syndromes = tuple(
+        Syndrome(polar_on_code(f_ops.operators[k] / np.sqrt(d[k]), b, tol).isometry, b, float(d[k]), f_ops.signs[k], k)
+        for k in range(f_ops.n_terms)
+        if d[k] > cut
+    )
+    if syndromes:
+        w = np.stack([s.isometry for s in syndromes])
+        overlaps = np.abs(np.einsum("adi,bdj->abij", w.conj(), w)).max(axis=(2, 3))
+        np.fill_diagonal(overlaps, 0.0)
+        a, c = np.unravel_index(np.argmax(overlaps), overlaps.shape)
+        if overlaps[a, c] > 10 * tol:
+            raise OrthogonalityViolation(f"syndromes {a} and {c} overlap by {overlaps[a, c]:.3e}")
+    return syndromes
 
 
 def negative_part_on_code(ops: SignedOperatorSum, code: CodeSpace) -> float:
@@ -362,24 +372,16 @@ def negative_part_on_code(ops: SignedOperatorSum, code: CodeSpace) -> float:
 
 
 def build_recovery(syndromes: SyndromeSet) -> SignedOperatorSum:
-    """Recovery channel ``rho -> sum_j U_j^dag P_j rho P_j U_j``.
+    """Recovery channel ``rho -> sum_j B W_j^dag rho W_j B^dag``.
 
-    One (+1) term ``U_j^dag P_j`` per syndrome: measure the syndrome,
-    then undo its correction unitary.
+    One (+1) term ``B W_j^dag`` per syndrome: measure the syndrome, then
+    map its range back onto the code.  In the polar form
+    ``F_j P = sqrt(d_j) U_j P`` this is ``U_j^dag P_j``.
     """
     if not syndromes:
         raise ValueError("cannot build a recovery from an empty syndrome set")
-    dim = syndromes[0].projector.shape[0]
-    operators = tuple(s.unitary.conj().T @ s.projector for s in syndromes)
-    return SignedOperatorSum(dim, (1,) * len(syndromes), operators)
-
-
-def _logical_state(code: CodeSpace, coeffs: np.ndarray) -> np.ndarray:
-    psi = np.zeros(code.dim, dtype=complex)
-    for c, b in zip(coeffs, code.logical_basis):
-        psi += c * b
-    psi = psi / np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
+    operators = tuple(s.code_isometry @ s.isometry.conj().T for s in syndromes)
+    return SignedOperatorSum(operators[0].shape[0], (1,) * len(syndromes), operators)
 
 
 def domain_witness(
@@ -410,8 +412,8 @@ def domain_witness(
         return None
     b = code.logical_basis[0]
     state = np.outer(b, b.conj())
-    proj = syndromes[j].projector
-    prob = float(np.trace(proj @ apply_map(ops, state) @ proj).real)
+    w = syndromes[j].isometry
+    prob = float(np.trace(w.conj().T @ apply_map(ops, state) @ w).real)
     if prob > -tol * max(s.weight for s in syndromes):
         raise WitnessSearchFailed(
             f"negative syndrome {j} has probability {prob:.3e} on the first logical basis state, "
@@ -457,25 +459,14 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
     return QecReport(condition, t, d, syndromes, recovery, Verdict.REVERSIBLE_POSITIVE, None)
 
 
-def _recovery_samples(code: CodeSpace, trials: int) -> list[np.ndarray]:
-    samples = []
-    r = code.rank
-    for i in range(r):
-        coeffs = np.zeros(r, dtype=complex)
-        coeffs[i] = 1.0
-        samples.append(_logical_state(code, coeffs))
-    for i in range(r):
-        for j in range(i + 1, r):
-            for phase in (1.0, 1.0j):
-                coeffs = np.zeros(r, dtype=complex)
-                coeffs[i] = 1.0
-                coeffs[j] = phase
-                samples.append(_logical_state(code, coeffs))
+def _recovery_samples(r: int, trials: int) -> np.ndarray:
+    """Logical pure states ``sigma = c c^dag / |c|^2`` as an ``(s, r, r)`` stack."""
+    eye = np.eye(r)
+    coeffs = list(eye) + [eye[i] + phase * eye[j] for i in range(r) for j in range(i + 1, r) for phase in (1, 1j)]
     rng = np.random.default_rng(_VERIFY_SEED)
-    for _ in range(trials):
-        coeffs = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        samples.append(_logical_state(code, coeffs))
-    return samples
+    coeffs += [rng.standard_normal(r) + 1j * rng.standard_normal(r) for _ in range(trials)]
+    c = np.array(coeffs)
+    return np.einsum("si,sj->sij", c, c.conj()) / np.einsum("si,si->s", c.conj(), c).real[:, None, None]
 
 
 def verify_recovery(
@@ -485,13 +476,15 @@ def verify_recovery(
     trials: int = 20,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """Worst-case deviation of ``R(E(P rho P))`` from ``P rho P``.
+    """Worst-case entry of ``R(E(B sigma B^dag)) / t - B sigma B^dag``.
 
-    Both sides are normalized to unit trace before comparison, so a
-    recovery that restores states only up to a constant factor still
-    verifies.  Samples are the logical basis states, their pairwise
+    ``t`` normalizes the recovered state to unit trace, so a recovery
+    that restores states only up to a constant factor still verifies.
+    Samples ``sigma`` are the logical basis states, their pairwise
     superpositions with phases 1 and i, and ``trials`` reproducible
-    random code states.
+    random logical states.  All samples go through one batched product
+    with the ``d x r`` terms ``R_j E_k B``, so the deviation covers the
+    full ``d x d`` output, including any leakage off the code.
 
     Raises
     ------
@@ -500,14 +493,14 @@ def verify_recovery(
     """
     if ops.dim != code.dim or recovery.dim != code.dim:
         raise ValueError("map, recovery and code must share one dimension")
-    p = code.projector
-    worst = 0.0
-    for rho in _recovery_samples(code, trials):
-        encoded = p @ rho @ p
-        encoded = encoded / np.trace(encoded).real
-        recovered = apply_map(recovery, apply_map(ops, encoded))
-        t = np.trace(recovered).real
-        if abs(t) <= tol:
-            raise ZeroTrace(f"recovered state has trace {t:.3e}")
-        worst = max(worst, _max_abs(recovered / t - encoded))
-    return worst
+    b = np.column_stack(code.logical_basis)
+    terms = np.einsum("jde,kef->jkdf", _stacked(recovery), _stacked(ops) @ b)
+    signs = np.outer(recovery.signs, ops.signs)
+    sigma = _recovery_samples(code.rank, trials)
+    recovered = np.einsum("jk,jkdf,sfg,jkeg->sde", signs, terms, sigma, terms.conj(), optimize=True)
+    t = np.einsum("sdd->s", recovered).real
+    small = np.abs(t) <= tol
+    if small.any():
+        raise ZeroTrace(f"recovered state has trace {t[np.argmax(small)]:.3e}")
+    encoded = np.einsum("df,sfg,eg->sde", b, sigma, b.conj(), optimize=True)
+    return _max_abs(recovered / t[:, None, None] - encoded)

@@ -227,6 +227,16 @@ def test_qec_dimension_mismatch_exits_2(tmp_path):
     assert "does not match" in proc.stderr
 
 
+def test_qec_nan_code_document_exits_2(tmp_path):
+    chan = write_channel(tmp_path / "chan.json", bitflip_ops(-0.2))
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps([[[float("nan"), 0.0]] + [[0.0, 0.0]] * 7, [[0.0, 0.0]] * 7 + [[1.0, 0.0]]]))
+    proc = run_cli("qec", chan, "--code", str(code))
+    assert proc.returncode == 2
+    assert "code.basis[0][0]" in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 # ---------------------------------------------------------------------- equiv
 
 

@@ -47,6 +47,9 @@ def test_decode_matrix_rejects_garbage():
         decode_matrix([[["1", "0"]]])
     with pytest.raises(ValueError):
         decode_matrix([[[True, False]]])
+    for bad in (float("nan"), float("inf"), -float("inf"), 10**400):
+        with pytest.raises(ValueError, match=r"m\[0\]\[1\]: .*finite"):
+            decode_matrix(_roundtrip([[[1.0, 0.0], [0.0, bad]]]), "m")
 
 
 def test_channel_document_roundtrip_all_representations():
@@ -111,6 +114,11 @@ def test_parse_channel_document_rejects_bad_input():
     with pytest.raises(ValueError, match="shape"):
         parse_channel_document(doc)
 
+    doc = copy.deepcopy(good)
+    doc["payload"]["operators"][0][1][1] = [float("inf"), 0.0]
+    with pytest.raises(ValueError, match=r"channel.payload.operators\[0\]\[1\]\[1\]"):
+        parse_channel_document(_roundtrip(doc))
+
     # sign ordering enforcement propagates as ValueError
     doc = channel_document(SignedOperatorSum.from_terms([1, -1], [I2, 0.5 * X]))
     doc["payload"]["signs"] = [-1, 1]
@@ -151,6 +159,10 @@ def test_parse_code_document_rejects_bad_input():
         parse_code_document({"dim": 2}, tol=1e-9)
     with pytest.raises(ValueError, match="length"):
         parse_code_document({"dim": 3, "basis": [[[1.0, 0.0], [0.0, 0.0]]]}, tol=1e-9)
+    with pytest.raises(ValueError, match=r"code.basis\[0\]\[0\]"):
+        parse_code_document(_roundtrip([[[float("nan"), 0.0], [1.0, 0.0]]]), tol=1e-9)
+    with pytest.raises(ValueError, match=r"code.basis\[1\]\[1\]"):
+        parse_code_document({"dim": 2, "basis": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, float("-inf")]]]}, tol=1e-9)
 
 
 def _report(c0):
@@ -161,8 +173,10 @@ def _report(c0):
 def test_analysis_document_outside_domain_roundtrip():
     report, sig = _report(-0.2)
     doc = _roundtrip(analysis_document(report, sig))
+    assert doc["schema_version"] == "2"
     assert doc["verdict"] == "code_outside_domain"
     assert doc["signature"] == {"p": 3, "q": 1}
+    assert all(set(s) == {"isometry", "weight", "sign", "term_index"} for s in doc["syndromes"])
     assert doc["recovery"] is None
     parsed = parse_analysis_document(doc)
     assert parsed["verdict"] == "code_outside_domain"
@@ -170,6 +184,12 @@ def test_analysis_document_outside_domain_roundtrip():
     assert np.abs(parsed["condition_entries"] - report.condition.entries).max() < 1e-15
     assert sorted(parsed["diagonal"]) == pytest.approx(sorted(report.diagonal))
     assert len(parsed["syndromes"]) == 4
+    for got, s in zip(parsed["syndromes"], report.syndromes):
+        assert np.abs(got["isometry"] - s.isometry).max() == 0
+        assert (got["weight"], got["sign"], got["term_index"]) == (s.weight, s.sign, s.term_index)
+    doc["schema_version"] = "1"
+    with pytest.raises(ValueError, match="schema_version"):
+        parse_analysis_document(doc)
 
 
 def test_analysis_document_reversible_roundtrip():
@@ -271,8 +291,28 @@ def _break_sign_value(doc):
     doc["syndromes"][0]["sign"] = 2
 
 
-def _break_projector(doc):
-    doc["syndromes"][0]["projector"] = 7
+def _break_isometry(doc):
+    doc["syndromes"][0]["isometry"] = 7
+
+
+def _break_isometry_nan(doc):
+    doc["syndromes"][0]["isometry"][3][1] = [0.0, float("nan")]
+
+
+def _break_weight_inf(doc):
+    doc["syndromes"][0]["weight"] = float("inf")
+
+
+def _break_term_index(doc):
+    doc["syndromes"][0]["term_index"] = -1
+
+
+def _break_diagonal_nan(doc):
+    doc["diagonal"][1] = float("nan")
+
+
+def _break_witness_state_inf(doc):
+    doc["witness"]["state"][0][0] = [float("-inf"), 0.0]
 
 
 def _break_signature(doc):
@@ -294,7 +334,12 @@ def _break_negative_index(doc):
         (_break_weight, r"analysis.syndromes\[0\].weight"),
         (_break_sign, r"analysis.syndromes\[0\].sign"),
         (_break_sign_value, r"analysis.syndromes\[0\].sign"),
-        (_break_projector, r"analysis.syndromes\[0\].projector"),
+        (_break_isometry, r"analysis.syndromes\[0\].isometry"),
+        (_break_isometry_nan, r"analysis.syndromes\[0\].isometry\[3\]\[1\]"),
+        (_break_weight_inf, r"analysis.syndromes\[0\].weight"),
+        (_break_term_index, r"analysis.syndromes\[0\].term_index"),
+        (_break_diagonal_nan, "analysis.diagonal"),
+        (_break_witness_state_inf, r"analysis.witness.state\[0\]\[0\]"),
         (_break_signature, "analysis.signature.q"),
         (_break_index, "analysis.witness.syndrome_index"),
         (_break_negative_index, "analysis.witness.syndrome_index"),

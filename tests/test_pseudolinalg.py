@@ -227,22 +227,23 @@ def test_pseudo_diagonalize_keeps_eigensolver_order_in_cluster():
 
 
 def test_polar_on_code_identity_and_flip():
-    p0 = np.diag([1.0, 0]).astype(complex)
-    res = polar_on_code(np.eye(2), p0)
-    assert np.abs(res.unitary_part - np.eye(2)).max() < 1e-12
-    assert np.abs(res.positive_part - p0).max() < 1e-12
+    b0 = ket(0, 2)[:, None]
+    res = polar_on_code(np.eye(2), b0)
+    assert np.abs(res.isometry - b0).max() < 1e-12
+    assert np.abs(res.positive_part - np.eye(1)).max() < 1e-12
 
     x = np.array([[0.0, 1], [1, 0]])
-    res = polar_on_code(x, p0)
-    assert np.abs(res.positive_part - p0).max() < 1e-12
-    assert np.abs(x @ p0 - res.unitary_part @ res.positive_part).max() < 1e-12
-    assert np.abs(res.unitary_part @ ket(0, 2) - ket(1, 2)).max() < 1e-12
+    res = polar_on_code(x, b0)
+    assert np.abs(res.positive_part - np.eye(1)).max() < 1e-12
+    assert np.abs(x @ b0 - res.isometry @ res.positive_part).max() < 1e-12
+    assert np.abs(res.isometry - ket(1, 2)[:, None]).max() < 1e-12
 
 
 def test_polar_on_code_zero_operator():
-    p = np.diag([1.0, 1, 0]).astype(complex)
-    res = polar_on_code(np.zeros((3, 3)), p)
-    assert np.abs(res.unitary_part - np.eye(3)).max() == 0
+    b = np.eye(3)[:, :2]
+    res = polar_on_code(np.zeros((3, 3)), b)
+    assert res.isometry.shape == (3, 2)
+    assert np.abs(res.isometry.conj().T @ res.isometry - np.eye(2)).max() < 1e-12
     assert np.abs(res.positive_part).max() == 0
 
 
@@ -252,14 +253,22 @@ def test_polar_on_code_random_reconstruction():
         d = int(rng.integers(2, 9))
         rank = int(rng.integers(1, d + 1))
         code = random_code(rng, d, rank)
+        b = np.column_stack(code.logical_basis)
         m = random_complex(rng, (d, d))
-        res = polar_on_code(m, code.projector)
-        u = res.unitary_part
-        assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-9
-        assert np.abs(m @ code.projector - u @ res.positive_part).max() < 1e-9
-        assert np.linalg.eigvalsh(res.positive_part).min() > -1e-9
+        res = polar_on_code(m, b)
+        w, h = res.isometry, res.positive_part
+        assert w.shape == (d, rank) and h.shape == (rank, rank)
+        assert np.abs(w.conj().T @ w - np.eye(rank)).max() < 1e-9
+        assert np.abs(m @ b - w @ h).max() < 1e-9
+        assert np.abs(h - h.conj().T).max() < 1e-9
+        assert np.linalg.eigvalsh(h).min() > -1e-9
+        # h is the positive square root of B^dag M^dag M B
+        assert np.abs(h @ h - b.conj().T @ m.conj().T @ m @ b).max() < 1e-9
+        # w w^dag and the full-d form m P = (w b^dag) (b h b^dag)
+        assert np.abs(m @ code.projector - (w @ b.conj().T) @ (b @ h @ b.conj().T)).max() < 1e-9
 
 
 def test_polar_on_code_rejects_non_projector():
-    with pytest.raises(NotAProjector):
-        polar_on_code(np.eye(2), np.array([[0.5, 0], [0, 0.5]]))
+    for b in ([[0.5], [0.5]], [[1.0, 0.0], [0.0, 0.5]], [[np.nan], [0.0]]):
+        with pytest.raises(NotAProjector):
+            polar_on_code(np.eye(2), np.array(b))

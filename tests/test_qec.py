@@ -26,6 +26,7 @@ from ncpqec import (
     projector_from_basis,
     verify_recovery,
 )
+from ncpqec.qec import _VERIFY_SEED
 
 from helpers import (
     bitflip_ops,
@@ -209,29 +210,38 @@ def test_build_syndromes_bitflip():
     syn = build_syndromes(f, code, d)
     assert len(syn) == 4
     p = code.projector
+    b = np.column_stack(code.logical_basis)
     expected = [x @ p @ x for x in (X1, X2, X3)] + [p]
     for s, want in zip(syn, expected):
+        assert s.isometry.shape == (8, 2)
+        assert np.abs(s.isometry.conj().T @ s.isometry - np.eye(2)).max() < 1e-12
         assert np.abs(s.projector - want).max() < 1e-9
-        assert np.abs(s.projector - s.unitary @ p @ s.unitary.conj().T).max() < 1e-9
+        assert np.abs(s.projector - s.isometry @ s.isometry.conj().T).max() == 0
+        assert s.code_isometry is syn[0].code_isometry  # one shared B
+    assert np.abs(syn[0].code_isometry - b).max() == 0
     assert [s.sign for s in syn] == [1, 1, 1, -1]
     assert np.abs(np.array([s.weight for s in syn]) - [0.4, 0.4, 0.4, 0.2]).max() < 1e-9
     for i in range(4):
         for j in range(i):
+            assert np.abs(syn[i].isometry.conj().T @ syn[j].isometry).max() < 1e-9
             assert np.abs(syn[i].projector @ syn[j].projector).max() < 1e-9
 
 
 def test_syndrome_f_p_factorization():
-    # F_k P = sqrt(d_k) P_k U_k for every retained syndrome
+    # F_k B = sqrt(d_k) W_k, hence F_k P = sqrt(d_k) W_k B^dag = sqrt(d_k) P_k F_k P / sqrt(d_k)
     rng = np.random.default_rng(139)
     code = repetition_code()
+    b = np.column_stack(code.logical_basis)
     for _ in range(10):
         ops = conditioned_pauli_map(rng)
         f, d, _ = diagonalize_conditions(ops, code)
         syn = build_syndromes(f, code, d)
         for s in syn:
-            lhs = f.operators[s.term_index] @ code.projector
-            rhs = np.sqrt(s.weight) * s.projector @ s.unitary
-            assert np.abs(lhs - rhs).max() < 1e-8
+            f_k = f.operators[s.term_index]
+            assert np.abs(f_k @ b - np.sqrt(s.weight) * s.isometry).max() < 1e-8
+            lhs = f_k @ code.projector
+            assert np.abs(lhs - np.sqrt(s.weight) * s.isometry @ b.conj().T).max() < 1e-8
+            assert np.abs(lhs - s.projector @ lhs).max() < 1e-8
 
 
 def test_build_syndromes_identity_map():
@@ -241,7 +251,7 @@ def test_build_syndromes_identity_map():
     syn = build_syndromes(f, code, d)
     assert len(syn) == 1
     assert np.abs(syn[0].projector - code.projector).max() < 1e-12
-    assert np.abs(syn[0].unitary - I8).max() < 1e-12
+    assert np.abs(syn[0].isometry - syn[0].code_isometry).max() < 1e-12
 
 
 def test_build_syndromes_drops_annihilating_terms():
@@ -285,7 +295,8 @@ def test_build_recovery_bitflip():
 def test_build_recovery_single_syndrome():
     code = repetition_code()
     p = code.projector
-    rec = build_recovery((Syndrome(p, I8, 1.0, 1, 0),))
+    b = np.column_stack(code.logical_basis)
+    rec = build_recovery((Syndrome(b, b, 1.0, 1, 0),))
     rho = random_complex(np.random.default_rng(5), (8, 8))
     assert np.abs(apply_map(rec, rho) - p @ rho @ p).max() < 1e-12
 
@@ -345,7 +356,7 @@ def test_domain_witness_search_failure_on_doctored_syndromes():
     f, d, _ = diagonalize_conditions(ops, code)
     syn = build_syndromes(f, code, d)
     wrong = tuple(
-        Syndrome(syn[0].projector, syn[0].unitary, s.weight, s.sign, s.term_index)
+        Syndrome(syn[0].isometry, syn[0].code_isometry, s.weight, s.sign, s.term_index)
         if s.sign == -1
         else s
         for s in syn
@@ -436,6 +447,37 @@ def test_verify_recovery_ncp_bitflip():
     assert verify_recovery(ops, rec, code, trials=20) < 1e-9
 
 
+def test_verify_recovery_matches_per_sample_apply_map():
+    # Reference: each sample state B sigma B^dag through two apply_map calls,
+    # one at a time.  Pairing a map with another map's recovery, or with a
+    # map whose output leaves the code, gives O(1) deviations.
+    rng = np.random.default_rng(163)
+    code = repetition_code()
+    r = code.rank
+    coeffs = [np.eye(r)[i] for i in range(r)]
+    coeffs += [np.eye(r)[i] + phase * np.eye(r)[j] for i in range(r) for j in range(i + 1, r) for phase in (1, 1j)]
+    sample_rng = np.random.default_rng(_VERIFY_SEED)
+    coeffs += [sample_rng.standard_normal(r) + 1j * sample_rng.standard_normal(r) for _ in range(7)]
+    maps = [conditioned_pauli_map(rng, require_negative=False) for _ in range(6)]
+    recoveries = []
+    for ops in maps:
+        f, d, _ = diagonalize_conditions(ops, code)
+        recoveries.append(build_recovery(build_syndromes(f, code, d)))
+    worst_seen = []
+    for k, ops in enumerate(maps):
+        for recovery in (recoveries[k], recoveries[k - 1], maps[k - 1]):
+            worst = 0.0
+            for c in coeffs:
+                psi = sum(ci * bi for ci, bi in zip(c, code.logical_basis)) / np.linalg.norm(c)
+                rho = np.outer(psi, psi.conj())
+                out = apply_map(recovery, apply_map(ops, rho))
+                worst = max(worst, np.abs(out / np.trace(out).real - rho).max())
+            assert abs(verify_recovery(ops, recovery, code, trials=7) - worst) < 1e-12
+            worst_seen.append(worst)
+    assert max(worst_seen) > 0.1
+    assert min(worst_seen) < 1e-12
+
+
 def test_verify_recovery_zero_map():
     code = repetition_code()
     zero = SignedOperatorSum.from_terms([1], [np.zeros((8, 8))])
@@ -517,4 +559,19 @@ def test_projector_from_basis_matches_gram_schmidt():
 )
 def test_projector_from_basis_names_first_dependent_vector(vectors, index):
     with pytest.raises(LinearDependence, match=f"basis vector {index} "):
+        projector_from_basis(vectors)
+
+
+@pytest.mark.parametrize(
+    "vectors, hint",
+    [
+        ([1.0], "vector 0 has shape"),
+        ([np.eye(2)], "vector 0 has shape"),
+        ([ket(0, 3), ket(0, 2)], "vector 1 has shape"),
+        ([ket(0, 2), np.array([np.nan, 1.0])], "vector 1 contains non-finite"),
+        ([np.array([np.inf, 0.0])], "vector 0 contains non-finite"),
+    ],
+)
+def test_projector_from_basis_rejects_malformed_vectors(vectors, hint):
+    with pytest.raises(ValueError, match=hint):
         projector_from_basis(vectors)
