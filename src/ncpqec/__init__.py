@@ -77,6 +77,7 @@ from .qec import (
     negative_part_on_code,
     ph_condition_matrix,
     projector_from_basis,
+    repetition_bitflip,
     verify_recovery,
 )
 from .equivalence import (

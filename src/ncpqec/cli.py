@@ -31,8 +31,8 @@ from .documents import (
     parse_code_document,
 )
 from .errors import NumericalFailure
-from .pseudolinalg import DEFAULT_TOL
-from .qec import CodeSpace, Verdict, analyze, build_recovery, projector_from_basis, verify_recovery
+from .pseudolinalg import DEFAULT_TOL, _check_tol
+from .qec import analyze, build_recovery, repetition_bitflip, verify_recovery
 from .superop import (
     AMatrix,
     BMatrix,
@@ -51,15 +51,13 @@ __all__ = ["main"]
 
 
 def _resolve_tol(args: argparse.Namespace) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("QEC_TOL")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise ValueError(f"QEC_TOL is not a number: {env!r}") from None
-    return DEFAULT_TOL
+    source, value = ("--tol", args.tol) if args.tol is not None else ("QEC_TOL", os.environ.get("QEC_TOL"))
+    if value is None:
+        return DEFAULT_TOL
+    try:
+        return _check_tol(float(value))
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _load_json(path: str):
@@ -161,8 +159,9 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     return 0
 
 
-def _three_qubit_bitflip(c0: float) -> tuple[SignedOperatorSum, CodeSpace]:
-    """Inverted bit-flip map on three qubits with the repetition code."""
+def cmd_reproduce_paper(args: argparse.Namespace) -> int:
+    tol = _resolve_tol(args)
+    c0 = args.c0
     c1 = (1.0 - c0) / 3.0
     if abs(c0) < 1e-12 or abs(c1) < 1e-12:
         raise ValueError(f"c0={c0} gives a degenerate mixture (c1={c1}); both weights must be nonzero")
@@ -170,47 +169,20 @@ def _three_qubit_bitflip(c0: float) -> tuple[SignedOperatorSum, CodeSpace]:
         raise ValueError(
             f"c0={c0} and c1={c1} have the same sign; choose c0 < 0 or c0 > 1 for an inverted mixture"
         )
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    flips = [
-        np.kron(np.kron(x, eye), eye),
-        np.kron(np.kron(eye, x), eye),
-        np.kron(np.kron(eye, eye), x),
-    ]
-    identity = np.eye(8, dtype=complex)
-    terms = [(1 if c1 > 0 else -1, np.sqrt(abs(c1)) * f) for f in flips]
-    terms.append((1 if c0 > 0 else -1, np.sqrt(abs(c0)) * identity))
-    terms.sort(key=lambda t: -t[0])
-    ops = SignedOperatorSum(8, tuple(s for s, _ in terms), tuple(op for _, op in terms))
-    zero = np.zeros(8, dtype=complex)
-    ket000, ket111 = zero.copy(), zero.copy()
-    ket000[0] = 1.0
-    ket111[7] = 1.0
-    return ops, projector_from_basis([ket000, ket111])
-
-
-def cmd_reproduce_paper(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
-    c0 = args.c0
-    c1 = (1.0 - c0) / 3.0
-    ops, code = _three_qubit_bitflip(c0)
+    ops, code = repetition_bitflip(3, c0)
 
     # Outcome values tr(|f><f| E(rho)) for rho = a|000><000| + (1-a)|111><111|.
     outcome_kets = {"000": 0, "111": 7, "100": 4, "011": 3}
     mixtures = {}
     for a_val in (0.0, 0.5, 1.0):
-        rho = np.zeros((8, 8), dtype=complex)
-        rho[0, 0] = a_val
-        rho[7, 7] = 1.0 - a_val
-        out = apply_map(ops, rho)
+        out = apply_map(ops, code.isometry @ np.diag([a_val, 1.0 - a_val]) @ code.isometry.conj().T)
         mixtures[f"a={a_val:g}"] = {k: float(out[i, i].real) for k, i in outcome_kets.items()}
 
     report = analyze(ops, code, tol)
     witness_probability = None if report.witness is None else report.witness.probability
-    recovery = build_recovery(report.syndromes) if report.syndromes else None
     recovery_error = None
-    if recovery is not None:
-        recovery_error = float(verify_recovery(ops, recovery, code, trials=20, tol=tol))
+    if report.syndromes:
+        recovery_error = float(verify_recovery(ops, build_recovery(report.syndromes), code, trials=20, tol=tol))
 
     doc = {
         "schema_version": "1",

@@ -4,7 +4,7 @@ Complex scalars are encoded as two-element ``[re, im]`` arrays and
 matrices as row-major nested lists of those pairs.  Every document
 carries a ``schema_version`` so formats can evolve; parsing rejects
 unknown versions.  Channel documents are version ``"1"`` and analysis
-documents version ``"2"``, whose syndromes are ``d x r`` isometries.
+documents version ``"3"``, which hold everything on the code in ``d x r`` form.
 Parsers raise ``ValueError`` with a path-like hint for malformed input,
 including NaN and infinite numbers.
 """
@@ -16,12 +16,12 @@ from typing import Any
 
 import numpy as np
 
-from .qec import CodeSpace, NegativityWitness, QecReport, projector_from_basis
+from .qec import CodeSpace, NegativityWitness, QecReport, Syndrome, build_recovery, projector_from_basis
 from .superop import AMatrix, BMatrix, SignedOperatorSum
 from .pseudolinalg import Signature
 
 SCHEMA_VERSION = "1"
-_ANALYSIS_VERSION = "2"
+_ANALYSIS_VERSION = "3"
 REPRESENTATIONS = ("a_matrix", "b_matrix", "operator_sum")
 _NUMBER = (int, float)
 _FLOAT_MAX = sys.float_info.max
@@ -200,17 +200,11 @@ def _encode_syndromes(report: QecReport) -> list[dict] | None:
 
 
 def analysis_document(report: QecReport, signature: Signature) -> dict:
-    """Serialize a :class:`~ncpqec.qec.QecReport`."""
-    recovery = None
-    if report.recovery is not None:
-        recovery = {
-            "signs": list(report.recovery.signs),
-            "operators": [encode_matrix(op) for op in report.recovery.operators],
-        }
+    """Serialize a :class:`~ncpqec.qec.QecReport`; the recovery is stored as the code's ``B``."""
     witness = None
     if report.witness is not None:
         witness = {
-            "state": encode_matrix(report.witness.state),
+            "vector": encode_vector(report.witness.vector),
             "syndrome_index": int(report.witness.syndrome_index),
             "probability": float(report.witness.probability),
         }
@@ -226,7 +220,9 @@ def analysis_document(report: QecReport, signature: Signature) -> dict:
         "diagonalizer": None if report.diagonalizer is None else encode_matrix(report.diagonalizer),
         "diagonal": None if report.diagonal is None else [float(x) for x in report.diagonal],
         "syndromes": _encode_syndromes(report),
-        "recovery": recovery,
+        "recovery": None
+        if report.recovery is None
+        else {"code_isometry": encode_matrix(report.syndromes[0].code_isometry)},
         "witness": witness,
     }
 
@@ -236,7 +232,7 @@ def parse_analysis_document(obj: Any) -> dict:
 
     Used to close the serialization loop: every emitted document must
     re-parse.  Returns a plain dict with numpy arrays in place of the
-    encoded matrices.
+    encoded matrices; ``recovery`` is rebuilt by ``build_recovery``.
     """
     if not isinstance(obj, dict):
         raise ValueError("analysis document must be a JSON object")
@@ -296,21 +292,21 @@ def parse_analysis_document(obj: Any) -> dict:
         rec = obj["recovery"]
         if not isinstance(rec, dict):
             raise ValueError("analysis.recovery must be a JSON object")
-        ops = [
-            decode_matrix(m, f"analysis.recovery.operators[{k}]")
-            for k, m in enumerate(_field(rec, "operators", "analysis.recovery", list, "a list"))
-        ]
-        signs = _field(rec, "signs", "analysis.recovery", list, "a list")
-        try:
-            out["recovery"] = SignedOperatorSum.from_terms(signs, ops)
-        except ValueError as exc:
-            raise ValueError(f"analysis.recovery: {exc}") from exc
+        where = "analysis.recovery.code_isometry"
+        b = decode_matrix(_require(rec, "code_isometry", "analysis.recovery"), where)
+        syndromes = out.get("syndromes") or []
+        shapes = sorted({s["isometry"].shape for s in syndromes})
+        if shapes != [b.shape]:
+            raise ValueError(f"{where}: shape {b.shape} must be that of every syndrome isometry, got {shapes}")
+        out["recovery"] = build_recovery(
+            tuple(Syndrome(s["isometry"], b, s["weight"], s["sign"], s["term_index"]) for s in syndromes)
+        )
     if witness is not None:
         if not isinstance(witness, dict):
             raise ValueError("analysis.witness must be a JSON object")
         where = "analysis.witness"
-        state = decode_matrix(_require(witness, "state", where), f"{where}.state")
+        vector = decode_vector(_require(witness, "vector", where), f"{where}.vector")
         index = _field(witness, "syndrome_index", where, int, "a non-negative integer", lambda x: x >= 0)
         prob = _field(witness, "probability", where, _NUMBER, "a negative number", lambda x: x < 0)
-        out["witness"] = NegativityWitness(state, index, float(prob))
+        out["witness"] = NegativityWitness(vector, index, float(prob))
     return out

@@ -48,12 +48,7 @@ class OrthogonalityViolation(NumericalFailure):
 
 
 class WitnessSearchFailed(NumericalFailure):
-    """The closed-form witness failed its ``apply_map`` cross-check.
-
-    The negative syndrome's outcome probability on a code state was not
-    negative at the tolerance, so the syndromes do not belong to the map
-    on this code.
-    """
+    """The witness's cross-checked outcome is not negative: the syndromes do not belong to the map."""
 
 
 class MapsNotEqual(NumericalFailure):

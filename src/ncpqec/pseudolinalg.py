@@ -36,6 +36,13 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 
 
+def _check_tol(tol: float) -> float:
+    """``tol`` itself; ``ValueError`` unless it is a finite non-negative number."""
+    if not 0 <= tol < np.inf:  # false for NaN
+        raise ValueError(f"tolerance must be a finite non-negative number, got {tol!r}")
+    return tol
+
+
 @dataclass(frozen=True)
 class Signature:
     """Counts of +1 and -1 entries of a diagonal indefinite metric."""

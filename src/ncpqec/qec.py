@@ -36,8 +36,8 @@ from .errors import (
     WitnessSearchFailed,
     ZeroTrace,
 )
-from .pseudolinalg import DEFAULT_TOL, _cluster_indices, _frozen, _max_abs, _projected_basis, polar_on_code
-from .superop import SignedOperatorSum, _signed_gram, _stacked, apply_map
+from .pseudolinalg import DEFAULT_TOL, _check_tol, _cluster_indices, _frozen, _max_abs, _projected_basis, polar_on_code
+from .superop import SignedOperatorSum, _signed_gram, _stacked
 
 __all__ = [
     "CodeSpace",
@@ -48,6 +48,7 @@ __all__ = [
     "Verdict",
     "QecReport",
     "projector_from_basis",
+    "repetition_bitflip",
     "cp_condition_matrix",
     "ph_condition_matrix",
     "diagonalize_conditions",
@@ -64,28 +65,30 @@ _VERIFY_SEED = 424033
 
 @dataclass(frozen=True)
 class CodeSpace:
-    """Orthonormal logical basis together with the projector it spans."""
+    """A code space as its ``d x r`` logical isometry ``B`` (orthonormal columns)."""
 
-    dim: int
-    logical_basis: tuple[np.ndarray, ...]
-    projector: np.ndarray
+    isometry: np.ndarray
 
     def __post_init__(self) -> None:
-        basis = tuple(_frozen(v) for v in self.logical_basis)
-        proj = _frozen(self.projector)
-        if not basis:
-            raise ValueError("code space needs at least one logical basis vector")
-        for v in basis:
-            if v.shape != (self.dim,):
-                raise ValueError(f"basis vector has shape {v.shape}, expected ({self.dim},)")
-        if proj.shape != (self.dim, self.dim):
-            raise ValueError(f"projector has shape {proj.shape}, expected ({self.dim}, {self.dim})")
-        object.__setattr__(self, "logical_basis", basis)
-        object.__setattr__(self, "projector", proj)
+        b = _frozen(self.isometry)
+        if b.ndim != 2 or not 1 <= b.shape[1] <= b.shape[0]:
+            raise ValueError(f"code isometry has shape {b.shape}, expected (d, r) with 1 <= r <= d")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("code isometry contains non-finite entries")
+        object.__setattr__(self, "isometry", b)
+
+    @property
+    def dim(self) -> int:
+        return self.isometry.shape[0]
 
     @property
     def rank(self) -> int:
-        return len(self.logical_basis)
+        return self.isometry.shape[1]
+
+    @property
+    def projector(self) -> np.ndarray:
+        """The code projector ``B B^dag``."""
+        return self.isometry @ self.isometry.conj().T
 
 
 @dataclass(frozen=True)
@@ -133,11 +136,16 @@ SyndromeSet = tuple[Syndrome, ...]
 
 @dataclass(frozen=True)
 class NegativityWitness:
-    """Code state whose syndrome outcome has negative probability."""
+    """Pure code state ``vector`` whose syndrome outcome has negative probability."""
 
-    state: np.ndarray
+    vector: np.ndarray
     syndrome_index: int
     probability: float
+
+    @property
+    def state(self) -> np.ndarray:
+        """The witness density matrix ``v v^dag``."""
+        return np.outer(self.vector, self.vector.conj())
 
 
 class Verdict(str, enum.Enum):
@@ -169,8 +177,8 @@ class QecReport:
 
     def __post_init__(self) -> None:
         if self.verdict == Verdict.REVERSIBLE_POSITIVE:
-            if self.recovery is None or self.witness is not None:
-                raise ValueError("reversible verdict requires a recovery and no witness")
+            if self.recovery is None or not self.syndromes or self.witness is not None:
+                raise ValueError("reversible verdict requires a recovery, its syndromes and no witness")
         if self.verdict == Verdict.CODE_OUTSIDE_DOMAIN and self.witness is None:
             raise ValueError("outside-domain verdict requires a witness")
         if self.verdict == Verdict.CONDITIONS_VIOLATED and self.witness is not None:
@@ -178,7 +186,7 @@ class QecReport:
 
 
 def projector_from_basis(vectors: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> CodeSpace:
-    """Orthonormalize ``vectors`` and build the code-space projector.
+    """The code space of ``vectors``, orthonormalized by Gram-Schmidt in input order.
 
     Raises
     ------
@@ -205,20 +213,34 @@ def projector_from_basis(vectors: Sequence[np.ndarray], tol: float = DEFAULT_TOL
     if small.any() or len(vecs) > dim:
         k = int(np.argmax(small)) if small.any() else dim
         raise LinearDependence(f"basis vector {k} lies in the span of its predecessors")
-    b = q * (diag / np.abs(diag))  # the phases of Gram-Schmidt in input order
-    return CodeSpace(dim, tuple(b.T), b @ b.conj().T)
+    return CodeSpace(q * (diag / np.abs(diag)))  # the phases of Gram-Schmidt in input order
+
+
+def repetition_bitflip(n: int, c0: float) -> tuple[SignedOperatorSum, CodeSpace]:
+    """The map ``c0 rho + c1 sum_k X_k rho X_k``, ``c1 = (1 - c0) / n``, and the n-qubit repetition code.
+
+    ``c0 < 0`` gives the paper's inverted (NCP) mixture.  The terms are
+    ``sqrt(|c|)`` times ``X_0 .. X_{n-1}`` (qubit 0 leftmost) and ``I``,
+    signed like their weights ``c``, with the +1 block first.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got n={n}")
+    d, x = 2**n, np.array([[0, 1], [1, 0]], dtype=complex)
+    weighted = [((1.0 - c0) / n, np.kron(np.kron(np.eye(2**k), x), np.eye(2 ** (n - k - 1)))) for k in range(n)]
+    weighted.append((c0, np.eye(d, dtype=complex)))
+    terms = sorted(((1 if c > 0 else -1, np.sqrt(abs(c)) * op) for c, op in weighted), key=lambda t: -t[0])
+    ops = SignedOperatorSum.from_terms([s for s, _ in terms], [op for _, op in terms])
+    zeros, ones = np.zeros((2, d), dtype=complex)
+    zeros[0] = ones[-1] = 1.0
+    return ops, projector_from_basis([zeros, ones])
 
 
 def _on_code(ops: SignedOperatorSum, code: CodeSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked terms ``E``, terms on the code ``V_k = E_k B`` and blocks.
-
-    ``B`` is the ``d x r`` logical isometry; the blocks
-    ``B^dag E_k^dag E_l B`` have shape ``(n, n, r, r)``.
-    """
+    """Stacked terms ``E``, terms on the code ``V_k = E_k B`` and the ``(n, n, r, r)`` blocks ``V_k^dag V_l``."""
     if ops.dim != code.dim:
         raise ValueError(f"operator dimension {ops.dim} does not match code dimension {code.dim}")
     stack = _stacked(ops)
-    v = stack @ np.column_stack(code.logical_basis)
+    v = stack @ code.isometry
     return stack, v, np.einsum("kda,ldb->klab", v.conj(), v)
 
 
@@ -344,7 +366,7 @@ def build_syndromes(
     d = np.asarray(d, dtype=float)
     if d.shape != (f_ops.n_terms,):
         raise ValueError(f"weight vector has shape {d.shape}, expected ({f_ops.n_terms},)")
-    b = _frozen(np.column_stack(code.logical_basis))
+    b = code.isometry
     cut = tol * float(d.max()) if d.size else 0.0
     syndromes = tuple(
         Syndrome(polar_on_code(f_ops.operators[k] / np.sqrt(d[k]), b, tol).isometry, b, float(d[k]), f_ops.signs[k], k)
@@ -394,11 +416,11 @@ def domain_witness(
 
     On a code state ``rho``, the syndrome of a retained negative-sign
     diagonal term ``F_j`` has outcome probability
-    ``tr(P_j E(rho) P_j) = -d_j tr(rho)``.  Returns ``None`` when no
+    ``tr(W_j^dag E(rho) W_j) = -d_j tr(rho)``.  Returns ``None`` when no
     retained syndrome has a negative sign (nothing to witness).
-    Otherwise returns the first logical basis state against the first
-    negative syndrome, with its probability from one
-    :func:`~ncpqec.superop.apply_map` cross-check.
+    Otherwise returns the first logical basis state ``b_0`` against the
+    first negative syndrome, with its probability cross-checked once on
+    the input terms as ``sum_k s_k |W_j^dag E_k b_0|^2``.
 
     Raises
     ------
@@ -410,16 +432,15 @@ def domain_witness(
     j = next((j for j, s in enumerate(syndromes) if s.sign < 0), None)
     if j is None:
         return None
-    b = code.logical_basis[0]
-    state = np.outer(b, b.conj())
-    w = syndromes[j].isometry
-    prob = float(np.trace(w.conj().T @ apply_map(ops, state) @ w).real)
+    b0 = code.isometry[:, 0]
+    amplitudes = (_stacked(ops) @ b0) @ syndromes[j].isometry.conj()  # row k: W_j^dag E_k b_0
+    prob = float(np.asarray(ops.signs, dtype=float) @ np.sum(np.abs(amplitudes) ** 2, axis=1))
     if prob > -tol * max(s.weight for s in syndromes):
         raise WitnessSearchFailed(
             f"negative syndrome {j} has probability {prob:.3e} on the first logical basis state, "
             f"expected {-syndromes[j].weight:.3e}"
         )
-    return NegativityWitness(state, j, prob)
+    return NegativityWitness(b0, j, prob)
 
 
 def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -> QecReport:
@@ -440,8 +461,10 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
       channel built from the syndromes is attached.
 
     The verdict depends on the map and the code, not on the signed
-    decomposition that represents the map.
+    decomposition that represents the map.  A NaN, infinite or negative
+    ``tol`` raises ``ValueError``.
     """
+    _check_tol(tol)
     stack, v, blocks = _on_code(ops, code)
     f, d, t, condition, scale = _canonical_terms(ops.signs, stack, blocks, tol)
     if not d.size:
@@ -493,7 +516,7 @@ def verify_recovery(
     """
     if ops.dim != code.dim or recovery.dim != code.dim:
         raise ValueError("map, recovery and code must share one dimension")
-    b = np.column_stack(code.logical_basis)
+    b = code.isometry
     terms = np.einsum("jde,kef->jkdf", _stacked(recovery), _stacked(ops) @ b)
     signs = np.outer(recovery.signs, ops.signs)
     sigma = _recovery_samples(code.rank, trials)

@@ -13,6 +13,7 @@ from ncpqec import (
     SignedOperatorSum,
     eta_metric,
     projector_from_basis,
+    repetition_bitflip,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -109,9 +110,8 @@ def random_code(rng, d: int, rank: int) -> CodeSpace:
 
 def random_code_state(rng, code: CodeSpace) -> np.ndarray:
     """Haar-random pure state in the code space, as a density matrix."""
-    amps = random_complex(rng, len(code.logical_basis))
-    amps = amps / np.linalg.norm(amps)
-    psi = sum(a * v for a, v in zip(amps, code.logical_basis))
+    amps = random_complex(rng, code.rank)
+    psi = code.isometry @ (amps / np.linalg.norm(amps))
     return np.outer(psi, psi.conj())
 
 
@@ -121,16 +121,11 @@ def bitflip_ops(c0: float) -> SignedOperatorSum:
     Weights c0 and c1 = (1-c0)/3 sum (with multiplicity) to one; a
     negative c0 makes the map NCP while keeping it trace preserving.
     """
-    c1 = (1.0 - c0) / 3.0
-    flips = [pauli_string(s) for s in ("XII", "IXI", "IIX")]
-    terms = [(1 if c1 > 0 else -1, np.sqrt(abs(c1)) * f) for f in flips]
-    terms.append((1 if c0 > 0 else -1, np.sqrt(abs(c0)) * pauli_string("III")))
-    terms.sort(key=lambda t: -t[0])
-    return SignedOperatorSum.from_terms([s for s, _ in terms], [op for _, op in terms])
+    return repetition_bitflip(3, c0)[0]
 
 
 def repetition_code() -> CodeSpace:
-    return projector_from_basis([ket(0, 8), ket(7, 8)])
+    return repetition_bitflip(3, 0.7)[1]
 
 
 def conditioned_pauli_map(rng, require_negative: bool = True) -> SignedOperatorSum:

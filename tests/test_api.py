@@ -75,6 +75,7 @@ PUBLIC = {
     "pseudo_diagonalize",
     "pseudo_gram_schmidt",
     "pseudo_inner",
+    "repetition_bitflip",
     "reshuffle",
     "split_cp_parts",
     "to_base_map",

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +150,18 @@ def test_classify_tolerance_resolution(tmp_path):
         "classify", str(path), "--json", "--tol", "1e-9", env_extra={"QEC_TOL": "1e-3"}
     )
     assert flag_wins.returncode == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("source", ["--tol", "QEC_TOL"])
+def test_invalid_tolerance_exits_2(source, value):
+    if source == "--tol":
+        proc = run_cli("reproduce-paper", f"--tol={value}", "--json")
+    else:
+        proc = run_cli("reproduce-paper", "--json", env_extra={"QEC_TOL": value})
+    assert proc.returncode == 2
+    assert f"{source}: tolerance must be a finite non-negative number" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_classify_bad_qec_tol_env(tmp_path):
@@ -298,6 +311,20 @@ def test_equiv_dimension_mismatch_exits_2(tmp_path):
     proc = run_cli("equiv", p1, p2)
     assert proc.returncode == 2
     assert "dimension mismatch" in proc.stderr
+
+
+def test_readme_analysis_example_matches_cli(tmp_path):
+    # The schema example in README.md is the real output, so it cannot go stale.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme[readme.index("For the bit flip `X` on the code `|0>`") :]
+    example = example[example.index("```json\n") + len("```json\n") :]
+    example = example[: example.index("```")]
+    chan = write_channel(tmp_path / "chan.json", SignedOperatorSum.from_terms([1], [X]))
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]]]))
+    proc = run_cli("qec", chan, "--code", str(code), "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(example) == json.loads(proc.stdout)
 
 
 # ------------------------------------------------------------- reproduce-paper

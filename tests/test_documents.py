@@ -15,7 +15,7 @@ from ncpqec.documents import (
     parse_code_document,
 )
 from ncpqec.pseudolinalg import Signature
-from ncpqec.qec import analyze
+from ncpqec.qec import analyze, repetition_bitflip
 from ncpqec.superop import AMatrix, BMatrix, SignedOperatorSum, a_from_operator_sum, b_from_operator_sum
 
 from helpers import I2, X, Z, bitflip_ops, random_complex, repetition_code
@@ -173,14 +173,18 @@ def _report(c0):
 def test_analysis_document_outside_domain_roundtrip():
     report, sig = _report(-0.2)
     doc = _roundtrip(analysis_document(report, sig))
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     assert doc["verdict"] == "code_outside_domain"
     assert doc["signature"] == {"p": 3, "q": 1}
     assert all(set(s) == {"isometry", "weight", "sign", "term_index"} for s in doc["syndromes"])
+    assert set(doc["witness"]) == {"vector", "syndrome_index", "probability"}
     assert doc["recovery"] is None
     parsed = parse_analysis_document(doc)
     assert parsed["verdict"] == "code_outside_domain"
     assert parsed["witness"].probability == pytest.approx(-0.2, abs=1e-9)
+    assert np.abs(parsed["witness"].vector - report.witness.vector).max() == 0
+    assert np.abs(parsed["witness"].state - report.witness.state).max() == 0
+    assert parsed["witness"].syndrome_index == report.witness.syndrome_index
     assert np.abs(parsed["condition_entries"] - report.condition.entries).max() < 1e-15
     assert sorted(parsed["diagonal"]) == pytest.approx(sorted(report.diagonal))
     assert len(parsed["syndromes"]) == 4
@@ -197,11 +201,49 @@ def test_analysis_document_reversible_roundtrip():
     doc = _roundtrip(analysis_document(report, sig))
     assert doc["verdict"] == "reversible_positive"
     assert doc["witness"] is None
+    assert set(doc["recovery"]) == {"code_isometry"}
     parsed = parse_analysis_document(doc)
     rec = parsed["recovery"]
     assert rec.n_terms == report.recovery.n_terms
+    assert rec.signs == report.recovery.signs
     for a, b in zip(rec.operators, report.recovery.operators):
-        assert np.abs(a - b).max() < 1e-15
+        assert np.abs(a - b).max() == 0
+
+
+def _is_pair(z):
+    return isinstance(z, list) and len(z) == 2 and all(isinstance(x, (int, float)) for x in z)
+
+
+def _matrix_widths(node, path=""):
+    """``(path, columns)`` of every encoded matrix or vector (one column) in a document."""
+    if isinstance(node, dict):
+        return [w for key, value in node.items() for w in _matrix_widths(value, f"{path}.{key}".lstrip("."))]
+    if not isinstance(node, list) or not node:
+        return []
+    if all(_is_pair(z) for z in node):
+        return [(path, 1)]
+    if all(isinstance(row, list) and row and all(_is_pair(z) for z in row) for row in node):
+        return [(path, len(node[0]))]
+    return [w for k, item in enumerate(node) for w in _matrix_widths(item, f"{path}[{k}]")]
+
+
+@pytest.mark.parametrize("c0", [-0.2, 0.7])
+def test_analysis_document_is_code_sized(c0):
+    ops, code = repetition_bitflip(6, c0)
+    report = analyze(ops, code)
+    doc = _roundtrip(analysis_document(report, ops.signature))
+    widths = dict(_matrix_widths(doc))
+    assert {"syndromes[0].isometry", "condition.entries", "diagonalizer"} <= set(widths)
+    assert ("witness.vector" in widths) == (c0 < 0)
+    assert ("recovery.code_isometry" in widths) == (c0 > 0)
+    wide = {path for path, cols in widths.items() if cols > code.rank}
+    assert wide <= {"condition.entries", "diagonalizer"}
+    parsed = parse_analysis_document(doc)
+    if report.recovery is None:
+        assert "recovery" not in parsed
+    else:
+        assert parsed["recovery"].signs == report.recovery.signs
+        assert all(np.array_equal(a, b) for a, b in zip(parsed["recovery"].operators, report.recovery.operators))
 
 
 def test_analysis_document_conditions_violated_roundtrip():
@@ -311,8 +353,12 @@ def _break_diagonal_nan(doc):
     doc["diagonal"][1] = float("nan")
 
 
-def _break_witness_state_inf(doc):
-    doc["witness"]["state"][0][0] = [float("-inf"), 0.0]
+def _break_witness_vector_inf(doc):
+    doc["witness"]["vector"][0] = [float("-inf"), 0.0]
+
+
+def _break_version(doc):
+    doc["schema_version"] = "2"
 
 
 def _break_signature(doc):
@@ -339,7 +385,8 @@ def _break_negative_index(doc):
         (_break_weight_inf, r"analysis.syndromes\[0\].weight"),
         (_break_term_index, r"analysis.syndromes\[0\].term_index"),
         (_break_diagonal_nan, "analysis.diagonal"),
-        (_break_witness_state_inf, r"analysis.witness.state\[0\]\[0\]"),
+        (_break_witness_vector_inf, r"analysis.witness.vector\[0\]"),
+        (_break_version, "analysis: unsupported schema_version '2'"),
         (_break_signature, "analysis.signature.q"),
         (_break_index, "analysis.witness.syndrome_index"),
         (_break_negative_index, "analysis.witness.syndrome_index"),
@@ -356,9 +403,9 @@ def test_parse_analysis_document_malformed_outside_domain(breaker, hint):
 @pytest.mark.parametrize(
     "field, value, hint",
     [
-        ("operators", 5, "analysis.recovery.operators"),
-        ("signs", 5, "analysis.recovery.signs"),
-        ("signs", [1.5, 1, 1, 1], "analysis.recovery: signs"),
+        ("code_isometry", 5, "analysis.recovery.code_isometry"),
+        ("code_isometry", [[[1.0, 0.0]] * 3] * 8, r"analysis.recovery.code_isometry: shape \(8, 3\)"),
+        ("code_isometry", [[[float("nan"), 0.0]] * 2] * 8, r"analysis.recovery.code_isometry\[0\]\[0\]"),
     ],
 )
 def test_parse_analysis_document_malformed_recovery(field, value, hint):

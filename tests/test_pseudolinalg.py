@@ -253,7 +253,7 @@ def test_polar_on_code_random_reconstruction():
         d = int(rng.integers(2, 9))
         rank = int(rng.integers(1, d + 1))
         code = random_code(rng, d, rank)
-        b = np.column_stack(code.logical_basis)
+        b = code.isometry
         m = random_complex(rng, (d, d))
         res = polar_on_code(m, b)
         w, h = res.isometry, res.positive_part

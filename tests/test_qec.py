@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from ncpqec import (
+    CodeSpace,
     ConditionsViolated,
     LinearDependence,
     QecReport,
@@ -24,6 +27,7 @@ from ncpqec import (
     negative_part_on_code,
     ph_condition_matrix,
     projector_from_basis,
+    repetition_bitflip,
     verify_recovery,
 )
 from ncpqec.qec import _VERIFY_SEED
@@ -210,15 +214,13 @@ def test_build_syndromes_bitflip():
     syn = build_syndromes(f, code, d)
     assert len(syn) == 4
     p = code.projector
-    b = np.column_stack(code.logical_basis)
     expected = [x @ p @ x for x in (X1, X2, X3)] + [p]
     for s, want in zip(syn, expected):
         assert s.isometry.shape == (8, 2)
         assert np.abs(s.isometry.conj().T @ s.isometry - np.eye(2)).max() < 1e-12
         assert np.abs(s.projector - want).max() < 1e-9
         assert np.abs(s.projector - s.isometry @ s.isometry.conj().T).max() == 0
-        assert s.code_isometry is syn[0].code_isometry  # one shared B
-    assert np.abs(syn[0].code_isometry - b).max() == 0
+        assert s.code_isometry is code.isometry  # one shared B, the code's own
     assert [s.sign for s in syn] == [1, 1, 1, -1]
     assert np.abs(np.array([s.weight for s in syn]) - [0.4, 0.4, 0.4, 0.2]).max() < 1e-9
     for i in range(4):
@@ -231,7 +233,7 @@ def test_syndrome_f_p_factorization():
     # F_k B = sqrt(d_k) W_k, hence F_k P = sqrt(d_k) W_k B^dag = sqrt(d_k) P_k F_k P / sqrt(d_k)
     rng = np.random.default_rng(139)
     code = repetition_code()
-    b = np.column_stack(code.logical_basis)
+    b = code.isometry
     for _ in range(10):
         ops = conditioned_pauli_map(rng)
         f, d, _ = diagonalize_conditions(ops, code)
@@ -295,7 +297,7 @@ def test_build_recovery_bitflip():
 def test_build_recovery_single_syndrome():
     code = repetition_code()
     p = code.projector
-    b = np.column_stack(code.logical_basis)
+    b = code.isometry
     rec = build_recovery((Syndrome(b, b, 1.0, 1, 0),))
     rho = random_complex(np.random.default_rng(5), (8, 8))
     assert np.abs(apply_map(rec, rho) - p @ rho @ p).max() < 1e-12
@@ -363,6 +365,22 @@ def test_domain_witness_search_failure_on_doctored_syndromes():
     )
     with pytest.raises(WitnessSearchFailed):
         domain_witness(ops, code, wrong)
+
+
+def test_domain_witness_probability_matches_apply_map():
+    # Reference: the witness state v v^dag through apply_map, seen by W_j.
+    rng = np.random.default_rng(181)
+    code = repetition_code()
+    for _ in range(15):
+        ops = conditioned_pauli_map(rng)
+        f, d, _ = diagonalize_conditions(ops, code)
+        syn = build_syndromes(f, code, d)
+        w = domain_witness(ops, code, syn)
+        rho = np.outer(w.vector, w.vector.conj())
+        wj = syn[w.syndrome_index].isometry
+        assert abs(w.probability - np.trace(wj.conj().T @ apply_map(ops, rho) @ wj).real) < 1e-12
+        assert np.abs(w.vector - code.isometry[:, 0]).max() == 0
+        assert np.abs(w.state - rho).max() == 0
 
 
 def test_analyze_bitflip_outside_domain():
@@ -468,7 +486,7 @@ def test_verify_recovery_matches_per_sample_apply_map():
         for recovery in (recoveries[k], recoveries[k - 1], maps[k - 1]):
             worst = 0.0
             for c in coeffs:
-                psi = sum(ci * bi for ci, bi in zip(c, code.logical_basis)) / np.linalg.norm(c)
+                psi = sum(ci * bi for ci, bi in zip(c, code.isometry.T)) / np.linalg.norm(c)
                 rho = np.outer(psi, psi.conj())
                 out = apply_map(recovery, apply_map(ops, rho))
                 worst = max(worst, np.abs(out / np.trace(out).real - rho).max())
@@ -507,6 +525,10 @@ def test_qec_report_consistency_enforced():
             verdict=Verdict.CODE_OUTSIDE_DOMAIN,
             witness=None,
         )
+    # Documents store the recovery through its syndromes, so it needs them.
+    cp = analyze(bitflip_ops(0.7), repetition_code())
+    with pytest.raises(ValueError, match="syndromes"):
+        QecReport(cp.condition, cp.diagonalizer, cp.diagonal, None, cp.recovery, Verdict.REVERSIBLE_POSITIVE, None)
 
 
 def test_negative_condition_block_never_reversible():
@@ -545,7 +567,7 @@ def test_projector_from_basis_matches_gram_schmidt():
         w = v - sum(b * np.vdot(b, v) for b in basis)
         basis.append(w / np.linalg.norm(w))
     code = projector_from_basis(vecs)
-    for got, want in zip(code.logical_basis, basis):
+    for got, want in zip(code.isometry.T, basis):
         assert np.abs(got - want).max() < 1e-12
 
 
@@ -575,3 +597,50 @@ def test_projector_from_basis_names_first_dependent_vector(vectors, index):
 def test_projector_from_basis_rejects_malformed_vectors(vectors, hint):
     with pytest.raises(ValueError, match=hint):
         projector_from_basis(vectors)
+
+
+def test_code_space_holds_one_isometry():
+    code = repetition_code()
+    assert [f.name for f in fields(CodeSpace)] == ["isometry"]
+    assert (code.dim, code.rank) == (8, 2)
+    assert not code.isometry.flags.writeable
+    assert np.abs(code.projector - code.isometry @ code.isometry.conj().T).max() == 0
+
+
+@pytest.mark.parametrize(
+    "isometry, hint",
+    [
+        (np.array([1.0, 0.0]), "shape"),
+        (np.ones((2, 3)) / np.sqrt(2), "shape"),
+        (np.zeros((3, 0)), "shape"),
+        (np.array([[np.nan], [0.0]]), "non-finite"),
+    ],
+)
+def test_code_space_rejects_malformed_isometry(isometry, hint):
+    with pytest.raises(ValueError, match=hint):
+        CodeSpace(isometry)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+@pytest.mark.parametrize("c0", [-0.2, 0.7])
+def test_repetition_bitflip_matches_pauli_strings(n, c0):
+    ops, code = repetition_bitflip(n, c0)
+    c1 = (1 - c0) / n
+    flips = [(1, np.sqrt(c1) * pauli_string("I" * k + "X" + "I" * (n - k - 1))) for k in range(n)]
+    identity = (1 if c0 > 0 else -1, np.sqrt(abs(c0)) * np.eye(2**n))
+    want = flips + [identity]  # c1 > 0 here, so the flips lead in either case
+    assert ops.signs == tuple(s for s, _ in want)
+    for got, (_, op) in zip(ops.operators, want):
+        assert np.abs(got - op).max() == 0
+    assert np.abs(code.isometry - np.eye(2**n)[:, [0, -1]]).max() == 0
+
+
+def test_repetition_bitflip_rejects_no_qubits():
+    with pytest.raises(ValueError, match="qubit"):
+        repetition_bitflip(0, -0.2)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_analyze_rejects_invalid_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        analyze(bitflip_ops(-0.2), repetition_code(), tol)
