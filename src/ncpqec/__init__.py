@@ -13,7 +13,6 @@ from .errors import (
     ConditionsViolated,
     LinearDependence,
     MapsNotEqual,
-    NotAProjector,
     NotHermitian,
     NotPseudoHermitian,
     NotPseudoUnitary,

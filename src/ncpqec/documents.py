@@ -274,7 +274,8 @@ def parse_analysis_document(obj: Any) -> dict:
         diag = _field(obj, "diagonal", "analysis", list, "a list of finite numbers", lambda xs: all(map(_finite, xs)))
         out["diagonal"] = np.array(diag, dtype=float)
     if obj.get("syndromes") is not None:
-        decoded = []
+        decoded, taken = [], set()
+        fresh = lambda x: x >= 0 and x not in taken  # noqa: E731
         for k, s in enumerate(_field(obj, "syndromes", "analysis", list, "a list")):
             where = f"analysis.syndromes[{k}]"
             if not isinstance(s, dict):
@@ -284,9 +285,10 @@ def parse_analysis_document(obj: Any) -> dict:
                     "isometry": decode_matrix(_require(s, "isometry", where), f"{where}.isometry"),
                     "weight": float(_field(s, "weight", where, _NUMBER, "a finite number", _finite)),
                     "sign": _field(s, "sign", where, int, "+1 or -1", lambda x: x in (1, -1)),
-                    "term_index": _field(s, "term_index", where, int, "a non-negative integer", lambda x: x >= 0),
+                    "term_index": _field(s, "term_index", where, int, "a non-negative integer not used before", fresh),
                 }
             )
+            taken.add(decoded[-1]["term_index"])
         out["syndromes"] = decoded
     if obj.get("recovery") is not None:
         rec = obj["recovery"]
@@ -305,8 +307,13 @@ def parse_analysis_document(obj: Any) -> dict:
         if not isinstance(witness, dict):
             raise ValueError("analysis.witness must be a JSON object")
         where = "analysis.witness"
+        syndromes = out.get("syndromes") or []
+        what = f"an index below the syndrome count {len(syndromes)}"
+        index = _field(witness, "syndrome_index", where, int, what, lambda x: 0 <= x < len(syndromes))
         vector = decode_vector(_require(witness, "vector", where), f"{where}.vector")
-        index = _field(witness, "syndrome_index", where, int, "a non-negative integer", lambda x: x >= 0)
+        rows = syndromes[index]["isometry"].shape[0]
+        if vector.shape != (rows,):
+            raise ValueError(f"{where}.vector: length {vector.size} does not match the {rows} rows of the isometries")
         prob = _field(witness, "probability", where, _NUMBER, "a negative number", lambda x: x < 0)
         out["witness"] = NegativityWitness(vector, index, float(prob))
     return out

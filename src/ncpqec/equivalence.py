@@ -33,7 +33,6 @@ from .superop import (
     SignedOperatorSum,
     _SignedTerms,
     _signed_outer_sum,
-    _stacked,
     b_from_operator_sum,
     canonical_signed_eigensystem,
     operator_sum_from_b,
@@ -52,11 +51,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SignedEnsemble(_SignedTerms):
-    """Signed vectors assembling ``sum_i signs[i] * v_i v_i^dag``."""
+    """Signed vectors assembling ``sum_i signs[i] * v_i v_i^dag``.
+
+    ``vectors`` is stored as one read-only ``(n_terms, dim)`` array.
+    """
 
     dim: int
     signs: tuple[int, ...]
-    vectors: tuple[np.ndarray, ...]
+    vectors: np.ndarray
 
     def __post_init__(self) -> None:
         self._check_terms("vectors", (self.dim,))
@@ -116,7 +118,7 @@ def pad_to_signature(ops: SignedOperatorSum, signature: Signature) -> SignedOper
     if signature.p < sig.p or signature.q < sig.q:
         raise ValueError(f"cannot shrink signature ({sig.p}, {sig.q}) to ({signature.p}, {signature.q})")
     signs = (1,) * signature.p + (-1,) * signature.q
-    return SignedOperatorSum(ops.dim, signs, tuple(_pad(_stacked(ops), sig, signature)))
+    return SignedOperatorSum(ops.dim, signs, _pad(ops.operators, sig, signature))
 
 
 def _coefficients(
@@ -217,7 +219,7 @@ def connecting_pseudounitary(
     ba, bb = b_from_operator_sum(a).matrix, b_from_operator_sum(b).matrix
     if _max_abs(ba - bb) > tol:
         raise MapsNotEqual("decompositions generate different maps")
-    xa, xb = (np.reshape(x.operators, (x.n_terms, x.dim**2)) for x in (a, b))
+    xa, xb = (x.operators.reshape(x.n_terms, x.dim**2) for x in (a, b))
     res = _connect(xb, b.signature, xa, a.signature, (ba + bb) / 2, tol)
     return ConnectionResult(res.u.T, res.signature, res.padding_added[::-1], res.residual)
 
@@ -245,5 +247,4 @@ def ensemble_connection(
     oa, ob = a.operator(), b.operator()
     if _max_abs(oa - ob) > tol:
         raise OperatorsNotEqual("ensembles assemble different operators")
-    xa, xb = (np.reshape(x.vectors, (x.n_terms, x.dim)) for x in (a, b))
-    return _connect(xa, a.signature, xb, b.signature, (oa + ob) / 2, tol)
+    return _connect(a.vectors, a.signature, b.vectors, b.signature, (oa + ob) / 2, tol)

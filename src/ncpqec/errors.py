@@ -27,10 +27,6 @@ class PseudoDiagonalizationFailure(NumericalFailure):
     """No pseudounitary similarity reduces the matrix to real diagonal form."""
 
 
-class NotAProjector(NumericalFailure):
-    """The matrix is not an orthogonal projector within tolerance."""
-
-
 class NotHermitian(NumericalFailure):
     """The matrix is not Hermitian within tolerance."""
 

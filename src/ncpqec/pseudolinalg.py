@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     LinearDependence,
-    NotAProjector,
     NotPseudoHermitian,
     NullNormEncountered,
     PseudoDiagonalizationFailure,
@@ -316,25 +315,21 @@ def pseudo_diagonalize(
     return PseudoDiagonalization(s, d, eta_diag.copy(), tuple(perm))
 
 
-def polar_on_code(m: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> PolarFactors:
-    """Polar decomposition of ``M B`` for a ``d x r`` isometry ``B``.
+def polar_on_code(a: np.ndarray) -> PolarFactors:
+    """Polar decomposition of a stack of ``d x r`` products ``A = M B`` on a code.
 
-    Returns ``PolarFactors(W, H)`` from one thin SVD ``M B = L S R^dag``:
-    the ``d x r`` isometry ``W = L R^dag`` and the ``r x r`` positive
-    part ``H = R S R^dag = sqrt(B^dag M^dag M B)``, so ``M B = W H``.
-    ``W`` is the canonical polar isometry on the support of ``H``.
-
-    Raises
-    ------
-    NotAProjector
-        If ``B^dag B`` is not the identity within ``tol``, i.e. ``B B^dag``
-        is not an orthogonal projector.
+    ``a`` has shape ``(..., d, r)``; ``B`` is the code's isometry, which
+    :class:`~ncpqec.qec.CodeSpace` already guarantees.  Returns
+    ``PolarFactors(W, H)`` from one batched thin SVD ``A = L S R^dag``:
+    the ``d x r`` isometries ``W = L R^dag`` and the ``r x r`` positive
+    parts ``H = R S R^dag = sqrt(A^dag A)``, so ``A = W H`` for each
+    matrix of the stack.  ``W`` is the canonical polar isometry on the
+    support of ``H``.
     """
-    m = _as_square(m, "M")
-    b = np.asarray(b, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != m.shape[0]:
-        raise ValueError(f"B has shape {b.shape}, expected ({m.shape[0]}, r)")
-    if not _max_abs(b.conj().T @ b - np.eye(b.shape[1])) <= tol:  # NaN fails too
-        raise NotAProjector("B is not an isometry within tolerance")
-    left, sv, right_h = np.linalg.svd(m @ b, full_matrices=False)
-    return PolarFactors(left @ right_h, (right_h.conj().T * sv) @ right_h)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
+        raise ValueError(f"products have shape {a.shape}, expected (..., d, r) with r <= d")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("products contain non-finite entries")
+    left, sv, right_h = np.linalg.svd(a, full_matrices=False)
+    return PolarFactors(left @ right_h, (right_h.conj().swapaxes(-1, -2) * sv[..., None, :]) @ right_h)

@@ -6,9 +6,11 @@ correctability conditions take the signed form
 ``sign_i P E_i^dag E_j P = c_ij P``.  :func:`analyze` decides them on the
 map restricted to the code: one Hermitian eigendecomposition gives its
 canonical terms ``F = E T``, whose conditions are diagonal when the
-conditions hold; polar-decomposing each ``F_k B`` then yields
-``d x r`` isometries ``W_k`` with pairwise-orthogonal ranges, the
-syndrome projectors ``W_k W_k^dag`` of the completely positive theory.
+conditions hold.  The analysis reads the map only through the terms on
+the code, the ``n x d x r`` stack ``V_k = E_k B``: one batched polar
+decomposition of ``F B = V T`` yields ``d x r`` isometries ``W_k`` with
+pairwise-orthogonal ranges, the syndrome projectors ``W_k W_k^dag`` of
+the completely positive theory.  ``F`` itself is never formed.
 
 The sign structure adds one genuinely new outcome: if a negative
 canonical term acts on the code space, its syndrome returns the
@@ -37,7 +39,7 @@ from .errors import (
     ZeroTrace,
 )
 from .pseudolinalg import DEFAULT_TOL, _check_tol, _cluster_indices, _frozen, _max_abs, _projected_basis, polar_on_code
-from .superop import SignedOperatorSum, _signed_gram, _stacked
+from .superop import SignedOperatorSum, _signed_gram
 
 __all__ = [
     "CodeSpace",
@@ -65,7 +67,12 @@ _VERIFY_SEED = 424033
 
 @dataclass(frozen=True)
 class CodeSpace:
-    """A code space as its ``d x r`` logical isometry ``B`` (orthonormal columns)."""
+    """A code space as its ``d x r`` logical isometry ``B`` (orthonormal columns).
+
+    Construction raises ``ValueError`` unless ``B`` is a finite ``d x r``
+    array with ``1 <= r <= d`` and ``max|B^dag B - I| <= DEFAULT_TOL``,
+    so every analysis may take ``B`` to be an isometry.
+    """
 
     isometry: np.ndarray
 
@@ -75,6 +82,9 @@ class CodeSpace:
             raise ValueError(f"code isometry has shape {b.shape}, expected (d, r) with 1 <= r <= d")
         if not np.all(np.isfinite(b)):
             raise ValueError("code isometry contains non-finite entries")
+        error = _max_abs(b.conj().T @ b - np.eye(b.shape[1]))
+        if error > DEFAULT_TOL:
+            raise ValueError(f"code isometry has non-orthonormal columns: max|B^dag B - I| = {error:.3e}")
         object.__setattr__(self, "isometry", b)
 
     @property
@@ -235,13 +245,12 @@ def repetition_bitflip(n: int, c0: float) -> tuple[SignedOperatorSum, CodeSpace]
     return ops, projector_from_basis([zeros, ones])
 
 
-def _on_code(ops: SignedOperatorSum, code: CodeSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked terms ``E``, terms on the code ``V_k = E_k B`` and the ``(n, n, r, r)`` blocks ``V_k^dag V_l``."""
+def _on_code(ops: SignedOperatorSum, code: CodeSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Terms on the code ``V_k = E_k B`` and the ``(n, n, r, r)`` blocks ``V_k^dag V_l``."""
     if ops.dim != code.dim:
         raise ValueError(f"operator dimension {ops.dim} does not match code dimension {code.dim}")
-    stack = _stacked(ops)
-    v = stack @ code.isometry
-    return stack, v, np.einsum("kda,ldb->klab", v.conj(), v)
+    v = ops.operators @ code.isometry
+    return v, np.einsum("kda,ldb->klab", v.conj(), v)
 
 
 def _condition_fit(blocks: np.ndarray, signs: Sequence[int] | None, form: str) -> ConditionMatrix:
@@ -253,9 +262,7 @@ def _condition_fit(blocks: np.ndarray, signs: Sequence[int] | None, form: str) -
     return ConditionMatrix(entries, residual, form)
 
 
-def cp_condition_matrix(
-    operators: Sequence[np.ndarray], code: CodeSpace, tol: float = DEFAULT_TOL
-) -> ConditionMatrix:
+def cp_condition_matrix(operators: Sequence[np.ndarray], code: CodeSpace) -> ConditionMatrix:
     """Fit ``P E_i^dag E_j P = c_ij P`` for an unsigned operator list.
 
     The residual is the largest entrywise deviation of any block
@@ -264,32 +271,31 @@ def cp_condition_matrix(
     """
     if not len(operators):
         raise ValueError("at least one operator is required")
-    ops = SignedOperatorSum(code.dim, (1,) * len(operators), tuple(operators))
-    return _condition_fit(_on_code(ops, code)[2], None, "hermitian")
+    ops = SignedOperatorSum(code.dim, (1,) * len(operators), operators)
+    return _condition_fit(_on_code(ops, code)[1], None, "hermitian")
 
 
-def ph_condition_matrix(
-    ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL
-) -> ConditionMatrix:
+def ph_condition_matrix(ops: SignedOperatorSum, code: CodeSpace) -> ConditionMatrix:
     """Fit the signed conditions ``sign_i P E_i^dag E_j P = c_ij P``.
 
     The resulting coefficient matrix is pseudohermitian for the metric
     of ``ops.signature``.  The residual is measured as in
     :func:`cp_condition_matrix`.
     """
-    return _condition_fit(_on_code(ops, code)[2], ops.signs, "pseudohermitian")
+    return _condition_fit(_on_code(ops, code)[1], ops.signs, "pseudohermitian")
 
 
 def _canonical_terms(
-    signs: Sequence[int], stack: np.ndarray, blocks: np.ndarray, tol: float
-) -> tuple[SignedOperatorSum, np.ndarray, np.ndarray, ConditionMatrix, float]:
+    signs: Sequence[int], blocks: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, ConditionMatrix, float]:
     """Canonical decomposition of the map restricted to the code.
 
     With ``G = tr_r(blocks) / r = R^dag R`` the Gram matrix of the terms
     on the code and ``R eta R^dag = W L W^dag`` (``L`` is the spectrum of
-    the restricted dynamical matrix over ``r``), returns ``(F, d, T,
-    condition, scale)``: ``T = R^+ W |L|^(1/2)``, ``F = E T``, ``d = |L|``
-    and ``scale = max eig G``.  Eigenvalues up to ``tol * scale`` drop.
+    the restricted dynamical matrix over ``r``), returns ``(signs, d, T,
+    condition, scale)`` of the canonical terms ``F = E T``:
+    ``T = R^+ W |L|^(1/2)``, ``d = |L|``, ``signs = sign(L)`` and
+    ``scale = max eig G``.  Eigenvalues up to ``tol * scale`` drop.
     """
     r = blocks.shape[-1]
     mu, q = np.linalg.eigh(np.einsum("klaa->kl", blocks) / r)
@@ -312,8 +318,7 @@ def _canonical_terms(
     # fit's residual is the deviation from diag(d) x identity.
     canonical = np.einsum("ki,klab,lj->ijab", t.conj(), blocks, t)
     condition = _condition_fit(canonical, new_signs, "pseudohermitian")
-    f = SignedOperatorSum(stack.shape[1], new_signs, tuple(np.tensordot(t, stack, axes=([0], [0]))))
-    return f, d, t, condition, scale
+    return new_signs, d, t, condition, scale
 
 
 def diagonalize_conditions(
@@ -335,14 +340,33 @@ def diagonalize_conditions(
         If the canonical residual exceeds ``tol`` times the map's scale on
         the code.
     """
-    stack, _, blocks = _on_code(ops, code)
-    f, d, t, condition, scale = _canonical_terms(ops.signs, stack, blocks, tol)
+    signs, d, t, condition, scale = _canonical_terms(ops.signs, _on_code(ops, code)[1], tol)
     if condition.residual > tol * scale:
         raise ConditionsViolated(
             f"signed correctability conditions fail: residual {condition.residual:.3e} "
             f"> {tol:.1e} x scale {scale:.3e}"
         )
-    return f, d, t
+    return SignedOperatorSum(ops.dim, signs, np.tensordot(t, ops.operators, axes=([0], [0]))), d, t
+
+
+def _syndromes(
+    signs: Sequence[int], products: np.ndarray, code: CodeSpace, d: np.ndarray, tol: float
+) -> SyndromeSet:
+    """Syndromes of the diagonal terms from their ``(m, d, r)`` products ``F_k B``; see :func:`build_syndromes`."""
+    d = np.asarray(d, dtype=float)
+    if d.shape != (len(products),):
+        raise ValueError(f"weight vector has shape {d.shape}, expected ({len(products)},)")
+    keep = np.flatnonzero(d > tol * d.max(initial=0.0))
+    if not keep.size:
+        return ()
+    b = code.isometry
+    w = polar_on_code(products[keep] / np.sqrt(d[keep])[:, None, None]).isometry
+    overlaps = np.abs(np.einsum("adi,bdj->abij", w.conj(), w)).max(axis=(2, 3))
+    np.fill_diagonal(overlaps, 0.0)
+    a, c = np.unravel_index(np.argmax(overlaps), overlaps.shape)
+    if overlaps[a, c] > 10 * tol:
+        raise OrthogonalityViolation(f"syndromes {a} and {c} overlap by {overlaps[a, c]:.3e}")
+    return tuple(Syndrome(w[i], b, float(d[k]), int(signs[k]), int(k)) for i, k in enumerate(keep))
 
 
 def build_syndromes(
@@ -354,7 +378,8 @@ def build_syndromes(
     ``F_k B = sqrt(d[k]) W_k`` with ``W_k`` the polar isometry of
     ``F_k B / sqrt(d[k])``, whose singular values are all 1 at any scale
     of the map; its syndrome projector is ``W_k W_k^dag``.  Lighter terms
-    act trivially on the code space and are skipped.
+    act trivially on the code space and are skipped.  All retained
+    terms share one batched :func:`~ncpqec.pseudolinalg.polar_on_code`.
 
     Raises
     ------
@@ -363,24 +388,7 @@ def build_syndromes(
         exceeds ``10 tol``), which signals that the conditions were not
         actually diagonal.
     """
-    d = np.asarray(d, dtype=float)
-    if d.shape != (f_ops.n_terms,):
-        raise ValueError(f"weight vector has shape {d.shape}, expected ({f_ops.n_terms},)")
-    b = code.isometry
-    cut = tol * float(d.max()) if d.size else 0.0
-    syndromes = tuple(
-        Syndrome(polar_on_code(f_ops.operators[k] / np.sqrt(d[k]), b, tol).isometry, b, float(d[k]), f_ops.signs[k], k)
-        for k in range(f_ops.n_terms)
-        if d[k] > cut
-    )
-    if syndromes:
-        w = np.stack([s.isometry for s in syndromes])
-        overlaps = np.abs(np.einsum("adi,bdj->abij", w.conj(), w)).max(axis=(2, 3))
-        np.fill_diagonal(overlaps, 0.0)
-        a, c = np.unravel_index(np.argmax(overlaps), overlaps.shape)
-        if overlaps[a, c] > 10 * tol:
-            raise OrthogonalityViolation(f"syndromes {a} and {c} overlap by {overlaps[a, c]:.3e}")
-    return syndromes
+    return _syndromes(f_ops.signs, f_ops.operators @ code.isometry, code, d, tol)
 
 
 def negative_part_on_code(ops: SignedOperatorSum, code: CodeSpace) -> float:
@@ -389,7 +397,7 @@ def negative_part_on_code(ops: SignedOperatorSum, code: CodeSpace) -> float:
     Zero exactly when the negative part of the decomposition annihilates
     the code space (the reversibility-with-positivity requirement).
     """
-    v = _on_code(ops, code)[1]
+    v = _on_code(ops, code)[0]
     return max((float(np.linalg.norm(v[k])) for k, s in enumerate(ops.signs) if s < 0), default=0.0)
 
 
@@ -402,8 +410,8 @@ def build_recovery(syndromes: SyndromeSet) -> SignedOperatorSum:
     """
     if not syndromes:
         raise ValueError("cannot build a recovery from an empty syndrome set")
-    operators = tuple(s.code_isometry @ s.isometry.conj().T for s in syndromes)
-    return SignedOperatorSum(operators[0].shape[0], (1,) * len(syndromes), operators)
+    b, w = (np.stack([getattr(s, name) for s in syndromes]) for name in ("code_isometry", "isometry"))
+    return SignedOperatorSum(b.shape[1], (1,) * len(syndromes), b @ w.conj().swapaxes(1, 2))
 
 
 def domain_witness(
@@ -433,7 +441,7 @@ def domain_witness(
     if j is None:
         return None
     b0 = code.isometry[:, 0]
-    amplitudes = (_stacked(ops) @ b0) @ syndromes[j].isometry.conj()  # row k: W_j^dag E_k b_0
+    amplitudes = (ops.operators @ b0) @ syndromes[j].isometry.conj()  # row k: W_j^dag E_k b_0
     prob = float(np.asarray(ops.signs, dtype=float) @ np.sum(np.abs(amplitudes) ** 2, axis=1))
     if prob > -tol * max(s.weight for s in syndromes):
         raise WitnessSearchFailed(
@@ -465,14 +473,14 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
     ``tol`` raises ``ValueError``.
     """
     _check_tol(tol)
-    stack, v, blocks = _on_code(ops, code)
-    f, d, t, condition, scale = _canonical_terms(ops.signs, stack, blocks, tol)
+    v, blocks = _on_code(ops, code)
+    signs, d, t, condition, scale = _canonical_terms(ops.signs, blocks, tol)
     if not d.size:
         zero = ConditionMatrix(np.zeros((1, 1)), 0.0, "pseudohermitian")
         return QecReport(zero, None, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
     if condition.residual > tol * scale:
         return QecReport(condition, None, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
-    syndromes = build_syndromes(f, code, d, tol)
+    syndromes = _syndromes(signs, np.tensordot(t, v, axes=([0], [0])), code, d, tol)  # F B = V T
     if any(s.sign < 0 for s in syndromes):
         witness = domain_witness(ops, code, syndromes, tol)
         return QecReport(condition, t, d, syndromes, None, Verdict.CODE_OUTSIDE_DOMAIN, witness)
@@ -517,7 +525,7 @@ def verify_recovery(
     if ops.dim != code.dim or recovery.dim != code.dim:
         raise ValueError("map, recovery and code must share one dimension")
     b = code.isometry
-    terms = np.einsum("jde,kef->jkdf", _stacked(recovery), _stacked(ops) @ b)
+    terms = np.einsum("jde,kef->jkdf", recovery.operators, ops.operators @ b)
     signs = np.outer(recovery.signs, ops.signs)
     sigma = _recovery_samples(code.rank, trials)
     recovered = np.einsum("jk,jkdf,sfg,jkeg->sde", signs, terms, sigma, terms.conj(), optimize=True)

@@ -109,12 +109,13 @@ class _SignedTerms:
 
         Each sign must equal +1 or -1 exactly (bools are rejected), there
         must be one per term and the +1 block must come first; every term
-        must be a finite array of ``shape``.
+        must be a finite array of ``shape``.  The terms are stored as one
+        read-only ``(n_terms, *shape)`` array, copied once.
         """
         if self.dim < 1:
             raise ValueError("dim must be positive")
         signs = tuple(self.signs)
-        terms = tuple(np.asarray(t, dtype=complex) for t in getattr(self, field))
+        terms = [np.asarray(t) for t in getattr(self, field)]
         if len(signs) != len(terms):
             raise ValueError(f"{len(signs)} signs but {len(terms)} {field}")
         if any(isinstance(s, (bool, np.bool_)) or s not in (1, -1) for s in signs):
@@ -125,10 +126,13 @@ class _SignedTerms:
         for k, t in enumerate(terms):
             if t.shape != shape:
                 raise ValueError(f"{field[:-1]} {k} has shape {t.shape}, expected {shape}")
-            if not np.all(np.isfinite(t)):
-                raise ValueError(f"{field[:-1]} {k} contains non-finite entries")
+        stack = np.array(terms, dtype=complex).reshape((len(terms),) + shape)
+        bad = ~np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
+        if bad.any():
+            raise ValueError(f"{field[:-1]} {int(np.argmax(bad))} contains non-finite entries")
+        stack.setflags(write=False)
         object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, field, tuple(_frozen(t) for t in terms))
+        object.__setattr__(self, field, stack)
 
     @property
     def n_terms(self) -> int:
@@ -145,13 +149,15 @@ class SignedOperatorSum(_SignedTerms):
     """Decomposition ``rho -> sum_i signs[i] * operators[i] rho operators[i]^dag``.
 
     Terms are stored with all +1 signs before all -1 signs; the
-    signature ``(p, q)`` counts the two blocks.  Instances are immutable
-    (operator arrays are copied and marked read-only) and safe to share.
+    signature ``(p, q)`` counts the two blocks.  ``operators`` is one
+    read-only ``(n_terms, dim, dim)`` array, copied from the input
+    sequence (``(0, dim, dim)`` for an empty sum), so instances are
+    immutable and safe to share.
     """
 
     dim: int
     signs: tuple[int, ...]
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
 
     def __post_init__(self) -> None:
         self._check_terms("operators", (self.dim, self.dim))
@@ -165,10 +171,10 @@ class SignedOperatorSum(_SignedTerms):
     ) -> "SignedOperatorSum":
         """Build a sum, inferring ``dim`` from the first operator if omitted."""
         if dim is None:
-            if not operators:
+            if not len(operators):
                 raise ValueError("dim is required for an empty term list")
             dim = int(np.asarray(operators[0]).shape[0])
-        return cls(dim, tuple(signs), tuple(operators))
+        return cls(dim, tuple(signs), operators)
 
 
 class MapClass(NamedTuple):
@@ -215,13 +221,8 @@ def check_trace_preserving(x: AMatrix | SignedOperatorSum, tol: float = DEFAULT_
         t = x.matrix.reshape(d, d, d, d)
         return _max_abs(np.einsum("iirs->rs", t) - np.eye(d)) <= tol
     if isinstance(x, SignedOperatorSum):
-        return _max_abs(_signed_gram(x.signs, _stacked(x)) - np.eye(x.dim)) <= tol
+        return _max_abs(_signed_gram(x.signs, x.operators) - np.eye(x.dim)) <= tol
     raise TypeError(f"expected AMatrix or SignedOperatorSum, got {type(x).__name__}")
-
-
-def _stacked(ops: SignedOperatorSum) -> np.ndarray:
-    """The operators as one ``(n_terms, dim, dim)`` array."""
-    return np.asarray(ops.operators, dtype=complex).reshape(ops.n_terms, ops.dim, ops.dim)
 
 
 def _signed_gram(signs: Sequence[int], terms: np.ndarray) -> np.ndarray:
@@ -239,7 +240,7 @@ def _signed_outer_sum(signs: Sequence[int], vectors: Sequence[np.ndarray], n: in
 
 def b_from_operator_sum(ops: SignedOperatorSum) -> BMatrix:
     """Dynamical matrix ``sum_i sign_i vec(E_i) vec(E_i)^dag``."""
-    return BMatrix(ops.dim, _signed_outer_sum(ops.signs, map(vec, ops.operators), ops.dim**2))
+    return BMatrix(ops.dim, _signed_outer_sum(ops.signs, ops.operators.reshape(ops.n_terms, -1), ops.dim**2))
 
 
 def a_from_operator_sum(ops: SignedOperatorSum) -> AMatrix:
@@ -304,12 +305,9 @@ def operator_sum_from_b(b: BMatrix, tol: float = DEFAULT_TOL) -> SignedOperatorS
         If ``B`` is not Hermitian within ``tol`` (scaled by the largest
         entry), i.e. the map does not preserve Hermiticity.
     """
-    signs: list[int] = []
-    operators: list[np.ndarray] = []
-    for sign, mag, u in canonical_signed_eigensystem(_hermitian_part(b, tol), tol):
-        signs.append(sign)
-        operators.append(unvec(np.sqrt(mag) * u))
-    return SignedOperatorSum(b.dim, tuple(signs), tuple(operators))
+    eigen = canonical_signed_eigensystem(_hermitian_part(b, tol), tol)
+    operators = [unvec(np.sqrt(mag) * u) for _, mag, u in eigen]
+    return SignedOperatorSum(b.dim, tuple(s for s, _, _ in eigen), operators)
 
 
 def apply_map(ops: SignedOperatorSum, rho: np.ndarray) -> np.ndarray:
@@ -356,10 +354,9 @@ def split_cp_parts(ops: SignedOperatorSum) -> tuple[SignedOperatorSum, SignedOpe
     Returns ``(E1, E2)`` where ``E1`` collects the +1 terms and ``E2``
     the -1 terms with their signs flipped to +1.
     """
-    pos = [op for s, op in zip(ops.signs, ops.operators) if s > 0]
-    neg = [op for s, op in zip(ops.signs, ops.operators) if s < 0]
-    e1 = SignedOperatorSum(ops.dim, (1,) * len(pos), tuple(pos))
-    e2 = SignedOperatorSum(ops.dim, (1,) * len(neg), tuple(neg))
+    p = ops.signature.p
+    e1 = SignedOperatorSum(ops.dim, (1,) * p, ops.operators[:p])
+    e2 = SignedOperatorSum(ops.dim, (1,) * (ops.n_terms - p), ops.operators[p:])
     return e1, e2
 
 
@@ -385,8 +382,8 @@ def transform_by_pseudounitary(
     eta = eta_metric(ops.signature)
     if not is_pseudounitary(u, eta, tol):
         raise NotPseudoUnitary("u does not preserve the metric of the term signature")
-    mixed = np.tensordot(u, _stacked(ops), axes=([0], [0]))  # F_j = sum_k E_k u[k, j]
-    return SignedOperatorSum(ops.dim, ops.signs, tuple(mixed))
+    mixed = np.tensordot(u, ops.operators, axes=([0], [0]))  # F_j = sum_k E_k u[k, j]
+    return SignedOperatorSum(ops.dim, ops.signs, mixed)
 
 
 def validate_density_matrix(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -25,7 +25,6 @@ PUBLIC = {
     "MapClass",
     "MapsNotEqual",
     "NegativityWitness",
-    "NotAProjector",
     "NotHermitian",
     "NotPseudoHermitian",
     "NotPseudoUnitary",

@@ -373,6 +373,18 @@ def _break_negative_index(doc):
     doc["witness"]["syndrome_index"] = -1
 
 
+def _break_index_range(doc):
+    doc["witness"]["syndrome_index"] = len(doc["syndromes"])
+
+
+def _break_witness_vector_length(doc):
+    doc["witness"]["vector"] = doc["witness"]["vector"][:3]
+
+
+def _break_term_index_duplicate(doc):
+    doc["syndromes"][2]["term_index"] = doc["syndromes"][0]["term_index"]
+
+
 @pytest.mark.parametrize(
     "breaker, hint",
     [
@@ -390,6 +402,9 @@ def _break_negative_index(doc):
         (_break_signature, "analysis.signature.q"),
         (_break_index, "analysis.witness.syndrome_index"),
         (_break_negative_index, "analysis.witness.syndrome_index"),
+        (_break_index_range, "analysis.witness.syndrome_index must be an index below the syndrome count 4"),
+        (_break_witness_vector_length, "analysis.witness.vector: length 3 does not match the 8 rows"),
+        (_break_term_index_duplicate, r"analysis.syndromes\[2\].term_index must be a non-negative integer not used before"),
     ],
 )
 def test_parse_analysis_document_malformed_outside_domain(breaker, hint):

@@ -3,7 +3,6 @@ import pytest
 
 from ncpqec import (
     LinearDependence,
-    NotAProjector,
     NotPseudoHermitian,
     NullNormEncountered,
     PseudoDiagonalizationFailure,
@@ -228,12 +227,12 @@ def test_pseudo_diagonalize_keeps_eigensolver_order_in_cluster():
 
 def test_polar_on_code_identity_and_flip():
     b0 = ket(0, 2)[:, None]
-    res = polar_on_code(np.eye(2), b0)
+    res = polar_on_code(np.eye(2) @ b0)
     assert np.abs(res.isometry - b0).max() < 1e-12
     assert np.abs(res.positive_part - np.eye(1)).max() < 1e-12
 
     x = np.array([[0.0, 1], [1, 0]])
-    res = polar_on_code(x, b0)
+    res = polar_on_code(x @ b0)
     assert np.abs(res.positive_part - np.eye(1)).max() < 1e-12
     assert np.abs(x @ b0 - res.isometry @ res.positive_part).max() < 1e-12
     assert np.abs(res.isometry - ket(1, 2)[:, None]).max() < 1e-12
@@ -241,7 +240,7 @@ def test_polar_on_code_identity_and_flip():
 
 def test_polar_on_code_zero_operator():
     b = np.eye(3)[:, :2]
-    res = polar_on_code(np.zeros((3, 3)), b)
+    res = polar_on_code(np.zeros((3, 3)) @ b)
     assert res.isometry.shape == (3, 2)
     assert np.abs(res.isometry.conj().T @ res.isometry - np.eye(2)).max() < 1e-12
     assert np.abs(res.positive_part).max() == 0
@@ -255,7 +254,7 @@ def test_polar_on_code_random_reconstruction():
         code = random_code(rng, d, rank)
         b = code.isometry
         m = random_complex(rng, (d, d))
-        res = polar_on_code(m, b)
+        res = polar_on_code(m @ b)
         w, h = res.isometry, res.positive_part
         assert w.shape == (d, rank) and h.shape == (rank, rank)
         assert np.abs(w.conj().T @ w - np.eye(rank)).max() < 1e-9
@@ -268,7 +267,28 @@ def test_polar_on_code_random_reconstruction():
         assert np.abs(m @ code.projector - (w @ b.conj().T) @ (b @ h @ b.conj().T)).max() < 1e-9
 
 
-def test_polar_on_code_rejects_non_projector():
-    for b in ([[0.5], [0.5]], [[1.0, 0.0], [0.0, 0.5]], [[np.nan], [0.0]]):
-        with pytest.raises(NotAProjector):
-            polar_on_code(np.eye(2), np.array(b))
+def test_polar_on_code_batch_matches_single_products():
+    # One batched call gives, bit for bit, the factors of each product alone.
+    rng = np.random.default_rng(41)
+    b = random_code(rng, 6, 2).isometry
+    products = np.stack([random_complex(rng, (6, 6)) @ b for _ in range(5)])
+    products[2] = 0.0
+    batch = polar_on_code(products)
+    assert batch.isometry.shape == (5, 6, 2) and batch.positive_part.shape == (5, 2, 2)
+    for k, a in enumerate(products):
+        single = polar_on_code(a)
+        assert np.array_equal(batch.isometry[k], single.isometry)
+        assert np.array_equal(batch.positive_part[k], single.positive_part)
+
+
+@pytest.mark.parametrize(
+    "products, hint",
+    [
+        (np.ones(3), "shape"),
+        (np.ones((2, 3)), "shape"),
+        (np.array([[np.nan], [0.0]]), "non-finite"),
+    ],
+)
+def test_polar_on_code_rejects_malformed_products(products, hint):
+    with pytest.raises(ValueError, match=hint):
+        polar_on_code(products)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -607,6 +608,9 @@ def test_code_space_holds_one_isometry():
     assert np.abs(code.projector - code.isometry @ code.isometry.conj().T).max() == 0
 
 
+B3 = np.eye(8)[:, [0, 7]]  # the 3-qubit repetition code
+
+
 @pytest.mark.parametrize(
     "isometry, hint",
     [
@@ -614,6 +618,11 @@ def test_code_space_holds_one_isometry():
         (np.ones((2, 3)) / np.sqrt(2), "shape"),
         (np.zeros((3, 0)), "shape"),
         (np.array([[np.nan], [0.0]]), "non-finite"),
+        (np.array([[0.5], [0.5]]), "non-orthonormal"),
+        (np.array([[1.0, 0.0], [0.0, 0.5]]), "non-orthonormal"),
+        (np.column_stack([B3[:, 0], (B3[:, 0] + B3[:, 1]) / np.sqrt(2)]), "non-orthonormal"),
+        (2 * B3, "non-orthonormal"),
+        (1.001 * B3, "non-orthonormal"),
     ],
 )
 def test_code_space_rejects_malformed_isometry(isometry, hint):
@@ -644,3 +653,19 @@ def test_repetition_bitflip_rejects_no_qubits():
 def test_analyze_rejects_invalid_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance"):
         analyze(bitflip_ops(-0.2), repetition_code(), tol)
+
+
+@pytest.mark.parametrize("c0, bound", [(-0.2, 0.1), (0.7, 2.5)])
+def test_analyze_peak_memory_scales_with_the_code(c0, bound):
+    # analyze reads the map only through V = E B (n x d x r), so its peak
+    # allocation is far below the map's own n x d x d terms; only the CP
+    # map's recovery holds d x d terms (built once, stored once).
+    ops, code = repetition_bitflip(8, c0)
+    analyze(ops, code)  # first-call set-up stays out of the measurement
+    tracemalloc.start()
+    try:
+        analyze(ops, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * ops.operators.nbytes

@@ -348,6 +348,18 @@ def test_operators_are_frozen():
         ops.operators[0][0, 0] = 5.0
 
 
+def test_operators_are_one_frozen_array():
+    source = np.stack([I2, X, Z]).astype(complex)
+    ops = SignedOperatorSum(2, (1, 1, -1), source)
+    assert isinstance(ops.operators, np.ndarray) and ops.operators.shape == (3, 2, 2)
+    assert not ops.operators.flags.writeable and not np.shares_memory(ops.operators, source)
+    assert np.array_equal(ops.operators, source)
+    assert SignedOperatorSum(2, (), ()).operators.shape == (0, 2, 2)
+    bad = [I2, X, np.array([[np.inf, 0], [0, 1]])]
+    with pytest.raises(ValueError, match="operator 2 contains non-finite"):
+        SignedOperatorSum(2, (1, 1, 1), bad)
+
+
 def test_validate_density_matrix():
     rng = np.random.default_rng(107)
     validate_density_matrix(random_density(rng, 3))
