@@ -126,11 +126,10 @@ class _SignedTerms:
         for k, t in enumerate(terms):
             if t.shape != shape:
                 raise ValueError(f"{field[:-1]} {k} has shape {t.shape}, expected {shape}")
-        stack = np.array(terms, dtype=complex).reshape((len(terms),) + shape)
+        stack = _frozen(terms).reshape((len(terms),) + shape)
         bad = ~np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
         if bad.any():
             raise ValueError(f"{field[:-1]} {int(np.argmax(bad))} contains non-finite entries")
-        stack.setflags(write=False)
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, field, stack)
 
@@ -240,7 +239,7 @@ def _signed_outer_sum(signs: Sequence[int], vectors: Sequence[np.ndarray], n: in
 
 def b_from_operator_sum(ops: SignedOperatorSum) -> BMatrix:
     """Dynamical matrix ``sum_i sign_i vec(E_i) vec(E_i)^dag``."""
-    return BMatrix(ops.dim, _signed_outer_sum(ops.signs, ops.operators.reshape(ops.n_terms, -1), ops.dim**2))
+    return BMatrix(ops.dim, _signed_outer_sum(ops.signs, ops.operators.reshape(ops.n_terms, ops.dim**2), ops.dim**2))
 
 
 def a_from_operator_sum(ops: SignedOperatorSum) -> AMatrix:

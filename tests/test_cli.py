@@ -51,6 +51,14 @@ def test_convert_identity_to_b_matrix(tmp_path):
     assert np.abs(np.sort(evals) - np.array([0, 0, 0, 2.0])).max() < 1e-12
 
 
+@pytest.mark.parametrize("target", ["b_matrix", "a_matrix"])
+def test_convert_empty_sum_to_matrix(tmp_path, target):
+    empty = SignedOperatorSum(2, (), ())
+    proc = run_cli("convert", write_channel(tmp_path / "chan.json", empty), "--to", target, "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert np.array_equal(parse_channel_document(json.loads(proc.stdout)).matrix, np.zeros((4, 4)))
+
+
 def test_convert_bitflip_b_eigenvalues(tmp_path):
     path = write_channel(tmp_path / "chan.json", bitflip_ops(-0.2))
     proc = run_cli("convert", path, "--to", "b_matrix", "--json")

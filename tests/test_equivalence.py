@@ -116,6 +116,9 @@ def test_to_base_map_zero_map_is_empty():
     zero = SignedOperatorSum.from_terms([1, -1], [0.3 * X, 0.3 * X])
     base = to_base_map(zero)
     assert base.n_terms == 0
+    assert to_base_map(base).n_terms == 0
+    assert maps_equal(zero, base)
+    assert np.all(b_from_operator_sum(base).matrix == 0)
 
 
 def test_to_base_map_idempotent():

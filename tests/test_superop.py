@@ -360,6 +360,18 @@ def test_operators_are_one_frozen_array():
         SignedOperatorSum(2, (1, 1, 1), bad)
 
 
+def test_empty_sum_is_the_zero_map():
+    # The library builds empty sums itself: the B of a canceling pair, the
+    # negative part of an all-positive map, and the terms of a zero B.
+    empty = operator_sum_from_b(BMatrix(2, np.zeros((4, 4))))
+    _, negative = split_cp_parts(SignedOperatorSum.from_terms([1], [X]))
+    for ops in (empty, negative, SignedOperatorSum(2, (), ())):
+        assert ops.n_terms == 0 and ops.operators.shape == (0, 2, 2)
+        assert np.array_equal(b_from_operator_sum(ops).matrix, np.zeros((4, 4)))
+        assert np.array_equal(a_from_operator_sum(ops).matrix, np.zeros((4, 4)))
+        assert np.array_equal(apply_map(ops, I2 / 2), np.zeros((2, 2)))
+
+
 def test_validate_density_matrix():
     rng = np.random.default_rng(107)
     validate_density_matrix(random_density(rng, 3))
