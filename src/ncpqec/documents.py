@@ -12,6 +12,8 @@ including NaN and infinite numbers.
 from __future__ import annotations
 
 import sys
+from contextlib import suppress
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -39,20 +41,42 @@ __all__ = [
 ]
 
 
-def _encode_complex(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def _finite(x: Any) -> bool:
     """``x`` is an int or float (never a bool) that a float holds finitely."""
     return isinstance(x, _NUMBER) and not isinstance(x, bool) and -_FLOAT_MAX <= x <= _FLOAT_MAX
 
 
+def _pair(z: Any) -> bool:
+    """``z`` is a list or tuple ``[re, im]`` of two :func:`_finite` numbers."""
+    return isinstance(z, (list, tuple)) and len(z) == 2 and _finite(z[0]) and _finite(z[1])
+
+
+def _pairs(a: np.ndarray) -> list:
+    """``a`` as nested lists of the same shape whose items are ``[re, im]`` pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _complex_array(obj: list, pairs: list, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """The nested lists ``obj`` of ``shape``, flattened to ``pairs``, read as complex128.
+
+    The pairs and their entries are type-checked by whole-array scans and
+    converted in one pass.  Only a rejected input is searched for the
+    first entry that is not a pair of finite numbers, which is named.
+    """
+    if all(issubclass(t, (list, tuple)) for t in set(map(type, pairs))) and set(map(len, pairs)) == {2}:
+        if all(issubclass(t, _NUMBER) and t is not bool for t in set(map(type, chain.from_iterable(pairs)))):
+            with suppress(OverflowError):  # an int beyond the float range
+                if np.isfinite(a := np.array(obj, dtype=float)).all():
+                    return a.view(complex)[..., 0]  # the checked pairs, read bit for bit as complex128
+    i, z = next((i, z) for i, z in enumerate(pairs) if not _pair(z))
+    at = "".join(f"[{j}]" for j in np.unravel_index(i, shape))
+    raise ValueError(f"{where}{at}: complex entries must be [re, im] pairs of finite numbers, got {z!r}")
+
+
 def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
     """Encode a matrix as row-major nested ``[re, im]`` pairs."""
-    m = np.asarray(m, dtype=complex)
-    return [[_encode_complex(z) for z in row] for row in m]
+    return _pairs(m)
 
 
 def decode_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
@@ -61,21 +85,17 @@ def decode_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
     ncols = len(obj[0])
     if ncols == 0 or any(len(r) != ncols for r in obj):
         raise ValueError(f"{where}: rows must be non-empty and of equal length")
-    return np.array([decode_vector(row, f"{where}[{i}]") for i, row in enumerate(obj)])
+    return _complex_array(obj, list(chain.from_iterable(obj)), (len(obj), ncols), where)
 
 
 def encode_vector(v: np.ndarray) -> list[list[float]]:
-    return [_encode_complex(z) for z in np.asarray(v, dtype=complex)]
+    return _pairs(v)
 
 
 def decode_vector(obj: Any, where: str = "vector") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{where}: expected a non-empty list of [re, im] pairs")
-    for i, z in enumerate(obj):
-        if not (isinstance(z, (list, tuple)) and len(z) == 2 and _finite(z[0]) and _finite(z[1])):
-            raise ValueError(f"{where}[{i}]: complex entries must be [re, im] pairs of finite numbers, got {z!r}")
-    # The checked pairs, read bit for bit as complex128.
-    return np.array(obj, dtype=float).view(complex)[:, 0]
+    return _complex_array(obj, obj, (len(obj),), where)
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
@@ -112,7 +132,7 @@ def channel_document(channel: AMatrix | BMatrix | SignedOperatorSum) -> dict:
         rep = "operator_sum"
         payload = {
             "signs": list(channel.signs),
-            "operators": [encode_matrix(op) for op in channel.operators],
+            "operators": _pairs(channel.operators),
         }
     else:
         raise TypeError(f"expected AMatrix, BMatrix or SignedOperatorSum, got {type(channel).__name__}")
@@ -218,7 +238,7 @@ def analysis_document(report: QecReport, signature: Signature) -> dict:
             "form": report.condition.form,
         },
         "diagonalizer": None if report.diagonalizer is None else encode_matrix(report.diagonalizer),
-        "diagonal": None if report.diagonal is None else [float(x) for x in report.diagonal],
+        "diagonal": None if report.diagonal is None else np.asarray(report.diagonal, dtype=float).tolist(),
         "syndromes": _encode_syndromes(report),
         "recovery": None
         if report.recovery is None

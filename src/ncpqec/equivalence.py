@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedEnsemble(_SignedTerms):
     """Signed vectors assembling ``sum_i signs[i] * v_i v_i^dag``.
 
@@ -68,7 +68,7 @@ class SignedEnsemble(_SignedTerms):
         return _signed_outer_sum(self.signs, self.vectors, self.dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectionResult:
     """Pseudounitary connecting two decompositions after zero padding.
 

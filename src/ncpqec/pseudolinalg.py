@@ -75,7 +75,7 @@ class PseudoDiagonalization(NamedTuple):
     permutation: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarFactors:
     """Isometry and positive-semidefinite factors of a polar decomposition."""
 
@@ -88,7 +88,12 @@ def _max_abs(a: np.ndarray) -> float:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only complex copy of ``a``, for the immutable records."""
+    """A read-only complex copy of ``a``, for the immutable records.
+
+    The records that hold such arrays are ``eq=False`` dataclasses: they
+    compare by identity and hash, as ``==`` on arrays has no truth value
+    (``maps_equal`` compares maps by value).
+    """
     out = np.array(a, dtype=complex, copy=True)
     out.setflags(write=False)
     return out

@@ -65,7 +65,7 @@ __all__ = [
 _VERIFY_SEED = 424033
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSpace:
     """A code space as its ``d x r`` logical isometry ``B`` (orthonormal columns).
 
@@ -101,7 +101,7 @@ class CodeSpace:
         return self.isometry @ self.isometry.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionMatrix:
     """Correctability condition coefficients and the residual of the fit.
 
@@ -120,7 +120,7 @@ class ConditionMatrix:
         object.__setattr__(self, "entries", _frozen(self.entries))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Syndrome:
     """One measurement branch of diagonal term ``F_k``, on the code space.
 
@@ -144,7 +144,7 @@ class Syndrome:
 SyndromeSet = tuple[Syndrome, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NegativityWitness:
     """Pure code state ``vector`` whose syndrome outcome has negative probability."""
 
@@ -164,7 +164,7 @@ class Verdict(str, enum.Enum):
     CONDITIONS_VIOLATED = "conditions_violated"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QecReport:
     """Full outcome of :func:`analyze`.
 
@@ -255,7 +255,7 @@ def _on_code(ops: SignedOperatorSum, code: CodeSpace) -> tuple[np.ndarray, np.nd
 
 def _condition_fit(blocks: np.ndarray, signs: Sequence[int] | None, form: str) -> ConditionMatrix:
     r = blocks.shape[-1]
-    entries = np.einsum("klaa->kl", blocks) / r
+    entries = np.einsum("klaa->kl", blocks / r)  # divided first: the sum of r entries may overflow
     residual = _max_abs(blocks - entries[:, :, None, None] * np.eye(r))
     if signs is not None:
         entries = np.asarray(signs)[:, None] * entries
@@ -298,7 +298,7 @@ def _canonical_terms(
     ``scale = max eig G``.  Eigenvalues up to ``tol * scale`` drop.
     """
     r = blocks.shape[-1]
-    mu, q = np.linalg.eigh(np.einsum("klaa->kl", blocks) / r)
+    mu, q = np.linalg.eigh(np.einsum("klaa->kl", blocks / r))
     scale = float(mu.max(initial=0.0))
     keep = mu > tol * scale
     root = np.sqrt(mu[keep])

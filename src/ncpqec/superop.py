@@ -76,7 +76,7 @@ def _check_map_matrix(x: AMatrix | BMatrix, name: str) -> None:
     object.__setattr__(x, "matrix", _frozen(m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AMatrix:
     """Transition-matrix form acting on row-major vectorized states."""
 
@@ -87,7 +87,7 @@ class AMatrix:
         _check_map_matrix(self, "A-matrix")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BMatrix:
     """Dynamical-matrix form; Hermitian iff the map preserves Hermiticity."""
 
@@ -143,7 +143,7 @@ class _SignedTerms:
         return Signature(p, len(self.signs) - p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedOperatorSum(_SignedTerms):
     """Decomposition ``rho -> sum_i signs[i] * operators[i] rho operators[i]^dag``.
 

@@ -107,3 +107,28 @@ def test_document_helpers_bound_by_name():
 
     for name in ("encode_vector", "decode_vector", "encode_matrix", "decode_matrix"):
         assert callable(getattr(documents, name))
+
+
+# Each array-holding record, built from the inverted 3-qubit bit-flip map and its code.
+RECORDS = {
+    "AMatrix": lambda ops, code: ncpqec.a_from_operator_sum(ops),
+    "BMatrix": lambda ops, code: ncpqec.b_from_operator_sum(ops),
+    "SignedOperatorSum": lambda ops, code: ops,
+    "SignedEnsemble": lambda ops, code: ncpqec.SignedEnsemble(8, (1, -1), code.isometry.T),
+    "ConnectionResult": lambda ops, code: ncpqec.connecting_pseudounitary(ops, ops),
+    "PolarFactors": lambda ops, code: ncpqec.polar_on_code(ops.operators @ code.isometry),
+    "CodeSpace": lambda ops, code: code,
+    "ConditionMatrix": lambda ops, code: ncpqec.analyze(ops, code).condition,
+    "Syndrome": lambda ops, code: ncpqec.analyze(ops, code).syndromes[0],
+    "NegativityWitness": lambda ops, code: ncpqec.analyze(ops, code).witness,
+    "QecReport": lambda ops, code: ncpqec.analyze(ops, code),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_compare_by_identity(name):
+    # Two equal but distinct records: `==` on their arrays has no truth value.
+    a, b = (RECORDS[name](*ncpqec.repetition_bitflip(3, -0.2)) for _ in range(2))
+    assert type(a).__name__ == name and a is not b
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert len({a, b, a}) == 2

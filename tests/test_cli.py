@@ -375,6 +375,14 @@ def test_reproduce_paper_other_weight(tmp_path):
     assert half["011"] == pytest.approx(0.25)
 
 
+def test_reproduce_paper_near_float_max():
+    proc = run_cli("reproduce-paper", "--c0=1e308", "--json", env_extra={"PYTHONWARNINGS": "error"})
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "code_outside_domain"
+    assert doc["witness_probability"] == pytest.approx(-1e308 / 3, rel=1e-12)
+
+
 def test_reproduce_paper_rejects_plain_mixture():
     proc = run_cli("reproduce-paper", "--c0", "0.4")
     assert proc.returncode == 2

@@ -1,15 +1,20 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ncpqec.documents import (
     SCHEMA_VERSION,
     analysis_document,
     channel_document,
     decode_matrix,
+    decode_vector,
     encode_matrix,
+    encode_vector,
     parse_analysis_document,
     parse_channel_document,
     parse_code_document,
@@ -50,6 +55,72 @@ def test_decode_matrix_rejects_garbage():
     for bad in (float("nan"), float("inf"), -float("inf"), 10**400):
         with pytest.raises(ValueError, match=r"m\[0\]\[1\]: .*finite"):
             decode_matrix(_roundtrip([[[1.0, 0.0], [0.0, bad]]]), "m")
+
+
+CODEC = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+_reals = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _encode_per_entry(a):
+    """The per-entry encoder the whole-array codec must reproduce."""
+    if a.ndim == 1:
+        return [[float(complex(z).real), float(complex(z).imag)] for z in a]
+    return [_encode_per_entry(row) for row in a]
+
+
+@st.composite
+def _complex_arrays(draw, rank):
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(rank))
+    a = np.empty(shape, dtype=complex)
+    a.real, a.imag = (draw(arrays(np.float64, shape, elements=_reals)) for _ in range(2))
+    return a
+
+
+@CODEC
+@given(_complex_arrays(2))
+def test_matrix_codec_matches_per_entry_encoding(m):
+    enc = encode_matrix(m)
+    # JSON text tells -0.0 from 0.0, which list equality does not.
+    assert json.dumps(enc) == json.dumps(_encode_per_entry(m))
+    assert np.array_equal(decode_matrix(_roundtrip(enc)).view(np.int64), m.view(np.int64))
+
+
+@CODEC
+@given(_complex_arrays(1))
+def test_vector_codec_matches_per_entry_encoding(v):
+    enc = encode_vector(v)
+    assert json.dumps(enc) == json.dumps(_encode_per_entry(v))
+    assert np.array_equal(decode_vector(_roundtrip(enc)).view(np.int64), v.view(np.int64))
+
+
+@pytest.mark.parametrize("x", [0, 2**53 + 1, 2**64 + 1, 10**300])
+def test_decode_reads_ints_as_floats(x):
+    want = np.array([complex(float(x), float(-x))])
+    for got in (decode_matrix([[[x, -x]]])[0], decode_vector([[x, -x]])):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_decode_accepts_tuple_pairs():
+    want = np.array([[1 + 2j, 3 - 0.5j]])
+    assert np.array_equal(decode_matrix([[(1.0, 2.0), [3, -0.5]]]), want)
+    assert np.array_equal(decode_vector([(1.0, 2.0), (3, -0.5)]), want[0])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[0.0, "1"], [0.0, True], [None, 0.0], [0.0, float("nan")], [float("inf"), 0.0], [0.0, 10**400], [0.0, 0.0, 0.0], 1.0],
+    ids=["str", "bool", "none", "nan", "inf", "huge-int", "triple", "bare-number"],
+)
+def test_decode_names_a_bad_last_entry(bad):
+    # The bad entry is the last of 256, so a check of the first row alone misses it.
+    m = encode_matrix(np.ones((16, 16)))
+    m[15][15] = bad
+    message = f"complex entries must be [re, im] pairs of finite numbers, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(f"m[15][15]: {message}")):
+        decode_matrix(m, "m")
+    with pytest.raises(ValueError, match=re.escape(f"v[15]: {message}")):
+        decode_vector(m[15], "v")
 
 
 def test_channel_document_roundtrip_all_representations():

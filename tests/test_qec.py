@@ -560,6 +560,16 @@ def test_analyze_small_scale_keeps_orthogonal_syndromes(scale):
     assert report.witness.probability / scale**2 == pytest.approx(-0.2, rel=1e-9)
 
 
+@pytest.mark.parametrize("c0, probability", [(-1e308, -1e308), (1e308, -3.333333333333333e307)])
+def test_analyze_near_float_max_decides_outside_domain(c0, probability):
+    # The r x r block traces must be divided by r before they are summed:
+    # two entries near 1e308 sum to inf, and the NaN that follows gives
+    # conditions_violated (pytest turns the RuntimeWarning into an error).
+    report = analyze(*repetition_bitflip(3, c0))
+    assert report.verdict == Verdict.CODE_OUTSIDE_DOMAIN
+    assert report.witness.probability == pytest.approx(probability, rel=1e-12)
+
+
 def test_projector_from_basis_matches_gram_schmidt():
     rng = np.random.default_rng(31)
     vecs = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(3)]
