@@ -210,7 +210,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     if recovery_error is not None:
         print(
             f"projective recovery restores every sampled code state "
-            f"(max deviation {recovery_error:.3e} over 20 random states)"
+            f"(largest Frobenius deviation {recovery_error:.3e} over 24 sample states)"
         )
     print(f"verdict: {report.verdict.value}")
     print()

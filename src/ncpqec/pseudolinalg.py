@@ -196,7 +196,7 @@ def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
     order = np.argsort(values, kind="stable")
     clusters: list[list[int]] = []
     for idx in order:
-        if clusters and values[idx] - values[clusters[-1][-1]] <= gap:
+        if clusters and values[idx] <= values[clusters[-1][-1]] + gap:
             clusters[-1].append(int(idx))
         else:
             clusters.append([int(idx)])

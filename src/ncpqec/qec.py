@@ -26,6 +26,7 @@ code; trace preservation, scale-dependent by definition, uses ``tol``.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -490,14 +491,15 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
     return QecReport(condition, t, d, syndromes, recovery, Verdict.REVERSIBLE_POSITIVE, None)
 
 
+@functools.lru_cache(maxsize=8)
 def _recovery_samples(r: int, trials: int) -> np.ndarray:
-    """Logical pure states ``sigma = c c^dag / |c|^2`` as an ``(s, r, r)`` stack."""
+    """Logical pure states ``sigma = c c^dag / |c|^2`` as a read-only ``(s, r, r)`` stack."""
     eye = np.eye(r)
     coeffs = list(eye) + [eye[i] + phase * eye[j] for i in range(r) for j in range(i + 1, r) for phase in (1, 1j)]
     rng = np.random.default_rng(_VERIFY_SEED)
     coeffs += [rng.standard_normal(r) + 1j * rng.standard_normal(r) for _ in range(trials)]
     c = np.array(coeffs)
-    return np.einsum("si,sj->sij", c, c.conj()) / np.einsum("si,si->s", c.conj(), c).real[:, None, None]
+    return _frozen(np.einsum("si,sj->sij", c, c.conj()) / np.einsum("si,si->s", c.conj(), c).real[:, None, None])
 
 
 def verify_recovery(
@@ -507,15 +509,21 @@ def verify_recovery(
     trials: int = 20,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """Worst-case entry of ``R(E(B sigma B^dag)) / t - B sigma B^dag``.
+    """Upper bound of the largest ``|| R(E(B sigma B^dag)) / t - B sigma B^dag ||_F``.
 
     ``t`` normalizes the recovered state to unit trace, so a recovery
     that restores states only up to a constant factor still verifies.
     Samples ``sigma`` are the logical basis states, their pairwise
     superpositions with phases 1 and i, and ``trials`` reproducible
-    random logical states.  All samples go through one batched product
-    with the ``d x r`` terms ``R_j E_k B``, so the deviation covers the
-    full ``d x d`` output, including any leakage off the code.
+    random logical states.  Map and recovery enter only through the
+    ``d x r`` terms ``M_jk = R_j E_k B``: each deviation ``X`` lies in
+    the column span of ``A = [B, M_11, M_12, ...]``, so its Frobenius
+    norm is taken on the factors ``U^dag A`` of one thin SVD of ``A``,
+    with no ``d x d`` state.  Singular values at or below
+    ``max(A.shape) eps s_1`` are dropped, and ``(2 s_1 + e) e max(1, 1/|t|)``,
+    with ``e`` their Frobenius norm, is added, so the result stays an
+    upper bound of ``||X||_F``.  The Frobenius norm bounds every entry
+    of ``X``, leakage off the code included.
 
     Raises
     ------
@@ -525,13 +533,22 @@ def verify_recovery(
     if ops.dim != code.dim or recovery.dim != code.dim:
         raise ValueError("map, recovery and code must share one dimension")
     b = code.isometry
-    terms = np.einsum("jde,kef->jkdf", recovery.operators, ops.operators @ b)
-    signs = np.outer(recovery.signs, ops.signs)
-    sigma = _recovery_samples(code.rank, trials)
-    recovered = np.einsum("jk,jkdf,sfg,jkeg->sde", signs, terms, sigma, terms.conj(), optimize=True)
-    t = np.einsum("sdd->s", recovered).real
-    small = np.abs(t) <= tol
-    if small.any():
-        raise ZeroTrace(f"recovered state has trace {t[np.argmax(small)]:.3e}")
-    encoded = np.einsum("df,sfg,eg->sde", b, sigma, b.conj(), optimize=True)
-    return _max_abs(recovered / t[:, None, None] - encoded)
+    d, r = b.shape
+    v = (ops.operators @ b).transpose(1, 0, 2).reshape(d, -1)  # [E_1 B, E_2 B, ...]
+    m = (recovery.operators @ v).transpose(1, 0, 2).reshape(d, -1, r)  # m[:, n] = M_jk, n = j K + k
+    signs = np.outer(recovery.signs, ops.signs).ravel()
+    sigma = _recovery_samples(r, trials)
+    gram = (m * signs[:, None]).reshape(-1, r).conj().T @ m.reshape(-1, r)  # sum_jk s_jk M_jk^dag M_jk
+    t = np.einsum("sfg,gf->s", sigma, gram).real
+    if np.any(np.abs(t) <= tol):
+        raise ZeroTrace(f"recovered state has trace {t[np.argmin(np.abs(t))]:.3e}")
+    _, sv, vh = np.linalg.svd(np.concatenate([b, m.reshape(d, -1)], axis=1), full_matrices=False)
+    keep = sv > max(d, vh.shape[1]) * np.finfo(float).eps * sv[0]
+    dropped = float(np.linalg.norm(sv[~keep]))
+    p = (sv[keep, None] * vh[keep]).reshape(-1, 1 + signs.size, r)  # U^dag [B, M_11, ...], one block per term
+    # X = A Z A^dag, with Z block diagonal: -sigma for B, s_jk sigma / t for M_jk
+    weights = np.concatenate([-np.ones((t.size, 1)), signs / t[:, None]], axis=1)
+    q = (p.reshape(-1, r) @ sigma).reshape(t.size, *p.shape) * weights[:, None, :, None]
+    x = q.reshape(t.size, p.shape[0], -1) @ p.reshape(p.shape[0], -1).conj().T  # U^dag X U per sample
+    bound = (2 * sv[0] + dropped) * dropped * np.maximum(1.0, 1.0 / np.abs(t))
+    return float(np.max(np.linalg.norm(x, axis=(1, 2)) + bound))

@@ -466,17 +466,33 @@ def test_verify_recovery_ncp_bitflip():
     assert verify_recovery(ops, rec, code, trials=20) < 1e-9
 
 
-def test_verify_recovery_matches_per_sample_apply_map():
-    # Reference: each sample state B sigma B^dag through two apply_map calls,
-    # one at a time.  Pairing a map with another map's recovery, or with a
-    # map whose output leaves the code, gives O(1) deviations.
-    rng = np.random.default_rng(163)
-    code = repetition_code()
+def _per_sample_deviations(ops, recovery, code, trials):
+    """Largest Frobenius and max-abs entry of ``out / tr(out) - rho`` over the samples.
+
+    Each sample state ``B sigma B^dag`` goes through two ``apply_map``
+    calls, one at a time, as a full ``d x d`` matrix.
+    """
     r = code.rank
     coeffs = [np.eye(r)[i] for i in range(r)]
     coeffs += [np.eye(r)[i] + phase * np.eye(r)[j] for i in range(r) for j in range(i + 1, r) for phase in (1, 1j)]
     sample_rng = np.random.default_rng(_VERIFY_SEED)
-    coeffs += [sample_rng.standard_normal(r) + 1j * sample_rng.standard_normal(r) for _ in range(7)]
+    coeffs += [sample_rng.standard_normal(r) + 1j * sample_rng.standard_normal(r) for _ in range(trials)]
+    frobenius = max_abs = 0.0
+    for c in coeffs:
+        psi = code.isometry @ c / np.linalg.norm(c)
+        rho = np.outer(psi, psi.conj())
+        out = apply_map(recovery, apply_map(ops, rho))
+        x = out / np.trace(out).real - rho
+        frobenius = max(frobenius, np.linalg.norm(x))
+        max_abs = max(max_abs, np.abs(x).max())
+    return frobenius, max_abs
+
+
+def test_verify_recovery_matches_per_sample_apply_map():
+    # Pairing a map with another map's recovery, or with a map whose
+    # output leaves the code, gives O(1) deviations.
+    rng = np.random.default_rng(163)
+    code = repetition_code()
     maps = [conditioned_pauli_map(rng, require_negative=False) for _ in range(6)]
     recoveries = []
     for ops in maps:
@@ -485,16 +501,28 @@ def test_verify_recovery_matches_per_sample_apply_map():
     worst_seen = []
     for k, ops in enumerate(maps):
         for recovery in (recoveries[k], recoveries[k - 1], maps[k - 1]):
-            worst = 0.0
-            for c in coeffs:
-                psi = sum(ci * bi for ci, bi in zip(c, code.isometry.T)) / np.linalg.norm(c)
-                rho = np.outer(psi, psi.conj())
-                out = apply_map(recovery, apply_map(ops, rho))
-                worst = max(worst, np.abs(out / np.trace(out).real - rho).max())
-            assert abs(verify_recovery(ops, recovery, code, trials=7) - worst) < 1e-12
-            worst_seen.append(worst)
+            frobenius, max_abs = _per_sample_deviations(ops, recovery, code, trials=7)
+            got = verify_recovery(ops, recovery, code, trials=7)
+            assert abs(got - frobenius) < 1e-12
+            assert got >= max_abs - 1e-12  # at least the largest entry, up to the references' roundoff
+            worst_seen.append(frobenius)
     assert max(worst_seen) > 0.1
     assert min(worst_seen) < 1e-12
+
+
+def test_verify_recovery_counts_leakage_off_the_code():
+    # A unitary recovery that rotates |000> partly onto |001>, outside the
+    # code: the recovered states keep unit trace but leave span{|000>, |111>}.
+    code = repetition_code()
+    theta = 0.3
+    rotation = I8.copy()
+    rotation[np.ix_([0, 1], [0, 1])] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    ops = SignedOperatorSum.from_terms([1], [I8])
+    leaky = SignedOperatorSum.from_terms([1], [rotation])
+    frobenius, _ = _per_sample_deviations(ops, leaky, code, trials=20)
+    got = verify_recovery(ops, leaky, code, trials=20)
+    assert abs(got - frobenius) < 1e-12
+    assert got > 0.1
 
 
 def test_verify_recovery_zero_map():
@@ -560,11 +588,16 @@ def test_analyze_small_scale_keeps_orthogonal_syndromes(scale):
     assert report.witness.probability / scale**2 == pytest.approx(-0.2, rel=1e-9)
 
 
-@pytest.mark.parametrize("c0, probability", [(-1e308, -1e308), (1e308, -3.333333333333333e307)])
+@pytest.mark.parametrize(
+    "c0, probability",
+    [(-1e308, -1e308), (1e308, -3.333333333333333e307), (-1.7e308, -1.7e308), (1.7e308, -1.7e308 / 3)],
+)
 def test_analyze_near_float_max_decides_outside_domain(c0, probability):
     # The r x r block traces must be divided by r before they are summed:
     # two entries near 1e308 sum to inf, and the NaN that follows gives
     # conditions_violated (pytest turns the RuntimeWarning into an error).
+    # At 1.7e308 the canonical eigenvalues have opposite signs and their
+    # difference overflows, so eigenvalue clustering must not subtract them.
     report = analyze(*repetition_bitflip(3, c0))
     assert report.verdict == Verdict.CODE_OUTSIDE_DOMAIN
     assert report.witness.probability == pytest.approx(probability, rel=1e-12)
@@ -679,3 +712,19 @@ def test_analyze_peak_memory_scales_with_the_code(c0, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * ops.operators.nbytes
+
+
+def test_verify_recovery_peak_memory_holds_no_d_by_d_state():
+    # The deviation is taken on the d x r terms R_j E_k B and the factors
+    # of their thin SVD, so no (samples, d, d) stack is formed: the peak
+    # allocation (0.27x at n = 8) stays below the map's own n x d x d terms.
+    ops, code = repetition_bitflip(8, 0.7)
+    recovery = analyze(ops, code).recovery
+    verify_recovery(ops, recovery, code)  # first-call set-up stays out of the measurement
+    tracemalloc.start()
+    try:
+        verify_recovery(ops, recovery, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.4 * ops.operators.nbytes
