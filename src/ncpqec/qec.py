@@ -333,7 +333,8 @@ def diagonalize_conditions(
     of the map restricted to the code; it is the square pseudounitary
     connecting the two decompositions whenever the terms are linearly
     independent on the code.  ``F`` generates the same map as ``ops`` on
-    operators supported on the code space.
+    operators supported on the code space.  A NaN, infinite or negative
+    ``tol`` raises ``ValueError``.
 
     Raises
     ------
@@ -341,7 +342,7 @@ def diagonalize_conditions(
         If the canonical residual exceeds ``tol`` times the map's scale on
         the code.
     """
-    signs, d, t, condition, scale = _canonical_terms(ops.signs, _on_code(ops, code)[1], tol)
+    signs, d, t, condition, scale = _canonical_terms(ops.signs, _on_code(ops, code)[1], _check_tol(tol))
     if condition.residual > tol * scale:
         raise ConditionsViolated(
             f"signed correctability conditions fail: residual {condition.residual:.3e} "
@@ -381,6 +382,7 @@ def build_syndromes(
     of the map; its syndrome projector is ``W_k W_k^dag``.  Lighter terms
     act trivially on the code space and are skipped.  All retained
     terms share one batched :func:`~ncpqec.pseudolinalg.polar_on_code`.
+    A NaN, infinite or negative ``tol`` raises ``ValueError``.
 
     Raises
     ------
@@ -389,7 +391,7 @@ def build_syndromes(
         exceeds ``10 tol``), which signals that the conditions were not
         actually diagonal.
     """
-    return _syndromes(f_ops.signs, f_ops.operators @ code.isometry, code, d, tol)
+    return _syndromes(f_ops.signs, f_ops.operators @ code.isometry, code, d, _check_tol(tol))
 
 
 def negative_part_on_code(ops: SignedOperatorSum, code: CodeSpace) -> float:
@@ -429,7 +431,8 @@ def domain_witness(
     retained syndrome has a negative sign (nothing to witness).
     Otherwise returns the first logical basis state ``b_0`` against the
     first negative syndrome, with its probability cross-checked once on
-    the input terms as ``sum_k s_k |W_j^dag E_k b_0|^2``.
+    the input terms as ``sum_k s_k |W_j^dag E_k b_0|^2``.  A NaN,
+    infinite or negative ``tol`` raises ``ValueError``.
 
     Raises
     ------
@@ -438,6 +441,7 @@ def domain_witness(
         largest syndrome weight, i.e. the syndromes do not belong to
         ``ops`` on this code.
     """
+    _check_tol(tol)
     j = next((j for j, s in enumerate(syndromes) if s.sign < 0), None)
     if j is None:
         return None
@@ -519,17 +523,25 @@ def verify_recovery(
     ``d x r`` terms ``M_jk = R_j E_k B``: each deviation ``X`` lies in
     the column span of ``A = [B, M_11, M_12, ...]``, so its Frobenius
     norm is taken on the factors ``U^dag A`` of one thin SVD of ``A``,
-    with no ``d x d`` state.  Singular values at or below
-    ``max(A.shape) eps s_1`` are dropped, and ``(2 s_1 + e) e max(1, 1/|t|)``,
-    with ``e`` their Frobenius norm, is added, so the result stays an
-    upper bound of ``||X||_F``.  The Frobenius norm bounds every entry
-    of ``X``, leakage off the code included.
+    with no ``d x d`` state.  Blocks ``M_jk`` that are exactly zero add
+    nothing to ``X`` and stay out of ``A``; for a syndrome recovery most
+    blocks are.  Singular values at or below ``max(A.shape) eps s_1``
+    are dropped, and ``(2 s_1 + e) e max(1, 1/|t|)``, with ``e`` their
+    Frobenius norm, is added, so the result stays an upper bound of
+    ``||X||_F``.  The Frobenius norm bounds every entry of ``X``,
+    leakage off the code included.
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not a finite non-negative number, ``trials`` is not
+        a non-negative integer, or the dimensions differ.
     ZeroTrace
         If a recovered state has trace at most ``tol`` in magnitude.
     """
+    _check_tol(tol)
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
+        raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
     if ops.dim != code.dim or recovery.dim != code.dim:
         raise ValueError("map, recovery and code must share one dimension")
     b = code.isometry
@@ -542,6 +554,9 @@ def verify_recovery(
     t = np.einsum("sfg,gf->s", sigma, gram).real
     if np.any(np.abs(t) <= tol):
         raise ZeroTrace(f"recovered state has trace {t[np.argmin(np.abs(t))]:.3e}")
+    live = m.any(axis=(0, 2))
+    if not live.all():  # a zero block adds nothing to X
+        m, signs = m[:, live], signs[live]
     _, sv, vh = np.linalg.svd(np.concatenate([b, m.reshape(d, -1)], axis=1), full_matrices=False)
     keep = sv > max(d, vh.shape[1]) * np.finfo(float).eps * sv[0]
     dropped = float(np.linalg.norm(sv[~keep]))

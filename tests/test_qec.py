@@ -532,6 +532,75 @@ def test_verify_recovery_zero_map():
         verify_recovery(bitflip_ops(-0.2), zero, code)
 
 
+def _svd_shapes(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.svd`` from now on."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_verify_recovery_of_the_repetition_code_matches_per_sample_apply_map(n):
+    # Syndrome j of the repetition code annihilates every bit flip but its
+    # own, so all blocks R_j E_k B with j != k are zero and stay out of the
+    # SVD, with nothing added to the bound.
+    ops, code = repetition_bitflip(n, 0.7)
+    recovery = analyze(ops, code).recovery
+    frobenius, max_abs = _per_sample_deviations(ops, recovery, code, trials=20)
+    got = verify_recovery(ops, recovery, code, trials=20)
+    assert abs(got - frobenius) < 1e-12
+    assert got >= max_abs - 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-4])
+def test_verify_recovery_keeps_small_nonzero_blocks(monkeypatch, scale):
+    # An extra recovery term adds four small blocks R E_k B to the four
+    # nonzero ones. Only exact zeros leave the SVD, so these stay however
+    # small, and the result still matches the per-sample reference.
+    ops, code = repetition_bitflip(3, 0.7)
+    recovery = analyze(ops, code).recovery
+    noise = scale * random_complex(np.random.default_rng(29), (8, 8))
+    noisy = SignedOperatorSum.from_terms((1,) * 5, [*recovery.operators, noise])
+    frobenius, max_abs = _per_sample_deviations(ops, noisy, code, trials=20)
+    shapes = _svd_shapes(monkeypatch)
+    got = verify_recovery(ops, noisy, code, trials=20)
+    assert shapes == [(8, (1 + 8) * 2)]
+    assert abs(got - frobenius) < 1e-12
+    assert got >= max_abs - 1e-12
+
+
+def test_verify_recovery_leaves_null_blocks_out_of_the_svd(monkeypatch):
+    # n = 6: K = 7 map terms and J = 7 recovery terms give 49 blocks, of
+    # which the 7 with j = k are nonzero, so A is 64 x (1 + 7) r, not
+    # 64 x (1 + 49) r.
+    ops, code = repetition_bitflip(6, 0.7)
+    recovery = analyze(ops, code).recovery
+    shapes = _svd_shapes(monkeypatch)
+    verify_recovery(ops, recovery, code)
+    assert shapes == [(64, (1 + 7) * 2)]
+
+
+@pytest.mark.parametrize("trials", [2.5, -3, True, "20", None])
+def test_verify_recovery_rejects_malformed_trials(trials):
+    ops, code = bitflip_ops(0.7), repetition_code()
+    recovery = analyze(ops, code).recovery
+    with pytest.raises(ValueError, match="trials"):
+        verify_recovery(ops, recovery, code, trials=trials)
+
+
+def test_verify_recovery_accepts_integral_trials():
+    ops, code = bitflip_ops(0.7), repetition_code()
+    recovery = analyze(ops, code).recovery
+    assert verify_recovery(ops, recovery, code, trials=np.int64(3)) == verify_recovery(ops, recovery, code, trials=3)
+    assert verify_recovery(ops, recovery, code, trials=0) < 1e-9
+
+
 def test_qec_report_consistency_enforced():
     report = analyze(bitflip_ops(-0.2), repetition_code())
     with pytest.raises(ValueError):
@@ -696,6 +765,25 @@ def test_repetition_bitflip_rejects_no_qubits():
 def test_analyze_rejects_invalid_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance"):
         analyze(bitflip_ops(-0.2), repetition_code(), tol)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize("stage", ["diagonalize_conditions", "build_syndromes", "domain_witness", "verify_recovery"])
+def test_stages_reject_invalid_tolerance(stage, tol):
+    # A NaN tolerance fails every comparison, so an unchecked stage returns a
+    # witness of positive probability for the CP map, no canonical terms, no
+    # syndromes, or nan for a zero recovery instead of raising ZeroTrace.
+    code, inv, cp = repetition_code(), bitflip_ops(-0.2), bitflip_ops(0.7)
+    f, d, _ = diagonalize_conditions(cp, code)
+    zero = SignedOperatorSum.from_terms([1], [np.zeros((8, 8))])
+    calls = {
+        "diagonalize_conditions": lambda: diagonalize_conditions(cp, code, tol=tol),
+        "build_syndromes": lambda: build_syndromes(f, code, d, tol=tol),
+        "domain_witness": lambda: domain_witness(cp, code, analyze(inv, code).syndromes, tol=tol),
+        "verify_recovery": lambda: verify_recovery(cp, zero, code, tol=tol),
+    }
+    with pytest.raises(ValueError, match="tolerance"):
+        calls[stage]()
 
 
 @pytest.mark.parametrize("c0, bound", [(-0.2, 0.1), (0.7, 2.5)])
