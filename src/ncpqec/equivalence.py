@@ -87,11 +87,12 @@ class ConnectionResult:
 def maps_equal(a: SignedOperatorSum, b: SignedOperatorSum, tol: float = DEFAULT_TOL) -> bool:
     """True iff the two decompositions generate the same map.
 
-    Compares the dynamical matrices entrywise within ``tol``.
+    Compares the dynamical matrices entrywise within ``tol`` times their largest entry.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return _max_abs(b_from_operator_sum(a).matrix - b_from_operator_sum(b).matrix) <= tol
+    ba, bb = b_from_operator_sum(a).matrix, b_from_operator_sum(b).matrix
+    return _max_abs(ba - bb) <= tol * max(_max_abs(ba), _max_abs(bb))
 
 
 def to_base_map(ops: SignedOperatorSum, tol: float = DEFAULT_TOL) -> SignedOperatorSum:
@@ -208,7 +209,7 @@ def connecting_pseudounitary(
     Raises
     ------
     MapsNotEqual
-        If the dynamical matrices differ at ``tol``.
+        If the dynamical matrices differ at ``tol``, relative as in :func:`maps_equal`.
     SingularCoefficientMatrix
         If either padded coefficient matrix is singular or a term leaves
         the span of the shared eigenbasis -- i.e. an input is not a base
@@ -217,7 +218,7 @@ def connecting_pseudounitary(
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     ba, bb = b_from_operator_sum(a).matrix, b_from_operator_sum(b).matrix
-    if _max_abs(ba - bb) > tol:
+    if _max_abs(ba - bb) > tol * max(_max_abs(ba), _max_abs(bb)):
         raise MapsNotEqual("decompositions generate different maps")
     xa, xb = (x.operators.reshape(x.n_terms, x.dim**2) for x in (a, b))
     res = _connect(xb, b.signature, xa, a.signature, (ba + bb) / 2, tol)

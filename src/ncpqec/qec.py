@@ -442,12 +442,19 @@ def domain_witness(
         ``ops`` on this code.
     """
     _check_tol(tol)
-    j = next((j for j, s in enumerate(syndromes) if s.sign < 0), None)
-    if j is None:
+    if all(s.sign > 0 for s in syndromes):
         return None
     b0 = code.isometry[:, 0]
-    amplitudes = (ops.operators @ b0) @ syndromes[j].isometry.conj()  # row k: W_j^dag E_k b_0
-    prob = float(np.asarray(ops.signs, dtype=float) @ np.sum(np.abs(amplitudes) ** 2, axis=1))
+    return _witness(ops.signs, ops.operators @ b0, b0, syndromes, tol)
+
+
+def _witness(
+    signs: Sequence[int], first: np.ndarray, b0: np.ndarray, syndromes: SyndromeSet, tol: float
+) -> NegativityWitness:
+    """Witness against the first negative syndrome from the ``(n, d)`` terms ``E_k b_0``; see :func:`domain_witness`."""
+    j = next(j for j, s in enumerate(syndromes) if s.sign < 0)
+    amplitudes = first @ syndromes[j].isometry.conj()  # row k: W_j^dag E_k b_0
+    prob = float(np.asarray(signs, dtype=float) @ np.sum(np.abs(amplitudes) ** 2, axis=1))
     if prob > -tol * max(s.weight for s in syndromes):
         raise WitnessSearchFailed(
             f"negative syndrome {j} has probability {prob:.3e} on the first logical basis state, "
@@ -487,7 +494,7 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
         return QecReport(condition, None, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
     syndromes = _syndromes(signs, np.tensordot(t, v, axes=([0], [0])), code, d, tol)  # F B = V T
     if any(s.sign < 0 for s in syndromes):
-        witness = domain_witness(ops, code, syndromes, tol)
+        witness = _witness(ops.signs, v[:, :, 0], code.isometry[:, 0], syndromes, tol)
         return QecReport(condition, t, d, syndromes, None, Verdict.CODE_OUTSIDE_DOMAIN, witness)
     if _max_abs(_signed_gram(ops.signs, v) - np.eye(code.rank)) > tol:
         return QecReport(condition, t, d, syndromes, None, Verdict.CONDITIONS_VIOLATED, None)
@@ -497,13 +504,13 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
 
 @functools.lru_cache(maxsize=8)
 def _recovery_samples(r: int, trials: int) -> np.ndarray:
-    """Logical pure states ``sigma = c c^dag / |c|^2`` as a read-only ``(s, r, r)`` stack."""
+    """Unit logical vectors ``u`` of the pure samples ``sigma = u u^dag``, read-only ``(s, r)``."""
     eye = np.eye(r)
     coeffs = list(eye) + [eye[i] + phase * eye[j] for i in range(r) for j in range(i + 1, r) for phase in (1, 1j)]
     rng = np.random.default_rng(_VERIFY_SEED)
     coeffs += [rng.standard_normal(r) + 1j * rng.standard_normal(r) for _ in range(trials)]
     c = np.array(coeffs)
-    return _frozen(np.einsum("si,sj->sij", c, c.conj()) / np.einsum("si,si->s", c.conj(), c).real[:, None, None])
+    return _frozen(c / np.linalg.norm(c, axis=1, keepdims=True))
 
 
 def verify_recovery(
@@ -513,23 +520,21 @@ def verify_recovery(
     trials: int = 20,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """Upper bound of the largest ``|| R(E(B sigma B^dag)) / t - B sigma B^dag ||_F``.
+    """Largest per-sample ``|| R(E(B sigma B^dag)) / t - B sigma B^dag ||_F``, to rounding.
 
     ``t`` normalizes the recovered state to unit trace, so a recovery
     that restores states only up to a constant factor still verifies.
     Samples ``sigma`` are the logical basis states, their pairwise
     superpositions with phases 1 and i, and ``trials`` reproducible
     random logical states.  Map and recovery enter only through the
-    ``d x r`` terms ``M_jk = R_j E_k B``: each deviation ``X`` lies in
-    the column span of ``A = [B, M_11, M_12, ...]``, so its Frobenius
-    norm is taken on the factors ``U^dag A`` of one thin SVD of ``A``,
-    with no ``d x d`` state.  Blocks ``M_jk`` that are exactly zero add
-    nothing to ``X`` and stay out of ``A``; for a syndrome recovery most
-    blocks are.  Singular values at or below ``max(A.shape) eps s_1``
-    are dropped, and ``(2 s_1 + e) e max(1, 1/|t|)``, with ``e`` their
-    Frobenius norm, is added, so the result stays an upper bound of
-    ``||X||_F``.  The Frobenius norm bounds every entry of ``X``,
-    leakage off the code included.
+    ``d x r`` terms ``M_jk = R_j E_k B``: each deviation ``X = A Z A^dag``
+    lies in the column span of ``A = [B, M_11, M_12, ...]``, so one thin
+    QR ``A = Q R`` gives ``||X||_F = ||R Z R^dag||_F`` with no ``d x d``
+    state and no rank cut; Householder QR keeps each column accurate
+    beside much larger ones, so no scale of the recovery reads as a
+    deviation.  Exactly zero blocks ``M_jk`` stay out of ``A``; for a
+    syndrome recovery most blocks are.  The Frobenius norm bounds every
+    entry of ``X``, leakage off the code included.
 
     Raises
     ------
@@ -549,21 +554,15 @@ def verify_recovery(
     v = (ops.operators @ b).transpose(1, 0, 2).reshape(d, -1)  # [E_1 B, E_2 B, ...]
     m = (recovery.operators @ v).transpose(1, 0, 2).reshape(d, -1, r)  # m[:, n] = M_jk, n = j K + k
     signs = np.outer(recovery.signs, ops.signs).ravel()
-    sigma = _recovery_samples(r, trials)
+    u = _recovery_samples(r, trials)
     gram = (m * signs[:, None]).reshape(-1, r).conj().T @ m.reshape(-1, r)  # sum_jk s_jk M_jk^dag M_jk
-    t = np.einsum("sfg,gf->s", sigma, gram).real
+    t = np.einsum("sf,fg,sg->s", u.conj(), gram, u).real
     if np.any(np.abs(t) <= tol):
         raise ZeroTrace(f"recovered state has trace {t[np.argmin(np.abs(t))]:.3e}")
-    live = m.any(axis=(0, 2))
-    if not live.all():  # a zero block adds nothing to X
-        m, signs = m[:, live], signs[live]
-    _, sv, vh = np.linalg.svd(np.concatenate([b, m.reshape(d, -1)], axis=1), full_matrices=False)
-    keep = sv > max(d, vh.shape[1]) * np.finfo(float).eps * sv[0]
-    dropped = float(np.linalg.norm(sv[~keep]))
-    p = (sv[keep, None] * vh[keep]).reshape(-1, 1 + signs.size, r)  # U^dag [B, M_11, ...], one block per term
-    # X = A Z A^dag, with Z block diagonal: -sigma for B, s_jk sigma / t for M_jk
-    weights = np.concatenate([-np.ones((t.size, 1)), signs / t[:, None]], axis=1)
-    q = (p.reshape(-1, r) @ sigma).reshape(t.size, *p.shape) * weights[:, None, :, None]
-    x = q.reshape(t.size, p.shape[0], -1) @ p.reshape(p.shape[0], -1).conj().T  # U^dag X U per sample
-    bound = (2 * sv[0] + dropped) * dropped * np.maximum(1.0, 1.0 / np.abs(t))
-    return float(np.max(np.linalg.norm(x, axis=(1, 2)) + bound))
+    live = m.any(axis=(0, 2))  # a zero block adds nothing to X
+    upper = np.linalg.qr(np.concatenate([b, m[:, live].reshape(d, -1)], axis=1), mode="r")
+    # Z = diag(-sigma, s_jk sigma / t, ...) and sigma = u u^dag, so R Z R^dag = Y diag(w) Y^dag
+    y = (upper.reshape(-1, r) @ u.T).reshape(upper.shape[0], -1, t.size).transpose(2, 0, 1)  # [R_B u, R_11 u, ...]
+    weights = np.concatenate([-np.ones((t.size, 1)), signs[live] / t[:, None]], axis=1)
+    x = (y * weights[:, None, :]) @ y.conj().swapaxes(1, 2)
+    return float(np.max(np.linalg.norm(x, axis=(1, 2))))

@@ -331,9 +331,9 @@ def apply_a_matrix(a: AMatrix, rho: np.ndarray) -> np.ndarray:
 def classify(b: BMatrix, tol: float = DEFAULT_TOL) -> MapClass:
     """Classify a Hermiticity-preserving map as CP or NCP.
 
-    The map is completely positive iff all eigenvalues of ``B`` are at
-    least ``-tol``; the signature counts eigenvalues above ``tol`` and
-    below ``-tol``.
+    The map is completely positive iff no eigenvalue of ``B`` is below
+    ``-tol * max|eigenvalue|``, the cut of :func:`operator_sum_from_b`;
+    the signature counts eigenvalues beyond it on either side.
 
     Raises
     ------
@@ -341,8 +341,8 @@ def classify(b: BMatrix, tol: float = DEFAULT_TOL) -> MapClass:
         If ``B`` is not Hermitian within tolerance.
     """
     lam = np.linalg.eigvalsh(_hermitian_part(b, tol))
-    p = int(np.sum(lam > tol))
-    q = int(np.sum(lam < -tol))
+    p = int(np.sum(lam > tol * _max_abs(lam)))
+    q = int(np.sum(lam < -tol * _max_abs(lam)))
     kind = "CP" if q == 0 else "NCP"
     return MapClass(kind, Signature(p, q))
 

@@ -12,9 +12,15 @@ from ncpqec.equivalence import (
 )
 from ncpqec.errors import MapsNotEqual, OperatorsNotEqual, SingularCoefficientMatrix
 from ncpqec.pseudolinalg import Signature, eta_metric, is_pseudounitary
-from ncpqec.superop import SignedOperatorSum, b_from_operator_sum, transform_by_pseudounitary
+from ncpqec.superop import (
+    SignedOperatorSum,
+    b_from_operator_sum,
+    classify,
+    operator_sum_from_b,
+    transform_by_pseudounitary,
+)
 
-from helpers import I2, X, Z, random_ops, random_ph, random_pu
+from helpers import I2, X, Z, bitflip_ops, random_ops, random_ph, random_pu
 
 
 def _boost(t):
@@ -82,6 +88,22 @@ def test_maps_equal_is_equivalence_relation():
                 if eq[i, j] and eq[j, k]:
                     # transitivity can lose at most a factor-of-two in tol
                     assert maps_equal(maps[i], maps[k], 3 * tol)
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e3])
+def test_classify_and_maps_equal_do_not_depend_on_scale(scale):
+    # The terms are scaled, so the maps are scaled by scale^2. The inverted
+    # bit flip stays NCP with the signature of its own eigendecomposition
+    # and stays apart from the CP bit flip at every scale.
+    inverted, cp = (SignedOperatorSum(8, ops.signs, scale * ops.operators) for ops in map(bitflip_ops, (-0.2, 0.7)))
+    b = b_from_operator_sum(inverted)
+    assert operator_sum_from_b(b).signature == Signature(3, 1)
+    assert classify(b) == ("NCP", Signature(3, 1))
+    assert classify(b_from_operator_sum(cp)) == ("CP", Signature(4, 0))
+    assert not maps_equal(inverted, cp)
+    assert maps_equal(inverted, to_base_map(inverted))
+    with pytest.raises(MapsNotEqual):
+        connecting_pseudounitary(inverted, cp)
 
 
 # ---------------------------------------------------------------- to_base_map

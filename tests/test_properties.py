@@ -24,6 +24,7 @@ from ncpqec import (
     pseudo_diagonalize,
     to_base_map,
     transform_by_pseudounitary,
+    verify_recovery,
 )
 
 from helpers import (
@@ -109,6 +110,16 @@ def test_rescaling_scales_weights(case, exponent):
         assert report.verdict is base.verdict
     if base.witness is not None:
         assert report.witness.probability == pytest.approx(alpha * base.witness.probability, rel=1e-9)
+
+
+@PROPERTY
+@given(maps(), st.floats(-4.0, 60.0))
+def test_verify_recovery_ignores_the_recovery_scale(case, exponent):
+    ops, _ = case
+    recovery = analyze(ops, CODE).recovery
+    assume(recovery is not None)
+    scaled = SignedOperatorSum(8, recovery.signs, 10.0**exponent * recovery.operators)
+    assert abs(verify_recovery(ops, scaled, CODE) - verify_recovery(ops, recovery, CODE)) < 1e-12
 
 
 @PROPERTY

@@ -510,6 +510,21 @@ def test_verify_recovery_matches_per_sample_apply_map():
     assert min(worst_seen) < 1e-12
 
 
+@pytest.mark.parametrize("rank", [1, 3])
+def test_verify_recovery_matches_per_sample_apply_map_at_other_ranks(rank):
+    # d = 4 with 2 map terms and 3 recovery terms: at r = 3 the span A is
+    # 4 x (1 + 6) 3 = 4 x 21, wider than d, so its QR is rank deficient.
+    rng = np.random.default_rng(41 + rank)
+    code = projector_from_basis(list(random_complex(rng, (rank, 4))))
+    ops = SignedOperatorSum.from_terms([1, -1], [random_complex(rng, (4, 4)), 0.3 * random_complex(rng, (4, 4))])
+    recovery = SignedOperatorSum.from_terms([1, 1, 1], list(random_complex(rng, (3, 4, 4))))
+    frobenius, max_abs = _per_sample_deviations(ops, recovery, code, trials=7)
+    got = verify_recovery(ops, recovery, code, trials=7)
+    assert abs(got - frobenius) < 1e-12
+    assert got >= max_abs - 1e-12
+    assert frobenius > 0.1
+
+
 def test_verify_recovery_counts_leakage_off_the_code():
     # A unitary recovery that rotates |000> partly onto |001>, outside the
     # code: the recovered states keep unit trace but leave span{|000>, |111>}.
@@ -532,16 +547,20 @@ def test_verify_recovery_zero_map():
         verify_recovery(bitflip_ops(-0.2), zero, code)
 
 
-def _svd_shapes(monkeypatch):
-    """Shapes of the matrices passed to ``np.linalg.svd`` from now on."""
+def _qr_shapes(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.qr`` from now on; any ``np.linalg.svd`` call fails."""
     shapes = []
-    svd = np.linalg.svd
+    qr = np.linalg.qr
 
     def spy(a, *args, **kwargs):
         shapes.append(a.shape)
-        return svd(a, *args, **kwargs)
+        return qr(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
     return shapes
 
 
@@ -549,7 +568,7 @@ def _svd_shapes(monkeypatch):
 def test_verify_recovery_of_the_repetition_code_matches_per_sample_apply_map(n):
     # Syndrome j of the repetition code annihilates every bit flip but its
     # own, so all blocks R_j E_k B with j != k are zero and stay out of the
-    # SVD, with nothing added to the bound.
+    # QR.
     ops, code = repetition_bitflip(n, 0.7)
     recovery = analyze(ops, code).recovery
     frobenius, max_abs = _per_sample_deviations(ops, recovery, code, trials=20)
@@ -561,14 +580,14 @@ def test_verify_recovery_of_the_repetition_code_matches_per_sample_apply_map(n):
 @pytest.mark.parametrize("scale", [1e-9, 1e-4])
 def test_verify_recovery_keeps_small_nonzero_blocks(monkeypatch, scale):
     # An extra recovery term adds four small blocks R E_k B to the four
-    # nonzero ones. Only exact zeros leave the SVD, so these stay however
+    # nonzero ones. Only exact zeros leave the QR, so these stay however
     # small, and the result still matches the per-sample reference.
     ops, code = repetition_bitflip(3, 0.7)
     recovery = analyze(ops, code).recovery
     noise = scale * random_complex(np.random.default_rng(29), (8, 8))
     noisy = SignedOperatorSum.from_terms((1,) * 5, [*recovery.operators, noise])
     frobenius, max_abs = _per_sample_deviations(ops, noisy, code, trials=20)
-    shapes = _svd_shapes(monkeypatch)
+    shapes = _qr_shapes(monkeypatch)
     got = verify_recovery(ops, noisy, code, trials=20)
     assert shapes == [(8, (1 + 8) * 2)]
     assert abs(got - frobenius) < 1e-12
@@ -581,9 +600,19 @@ def test_verify_recovery_leaves_null_blocks_out_of_the_svd(monkeypatch):
     # 64 x (1 + 49) r.
     ops, code = repetition_bitflip(6, 0.7)
     recovery = analyze(ops, code).recovery
-    shapes = _svd_shapes(monkeypatch)
+    shapes = _qr_shapes(monkeypatch)
     verify_recovery(ops, recovery, code)
     assert shapes == [(64, (1 + 7) * 2)]
+
+
+@pytest.mark.parametrize("exponent", [4, 8, 10, 12, 20, 60])
+def test_verify_recovery_of_a_scaled_perfect_recovery(exponent):
+    # t scales as 10^(2 e) and every M_jk as 10^e beside B; the QR keeps
+    # B's columns accurate, so no scale reads as a deviation.
+    ops, code = repetition_bitflip(3, 0.7)
+    recovery = analyze(ops, code).recovery
+    scaled = SignedOperatorSum(8, recovery.signs, 10.0**exponent * recovery.operators)
+    assert verify_recovery(ops, scaled, code) < 1e-14
 
 
 @pytest.mark.parametrize("trials", [2.5, -3, True, "20", None])
@@ -804,7 +833,7 @@ def test_analyze_peak_memory_scales_with_the_code(c0, bound):
 
 def test_verify_recovery_peak_memory_holds_no_d_by_d_state():
     # The deviation is taken on the d x r terms R_j E_k B and the factors
-    # of their thin SVD, so no (samples, d, d) stack is formed: the peak
+    # of their thin QR, so no (samples, d, d) stack is formed: the peak
     # allocation (0.27x at n = 8) stays below the map's own n x d x d terms.
     ops, code = repetition_bitflip(8, 0.7)
     recovery = analyze(ops, code).recovery
