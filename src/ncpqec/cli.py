@@ -208,9 +208,10 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
             "on a code state: the code space lies outside the map's domain"
         )
     if recovery_error is not None:
+        restores = "restores" if recovery_error <= tol else "does not restore"
         print(
-            f"projective recovery restores every sampled code state "
-            f"(largest Frobenius deviation {recovery_error:.3e} over 24 sample states)"
+            f"projective recovery {restores} every sampled code state "
+            f"(largest Frobenius deviation {recovery_error:.3e} over 24 sample states, tol {tol:.1e})"
         )
     print(f"verdict: {report.verdict.value}")
     print()

@@ -28,13 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MapsNotEqual, OperatorsNotEqual, SingularCoefficientMatrix
-from .pseudolinalg import DEFAULT_TOL, Signature, _max_abs
+from .pseudolinalg import DEFAULT_TOL, Signature, _max_abs, _signed_eigensystem
 from .superop import (
     SignedOperatorSum,
     _SignedTerms,
     _signed_outer_sum,
     b_from_operator_sum,
-    canonical_signed_eigensystem,
     operator_sum_from_b,
 )
 
@@ -65,7 +64,7 @@ class SignedEnsemble(_SignedTerms):
 
     def operator(self) -> np.ndarray:
         """The Hermitian operator the ensemble assembles."""
-        return _signed_outer_sum(self.signs, self.vectors, self.dim)
+        return _signed_outer_sum(self.signs, self.vectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,21 +166,20 @@ def _connect(
     signature and expanded over the canonical eigenbasis of ``shared``.
     A ``shared`` without retained eigenvalues is trivially connected.
     """
-    eigen = canonical_signed_eigensystem(shared, tol)
-    if not eigen:
+    lam, vectors = np.linalg.eigh(shared)
+    values, basis = _signed_eigensystem(lam, vectors, tol * _max_abs(lam))
+    if not values.size:
         return ConnectionResult(np.zeros((0, 0), dtype=complex), Signature(0, 0), (0, 0), 0.0)
     target = Signature(max(sig_a.p, sig_b.p), max(sig_a.q, sig_b.q))
-    r_plus = sum(1 for s, _, _ in eigen if s > 0)
-    spanned = Signature(r_plus, len(eigen) - r_plus)
+    r_plus = int(np.sum(values > 0))
+    spanned = Signature(r_plus, values.size - r_plus)
     if spanned.p > target.p or spanned.q > target.q:
         raise SingularCoefficientMatrix(
             f"shared eigenbasis signature ({spanned.p}, {spanned.q}) exceeds the term signature "
             f"({target.p}, {target.q})"
         )
-    basis = np.array([u for _, _, u in eigen])
-    mag = np.array([m for _, m, _ in eigen])
     pa, pb = _pad(xa, sig_a, target), _pad(xb, sig_b, target)
-    w, v = (_coefficients(x, basis, mag, spanned, target, tol) for x in (pa, pb))
+    w, v = (_coefficients(x, basis.T, np.abs(values), spanned, target, tol) for x in (pa, pb))
     for m in (w, v):
         sv = np.linalg.svd(m, compute_uv=False)
         if sv[-1] <= tol * max(1.0, sv[0]):
@@ -239,13 +237,14 @@ def ensemble_connection(
     Raises
     ------
     OperatorsNotEqual
-        If the assembled operators differ at ``tol``.
+        If the assembled operators differ at ``tol``, relative to their
+        largest entry as in :func:`maps_equal`.
     SingularCoefficientMatrix
         As for :func:`connecting_pseudounitary`.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     oa, ob = a.operator(), b.operator()
-    if _max_abs(oa - ob) > tol:
+    if _max_abs(oa - ob) > tol * max(_max_abs(oa), _max_abs(ob)):
         raise OperatorsNotEqual("ensembles assemble different operators")
     return _connect(a.vectors, a.signature, b.vectors, b.signature, (oa + ob) / 2, tol)

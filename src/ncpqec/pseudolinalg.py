@@ -203,19 +203,25 @@ def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
     return clusters
 
 
-def _projected_basis(span: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+def _projected_basis(span: np.ndarray, candidates: np.ndarray | None) -> np.ndarray:
     """Deterministic orthonormal basis of the column span of ``span``.
 
-    Projects the columns of ``candidates`` onto that span and
-    orthonormalizes them in index order, keeping the first
-    ``span.shape[1]`` whose residual norm exceeds ``1e-8`` times the
-    largest candidate norm.  This removes an eigensolver's arbitrary
-    choice of basis inside a degenerate eigenspace.
+    Projects the columns of ``candidates`` (the standard basis when
+    ``None``, one vector at a time and skipping rows of ``span`` below
+    the floor) onto that span and orthonormalizes them in index order,
+    keeping the first ``span.shape[1]`` whose residual norm exceeds
+    ``1e-8`` times the largest candidate norm.  This removes an
+    eigensolver's arbitrary phases and basis in a degenerate eigenspace.
     """
     k = span.shape[1]
-    floor = 1e-8 * float(np.max(np.linalg.norm(candidates, axis=0)))
+    if candidates is None:  # row i of span holds the coefficients of e_i
+        floor = 1e-8
+        projections = (span @ span[i].conj() for i in np.flatnonzero(np.linalg.norm(span, axis=1) > floor))
+    else:
+        floor = 1e-8 * float(np.max(np.linalg.norm(candidates, axis=0)))
+        projections = (span @ (span.conj().T @ candidates)).T
     basis: list[np.ndarray] = []
-    for w in (span @ (span.conj().T @ candidates)).T:
+    for w in projections:
         if len(basis) == k:
             break
         for b in basis:
@@ -226,6 +232,24 @@ def _projected_basis(span: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     if len(basis) != k:  # pragma: no cover - the candidates span the whole space
         raise RuntimeError("failed to construct a deterministic basis")
     return np.column_stack(basis)
+
+
+def _signed_eigensystem(
+    lam: np.ndarray, vectors: np.ndarray, cut: float, candidates: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical ``(values, basis)`` from an ``eigh`` output, one value per basis column.
+
+    Keeps ``|lam| > cut``, clusters sorted gaps up to ``cut`` at their
+    mean, orders the clusters positive first, then by descending
+    magnitude, and gives each one its :func:`_projected_basis` from
+    ``candidates``.  The result ignores the eigensolver's basis choices.
+    """
+    kept = np.flatnonzero(np.abs(lam) > cut)
+    clusters = [kept[c] for c in _cluster_indices(lam[kept], cut)]
+    clusters.sort(key=lambda c: (lam[c[0]] < 0, -abs(lam[c[0]])))  # clusters are contiguous runs
+    values = np.array([np.mean(lam[c]) for c in clusters for _ in c])
+    columns = [_projected_basis(vectors[:, c], candidates) for c in clusters]
+    return values, np.concatenate([np.zeros((vectors.shape[0], 0))] + columns, axis=1)
 
 
 def pseudo_diagonalize(

@@ -39,7 +39,7 @@ from .errors import (
     WitnessSearchFailed,
     ZeroTrace,
 )
-from .pseudolinalg import DEFAULT_TOL, _check_tol, _cluster_indices, _frozen, _max_abs, _projected_basis, polar_on_code
+from .pseudolinalg import DEFAULT_TOL, _check_tol, _frozen, _max_abs, _signed_eigensystem, polar_on_code
 from .superop import SignedOperatorSum, _signed_gram
 
 __all__ = [
@@ -305,14 +305,9 @@ def _canonical_terms(
     root = np.sqrt(mu[keep])
     factor = root[:, None] * q[:, keep].conj().T  # R, with G = R^dag R
     lam, w = np.linalg.eigh((factor * np.asarray(signs)) @ factor.conj().T)
-    kept = np.flatnonzero(np.abs(lam) > tol * scale)
-    clusters = [kept[c] for c in _cluster_indices(lam[kept], tol * scale)]
-    clusters.sort(key=lambda c: (lam[c[0]] < 0, -abs(lam[c[0]])))  # clusters are contiguous runs
-    values = np.array([np.mean(lam[c]) for c in clusters for _ in c])
     # Each eigenspace gets the basis spanned by the input terms (columns
     # of R) in index order, so already-diagonal conditions give T = I.
-    columns = [_projected_basis(w[:, c], factor) for c in clusters]
-    w_fixed = np.concatenate([np.zeros((root.size, 0))] + columns, axis=1)
+    values, w_fixed = _signed_eigensystem(lam, w, tol * scale, factor)
     d, new_signs = np.abs(values), np.sign(values)
     t = (q[:, keep] / root) @ w_fixed * np.sqrt(d)
     # The traced part of T^dag blocks T is diag(d) by construction, so the

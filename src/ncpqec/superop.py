@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NotHermitian, NotPseudoUnitary
 from .pseudolinalg import DEFAULT_TOL, Signature, eta_metric, is_pseudounitary
-from .pseudolinalg import _cluster_indices, _frozen, _max_abs, _projected_basis
+from .pseudolinalg import _frozen, _max_abs, _signed_eigensystem
 
 __all__ = [
     "AMatrix",
@@ -229,56 +229,24 @@ def _signed_gram(signs: Sequence[int], terms: np.ndarray) -> np.ndarray:
     return np.einsum("k,kia,kib->ab", np.asarray(signs, dtype=float), terms.conj(), terms)
 
 
-def _signed_outer_sum(signs: Sequence[int], vectors: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """``sum_k signs[k] v_k v_k^dag`` over vectors of length ``n``."""
-    out = np.zeros((n, n), dtype=complex)
-    for s, v in zip(signs, vectors):
-        out += s * np.outer(v, v.conj())
-    return out
+def _signed_outer_sum(signs: Sequence[int], vectors: np.ndarray) -> np.ndarray:
+    """``sum_k signs[k] v_k v_k^dag`` over the rows ``v_k`` of ``vectors``, +1 block first.
+
+    One product per sign block, so a negative block equal to the positive one cancels exactly.
+    """
+    p = sum(1 for s in signs if s > 0)
+    plus, minus = vectors[:p], vectors[p:]
+    return plus.T @ plus.conj() - minus.T @ minus.conj()
 
 
 def b_from_operator_sum(ops: SignedOperatorSum) -> BMatrix:
     """Dynamical matrix ``sum_i sign_i vec(E_i) vec(E_i)^dag``."""
-    return BMatrix(ops.dim, _signed_outer_sum(ops.signs, ops.operators.reshape(ops.n_terms, ops.dim**2), ops.dim**2))
+    return BMatrix(ops.dim, _signed_outer_sum(ops.signs, ops.operators.reshape(ops.n_terms, ops.dim**2)))
 
 
 def a_from_operator_sum(ops: SignedOperatorSum) -> AMatrix:
     """Transition matrix of a signed operator sum (via :func:`reshuffle`)."""
     return reshuffle(b_from_operator_sum(ops))
-
-
-def _lex_key(v: np.ndarray) -> tuple:
-    return tuple(float(x) for z in v for x in (z.real, z.imag))
-
-
-def canonical_signed_eigensystem(
-    b: np.ndarray, tol: float = DEFAULT_TOL
-) -> list[tuple[int, float, np.ndarray]]:
-    """Canonically ordered signed eigensystem of a Hermitian matrix.
-
-    Returns ``(sign, |eigenvalue|, unit eigenvector)`` triples with
-    eigenvalues of magnitude at most ``tol * max|eigenvalue|`` dropped.
-    Ordering is positive signs first, then descending magnitude, with
-    exact ties broken by lexicographic comparison of the scaled vector
-    entries.  Degenerate eigenspaces get a deterministic basis built by
-    projecting standard basis vectors in index order.
-    """
-    lam, v = np.linalg.eigh(b)
-    lmax = _max_abs(lam)
-    keep = np.flatnonzero(np.abs(lam) > tol * lmax)
-    triples: list[tuple[int, float, np.ndarray]] = []
-    for c in _cluster_indices(lam[keep], tol * lmax):
-        cluster = keep[c]
-        value = float(np.mean(lam[cluster]))
-        sign = 1 if value > 0 else -1
-        if len(cluster) == 1:
-            vecs = [v[:, cluster[0]]]
-        else:
-            vecs = _projected_basis(v[:, cluster], np.eye(lam.size)).T
-        for u in vecs:
-            triples.append((sign, abs(value), u))
-    triples.sort(key=lambda t: (-t[0], -t[1], _lex_key(t[2] * np.sqrt(t[1]))))
-    return triples
 
 
 def _hermitian_part(b: BMatrix, tol: float) -> np.ndarray:
@@ -295,8 +263,11 @@ def operator_sum_from_b(b: BMatrix, tol: float = DEFAULT_TOL) -> SignedOperatorS
     Each retained eigenpair contributes ``sqrt(|eigenvalue|) * unvec(v)``
     with the eigenvalue's sign; eigenvalues of magnitude at most
     ``tol * max|eigenvalue|`` are dropped, so ``B = 0`` yields an empty
-    term list.  Terms come out in canonical order: +1 block first, each
-    block sorted by descending Frobenius norm.
+    term list; gaps up to the cut join one eigenspace at its mean.  Terms
+    come out +1 block first, each block by descending Frobenius norm.
+    Each eigenspace's basis projects the standard basis onto it in index
+    order: the first entry of ``vec(E_i) / ||E_i||`` above ``1e-8`` is real
+    and positive, and degenerate terms follow those entries' indices.
 
     Raises
     ------
@@ -304,9 +275,10 @@ def operator_sum_from_b(b: BMatrix, tol: float = DEFAULT_TOL) -> SignedOperatorS
         If ``B`` is not Hermitian within ``tol`` (scaled by the largest
         entry), i.e. the map does not preserve Hermiticity.
     """
-    eigen = canonical_signed_eigensystem(_hermitian_part(b, tol), tol)
-    operators = [unvec(np.sqrt(mag) * u) for _, mag, u in eigen]
-    return SignedOperatorSum(b.dim, tuple(s for s, _, _ in eigen), operators)
+    lam, v = np.linalg.eigh(_hermitian_part(b, tol))
+    values, basis = _signed_eigensystem(lam, v, tol * _max_abs(lam))
+    operators = (basis * np.sqrt(np.abs(values))).T.reshape(-1, b.dim, b.dim)
+    return SignedOperatorSum(b.dim, tuple(np.sign(values).astype(int)), operators)
 
 
 def apply_map(ops: SignedOperatorSum, rho: np.ndarray) -> np.ndarray:

@@ -396,6 +396,17 @@ def test_reproduce_paper_pretty_output():
     assert "negative probability" in proc.stdout
 
 
+@pytest.mark.parametrize("c0, restores", [("-0.2", True), ("1e308", False)])
+def test_reproduce_paper_claims_recovery_only_within_tol(c0, restores):
+    # At c0 = 1e308 the recovered trace cancels to rounding and the
+    # deviation is about 31: the text must not claim a restored state.
+    proc = run_cli("reproduce-paper", f"--c0={c0}")
+    assert proc.returncode == 0, proc.stderr
+    claim = "projective recovery restores every sampled code state"
+    assert (claim in proc.stdout) == restores
+    assert ("projective recovery does not restore" in proc.stdout) == (not restores)
+
+
 def test_json_flag_is_single_line(tmp_path):
     path = write_channel(tmp_path / "chan.json", SignedOperatorSum.from_terms([1], [I2]))
     compact = run_cli("classify", path, "--json")

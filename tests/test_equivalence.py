@@ -351,6 +351,25 @@ def test_ensemble_connection_different_operators():
         ensemble_connection(a, b)
 
 
+@pytest.mark.parametrize("scale", [1e6, 1.0, 1e-6])
+def test_ensemble_connection_gate_is_relative(scale):
+    # Equal operators connect and a 0.1% change is refused at every scale.
+    rng = np.random.default_rng(97)
+    vecs = scale * (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
+    a = SignedEnsemble(4, (1, 1, -1), vecs)
+    boost = np.eye(3, dtype=complex)
+    boost[0, 0] = boost[2, 2] = np.cosh(0.5)
+    boost[0, 2] = boost[2, 0] = -np.sinh(0.5)  # the inverse of the rapidity-0.5 boost
+    b = SignedEnsemble(4, a.signs, boost @ vecs)
+    res = ensemble_connection(a, b)
+    assert is_pseudounitary(res.u, eta_metric(res.signature), 1e-8)
+    assert np.abs(res.u @ b.vectors - a.vectors).max() < 1e-9 * scale
+    changed = vecs.copy()
+    changed[1] *= 1.001
+    with pytest.raises(OperatorsNotEqual):
+        ensemble_connection(SignedEnsemble(4, a.signs, changed), b)
+
+
 def test_ensemble_connection_random_corpus():
     rng = np.random.default_rng(18)
     for _ in range(30):

@@ -16,6 +16,7 @@ from ncpqec import (
     pseudo_gram_schmidt,
     pseudo_inner,
 )
+from ncpqec.pseudolinalg import _signed_eigensystem
 
 from helpers import (
     ket,
@@ -292,3 +293,34 @@ def test_polar_on_code_batch_matches_single_products():
 def test_polar_on_code_rejects_malformed_products(products, hint):
     with pytest.raises(ValueError, match=hint):
         polar_on_code(products)
+
+
+# ------------------------------------------------------- _signed_eigensystem
+
+
+@pytest.mark.parametrize("explicit_candidates", [False, True])
+def test_signed_eigensystem_ignores_the_eigensolver_basis(explicit_candidates):
+    # Unit phases on every eigenvector and a unitary inside the threefold
+    # and twofold clusters leave the canonical values and basis unchanged.
+    rng = np.random.default_rng(83)
+    spectrum = np.array([3.0, 3.0, 3.0, 1.5, 0.7, 0.0, 0.0, -0.4, -2.0, -2.0])
+    u = random_unitary(rng, spectrum.size)
+    lam, v = np.linalg.eigh((u * spectrum) @ u.conj().T)
+    cut = 1e-9 * np.abs(lam).max()
+    candidates = random_complex(rng, (spectrum.size, 6)) if explicit_candidates else None
+    values, basis = _signed_eigensystem(lam, v, cut, candidates)
+    assert np.abs(values - [3, 3, 3, 1.5, 0.7, -2, -2, -0.4]).max() < 1e-12
+    assert np.abs(basis.conj().T @ basis - np.eye(8)).max() < 1e-12
+    assert np.abs((basis * values) @ basis.conj().T - (u * spectrum) @ u.conj().T).max() < 1e-12
+    for _ in range(5):
+        w = v * np.exp(2j * np.pi * rng.uniform(size=spectrum.size))
+        for cluster in (np.flatnonzero(np.abs(lam - 3) < 1e-6), np.flatnonzero(np.abs(lam + 2) < 1e-6)):
+            w[:, cluster] = w[:, cluster] @ random_unitary(rng, cluster.size)
+        other_values, other_basis = _signed_eigensystem(lam, w, cut, candidates)
+        assert np.abs(other_values - values).max() < 1e-12
+        assert np.abs(other_basis - basis).max() < 1e-12
+
+
+def test_signed_eigensystem_of_nothing_kept():
+    values, basis = _signed_eigensystem(np.zeros(3), np.eye(3), 0.0)
+    assert values.shape == (0,) and basis.shape == (3, 0)

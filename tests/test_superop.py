@@ -17,6 +17,7 @@ from ncpqec import (
     classify,
     is_positive_semidefinite,
     operator_sum_from_b,
+    repetition_bitflip,
     reshuffle,
     split_cp_parts,
     transform_by_pseudounitary,
@@ -208,6 +209,29 @@ def test_canonical_term_ordering():
     assert ops.signs == (1,) * p + (-1,) * (ops.n_terms - p)
     assert all(norms[i] >= norms[i + 1] - 1e-12 for i in range(p - 1))
     assert all(norms[i] >= norms[i + 1] - 1e-12 for i in range(p, ops.n_terms - 1))
+
+
+def test_operator_sum_from_b_fixes_each_term_phase():
+    # The first entry of each unit vec(E_i) above 1e-8 is real and positive,
+    # whatever phase the eigensolver gave the eigenvector.
+    rng = np.random.default_rng(89)
+    for _ in range(50):
+        ops = operator_sum_from_b(BMatrix(3, random_hermitian(rng, 9)))
+        for op in ops.operators:
+            unit = op.reshape(-1) / np.linalg.norm(op)
+            first = unit[np.flatnonzero(np.abs(unit) > 1e-8)[0]]
+            assert first.real > 0 and abs(first.imag) < 1e-12
+
+
+def test_operator_sum_from_b_repetition_code_terms():
+    # A threefold eigenspace: its terms come in the index order of their
+    # first nonzero entries, vec(X_2) at 1, vec(X_1) at 2, vec(X_0) at 4.
+    ops, _ = repetition_bitflip(3, -0.2)
+    flips = [np.kron(np.kron(np.eye(2**k), X), np.eye(2 ** (2 - k))) for k in range(3)]
+    terms = operator_sum_from_b(b_from_operator_sum(ops))
+    assert terms.signs == (1, 1, 1, -1)
+    expected = np.sqrt([0.4, 0.4, 0.4, 0.2])[:, None, None] * np.array(flips[::-1] + [np.eye(8)])
+    assert np.abs(terms.operators - expected).max() < 1e-15
 
 
 def test_apply_map_examples():
