@@ -64,6 +64,7 @@ from .qec import (
     ConditionMatrix,
     NegativityWitness,
     QecReport,
+    Recovery,
     Syndrome,
     SyndromeSet,
     Verdict,

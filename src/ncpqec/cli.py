@@ -30,7 +30,7 @@ from .documents import (
     parse_channel_document,
     parse_code_document,
 )
-from .errors import NumericalFailure
+from .errors import NumericalFailure, ZeroTrace
 from .pseudolinalg import DEFAULT_TOL, _check_tol
 from .qec import analyze, build_recovery, repetition_bitflip, verify_recovery
 from .superop import (
@@ -180,9 +180,13 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
 
     report = analyze(ops, code, tol)
     witness_probability = None if report.witness is None else report.witness.probability
-    recovery_error = None
+    recovery_error = outcome = undecidable = None
     if report.syndromes:
-        recovery_error = float(verify_recovery(ops, build_recovery(report.syndromes), code, trials=20, tol=tol))
+        try:
+            recovery_error = verify_recovery(ops, build_recovery(report.syndromes), code, trials=20, tol=tol)
+            outcome = "restores" if recovery_error <= tol else "does_not_restore"
+        except ZeroTrace as exc:  # the recovered trace cancelled to rounding
+            outcome, undecidable = "undecidable", exc
 
     doc = {
         "schema_version": "1",
@@ -192,6 +196,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
         "verdict": report.verdict.value,
         "witness_probability": witness_probability,
         "recovery_max_error": recovery_error,
+        "recovery_outcome": outcome,
     }
     if args.json:
         print(json.dumps(doc, separators=(",", ":")))
@@ -207,10 +212,11 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
             f"syndrome measurement returns negative probability {witness_probability:.6g} "
             "on a code state: the code space lies outside the map's domain"
         )
-    if recovery_error is not None:
-        restores = "restores" if recovery_error <= tol else "does not restore"
+    if outcome == "undecidable":
+        print(f"projective recovery does not restore the sampled code states verifiably: undecidable, {undecidable}")
+    elif outcome is not None:
         print(
-            f"projective recovery {restores} every sampled code state "
+            f"projective recovery {outcome.replace('_', ' ')} every sampled code state "
             f"(largest Frobenius deviation {recovery_error:.3e} over 24 sample states, tol {tol:.1e})"
         )
     print(f"verdict: {report.verdict.value}")

@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .qec import CodeSpace, NegativityWitness, QecReport, Syndrome, build_recovery, projector_from_basis
+from .qec import CodeSpace, NegativityWitness, QecReport, Recovery, projector_from_basis
 from .superop import AMatrix, BMatrix, SignedOperatorSum
 from .pseudolinalg import Signature
 
@@ -220,7 +220,7 @@ def _encode_syndromes(report: QecReport) -> list[dict] | None:
 
 
 def analysis_document(report: QecReport, signature: Signature) -> dict:
-    """Serialize a :class:`~ncpqec.qec.QecReport`; the recovery is stored as the code's ``B``."""
+    """Serialize a :class:`~ncpqec.qec.QecReport`; the recovery is stored as its ``B``."""
     witness = None
     if report.witness is not None:
         witness = {
@@ -242,7 +242,7 @@ def analysis_document(report: QecReport, signature: Signature) -> dict:
         "syndromes": _encode_syndromes(report),
         "recovery": None
         if report.recovery is None
-        else {"code_isometry": encode_matrix(report.syndromes[0].code_isometry)},
+        else {"code_isometry": encode_matrix(report.recovery.code_isometry)},
         "witness": witness,
     }
 
@@ -252,7 +252,9 @@ def parse_analysis_document(obj: Any) -> dict:
 
     Used to close the serialization loop: every emitted document must
     re-parse.  Returns a plain dict with numpy arrays in place of the
-    encoded matrices; ``recovery`` is rebuilt by ``build_recovery``.
+    encoded matrices; ``recovery`` is the factored
+    :class:`~ncpqec.qec.Recovery` of the stored ``B`` and syndrome
+    isometries, with no dense terms.
     """
     if not isinstance(obj, dict):
         raise ValueError("analysis document must be a JSON object")
@@ -320,9 +322,7 @@ def parse_analysis_document(obj: Any) -> dict:
         shapes = sorted({s["isometry"].shape for s in syndromes})
         if shapes != [b.shape]:
             raise ValueError(f"{where}: shape {b.shape} must be that of every syndrome isometry, got {shapes}")
-        out["recovery"] = build_recovery(
-            tuple(Syndrome(s["isometry"], b, s["weight"], s["sign"], s["term_index"]) for s in syndromes)
-        )
+        out["recovery"] = Recovery(b, np.stack([s["isometry"] for s in syndromes]))
     if witness is not None:
         if not isinstance(witness, dict):
             raise ValueError("analysis.witness must be a JSON object")

@@ -132,13 +132,15 @@ def _coefficients(
     -- the padding together with any explicit zero terms of the input --
     are paired one-to-one, in order, with zero basis columns of the same
     sign, giving the canonical square completion.  A row with a component
-    outside the span of the basis makes the expansion infeasible.
+    outside the span of the basis makes the expansion infeasible.  Both
+    gates are relative to the largest entry of ``x``.
     """
     coeffs = x @ basis.conj().T / np.sqrt(mag)
     size = np.abs(x).max(axis=1)
-    zero = size <= tol
+    scale = tol * size.max(initial=0.0)
+    zero = size <= scale
     error = np.abs(x - (coeffs * np.sqrt(mag)) @ basis).max(axis=1)
-    outside = np.flatnonzero(~zero & (error > 10 * tol * np.maximum(1.0, size)))
+    outside = np.flatnonzero(~zero & (error > 10 * scale))
     if outside.size:
         raise SingularCoefficientMatrix(
             f"term {outside[0]} has a component outside the shared eigenbasis span "

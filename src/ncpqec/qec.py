@@ -18,7 +18,10 @@ canonical term acts on the code space, its syndrome returns the
 certifies that the code space lies outside the domain where the map is
 a physical evolution, and :func:`analyze` reports it as a witness.
 Otherwise the evolution restricted to the code is reversible with
-positive output and a recovery channel is built from the syndromes.
+positive output, and the recovery is the Knill-Laflamme one (PRA 55,
+900, 1997): measure syndrome ``j``, then undo its isometry,
+``R_j = B W_j^dag``.  It is held in factored form, as ``B`` and the
+``W_j``, so no ``d x d`` array is formed after ``V``.
 Analysis gates compare against ``tol`` times the map's scale on the
 code; trace preservation, scale-dependent by definition, uses ``tol``.
 """
@@ -47,6 +50,7 @@ __all__ = [
     "ConditionMatrix",
     "Syndrome",
     "SyndromeSet",
+    "Recovery",
     "NegativityWitness",
     "Verdict",
     "QecReport",
@@ -146,6 +150,51 @@ SyndromeSet = tuple[Syndrome, ...]
 
 
 @dataclass(frozen=True, eq=False)
+class Recovery:
+    """The syndrome recovery ``rho -> sum_j B W_j^dag rho W_j B^dag``, in factored form.
+
+    ``code_isometry`` is the code's ``d x r`` isometry ``B`` and
+    ``isometries`` the read-only ``(m, d, r)`` stack of syndrome
+    isometries ``W_j``; read-only inputs are held without a copy.  Every
+    term ``R_j = B W_j^dag`` has rank ``r``.  ``dim``, ``signs`` (all +1)
+    and ``n_terms`` read as on a
+    :class:`~ncpqec.superop.SignedOperatorSum`, and ``operators`` forms
+    the dense ``(m, d, d)`` terms on each read, so ``apply_map`` takes
+    either.
+    """
+
+    code_isometry: np.ndarray
+    isometries: np.ndarray
+
+    def __post_init__(self) -> None:
+        b, w = (
+            a if a.dtype == complex and not a.flags.writeable else _frozen(a)
+            for a in map(np.asarray, (self.code_isometry, self.isometries))
+        )
+        if b.ndim != 2 or w.ndim != 3 or w.shape[1:] != b.shape:
+            raise ValueError(f"isometries of shape {w.shape} do not stack d x r like the code's {b.shape}")
+        object.__setattr__(self, "code_isometry", b)
+        object.__setattr__(self, "isometries", w)
+
+    @property
+    def dim(self) -> int:
+        return self.code_isometry.shape[0]
+
+    @property
+    def n_terms(self) -> int:
+        return self.isometries.shape[0]
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        return (1,) * self.n_terms
+
+    @property
+    def operators(self) -> np.ndarray:
+        """The dense terms ``B W_j^dag``, ``(m, d, d)``."""
+        return self.code_isometry @ self.isometries.conj().swapaxes(1, 2)
+
+
+@dataclass(frozen=True, eq=False)
 class NegativityWitness:
     """Pure code state ``vector`` whose syndrome outcome has negative probability."""
 
@@ -173,16 +222,17 @@ class QecReport:
     verdict (the ``1 x 1`` zero matrix for a map that annihilates the
     code).  ``diagonalizer`` (``T``), ``diagonal`` (``d``) and
     ``syndromes`` come from :func:`diagonalize_conditions` and are absent
-    when the conditions fail; ``recovery`` is present exactly for the
-    reversible verdict and ``witness`` exactly for the outside-domain
-    verdict.
+    when the conditions fail; ``recovery``, the factored
+    :class:`Recovery` that shares the syndromes' ``W_j`` stack, is
+    present exactly for the reversible verdict and ``witness`` exactly
+    for the outside-domain verdict.
     """
 
     condition: ConditionMatrix
     diagonalizer: np.ndarray | None
     diagonal: np.ndarray | None
     syndromes: SyndromeSet | None
-    recovery: SignedOperatorSum | None
+    recovery: Recovery | None
     verdict: Verdict
     witness: NegativityWitness | None
 
@@ -348,22 +398,26 @@ def diagonalize_conditions(
 
 def _syndromes(
     signs: Sequence[int], products: np.ndarray, code: CodeSpace, d: np.ndarray, tol: float
-) -> SyndromeSet:
-    """Syndromes of the diagonal terms from their ``(m, d, r)`` products ``F_k B``; see :func:`build_syndromes`."""
+) -> tuple[SyndromeSet, np.ndarray]:
+    """Syndromes of the diagonal terms from their ``(m, d, r)`` products ``F_k B``; see :func:`build_syndromes`.
+
+    Also returns the read-only stack of the ``W_k``, of which each syndrome's isometry is a view.
+    """
     d = np.asarray(d, dtype=float)
     if d.shape != (len(products),):
         raise ValueError(f"weight vector has shape {d.shape}, expected ({len(products)},)")
     keep = np.flatnonzero(d > tol * d.max(initial=0.0))
     if not keep.size:
-        return ()
+        return (), products[keep]
     b = code.isometry
     w = polar_on_code(products[keep] / np.sqrt(d[keep])[:, None, None]).isometry
+    w.setflags(write=False)
     overlaps = np.abs(np.einsum("adi,bdj->abij", w.conj(), w)).max(axis=(2, 3))
     np.fill_diagonal(overlaps, 0.0)
     a, c = np.unravel_index(np.argmax(overlaps), overlaps.shape)
     if overlaps[a, c] > 10 * tol:
         raise OrthogonalityViolation(f"syndromes {a} and {c} overlap by {overlaps[a, c]:.3e}")
-    return tuple(Syndrome(w[i], b, float(d[k]), int(signs[k]), int(k)) for i, k in enumerate(keep))
+    return tuple(Syndrome(w[i], b, float(d[k]), int(signs[k]), int(k)) for i, k in enumerate(keep)), w
 
 
 def build_syndromes(
@@ -386,7 +440,7 @@ def build_syndromes(
         exceeds ``10 tol``), which signals that the conditions were not
         actually diagonal.
     """
-    return _syndromes(f_ops.signs, f_ops.operators @ code.isometry, code, d, _check_tol(tol))
+    return _syndromes(f_ops.signs, f_ops.operators @ code.isometry, code, d, _check_tol(tol))[0]
 
 
 def negative_part_on_code(ops: SignedOperatorSum, code: CodeSpace) -> float:
@@ -399,17 +453,22 @@ def negative_part_on_code(ops: SignedOperatorSum, code: CodeSpace) -> float:
     return max((float(np.linalg.norm(v[k])) for k, s in enumerate(ops.signs) if s < 0), default=0.0)
 
 
-def build_recovery(syndromes: SyndromeSet) -> SignedOperatorSum:
-    """Recovery channel ``rho -> sum_j B W_j^dag rho W_j B^dag``.
+def build_recovery(syndromes: SyndromeSet) -> Recovery:
+    """Recovery channel ``rho -> sum_j B W_j^dag rho W_j B^dag``, as a factored :class:`Recovery`.
 
     One (+1) term ``B W_j^dag`` per syndrome: measure the syndrome, then
     map its range back onto the code.  In the polar form
-    ``F_j P = sqrt(d_j) U_j P`` this is ``U_j^dag P_j``.
+    ``F_j P = sqrt(d_j) U_j P`` this is ``U_j^dag P_j``.  The record
+    holds ``B`` and the stacked ``W_j``; its ``operators`` property
+    forms the dense terms.  Raises ``ValueError`` for an empty set or
+    for syndromes on different codes.
     """
     if not syndromes:
         raise ValueError("cannot build a recovery from an empty syndrome set")
-    b, w = (np.stack([getattr(s, name) for s in syndromes]) for name in ("code_isometry", "isometry"))
-    return SignedOperatorSum(b.shape[1], (1,) * len(syndromes), b @ w.conj().swapaxes(1, 2))
+    b = syndromes[0].code_isometry
+    if any(s.code_isometry is not b and not np.array_equal(s.code_isometry, b) for s in syndromes):
+        raise ValueError("syndromes of one recovery must share one code isometry")
+    return Recovery(b, np.stack([s.isometry for s in syndromes]))
 
 
 def domain_witness(
@@ -472,8 +531,8 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
       canonical term acts on the code space -- a witness state with a
       negative outcome probability is attached;
     * ``reversible_positive`` when the conditions hold and every
-      canonical term acting on the code space is positive -- a recovery
-      channel built from the syndromes is attached.
+      canonical term acting on the code space is positive -- the
+      factored :class:`Recovery` built from the syndromes is attached.
 
     The verdict depends on the map and the code, not on the signed
     decomposition that represents the map.  A NaN, infinite or negative
@@ -487,13 +546,13 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
         return QecReport(zero, None, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
     if condition.residual > tol * scale:
         return QecReport(condition, None, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
-    syndromes = _syndromes(signs, np.tensordot(t, v, axes=([0], [0])), code, d, tol)  # F B = V T
+    syndromes, w = _syndromes(signs, np.tensordot(t, v, axes=([0], [0])), code, d, tol)  # F B = V T
     if any(s.sign < 0 for s in syndromes):
         witness = _witness(ops.signs, v[:, :, 0], code.isometry[:, 0], syndromes, tol)
         return QecReport(condition, t, d, syndromes, None, Verdict.CODE_OUTSIDE_DOMAIN, witness)
     if _max_abs(_signed_gram(ops.signs, v) - np.eye(code.rank)) > tol:
         return QecReport(condition, t, d, syndromes, None, Verdict.CONDITIONS_VIOLATED, None)
-    recovery = build_recovery(syndromes)
+    recovery = Recovery(code.isometry, w)  # the syndromes' own stack, not copied
     return QecReport(condition, t, d, syndromes, recovery, Verdict.REVERSIBLE_POSITIVE, None)
 
 
@@ -508,9 +567,37 @@ def _recovery_samples(r: int, trials: int) -> np.ndarray:
     return _frozen(c / np.linalg.norm(c, axis=1, keepdims=True))
 
 
+def _deviation(coords: np.ndarray, signs: np.ndarray, u: np.ndarray, tol: float) -> float:
+    """Largest ``||X||_F`` over the samples ``u``, from the ``k x (1 + N) r`` coordinates of ``[B, M_1, ...]``.
+
+    The coordinates are taken in one orthonormal frame ``Q``, so
+    ``X = sum_n s_n M_n u u^dag M_n^dag / t - B u u^dag B^dag`` has the
+    norm of its ``k x k`` image.  The terms are divided by their largest
+    entry, which leaves ``X`` unchanged and keeps every square finite at
+    any float scale.
+    """
+    k, r = coords.shape[0], u.shape[1]
+    blocks = coords[:, r:].reshape(k, -1, r)
+    live = blocks.any(axis=(0, 2))  # a zero block adds nothing to X
+    m, signs = blocks[:, live], signs[live]
+    y = np.concatenate([coords[:, None, :r], m / (_max_abs(m) or 1.0)], axis=1) @ u.T  # y[:, n] = [B u, M_1 u, ...]
+    power = np.einsum("kns,kns->ns", y[:, 1:], y[:, 1:].conj()).real  # ||M_n u||^2
+    t, unsigned = signs @ power, power.sum(axis=0)
+    small = np.abs(t) <= tol * unsigned
+    if small.any():
+        i = int(np.argmax(small))
+        ratio = abs(t[i]) / unsigned[i] if unsigned[i] else 0.0
+        raise ZeroTrace(
+            f"recovered trace cancels to {ratio:.3e} of its unsigned trace sum |s| ||M u||^2 (tol {tol:.1e})"
+        )
+    weights = np.concatenate([-np.ones((1, t.size)), signs[:, None] / t])
+    x = np.einsum("ans,ns,bns->sab", y, weights, y.conj())
+    return float(np.sqrt(np.einsum("sab,sab->s", x, x.conj()).real.max()))
+
+
 def verify_recovery(
     ops: SignedOperatorSum,
-    recovery: SignedOperatorSum,
+    recovery: SignedOperatorSum | Recovery,
     code: CodeSpace,
     trials: int = 20,
     tol: float = DEFAULT_TOL,
@@ -523,13 +610,22 @@ def verify_recovery(
     superpositions with phases 1 and i, and ``trials`` reproducible
     random logical states.  Map and recovery enter only through the
     ``d x r`` terms ``M_jk = R_j E_k B``: each deviation ``X = A Z A^dag``
-    lies in the column span of ``A = [B, M_11, M_12, ...]``, so one thin
-    QR ``A = Q R`` gives ``||X||_F = ||R Z R^dag||_F`` with no ``d x d``
-    state and no rank cut; Householder QR keeps each column accurate
-    beside much larger ones, so no scale of the recovery reads as a
-    deviation.  Exactly zero blocks ``M_jk`` stay out of ``A``; for a
-    syndrome recovery most blocks are.  The Frobenius norm bounds every
-    entry of ``X``, leakage off the code included.
+    lies in the column span of ``A = [B, M_11, M_12, ...]``, and its norm
+    is taken on the coordinates of ``A`` in an orthonormal frame, with no
+    ``d x d`` state and no rank cut.
+
+    * A dense :class:`~ncpqec.superop.SignedOperatorSum` recovery gives
+      the frame by one thin Householder QR of ``A``, which keeps each
+      column accurate beside much larger ones; exactly zero blocks
+      ``M_jk`` stay out of it.
+    * A factored :class:`Recovery` with isometry ``L`` has
+      ``M_jk = L G_jk`` with ``r x r`` blocks ``G_jk = W_j^dag E_k B``,
+      so the frame comes from a QR of the ``d x 2r`` matrix ``[B, L]``.
+      When ``L`` is ``B`` the frame is ``B`` itself, orthonormal within
+      the :class:`CodeSpace` check, and no ``d x d`` product is formed.
+
+    The Frobenius norm bounds every entry of ``X``, leakage off the code
+    included.
 
     Raises
     ------
@@ -537,7 +633,10 @@ def verify_recovery(
         If ``tol`` is not a finite non-negative number, ``trials`` is not
         a non-negative integer, or the dimensions differ.
     ZeroTrace
-        If a recovered state has trace at most ``tol`` in magnitude.
+        If a recovered trace ``t`` is at most ``tol`` times the unsigned
+        trace ``sum_jk |s_jk| ||M_jk u||^2``: it has cancelled to
+        rounding (or the recovery annihilates the state), so the check
+        cannot decide.
     """
     _check_tol(tol)
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
@@ -546,18 +645,20 @@ def verify_recovery(
         raise ValueError("map, recovery and code must share one dimension")
     b = code.isometry
     d, r = b.shape
-    v = (ops.operators @ b).transpose(1, 0, 2).reshape(d, -1)  # [E_1 B, E_2 B, ...]
-    m = (recovery.operators @ v).transpose(1, 0, 2).reshape(d, -1, r)  # m[:, n] = M_jk, n = j K + k
-    signs = np.outer(recovery.signs, ops.signs).ravel()
-    u = _recovery_samples(r, trials)
-    gram = (m * signs[:, None]).reshape(-1, r).conj().T @ m.reshape(-1, r)  # sum_jk s_jk M_jk^dag M_jk
-    t = np.einsum("sf,fg,sg->s", u.conj(), gram, u).real
-    if np.any(np.abs(t) <= tol):
-        raise ZeroTrace(f"recovered state has trace {t[np.argmin(np.abs(t))]:.3e}")
-    live = m.any(axis=(0, 2))  # a zero block adds nothing to X
-    upper = np.linalg.qr(np.concatenate([b, m[:, live].reshape(d, -1)], axis=1), mode="r")
-    # Z = diag(-sigma, s_jk sigma / t, ...) and sigma = u u^dag, so R Z R^dag = Y diag(w) Y^dag
-    y = (upper.reshape(-1, r) @ u.T).reshape(upper.shape[0], -1, t.size).transpose(2, 0, 1)  # [R_B u, R_11 u, ...]
-    weights = np.concatenate([-np.ones((t.size, 1)), signs[live] / t[:, None]], axis=1)
-    x = (y * weights[:, None, :]) @ y.conj().swapaxes(1, 2)
-    return float(np.max(np.linalg.norm(x, axis=(1, 2))))
+    v = (ops.operators.reshape(-1, d) @ b).reshape(-1, d, r).transpose(1, 0, 2).reshape(d, -1)  # [E_1 B, E_2 B, ...]
+    signs = np.outer(recovery.signs, ops.signs).ravel()  # s_jk, n = j K + k
+    if isinstance(recovery, Recovery):
+        left = recovery.code_isometry
+        g = recovery.isometries.conj().swapaxes(1, 2).reshape(-1, d) @ v  # block (j, k): G_jk = W_j^dag V_k
+        g = g.reshape(-1, r, v.shape[1]).swapaxes(0, 1).reshape(r, -1)  # [G_11, G_12, ...]
+        if left is b or np.array_equal(left, b):  # M_jk = B G_jk: the frame is B
+            coords = np.concatenate([np.eye(r), g], axis=1)
+        else:  # [B, L] = Q upper
+            upper = np.linalg.qr(np.concatenate([b, left], axis=1), mode="r")
+            coords = np.concatenate([upper[:, :r], upper[:, r:] @ g], axis=1)
+    else:
+        m = (recovery.operators @ v).transpose(1, 0, 2).reshape(d, -1, r)  # m[:, n] = M_jk
+        live = m.any(axis=(0, 2))  # kept out of the QR as well
+        coords = np.linalg.qr(np.concatenate([b, m[:, live].reshape(d, -1)], axis=1), mode="r")
+        signs = signs[live]
+    return _deviation(coords, signs, _recovery_samples(r, trials), tol)

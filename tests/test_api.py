@@ -36,6 +36,7 @@ PUBLIC = {
     "PseudoDiagonalization",
     "PseudoDiagonalizationFailure",
     "QecReport",
+    "Recovery",
     "Signature",
     "SignedEnsemble",
     "SignedOperatorSum",
@@ -121,6 +122,7 @@ RECORDS = {
     "ConditionMatrix": lambda ops, code: ncpqec.analyze(ops, code).condition,
     "Syndrome": lambda ops, code: ncpqec.analyze(ops, code).syndromes[0],
     "NegativityWitness": lambda ops, code: ncpqec.analyze(ops, code).witness,
+    "Recovery": lambda ops, code: ncpqec.build_recovery(ncpqec.analyze(ops, code).syndromes),
     "QecReport": lambda ops, code: ncpqec.analyze(ops, code),
 }
 

@@ -407,6 +407,19 @@ def test_reproduce_paper_claims_recovery_only_within_tol(c0, restores):
     assert ("projective recovery does not restore" in proc.stdout) == (not restores)
 
 
+@pytest.mark.parametrize("c0, outcome", [("-0.2", "restores"), ("1e308", "undecidable")])
+def test_reproduce_paper_states_the_recovery_outcome(c0, outcome):
+    # At c0 = 1e308 the recovered trace cancels to rounding against the
+    # unsigned trace: the check cannot decide, which the JSON and the text say.
+    proc = run_cli("reproduce-paper", f"--c0={c0}", "--json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["recovery_outcome"] == outcome
+    assert (doc["recovery_max_error"] is None) == (outcome == "undecidable")
+    text = run_cli("reproduce-paper", f"--c0={c0}").stdout
+    assert ("undecidable, recovered trace cancels to" in text) == (outcome == "undecidable")
+
+
 def test_json_flag_is_single_line(tmp_path):
     path = write_channel(tmp_path / "chan.json", SignedOperatorSum.from_terms([1], [I2]))
     compact = run_cli("classify", path, "--json")

@@ -20,7 +20,7 @@ from ncpqec.documents import (
     parse_code_document,
 )
 from ncpqec.pseudolinalg import Signature
-from ncpqec.qec import analyze, repetition_bitflip
+from ncpqec.qec import Recovery, analyze, repetition_bitflip, verify_recovery
 from ncpqec.superop import AMatrix, BMatrix, SignedOperatorSum, a_from_operator_sum, b_from_operator_sum
 
 from helpers import I2, X, Z, bitflip_ops, random_complex, repetition_code
@@ -279,6 +279,18 @@ def test_analysis_document_reversible_roundtrip():
     assert rec.signs == report.recovery.signs
     for a, b in zip(rec.operators, report.recovery.operators):
         assert np.abs(a - b).max() == 0
+
+
+def test_parsed_recovery_is_factored():
+    # The parser holds the stored B and the syndrome isometries, bit for
+    # bit, and the record verifies like the report's own.
+    ops, code = repetition_bitflip(5, 0.7)
+    report = analyze(ops, code)
+    rec = parse_analysis_document(_roundtrip(analysis_document(report, ops.signature)))["recovery"]
+    assert type(rec) is Recovery
+    assert np.array_equal(rec.code_isometry, report.recovery.code_isometry)
+    assert np.array_equal(rec.isometries, report.recovery.isometries)
+    assert verify_recovery(ops, rec, code) == verify_recovery(ops, report.recovery, code)
 
 
 def _is_pair(z):

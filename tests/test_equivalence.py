@@ -436,3 +436,20 @@ def test_map_connection_is_the_transposed_ensemble_connection(padded):
     assert maps.signature == ensembles.signature
     assert maps.padding_added == ensembles.padding_added[::-1]
     assert maps.residual == ensembles.residual
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-12])
+def test_ensemble_connection_connects_small_equal_ensembles(scale):
+    # Equal ensembles far below the tolerance in absolute size still
+    # connect: the zero-term and span gates are relative to their scale.
+    rng = np.random.default_rng(97)
+    vecs = scale * (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
+    a = SignedEnsemble(4, (1, 1, -1), vecs)
+    boost = np.eye(3, dtype=complex)
+    boost[0, 0] = boost[2, 2] = np.cosh(0.5)
+    boost[0, 2] = boost[2, 0] = -np.sinh(0.5)
+    b = SignedEnsemble(4, a.signs, boost @ vecs)
+    res = ensemble_connection(a, b)
+    assert res.padding_added == (0, 0)
+    assert is_pseudounitary(res.u, eta_metric(res.signature), 1e-8)
+    assert np.abs(res.u @ b.vectors - a.vectors).max() < 1e-9 * scale

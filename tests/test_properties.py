@@ -123,6 +123,16 @@ def test_verify_recovery_ignores_the_recovery_scale(case, exponent):
 
 
 @PROPERTY
+@given(maps())
+def test_factored_recovery_verifies_as_its_dense_terms(case):
+    ops, _ = case
+    recovery = analyze(ops, CODE).recovery
+    assume(recovery is not None)
+    dense = SignedOperatorSum(8, recovery.signs, recovery.operators)
+    assert abs(verify_recovery(ops, recovery, CODE) - verify_recovery(ops, dense, CODE)) < 1e-14
+
+
+@PROPERTY
 @given(maps(), st.booleans())
 def test_pseudo_diagonalize_oracle_matches_weights(case, boosted):
     ops, rng = case

@@ -9,6 +9,7 @@ from ncpqec import (
     ConditionsViolated,
     LinearDependence,
     QecReport,
+    Recovery,
     Signature,
     SignedOperatorSum,
     Syndrome,
@@ -325,6 +326,90 @@ def test_recovery_proportionality_constant():
             assert np.abs(out - total * rho).max() < 1e-8
 
 
+def test_recovery_is_factored():
+    # analyze holds B and the syndromes' own W stack; the dense terms are B W_j^dag.
+    ops, code = repetition_bitflip(4, 0.7)
+    report = analyze(ops, code)
+    rec = report.recovery
+    assert type(rec) is Recovery
+    assert rec.code_isometry is code.isometry
+    assert rec.isometries.shape == (5, 16, 2) and not rec.isometries.flags.writeable
+    assert all(np.shares_memory(rec.isometries, s.isometry) for s in report.syndromes)
+    assert (rec.dim, rec.n_terms, rec.signs) == (16, 5, (1,) * 5)
+    dense = rec.operators
+    assert dense.shape == (5, 16, 16)
+    for j, w in enumerate(rec.isometries):
+        assert np.array_equal(dense[j], code.isometry @ w.conj().T)
+    built = build_recovery(report.syndromes)
+    assert np.array_equal(built.operators, dense)
+
+
+@pytest.mark.parametrize(
+    "b, w",
+    [(np.eye(4)[:, :2], np.zeros((2, 4, 3))), (np.eye(4)[:, :2], np.zeros((4, 2))), (np.eye(4)[0], np.zeros((1, 4, 1)))],
+)
+def test_recovery_rejects_mismatched_shapes(b, w):
+    with pytest.raises(ValueError, match="isometries"):
+        Recovery(b, w)
+
+
+def test_build_recovery_rejects_syndromes_of_two_codes():
+    syn = analyze(bitflip_ops(0.7), repetition_code()).syndromes
+    moved = Syndrome(syn[1].isometry, syn[1].code_isometry[:, ::-1], syn[1].weight, 1, syn[1].term_index)
+    with pytest.raises(ValueError, match="one code isometry"):
+        build_recovery((syn[0], moved))
+
+
+def _dense(recovery):
+    return SignedOperatorSum(recovery.dim, recovery.signs, recovery.operators)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("c0", [-0.2, 0.7])
+def test_factored_and_dense_verification_agree(n, c0):
+    ops, code = repetition_bitflip(n, c0)
+    rec = build_recovery(analyze(ops, code).syndromes)
+    factored = verify_recovery(ops, rec, code)
+    assert factored < 1e-14
+    assert abs(factored - verify_recovery(ops, _dense(rec), code)) < 1e-14
+
+
+def _wrong_recoveries():
+    """A 3-qubit CP recovery with one ``W_j`` moved by 1e-3, with another code's ``W``, or with another ``B``."""
+    ops, code = repetition_bitflip(3, 0.7)
+    rec = analyze(ops, code).recovery
+    w = np.array(rec.isometries)
+    w[1] += 1e-3 * random_complex(np.random.default_rng(3), w[1].shape)
+    other = projector_from_basis([ket(1, 8), ket(6, 8)])
+    yield "perturbed W_j", Recovery(code.isometry, w)
+    yield "another code's W", Recovery(code.isometry, analyze(ops, other).recovery.isometries)
+    yield "another code's B", Recovery(other.isometry, rec.isometries)
+    yield "logically flipped B", Recovery(code.isometry[:, ::-1], rec.isometries)
+
+
+@pytest.mark.parametrize("name, recovery", list(_wrong_recoveries()))
+def test_factored_verification_reads_a_wrong_recovery(name, recovery):
+    ops, code = repetition_bitflip(3, 0.7)
+    factored, dense = (verify_recovery(ops, r, code) for r in (recovery, _dense(recovery)))
+    assert factored > 1e-4 and dense > 1e-4
+    assert abs(factored - dense) < 1e-14
+
+
+def test_verify_recovery_gates_the_trace_against_the_unsigned_trace():
+    # A recovered trace that cancels to rounding is undecidable at any
+    # scale; a small but uncancelled one is decided.
+    ops, code = repetition_bitflip(3, 0.7)
+    rec = analyze(ops, code).recovery
+    for scale in (1e-6, 1e-150):
+        small = SignedOperatorSum(8, ops.signs, scale * ops.operators)
+        assert verify_recovery(small, rec, code) < 1e-14
+        assert verify_recovery(small, _dense(rec), code) < 1e-14
+    canceling = SignedOperatorSum.from_terms([1, -1], [I8, I8 * (1 - 1e-12)])
+    for recovery in (rec, _dense(rec)):
+        with pytest.raises(ZeroTrace, match="unsigned trace"):
+            verify_recovery(canceling, recovery, code)
+
+
 def test_domain_witness_bitflip():
     ops = bitflip_ops(-0.2)
     code = repetition_code()
@@ -597,9 +682,10 @@ def test_verify_recovery_keeps_small_nonzero_blocks(monkeypatch, scale):
 def test_verify_recovery_leaves_null_blocks_out_of_the_svd(monkeypatch):
     # n = 6: K = 7 map terms and J = 7 recovery terms give 49 blocks, of
     # which the 7 with j = k are nonzero, so A is 64 x (1 + 7) r, not
-    # 64 x (1 + 49) r.
+    # 64 x (1 + 49) r. The dense form of the recovery takes this path.
     ops, code = repetition_bitflip(6, 0.7)
-    recovery = analyze(ops, code).recovery
+    rec = analyze(ops, code).recovery
+    recovery = SignedOperatorSum(64, rec.signs, rec.operators)
     shapes = _qr_shapes(monkeypatch)
     verify_recovery(ops, recovery, code)
     assert shapes == [(64, (1 + 7) * 2)]
@@ -818,8 +904,7 @@ def test_stages_reject_invalid_tolerance(stage, tol):
 @pytest.mark.parametrize("c0, bound", [(-0.2, 0.1), (0.7, 2.5)])
 def test_analyze_peak_memory_scales_with_the_code(c0, bound):
     # analyze reads the map only through V = E B (n x d x r), so its peak
-    # allocation is far below the map's own n x d x d terms; only the CP
-    # map's recovery holds d x d terms (built once, stored once).
+    # allocation is far below the map's own n x d x d terms.
     ops, code = repetition_bitflip(8, c0)
     analyze(ops, code)  # first-call set-up stays out of the measurement
     tracemalloc.start()
@@ -831,10 +916,26 @@ def test_analyze_peak_memory_scales_with_the_code(c0, bound):
     assert peak < bound * ops.operators.nbytes
 
 
+def test_analyze_builds_no_dense_recovery():
+    # The CP map's recovery is factored, B and the W_j, so no d x d array
+    # is formed on the reversible verdict either.
+    ops, code = repetition_bitflip(8, 0.7)
+    analyze(ops, code)  # first-call set-up stays out of the measurement
+    tracemalloc.start()
+    try:
+        report = analyze(ops, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict is Verdict.REVERSIBLE_POSITIVE
+    assert peak <= 0.05 * ops.operators.nbytes
+
+
 def test_verify_recovery_peak_memory_holds_no_d_by_d_state():
-    # The deviation is taken on the d x r terms R_j E_k B and the factors
-    # of their thin QR, so no (samples, d, d) stack is formed: the peak
-    # allocation (0.27x at n = 8) stays below the map's own n x d x d terms.
+    # The deviation is taken on the coordinates of the d x r terms
+    # R_j E_k B, so no (samples, d, d) stack is formed: the peak
+    # allocation (0.024x at n = 8 for the factored recovery) stays below the
+    # map's own n x d x d terms.
     ops, code = repetition_bitflip(8, 0.7)
     recovery = analyze(ops, code).recovery
     verify_recovery(ops, recovery, code)  # first-call set-up stays out of the measurement
