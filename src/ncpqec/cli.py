@@ -205,7 +205,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     print(f"inverted bit-flip mixture on three qubits: c0 = {c0:g}, c1 = {c1:g}")
     print("outcome values tr(|f><f| E(rho)) for rho = a|000><000| + (1-a)|111><111|:")
     for label, values in mixtures.items():
-        cells = "  ".join(f"|{k}>: {v: .4f}" for k, v in values.items())
+        cells = "  ".join(f"|{k}>: {v: .6g}" for k, v in values.items())
         print(f"  {label:7s} {cells}")
     if witness_probability is not None:
         print(

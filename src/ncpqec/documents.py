@@ -205,23 +205,12 @@ def parse_code_document(obj: Any, tol: float) -> CodeSpace:
     return projector_from_basis(basis, tol)
 
 
-def _encode_syndromes(report: QecReport) -> list[dict] | None:
-    if report.syndromes is None:
-        return None
-    return [
-        {
-            "isometry": encode_matrix(s.isometry),
-            "weight": float(s.weight),
-            "sign": int(s.sign),
-            "term_index": int(s.term_index),
-        }
-        for s in report.syndromes
-    ]
-
-
 def analysis_document(report: QecReport, signature: Signature) -> dict:
     """Serialize a :class:`~ncpqec.qec.QecReport`; the recovery is stored as its ``B``."""
-    witness = None
+    syndromes = witness = None
+    if (syn := report.syndromes) is not None:  # the whole W stack in one conversion
+        columns = _pairs(syn.isometries), syn.weights.tolist(), syn.signs.tolist(), syn.term_indices.tolist()
+        syndromes = [{"isometry": w, "weight": x, "sign": s, "term_index": k} for w, x, s, k in zip(*columns)]
     if report.witness is not None:
         witness = {
             "vector": encode_vector(report.witness.vector),
@@ -239,10 +228,8 @@ def analysis_document(report: QecReport, signature: Signature) -> dict:
         },
         "diagonalizer": None if report.diagonalizer is None else encode_matrix(report.diagonalizer),
         "diagonal": None if report.diagonal is None else np.asarray(report.diagonal, dtype=float).tolist(),
-        "syndromes": _encode_syndromes(report),
-        "recovery": None
-        if report.recovery is None
-        else {"code_isometry": encode_matrix(report.recovery.code_isometry)},
+        "syndromes": syndromes,
+        "recovery": None if report.recovery is None else {"code_isometry": _pairs(report.recovery.code_isometry)},
         "witness": witness,
     }
 
@@ -312,13 +299,13 @@ def parse_analysis_document(obj: Any) -> dict:
             )
             taken.add(decoded[-1]["term_index"])
         out["syndromes"] = decoded
+    syndromes = out.get("syndromes") or []
     if obj.get("recovery") is not None:
         rec = obj["recovery"]
         if not isinstance(rec, dict):
             raise ValueError("analysis.recovery must be a JSON object")
         where = "analysis.recovery.code_isometry"
         b = decode_matrix(_require(rec, "code_isometry", "analysis.recovery"), where)
-        syndromes = out.get("syndromes") or []
         shapes = sorted({s["isometry"].shape for s in syndromes})
         if shapes != [b.shape]:
             raise ValueError(f"{where}: shape {b.shape} must be that of every syndrome isometry, got {shapes}")
@@ -327,7 +314,6 @@ def parse_analysis_document(obj: Any) -> dict:
         if not isinstance(witness, dict):
             raise ValueError("analysis.witness must be a JSON object")
         where = "analysis.witness"
-        syndromes = out.get("syndromes") or []
         what = f"an index below the syndrome count {len(syndromes)}"
         index = _field(witness, "syndrome_index", where, int, what, lambda x: 0 <= x < len(syndromes))
         vector = decode_vector(_require(witness, "vector", where), f"{where}.vector")

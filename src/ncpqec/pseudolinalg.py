@@ -87,14 +87,14 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only complex copy of ``a``, for the immutable records.
+def _frozen(a: np.ndarray, dtype: type = complex) -> np.ndarray:
+    """A read-only copy of ``a`` as ``dtype`` (complex by default), for the immutable records.
 
     The records that hold such arrays are ``eq=False`` dataclasses: they
     compare by identity and hash, as ``==`` on arrays has no truth value
     (``maps_equal`` compares maps by value).
     """
-    out = np.array(a, dtype=complex, copy=True)
+    out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 

@@ -20,8 +20,8 @@ a physical evolution, and :func:`analyze` reports it as a witness.
 Otherwise the evolution restricted to the code is reversible with
 positive output, and the recovery is the Knill-Laflamme one (PRA 55,
 900, 1997): measure syndrome ``j``, then undo its isometry,
-``R_j = B W_j^dag``.  It is held in factored form, as ``B`` and the
-``W_j``, so no ``d x d`` array is formed after ``V``.
+``R_j = B W_j^dag``.  The :class:`SyndromeSet` holds it once, factored as
+``B`` and the ``W_j``, so no ``d x d`` array is formed after ``V``.
 Analysis gates compare against ``tol`` times the map's scale on the
 code; trace preservation, scale-dependent by definition, uses ``tol``.
 """
@@ -127,15 +127,13 @@ class ConditionMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Syndrome:
-    """One measurement branch of diagonal term ``F_k``, on the code space.
+    """One measurement branch of diagonal term ``F_k``, on the code space: a :class:`SyndromeSet` item.
 
-    ``isometry`` is the ``d x r`` polar isometry ``W_k`` with
-    ``F_k B = sqrt(weight) W_k``; ``code_isometry`` is the code's ``B``,
-    one array shared by all syndromes of a set.
+    ``isometry``, a view of the set's stack, is the ``d x r`` polar
+    isometry ``W_k`` with ``F_k B = sqrt(weight) W_k``.
     """
 
     isometry: np.ndarray
-    code_isometry: np.ndarray
     weight: float
     sign: int
     term_index: int
@@ -146,18 +144,15 @@ class Syndrome:
         return self.isometry @ self.isometry.conj().T
 
 
-SyndromeSet = tuple[Syndrome, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class Recovery:
     """The syndrome recovery ``rho -> sum_j B W_j^dag rho W_j B^dag``, in factored form.
 
     ``code_isometry`` is the code's ``d x r`` isometry ``B`` and
     ``isometries`` the read-only ``(m, d, r)`` stack of syndrome
-    isometries ``W_j``; read-only inputs are held without a copy.  Every
-    term ``R_j = B W_j^dag`` has rank ``r``.  ``dim``, ``signs`` (all +1)
-    and ``n_terms`` read as on a
+    isometries ``W_j``; an input that is read-only and owns its memory
+    is held without a copy.  Every term ``R_j = B W_j^dag`` has rank
+    ``r``.  ``dim``, ``signs`` (all +1) and ``n_terms`` read as on a
     :class:`~ncpqec.superop.SignedOperatorSum`, and ``operators`` forms
     the dense ``(m, d, d)`` terms on each read, so ``apply_map`` takes
     either.
@@ -168,7 +163,7 @@ class Recovery:
 
     def __post_init__(self) -> None:
         b, w = (
-            a if a.dtype == complex and not a.flags.writeable else _frozen(a)
+            a if a.dtype == complex and not a.flags.writeable and a.base is None else _frozen(a)
             for a in map(np.asarray, (self.code_isometry, self.isometries))
         )
         if b.ndim != 2 or w.ndim != 3 or w.shape[1:] != b.shape:
@@ -192,6 +187,38 @@ class Recovery:
     def operators(self) -> np.ndarray:
         """The dense terms ``B W_j^dag``, ``(m, d, d)``."""
         return self.code_isometry @ self.isometries.conj().swapaxes(1, 2)
+
+
+@dataclass(frozen=True, eq=False)
+class SyndromeSet:
+    """The retained syndromes of the diagonal terms, held once as arrays.
+
+    ``recovery``, their Knill-Laflamme recovery, holds the code's ``B``
+    and the ``(m, d, r)`` stack of the ``W_j``.  ``weights`` (float),
+    ``signs`` and ``term_indices`` (int) are read-only length-``m``
+    copies.  Indexing and iteration give the :class:`Syndrome` views.
+    """
+
+    recovery: Recovery
+    weights: np.ndarray
+    signs: np.ndarray
+    term_indices: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("weights", float), ("signs", int), ("term_indices", int)):
+            object.__setattr__(self, name, a := _frozen(getattr(self, name), dtype))
+            if a.shape != (len(self),):
+                raise ValueError(f"{name} has shape {a.shape}, expected ({len(self)},), one per isometry")
+
+    @property
+    def isometries(self) -> np.ndarray:
+        return self.recovery.isometries
+
+    def __len__(self) -> int:
+        return self.recovery.n_terms
+
+    def __getitem__(self, j: int) -> Syndrome:
+        return Syndrome(self.isometries[j], float(self.weights[j]), int(self.signs[j]), int(self.term_indices[j]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,28 +249,27 @@ class QecReport:
     verdict (the ``1 x 1`` zero matrix for a map that annihilates the
     code).  ``diagonalizer`` (``T``), ``diagonal`` (``d``) and
     ``syndromes`` come from :func:`diagonalize_conditions` and are absent
-    when the conditions fail; ``recovery``, the factored
-    :class:`Recovery` that shares the syndromes' ``W_j`` stack, is
-    present exactly for the reversible verdict and ``witness`` exactly
-    for the outside-domain verdict.
+    when the conditions fail.  ``witness`` is present exactly for the
+    outside-domain verdict; ``recovery`` is the syndromes' own factored
+    :class:`Recovery` for the reversible verdict and ``None`` otherwise.
     """
 
     condition: ConditionMatrix
     diagonalizer: np.ndarray | None
     diagonal: np.ndarray | None
     syndromes: SyndromeSet | None
-    recovery: Recovery | None
     verdict: Verdict
     witness: NegativityWitness | None
 
     def __post_init__(self) -> None:
-        if self.verdict == Verdict.REVERSIBLE_POSITIVE:
-            if self.recovery is None or not self.syndromes or self.witness is not None:
-                raise ValueError("reversible verdict requires a recovery, its syndromes and no witness")
-        if self.verdict == Verdict.CODE_OUTSIDE_DOMAIN and self.witness is None:
-            raise ValueError("outside-domain verdict requires a witness")
-        if self.verdict == Verdict.CONDITIONS_VIOLATED and self.witness is not None:
-            raise ValueError("conditions-violated verdict carries no witness")
+        if self.verdict == Verdict.REVERSIBLE_POSITIVE and (not self.syndromes or (self.syndromes.signs != 1).any()):
+            raise ValueError("reversible verdict requires syndromes, all of sign +1")
+        if (self.witness is None) == (self.verdict == Verdict.CODE_OUTSIDE_DOMAIN):
+            raise ValueError("the outside-domain verdict requires a witness, and no other verdict carries one")
+
+    @property
+    def recovery(self) -> Recovery | None:
+        return self.syndromes.recovery if self.verdict == Verdict.REVERSIBLE_POSITIVE else None
 
 
 def projector_from_basis(vectors: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> CodeSpace:
@@ -296,12 +322,16 @@ def repetition_bitflip(n: int, c0: float) -> tuple[SignedOperatorSum, CodeSpace]
     return ops, projector_from_basis([zeros, ones])
 
 
-def _on_code(ops: SignedOperatorSum, code: CodeSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Terms on the code ``V_k = E_k B`` and the ``(n, n, r, r)`` blocks ``V_k^dag V_l``."""
+def _on_code(ops: SignedOperatorSum, code: CodeSpace, start: int = 0) -> np.ndarray:
+    """Terms on the code ``V_k = E_k B`` for ``k >= start``, ``(n - start, d, r)``."""
     if ops.dim != code.dim:
         raise ValueError(f"operator dimension {ops.dim} does not match code dimension {code.dim}")
-    v = ops.operators @ code.isometry
-    return v, np.einsum("kda,ldb->klab", v.conj(), v)
+    return ops.operators[start:] @ code.isometry
+
+
+def _blocks(v: np.ndarray) -> np.ndarray:
+    """The ``(n, n, r, r)`` blocks ``V_k^dag V_l`` of the terms on the code."""
+    return np.einsum("kda,ldb->klab", v.conj(), v)
 
 
 def _condition_fit(blocks: np.ndarray, signs: Sequence[int] | None, form: str) -> ConditionMatrix:
@@ -323,7 +353,7 @@ def cp_condition_matrix(operators: Sequence[np.ndarray], code: CodeSpace) -> Con
     if not len(operators):
         raise ValueError("at least one operator is required")
     ops = SignedOperatorSum(code.dim, (1,) * len(operators), operators)
-    return _condition_fit(_on_code(ops, code)[1], None, "hermitian")
+    return _condition_fit(_blocks(_on_code(ops, code)), None, "hermitian")
 
 
 def ph_condition_matrix(ops: SignedOperatorSum, code: CodeSpace) -> ConditionMatrix:
@@ -333,7 +363,7 @@ def ph_condition_matrix(ops: SignedOperatorSum, code: CodeSpace) -> ConditionMat
     of ``ops.signature``.  The residual is measured as in
     :func:`cp_condition_matrix`.
     """
-    return _condition_fit(_on_code(ops, code)[1], ops.signs, "pseudohermitian")
+    return _condition_fit(_blocks(_on_code(ops, code)), ops.signs, "pseudohermitian")
 
 
 def _canonical_terms(
@@ -387,7 +417,7 @@ def diagonalize_conditions(
         If the canonical residual exceeds ``tol`` times the map's scale on
         the code.
     """
-    signs, d, t, condition, scale = _canonical_terms(ops.signs, _on_code(ops, code)[1], _check_tol(tol))
+    signs, d, t, condition, scale = _canonical_terms(ops.signs, _blocks(_on_code(ops, code)), _check_tol(tol))
     if condition.residual > tol * scale:
         raise ConditionsViolated(
             f"signed correctability conditions fail: residual {condition.residual:.3e} "
@@ -398,26 +428,20 @@ def diagonalize_conditions(
 
 def _syndromes(
     signs: Sequence[int], products: np.ndarray, code: CodeSpace, d: np.ndarray, tol: float
-) -> tuple[SyndromeSet, np.ndarray]:
-    """Syndromes of the diagonal terms from their ``(m, d, r)`` products ``F_k B``; see :func:`build_syndromes`.
-
-    Also returns the read-only stack of the ``W_k``, of which each syndrome's isometry is a view.
-    """
+) -> SyndromeSet:
+    """Syndromes of the diagonal terms from their ``(m, d, r)`` products ``F_k B``; see :func:`build_syndromes`."""
     d = np.asarray(d, dtype=float)
     if d.shape != (len(products),):
         raise ValueError(f"weight vector has shape {d.shape}, expected ({len(products)},)")
     keep = np.flatnonzero(d > tol * d.max(initial=0.0))
-    if not keep.size:
-        return (), products[keep]
-    b = code.isometry
     w = polar_on_code(products[keep] / np.sqrt(d[keep])[:, None, None]).isometry
-    w.setflags(write=False)
+    w.setflags(write=False)  # held by the record without a copy
     overlaps = np.abs(np.einsum("adi,bdj->abij", w.conj(), w)).max(axis=(2, 3))
     np.fill_diagonal(overlaps, 0.0)
-    a, c = np.unravel_index(np.argmax(overlaps), overlaps.shape)
-    if overlaps[a, c] > 10 * tol:
+    if overlaps.max(initial=0.0) > 10 * tol:
+        a, c = np.unravel_index(np.argmax(overlaps), overlaps.shape)
         raise OrthogonalityViolation(f"syndromes {a} and {c} overlap by {overlaps[a, c]:.3e}")
-    return tuple(Syndrome(w[i], b, float(d[k]), int(signs[k]), int(k)) for i, k in enumerate(keep)), w
+    return SyndromeSet(Recovery(code.isometry, w), d[keep], np.asarray(signs)[keep], keep)
 
 
 def build_syndromes(
@@ -440,7 +464,7 @@ def build_syndromes(
         exceeds ``10 tol``), which signals that the conditions were not
         actually diagonal.
     """
-    return _syndromes(f_ops.signs, f_ops.operators @ code.isometry, code, d, _check_tol(tol))[0]
+    return _syndromes(f_ops.signs, f_ops.operators @ code.isometry, code, d, _check_tol(tol))
 
 
 def negative_part_on_code(ops: SignedOperatorSum, code: CodeSpace) -> float:
@@ -449,26 +473,20 @@ def negative_part_on_code(ops: SignedOperatorSum, code: CodeSpace) -> float:
     Zero exactly when the negative part of the decomposition annihilates
     the code space (the reversibility-with-positivity requirement).
     """
-    v = _on_code(ops, code)[0]
-    return max((float(np.linalg.norm(v[k])) for k, s in enumerate(ops.signs) if s < 0), default=0.0)
+    v = _on_code(ops, code, ops.signature.p)  # the -1 block comes last
+    return max((float(np.linalg.norm(x)) for x in v), default=0.0)
 
 
 def build_recovery(syndromes: SyndromeSet) -> Recovery:
-    """Recovery channel ``rho -> sum_j B W_j^dag rho W_j B^dag``, as a factored :class:`Recovery`.
+    """Recovery channel ``rho -> sum_j B W_j^dag rho W_j B^dag``: the set's own factored :class:`Recovery`.
 
     One (+1) term ``B W_j^dag`` per syndrome: measure the syndrome, then
-    map its range back onto the code.  In the polar form
-    ``F_j P = sqrt(d_j) U_j P`` this is ``U_j^dag P_j``.  The record
-    holds ``B`` and the stacked ``W_j``; its ``operators`` property
-    forms the dense terms.  Raises ``ValueError`` for an empty set or
-    for syndromes on different codes.
+    map its range back onto the code (``U_j^dag P_j`` in the polar form
+    ``F_j P = sqrt(d_j) U_j P``).  Raises ``ValueError`` for an empty set.
     """
     if not syndromes:
         raise ValueError("cannot build a recovery from an empty syndrome set")
-    b = syndromes[0].code_isometry
-    if any(s.code_isometry is not b and not np.array_equal(s.code_isometry, b) for s in syndromes):
-        raise ValueError("syndromes of one recovery must share one code isometry")
-    return Recovery(b, np.stack([s.isometry for s in syndromes]))
+    return syndromes.recovery
 
 
 def domain_witness(
@@ -496,7 +514,7 @@ def domain_witness(
         ``ops`` on this code.
     """
     _check_tol(tol)
-    if all(s.sign > 0 for s in syndromes):
+    if not (syndromes.signs < 0).any():
         return None
     b0 = code.isometry[:, 0]
     return _witness(ops.signs, ops.operators @ b0, b0, syndromes, tol)
@@ -506,13 +524,13 @@ def _witness(
     signs: Sequence[int], first: np.ndarray, b0: np.ndarray, syndromes: SyndromeSet, tol: float
 ) -> NegativityWitness:
     """Witness against the first negative syndrome from the ``(n, d)`` terms ``E_k b_0``; see :func:`domain_witness`."""
-    j = next(j for j, s in enumerate(syndromes) if s.sign < 0)
-    amplitudes = first @ syndromes[j].isometry.conj()  # row k: W_j^dag E_k b_0
+    j = int(np.argmax(syndromes.signs < 0))
+    amplitudes = first @ syndromes.isometries[j].conj()  # row k: W_j^dag E_k b_0
     prob = float(np.asarray(signs, dtype=float) @ np.sum(np.abs(amplitudes) ** 2, axis=1))
-    if prob > -tol * max(s.weight for s in syndromes):
+    if prob > -tol * syndromes.weights.max():
         raise WitnessSearchFailed(
             f"negative syndrome {j} has probability {prob:.3e} on the first logical basis state, "
-            f"expected {-syndromes[j].weight:.3e}"
+            f"expected {-syndromes.weights[j]:.3e}"
         )
     return NegativityWitness(b0, j, prob)
 
@@ -531,29 +549,28 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
       canonical term acts on the code space -- a witness state with a
       negative outcome probability is attached;
     * ``reversible_positive`` when the conditions hold and every
-      canonical term acting on the code space is positive -- the
-      factored :class:`Recovery` built from the syndromes is attached.
+      canonical term acting on the code space is positive --
+      ``recovery`` reads the syndromes' factored :class:`Recovery`.
 
     The verdict depends on the map and the code, not on the signed
     decomposition that represents the map.  A NaN, infinite or negative
     ``tol`` raises ``ValueError``.
     """
     _check_tol(tol)
-    v, blocks = _on_code(ops, code)
-    signs, d, t, condition, scale = _canonical_terms(ops.signs, blocks, tol)
+    v = _on_code(ops, code)
+    signs, d, t, condition, scale = _canonical_terms(ops.signs, _blocks(v), tol)
     if not d.size:
         zero = ConditionMatrix(np.zeros((1, 1)), 0.0, "pseudohermitian")
-        return QecReport(zero, None, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
+        return QecReport(zero, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
     if condition.residual > tol * scale:
-        return QecReport(condition, None, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
-    syndromes, w = _syndromes(signs, np.tensordot(t, v, axes=([0], [0])), code, d, tol)  # F B = V T
-    if any(s.sign < 0 for s in syndromes):
+        return QecReport(condition, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
+    syndromes = _syndromes(signs, np.tensordot(t, v, axes=([0], [0])), code, d, tol)  # F B = V T
+    if (syndromes.signs < 0).any():
         witness = _witness(ops.signs, v[:, :, 0], code.isometry[:, 0], syndromes, tol)
-        return QecReport(condition, t, d, syndromes, None, Verdict.CODE_OUTSIDE_DOMAIN, witness)
+        return QecReport(condition, t, d, syndromes, Verdict.CODE_OUTSIDE_DOMAIN, witness)
     if _max_abs(_signed_gram(ops.signs, v) - np.eye(code.rank)) > tol:
-        return QecReport(condition, t, d, syndromes, None, Verdict.CONDITIONS_VIOLATED, None)
-    recovery = Recovery(code.isometry, w)  # the syndromes' own stack, not copied
-    return QecReport(condition, t, d, syndromes, recovery, Verdict.REVERSIBLE_POSITIVE, None)
+        return QecReport(condition, t, d, syndromes, Verdict.CONDITIONS_VIOLATED, None)
+    return QecReport(condition, t, d, syndromes, Verdict.REVERSIBLE_POSITIVE, None)
 
 
 @functools.lru_cache(maxsize=8)
@@ -614,18 +631,14 @@ def verify_recovery(
     is taken on the coordinates of ``A`` in an orthonormal frame, with no
     ``d x d`` state and no rank cut.
 
-    * A dense :class:`~ncpqec.superop.SignedOperatorSum` recovery gives
-      the frame by one thin Householder QR of ``A``, which keeps each
-      column accurate beside much larger ones; exactly zero blocks
-      ``M_jk`` stay out of it.
-    * A factored :class:`Recovery` with isometry ``L`` has
-      ``M_jk = L G_jk`` with ``r x r`` blocks ``G_jk = W_j^dag E_k B``,
-      so the frame comes from a QR of the ``d x 2r`` matrix ``[B, L]``.
-      When ``L`` is ``B`` the frame is ``B`` itself, orthonormal within
-      the :class:`CodeSpace` check, and no ``d x d`` product is formed.
-
-    The Frobenius norm bounds every entry of ``X``, leakage off the code
-    included.
+    A dense :class:`~ncpqec.superop.SignedOperatorSum` recovery gets the
+    frame from one thin Householder QR of ``A`` (accurate per column
+    beside much larger ones), without the exactly zero blocks ``M_jk``.
+    A factored :class:`Recovery` with isometry ``L`` has ``M_jk = L G_jk``
+    with ``r x r`` blocks ``G_jk = W_j^dag E_k B``: its frame is ``B``
+    itself when ``L`` is ``B`` (orthonormal by the :class:`CodeSpace`
+    check; nothing ``d x d``), else from a QR of ``[B, L]``.  The
+    Frobenius norm bounds every entry of ``X``, leakage off the code included.
 
     Raises
     ------

@@ -121,6 +121,7 @@ RECORDS = {
     "CodeSpace": lambda ops, code: code,
     "ConditionMatrix": lambda ops, code: ncpqec.analyze(ops, code).condition,
     "Syndrome": lambda ops, code: ncpqec.analyze(ops, code).syndromes[0],
+    "SyndromeSet": lambda ops, code: ncpqec.analyze(ops, code).syndromes,
     "NegativityWitness": lambda ops, code: ncpqec.analyze(ops, code).witness,
     "Recovery": lambda ops, code: ncpqec.build_recovery(ncpqec.analyze(ops, code).syndromes),
     "QecReport": lambda ops, code: ncpqec.analyze(ops, code),

@@ -396,6 +396,16 @@ def test_reproduce_paper_pretty_output():
     assert "negative probability" in proc.stdout
 
 
+@pytest.mark.parametrize("c0, shown", [("-0.2", "-0.2"), ("1e308", "1e+308")])
+def test_reproduce_paper_outcome_rows_stay_short(c0, shown):
+    # Fixed-point cells would print c0 = 1e308 with 309 digits.
+    proc = run_cli("reproduce-paper", f"--c0={c0}")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line for line in proc.stdout.splitlines() if line.startswith("  a=")]
+    assert len(rows) == 3 and all(len(row) < 120 for row in rows)
+    assert shown in rows[0] and shown in rows[2]  # a = 0 and a = 1: c0 on |111> and |000>
+
+
 @pytest.mark.parametrize("c0, restores", [("-0.2", True), ("1e308", False)])
 def test_reproduce_paper_claims_recovery_only_within_tol(c0, restores):
     # At c0 = 1e308 the recovered trace cancels to rounding and the

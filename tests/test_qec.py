@@ -13,6 +13,7 @@ from ncpqec import (
     Signature,
     SignedOperatorSum,
     Syndrome,
+    SyndromeSet,
     Verdict,
     WitnessSearchFailed,
     ZeroTrace,
@@ -222,7 +223,7 @@ def test_build_syndromes_bitflip():
         assert np.abs(s.isometry.conj().T @ s.isometry - np.eye(2)).max() < 1e-12
         assert np.abs(s.projector - want).max() < 1e-9
         assert np.abs(s.projector - s.isometry @ s.isometry.conj().T).max() == 0
-        assert s.code_isometry is code.isometry  # one shared B, the code's own
+    assert syn.recovery.code_isometry is code.isometry  # one B, the code's own
     assert [s.sign for s in syn] == [1, 1, 1, -1]
     assert np.abs(np.array([s.weight for s in syn]) - [0.4, 0.4, 0.4, 0.2]).max() < 1e-9
     for i in range(4):
@@ -255,7 +256,7 @@ def test_build_syndromes_identity_map():
     syn = build_syndromes(f, code, d)
     assert len(syn) == 1
     assert np.abs(syn[0].projector - code.projector).max() < 1e-12
-    assert np.abs(syn[0].isometry - syn[0].code_isometry).max() < 1e-12
+    assert np.abs(syn[0].isometry - syn.recovery.code_isometry).max() < 1e-12
 
 
 def test_build_syndromes_drops_annihilating_terms():
@@ -300,7 +301,7 @@ def test_build_recovery_single_syndrome():
     code = repetition_code()
     p = code.projector
     b = code.isometry
-    rec = build_recovery((Syndrome(b, b, 1.0, 1, 0),))
+    rec = build_recovery(SyndromeSet(Recovery(b, b[None]), [1.0], [1], [0]))
     rho = random_complex(np.random.default_rng(5), (8, 8))
     assert np.abs(apply_map(rec, rho) - p @ rho @ p).max() < 1e-12
 
@@ -340,8 +341,7 @@ def test_recovery_is_factored():
     assert dense.shape == (5, 16, 16)
     for j, w in enumerate(rec.isometries):
         assert np.array_equal(dense[j], code.isometry @ w.conj().T)
-    built = build_recovery(report.syndromes)
-    assert np.array_equal(built.operators, dense)
+    assert build_recovery(report.syndromes) is rec
 
 
 @pytest.mark.parametrize(
@@ -353,11 +353,41 @@ def test_recovery_rejects_mismatched_shapes(b, w):
         Recovery(b, w)
 
 
-def test_build_recovery_rejects_syndromes_of_two_codes():
-    syn = analyze(bitflip_ops(0.7), repetition_code()).syndromes
-    moved = Syndrome(syn[1].isometry, syn[1].code_isometry[:, ::-1], syn[1].weight, 1, syn[1].term_index)
-    with pytest.raises(ValueError, match="one code isometry"):
-        build_recovery((syn[0], moved))
+def test_recovery_copies_a_read_only_view():
+    # A read-only view of a writable array is copied, so later writes to
+    # the caller's array leave the record unchanged.
+    b = np.eye(4, dtype=complex)[:, :2]
+    w = np.array([b, b[::-1]])
+    view = w.view()
+    view.setflags(write=False)
+    rec = Recovery(b, view)
+    w[0] = 0.0
+    assert not np.shares_memory(rec.isometries, w)
+    assert np.array_equal(rec.isometries, [b, b[::-1]])
+
+
+def test_syndrome_set_is_one_record():
+    ops, code = repetition_bitflip(3, 0.7)
+    report = analyze(ops, code)
+    syn = report.syndromes
+    arrays = {"weights": syn.weights, "signs": syn.signs, "term_indices": syn.term_indices}
+    for a, dtype in zip(arrays.values(), (float, int, int)):
+        assert a.dtype == dtype and a.shape == (4,) and not a.flags.writeable
+    assert len(syn) == 4 and set(syn.signs.tolist()) == {1}
+    assert [s.term_index for s in syn] == syn.term_indices.tolist()
+    last = syn[-1]
+    assert type(last) is Syndrome and (last.weight, last.sign, last.term_index) == (syn.weights[3], 1, syn.term_indices[3])
+    assert np.shares_memory(last.isometry, syn.isometries) and np.array_equal(last.isometry, syn.isometries[3])
+    with pytest.raises(IndexError):
+        syn[4]
+    assert report.recovery is build_recovery(syn) is syn.recovery
+    for name in arrays:
+        with pytest.raises(ValueError, match=name):
+            SyndromeSet(syn.recovery, **{**arrays, name: arrays[name][:3]})
+    inverted = analyze(*repetition_bitflip(3, -0.2))
+    with pytest.raises(ValueError, match="sign"):
+        QecReport(report.condition, None, None, inverted.syndromes, Verdict.REVERSIBLE_POSITIVE, None)
+    assert inverted.recovery is None and build_recovery(inverted.syndromes) is inverted.syndromes.recovery
 
 
 def _dense(recovery):
@@ -443,12 +473,9 @@ def test_domain_witness_search_failure_on_doctored_syndromes():
     code = repetition_code()
     f, d, _ = diagonalize_conditions(ops, code)
     syn = build_syndromes(f, code, d)
-    wrong = tuple(
-        Syndrome(syn[0].isometry, syn[0].code_isometry, s.weight, s.sign, s.term_index)
-        if s.sign == -1
-        else s
-        for s in syn
-    )
+    w = np.array(syn.isometries)
+    w[syn.signs == -1] = syn.isometries[0]
+    wrong = SyndromeSet(Recovery(syn.recovery.code_isometry, w), syn.weights, syn.signs, syn.term_indices)
     with pytest.raises(WitnessSearchFailed):
         domain_witness(ops, code, wrong)
 
@@ -718,13 +745,13 @@ def test_verify_recovery_accepts_integral_trials():
 
 def test_qec_report_consistency_enforced():
     report = analyze(bitflip_ops(-0.2), repetition_code())
-    with pytest.raises(ValueError):
+    # A negative syndrome is never reversible.
+    with pytest.raises(ValueError, match="sign"):
         QecReport(
             condition=report.condition,
             diagonalizer=report.diagonalizer,
             diagonal=report.diagonal,
             syndromes=report.syndromes,
-            recovery=None,
             verdict=Verdict.REVERSIBLE_POSITIVE,
             witness=None,
         )
@@ -734,14 +761,16 @@ def test_qec_report_consistency_enforced():
             diagonalizer=report.diagonalizer,
             diagonal=report.diagonal,
             syndromes=report.syndromes,
-            recovery=None,
             verdict=Verdict.CODE_OUTSIDE_DOMAIN,
             witness=None,
         )
-    # Documents store the recovery through its syndromes, so it needs them.
+    # The recovery is read from the syndromes, so it needs them.
     cp = analyze(bitflip_ops(0.7), repetition_code())
     with pytest.raises(ValueError, match="syndromes"):
-        QecReport(cp.condition, cp.diagonalizer, cp.diagonal, None, cp.recovery, Verdict.REVERSIBLE_POSITIVE, None)
+        QecReport(cp.condition, cp.diagonalizer, cp.diagonal, None, Verdict.REVERSIBLE_POSITIVE, None)
+    for verdict in (Verdict.REVERSIBLE_POSITIVE, Verdict.CONDITIONS_VIOLATED):
+        with pytest.raises(ValueError, match="witness"):
+            QecReport(cp.condition, cp.diagonalizer, cp.diagonal, cp.syndromes, verdict, report.witness)
 
 
 def test_negative_condition_block_never_reversible():
