@@ -309,7 +309,9 @@ def parse_analysis_document(obj: Any) -> dict:
         shapes = sorted({s["isometry"].shape for s in syndromes})
         if shapes != [b.shape]:
             raise ValueError(f"{where}: shape {b.shape} must be that of every syndrome isometry, got {shapes}")
-        out["recovery"] = Recovery(b, np.stack([s["isometry"] for s in syndromes]))
+        stack = np.stack([s["isometry"] for s in syndromes])
+        stack.setflags(write=False)  # held by the record without a second copy
+        out["recovery"] = Recovery(b, stack)
     if witness is not None:
         if not isinstance(witness, dict):
             raise ValueError("analysis.witness must be a JSON object")

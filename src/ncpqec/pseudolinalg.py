@@ -247,7 +247,7 @@ def _signed_eigensystem(
     kept = np.flatnonzero(np.abs(lam) > cut)
     clusters = [kept[c] for c in _cluster_indices(lam[kept], cut)]
     clusters.sort(key=lambda c: (lam[c[0]] < 0, -abs(lam[c[0]])))  # clusters are contiguous runs
-    values = np.array([np.mean(lam[c]) for c in clusters for _ in c])
+    values = np.repeat([np.mean(lam[c]) for c in clusters], [c.size for c in clusters])
     columns = [_projected_basis(vectors[:, c], candidates) for c in clusters]
     return values, np.concatenate([np.zeros((vectors.shape[0], 0))] + columns, axis=1)
 

@@ -7,10 +7,14 @@ correctability conditions take the signed form
 map restricted to the code: one Hermitian eigendecomposition gives its
 canonical terms ``F = E T``, whose conditions are diagonal when the
 conditions hold.  The analysis reads the map only through the terms on
-the code, the ``n x d x r`` stack ``V_k = E_k B``: one batched polar
-decomposition of ``F B = V T`` yields ``d x r`` isometries ``W_k`` with
-pairwise-orthogonal ranges, the syndrome projectors ``W_k W_k^dag`` of
-the completely positive theory.  ``F`` itself is never formed.
+the code, the ``n x d x r`` stack ``V_k = E_k B``.  The conditions come
+from one Gram GEMM of ``[V_1, V_2, ...]``, the ``r x r`` blocks
+``V_k^dag V_l``, which also give the canonical blocks (an ``n x n``
+congruence by ``T``) and the trace check; the syndrome overlaps are the
+same Gram of the ``W_k``.  One batched polar decomposition of
+``F B = V T`` yields ``d x r`` isometries ``W_k`` with pairwise-orthogonal
+ranges, the syndrome projectors ``W_k W_k^dag`` of the completely
+positive theory.  ``F`` itself is never formed.
 
 The sign structure adds one genuinely new outcome: if a negative
 canonical term acts on the code space, its syndrome returns the
@@ -43,7 +47,7 @@ from .errors import (
     ZeroTrace,
 )
 from .pseudolinalg import DEFAULT_TOL, _check_tol, _frozen, _max_abs, _signed_eigensystem, polar_on_code
-from .superop import SignedOperatorSum, _signed_gram
+from .superop import SignedOperatorSum
 
 __all__ = [
     "CodeSpace",
@@ -195,8 +199,9 @@ class SyndromeSet:
 
     ``recovery``, their Knill-Laflamme recovery, holds the code's ``B``
     and the ``(m, d, r)`` stack of the ``W_j``.  ``weights`` (float),
-    ``signs`` and ``term_indices`` (int) are read-only length-``m``
-    copies.  Indexing and iteration give the :class:`Syndrome` views.
+    ``signs`` (each +1 or -1) and ``term_indices`` (int) are read-only
+    length-``m`` copies.  Indexing and iteration give the
+    :class:`Syndrome` views.
     """
 
     recovery: Recovery
@@ -205,6 +210,8 @@ class SyndromeSet:
     term_indices: np.ndarray
 
     def __post_init__(self) -> None:
+        if not {*np.asarray(self.signs).tolist()} <= {1, -1}:
+            raise ValueError(f"syndrome signs must be +1 or -1, got {np.asarray(self.signs)}")
         for name, dtype in (("weights", float), ("signs", int), ("term_indices", int)):
             object.__setattr__(self, name, a := _frozen(getattr(self, name), dtype))
             if a.shape != (len(self),):
@@ -330,8 +337,10 @@ def _on_code(ops: SignedOperatorSum, code: CodeSpace, start: int = 0) -> np.ndar
 
 
 def _blocks(v: np.ndarray) -> np.ndarray:
-    """The ``(n, n, r, r)`` blocks ``V_k^dag V_l`` of the terms on the code."""
-    return np.einsum("kda,ldb->klab", v.conj(), v)
+    """The ``(n, n, r, r)`` blocks ``V_k^dag V_l`` of an ``(n, d, r)`` stack, as one Gram GEMM."""
+    n, d, r = v.shape
+    rows = v.transpose(0, 2, 1).reshape(n * r, d)  # [V_1, V_2, ...]^T
+    return (rows.conj() @ rows.T).reshape(n, r, n, r).transpose(0, 2, 1, 3)
 
 
 def _condition_fit(blocks: np.ndarray, signs: Sequence[int] | None, form: str) -> ConditionMatrix:
@@ -392,7 +401,7 @@ def _canonical_terms(
     t = (q[:, keep] / root) @ w_fixed * np.sqrt(d)
     # The traced part of T^dag blocks T is diag(d) by construction, so the
     # fit's residual is the deviation from diag(d) x identity.
-    canonical = np.einsum("ki,klab,lj->ijab", t.conj(), blocks, t)
+    canonical = (t.conj().T @ blocks.transpose(2, 3, 0, 1) @ t).transpose(2, 3, 0, 1)
     condition = _condition_fit(canonical, new_signs, "pseudohermitian")
     return new_signs, d, t, condition, scale
 
@@ -436,7 +445,7 @@ def _syndromes(
     keep = np.flatnonzero(d > tol * d.max(initial=0.0))
     w = polar_on_code(products[keep] / np.sqrt(d[keep])[:, None, None]).isometry
     w.setflags(write=False)  # held by the record without a copy
-    overlaps = np.abs(np.einsum("adi,bdj->abij", w.conj(), w)).max(axis=(2, 3))
+    overlaps = np.abs(_blocks(w)).max(axis=(2, 3))
     np.fill_diagonal(overlaps, 0.0)
     if overlaps.max(initial=0.0) > 10 * tol:
         a, c = np.unravel_index(np.argmax(overlaps), overlaps.shape)
@@ -558,7 +567,8 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
     """
     _check_tol(tol)
     v = _on_code(ops, code)
-    signs, d, t, condition, scale = _canonical_terms(ops.signs, _blocks(v), tol)
+    blocks = _blocks(v)
+    signs, d, t, condition, scale = _canonical_terms(ops.signs, blocks, tol)
     if not d.size:
         zero = ConditionMatrix(np.zeros((1, 1)), 0.0, "pseudohermitian")
         return QecReport(zero, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
@@ -568,7 +578,8 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
     if (syndromes.signs < 0).any():
         witness = _witness(ops.signs, v[:, :, 0], code.isometry[:, 0], syndromes, tol)
         return QecReport(condition, t, d, syndromes, Verdict.CODE_OUTSIDE_DOMAIN, witness)
-    if _max_abs(_signed_gram(ops.signs, v) - np.eye(code.rank)) > tol:
+    # sum_k s_k V_k^dag V_k, from the diagonal blocks
+    if _max_abs(np.diagonal(blocks) @ np.asarray(ops.signs, dtype=float) - np.eye(code.rank)) > tol:
         return QecReport(condition, t, d, syndromes, Verdict.CONDITIONS_VIOLATED, None)
     return QecReport(condition, t, d, syndromes, Verdict.REVERSIBLE_POSITIVE, None)
 

@@ -225,8 +225,13 @@ def check_trace_preserving(x: AMatrix | SignedOperatorSum, tol: float = DEFAULT_
 
 
 def _signed_gram(signs: Sequence[int], terms: np.ndarray) -> np.ndarray:
-    """``sum_k signs[k] terms[k]^dag terms[k]`` over a stack of matrices."""
-    return np.einsum("k,kia,kib->ab", np.asarray(signs, dtype=float), terms.conj(), terms)
+    """``sum_k signs[k] terms[k]^dag terms[k]`` over a stack of matrices, +1 block first.
+
+    One GEMM per sign block, so a negative block equal to the positive one cancels exactly.
+    """
+    p = sum(1 for s in signs if s > 0)
+    plus, minus = (block.reshape(-1, terms.shape[-1]) for block in (terms[:p], terms[p:]))
+    return plus.conj().T @ plus - minus.conj().T @ minus
 
 
 def _signed_outer_sum(signs: Sequence[int], vectors: np.ndarray) -> np.ndarray:

@@ -19,7 +19,8 @@ from ncpqec.documents import (
     parse_channel_document,
     parse_code_document,
 )
-from ncpqec.pseudolinalg import Signature
+from ncpqec import qec
+from ncpqec.pseudolinalg import Signature, _frozen
 from ncpqec.qec import Recovery, analyze, repetition_bitflip, verify_recovery
 from ncpqec.superop import AMatrix, BMatrix, SignedOperatorSum, a_from_operator_sum, b_from_operator_sum
 
@@ -291,6 +292,18 @@ def test_parsed_recovery_is_factored():
     assert np.array_equal(rec.code_isometry, report.recovery.code_isometry)
     assert np.array_equal(rec.isometries, report.recovery.isometries)
     assert verify_recovery(ops, rec, code) == verify_recovery(ops, report.recovery, code)
+
+
+def test_parsed_recovery_copies_the_isometry_stack_once(monkeypatch):
+    # The stacked isometries are held by the Recovery as they are: complex,
+    # read-only and owning their memory, never passed through _frozen.
+    ops, code = repetition_bitflip(4, 0.7)
+    doc = _roundtrip(analysis_document(analyze(ops, code), ops.signature))
+    frozen = []
+    monkeypatch.setattr(qec, "_frozen", lambda a, *args: frozen.append(np.shape(a)) or _frozen(a, *args))
+    w = parse_analysis_document(doc)["recovery"].isometries
+    assert w.dtype == complex and not w.flags.writeable and w.base is None
+    assert w.shape not in frozen and all(len(shape) == 2 for shape in frozen)
 
 
 def _is_pair(z):

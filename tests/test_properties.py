@@ -6,9 +6,12 @@ trace-normalized CP maps, which are reversible.  Re-decomposing a map
 (pseudounitary boosts, canceling pairs, the base decomposition) must
 change neither the verdict nor the sorted weights ``d``; rescaling
 scales ``d`` and keeps the verdict except where trace preservation is
-lost.  Runs are derandomized and keep no example database, so the suite
+lost.  The analysis's Gram GEMMs match their einsum forms on random
+stacks.  Runs are derandomized and keep no example database, so the suite
 is reproducible.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +29,8 @@ from ncpqec import (
     transform_by_pseudounitary,
     verify_recovery,
 )
+from ncpqec.pseudolinalg import DEFAULT_TOL
+from ncpqec import qec
 
 from helpers import (
     bitflip_ops,
@@ -144,6 +149,37 @@ def test_pseudo_diagonalize_oracle_matches_weights(case, boosted):
     except PseudoDiagonalizationFailure:
         assume(False)
     assert np.sort(np.abs(oracle.eigenvalues)) == pytest.approx(weights(analyze(ops, CODE)), rel=1e-9)
+
+
+@st.composite
+def stacks(draw):
+    """A random ``(n, d, r)`` stack at scale 1, 1e-150 or 1e150, some (or all) terms zero, and its signs."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    r = draw(st.integers(1, min(d, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = draw(st.sampled_from([1.0, 1e-150, 1e150])) * random_complex(rng, (n, d, r))
+    v[draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+    p = draw(st.integers(0, n))
+    return v, (1,) * p + (-1,) * (n - p)
+
+
+def assert_close(value, oracle):
+    """``value`` matches ``oracle`` within 1e-14 relative to the oracle's largest entry (exactly if it is 0)."""
+    assert value.shape == oracle.shape
+    assert np.abs(value - oracle).max(initial=0.0) <= 1e-14 * np.abs(oracle).max(initial=0.0)
+
+
+@PROPERTY
+@given(stacks())
+def test_gram_gemms_match_their_einsum_forms(case):
+    # _blocks forms the condition blocks V_k^dag V_l (and the syndrome
+    # overlaps W_a^dag W_b); _canonical_terms forms T^dag blocks T.
+    v, signs = case
+    blocks = qec._blocks(v)
+    assert_close(blocks, np.einsum("kda,ldb->klab", v.conj(), v))
+    with mock.patch.object(qec, "_condition_fit", wraps=qec._condition_fit) as fit:
+        t = qec._canonical_terms(signs, blocks, DEFAULT_TOL)[2]
+    assert_close(fit.call_args.args[0], np.einsum("ki,klab,lj->ijab", t.conj(), blocks, t))
 
 
 def test_known_redecompositions_get_base_verdicts():

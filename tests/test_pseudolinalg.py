@@ -324,3 +324,11 @@ def test_signed_eigensystem_ignores_the_eigensolver_basis(explicit_candidates):
 def test_signed_eigensystem_of_nothing_kept():
     values, basis = _signed_eigensystem(np.zeros(3), np.eye(3), 0.0)
     assert values.shape == (0,) and basis.shape == (3, 0)
+
+
+def test_signed_eigensystem_values_are_the_cluster_means():
+    # Each value is its cluster's np.mean, bit for bit, once per member.
+    lam = np.array([-2.0, -2.0 + 3e-11, 0.5, 1.0 - 2e-11, 1.0, 1.0 + 4e-11])
+    values, basis = _signed_eigensystem(lam, np.eye(6), 1e-10)
+    ones, twos = np.mean(lam[3:]), np.mean(lam[:2])
+    assert values.tolist() == [ones, ones, ones, 0.5, twos, twos] and basis.shape == (6, 6)

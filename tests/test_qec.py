@@ -390,6 +390,31 @@ def test_syndrome_set_is_one_record():
     assert inverted.recovery is None and build_recovery(inverted.syndromes) is inverted.syndromes.recovery
 
 
+@pytest.mark.parametrize("signs", [[2, 2, 2, 2], [1, 1, 0, 1], [1, 1, 1, 1.5]])
+def test_syndrome_set_refuses_signs_other_than_one(signs):
+    syn = analyze(*repetition_bitflip(3, 0.7)).syndromes
+    with pytest.raises(ValueError, match="signs must be"):
+        SyndromeSet(syn.recovery, syn.weights, signs, syn.term_indices)
+
+
+@pytest.mark.parametrize("c0", [-0.2, 0.7])
+def test_analyze_contracts_over_d_only_in_gemms(monkeypatch, c0):
+    # No einsum on the analysis path takes an operand with a d = 64 axis:
+    # the blocks, the canonical blocks and the overlaps are matmuls.
+    ops, code = repetition_bitflip(6, c0)
+    shapes = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        shapes.extend(np.shape(x) for x in operands)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    report = analyze(ops, code)
+    assert report.verdict is (Verdict.CODE_OUTSIDE_DOMAIN if c0 < 0 else Verdict.REVERSIBLE_POSITIVE)
+    assert shapes and all(64 not in shape for shape in shapes)
+
+
 def _dense(recovery):
     return SignedOperatorSum(recovery.dim, recovery.signs, recovery.operators)
 

@@ -25,6 +25,7 @@ from ncpqec import (
     validate_density_matrix,
     vec,
 )
+from ncpqec.superop import _signed_gram
 
 from helpers import (
     I2,
@@ -135,6 +136,20 @@ def test_trace_preservation():
         + (np.sqrt(0.2) * np.eye(8),),
     )
     assert not check_trace_preserving(broken)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (8, 2), (1, 1)])
+def test_signed_gram_matches_its_einsum_form(shape):
+    # One GEMM per sign block, on a stack with the canceling pair (+k, -k).
+    rng = np.random.default_rng(61)
+    plus, minus, k = random_complex(rng, (2,) + shape), random_complex(rng, (2,) + shape), random_complex(rng, shape)
+    terms = np.concatenate([plus, [k], minus, [k]])
+    signs = (1, 1, 1, -1, -1, -1)
+    oracle = np.einsum("k,kia,kib->ab", np.asarray(signs, dtype=float), terms.conj(), terms)
+    assert np.abs(_signed_gram(signs, terms) - oracle).max() <= 1e-14 * np.abs(oracle).max()
+    # A negative block equal to the positive one cancels exactly.
+    assert not _signed_gram(signs, np.concatenate([plus, [k], plus, [k]])).any()
+    assert not _signed_gram((), np.zeros((0,) + shape)).any()
 
 
 def test_b_from_single_identity_term():
