@@ -17,6 +17,7 @@ relative to the map's scale on the code, except for trace preservation.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -61,6 +62,14 @@ def _resolve_tol(args: argparse.Namespace) -> float:
 
 
 def _load_json(path: str):
+    """The JSON document at ``path``, read with the cyclic garbage collector paused.
+
+    A JSON document is a tree, so the collector finds no cycles in it;
+    left on, it rescans the many small lists of a matrix document while
+    they are built.  The caller's collector state is restored.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -68,6 +77,9 @@ def _load_json(path: str):
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _emit(doc: dict, args: argparse.Namespace) -> None:
@@ -125,10 +137,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_qec(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
     channel = parse_channel_document(_load_json(args.input))
-    ops = _as_operator_sum(channel, tol)
     code = parse_code_document(_load_json(args.code), tol)
-    if code.dim != ops.dim:
-        raise ValueError(f"channel dimension {ops.dim} does not match code dimension {code.dim}")
+    if code.dim != channel.dim:
+        raise ValueError(f"channel dimension {channel.dim} does not match code dimension {code.dim}")
+    ops = _as_operator_sum(channel, tol)
     report = analyze(ops, code, tol)
     _emit(analysis_document(report, ops.signature), args)
     return 0

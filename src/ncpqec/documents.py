@@ -57,18 +57,20 @@ def _pairs(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _complex_array(obj: list, pairs: list, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """The nested lists ``obj`` of ``shape``, flattened to ``pairs``, read as complex128.
+def _complex_array(pairs: list, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """The row-major flat list ``pairs`` of ``[re, im]`` pairs read as a complex128 array of ``shape``.
 
     The pairs and their entries are type-checked by whole-array scans and
-    converted in one pass.  Only a rejected input is searched for the
+    decoded in one pass: one ``np.fromiter`` over the flat numbers, read
+    bit for bit as complex128.  Only a rejected input is searched for the
     first entry that is not a pair of finite numbers, which is named.
     """
     if all(issubclass(t, (list, tuple)) for t in set(map(type, pairs))) and set(map(len, pairs)) == {2}:
         if all(issubclass(t, _NUMBER) and t is not bool for t in set(map(type, chain.from_iterable(pairs)))):
             with suppress(OverflowError):  # an int beyond the float range
-                if np.isfinite(a := np.array(obj, dtype=float)).all():
-                    return a.view(complex)[..., 0]  # the checked pairs, read bit for bit as complex128
+                a = np.fromiter(chain.from_iterable(pairs), float, 2 * len(pairs))
+                if np.isfinite(a).all():
+                    return a.view(complex).reshape(shape)
     i, z = next((i, z) for i, z in enumerate(pairs) if not _pair(z))
     at = "".join(f"[{j}]" for j in np.unravel_index(i, shape))
     raise ValueError(f"{where}{at}: complex entries must be [re, im] pairs of finite numbers, got {z!r}")
@@ -85,7 +87,7 @@ def decode_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
     ncols = len(obj[0])
     if ncols == 0 or any(len(r) != ncols for r in obj):
         raise ValueError(f"{where}: rows must be non-empty and of equal length")
-    return _complex_array(obj, list(chain.from_iterable(obj)), (len(obj), ncols), where)
+    return _complex_array(list(chain.from_iterable(obj)), (len(obj), ncols), where)
 
 
 def encode_vector(v: np.ndarray) -> list[list[float]]:
@@ -95,7 +97,7 @@ def encode_vector(v: np.ndarray) -> list[list[float]]:
 def decode_vector(obj: Any, where: str = "vector") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{where}: expected a non-empty list of [re, im] pairs")
-    return _complex_array(obj, obj, (len(obj),), where)
+    return _complex_array(obj, (len(obj),), where)
 
 
 def _require(obj: dict, key: str, where: str) -> Any:

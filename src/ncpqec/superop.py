@@ -255,10 +255,17 @@ def a_from_operator_sum(ops: SignedOperatorSum) -> AMatrix:
 
 
 def _hermitian_part(b: BMatrix, tol: float) -> np.ndarray:
-    """``(B + B^dag) / 2``, once ``B`` is Hermitian within ``tol`` times its largest entry."""
+    """``(B + B^dag) / 2``, once ``B`` is Hermitian within ``tol`` times its largest entry.
+
+    The result is real (float64) when ``B`` has no imaginary part, as for
+    any signed mixture of Pauli strings, so its eigensolver runs in real
+    arithmetic.
+    """
     m = b.matrix
-    if _max_abs(m - m.conj().T) > tol * max(1.0, _max_abs(m)):
+    if _max_abs(m - m.conj().T) > tol * _max_abs(m):
         raise NotHermitian("B is not Hermitian: the map does not preserve Hermiticity")
+    if not m.imag.any():
+        m = m.real
     return (m + m.conj().T) / 2
 
 
@@ -272,7 +279,10 @@ def operator_sum_from_b(b: BMatrix, tol: float = DEFAULT_TOL) -> SignedOperatorS
     come out +1 block first, each block by descending Frobenius norm.
     Each eigenspace's basis projects the standard basis onto it in index
     order: the first entry of ``vec(E_i) / ||E_i||`` above ``1e-8`` is real
-    and positive, and degenerate terms follow those entries' indices.
+    and positive, and degenerate terms follow those entries' indices.  A
+    real ``B`` (no imaginary part at all) is diagonalized in real
+    arithmetic; the canonical basis makes the terms those of the complex
+    eigensolver up to rounding.
 
     Raises
     ------
@@ -310,7 +320,8 @@ def classify(b: BMatrix, tol: float = DEFAULT_TOL) -> MapClass:
 
     The map is completely positive iff no eigenvalue of ``B`` is below
     ``-tol * max|eigenvalue|``, the cut of :func:`operator_sum_from_b`;
-    the signature counts eigenvalues beyond it on either side.
+    the signature counts eigenvalues beyond it on either side.  As there,
+    a real ``B`` is diagonalized in real arithmetic.
 
     Raises
     ------

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving ``python -m ncpqec`` as a subprocess."""
 
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ncpqec import cli
 from ncpqec.documents import channel_document, parse_analysis_document, parse_channel_document
 from ncpqec.superop import AMatrix, BMatrix, SignedOperatorSum, a_from_operator_sum, b_from_operator_sum
 
@@ -240,12 +242,43 @@ def test_qec_map_annihilating_the_code_document_reparses(tmp_path):
     assert parsed["verdict"] == "conditions_violated"
 
 
-def test_qec_dimension_mismatch_exits_2(tmp_path):
-    chan = write_channel(tmp_path / "chan.json", SignedOperatorSum.from_terms([1], [I2]))
+def test_qec_dimension_mismatch_exits_2(tmp_path, monkeypatch, capsys):
+    identity = SignedOperatorSum.from_terms([1], [I2])
+    chan = write_channel(tmp_path / "chan.json", identity)
     code = write_repetition_code(tmp_path / "code.json")
     proc = run_cli("qec", chan, "--code", code)
     assert proc.returncode == 2
     assert "does not match" in proc.stderr
+    # The dimensions are compared before a matrix channel is converted.
+    calls = []
+    monkeypatch.setattr(cli, "operator_sum_from_b", lambda *args: calls.append(args))
+    b_chan = write_channel(tmp_path / "b.json", b_from_operator_sum(identity))
+    assert cli.main(["qec", b_chan, "--code", code]) == 2
+    assert "does not match" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_load_json_pauses_gc_and_restores_the_callers_state(tmp_path, monkeypatch, capsys):
+    chan = write_channel(tmp_path / "chan.json", bitflip_ops(-0.2))
+    code = write_repetition_code(tmp_path / "code.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema_version": ')
+    during = []
+    load = json.load
+    monkeypatch.setattr(cli.json, "load", lambda fh: during.append(gc.isenabled()) or load(fh))
+    was_enabled = gc.isenabled()
+    try:
+        for enabled, switch in ((True, gc.enable), (False, gc.disable)):
+            switch()
+            assert cli.main(["qec", chan, "--code", code, "--json"]) == 0
+            assert gc.isenabled() == enabled
+            assert cli.main(["qec", str(bad), "--code", code]) == 2
+            assert "is not valid JSON" in capsys.readouterr().err
+            assert gc.isenabled() == enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert during == [False] * 6
 
 
 def test_qec_nan_code_document_exits_2(tmp_path):

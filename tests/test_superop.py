@@ -25,6 +25,7 @@ from ncpqec import (
     validate_density_matrix,
     vec,
 )
+from ncpqec.pseudolinalg import DEFAULT_TOL, _max_abs, _signed_eigensystem
 from ncpqec.superop import _signed_gram
 
 from helpers import (
@@ -32,6 +33,7 @@ from helpers import (
     X,
     Z,
     bitflip_ops,
+    conditioned_pauli_map,
     ket,
     random_complex,
     random_density,
@@ -195,8 +197,9 @@ def test_operator_sum_from_b_bitflip():
 
 
 def test_operator_sum_from_zero_b():
-    ops = operator_sum_from_b(BMatrix(2, np.zeros((4, 4))))
-    assert ops.n_terms == 0
+    zero = BMatrix(2, np.zeros((4, 4)))
+    assert operator_sum_from_b(zero).n_terms == 0
+    assert classify(zero) == ("CP", Signature(0, 0))
 
 
 def test_operator_sum_from_b_requires_hermitian():
@@ -204,6 +207,43 @@ def test_operator_sum_from_b_requires_hermitian():
     m[0, 1] = 1.0
     with pytest.raises(NotHermitian):
         operator_sum_from_b(BMatrix(2, m))
+
+
+def _operator_sum_from_b_complex(b: BMatrix, tol: float = DEFAULT_TOL) -> SignedOperatorSum:
+    """:func:`operator_sum_from_b` with the eigensolver always in complex arithmetic (the oracle)."""
+    m = b.matrix
+    lam, v = np.linalg.eigh((m + m.conj().T) / 2)
+    values, basis = _signed_eigensystem(lam, v, tol * _max_abs(lam))
+    operators = (basis * np.sqrt(np.abs(values))).T.reshape(-1, b.dim, b.dim)
+    return SignedOperatorSum(b.dim, tuple(np.sign(values).astype(int)), operators)
+
+
+def test_real_b_matches_the_complex_eigensolver():
+    # Signed Pauli mixtures have an exactly real B, diagonalized in real arithmetic.
+    rng = np.random.default_rng(107)
+    maps = [repetition_bitflip(n, c0)[0] for n in range(1, 5) for c0 in (-0.2, 0.7, 0.25)]
+    maps += [conditioned_pauli_map(rng, require_negative=k % 2 == 0) for k in range(40)]
+    for ops in maps:
+        b = b_from_operator_sum(ops)
+        assert not b.matrix.imag.any()
+        got, want = operator_sum_from_b(b), _operator_sum_from_b_complex(b)
+        assert got.signs == want.signs
+        assert _max_abs(got.operators - want.operators) <= 1e-14 * _max_abs(want.operators)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_eigensolver_dtype_follows_b(monkeypatch, real):
+    b = b_from_operator_sum(bitflip_ops(-0.2) if real else random_ops(np.random.default_rng(109), 2, 2, 1))
+    dtypes = []
+
+    def spy(solver):
+        return lambda a: dtypes.append(a.dtype) or solver(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
+    operator_sum_from_b(b)
+    classify(b)
+    assert dtypes == [np.dtype(np.float64 if real else np.complex128)] * 2
 
 
 def test_b_roundtrip_random():
@@ -290,6 +330,22 @@ def test_classify_requires_hermitian():
     m[0, 1] = 1.0
     with pytest.raises(NotHermitian):
         classify(BMatrix(2, m))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+def test_hermiticity_gate_is_relative_to_the_scale_of_b(scale):
+    b = BMatrix(2, scale * random_complex(np.random.default_rng(97), (4, 4)))
+    with pytest.raises(NotHermitian):
+        classify(b)
+    with pytest.raises(NotHermitian):
+        operator_sum_from_b(b)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e150])
+@pytest.mark.parametrize("real", [True, False])
+def test_classify_signature_is_scale_invariant(scale, real):
+    b = b_from_operator_sum(bitflip_ops(-0.2) if real else random_ops(np.random.default_rng(113), 3, 4, 3))
+    assert classify(BMatrix(b.dim, scale * b.matrix)) == classify(b)
 
 
 def test_cp_maps_give_psd_outputs():
