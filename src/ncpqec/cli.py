@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 success, 2 input/validation error, 3 numerical failure.
 The working tolerance is the ``--tol`` flag if given, else the
 ``QEC_TOL`` environment variable, else ``1e-9``.  ``qec`` applies it
-relative to the map's scale on the code, except for trace preservation.
+relative to the map's scale on the code, except for trace preservation;
+``classify`` applies it to both Hermiticity fields relative to ``max|B|``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .documents import (
     parse_code_document,
 )
 from .errors import NumericalFailure, ZeroTrace
-from .pseudolinalg import DEFAULT_TOL, _check_tol
+from .pseudolinalg import DEFAULT_TOL, _check_tol, _max_abs
 from .qec import analyze, build_recovery, repetition_bitflip, verify_recovery
 from .superop import (
     AMatrix,
@@ -121,7 +122,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     channel = parse_channel_document(_load_json(args.input))
     b = _as_b_matrix(channel)
     a = reshuffle(b)
-    hermiticity = check_hermiticity_preserving(a, tol)
+    hermiticity = check_hermiticity_preserving(a, tol * _max_abs(a.matrix))
     kind = classify(b, tol)
     doc = {
         "schema_version": "1",
@@ -151,10 +152,10 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     from .errors import MapsNotEqual
 
     tol = _resolve_tol(args)
-    first = _as_operator_sum(parse_channel_document(_load_json(args.first)), tol)
-    second = _as_operator_sum(parse_channel_document(_load_json(args.second)), tol)
+    first, second = (parse_channel_document(_load_json(path)) for path in (args.first, args.second))
     if first.dim != second.dim:
         raise ValueError(f"dimension mismatch: {first.dim} vs {second.dim}")
+    first, second = _as_operator_sum(first, tol), _as_operator_sum(second, tol)
     if not maps_equal(first, second, tol):
         _emit({"schema_version": "1", "equal": False}, args)
         return 0

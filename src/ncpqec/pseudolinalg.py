@@ -191,47 +191,34 @@ def pseudo_gram_schmidt(
     return out
 
 
-def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
+def _cluster_indices(values: list[float], gap: float) -> list[list[int]]:
     """Group indices of ``values`` whose sorted gaps are at most ``gap``; ties keep input order."""
-    order = np.argsort(values, kind="stable")
     clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and values[idx] <= values[clusters[-1][-1]] + gap:
-            clusters[-1].append(int(idx))
+    for i in sorted(range(len(values)), key=values.__getitem__):
+        if clusters and values[i] <= values[clusters[-1][-1]] + gap:
+            clusters[-1].append(i)
         else:
-            clusters.append([int(idx)])
+            clusters.append([i])
     return clusters
 
 
-def _projected_basis(span: np.ndarray, candidates: np.ndarray | None) -> np.ndarray:
-    """Deterministic orthonormal basis of the column span of ``span``.
+def _coordinate_basis(x: np.ndarray, floor: float) -> np.ndarray:
+    """Gram-Schmidt of the columns of ``x`` (``k x m``) in index order, to a basis of ``C^k``.
 
-    Projects the columns of ``candidates`` (the standard basis when
-    ``None``, one vector at a time and skipping rows of ``span`` below
-    the floor) onto that span and orthonormalizes them in index order,
-    keeping the first ``span.shape[1]`` whose residual norm exceeds
-    ``1e-8`` times the largest candidate norm.  This removes an
-    eigensolver's arbitrary phases and basis in a degenerate eigenspace.
+    A column is kept when its residual norm exceeds ``floor``; the first
+    ``k`` kept give the basis, as columns of a ``k x k`` unitary.
     """
-    k = span.shape[1]
-    if candidates is None:  # row i of span holds the coefficients of e_i
-        floor = 1e-8
-        projections = (span @ span[i].conj() for i in np.flatnonzero(np.linalg.norm(span, axis=1) > floor))
-    else:
-        floor = 1e-8 * float(np.max(np.linalg.norm(candidates, axis=0)))
-        projections = (span @ (span.conj().T @ candidates)).T
+    k = x.shape[0]
     basis: list[np.ndarray] = []
-    for w in projections:
-        if len(basis) == k:
-            break
+    for w in x.T[np.linalg.norm(x, axis=0) > floor]:
         for b in basis:
             w = w - b * np.vdot(b, w)
-        wn = float(np.linalg.norm(w))
+        wn = np.linalg.norm(w)
         if wn > floor:
             basis.append(w / wn)
-    if len(basis) != k:  # pragma: no cover - the candidates span the whole space
-        raise RuntimeError("failed to construct a deterministic basis")
-    return np.column_stack(basis)
+            if len(basis) == k:
+                return np.column_stack(basis)
+    raise RuntimeError("failed to construct a deterministic basis")  # pragma: no cover - candidates span
 
 
 def _signed_eigensystem(
@@ -240,16 +227,37 @@ def _signed_eigensystem(
     """Canonical ``(values, basis)`` from an ``eigh`` output, one value per basis column.
 
     Keeps ``|lam| > cut``, clusters sorted gaps up to ``cut`` at their
-    mean, orders the clusters positive first, then by descending
-    magnitude, and gives each one its :func:`_projected_basis` from
-    ``candidates``.  The result ignores the eigensolver's basis choices.
+    mean, and orders the clusters positive first, then by descending
+    magnitude.  Each eigenspace's basis is the Gram-Schmidt, in index
+    order, of the projections of the columns of ``candidates`` (the
+    standard basis when ``None``) whose residual norm exceeds ``1e-8``
+    times the largest candidate norm.  It is formed from the candidates'
+    coordinates ``x = V^dag C`` in the eigenspace: a simple eigenvalue's
+    vector ``v`` becomes ``v p / |p|`` with ``p`` its first coordinate
+    above that floor.  The result ignores the eigensolver's basis choices.
     """
-    kept = np.flatnonzero(np.abs(lam) > cut)
-    clusters = [kept[c] for c in _cluster_indices(lam[kept], cut)]
-    clusters.sort(key=lambda c: (lam[c[0]] < 0, -abs(lam[c[0]])))  # clusters are contiguous runs
-    values = np.repeat([np.mean(lam[c]) for c in clusters], [c.size for c in clusters])
-    columns = [_projected_basis(vectors[:, c], candidates) for c in clusters]
-    return values, np.concatenate([np.zeros((vectors.shape[0], 0))] + columns, axis=1)
+    spectrum = lam.tolist()
+    kept = [i for i, x in enumerate(spectrum) if abs(x) > cut]
+    clusters = [[kept[j] for j in c] for c in _cluster_indices([spectrum[i] for i in kept], cut)]
+    clusters.sort(key=lambda c: (spectrum[c[0]] < 0, -abs(spectrum[c[0]])))  # clusters are contiguous runs
+    order = [i for c in clusters for i in c]
+    v = vectors[:, order]
+    if not order:
+        return lam[order], v
+    if candidates is None:
+        x, floor = v.conj().T, 1e-8
+    else:
+        x, floor = v.conj().T @ candidates, 1e-8 * float(np.max(np.linalg.norm(candidates, axis=0)))
+    p = x[np.arange(len(order)), np.argmax(np.abs(x) > floor, axis=1)]
+    values, basis = lam[order], v * (p / np.abs(p))
+    start = 0
+    for c in clusters:
+        if len(c) > 1:
+            block = slice(start, start + len(c))
+            values[block] = np.mean(lam[c])
+            basis[:, block] = v[:, block] @ _coordinate_basis(x[block], floor)
+        start += len(c)
+    return values, basis
 
 
 def pseudo_diagonalize(
@@ -264,7 +272,10 @@ def pseudo_diagonalize(
     Columns of ``S`` are then arranged so the sign of each column's
     indefinite norm matches the corresponding diagonal entry of ``eta``
     (possible by inertia preservation), which is what makes ``S``
-    pseudounitary with respect to the *input* metric.
+    pseudounitary with respect to the *input* metric.  The real-spectrum
+    test and the cluster gap scale ``tol`` by the largest eigenvalue
+    magnitude, the diagonalization check by ``max|H|``; the
+    pseudounitarity check is absolute.
 
     Raises
     ------
@@ -286,7 +297,7 @@ def pseudo_diagonalize(
         )
 
     w, v = np.linalg.eig(h)
-    scale = max(1.0, _max_abs(w))
+    scale = _max_abs(w)
     if _max_abs(w.imag) > tol * scale:
         raise PseudoDiagonalizationFailure(
             f"spectrum is not real: max imaginary part {_max_abs(w.imag):.3e}"
@@ -294,7 +305,7 @@ def pseudo_diagonalize(
     lam = w.real
 
     discovered: list[tuple[float, np.ndarray, float]] = []  # (eigenvalue, vector, sign)
-    clusters = _cluster_indices(lam, tol * scale)
+    clusters = _cluster_indices(lam.tolist(), tol * scale)
     clusters.sort(key=lambda c: (-abs(float(np.mean(lam[c]))), -float(np.mean(lam[c]))))
     for cluster in clusters:
         value = float(np.mean(lam[cluster]))
@@ -335,8 +346,7 @@ def pseudo_diagonalize(
     err_pu = _max_abs(s @ eta @ s.conj().T - eta)
     s_inv = eta @ s.conj().T @ eta
     err_diag = _max_abs(s_inv @ h @ s - np.diag(d))
-    bound = 10 * tol * max(1.0, _max_abs(h))
-    if err_pu > bound or err_diag > bound:
+    if err_pu > 10 * tol or err_diag > 10 * tol * _max_abs(h):
         raise PseudoDiagonalizationFailure(
             f"assembled transform fails consistency checks (pseudounitarity {err_pu:.3e}, "
             f"diagonalization {err_diag:.3e})"

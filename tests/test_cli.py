@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncpqec import cli
+from ncpqec import cli, repetition_bitflip
 from ncpqec.documents import channel_document, parse_analysis_document, parse_channel_document
 from ncpqec.superop import AMatrix, BMatrix, SignedOperatorSum, a_from_operator_sum, b_from_operator_sum
 
@@ -139,6 +139,17 @@ def test_classify_identity_is_cp(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["verdict"] == "CP"
     assert doc["signature"] == {"p": 1, "q": 0}
+
+
+def test_classify_hermiticity_fields_agree_at_large_scale(tmp_path, capsys):
+    # An asymmetry of 1e-5 on a B of largest entry near 1e6 is Hermitian
+    # to classify, so the hermiticity_preserving field must say so too.
+    b = 1e6 * b_from_operator_sum(repetition_bitflip(2, -0.2)[0]).matrix
+    b[0, 1] += 1e-5
+    path = write_channel(tmp_path / "chan.json", BMatrix(4, b))
+    assert cli.main(["classify", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "NCP" and doc["hermiticity_preserving"] is True
 
 
 def test_classify_tolerance_resolution(tmp_path):
@@ -352,6 +363,18 @@ def test_equiv_dimension_mismatch_exits_2(tmp_path):
     proc = run_cli("equiv", p1, p2)
     assert proc.returncode == 2
     assert "dimension mismatch" in proc.stderr
+
+
+def test_equiv_compares_dimensions_before_converting(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "operator_sum_from_b", lambda *args: calls.append(args))
+    paths = [
+        write_channel(tmp_path / f"b{d}.json", b_from_operator_sum(SignedOperatorSum.from_terms([1], [np.eye(d)])))
+        for d in (2, 3)
+    ]
+    assert cli.main(["equiv", *paths]) == 2
+    assert "dimension mismatch" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_readme_analysis_example_matches_cli(tmp_path):

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncpqec import (
     LinearDependence,
@@ -15,8 +18,10 @@ from ncpqec import (
     pseudo_diagonalize,
     pseudo_gram_schmidt,
     pseudo_inner,
+    repetition_bitflip,
+    superop,
 )
-from ncpqec.pseudolinalg import _signed_eigensystem
+from ncpqec.pseudolinalg import _max_abs, _signed_eigensystem
 
 from helpers import (
     ket,
@@ -226,6 +231,21 @@ def test_pseudo_diagonalize_keeps_eigensolver_order_in_cluster():
     assert res.permutation == (0, 1, 2, 3, 4)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e-150, 1e150])
+def test_pseudo_diagonalize_is_scale_invariant(scale):
+    # With a max(1, .) floor on the cluster gap, the 1e-12 spectrum merged
+    # at its mean and passed the consistency bound as [0.317] * 3.
+    sig = Signature(2, 1)
+    eta = eta_metric(sig)
+    h = random_real_spectrum_ph(np.random.default_rng(5), sig)
+    res = pseudo_diagonalize(scale * h, eta)
+    assert np.abs(res.eigenvalues / scale - [-0.66995263, 0.18039375, 1.44020819]).max() < 1e-8
+    base = pseudo_diagonalize(h, eta)
+    assert np.abs(res.eigenvalues / scale - base.eigenvalues).max() < 1e-14
+    assert np.abs(res.transform - base.transform).max() < 1e-12
+    assert res.permutation == base.permutation
+
+
 def test_polar_on_code_identity_and_flip():
     b0 = ket(0, 2)[:, None]
     res = polar_on_code(np.eye(2) @ b0)
@@ -332,3 +352,95 @@ def test_signed_eigensystem_values_are_the_cluster_means():
     values, basis = _signed_eigensystem(lam, np.eye(6), 1e-10)
     ones, twos = np.mean(lam[3:]), np.mean(lam[:2])
     assert values.tolist() == [ones, ones, ones, 0.5, twos, twos] and basis.shape == (6, 6)
+
+
+def _oracle_signed_eigensystem(lam, vectors, cut, candidates=None):
+    """The per-vector form of ``_signed_eigensystem``: each cluster's basis by
+    Gram-Schmidt of the candidates' projections in the full space."""
+    kept = np.flatnonzero(np.abs(lam) > cut)
+    clusters = []
+    for idx in kept[np.argsort(lam[kept], kind="stable")]:
+        if clusters and lam[idx] <= lam[clusters[-1][-1]] + cut:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    clusters.sort(key=lambda c: (lam[c[0]] < 0, -abs(lam[c[0]])))
+    values = np.repeat([np.mean(lam[c]) for c in clusters], [len(c) for c in clusters])
+    columns = [np.zeros((vectors.shape[0], 0))]
+    for c in clusters:
+        span = vectors[:, c]
+        if candidates is None:  # row i of span holds the coefficients of e_i
+            floor = 1e-8
+            projections = (span @ span[i].conj() for i in np.flatnonzero(np.linalg.norm(span, axis=1) > floor))
+        else:
+            floor = 1e-8 * float(np.max(np.linalg.norm(candidates, axis=0)))
+            projections = (span @ (span.conj().T @ candidates)).T
+        basis = []
+        for w in projections:
+            if len(basis) == len(c):
+                break
+            for b in basis:
+                w = w - b * np.vdot(b, w)
+            wn = float(np.linalg.norm(w))
+            if wn > floor:
+                basis.append(w / wn)
+        assert len(basis) == len(c)
+        columns.append(np.column_stack(basis))
+    return values, np.concatenate(columns, axis=1)
+
+
+def _assert_matches_oracle(lam, vectors, cut, candidates=None):
+    values, basis = _signed_eigensystem(lam, vectors, cut, candidates)
+    want_values, want_basis = _oracle_signed_eigensystem(lam, vectors, cut, candidates)
+    assert values.tolist() == want_values.tolist()
+    assert basis.shape == want_basis.shape and (basis.dtype == want_basis.dtype or not basis.size)
+    assert np.abs(basis - want_basis).max(initial=0.0) <= 1e-12
+    return values, basis
+
+
+@st.composite
+def planted_spectra(draw, explicit):
+    """A Hermitian matrix with repeated eigenvalues, at one scale, and its candidates.
+
+    The explicit candidates span the space; some are zero or copies of
+    earlier ones, and the first may be an eigenvector, which projects to
+    zero on every other eigenspace.  Otherwise they are ``None``, the
+    standard basis.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 8))
+    levels = np.array(draw(st.lists(st.sampled_from([-3.0, -1.5, -0.5, 0.0, 0.5, 2.0]), min_size=d, max_size=d)))
+    scale = draw(st.sampled_from([1e-150, 1e-12, 1.0, 1e12, 1e150]))
+    u = np.linalg.qr(rng.normal(size=(d, d)))[0] if draw(st.booleans()) else random_unitary(rng, d)
+    lam, vectors = np.linalg.eigh((u * (scale * levels)) @ u.conj().T)
+    if not explicit:
+        return lam, vectors, None
+    columns = list(random_complex(rng, (d, d)).T)
+    for kind in draw(st.lists(st.sampled_from(["zero", "copy"]), max_size=3)):
+        at = int(rng.integers(1, len(columns) + 1))
+        columns.insert(at, 0 * columns[0] if kind == "zero" else 2.5 * columns[int(rng.integers(0, at))])
+    if draw(st.booleans()):
+        columns.insert(0, u[:, int(rng.integers(0, d))])
+    return lam, vectors, scale * np.column_stack(columns)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_signed_eigensystem_matches_the_per_vector_oracle(explicit, data):
+    lam, vectors, candidates = data.draw(planted_spectra(explicit))
+    _assert_matches_oracle(lam, vectors, 1e-9 * _max_abs(lam), candidates)
+
+
+def test_signed_eigensystem_skips_candidates_off_the_cluster():
+    # On the B of the CP repetition map, e_0 (where vec(I) is nonzero) and
+    # e_3 project to zero on the bit-flip cluster, whose basis is then
+    # vec(X_k) in the order of their first nonzero entries: e_1, e_2, e_4.
+    ops, _ = repetition_bitflip(3, 0.7)
+    with mock.patch.object(superop, "_signed_eigensystem", wraps=_signed_eigensystem) as spy:
+        terms = superop.operator_sum_from_b(superop.b_from_operator_sum(ops))
+    (lam, v, cut), = (call.args for call in spy.call_args_list)
+    values, basis = _assert_matches_oracle(lam, v, cut)
+    assert np.abs(values - [5.6, 0.8, 0.8, 0.8]).max() < 1e-12
+    assert np.abs(basis[[0, 3], 1:]).max() < 1e-15
+    assert np.abs(terms.operators - ops.operators[[3, 2, 1, 0]]).max() < 1e-12
