@@ -62,18 +62,20 @@ def _resolve_tol(args: argparse.Namespace) -> float:
         raise ValueError(f"{source}: {exc}") from None
 
 
-def _load_json(path: str):
-    """The JSON document at ``path``, read with the cyclic garbage collector paused.
+def _load_json(path: str, parse):
+    """``parse`` of the JSON document at ``path``, read and parsed with the cyclic garbage collector paused.
 
     A JSON document is a tree, so the collector finds no cycles in it;
     left on, it rescans the many small lists of a matrix document while
-    they are built.  The caller's collector state is restored.
+    they are built, and again on the parser's first allocations while
+    the tree is alive.  The caller's collector state is restored on
+    every path, errors included.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return parse(json.load(fh))  # the tree is freed before the collector resumes
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -106,7 +108,7 @@ def _as_operator_sum(channel, tol: float) -> SignedOperatorSum:
 
 def cmd_convert(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
-    channel = parse_channel_document(_load_json(args.input))
+    channel = _load_json(args.input, parse_channel_document)
     if args.to == "a_matrix":
         out = reshuffle(_as_b_matrix(channel))
     elif args.to == "b_matrix":
@@ -119,7 +121,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
-    channel = parse_channel_document(_load_json(args.input))
+    channel = _load_json(args.input, parse_channel_document)
     b = _as_b_matrix(channel)
     a = reshuffle(b)
     hermiticity = check_hermiticity_preserving(a, tol * _max_abs(a.matrix))
@@ -137,8 +139,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_qec(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
-    channel = parse_channel_document(_load_json(args.input))
-    code = parse_code_document(_load_json(args.code), tol)
+    channel = _load_json(args.input, parse_channel_document)
+    code = _load_json(args.code, lambda obj: parse_code_document(obj, tol))
     if code.dim != channel.dim:
         raise ValueError(f"channel dimension {channel.dim} does not match code dimension {code.dim}")
     ops = _as_operator_sum(channel, tol)
@@ -152,7 +154,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     from .errors import MapsNotEqual
 
     tol = _resolve_tol(args)
-    first, second = (parse_channel_document(_load_json(path)) for path in (args.first, args.second))
+    first, second = (_load_json(path, parse_channel_document) for path in (args.first, args.second))
     if first.dim != second.dim:
         raise ValueError(f"dimension mismatch: {first.dim} vs {second.dim}")
     first, second = _as_operator_sum(first, tol), _as_operator_sum(second, tol)

@@ -135,14 +135,14 @@ def pseudo_inner(u: np.ndarray, v: np.ndarray, eta: np.ndarray) -> complex:
 
 
 def is_pseudohermitian(h: np.ndarray, eta: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``H^dag = eta H eta`` entrywise within ``tol``."""
+    """True iff ``H^dag = eta H eta`` entrywise within ``tol`` times ``max|H|``."""
     h = _as_square(h, "H")
     eta = _check_metric(eta, h.shape[0])
-    return _max_abs(h.conj().T - eta @ h @ eta) <= tol
+    return _max_abs(h.conj().T - eta @ h @ eta) <= tol * _max_abs(h)
 
 
 def is_pseudounitary(u: np.ndarray, eta: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``U eta U^dag = eta`` entrywise within ``tol``."""
+    """True iff ``U eta U^dag = eta`` entrywise within the absolute ``tol``."""
     u = _as_square(u, "U")
     eta = _check_metric(eta, u.shape[0])
     return _max_abs(u @ eta @ u.conj().T - eta) <= tol
@@ -159,7 +159,8 @@ def pseudo_gram_schmidt(
     Raises
     ------
     LinearDependence
-        If a vector is (numerically) in the span of its predecessors.
+        If a vector is (numerically) in the span of its predecessors: its
+        residual norm is at most ``tol`` times its own norm.
     NullNormEncountered
         If an orthogonalized vector has indefinite norm of magnitude
         at most ``tol`` (after unit Euclidean scaling), so it cannot be
@@ -179,7 +180,7 @@ def pseudo_gram_schmidt(
         for u, g in zip(out, norms):
             w = w - u * (pseudo_inner(u, w, eta) / g)
         wn = float(np.linalg.norm(w))
-        if wn <= tol * max(1.0, float(np.linalg.norm(v))):
+        if wn <= tol * float(np.linalg.norm(v)):
             raise LinearDependence(f"vector {k} lies in the span of its predecessors")
         w = w / wn
         g = pseudo_inner(w, w, eta).real
@@ -274,13 +275,13 @@ def pseudo_diagonalize(
     (possible by inertia preservation), which is what makes ``S``
     pseudounitary with respect to the *input* metric.  The real-spectrum
     test and the cluster gap scale ``tol`` by the largest eigenvalue
-    magnitude, the diagonalization check by ``max|H|``; the
-    pseudounitarity check is absolute.
+    magnitude, the pseudohermiticity test and the diagonalization check
+    by ``max|H|``; the pseudounitarity check is absolute.
 
     Raises
     ------
     NotPseudoHermitian
-        If ``H`` fails the pseudohermiticity test at ``tol``.
+        If ``H`` fails :func:`is_pseudohermitian` at ``tol``, relative to ``max|H|``.
     PseudoDiagonalizationFailure
         If the spectrum is not real within tolerance, an eigenvector has
         null indefinite norm, or the assembled transform fails its

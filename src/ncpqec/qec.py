@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -285,7 +286,9 @@ def projector_from_basis(vectors: Sequence[np.ndarray], tol: float = DEFAULT_TOL
     Raises
     ------
     LinearDependence
-        If the vectors do not have full rank within tolerance.
+        If the vectors do not have full rank within tolerance: a vector's
+        part orthogonal to its predecessors has norm at most ``tol`` times
+        its own norm.
     """
     vecs = [np.asarray(v, dtype=complex) for v in vectors]
     if not vecs:
@@ -303,7 +306,7 @@ def projector_from_basis(vectors: Sequence[np.ndarray], tol: float = DEFAULT_TOL
     # |R_kk| is the norm of vector k orthogonal to its predecessors; past
     # column dim every vector is dependent.
     diag = np.diag(r)
-    small = np.abs(diag) <= tol * np.maximum(1.0, np.linalg.norm(m, axis=0)[: diag.size])
+    small = np.abs(diag) <= tol * np.linalg.norm(m, axis=0)[: diag.size]
     if small.any() or len(vecs) > dim:
         k = int(np.argmax(small)) if small.any() else dim
         raise LinearDependence(f"basis vector {k} lies in the span of its predecessors")
@@ -589,8 +592,8 @@ def _recovery_samples(r: int, trials: int) -> np.ndarray:
     """Unit logical vectors ``u`` of the pure samples ``sigma = u u^dag``, read-only ``(s, r)``."""
     eye = np.eye(r)
     coeffs = list(eye) + [eye[i] + phase * eye[j] for i in range(r) for j in range(i + 1, r) for phase in (1, 1j)]
-    rng = np.random.default_rng(_VERIFY_SEED)
-    coeffs += [rng.standard_normal(r) + 1j * rng.standard_normal(r) for _ in range(trials)]
+    rng = random.Random(_VERIFY_SEED)  # stdlib, so no command imports numpy.random
+    coeffs += [[complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(r)] for _ in range(trials)]
     c = np.array(coeffs)
     return _frozen(c / np.linalg.norm(c, axis=1, keepdims=True))
 
@@ -636,11 +639,13 @@ def verify_recovery(
     that restores states only up to a constant factor still verifies.
     Samples ``sigma`` are the logical basis states, their pairwise
     superpositions with phases 1 and i, and ``trials`` reproducible
-    random logical states.  Map and recovery enter only through the
-    ``d x r`` terms ``M_jk = R_j E_k B``: each deviation ``X = A Z A^dag``
-    lies in the column span of ``A = [B, M_11, M_12, ...]``, and its norm
-    is taken on the coordinates of ``A`` in an orthonormal frame, with no
-    ``d x d`` state and no rank cut.
+    random logical states, whose real and imaginary parts are standard
+    normal draws from the stdlib ``random.Random`` at a fixed seed.  Map
+    and recovery enter only through the ``d x r`` terms
+    ``M_jk = R_j E_k B``: each deviation ``X = A Z A^dag`` lies in the
+    column span of ``A = [B, M_11, M_12, ...]``, and its norm is taken on
+    the coordinates of ``A`` in an orthonormal frame, with no ``d x d``
+    state and no rank cut.
 
     A dense :class:`~ncpqec.superop.SignedOperatorSum` recovery gets the
     frame from one thin Householder QR of ``A`` (accurate per column

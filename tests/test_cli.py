@@ -270,26 +270,43 @@ def test_qec_dimension_mismatch_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_load_json_pauses_gc_and_restores_the_callers_state(tmp_path, monkeypatch, capsys):
+    # The collector stays paused from json.load through the document's
+    # parser, and the caller's state comes back on success, a failed
+    # open, a JSON error and a parser ValueError.
     chan = write_channel(tmp_path / "chan.json", bitflip_ops(-0.2))
     code = write_repetition_code(tmp_path / "code.json")
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": ')
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"schema_version": "1", "representation": "b_matrix"}')
+    runs = [
+        (chan, 0, ""),
+        (str(tmp_path / "missing.json"), 2, "cannot read"),
+        (str(bad), 2, "is not valid JSON"),
+        (str(malformed), 2, "missing required field 'dim'"),
+    ]
     during = []
-    load = json.load
-    monkeypatch.setattr(cli.json, "load", lambda fh: during.append(gc.isenabled()) or load(fh))
+
+    def spy(step, fn):
+        return lambda *args: during.append((step, gc.isenabled())) or fn(*args)
+
+    monkeypatch.setattr(cli.json, "load", spy("load", json.load))
+    monkeypatch.setattr(cli, "parse_channel_document", spy("channel", cli.parse_channel_document))
+    monkeypatch.setattr(cli, "parse_code_document", spy("code", cli.parse_code_document))
     was_enabled = gc.isenabled()
     try:
         for enabled, switch in ((True, gc.enable), (False, gc.disable)):
-            switch()
-            assert cli.main(["qec", chan, "--code", code, "--json"]) == 0
-            assert gc.isenabled() == enabled
-            assert cli.main(["qec", str(bad), "--code", code]) == 2
-            assert "is not valid JSON" in capsys.readouterr().err
-            assert gc.isenabled() == enabled
+            for path, status, message in runs:
+                switch()
+                assert cli.main(["qec", path, "--code", code, "--json"]) == status
+                assert message in capsys.readouterr().err
+                assert gc.isenabled() == enabled
     finally:
         if was_enabled:
             gc.enable()
-    assert during == [False] * 6
+    steps = [("load", False), ("channel", False), ("load", False), ("code", False)]  # the good run
+    steps += [("load", False), ("load", False), ("channel", False)]  # no load of a missing file, no parse of bad JSON
+    assert during == steps * 2
 
 
 def test_qec_nan_code_document_exits_2(tmp_path):
@@ -437,6 +454,21 @@ def test_reproduce_paper_near_float_max():
     doc = json.loads(proc.stdout)
     assert doc["verdict"] == "code_outside_domain"
     assert doc["witness_probability"] == pytest.approx(-1e308 / 3, rel=1e-12)
+
+
+def test_reproduce_paper_does_not_import_numpy_random():
+    # verify_recovery draws its random samples from the stdlib generator,
+    # so the command never loads numpy.random.
+    script = (
+        "import contextlib, io, sys\n"
+        "from ncpqec import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(['reproduce-paper', '--json'])\n"
+        "print(status, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_reproduce_paper_rejects_plain_mixture():

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncpqec import (
     LinearDependence,
@@ -145,6 +145,8 @@ def test_pseudo_gram_schmidt_null_vector():
 def test_pseudo_gram_schmidt_dependence():
     with pytest.raises(LinearDependence):
         pseudo_gram_schmidt([np.array([1.0, 0]), np.array([2.0, 0])], np.eye(2))
+    with pytest.raises(LinearDependence):
+        pseudo_gram_schmidt([np.array([1.0, 0]), np.zeros(2)], np.eye(2))
 
 
 def test_pseudo_gram_schmidt_pairwise_orthogonality():
@@ -244,6 +246,75 @@ def test_pseudo_diagonalize_is_scale_invariant(scale):
     assert np.abs(res.eigenvalues / scale - base.eigenvalues).max() < 1e-14
     assert np.abs(res.transform - base.transform).max() < 1e-12
     assert res.permutation == base.permutation
+
+
+@st.composite
+def gate_inputs(draw):
+    """A matrix, a metric and a list of vectors at scale 1.
+
+    The matrix is pseudohermitian (with a real spectrum or not), one
+    nudged off by 1e-6, or a general complex matrix.  The vectors are
+    random, with zero vectors, multiples and combinations of earlier
+    ones inserted, and may outnumber the dimension.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sig = Signature(draw(st.integers(1, 3)), draw(st.integers(0, 2)))
+    n = sig.size
+    kind = draw(st.sampled_from(["ph", "real spectrum", "nudged", "general"]))
+    if kind == "ph":
+        h = random_ph(rng, sig)
+    elif kind == "real spectrum":
+        h = random_real_spectrum_ph(rng, sig)
+    elif kind == "nudged":
+        h = random_ph(rng, sig) + 1e-6 * random_complex(rng, (n, n))
+    else:
+        h = random_complex(rng, (n, n))
+    vectors = list(random_complex(rng, (draw(st.integers(1, n + 1)), n)))
+    for extra in draw(st.lists(st.sampled_from(["zero", "multiple", "combination"]), max_size=2)):
+        at = int(rng.integers(1, len(vectors) + 1))
+        a, b = vectors[int(rng.integers(0, at))], vectors[int(rng.integers(0, at))]
+        vectors.insert(at, {"zero": 0 * a, "multiple": 2.5 * a, "combination": a + (1 + 2j) * b}[extra])
+    return h, eta_metric(sig), vectors
+
+
+def _gate_outcome(fn, *args):
+    """``(None, fn(*args))``, or the failure's type with its message for ``LinearDependence``."""
+    try:
+        return None, fn(*args)
+    except LinearDependence as exc:
+        return LinearDependence, str(exc)
+    except (NotPseudoHermitian, NullNormEncountered, PseudoDiagonalizationFailure) as exc:
+        return type(exc), None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(inputs=gate_inputs(), exponent=st.sampled_from([-150, 150]) | st.integers(-150, 150))
+@example(  # absolute or max(1, .) gates: True, "spectrum is not real" and LinearDependence at 1e-12
+    inputs=(random_complex(np.random.default_rng(97), (3, 3)), eta_metric(Signature(2, 1)), [ket(0, 3), ket(2, 3)]),
+    exponent=-12,
+)
+def test_gates_give_the_scale_1_answer_at_every_scale(inputs, exponent):
+    h, eta, vectors = inputs
+    scale = 10.0**exponent
+    scaled = [scale * v for v in vectors]
+    assert is_pseudohermitian(scale * h, eta) == is_pseudohermitian(h, eta)
+    for fn, args, got_args in [
+        (pseudo_diagonalize, (h, eta), (scale * h, eta)),
+        (projector_from_basis, (vectors,), (scaled,)),
+        (pseudo_gram_schmidt, (vectors, eta), (scaled, eta)),
+    ]:
+        (base_failure, base), (failure, got) = _gate_outcome(fn, *args), _gate_outcome(fn, *got_args)
+        assert failure == base_failure, fn.__name__
+        if failure:
+            assert got == base
+        elif fn is pseudo_diagonalize:
+            want = np.sort(base.eigenvalues)
+            assert np.abs(np.sort(got.eigenvalues) / scale - want).max() <= 1e-9 * _max_abs(want)
+        elif fn is projector_from_basis:
+            assert np.abs(got.isometry - base.isometry).max() <= 1e-12
+        else:
+            want = np.column_stack(base)
+            assert np.abs(np.column_stack(got) - want).max() <= 1e-9 * _max_abs(want)
 
 
 def test_polar_on_code_identity_and_flip():

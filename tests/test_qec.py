@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from dataclasses import fields
 
@@ -612,8 +613,9 @@ def _per_sample_deviations(ops, recovery, code, trials):
     r = code.rank
     coeffs = [np.eye(r)[i] for i in range(r)]
     coeffs += [np.eye(r)[i] + phase * np.eye(r)[j] for i in range(r) for j in range(i + 1, r) for phase in (1, 1j)]
-    sample_rng = np.random.default_rng(_VERIFY_SEED)
-    coeffs += [sample_rng.standard_normal(r) + 1j * sample_rng.standard_normal(r) for _ in range(trials)]
+    sample_rng = random.Random(_VERIFY_SEED)  # real, then imaginary part of each entry
+    for _ in range(trials):
+        coeffs.append(np.array([sample_rng.gauss(0.0, 1.0) + 1j * sample_rng.gauss(0.0, 1.0) for _ in range(r)]))
     frobenius = max_abs = 0.0
     for c in coeffs:
         psi = code.isometry @ c / np.linalg.norm(c)
