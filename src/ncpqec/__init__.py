@@ -10,7 +10,6 @@ pseudounitary freedom connecting equal decompositions.
 """
 
 from .errors import (
-    ConditionsViolated,
     LinearDependence,
     MapsNotEqual,
     NotHermitian,
@@ -70,12 +69,8 @@ from .qec import (
     Verdict,
     analyze,
     build_recovery,
-    build_syndromes,
     cp_condition_matrix,
-    diagonalize_conditions,
-    domain_witness,
     negative_part_on_code,
-    ph_condition_matrix,
     projector_from_basis,
     repetition_bitflip,
     verify_recovery,

@@ -35,10 +35,6 @@ class NotPseudoUnitary(NumericalFailure):
     """The matrix does not preserve the indefinite metric within tolerance."""
 
 
-class ConditionsViolated(NumericalFailure):
-    """The error-correction conditions do not hold on the code space."""
-
-
 class OrthogonalityViolation(NumericalFailure):
     """Syndrome projectors are not pairwise orthogonal within tolerance."""
 

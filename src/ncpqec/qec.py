@@ -41,7 +41,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    ConditionsViolated,
     LinearDependence,
     OrthogonalityViolation,
     WitnessSearchFailed,
@@ -62,12 +61,8 @@ __all__ = [
     "projector_from_basis",
     "repetition_bitflip",
     "cp_condition_matrix",
-    "ph_condition_matrix",
-    "diagonalize_conditions",
-    "build_syndromes",
     "negative_part_on_code",
     "build_recovery",
-    "domain_witness",
     "analyze",
     "verify_recovery",
 ]
@@ -256,10 +251,11 @@ class QecReport:
     ``condition`` holds the canonical conditions that decided the
     verdict (the ``1 x 1`` zero matrix for a map that annihilates the
     code).  ``diagonalizer`` (``T``), ``diagonal`` (``d``) and
-    ``syndromes`` come from :func:`diagonalize_conditions` and are absent
-    when the conditions fail.  ``witness`` is present exactly for the
-    outside-domain verdict; ``recovery`` is the syndromes' own factored
-    :class:`Recovery` for the reversible verdict and ``None`` otherwise.
+    ``syndromes`` belong to the canonical terms ``F = E T`` (never
+    formed) and are absent when the conditions fail.  ``witness`` is
+    present exactly for the outside-domain verdict; ``recovery`` is the
+    syndromes' own factored :class:`Recovery` for the reversible verdict
+    and ``None`` otherwise.
     """
 
     condition: ConditionMatrix
@@ -368,16 +364,6 @@ def cp_condition_matrix(operators: Sequence[np.ndarray], code: CodeSpace) -> Con
     return _condition_fit(_blocks(_on_code(ops, code)), None, "hermitian")
 
 
-def ph_condition_matrix(ops: SignedOperatorSum, code: CodeSpace) -> ConditionMatrix:
-    """Fit the signed conditions ``sign_i P E_i^dag E_j P = c_ij P``.
-
-    The resulting coefficient matrix is pseudohermitian for the metric
-    of ``ops.signature``.  The residual is measured as in
-    :func:`cp_condition_matrix`.
-    """
-    return _condition_fit(_blocks(_on_code(ops, code)), ops.signs, "pseudohermitian")
-
-
 def _canonical_terms(
     signs: Sequence[int], blocks: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ConditionMatrix, float]:
@@ -409,42 +395,15 @@ def _canonical_terms(
     return new_signs, d, t, condition, scale
 
 
-def diagonalize_conditions(
-    ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL
-) -> tuple[SignedOperatorSum, np.ndarray, np.ndarray]:
-    """Canonical terms of the map on the code, with diagonal conditions.
-
-    Returns ``(F, d, T)`` where ``F = E T`` satisfies
-    ``P F_k^dag F_l P = d[k] delta_kl P`` with ``d > 0``, positive signs
-    first, then descending ``d``.  ``T`` is ``n x m`` with ``m`` the rank
-    of the map restricted to the code; it is the square pseudounitary
-    connecting the two decompositions whenever the terms are linearly
-    independent on the code.  ``F`` generates the same map as ``ops`` on
-    operators supported on the code space.  A NaN, infinite or negative
-    ``tol`` raises ``ValueError``.
-
-    Raises
-    ------
-    ConditionsViolated
-        If the canonical residual exceeds ``tol`` times the map's scale on
-        the code.
-    """
-    signs, d, t, condition, scale = _canonical_terms(ops.signs, _blocks(_on_code(ops, code)), _check_tol(tol))
-    if condition.residual > tol * scale:
-        raise ConditionsViolated(
-            f"signed correctability conditions fail: residual {condition.residual:.3e} "
-            f"> {tol:.1e} x scale {scale:.3e}"
-        )
-    return SignedOperatorSum(ops.dim, signs, np.tensordot(t, ops.operators, axes=([0], [0]))), d, t
-
-
 def _syndromes(
     signs: Sequence[int], products: np.ndarray, code: CodeSpace, d: np.ndarray, tol: float
 ) -> SyndromeSet:
-    """Syndromes of the diagonal terms from their ``(m, d, r)`` products ``F_k B``; see :func:`build_syndromes`."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != (len(products),):
-        raise ValueError(f"weight vector has shape {d.shape}, expected ({len(products)},)")
+    """Syndromes of the diagonal terms from their ``(m, d, r)`` products ``F_k B``.
+
+    Term ``k`` with ``d[k] > tol * max(d)`` gives ``F_k B = sqrt(d[k]) W_k``, ``W_k``
+    the polar isometry of ``F_k B / sqrt(d[k])``, all in one batched polar;
+    lighter terms act trivially on the code space and are skipped.
+    """
     keep = np.flatnonzero(d > tol * d.max(initial=0.0))
     w = polar_on_code(products[keep] / np.sqrt(d[keep])[:, None, None]).isometry
     w.setflags(write=False)  # held by the record without a copy
@@ -454,29 +413,6 @@ def _syndromes(
         a, c = np.unravel_index(np.argmax(overlaps), overlaps.shape)
         raise OrthogonalityViolation(f"syndromes {a} and {c} overlap by {overlaps[a, c]:.3e}")
     return SyndromeSet(Recovery(code.isometry, w), d[keep], np.asarray(signs)[keep], keep)
-
-
-def build_syndromes(
-    f_ops: SignedOperatorSum, code: CodeSpace, d: np.ndarray, tol: float = DEFAULT_TOL
-) -> SyndromeSet:
-    """Syndrome isometries for diagonalized terms.
-
-    Term ``k`` with weight ``d[k] > tol * max(d)`` satisfies
-    ``F_k B = sqrt(d[k]) W_k`` with ``W_k`` the polar isometry of
-    ``F_k B / sqrt(d[k])``, whose singular values are all 1 at any scale
-    of the map; its syndrome projector is ``W_k W_k^dag``.  Lighter terms
-    act trivially on the code space and are skipped.  All retained
-    terms share one batched :func:`~ncpqec.pseudolinalg.polar_on_code`.
-    A NaN, infinite or negative ``tol`` raises ``ValueError``.
-
-    Raises
-    ------
-    OrthogonalityViolation
-        If two retained syndromes overlap (an entry of ``W_a^dag W_b``
-        exceeds ``10 tol``), which signals that the conditions were not
-        actually diagonal.
-    """
-    return _syndromes(f_ops.signs, f_ops.operators @ code.isometry, code, d, _check_tol(tol))
 
 
 def negative_part_on_code(ops: SignedOperatorSum, code: CodeSpace) -> float:
@@ -501,41 +437,14 @@ def build_recovery(syndromes: SyndromeSet) -> Recovery:
     return syndromes.recovery
 
 
-def domain_witness(
-    ops: SignedOperatorSum,
-    code: CodeSpace,
-    syndromes: SyndromeSet,
-    tol: float = DEFAULT_TOL,
-) -> NegativityWitness | None:
-    """Code state with a negative syndrome probability, in closed form.
-
-    On a code state ``rho``, the syndrome of a retained negative-sign
-    diagonal term ``F_j`` has outcome probability
-    ``tr(W_j^dag E(rho) W_j) = -d_j tr(rho)``.  Returns ``None`` when no
-    retained syndrome has a negative sign (nothing to witness).
-    Otherwise returns the first logical basis state ``b_0`` against the
-    first negative syndrome, with its probability cross-checked once on
-    the input terms as ``sum_k s_k |W_j^dag E_k b_0|^2``.  A NaN,
-    infinite or negative ``tol`` raises ``ValueError``.
-
-    Raises
-    ------
-    WitnessSearchFailed
-        If the cross-checked probability is not at most ``-tol`` times the
-        largest syndrome weight, i.e. the syndromes do not belong to
-        ``ops`` on this code.
-    """
-    _check_tol(tol)
-    if not (syndromes.signs < 0).any():
-        return None
-    b0 = code.isometry[:, 0]
-    return _witness(ops.signs, ops.operators @ b0, b0, syndromes, tol)
-
-
 def _witness(
     signs: Sequence[int], first: np.ndarray, b0: np.ndarray, syndromes: SyndromeSet, tol: float
 ) -> NegativityWitness:
-    """Witness against the first negative syndrome from the ``(n, d)`` terms ``E_k b_0``; see :func:`domain_witness`."""
+    """Witness ``b_0`` against the first negative syndrome ``j``, from the ``(n, d)`` terms ``E_k b_0``.
+
+    Its outcome probability on a code state is ``-d_j``, cross-checked
+    once on the input terms as ``sum_k s_k |W_j^dag E_k b_0|^2``.
+    """
     j = int(np.argmax(syndromes.signs < 0))
     amplitudes = first @ syndromes.isometries[j].conj()  # row k: W_j^dag E_k b_0
     prob = float(np.asarray(signs, dtype=float) @ np.sum(np.abs(amplitudes) ** 2, axis=1))
@@ -565,8 +474,18 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
       ``recovery`` reads the syndromes' factored :class:`Recovery`.
 
     The verdict depends on the map and the code, not on the signed
-    decomposition that represents the map.  A NaN, infinite or negative
-    ``tol`` raises ``ValueError``.
+    decomposition that represents the map.
+
+    Raises
+    ------
+    ValueError
+        For a NaN, infinite or negative ``tol``, or mismatched dimensions.
+    OrthogonalityViolation
+        If two syndromes overlap (an entry of ``W_a^dag W_b`` exceeds
+        ``10 tol``): the conditions were not actually diagonal.
+    WitnessSearchFailed
+        If the witness's cross-checked probability is not at most ``-tol``
+        times the largest syndrome weight.
     """
     _check_tol(tol)
     v = _on_code(ops, code)

@@ -11,6 +11,7 @@ from ncpqec import (
     CodeSpace,
     Signature,
     SignedOperatorSum,
+    cp_condition_matrix,
     eta_metric,
     projector_from_basis,
     repetition_bitflip,
@@ -126,6 +127,11 @@ def bitflip_ops(c0: float) -> SignedOperatorSum:
 
 def repetition_code() -> CodeSpace:
     return repetition_bitflip(3, 0.7)[1]
+
+
+def ph_conditions(ops: SignedOperatorSum, code: CodeSpace) -> np.ndarray:
+    """The signed conditions ``c_ij`` of ``sign_i P E_i^dag E_j P = c_ij P``, from the unsigned fit."""
+    return np.asarray(ops.signs)[:, None] * cp_condition_matrix(list(ops.operators), code).entries
 
 
 def conditioned_pauli_map(rng, require_negative: bool = True) -> SignedOperatorSum:

@@ -18,7 +18,6 @@ PUBLIC = {
     "BMatrix",
     "CodeSpace",
     "ConditionMatrix",
-    "ConditionsViolated",
     "ConnectionResult",
     "DEFAULT_TOL",
     "LinearDependence",
@@ -52,14 +51,11 @@ PUBLIC = {
     "apply_map",
     "b_from_operator_sum",
     "build_recovery",
-    "build_syndromes",
     "check_hermiticity_preserving",
     "check_trace_preserving",
     "classify",
     "connecting_pseudounitary",
     "cp_condition_matrix",
-    "diagonalize_conditions",
-    "domain_witness",
     "ensemble_connection",
     "eta_metric",
     "is_positive_semidefinite",
@@ -69,7 +65,6 @@ PUBLIC = {
     "negative_part_on_code",
     "operator_sum_from_b",
     "pad_to_signature",
-    "ph_condition_matrix",
     "polar_on_code",
     "projector_from_basis",
     "pseudo_diagonalize",

@@ -90,11 +90,12 @@ def test_maps_equal_is_equivalence_relation():
                     assert maps_equal(maps[i], maps[k], 3 * tol)
 
 
-@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e3])
+@pytest.mark.parametrize("scale", [1e-150, 1e-12, 1e-5, 1.0, 1e3, 1e150])
 def test_classify_and_maps_equal_do_not_depend_on_scale(scale):
     # The terms are scaled, so the maps are scaled by scale^2. The inverted
-    # bit flip stays NCP with the signature of its own eigendecomposition
-    # and stays apart from the CP bit flip at every scale.
+    # bit flip stays NCP with the signature of its own eigendecomposition,
+    # stays apart from the CP bit flip and connects to its own boosted
+    # decomposition at every scale.
     inverted, cp = (SignedOperatorSum(8, ops.signs, scale * ops.operators) for ops in map(bitflip_ops, (-0.2, 0.7)))
     b = b_from_operator_sum(inverted)
     assert operator_sum_from_b(b).signature == Signature(3, 1)
@@ -104,6 +105,9 @@ def test_classify_and_maps_equal_do_not_depend_on_scale(scale):
     assert maps_equal(inverted, to_base_map(inverted))
     with pytest.raises(MapsNotEqual):
         connecting_pseudounitary(inverted, cp)
+    pu = random_pu(np.random.default_rng(7), Signature(3, 1))
+    res = connecting_pseudounitary(inverted, transform_by_pseudounitary(inverted, pu))
+    assert np.abs(res.u - pu).max() < 1e-8
 
 
 # ---------------------------------------------------------------- to_base_map

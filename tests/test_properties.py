@@ -23,7 +23,6 @@ from ncpqec import (
     Verdict,
     analyze,
     eta_metric,
-    ph_condition_matrix,
     pseudo_diagonalize,
     to_base_map,
     transform_by_pseudounitary,
@@ -36,6 +35,7 @@ from helpers import (
     bitflip_ops,
     conditioned_pauli_map,
     pauli_string,
+    ph_conditions,
     random_complex,
     random_pu,
     repetition_code,
@@ -143,7 +143,7 @@ def test_pseudo_diagonalize_oracle_matches_weights(case, boosted):
     ops, rng = case
     if boosted:
         ops = transform_by_pseudounitary(ops, random_pu(rng, ops.signature), tol=1e-7)
-    entries = ph_condition_matrix(ops, CODE).entries
+    entries = ph_conditions(ops, CODE)
     try:
         oracle = pseudo_diagonalize(entries, eta_metric(ops.signature))
     except PseudoDiagonalizationFailure:

@@ -7,7 +7,6 @@ import pytest
 
 from ncpqec import (
     CodeSpace,
-    ConditionsViolated,
     LinearDependence,
     QecReport,
     Recovery,
@@ -23,24 +22,22 @@ from ncpqec import (
     apply_a_matrix,
     apply_map,
     build_recovery,
-    build_syndromes,
     cp_condition_matrix,
-    diagonalize_conditions,
-    domain_witness,
     eta_metric,
     negative_part_on_code,
-    ph_condition_matrix,
     projector_from_basis,
     repetition_bitflip,
     verify_recovery,
 )
-from ncpqec.qec import _VERIFY_SEED
+from ncpqec.pseudolinalg import DEFAULT_TOL
+from ncpqec.qec import _VERIFY_SEED, _witness
 
 from helpers import (
     bitflip_ops,
     conditioned_pauli_map,
     ket,
     pauli_string,
+    ph_conditions,
     random_code,
     random_code_state,
     random_complex,
@@ -51,6 +48,11 @@ from helpers import (
 
 X1, X2, X3 = (pauli_string(s) for s in ("XII", "IXI", "IIX"))
 I8 = np.eye(8, dtype=complex)
+
+
+def _canonical_operators(ops, report):
+    """The canonical terms ``F = E T`` of a report, which :func:`analyze` never forms."""
+    return np.tensordot(report.diagonalizer, ops.operators, axes=([0], [0]))
 
 
 def test_projector_from_basis():
@@ -122,21 +124,13 @@ def test_cp_condition_entries_hermitian():
 
 
 def test_ph_conditions_bitflip():
-    cond = ph_condition_matrix(bitflip_ops(-0.2), repetition_code())
+    ops, code = bitflip_ops(-0.2), repetition_code()
+    want = np.diag([0.4, 0.4, 0.4, -0.2])
+    assert np.abs(ph_conditions(ops, code) - want).max() < 1e-12
+    cond = analyze(ops, code).condition  # already diagonal, so T = I
     assert cond.residual < 1e-12
     assert cond.form == "pseudohermitian"
-    assert np.abs(cond.entries - np.diag([0.4, 0.4, 0.4, -0.2])).max() < 1e-12
-
-
-def test_ph_conditions_all_positive_match_cp():
-    rng = np.random.default_rng(113)
-    code = random_code(rng, 4, 2)
-    mats = [random_complex(rng, (4, 4)) for _ in range(3)]
-    ops = SignedOperatorSum.from_terms([1, 1, 1], mats)
-    ph = ph_condition_matrix(ops, code)
-    cp = cp_condition_matrix(mats, code)
-    assert np.abs(ph.entries - cp.entries).max() < 1e-12
-    assert abs(ph.residual - cp.residual) < 1e-12
+    assert np.abs(cond.entries - want).max() < 1e-12
 
 
 def test_ph_condition_entries_pseudohermitian():
@@ -147,22 +141,12 @@ def test_ph_condition_entries_pseudohermitian():
         p = int(rng.integers(1, 3))
         q = int(rng.integers(1, 3))
         ops = random_ops(rng, d, p, q)
-        cond = ph_condition_matrix(ops, code)
         eta = eta_metric(Signature(p, q))
-        prod = eta @ cond.entries
+        prod = eta @ ph_conditions(ops, code)
         assert np.abs(prod - prod.conj().T).max() < 1e-10
 
 
-def test_diagonalize_conditions_bitflip():
-    ops = bitflip_ops(-0.2)
-    f, d, u = diagonalize_conditions(ops, repetition_code())
-    assert np.abs(u - np.eye(4)).max() < 1e-12
-    assert np.abs(d - [0.4, 0.4, 0.4, 0.2]).max() < 1e-12
-    for op_f, op_e in zip(f.operators, ops.operators):
-        assert np.abs(op_f - op_e).max() < 1e-12
-
-
-def test_diagonalize_conditions_rotated_cp():
+def test_canonical_terms_rotated_cp():
     """A unitary mixing of {I, X1} errors is undone by the diagonalizer."""
     rng = np.random.default_rng(131)
     code = repetition_code()
@@ -170,30 +154,25 @@ def test_diagonalize_conditions_rotated_cp():
     from ncpqec import transform_by_pseudounitary
 
     mixed = transform_by_pseudounitary(base, random_unitary(rng, 2))
-    cond = ph_condition_matrix(mixed, code)
-    assert np.abs(cond.entries - np.diag([0.8, 0.2])).max() > 1e-3  # really non-diagonal
-    f, d, u = diagonalize_conditions(mixed, code)
+    assert np.abs(ph_conditions(mixed, code) - np.diag([0.8, 0.2])).max() > 1e-3  # really non-diagonal
+    report = analyze(mixed, code)
+    f, d = _canonical_operators(mixed, report), report.diagonal
     assert np.abs(np.sort(d) - [0.2, 0.8]).max() < 1e-9
     p = code.projector
-    for i, op_i in enumerate(f.operators):
-        for j, op_j in enumerate(f.operators):
+    for i, op_i in enumerate(f):
+        for j, op_j in enumerate(f):
             block = p @ op_i.conj().T @ op_j @ p
             want = d[i] * p if i == j else 0 * p
             assert np.abs(block - want).max() < 1e-8
 
 
-def test_diagonalize_conditions_single_term():
+def test_canonical_terms_single_term():
     code = projector_from_basis([ket(0, 2), ket(1, 2)])
     ops = SignedOperatorSum.from_terms([1], [np.array([[0.0, 2], [2, 0]])])
-    f, d, u = diagonalize_conditions(ops, code)
-    assert u.shape == (1, 1)
-    assert np.abs(d - [4.0]).max() < 1e-12
-
-
-def test_diagonalize_conditions_rejects_violation():
-    ops = SignedOperatorSum.from_terms([1, 1], [I8, pauli_string("ZII")])
-    with pytest.raises(ConditionsViolated):
-        diagonalize_conditions(ops, repetition_code())
+    report = analyze(ops, code)  # trace 4, so the conditions hold but the verdict is violated
+    assert report.verdict == Verdict.CONDITIONS_VIOLATED
+    assert report.diagonalizer.shape == (1, 1)
+    assert np.abs(report.diagonal - [4.0]).max() < 1e-12
 
 
 def test_diagonal_conditions_property_random():
@@ -202,20 +181,19 @@ def test_diagonal_conditions_property_random():
     p = code.projector
     for _ in range(25):
         ops = conditioned_pauli_map(rng)
-        f, d, u = diagonalize_conditions(ops, code)
-        for i, op_i in enumerate(f.operators):
-            for j, op_j in enumerate(f.operators):
+        report = analyze(ops, code)
+        f, d = _canonical_operators(ops, report), report.diagonal
+        for i, op_i in enumerate(f):
+            for j, op_j in enumerate(f):
                 block = p @ op_i.conj().T @ op_j @ p
                 want = d[i] * p if i == j else 0 * p
                 assert np.abs(block - want).max() < 1e-8
         assert all(x >= 0 for x in d)
 
 
-def test_build_syndromes_bitflip():
-    ops = bitflip_ops(-0.2)
+def test_syndromes_bitflip():
     code = repetition_code()
-    f, d, _ = diagonalize_conditions(ops, code)
-    syn = build_syndromes(f, code, d)
+    syn = analyze(bitflip_ops(-0.2), code).syndromes
     assert len(syn) == 4
     p = code.projector
     expected = [x @ p @ x for x in (X1, X2, X3)] + [p]
@@ -240,34 +218,22 @@ def test_syndrome_f_p_factorization():
     b = code.isometry
     for _ in range(10):
         ops = conditioned_pauli_map(rng)
-        f, d, _ = diagonalize_conditions(ops, code)
-        syn = build_syndromes(f, code, d)
+        report = analyze(ops, code)
+        f, syn = _canonical_operators(ops, report), report.syndromes
         for s in syn:
-            f_k = f.operators[s.term_index]
+            f_k = f[s.term_index]
             assert np.abs(f_k @ b - np.sqrt(s.weight) * s.isometry).max() < 1e-8
             lhs = f_k @ code.projector
             assert np.abs(lhs - np.sqrt(s.weight) * s.isometry @ b.conj().T).max() < 1e-8
             assert np.abs(lhs - s.projector @ lhs).max() < 1e-8
 
 
-def test_build_syndromes_identity_map():
+def test_syndromes_identity_map():
     code = repetition_code()
-    ops = SignedOperatorSum.from_terms([1], [I8])
-    f, d, _ = diagonalize_conditions(ops, code)
-    syn = build_syndromes(f, code, d)
+    syn = analyze(SignedOperatorSum.from_terms([1], [I8]), code).syndromes
     assert len(syn) == 1
     assert np.abs(syn[0].projector - code.projector).max() < 1e-12
     assert np.abs(syn[0].isometry - syn.recovery.code_isometry).max() < 1e-12
-
-
-def test_build_syndromes_drops_annihilating_terms():
-    proj01 = np.zeros((4, 4), dtype=complex)
-    proj01[1, 1] = 1.0
-    code = projector_from_basis([ket(0, 4), ket(3, 4)])
-    ops = SignedOperatorSum.from_terms([1, -1], [np.eye(4), 0.5 * proj01])
-    f, d, _ = diagonalize_conditions(ops, code)
-    syn = build_syndromes(f, code, d)
-    assert len(syn) == 1 and syn[0].sign == 1
 
 
 def test_negative_part_on_code():
@@ -287,8 +253,7 @@ def test_negative_part_on_code():
 def test_build_recovery_bitflip():
     ops = bitflip_ops(-0.2)
     code = repetition_code()
-    f, d, _ = diagonalize_conditions(ops, code)
-    rec = build_recovery(build_syndromes(f, code, d))
+    rec = build_recovery(analyze(ops, code).syndromes)
     assert rec.signs == (1, 1, 1, 1)
     rng = np.random.default_rng(151)
     p = code.projector
@@ -318,8 +283,7 @@ def test_recovery_proportionality_constant():
     code = repetition_code()
     for _ in range(10):
         ops = conditioned_pauli_map(rng, require_negative=False)
-        f, d, _ = diagonalize_conditions(ops, code)
-        syn = build_syndromes(f, code, d)
+        syn = analyze(ops, code).syndromes
         rec = build_recovery(syn)
         total = sum(s.weight for s in syn)
         for _ in range(5):
@@ -466,55 +430,31 @@ def test_verify_recovery_gates_the_trace_against_the_unsigned_trace():
             verify_recovery(canceling, recovery, code)
 
 
-def test_domain_witness_bitflip():
+def test_witness_search_failure_on_doctored_syndromes():
+    """A negative-sign syndrome that never sees negative weight must fail loudly.
+
+    ``analyze`` cannot reach this with honest input, so the witness stage
+    gets the doctored set directly.
+    """
     ops = bitflip_ops(-0.2)
     code = repetition_code()
-    f, d, _ = diagonalize_conditions(ops, code)
-    syn = build_syndromes(f, code, d)
-    w = domain_witness(ops, code, syn)
-    assert w is not None
-    assert abs(w.probability + 0.2) < 1e-10
-    assert syn[w.syndrome_index].sign == -1
-    assert np.abs(w.state - np.outer(ket(0, 8), ket(0, 8))).max() < 1e-12
-    # mixtures in the code space carry the same negative outcome
-    mix = 0.5 * np.outer(ket(0, 8), ket(0, 8)) + 0.5 * np.outer(ket(7, 8), ket(7, 8))
-    pj = syn[w.syndrome_index].projector
-    prob = np.trace(pj @ apply_map(ops, mix) @ pj).real
-    assert abs(prob + 0.2) < 1e-10
-
-
-def test_domain_witness_absent_when_negative_part_vanishes():
-    proj01 = np.zeros((4, 4), dtype=complex)
-    proj01[1, 1] = 1.0
-    code = projector_from_basis([ket(0, 4), ket(3, 4)])
-    ops = SignedOperatorSum.from_terms([1, -1], [np.eye(4), 0.5 * proj01])
-    f, d, _ = diagonalize_conditions(ops, code)
-    syn = build_syndromes(f, code, d)
-    assert domain_witness(ops, code, syn) is None
-
-
-def test_domain_witness_search_failure_on_doctored_syndromes():
-    """A negative-sign syndrome that never sees negative weight must fail loudly."""
-    ops = bitflip_ops(-0.2)
-    code = repetition_code()
-    f, d, _ = diagonalize_conditions(ops, code)
-    syn = build_syndromes(f, code, d)
+    syn = analyze(ops, code).syndromes
     w = np.array(syn.isometries)
     w[syn.signs == -1] = syn.isometries[0]
     wrong = SyndromeSet(Recovery(syn.recovery.code_isometry, w), syn.weights, syn.signs, syn.term_indices)
+    b0 = code.isometry[:, 0]
     with pytest.raises(WitnessSearchFailed):
-        domain_witness(ops, code, wrong)
+        _witness(ops.signs, ops.operators @ b0, b0, wrong, DEFAULT_TOL)
 
 
-def test_domain_witness_probability_matches_apply_map():
+def test_witness_probability_matches_apply_map():
     # Reference: the witness state v v^dag through apply_map, seen by W_j.
     rng = np.random.default_rng(181)
     code = repetition_code()
     for _ in range(15):
         ops = conditioned_pauli_map(rng)
-        f, d, _ = diagonalize_conditions(ops, code)
-        syn = build_syndromes(f, code, d)
-        w = domain_witness(ops, code, syn)
+        report = analyze(ops, code)
+        w, syn = report.witness, report.syndromes
         rho = np.outer(w.vector, w.vector.conj())
         wj = syn[w.syndrome_index].isometry
         assert abs(w.probability - np.trace(wj.conj().T @ apply_map(ops, rho) @ wj).real) < 1e-12
@@ -523,12 +463,24 @@ def test_domain_witness_probability_matches_apply_map():
 
 
 def test_analyze_bitflip_outside_domain():
-    report = analyze(bitflip_ops(-0.2), repetition_code())
+    ops = bitflip_ops(-0.2)
+    report = analyze(ops, repetition_code())
     assert report.verdict == Verdict.CODE_OUTSIDE_DOMAIN
     assert report.recovery is None
-    assert abs(report.witness.probability + 0.2) < 1e-10
     assert report.condition.residual < 1e-10
-    assert np.abs(np.array(report.diagonal) - [0.4, 0.4, 0.4, 0.2]).max() < 1e-9
+    # already-diagonal conditions: T = I, so F = E
+    assert np.abs(report.diagonalizer - np.eye(4)).max() < 1e-12
+    assert np.abs(report.diagonal - [0.4, 0.4, 0.4, 0.2]).max() < 1e-12
+    assert np.abs(_canonical_operators(ops, report) - ops.operators).max() < 1e-12
+    w, syn = report.witness, report.syndromes
+    assert abs(w.probability + 0.2) < 1e-10
+    assert syn[w.syndrome_index].sign == -1
+    assert np.abs(w.state - np.outer(ket(0, 8), ket(0, 8))).max() < 1e-12
+    # mixtures in the code space carry the same negative outcome
+    mix = 0.5 * np.outer(ket(0, 8), ket(0, 8)) + 0.5 * np.outer(ket(7, 8), ket(7, 8))
+    pj = syn[w.syndrome_index].projector
+    prob = np.trace(pj @ apply_map(ops, mix) @ pj).real
+    assert abs(prob + 0.2) < 1e-10
 
 
 def test_analyze_cp_bitflip_reversible():
@@ -546,6 +498,8 @@ def test_analyze_reversible_when_negative_term_misses_code():
     ops = SignedOperatorSum.from_terms([1, -1], [np.eye(4), 0.5 * proj01])
     report = analyze(ops, code)
     assert report.verdict == Verdict.REVERSIBLE_POSITIVE
+    assert report.witness is None  # the negative term annihilates the code, so it has no syndrome
+    assert len(report.syndromes) == 1 and report.syndromes[0].sign == 1
     rng = np.random.default_rng(163)
     for _ in range(30):
         out = apply_map(ops, random_code_state(rng, code))
@@ -557,6 +511,7 @@ def test_analyze_conditions_violated():
     report = analyze(ops, repetition_code())
     assert report.verdict == Verdict.CONDITIONS_VIOLATED
     assert report.witness is None and report.recovery is None
+    assert report.diagonalizer is None and report.diagonal is None and report.syndromes is None
     assert report.condition.residual > 0.1
 
 
@@ -599,8 +554,7 @@ def test_conditioned_cp_maps_recover_exactly():
 def test_verify_recovery_ncp_bitflip():
     ops = bitflip_ops(-0.2)
     code = repetition_code()
-    f, d, _ = diagonalize_conditions(ops, code)
-    rec = build_recovery(build_syndromes(f, code, d))
+    rec = build_recovery(analyze(ops, code).syndromes)
     assert verify_recovery(ops, rec, code, trials=20) < 1e-9
 
 
@@ -635,8 +589,7 @@ def test_verify_recovery_matches_per_sample_apply_map():
     maps = [conditioned_pauli_map(rng, require_negative=False) for _ in range(6)]
     recoveries = []
     for ops in maps:
-        f, d, _ = diagonalize_conditions(ops, code)
-        recoveries.append(build_recovery(build_syndromes(f, code, d)))
+        recoveries.append(build_recovery(analyze(ops, code).syndromes))
     worst_seen = []
     for k, ops in enumerate(maps):
         for recovery in (recoveries[k], recoveries[k - 1], maps[k - 1]):
@@ -805,12 +758,11 @@ def test_negative_condition_block_never_reversible():
     code = repetition_code()
     for _ in range(20):
         ops = conditioned_pauli_map(rng)
-        f, d, _ = diagonalize_conditions(ops, code)
+        report = analyze(ops, code)
         # diagonalized operators are unitary up to their weights
-        for op in f.operators:
+        for op in _canonical_operators(ops, report):
             prod = op.conj().T @ op
             assert np.abs(prod - prod[0, 0] * I8).max() < 1e-9
-        report = analyze(ops, code)
         assert report.verdict != Verdict.REVERSIBLE_POSITIVE
         assert report.witness is not None
         assert report.witness.probability <= -1e-6
@@ -939,22 +891,13 @@ def test_analyze_rejects_invalid_tolerance(tol):
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
-@pytest.mark.parametrize("stage", ["diagonalize_conditions", "build_syndromes", "domain_witness", "verify_recovery"])
+@pytest.mark.parametrize("stage", ["verify_recovery"])
 def test_stages_reject_invalid_tolerance(stage, tol):
-    # A NaN tolerance fails every comparison, so an unchecked stage returns a
-    # witness of positive probability for the CP map, no canonical terms, no
-    # syndromes, or nan for a zero recovery instead of raising ZeroTrace.
-    code, inv, cp = repetition_code(), bitflip_ops(-0.2), bitflip_ops(0.7)
-    f, d, _ = diagonalize_conditions(cp, code)
+    # A NaN tolerance fails every comparison, so an unchecked verify_recovery
+    # returns nan for a zero recovery instead of raising ZeroTrace.
     zero = SignedOperatorSum.from_terms([1], [np.zeros((8, 8))])
-    calls = {
-        "diagonalize_conditions": lambda: diagonalize_conditions(cp, code, tol=tol),
-        "build_syndromes": lambda: build_syndromes(f, code, d, tol=tol),
-        "domain_witness": lambda: domain_witness(cp, code, analyze(inv, code).syndromes, tol=tol),
-        "verify_recovery": lambda: verify_recovery(cp, zero, code, tol=tol),
-    }
     with pytest.raises(ValueError, match="tolerance"):
-        calls[stage]()
+        verify_recovery(bitflip_ops(0.7), zero, repetition_code(), tol=tol)
 
 
 @pytest.mark.parametrize("c0, bound", [(-0.2, 0.1), (0.7, 2.5)])
