@@ -146,6 +146,15 @@ def test_ph_condition_entries_pseudohermitian():
         assert np.abs(prod - prod.conj().T).max() < 1e-10
 
 
+def test_diagonalize_conditions_bitflip():
+    ops = bitflip_ops(-0.2)
+    report = analyze(ops, repetition_code())
+    # already-diagonal conditions: T = I, so F = E
+    assert np.abs(report.diagonalizer - np.eye(4)).max() < 1e-12
+    assert np.abs(report.diagonal - [0.4, 0.4, 0.4, 0.2]).max() < 1e-12
+    assert np.abs(_canonical_operators(ops, report) - ops.operators).max() < 1e-12
+
+
 def test_canonical_terms_rotated_cp():
     """A unitary mixing of {I, X1} errors is undone by the diagonalizer."""
     rng = np.random.default_rng(131)
@@ -173,6 +182,13 @@ def test_canonical_terms_single_term():
     assert report.verdict == Verdict.CONDITIONS_VIOLATED
     assert report.diagonalizer.shape == (1, 1)
     assert np.abs(report.diagonal - [4.0]).max() < 1e-12
+
+
+def test_diagonalize_conditions_rejects_violation():
+    ops = SignedOperatorSum.from_terms([1, 1], [I8, pauli_string("ZII")])
+    report = analyze(ops, repetition_code())
+    assert report.verdict == Verdict.CONDITIONS_VIOLATED
+    assert report.diagonalizer is None and report.diagonal is None and report.syndromes is None
 
 
 def test_diagonal_conditions_property_random():
@@ -234,6 +250,18 @@ def test_syndromes_identity_map():
     assert len(syn) == 1
     assert np.abs(syn[0].projector - code.projector).max() < 1e-12
     assert np.abs(syn[0].isometry - syn.recovery.code_isometry).max() < 1e-12
+
+
+def _negative_term_misses_code():
+    proj01 = np.zeros((4, 4), dtype=complex)
+    proj01[1, 1] = 1.0
+    code = projector_from_basis([ket(0, 4), ket(3, 4)])
+    return SignedOperatorSum.from_terms([1, -1], [np.eye(4), 0.5 * proj01]), code
+
+
+def test_build_syndromes_drops_annihilating_terms():
+    syn = analyze(*_negative_term_misses_code()).syndromes
+    assert len(syn) == 1 and syn[0].sign == 1
 
 
 def test_negative_part_on_code():
@@ -430,6 +458,25 @@ def test_verify_recovery_gates_the_trace_against_the_unsigned_trace():
             verify_recovery(canceling, recovery, code)
 
 
+def test_domain_witness_bitflip():
+    ops = bitflip_ops(-0.2)
+    report = analyze(ops, repetition_code())
+    w, syn = report.witness, report.syndromes
+    assert w is not None
+    assert abs(w.probability + 0.2) < 1e-10
+    assert syn[w.syndrome_index].sign == -1
+    assert np.abs(w.state - np.outer(ket(0, 8), ket(0, 8))).max() < 1e-12
+    # mixtures in the code space carry the same negative outcome
+    mix = 0.5 * np.outer(ket(0, 8), ket(0, 8)) + 0.5 * np.outer(ket(7, 8), ket(7, 8))
+    pj = syn[w.syndrome_index].projector
+    prob = np.trace(pj @ apply_map(ops, mix) @ pj).real
+    assert abs(prob + 0.2) < 1e-10
+
+
+def test_domain_witness_absent_when_negative_part_vanishes():
+    assert analyze(*_negative_term_misses_code()).witness is None
+
+
 def test_witness_search_failure_on_doctored_syndromes():
     """A negative-sign syndrome that never sees negative weight must fail loudly.
 
@@ -463,24 +510,12 @@ def test_witness_probability_matches_apply_map():
 
 
 def test_analyze_bitflip_outside_domain():
-    ops = bitflip_ops(-0.2)
-    report = analyze(ops, repetition_code())
+    report = analyze(bitflip_ops(-0.2), repetition_code())
     assert report.verdict == Verdict.CODE_OUTSIDE_DOMAIN
     assert report.recovery is None
+    assert abs(report.witness.probability + 0.2) < 1e-10
     assert report.condition.residual < 1e-10
-    # already-diagonal conditions: T = I, so F = E
-    assert np.abs(report.diagonalizer - np.eye(4)).max() < 1e-12
-    assert np.abs(report.diagonal - [0.4, 0.4, 0.4, 0.2]).max() < 1e-12
-    assert np.abs(_canonical_operators(ops, report) - ops.operators).max() < 1e-12
-    w, syn = report.witness, report.syndromes
-    assert abs(w.probability + 0.2) < 1e-10
-    assert syn[w.syndrome_index].sign == -1
-    assert np.abs(w.state - np.outer(ket(0, 8), ket(0, 8))).max() < 1e-12
-    # mixtures in the code space carry the same negative outcome
-    mix = 0.5 * np.outer(ket(0, 8), ket(0, 8)) + 0.5 * np.outer(ket(7, 8), ket(7, 8))
-    pj = syn[w.syndrome_index].projector
-    prob = np.trace(pj @ apply_map(ops, mix) @ pj).real
-    assert abs(prob + 0.2) < 1e-10
+    assert np.abs(np.array(report.diagonal) - [0.4, 0.4, 0.4, 0.2]).max() < 1e-9
 
 
 def test_analyze_cp_bitflip_reversible():
@@ -498,8 +533,6 @@ def test_analyze_reversible_when_negative_term_misses_code():
     ops = SignedOperatorSum.from_terms([1, -1], [np.eye(4), 0.5 * proj01])
     report = analyze(ops, code)
     assert report.verdict == Verdict.REVERSIBLE_POSITIVE
-    assert report.witness is None  # the negative term annihilates the code, so it has no syndrome
-    assert len(report.syndromes) == 1 and report.syndromes[0].sign == 1
     rng = np.random.default_rng(163)
     for _ in range(30):
         out = apply_map(ops, random_code_state(rng, code))
@@ -511,7 +544,6 @@ def test_analyze_conditions_violated():
     report = analyze(ops, repetition_code())
     assert report.verdict == Verdict.CONDITIONS_VIOLATED
     assert report.witness is None and report.recovery is None
-    assert report.diagonalizer is None and report.diagonal is None and report.syndromes is None
     assert report.condition.residual > 0.1
 
 
