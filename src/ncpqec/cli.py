@@ -10,9 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical failure.
 The working tolerance is the ``--tol`` flag if given, else the
-``QEC_TOL`` environment variable, else ``1e-9``.  ``qec`` applies it
-relative to the map's scale on the code, except for trace preservation;
-``classify`` applies it to both Hermiticity fields relative to ``max|B|``.
+``QEC_TOL`` environment variable, else ``1e-9``.  Every command passes it
+to the library unchanged, which applies it relative to each gated
+input's own scale, except for trace preservation and pseudounitarity.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .documents import (
     parse_channel_document,
     parse_code_document,
 )
-from .errors import NumericalFailure, ZeroTrace
-from .pseudolinalg import DEFAULT_TOL, _check_tol, _max_abs
+from .errors import MapsNotEqual, NumericalFailure, ZeroTrace
+from .pseudolinalg import DEFAULT_TOL, _check_tol, _cut
 from .qec import analyze, build_recovery, repetition_bitflip, verify_recovery
 from .superop import (
     AMatrix,
@@ -124,14 +124,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     channel = _load_json(args.input, parse_channel_document)
     b = _as_b_matrix(channel)
     a = reshuffle(b)
-    hermiticity = check_hermiticity_preserving(a, tol * _max_abs(a.matrix))
     kind = classify(b, tol)
     doc = {
         "schema_version": "1",
         "verdict": kind.kind,
         "signature": {"p": kind.signature.p, "q": kind.signature.q},
         "trace_preserving": bool(check_trace_preserving(a, tol)),
-        "hermiticity_preserving": bool(hermiticity),
+        "hermiticity_preserving": bool(check_hermiticity_preserving(a, tol)),
     }
     _emit(doc, args)
     return 0
@@ -150,18 +149,18 @@ def cmd_qec(args: argparse.Namespace) -> int:
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
-    from .equivalence import connecting_pseudounitary, maps_equal
-    from .errors import MapsNotEqual
+    from .equivalence import connecting_pseudounitary
 
     tol = _resolve_tol(args)
     first, second = (_load_json(path, parse_channel_document) for path in (args.first, args.second))
     if first.dim != second.dim:
         raise ValueError(f"dimension mismatch: {first.dim} vs {second.dim}")
     first, second = _as_operator_sum(first, tol), _as_operator_sum(second, tol)
-    if not maps_equal(first, second, tol):
+    try:
+        result = connecting_pseudounitary(first, second, tol)
+    except MapsNotEqual:  # the maps_equal gate
         _emit({"schema_version": "1", "equal": False}, args)
         return 0
-    result = connecting_pseudounitary(first, second, tol)
     doc = {
         "schema_version": "1",
         "equal": True,
@@ -199,7 +198,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     if report.syndromes:
         try:
             recovery_error = verify_recovery(ops, build_recovery(report.syndromes), code, trials=20, tol=tol)
-            outcome = "restores" if recovery_error <= tol else "does_not_restore"
+            outcome = "restores" if recovery_error <= _cut(tol) else "does_not_restore"
         except ZeroTrace as exc:  # the recovered trace cancelled to rounding
             outcome, undecidable = "undecidable", exc
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MapsNotEqual, OperatorsNotEqual, SingularCoefficientMatrix
-from .pseudolinalg import DEFAULT_TOL, Signature, _max_abs, _signed_eigensystem
+from .pseudolinalg import DEFAULT_TOL, Signature, _cut, _max_abs, _signed_eigensystem
 from .superop import (
     SignedOperatorSum,
     _SignedTerms,
@@ -83,6 +83,11 @@ class ConnectionResult:
     residual: float
 
 
+def _differ(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
+    """True iff ``x`` and ``y`` differ entrywise by more than ``tol`` times the larger's largest entry."""
+    return _max_abs(x - y) > _cut(tol, max(_max_abs(x), _max_abs(y)))
+
+
 def maps_equal(a: SignedOperatorSum, b: SignedOperatorSum, tol: float = DEFAULT_TOL) -> bool:
     """True iff the two decompositions generate the same map.
 
@@ -90,8 +95,7 @@ def maps_equal(a: SignedOperatorSum, b: SignedOperatorSum, tol: float = DEFAULT_
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    ba, bb = b_from_operator_sum(a).matrix, b_from_operator_sum(b).matrix
-    return _max_abs(ba - bb) <= tol * max(_max_abs(ba), _max_abs(bb))
+    return not _differ(b_from_operator_sum(a).matrix, b_from_operator_sum(b).matrix, tol)
 
 
 def to_base_map(ops: SignedOperatorSum, tol: float = DEFAULT_TOL) -> SignedOperatorSum:
@@ -137,10 +141,10 @@ def _coefficients(
     """
     coeffs = x @ basis.conj().T / np.sqrt(mag)
     size = np.abs(x).max(axis=1)
-    scale = tol * size.max(initial=0.0)
-    zero = size <= scale
+    cut = _cut(tol, size.max(initial=0.0))
+    zero = size <= cut
     error = np.abs(x - (coeffs * np.sqrt(mag)) @ basis).max(axis=1)
-    outside = np.flatnonzero(~zero & (error > 10 * scale))
+    outside = np.flatnonzero(~zero & (error > 10 * cut))
     if outside.size:
         raise SingularCoefficientMatrix(
             f"term {outside[0]} has a component outside the shared eigenbasis span "
@@ -169,7 +173,7 @@ def _connect(
     A ``shared`` without retained eigenvalues is trivially connected.
     """
     lam, vectors = np.linalg.eigh(shared)
-    values, basis = _signed_eigensystem(lam, vectors, tol * _max_abs(lam))
+    values, basis = _signed_eigensystem(lam, vectors, _cut(tol, _max_abs(lam)))
     if not values.size:
         return ConnectionResult(np.zeros((0, 0), dtype=complex), Signature(0, 0), (0, 0), 0.0)
     target = Signature(max(sig_a.p, sig_b.p), max(sig_a.q, sig_b.q))
@@ -184,7 +188,7 @@ def _connect(
     w, v = (_coefficients(x, basis.T, np.abs(values), spanned, target, tol) for x in (pa, pb))
     for m in (w, v):
         sv = np.linalg.svd(m, compute_uv=False)
-        if sv[-1] <= tol * max(1.0, sv[0]):
+        if sv[-1] <= _cut(tol, sv[0]):
             raise SingularCoefficientMatrix(
                 f"a coefficient matrix is singular after padding (smallest singular value "
                 f"{sv[-1]:.3e}): an input has a non-base residual such as a canceling pair"
@@ -218,7 +222,7 @@ def connecting_pseudounitary(
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     ba, bb = b_from_operator_sum(a).matrix, b_from_operator_sum(b).matrix
-    if _max_abs(ba - bb) > tol * max(_max_abs(ba), _max_abs(bb)):
+    if _differ(ba, bb, tol):
         raise MapsNotEqual("decompositions generate different maps")
     xa, xb = (x.operators.reshape(x.n_terms, x.dim**2) for x in (a, b))
     res = _connect(xb, b.signature, xa, a.signature, (ba + bb) / 2, tol)
@@ -247,6 +251,6 @@ def ensemble_connection(
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     oa, ob = a.operator(), b.operator()
-    if _max_abs(oa - ob) > tol * max(_max_abs(oa), _max_abs(ob)):
+    if _differ(oa, ob, tol):
         raise OperatorsNotEqual("ensembles assemble different operators")
     return _connect(a.vectors, a.signature, b.vectors, b.signature, (oa + ob) / 2, tol)

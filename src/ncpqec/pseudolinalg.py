@@ -29,9 +29,7 @@ from .errors import (
     PseudoDiagonalizationFailure,
 )
 
-#: Default tolerance used across the package.  The analysis gates of
-#: :mod:`ncpqec.qec` apply it relative to the map's scale on the code;
-#: checks such as trace preservation apply it as an absolute bound.
+#: Default tolerance used across the package, applied as :func:`_cut` says.
 DEFAULT_TOL = 1e-9
 
 
@@ -40,6 +38,22 @@ def _check_tol(tol: float) -> float:
     if not 0 <= tol < np.inf:  # false for NaN
         raise ValueError(f"tolerance must be a finite non-negative number, got {tol!r}")
     return tol
+
+
+def _cut(tol: float, scale: float | np.ndarray = 1.0) -> float | np.ndarray:
+    """The bound ``tol * scale`` of one gate, once :func:`_check_tol` accepts ``tol``.
+
+    This is the one tolerance policy.  Every gate takes its bound from
+    here, so every public function that takes ``tol`` refuses a NaN,
+    infinite or negative one.  Each spectrum cut, cluster gap and
+    consistency bound is relative to the gated input's own scale (its
+    largest entry, eigenvalue, singular value or norm), so rescaling the
+    input does not change the answer.  Only the quantities that are
+    scale-dependent by definition are gated absolutely (``scale = 1``):
+    trace preservation, unit trace, pseudounitarity and isometry (a code's
+    ``B^dag B = I``, the syndrome overlap of isometries).
+    """
+    return _check_tol(tol) * scale
 
 
 @dataclass(frozen=True)
@@ -138,14 +152,14 @@ def is_pseudohermitian(h: np.ndarray, eta: np.ndarray, tol: float = DEFAULT_TOL)
     """True iff ``H^dag = eta H eta`` entrywise within ``tol`` times ``max|H|``."""
     h = _as_square(h, "H")
     eta = _check_metric(eta, h.shape[0])
-    return _max_abs(h.conj().T - eta @ h @ eta) <= tol * _max_abs(h)
+    return _max_abs(h.conj().T - eta @ h @ eta) <= _cut(tol, _max_abs(h))
 
 
 def is_pseudounitary(u: np.ndarray, eta: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``U eta U^dag = eta`` entrywise within the absolute ``tol``."""
     u = _as_square(u, "U")
     eta = _check_metric(eta, u.shape[0])
-    return _max_abs(u @ eta @ u.conj().T - eta) <= tol
+    return _max_abs(u @ eta @ u.conj().T - eta) <= _cut(tol)
 
 
 def pseudo_gram_schmidt(
@@ -166,6 +180,7 @@ def pseudo_gram_schmidt(
         at most ``tol`` (after unit Euclidean scaling), so it cannot be
         normalized.
     """
+    null = _cut(tol)  # the indefinite norm is taken on unit vectors
     vectors = [np.asarray(v, dtype=complex) for v in vectors]
     if not vectors:
         return []
@@ -180,11 +195,11 @@ def pseudo_gram_schmidt(
         for u, g in zip(out, norms):
             w = w - u * (pseudo_inner(u, w, eta) / g)
         wn = float(np.linalg.norm(w))
-        if wn <= tol * float(np.linalg.norm(v)):
+        if wn <= _cut(tol, float(np.linalg.norm(v))):
             raise LinearDependence(f"vector {k} lies in the span of its predecessors")
         w = w / wn
         g = pseudo_inner(w, w, eta).real
-        if abs(g) <= tol:
+        if abs(g) <= null:
             raise NullNormEncountered(f"vector {k} has null indefinite norm after orthogonalization")
         w = w / np.sqrt(abs(g))
         out.append(w)
@@ -273,10 +288,8 @@ def pseudo_diagonalize(
     Columns of ``S`` are then arranged so the sign of each column's
     indefinite norm matches the corresponding diagonal entry of ``eta``
     (possible by inertia preservation), which is what makes ``S``
-    pseudounitary with respect to the *input* metric.  The real-spectrum
-    test and the cluster gap scale ``tol`` by the largest eigenvalue
-    magnitude, the pseudohermiticity test and the diagonalization check
-    by ``max|H|``; the pseudounitarity check is absolute.
+    pseudounitary with respect to the *input* metric.  The cluster gap is
+    ``tol`` times the largest eigenvalue magnitude.
 
     Raises
     ------
@@ -293,20 +306,18 @@ def pseudo_diagonalize(
     if not is_pseudohermitian(h, eta, tol):
         raise NotPseudoHermitian("matrix is not pseudohermitian for the given metric")
     if n == 0:
-        return PseudoDiagonalization(
-            np.zeros((0, 0), complex), np.zeros(0), np.diag(eta).real.copy(), ()
-        )
+        return PseudoDiagonalization(np.zeros((0, 0), complex), np.zeros(0), np.zeros(0), ())
 
     w, v = np.linalg.eig(h)
-    scale = _max_abs(w)
-    if _max_abs(w.imag) > tol * scale:
+    gap = _cut(tol, _max_abs(w))
+    if _max_abs(w.imag) > gap:
         raise PseudoDiagonalizationFailure(
             f"spectrum is not real: max imaginary part {_max_abs(w.imag):.3e}"
         )
     lam = w.real
 
-    discovered: list[tuple[float, np.ndarray, float]] = []  # (eigenvalue, vector, sign)
-    clusters = _cluster_indices(lam.tolist(), tol * scale)
+    discovered: list[tuple[float, np.ndarray]] = []  # (eigenvalue, vector)
+    clusters = _cluster_indices(lam.tolist(), gap)
     clusters.sort(key=lambda c: (-abs(float(np.mean(lam[c]))), -float(np.mean(lam[c]))))
     for cluster in clusters:
         value = float(np.mean(lam[cluster]))
@@ -316,43 +327,31 @@ def pseudo_diagonalize(
             raise PseudoDiagonalizationFailure(
                 f"eigenspace at {value:.6g} admits no indefinite-orthonormal basis: {exc}"
             ) from exc
-        for vec in basis:
-            sign = 1.0 if pseudo_inner(vec, vec, eta).real > 0 else -1.0
-            discovered.append((value, vec, sign))
+        discovered += [(value, vec) for vec in basis]
 
     eta_diag = np.diag(eta).real
-    plus = [(k, t) for k, t in enumerate(discovered) if t[2] > 0]
-    minus = [(k, t) for k, t in enumerate(discovered) if t[2] < 0]
-    n_plus = int(np.sum(eta_diag > 0))
-    if len(plus) != n_plus or len(minus) != n - n_plus:
+    positive = np.array([pseudo_inner(vec, vec, eta).real > 0 for _, vec in discovered])
+    found, n_plus = int(np.sum(positive)), int(np.sum(eta_diag > 0))
+    if found != n_plus:
         raise PseudoDiagonalizationFailure(
-            f"inertia mismatch: found {len(plus)} positive-norm eigenvectors, metric has {n_plus}"
+            f"inertia mismatch: found {found} positive-norm eigenvectors, metric has {n_plus}"
         )
-
-    s = np.zeros((n, n), dtype=complex)
-    d = np.zeros(n)
-    perm = [0] * n
-    plus_positions = [i for i in range(n) if eta_diag[i] > 0]
-    minus_positions = [i for i in range(n) if eta_diag[i] < 0]
-    for pos, (k, (value, vec, _)) in zip(plus_positions, plus):
-        s[:, pos] = vec
-        d[pos] = value
-        perm[pos] = k
-    for pos, (k, (value, vec, _)) in zip(minus_positions, minus):
-        s[:, pos] = vec
-        d[pos] = value
-        perm[pos] = k
+    # Stable sorts by sign put the i-th positive-norm vector at the i-th +1 of eta, and so for -1.
+    perm = np.empty(n, dtype=int)
+    perm[np.argsort(eta_diag < 0, kind="stable")] = np.argsort(~positive, kind="stable")
+    s = np.column_stack([discovered[k][1] for k in perm])
+    d = np.array([discovered[k][0] for k in perm])
 
     # Consistency: S must be pseudounitary and actually diagonalize H.
     err_pu = _max_abs(s @ eta @ s.conj().T - eta)
     s_inv = eta @ s.conj().T @ eta
     err_diag = _max_abs(s_inv @ h @ s - np.diag(d))
-    if err_pu > 10 * tol or err_diag > 10 * tol * _max_abs(h):
+    if err_pu > 10 * _cut(tol) or err_diag > 10 * _cut(tol, _max_abs(h)):
         raise PseudoDiagonalizationFailure(
             f"assembled transform fails consistency checks (pseudounitarity {err_pu:.3e}, "
             f"diagonalization {err_diag:.3e})"
         )
-    return PseudoDiagonalization(s, d, eta_diag.copy(), tuple(perm))
+    return PseudoDiagonalization(s, d, eta_diag.copy(), tuple(perm.tolist()))
 
 
 def polar_on_code(a: np.ndarray) -> PolarFactors:

@@ -26,8 +26,8 @@ positive output, and the recovery is the Knill-Laflamme one (PRA 55,
 900, 1997): measure syndrome ``j``, then undo its isometry,
 ``R_j = B W_j^dag``.  The :class:`SyndromeSet` holds it once, factored as
 ``B`` and the ``W_j``, so no ``d x d`` array is formed after ``V``.
-Analysis gates compare against ``tol`` times the map's scale on the
-code; trace preservation, scale-dependent by definition, uses ``tol``.
+Every gate takes its bound from ``pseudolinalg._cut``: relative to the
+map's scale on the code, absolute for trace preservation and isometry.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import (
     WitnessSearchFailed,
     ZeroTrace,
 )
-from .pseudolinalg import DEFAULT_TOL, _check_tol, _frozen, _max_abs, _signed_eigensystem, polar_on_code
+from .pseudolinalg import DEFAULT_TOL, _cut, _frozen, _max_abs, _signed_eigensystem, polar_on_code
 from .superop import SignedOperatorSum
 
 __all__ = [
@@ -88,7 +88,7 @@ class CodeSpace:
         if not np.all(np.isfinite(b)):
             raise ValueError("code isometry contains non-finite entries")
         error = _max_abs(b.conj().T @ b - np.eye(b.shape[1]))
-        if error > DEFAULT_TOL:
+        if error > _cut(DEFAULT_TOL):
             raise ValueError(f"code isometry has non-orthonormal columns: max|B^dag B - I| = {error:.3e}")
         object.__setattr__(self, "isometry", b)
 
@@ -302,7 +302,7 @@ def projector_from_basis(vectors: Sequence[np.ndarray], tol: float = DEFAULT_TOL
     # |R_kk| is the norm of vector k orthogonal to its predecessors; past
     # column dim every vector is dependent.
     diag = np.diag(r)
-    small = np.abs(diag) <= tol * np.linalg.norm(m, axis=0)[: diag.size]
+    small = np.abs(diag) <= _cut(tol, np.linalg.norm(m, axis=0)[: diag.size])
     if small.any() or len(vecs) > dim:
         k = int(np.argmax(small)) if small.any() else dim
         raise LinearDependence(f"basis vector {k} lies in the span of its predecessors")
@@ -379,13 +379,13 @@ def _canonical_terms(
     r = blocks.shape[-1]
     mu, q = np.linalg.eigh(np.einsum("klaa->kl", blocks / r))
     scale = float(mu.max(initial=0.0))
-    keep = mu > tol * scale
+    keep = mu > _cut(tol, scale)
     root = np.sqrt(mu[keep])
     factor = root[:, None] * q[:, keep].conj().T  # R, with G = R^dag R
     lam, w = np.linalg.eigh((factor * np.asarray(signs)) @ factor.conj().T)
     # Each eigenspace gets the basis spanned by the input terms (columns
     # of R) in index order, so already-diagonal conditions give T = I.
-    values, w_fixed = _signed_eigensystem(lam, w, tol * scale, factor)
+    values, w_fixed = _signed_eigensystem(lam, w, _cut(tol, scale), factor)
     d, new_signs = np.abs(values), np.sign(values)
     t = (q[:, keep] / root) @ w_fixed * np.sqrt(d)
     # The traced part of T^dag blocks T is diag(d) by construction, so the
@@ -404,12 +404,12 @@ def _syndromes(
     the polar isometry of ``F_k B / sqrt(d[k])``, all in one batched polar;
     lighter terms act trivially on the code space and are skipped.
     """
-    keep = np.flatnonzero(d > tol * d.max(initial=0.0))
+    keep = np.flatnonzero(d > _cut(tol, d.max(initial=0.0)))
     w = polar_on_code(products[keep] / np.sqrt(d[keep])[:, None, None]).isometry
     w.setflags(write=False)  # held by the record without a copy
     overlaps = np.abs(_blocks(w)).max(axis=(2, 3))
     np.fill_diagonal(overlaps, 0.0)
-    if overlaps.max(initial=0.0) > 10 * tol:
+    if overlaps.max(initial=0.0) > 10 * _cut(tol):
         a, c = np.unravel_index(np.argmax(overlaps), overlaps.shape)
         raise OrthogonalityViolation(f"syndromes {a} and {c} overlap by {overlaps[a, c]:.3e}")
     return SyndromeSet(Recovery(code.isometry, w), d[keep], np.asarray(signs)[keep], keep)
@@ -448,7 +448,7 @@ def _witness(
     j = int(np.argmax(syndromes.signs < 0))
     amplitudes = first @ syndromes.isometries[j].conj()  # row k: W_j^dag E_k b_0
     prob = float(np.asarray(signs, dtype=float) @ np.sum(np.abs(amplitudes) ** 2, axis=1))
-    if prob > -tol * syndromes.weights.max():
+    if prob > -_cut(tol, syndromes.weights.max()):
         raise WitnessSearchFailed(
             f"negative syndrome {j} has probability {prob:.3e} on the first logical basis state, "
             f"expected {-syndromes.weights[j]:.3e}"
@@ -487,21 +487,20 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
         If the witness's cross-checked probability is not at most ``-tol``
         times the largest syndrome weight.
     """
-    _check_tol(tol)
     v = _on_code(ops, code)
     blocks = _blocks(v)
     signs, d, t, condition, scale = _canonical_terms(ops.signs, blocks, tol)
     if not d.size:
         zero = ConditionMatrix(np.zeros((1, 1)), 0.0, "pseudohermitian")
         return QecReport(zero, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
-    if condition.residual > tol * scale:
+    if condition.residual > _cut(tol, scale):
         return QecReport(condition, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
     syndromes = _syndromes(signs, np.tensordot(t, v, axes=([0], [0])), code, d, tol)  # F B = V T
     if (syndromes.signs < 0).any():
         witness = _witness(ops.signs, v[:, :, 0], code.isometry[:, 0], syndromes, tol)
         return QecReport(condition, t, d, syndromes, Verdict.CODE_OUTSIDE_DOMAIN, witness)
     # sum_k s_k V_k^dag V_k, from the diagonal blocks
-    if _max_abs(np.diagonal(blocks) @ np.asarray(ops.signs, dtype=float) - np.eye(code.rank)) > tol:
+    if _max_abs(np.diagonal(blocks) @ np.asarray(ops.signs, dtype=float) - np.eye(code.rank)) > _cut(tol):
         return QecReport(condition, t, d, syndromes, Verdict.CONDITIONS_VIOLATED, None)
     return QecReport(condition, t, d, syndromes, Verdict.REVERSIBLE_POSITIVE, None)
 
@@ -533,7 +532,7 @@ def _deviation(coords: np.ndarray, signs: np.ndarray, u: np.ndarray, tol: float)
     y = np.concatenate([coords[:, None, :r], m / (_max_abs(m) or 1.0)], axis=1) @ u.T  # y[:, n] = [B u, M_1 u, ...]
     power = np.einsum("kns,kns->ns", y[:, 1:], y[:, 1:].conj()).real  # ||M_n u||^2
     t, unsigned = signs @ power, power.sum(axis=0)
-    small = np.abs(t) <= tol * unsigned
+    small = np.abs(t) <= _cut(tol, unsigned)
     if small.any():
         i = int(np.argmax(small))
         ratio = abs(t[i]) / unsigned[i] if unsigned[i] else 0.0
@@ -586,7 +585,6 @@ def verify_recovery(
         rounding (or the recovery annihilates the state), so the check
         cannot decide.
     """
-    _check_tol(tol)
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
         raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
     if ops.dim != code.dim or recovery.dim != code.dim:

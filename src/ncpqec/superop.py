@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NotHermitian, NotPseudoUnitary
 from .pseudolinalg import DEFAULT_TOL, Signature, eta_metric, is_pseudounitary
-from .pseudolinalg import _frozen, _max_abs, _signed_eigensystem
+from .pseudolinalg import _cut, _frozen, _max_abs, _signed_eigensystem
 
 __all__ = [
     "AMatrix",
@@ -197,15 +197,14 @@ def reshuffle(x: AMatrix | BMatrix) -> BMatrix | AMatrix:
     return BMatrix(d, t) if isinstance(x, AMatrix) else AMatrix(d, t)
 
 
-def check_hermiticity_preserving(a: AMatrix, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the map sends Hermitian matrices to Hermitian matrices.
+def _is_hermitian(m: np.ndarray, tol: float) -> bool:
+    """True iff ``max|M - M^dag|`` is at most ``tol`` times ``max|M|``."""
+    return _max_abs(m - m.conj().T) <= _cut(tol, _max_abs(m))
 
-    Checked entrywise on the 4-tensor: ``A[s',r',s,r] = conj(A[r',s',r,s])``
-    within ``tol`` (equivalently, ``reshuffle(a)`` is Hermitian).
-    """
-    d = a.dim
-    t = a.matrix.reshape(d, d, d, d)
-    return _max_abs(t.transpose(1, 0, 3, 2) - t.conj()) <= tol
+
+def check_hermiticity_preserving(a: AMatrix, tol: float = DEFAULT_TOL) -> bool:
+    """True iff the map preserves Hermiticity: ``reshuffle(a)`` passes the Hermiticity gate of :func:`classify`."""
+    return _is_hermitian(reshuffle(a).matrix, tol)
 
 
 def check_trace_preserving(x: AMatrix | SignedOperatorSum, tol: float = DEFAULT_TOL) -> bool:
@@ -213,14 +212,14 @@ def check_trace_preserving(x: AMatrix | SignedOperatorSum, tol: float = DEFAULT_
 
     For an :class:`AMatrix` this checks ``sum_{r'} A[r'*d+r', r*d+s] =
     delta_{rs}``; for a :class:`SignedOperatorSum` it checks
-    ``sum_i sign_i E_i^dag E_i = 1`` within ``tol``.
+    ``sum_i sign_i E_i^dag E_i = 1`` within the absolute ``tol``.
     """
     if isinstance(x, AMatrix):
         d = x.dim
         t = x.matrix.reshape(d, d, d, d)
-        return _max_abs(np.einsum("iirs->rs", t) - np.eye(d)) <= tol
+        return _max_abs(np.einsum("iirs->rs", t) - np.eye(d)) <= _cut(tol)
     if isinstance(x, SignedOperatorSum):
-        return _max_abs(_signed_gram(x.signs, x.operators) - np.eye(x.dim)) <= tol
+        return _max_abs(_signed_gram(x.signs, x.operators) - np.eye(x.dim)) <= _cut(tol)
     raise TypeError(f"expected AMatrix or SignedOperatorSum, got {type(x).__name__}")
 
 
@@ -262,7 +261,7 @@ def _hermitian_part(b: BMatrix, tol: float) -> np.ndarray:
     arithmetic.
     """
     m = b.matrix
-    if _max_abs(m - m.conj().T) > tol * _max_abs(m):
+    if not _is_hermitian(m, tol):
         raise NotHermitian("B is not Hermitian: the map does not preserve Hermiticity")
     if not m.imag.any():
         m = m.real
@@ -291,7 +290,7 @@ def operator_sum_from_b(b: BMatrix, tol: float = DEFAULT_TOL) -> SignedOperatorS
         entry), i.e. the map does not preserve Hermiticity.
     """
     lam, v = np.linalg.eigh(_hermitian_part(b, tol))
-    values, basis = _signed_eigensystem(lam, v, tol * _max_abs(lam))
+    values, basis = _signed_eigensystem(lam, v, _cut(tol, _max_abs(lam)))
     operators = (basis * np.sqrt(np.abs(values))).T.reshape(-1, b.dim, b.dim)
     return SignedOperatorSum(b.dim, tuple(np.sign(values).astype(int)), operators)
 
@@ -329,8 +328,8 @@ def classify(b: BMatrix, tol: float = DEFAULT_TOL) -> MapClass:
         If ``B`` is not Hermitian within tolerance.
     """
     lam = np.linalg.eigvalsh(_hermitian_part(b, tol))
-    p = int(np.sum(lam > tol * _max_abs(lam)))
-    q = int(np.sum(lam < -tol * _max_abs(lam)))
+    cut = _cut(tol, _max_abs(lam))
+    p, q = int(np.sum(lam > cut)), int(np.sum(lam < -cut))
     kind = "CP" if q == 0 else "NCP"
     return MapClass(kind, Signature(p, q))
 
@@ -374,7 +373,7 @@ def transform_by_pseudounitary(
 
 
 def validate_density_matrix(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Check Hermiticity and unit trace, returning the array unchanged.
+    """Check Hermiticity (within ``tol`` times ``max|m|``) and unit trace, returning the array unchanged.
 
     Positivity is deliberately not enforced -- intermediate states of a
     non-completely-positive evolution may be non-positive.  Use
@@ -383,15 +382,15 @@ def validate_density_matrix(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarr
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {m.shape}")
-    if _max_abs(m - m.conj().T) > tol:
+    if not _is_hermitian(m, tol):
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(m) - 1.0) > tol:
+    if abs(np.trace(m) - 1.0) > _cut(tol):
         raise ValueError(f"density matrix has trace {np.trace(m):.6g}, expected 1")
     return m
 
 
 def is_positive_semidefinite(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian part of ``m`` has eigenvalues >= ``-tol``."""
+    """True iff the Hermitian part of ``m`` has no eigenvalue below ``-tol`` times ``max|eigenvalue|``."""
     m = np.asarray(m, dtype=complex)
     lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    return bool(lam.size == 0 or lam.min() >= -tol)
+    return bool(np.all(lam >= -_cut(tol, _max_abs(lam))))

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ncpqec import (
+    AMatrix,
     LinearDependence,
     NotPseudoHermitian,
     NullNormEncountered,
     PseudoDiagonalizationFailure,
     Signature,
+    check_hermiticity_preserving,
     eta_metric,
+    is_positive_semidefinite,
     is_pseudohermitian,
     is_pseudounitary,
     polar_on_code,
@@ -298,6 +301,14 @@ def test_gates_give_the_scale_1_answer_at_every_scale(inputs, exponent):
     scale = 10.0**exponent
     scaled = [scale * v for v in vectors]
     assert is_pseudohermitian(scale * h, eta) == is_pseudohermitian(h, eta)
+    # rho -> eta H rho + rho eta H preserves Hermiticity exactly when eta H is
+    # Hermitian, i.e. H is pseudohermitian; H^dag eta H is positive
+    # semidefinite exactly when eta has no -1 (or H is singular).
+    n, g = len(h), h.conj().T @ eta @ h
+    a = np.kron(eta @ h, np.eye(n)) + np.kron(np.eye(n), (eta @ h).T)
+    assert check_hermiticity_preserving(AMatrix(n, scale * a)) == check_hermiticity_preserving(AMatrix(n, a))
+    for m in (h, g):
+        assert is_positive_semidefinite(scale * m) == is_positive_semidefinite(m)
     for fn, args, got_args in [
         (pseudo_diagonalize, (h, eta), (scale * h, eta)),
         (projector_from_basis, (vectors,), (scaled,)),

@@ -11,6 +11,7 @@ from ncpqec import (
     QecReport,
     Recovery,
     Signature,
+    SignedEnsemble,
     SignedOperatorSum,
     Syndrome,
     SyndromeSet,
@@ -21,14 +22,31 @@ from ncpqec import (
     analyze,
     apply_a_matrix,
     apply_map,
+    b_from_operator_sum,
     build_recovery,
+    check_hermiticity_preserving,
+    check_trace_preserving,
+    classify,
+    connecting_pseudounitary,
     cp_condition_matrix,
+    ensemble_connection,
     eta_metric,
+    is_positive_semidefinite,
+    is_pseudohermitian,
+    is_pseudounitary,
+    maps_equal,
     negative_part_on_code,
+    operator_sum_from_b,
     projector_from_basis,
+    pseudo_diagonalize,
+    pseudo_gram_schmidt,
     repetition_bitflip,
+    to_base_map,
+    transform_by_pseudounitary,
+    validate_density_matrix,
     verify_recovery,
 )
+from ncpqec.documents import encode_vector, parse_code_document
 from ncpqec.pseudolinalg import DEFAULT_TOL
 from ncpqec.qec import _VERIFY_SEED, _witness
 
@@ -922,14 +940,42 @@ def test_analyze_rejects_invalid_tolerance(tol):
         analyze(bitflip_ops(-0.2), repetition_code(), tol)
 
 
+# One call per public function that takes a tolerance (analyze has its own
+# test above).  A NaN tolerance fails every comparison, so an unchecked gate
+# gives a wrong answer instead: a zero recovery verifies to nan rather than
+# raising ZeroTrace, classify says CP (0, 0), and the connection of a map
+# with itself is empty.
+TOLERANCE_CALLS = {
+    "verify_recovery": lambda tol: verify_recovery(
+        bitflip_ops(0.7), SignedOperatorSum.from_terms([1], [np.zeros((8, 8))]), repetition_code(), tol=tol
+    ),
+    "is_pseudohermitian": lambda tol: is_pseudohermitian(np.eye(2), eta_metric(Signature(1, 1)), tol),
+    "is_pseudounitary": lambda tol: is_pseudounitary(np.eye(2), eta_metric(Signature(1, 1)), tol),
+    "pseudo_gram_schmidt": lambda tol: pseudo_gram_schmidt([], eta_metric(Signature(1, 1)), tol),  # no vector
+    "pseudo_diagonalize": lambda tol: pseudo_diagonalize(np.diag([2.0, -1.0]), eta_metric(Signature(1, 1)), tol),
+    "check_hermiticity_preserving": lambda tol: check_hermiticity_preserving(a_from_operator_sum(bitflip_ops(-0.2)), tol),
+    "check_trace_preserving": lambda tol: check_trace_preserving(bitflip_ops(-0.2), tol),
+    "operator_sum_from_b": lambda tol: operator_sum_from_b(b_from_operator_sum(bitflip_ops(-0.2)), tol),
+    "classify": lambda tol: classify(b_from_operator_sum(bitflip_ops(-0.2)), tol),
+    "transform_by_pseudounitary": lambda tol: transform_by_pseudounitary(bitflip_ops(-0.2), np.eye(4), tol),
+    "validate_density_matrix": lambda tol: validate_density_matrix(np.eye(2) / 2, tol),
+    "is_positive_semidefinite": lambda tol: is_positive_semidefinite(np.eye(2), tol),
+    "maps_equal": lambda tol: maps_equal(bitflip_ops(-0.2), bitflip_ops(-0.2), tol),
+    "to_base_map": lambda tol: to_base_map(bitflip_ops(-0.2), tol),
+    "connecting_pseudounitary": lambda tol: connecting_pseudounitary(bitflip_ops(-0.2), bitflip_ops(-0.2), tol),
+    "ensemble_connection": lambda tol: ensemble_connection(
+        SignedEnsemble(2, (1,), [ket(0, 2)]), SignedEnsemble(2, (1,), [ket(0, 2)]), tol
+    ),
+    "projector_from_basis": lambda tol: projector_from_basis([ket(0, 8), ket(7, 8)], tol),
+    "parse_code_document": lambda tol: parse_code_document([encode_vector(ket(0, 8)), encode_vector(ket(7, 8))], tol),
+}
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
-@pytest.mark.parametrize("stage", ["verify_recovery"])
+@pytest.mark.parametrize("stage", list(TOLERANCE_CALLS))
 def test_stages_reject_invalid_tolerance(stage, tol):
-    # A NaN tolerance fails every comparison, so an unchecked verify_recovery
-    # returns nan for a zero recovery instead of raising ZeroTrace.
-    zero = SignedOperatorSum.from_terms([1], [np.zeros((8, 8))])
     with pytest.raises(ValueError, match="tolerance"):
-        verify_recovery(bitflip_ops(0.7), zero, repetition_code(), tol=tol)
+        TOLERANCE_CALLS[stage](tol)
 
 
 @pytest.mark.parametrize("c0, bound", [(-0.2, 0.1), (0.7, 2.5)])

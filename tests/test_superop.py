@@ -107,9 +107,17 @@ def test_hermiticity_preservation_checks():
     rho = random_hermitian(rng, d)
     assert np.abs(apply_a_matrix(transpose, rho) - rho.T).max() < 1e-12
 
-    nudged = a.matrix.copy()
-    nudged[0, 1] += 2e-9
-    assert not check_hermiticity_preserving(AMatrix(3, nudged), 1e-9)
+    # The gate is relative to max|A|: a nudge of twice the cut fails and one
+    # of half the cut passes, at every scale.
+    tol = 1e-9
+    for scale in (1.0, 1e-12, 1e12):
+        for factor, preserving in ((2.0, False), (0.5, True)):
+            nudged = scale * a.matrix
+            nudged[0, 1] += factor * tol * _max_abs(nudged)
+            assert check_hermiticity_preserving(AMatrix(3, nudged), tol) == preserving
+    m = random_complex(np.random.default_rng(97), (4, 4))
+    assert not check_hermiticity_preserving(AMatrix(2, m))
+    assert not check_hermiticity_preserving(AMatrix(2, 1e-12 * m))
 
 
 def test_transpose_map_classification():
@@ -481,6 +489,7 @@ def test_validate_density_matrix():
 def test_is_positive_semidefinite():
     assert is_positive_semidefinite(np.diag([0.5, 0.5]).astype(complex))
     assert not is_positive_semidefinite(np.diag([1.5, -0.5]).astype(complex))
+    assert not is_positive_semidefinite(1e-12 * np.diag([1, -0.5]))  # the cut is relative to max|eigenvalue|
 
 
 @pytest.mark.parametrize("signs", [(1.0, -1.0), (np.float64(1.0), np.int64(-1)), (1, np.sign(-0.3))])
