@@ -26,13 +26,11 @@ from .errors import (
 )
 from .pseudolinalg import (
     DEFAULT_TOL,
-    PolarFactors,
     PseudoDiagonalization,
     Signature,
     eta_metric,
     is_pseudohermitian,
     is_pseudounitary,
-    polar_on_code,
     pseudo_diagonalize,
     pseudo_gram_schmidt,
     pseudo_inner,

@@ -36,7 +36,7 @@ class NotPseudoUnitary(NumericalFailure):
 
 
 class OrthogonalityViolation(NumericalFailure):
-    """Syndrome projectors are not pairwise orthogonal within tolerance."""
+    """Syndrome isometries are not orthonormal with pairwise-orthogonal ranges within tolerance."""
 
 
 class WitnessSearchFailed(NumericalFailure):

@@ -51,7 +51,7 @@ def _cut(tol: float, scale: float | np.ndarray = 1.0) -> float | np.ndarray:
     input does not change the answer.  Only the quantities that are
     scale-dependent by definition are gated absolutely (``scale = 1``):
     trace preservation, unit trace, pseudounitarity and isometry (a code's
-    ``B^dag B = I``, the syndrome overlap of isometries).
+    ``B^dag B = I``, the syndromes' ``W_a^dag W_b = delta_ab I``).
     """
     return _check_tol(tol) * scale
 
@@ -87,14 +87,6 @@ class PseudoDiagonalization(NamedTuple):
     eigenvalues: np.ndarray
     metric_signs: np.ndarray
     permutation: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class PolarFactors:
-    """Isometry and positive-semidefinite factors of a polar decomposition."""
-
-    isometry: np.ndarray
-    positive_part: np.ndarray
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -353,22 +345,3 @@ def pseudo_diagonalize(
         )
     return PseudoDiagonalization(s, d, eta_diag.copy(), tuple(perm.tolist()))
 
-
-def polar_on_code(a: np.ndarray) -> PolarFactors:
-    """Polar decomposition of a stack of ``d x r`` products ``A = M B`` on a code.
-
-    ``a`` has shape ``(..., d, r)``; ``B`` is the code's isometry, which
-    :class:`~ncpqec.qec.CodeSpace` already guarantees.  Returns
-    ``PolarFactors(W, H)`` from one batched thin SVD ``A = L S R^dag``:
-    the ``d x r`` isometries ``W = L R^dag`` and the ``r x r`` positive
-    parts ``H = R S R^dag = sqrt(A^dag A)``, so ``A = W H`` for each
-    matrix of the stack.  ``W`` is the canonical polar isometry on the
-    support of ``H``.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
-        raise ValueError(f"products have shape {a.shape}, expected (..., d, r) with r <= d")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("products contain non-finite entries")
-    left, sv, right_h = np.linalg.svd(a, full_matrices=False)
-    return PolarFactors(left @ right_h, (right_h.conj().swapaxes(-1, -2) * sv[..., None, :]) @ right_h)

@@ -9,12 +9,16 @@ canonical terms ``F = E T``, whose conditions are diagonal when the
 conditions hold.  The analysis reads the map only through the terms on
 the code, the ``n x d x r`` stack ``V_k = E_k B``.  The conditions come
 from one Gram GEMM of ``[V_1, V_2, ...]``, the ``r x r`` blocks
-``V_k^dag V_l``, which also give the canonical blocks (an ``n x n``
-congruence by ``T``) and the trace check; the syndrome overlaps are the
-same Gram of the ``W_k``.  One batched polar decomposition of
-``F B = V T`` yields ``d x r`` isometries ``W_k`` with pairwise-orthogonal
-ranges, the syndrome projectors ``W_k W_k^dag`` of the completely
-positive theory.  ``F`` itself is never formed.
+``V_k^dag V_l``, which also give the canonical blocks
+``C_ab = (F_a B)^dag F_b B`` (an ``n x n`` congruence by ``T``) and the
+trace check.  The syndromes are the polar isometries
+``W_k = V T_k H_k^(-1/2)`` of ``F_k B``, ``H_k = C_kk``: ``d x r``
+isometries with pairwise-orthogonal ranges, the syndrome projectors
+``W_k W_k^dag`` of the completely positive theory.  They come from one
+GEMM of ``V`` with ``T`` and the ``r x r`` factors ``H_k^(-1/2)``, and
+their overlaps ``H_a^(-1/2) C_ab H_b^(-1/2)`` from the blocks, so the
+analysis passes over ``d`` three times: ``E B``, the Gram and ``W``.
+``F`` itself is never formed.
 
 The sign structure adds one genuinely new outcome: if a negative
 canonical term acts on the code space, its syndrome returns the
@@ -46,7 +50,7 @@ from .errors import (
     WitnessSearchFailed,
     ZeroTrace,
 )
-from .pseudolinalg import DEFAULT_TOL, _cut, _frozen, _max_abs, _signed_eigensystem, polar_on_code
+from .pseudolinalg import DEFAULT_TOL, _cut, _frozen, _max_abs, _signed_eigensystem
 from .superop import SignedOperatorSum
 
 __all__ = [
@@ -366,15 +370,16 @@ def cp_condition_matrix(operators: Sequence[np.ndarray], code: CodeSpace) -> Con
 
 def _canonical_terms(
     signs: Sequence[int], blocks: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, ConditionMatrix, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, ConditionMatrix, float]:
     """Canonical decomposition of the map restricted to the code.
 
     With ``G = tr_r(blocks) / r = R^dag R`` the Gram matrix of the terms
     on the code and ``R eta R^dag = W L W^dag`` (``L`` is the spectrum of
     the restricted dynamical matrix over ``r``), returns ``(signs, d, T,
-    condition, scale)`` of the canonical terms ``F = E T``:
-    ``T = R^+ W |L|^(1/2)``, ``d = |L|``, ``signs = sign(L)`` and
-    ``scale = max eig G``.  Eigenvalues up to ``tol * scale`` drop.
+    canonical, condition, scale)`` of the canonical terms ``F = E T``:
+    ``T = R^+ W |L|^(1/2)``, ``d = |L|``, ``signs = sign(L)``, the
+    ``(m, m, r, r)`` canonical blocks ``(F_a B)^dag F_b B = T^dag blocks T``
+    and ``scale = max eig G``.  Eigenvalues up to ``tol * scale`` drop.
     """
     r = blocks.shape[-1]
     mu, q = np.linalg.eigh(np.einsum("klaa->kl", blocks / r))
@@ -392,27 +397,41 @@ def _canonical_terms(
     # fit's residual is the deviation from diag(d) x identity.
     canonical = (t.conj().T @ blocks.transpose(2, 3, 0, 1) @ t).transpose(2, 3, 0, 1)
     condition = _condition_fit(canonical, new_signs, "pseudohermitian")
-    return new_signs, d, t, condition, scale
+    return new_signs, d, t, canonical, condition, scale
 
 
-def _syndromes(
-    signs: Sequence[int], products: np.ndarray, code: CodeSpace, d: np.ndarray, tol: float
-) -> SyndromeSet:
-    """Syndromes of the diagonal terms from their ``(m, d, r)`` products ``F_k B``.
+def _syndromes(v: np.ndarray, blocks: np.ndarray, t: np.ndarray, h: np.ndarray, tol: float) -> np.ndarray:
+    """The read-only ``(m, d, r)`` polar isometries ``W_k = V T_k H_k^(-1/2)`` of ``F_k B = V T_k``, from the blocks.
 
-    Term ``k`` with ``d[k] > tol * max(d)`` gives ``F_k B = sqrt(d[k]) W_k``, ``W_k``
-    the polar isometry of ``F_k B / sqrt(d[k])``, all in one batched polar;
-    lighter terms act trivially on the code space and are skipped.
+    ``t`` holds the columns ``T_k`` of the ``m`` syndromes and ``h`` their
+    canonical blocks ``H_k = C_kk = (F_k B)^dag F_k B``.  The stack is one
+    GEMM of ``T^T`` with the ``(n, d r)`` stack ``V``, then one batched
+    product with the ``r x r`` blocks ``H_k^(-1/2)``, with no copy or
+    transposition of ``d``-sized data.  With ``M`` the ``n r x m r``
+    matrix of the ``T_lk H_k^(-1/2)``, the gate reads
+    ``W_a^dag W_b = H_a^(-1/2) C_ab H_b^(-1/2)`` as ``M^dag (V^dag V) M``,
+    with no pass over ``d``.  An ``H_k`` whose smallest eigenvalue is not
+    above ``tol`` times its largest is refused before any square root.
     """
-    keep = np.flatnonzero(d > _cut(tol, d.max(initial=0.0)))
-    w = polar_on_code(products[keep] / np.sqrt(d[keep])[:, None, None]).isometry
+    (n, dim, r), m = v.shape, t.shape[1]
+    lam, u = np.linalg.eigh(h)  # eigenvalues ascending
+    low = lam[:, 0] <= _cut(tol, lam[:, -1])
+    if low.any():
+        j = int(np.argmax(low))
+        raise OrthogonalityViolation(
+            f"syndrome {j} has (F B)^dag F B with smallest eigenvalue {lam[j, 0]:.3e} of largest {lam[j, -1]:.3e}"
+        )
+    root = (u / np.sqrt(lam)[:, None, :]) @ u.conj().swapaxes(1, 2)  # H_k^(-1/2)
+    coeff = (t[:, :, None, None] * root).transpose(0, 2, 1, 3).reshape(n * r, m * r)  # M
+    errors = np.abs(coeff.conj().T @ blocks.transpose(0, 2, 1, 3).reshape(n * r, n * r) @ coeff - np.eye(m * r))
+    if errors.max(initial=0.0) > 10 * _cut(tol):
+        a, _, c, _ = np.unravel_index(np.argmax(errors), (m, r, m, r))
+        raise OrthogonalityViolation(
+            f"syndromes {a} and {c} are not orthonormal: max|W_a^dag W_b - delta_ab I| = {errors.max():.3e}"
+        )
+    w = (t.T @ v.reshape(n, dim * r)).reshape(m, dim, r) @ root  # (V T_k) H_k^(-1/2)
     w.setflags(write=False)  # held by the record without a copy
-    overlaps = np.abs(_blocks(w)).max(axis=(2, 3))
-    np.fill_diagonal(overlaps, 0.0)
-    if overlaps.max(initial=0.0) > 10 * _cut(tol):
-        a, c = np.unravel_index(np.argmax(overlaps), overlaps.shape)
-        raise OrthogonalityViolation(f"syndromes {a} and {c} overlap by {overlaps[a, c]:.3e}")
-    return SyndromeSet(Recovery(code.isometry, w), d[keep], np.asarray(signs)[keep], keep)
+    return w
 
 
 def negative_part_on_code(ops: SignedOperatorSum, code: CodeSpace) -> float:
@@ -481,21 +500,27 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
     ValueError
         For a NaN, infinite or negative ``tol``, or mismatched dimensions.
     OrthogonalityViolation
-        If two syndromes overlap (an entry of ``W_a^dag W_b`` exceeds
-        ``10 tol``): the conditions were not actually diagonal.
+        If a syndrome's block ``H_k = (F_k B)^dag F_k B`` has its smallest
+        eigenvalue at most ``tol`` times its largest, so its polar
+        isometry is undetermined; or if an entry of
+        ``W_a^dag W_b - delta_ab I``, read from the blocks for every pair
+        of syndromes, exceeds ``10 tol``: the conditions were not actually
+        diagonal, or ``H_k`` is too ill-conditioned for an isometric ``W_k``.
     WitnessSearchFailed
         If the witness's cross-checked probability is not at most ``-tol``
         times the largest syndrome weight.
     """
     v = _on_code(ops, code)
     blocks = _blocks(v)
-    signs, d, t, condition, scale = _canonical_terms(ops.signs, blocks, tol)
+    signs, d, t, canonical, condition, scale = _canonical_terms(ops.signs, blocks, tol)
     if not d.size:
         zero = ConditionMatrix(np.zeros((1, 1)), 0.0, "pseudohermitian")
         return QecReport(zero, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
     if condition.residual > _cut(tol, scale):
         return QecReport(condition, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
-    syndromes = _syndromes(signs, np.tensordot(t, v, axes=([0], [0])), code, d, tol)  # F B = V T
+    keep = np.flatnonzero(d > _cut(tol, d.max()))  # lighter terms act trivially on the code space
+    w = _syndromes(v, blocks, t[:, keep], canonical[keep, keep], tol)
+    syndromes = SyndromeSet(Recovery(code.isometry, w), d[keep], signs[keep], keep)
     if (syndromes.signs < 0).any():
         witness = _witness(ops.signs, v[:, :, 0], code.isometry[:, 0], syndromes, tol)
         return QecReport(condition, t, d, syndromes, Verdict.CODE_OUTSIDE_DOMAIN, witness)

@@ -5,6 +5,8 @@ tests are reproducible; scipy only appears here (and in tests) as an
 independent oracle, never inside the library.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ncpqec import (
@@ -35,6 +37,32 @@ def pauli_string(letters: str) -> np.ndarray:
     for c in letters:
         out = np.kron(out, PAULI[c])
     return out
+
+
+class PolarFactors(NamedTuple):
+    """Isometry and positive-semidefinite factors of a polar decomposition."""
+
+    isometry: np.ndarray
+    positive_part: np.ndarray
+
+
+def polar_on_code(a: np.ndarray) -> PolarFactors:
+    """Polar decomposition of a stack of ``d x r`` products ``A = M B`` on a code, the oracle of ``analyze``'s ``W``.
+
+    ``a`` has shape ``(..., d, r)``.  Returns ``PolarFactors(W, H)`` from
+    one batched thin SVD ``A = L S R^dag``: the ``d x r`` isometries
+    ``W = L R^dag`` and the ``r x r`` positive parts
+    ``H = R S R^dag = sqrt(A^dag A)``, so ``A = W H`` for each matrix of
+    the stack.  ``W`` is the canonical polar isometry on the support of
+    ``H``, unique where ``H > 0``.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
+        raise ValueError(f"products have shape {a.shape}, expected (..., d, r) with r <= d")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("products contain non-finite entries")
+    left, sv, right_h = np.linalg.svd(a, full_matrices=False)
+    return PolarFactors(left @ right_h, (right_h.conj().swapaxes(-1, -2) * sv[..., None, :]) @ right_h)
 
 
 def random_complex(rng, shape):

@@ -31,7 +31,6 @@ PUBLIC = {
     "NumericalFailure",
     "OperatorsNotEqual",
     "OrthogonalityViolation",
-    "PolarFactors",
     "PseudoDiagonalization",
     "PseudoDiagonalizationFailure",
     "QecReport",
@@ -65,7 +64,6 @@ PUBLIC = {
     "negative_part_on_code",
     "operator_sum_from_b",
     "pad_to_signature",
-    "polar_on_code",
     "projector_from_basis",
     "pseudo_diagonalize",
     "pseudo_gram_schmidt",
@@ -112,7 +110,6 @@ RECORDS = {
     "SignedOperatorSum": lambda ops, code: ops,
     "SignedEnsemble": lambda ops, code: ncpqec.SignedEnsemble(8, (1, -1), code.isometry.T),
     "ConnectionResult": lambda ops, code: ncpqec.connecting_pseudounitary(ops, ops),
-    "PolarFactors": lambda ops, code: ncpqec.polar_on_code(ops.operators @ code.isometry),
     "CodeSpace": lambda ops, code: code,
     "ConditionMatrix": lambda ops, code: ncpqec.analyze(ops, code).condition,
     "Syndrome": lambda ops, code: ncpqec.analyze(ops, code).syndromes[0],

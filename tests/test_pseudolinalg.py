@@ -16,7 +16,6 @@ from ncpqec import (
     is_positive_semidefinite,
     is_pseudohermitian,
     is_pseudounitary,
-    polar_on_code,
     projector_from_basis,
     pseudo_diagonalize,
     pseudo_gram_schmidt,
@@ -28,6 +27,7 @@ from ncpqec.pseudolinalg import _max_abs, _signed_eigensystem
 
 from helpers import (
     ket,
+    polar_on_code,
     random_code,
     random_complex,
     random_hermitian,
@@ -326,6 +326,9 @@ def test_gates_give_the_scale_1_answer_at_every_scale(inputs, exponent):
         else:
             want = np.column_stack(base)
             assert np.abs(np.column_stack(got) - want).max() <= 1e-9 * _max_abs(want)
+
+
+# --------------------------------------- polar_on_code (the oracle in helpers)
 
 
 def test_polar_on_code_identity_and_flip():

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from ncpqec import (
     CodeSpace,
     LinearDependence,
+    OrthogonalityViolation,
     QecReport,
     Recovery,
     Signature,
@@ -48,6 +50,7 @@ from ncpqec import (
 )
 from ncpqec.documents import encode_vector, parse_code_document
 from ncpqec.pseudolinalg import DEFAULT_TOL
+from ncpqec import qec
 from ncpqec.qec import _VERIFY_SEED, _witness
 
 from helpers import (
@@ -510,6 +513,70 @@ def test_witness_search_failure_on_doctored_syndromes():
     b0 = code.isometry[:, 0]
     with pytest.raises(WitnessSearchFailed):
         _witness(ops.signs, ops.operators @ b0, b0, wrong, DEFAULT_TOL)
+
+
+def _syndrome_inputs():
+    """``_syndromes``'s inputs for the inverted 3-qubit map (every term kept), with writable blocks."""
+    ops, code = repetition_bitflip(3, -0.2)
+    v = qec._on_code(ops, code)
+    blocks = np.array(qec._blocks(v))
+    _, d, t, canonical, _, _ = qec._canonical_terms(ops.signs, blocks, DEFAULT_TOL)
+    keep = np.arange(len(d))
+    return v, blocks, t, canonical[keep, keep], d
+
+
+def _doctored_syndromes(*args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a square root of a negative eigenvalue warns before it gives NaN
+        return qec._syndromes(*args, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("k, eigenvalues", [(3, (1.0, 1e-12)), (1, (1.0, -0.5))])
+def test_syndromes_refuse_a_singular_or_indefinite_block(k, eigenvalues):
+    """A block ``H_k = (F_k B)^dag F_k B`` with eigenvalues ``d_k (1, 1e-12)`` or ``d_k (1, -0.5)`` is refused.
+
+    ``analyze`` cannot reach this with honest input, so ``_syndromes`` gets
+    the doctored block directly; ``H_k^(-1/2)`` would be NaN or far from
+    isometric.
+    """
+    v, blocks, t, h, d = _syndrome_inputs()
+    u = random_unitary(np.random.default_rng(5), 2)
+    h[k] = d[k] * (u * eigenvalues) @ u.conj().T
+    with pytest.raises(OrthogonalityViolation, match=f"syndrome {k} has") as failure:
+        _doctored_syndromes(v, blocks, t, h)
+    smallest = float(str(failure.value).split("smallest eigenvalue ")[1].split()[0])
+    assert smallest == pytest.approx(d[k] * eigenvalues[1], rel=1e-3)
+
+
+def test_syndromes_gate_every_pair_on_the_blocks():
+    # Moving one off-diagonal Gram block, or the scale of one H_k, by 1e-6
+    # leaves W_a^dag W_b off orthonormal: the gate names the pair, the
+    # diagonal pairs included, with no pass over d.
+    v, blocks, t, h, d = _syndrome_inputs()
+    w = _doctored_syndromes(v, blocks, t, h)
+    assert w.shape == (4, 8, 2) and not w.flags.writeable and w.base is None
+    blocks[0, 2] += 1e-6 * d.max()
+    blocks[2, 0] = blocks[0, 2].conj().T
+    with pytest.raises(OrthogonalityViolation, match="syndromes 0 and 2 are not orthonormal"):
+        _doctored_syndromes(v, blocks, t, h)
+    v, blocks, t, h, d = _syndrome_inputs()
+    h[1] *= 1 + 1e-6
+    with pytest.raises(OrthogonalityViolation, match="syndromes 1 and 1 are not orthonormal"):
+        _doctored_syndromes(v, blocks, t, h)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("c0", [-0.2, 0.7])
+def test_analyze_runs_no_svd_and_no_tensordot(monkeypatch, n, c0):
+    # The syndromes come from the canonical blocks: the polar SVD and the
+    # products F B = V T must not come back into the hot path.
+    ops, code = repetition_bitflip(n, c0)
+    calls = []
+    for owner, name in ((np.linalg, "svd"), (np, "tensordot")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name, **kwargs: calls.append(name))
+    report = analyze(ops, code)
+    assert report.verdict is (Verdict.CODE_OUTSIDE_DOMAIN if c0 < 0 else Verdict.REVERSIBLE_POSITIVE)
+    assert len(report.syndromes) == n + 1 and calls == []
 
 
 def test_witness_probability_matches_apply_map():
