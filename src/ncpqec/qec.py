@@ -9,16 +9,14 @@ canonical terms ``F = E T``, whose conditions are diagonal when the
 conditions hold.  The analysis reads the map only through the terms on
 the code, the ``n x d x r`` stack ``V_k = E_k B``.  The conditions come
 from one Gram GEMM of ``[V_1, V_2, ...]``, the ``r x r`` blocks
-``V_k^dag V_l``, which also give the canonical blocks
-``C_ab = (F_a B)^dag F_b B`` (an ``n x n`` congruence by ``T``) and the
-trace check.  The syndromes are the polar isometries
-``W_k = V T_k H_k^(-1/2)`` of ``F_k B``, ``H_k = C_kk``: ``d x r``
-isometries with pairwise-orthogonal ranges, the syndrome projectors
-``W_k W_k^dag`` of the completely positive theory.  They come from one
-GEMM of ``V`` with ``T`` and the ``r x r`` factors ``H_k^(-1/2)``, and
-their overlaps ``H_a^(-1/2) C_ab H_b^(-1/2)`` from the blocks, so the
-analysis passes over ``d`` three times: ``E B``, the Gram and ``W``.
-``F`` itself is never formed.
+``V_k^dag V_l``, which also give the canonical blocks (an ``n x n``
+congruence by ``T``) and the trace check.  The syndromes are the polar
+isometries ``W_k = F_k B H_k^(-1/2)``, ``H_k = (F_k B)^dag F_k B``:
+``d x r`` isometries with pairwise-orthogonal ranges, the syndrome
+projectors ``W_k W_k^dag`` of the completely positive theory.  One GEMM
+of ``T`` with ``V`` gives the products ``F B = V T``, their ``r x r``
+Grams give the ``H_k``, and the overlaps ``W_a^dag W_b`` are the same
+Gram GEMM of the ``W_k``; no SVD is taken.  ``F`` itself is never formed.
 
 The sign structure adds one genuinely new outcome: if a negative
 canonical term acts on the code space, its syndrome returns the
@@ -370,16 +368,15 @@ def cp_condition_matrix(operators: Sequence[np.ndarray], code: CodeSpace) -> Con
 
 def _canonical_terms(
     signs: Sequence[int], blocks: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, ConditionMatrix, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, ConditionMatrix, float]:
     """Canonical decomposition of the map restricted to the code.
 
     With ``G = tr_r(blocks) / r = R^dag R`` the Gram matrix of the terms
     on the code and ``R eta R^dag = W L W^dag`` (``L`` is the spectrum of
     the restricted dynamical matrix over ``r``), returns ``(signs, d, T,
-    canonical, condition, scale)`` of the canonical terms ``F = E T``:
-    ``T = R^+ W |L|^(1/2)``, ``d = |L|``, ``signs = sign(L)``, the
-    ``(m, m, r, r)`` canonical blocks ``(F_a B)^dag F_b B = T^dag blocks T``
-    and ``scale = max eig G``.  Eigenvalues up to ``tol * scale`` drop.
+    condition, scale)`` of the canonical terms ``F = E T``:
+    ``T = R^+ W |L|^(1/2)``, ``d = |L|``, ``signs = sign(L)`` and
+    ``scale = max eig G``.  Eigenvalues up to ``tol * scale`` drop.
     """
     r = blocks.shape[-1]
     mu, q = np.linalg.eigh(np.einsum("klaa->kl", blocks / r))
@@ -397,40 +394,38 @@ def _canonical_terms(
     # fit's residual is the deviation from diag(d) x identity.
     canonical = (t.conj().T @ blocks.transpose(2, 3, 0, 1) @ t).transpose(2, 3, 0, 1)
     condition = _condition_fit(canonical, new_signs, "pseudohermitian")
-    return new_signs, d, t, canonical, condition, scale
+    return new_signs, d, t, condition, scale
 
 
-def _syndromes(v: np.ndarray, blocks: np.ndarray, t: np.ndarray, h: np.ndarray, tol: float) -> np.ndarray:
-    """The read-only ``(m, d, r)`` polar isometries ``W_k = V T_k H_k^(-1/2)`` of ``F_k B = V T_k``, from the blocks.
+def _syndromes(v: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
+    """The read-only ``(m, d, r)`` polar isometries ``W_k = F_k B H_k^(-1/2)``, ``H_k = (F_k B)^dag F_k B``.
 
-    ``t`` holds the columns ``T_k`` of the ``m`` syndromes and ``h`` their
-    canonical blocks ``H_k = C_kk = (F_k B)^dag F_k B``.  The stack is one
-    GEMM of ``T^T`` with the ``(n, d r)`` stack ``V``, then one batched
-    product with the ``r x r`` blocks ``H_k^(-1/2)``, with no copy or
-    transposition of ``d``-sized data.  With ``M`` the ``n r x m r``
-    matrix of the ``T_lk H_k^(-1/2)``, the gate reads
-    ``W_a^dag W_b = H_a^(-1/2) C_ab H_b^(-1/2)`` as ``M^dag (V^dag V) M``,
-    with no pass over ``d``.  An ``H_k`` whose smallest eigenvalue is not
-    above ``tol`` times its largest is refused before any square root.
+    ``t`` holds the columns ``T_k`` of the ``m`` syndromes, so the products
+    ``F_k B = (V T)_k`` are one GEMM of ``T^T`` with the ``(n, d r)`` stack
+    ``V``.  ``H_k`` is the ``r x r`` Gram of that product, not the canonical
+    block ``T_k^dag (V^dag V) T_k``, whose rounding grows with ``|T|^2``.
+    An ``H_k`` whose smallest eigenvalue is not above ``tol`` times its
+    largest is refused before any square root, and the Gram of the
+    returned ``W`` must be the identity, every pair and the diagonal
+    included, within ``10 tol``.
     """
     (n, dim, r), m = v.shape, t.shape[1]
-    lam, u = np.linalg.eigh(h)  # eigenvalues ascending
+    products = (t.T @ v.reshape(n, dim * r)).reshape(m, dim, r)  # F_k B = (V T)_k
+    lam, u = np.linalg.eigh(products.conj().swapaxes(1, 2) @ products)  # H_k, eigenvalues ascending
     low = lam[:, 0] <= _cut(tol, lam[:, -1])
     if low.any():
         j = int(np.argmax(low))
         raise OrthogonalityViolation(
             f"syndrome {j} has (F B)^dag F B with smallest eigenvalue {lam[j, 0]:.3e} of largest {lam[j, -1]:.3e}"
         )
-    root = (u / np.sqrt(lam)[:, None, :]) @ u.conj().swapaxes(1, 2)  # H_k^(-1/2)
-    coeff = (t[:, :, None, None] * root).transpose(0, 2, 1, 3).reshape(n * r, m * r)  # M
-    errors = np.abs(coeff.conj().T @ blocks.transpose(0, 2, 1, 3).reshape(n * r, n * r) @ coeff - np.eye(m * r))
-    if errors.max(initial=0.0) > 10 * _cut(tol):
-        a, _, c, _ = np.unravel_index(np.argmax(errors), (m, r, m, r))
-        raise OrthogonalityViolation(
-            f"syndromes {a} and {c} are not orthonormal: max|W_a^dag W_b - delta_ab I| = {errors.max():.3e}"
-        )
-    w = (t.T @ v.reshape(n, dim * r)).reshape(m, dim, r) @ root  # (V T_k) H_k^(-1/2)
+    w = products @ ((u / np.sqrt(lam)[:, None, :]) @ u.conj().swapaxes(1, 2))  # F_k B H_k^(-1/2)
     w.setflags(write=False)  # held by the record without a copy
+    errors = np.abs(_blocks(w) - np.eye(m)[:, :, None, None] * np.eye(r)).max(axis=(2, 3))
+    if errors.max(initial=0.0) > 10 * _cut(tol):
+        a, c = np.unravel_index(np.argmax(errors), errors.shape)
+        raise OrthogonalityViolation(
+            f"syndromes {a} and {c} are not orthonormal: max|W_a^dag W_b - delta_ab I| = {errors[a, c]:.3e}"
+        )
     return w
 
 
@@ -503,8 +498,8 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
         If a syndrome's block ``H_k = (F_k B)^dag F_k B`` has its smallest
         eigenvalue at most ``tol`` times its largest, so its polar
         isometry is undetermined; or if an entry of
-        ``W_a^dag W_b - delta_ab I``, read from the blocks for every pair
-        of syndromes, exceeds ``10 tol``: the conditions were not actually
+        ``W_a^dag W_b - delta_ab I``, for every pair of the returned
+        syndromes, exceeds ``10 tol``: the conditions were not actually
         diagonal, or ``H_k`` is too ill-conditioned for an isometric ``W_k``.
     WitnessSearchFailed
         If the witness's cross-checked probability is not at most ``-tol``
@@ -512,14 +507,14 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
     """
     v = _on_code(ops, code)
     blocks = _blocks(v)
-    signs, d, t, canonical, condition, scale = _canonical_terms(ops.signs, blocks, tol)
+    signs, d, t, condition, scale = _canonical_terms(ops.signs, blocks, tol)
     if not d.size:
         zero = ConditionMatrix(np.zeros((1, 1)), 0.0, "pseudohermitian")
         return QecReport(zero, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
     if condition.residual > _cut(tol, scale):
         return QecReport(condition, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
     keep = np.flatnonzero(d > _cut(tol, d.max()))  # lighter terms act trivially on the code space
-    w = _syndromes(v, blocks, t[:, keep], canonical[keep, keep], tol)
+    w = _syndromes(v, t[:, keep], tol)
     syndromes = SyndromeSet(Recovery(code.isometry, w), d[keep], signs[keep], keep)
     if (syndromes.signs < 0).any():
         witness = _witness(ops.signs, v[:, :, 0], code.isometry[:, 0], syndromes, tol)

@@ -11,6 +11,8 @@ stacks, and its syndrome isometries match the SVD polar oracle.  Runs are
 derandomized and keep no example database, so the suite is reproducible.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -171,37 +173,42 @@ def assert_close(value, oracle):
 @PROPERTY
 @given(stacks())
 def test_gram_gemms_match_their_einsum_forms(case):
-    # _blocks forms the condition blocks V_k^dag V_l; _canonical_terms
-    # forms the canonical blocks T^dag blocks T.
+    # _blocks forms the condition blocks V_k^dag V_l (and the syndrome
+    # overlaps W_a^dag W_b); _canonical_terms forms T^dag blocks T.
     v, signs = case
     blocks = qec._blocks(v)
     assert_close(blocks, np.einsum("kda,ldb->klab", v.conj(), v))
-    t, canonical = qec._canonical_terms(signs, blocks, DEFAULT_TOL)[2:4]
-    assert_close(canonical, np.einsum("ki,klab,lj->ijab", t.conj(), blocks, t))
+    with mock.patch.object(qec, "_condition_fit", wraps=qec._condition_fit) as fit:
+        t = qec._canonical_terms(signs, blocks, DEFAULT_TOL)[2]
+    assert_close(fit.call_args.args[0], np.einsum("ki,klab,lj->ijab", t.conj(), blocks, t))
 
 
 @PROPERTY
-@given(maps(), st.sampled_from(["plain", "boosted", "near the cut"]), st.floats(1.5, 10.0))
-def test_syndrome_isometries_match_the_svd_polar(case, form, factor):
-    # W_k = V T_k H_k^(-1/2) from the canonical blocks is the polar isometry
-    # of (V T)_k / sqrt(d_k), unique as H_k > 0, at every scale.
+@given(maps(), st.booleans(), st.booleans(), st.floats(1.5, 10.0))
+def test_syndrome_isometries_match_the_svd_polar(case, near, boosted, factor):
+    # W_k = F_k B H_k^(-1/2) is the polar isometry of (V T)_k / sqrt(d_k),
+    # unique as H_k > 0, and an isometry to rounding, at every scale: on
+    # plain and boosted maps, with or without a term near the cut.
     ops, rng = case
-    if form == "boosted":
-        ops = transform_by_pseudounitary(ops, random_pu(rng, ops.signature), tol=1e-7)
-    elif form == "near the cut":  # the lightest term gets weight factor * tol * (largest weight)
+    if near:  # the lightest term gets weight factor * tol * (largest weight)
         weights = np.array([np.vdot(op, op).real for op in ops.operators])
         k = int(np.argmin(weights))
         lighter = np.array(ops.operators)
         lighter[k] *= np.sqrt(factor * DEFAULT_TOL * weights.max() / weights[k])
         ops = SignedOperatorSum(8, ops.signs, lighter)
+    if boosted:
+        ops = transform_by_pseudounitary(ops, random_pu(rng, ops.signature), tol=1e-7)
     for scale in (1e-150, 1e-12, 1.0, 1e150):
         scaled = SignedOperatorSum(8, ops.signs, np.sqrt(scale) * ops.operators)
         report = analyze(scaled, CODE)
         syn = report.syndromes
         vt = np.tensordot(report.diagonalizer, scaled.operators @ CODE.isometry, axes=([0], [0]))  # (V T)_k
         oracle = polar_on_code(vt[syn.term_indices] / np.sqrt(syn.weights)[:, None, None]).isometry
-        assert len(syn) == ops.n_terms  # the term near the cut is kept
         assert np.abs(syn.isometries - oracle).max() <= 1e-12
+        gram = np.einsum("kdi,kdj->kij", syn.isometries.conj(), syn.isometries)  # W_k^dag W_k
+        assert np.abs(gram - np.eye(2)).max() <= 1e-12
+        if not boosted:  # a boost raises the Gram scale that the term cut is relative to
+            assert len(syn) == ops.n_terms  # the term near the cut is kept
 
 
 def test_known_redecompositions_get_base_verdicts():

@@ -59,10 +59,12 @@ from helpers import (
     ket,
     pauli_string,
     ph_conditions,
+    polar_on_code,
     random_code,
     random_code_state,
     random_complex,
     random_ops,
+    random_pu,
     random_unitary,
     repetition_code,
 )
@@ -414,7 +416,7 @@ def test_syndrome_set_refuses_signs_other_than_one(signs):
 @pytest.mark.parametrize("c0", [-0.2, 0.7])
 def test_analyze_contracts_over_d_only_in_gemms(monkeypatch, c0):
     # No einsum on the analysis path takes an operand with a d = 64 axis:
-    # the blocks, the canonical blocks and the overlaps are matmuls.
+    # the blocks, the canonical blocks, the H_k and the overlaps are matmuls.
     ops, code = repetition_bitflip(6, c0)
     shapes = []
     einsum = np.einsum
@@ -515,61 +517,114 @@ def test_witness_search_failure_on_doctored_syndromes():
         _witness(ops.signs, ops.operators @ b0, b0, wrong, DEFAULT_TOL)
 
 
-def _syndrome_inputs():
-    """``_syndromes``'s inputs for the inverted 3-qubit map (every term kept), with writable blocks."""
+def _syndrome_products():
+    """The products ``F_k B`` of the inverted 3-qubit map (every term kept) and their weights ``d_k``."""
     ops, code = repetition_bitflip(3, -0.2)
     v = qec._on_code(ops, code)
-    blocks = np.array(qec._blocks(v))
-    _, d, t, canonical, _, _ = qec._canonical_terms(ops.signs, blocks, DEFAULT_TOL)
-    keep = np.arange(len(d))
-    return v, blocks, t, canonical[keep, keep], d
+    _, d, t, _, _ = qec._canonical_terms(ops.signs, qec._blocks(v), DEFAULT_TOL)
+    return np.tensordot(t, v, axes=([0], [0])), d
 
 
-def _doctored_syndromes(*args):
+def _doctored_syndromes(products):
+    """``_syndromes`` of the given products, as ``T = I`` and ``V = F B``."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a square root of a negative eigenvalue warns before it gives NaN
-        return qec._syndromes(*args, DEFAULT_TOL)
+        return qec._syndromes(products, np.eye(len(products)), DEFAULT_TOL)
 
 
-@pytest.mark.parametrize("k, eigenvalues", [(3, (1.0, 1e-12)), (1, (1.0, -0.5))])
-def test_syndromes_refuse_a_singular_or_indefinite_block(k, eigenvalues):
-    """A block ``H_k = (F_k B)^dag F_k B`` with eigenvalues ``d_k (1, 1e-12)`` or ``d_k (1, -0.5)`` is refused.
+def _with_block(products, k, eigenvalues):
+    """``products`` with ``H_k = (F_k B)^dag F_k B`` moved to ``d_k u diag(eigenvalues) u^dag``, ``u`` fixed."""
+    u = random_unitary(np.random.default_rng(5), 2)
+    doctored = products.copy()
+    doctored[k] = products[k] @ (u * np.sqrt(eigenvalues)) @ u.conj().T  # H_k = d_k I before
+    return doctored
+
+
+@pytest.mark.parametrize("k, eigenvalues", [(3, (1.0, 1e-12)), (1, (1.0, 0.0))])
+def test_syndromes_refuse_a_singular_block(k, eigenvalues):
+    """A block ``H_k`` with eigenvalues ``d_k (1, 1e-12)``, or ``d_k (1, 0)`` up to rounding, is refused.
 
     ``analyze`` cannot reach this with honest input, so ``_syndromes`` gets
-    the doctored block directly; ``H_k^(-1/2)`` would be NaN or far from
-    isometric.
+    the doctored products directly; ``H_k^(-1/2)`` would be far from
+    isometric, or NaN where rounding leaves the zero eigenvalue negative.
     """
-    v, blocks, t, h, d = _syndrome_inputs()
-    u = random_unitary(np.random.default_rng(5), 2)
-    h[k] = d[k] * (u * eigenvalues) @ u.conj().T
+    products, d = _syndrome_products()
     with pytest.raises(OrthogonalityViolation, match=f"syndrome {k} has") as failure:
-        _doctored_syndromes(v, blocks, t, h)
+        _doctored_syndromes(_with_block(products, k, eigenvalues))
     smallest = float(str(failure.value).split("smallest eigenvalue ")[1].split()[0])
-    assert smallest == pytest.approx(d[k] * eigenvalues[1], rel=1e-3)
+    assert smallest == pytest.approx(d[k] * eigenvalues[1], rel=1e-3, abs=1e-15 * d[k])
 
 
-def test_syndromes_gate_every_pair_on_the_blocks():
-    # Moving one off-diagonal Gram block, or the scale of one H_k, by 1e-6
-    # leaves W_a^dag W_b off orthonormal: the gate names the pair, the
-    # diagonal pairs included, with no pass over d.
-    v, blocks, t, h, d = _syndrome_inputs()
-    w = _doctored_syndromes(v, blocks, t, h)
+def test_syndromes_refuse_an_indefinite_block(monkeypatch):
+    # A Gram H_k is indefinite only by rounding; eigh is doctored to give
+    # syndrome 1 the smallest eigenvalue -0.5 d_1, which must be refused
+    # before its square root warns.
+    products, d = _syndrome_products()
+    eigh = np.linalg.eigh
+
+    def indefinite(h):
+        lam, u = eigh(h)
+        lam[1, 0] = -0.5 * lam[1, -1]
+        return lam, u
+
+    monkeypatch.setattr(np.linalg, "eigh", indefinite)
+    with pytest.raises(OrthogonalityViolation, match="syndrome 1 has") as failure:
+        _doctored_syndromes(products)
+    smallest = float(str(failure.value).split("smallest eigenvalue ")[1].split()[0])
+    assert smallest == pytest.approx(-0.5 * d[1], rel=1e-3)
+
+
+def test_syndromes_gate_every_pair_on_the_returned_isometries(monkeypatch):
+    # The gate reads the Gram of the W it returns.  A product moved by
+    # 1e-6 into another's range leaves that pair overlapping; square roots
+    # of H_k off by 1e-6 leave every W_k off isometric.  The gate names
+    # the pair, the diagonal ones included.
+    products, d = _syndrome_products()
+    w = _doctored_syndromes(products)
     assert w.shape == (4, 8, 2) and not w.flags.writeable and w.base is None
-    blocks[0, 2] += 1e-6 * d.max()
-    blocks[2, 0] = blocks[0, 2].conj().T
+    doctored = products.copy()
+    doctored[2] += 1e-6 * np.sqrt(d[2] / d[0]) * products[0]
     with pytest.raises(OrthogonalityViolation, match="syndromes 0 and 2 are not orthonormal"):
-        _doctored_syndromes(v, blocks, t, h)
-    v, blocks, t, h, d = _syndrome_inputs()
-    h[1] *= 1 + 1e-6
-    with pytest.raises(OrthogonalityViolation, match="syndromes 1 and 1 are not orthonormal"):
-        _doctored_syndromes(v, blocks, t, h)
+        _doctored_syndromes(doctored)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: (eigh(h)[0] * (1 + 1e-6), eigh(h)[1]))
+    with pytest.raises(OrthogonalityViolation, match=r"syndromes (\d) and \1 are not orthonormal"):
+        _doctored_syndromes(products)
+
+
+def test_analyze_keeps_syndromes_isometric_on_a_boosted_map_near_the_cut():
+    # A boost makes F B = V T a sum of large canceling terms; with its
+    # lightest term within 10x of the cut, H_k read from the canonical
+    # blocks T^dag (V^dag V) T is off by more than 10 tol, where the Gram of
+    # the product itself keeps every W_k the polar isometry of F_k B.
+    rng = np.random.default_rng(26)
+    ops = conditioned_pauli_map(rng)
+    weights = np.array([np.vdot(op, op).real for op in ops.operators])
+    k = int(np.argmin(weights))
+    lighter = np.array(ops.operators)
+    lighter[k] *= np.sqrt(rng.uniform(1.5, 10) * DEFAULT_TOL * weights.max() / weights[k])
+    near = SignedOperatorSum(8, ops.signs, lighter)
+    boosted = transform_by_pseudounitary(near, random_pu(rng, near.signature), tol=1e-7)
+    code = repetition_code()
+    for scale in (1e-150, 1e-12, 1.0, 1e150):
+        scaled = SignedOperatorSum(8, boosted.signs, np.sqrt(scale) * boosted.operators)
+        report = analyze(scaled, code)
+        assert report.verdict is Verdict.CODE_OUTSIDE_DOMAIN
+        syn = report.syndromes
+        assert len(syn) == near.n_terms  # the term near the cut is kept
+        gram = np.einsum("kdi,kdj->kij", syn.isometries.conj(), syn.isometries)  # W_k^dag W_k
+        assert np.abs(gram - np.eye(2)).max() <= 1e-12
+        vt = np.tensordot(report.diagonalizer, scaled.operators @ code.isometry, axes=([0], [0]))  # (V T)_k
+        oracle = polar_on_code(vt[syn.term_indices] / np.sqrt(syn.weights)[:, None, None]).isometry
+        assert np.abs(syn.isometries - oracle).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("c0", [-0.2, 0.7])
 def test_analyze_runs_no_svd_and_no_tensordot(monkeypatch, n, c0):
-    # The syndromes come from the canonical blocks: the polar SVD and the
-    # products F B = V T must not come back into the hot path.
+    # The syndromes need no SVD: W_k = F_k B H_k^(-1/2), with F B = V T one
+    # GEMM.  The polar SVD and the tensordot must not come back into the
+    # hot path.
     ops, code = repetition_bitflip(n, c0)
     calls = []
     for owner, name in ((np.linalg, "svd"), (np, "tensordot")):
