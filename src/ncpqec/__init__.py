@@ -9,6 +9,8 @@ modules provide linear algebra over indefinite metrics and the
 pseudounitary freedom connecting equal decompositions.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     LinearDependence,
     MapsNotEqual,
@@ -58,6 +60,7 @@ from .superop import (
 )
 from .qec import (
     CodeSpace,
+    CodeTerms,
     ConditionMatrix,
     NegativityWitness,
     QecReport,
@@ -69,18 +72,38 @@ from .qec import (
     build_recovery,
     cp_condition_matrix,
     negative_part_on_code,
+    on_code,
     projector_from_basis,
     repetition_bitflip,
     verify_recovery,
 )
-from .equivalence import (
-    ConnectionResult,
-    SignedEnsemble,
-    connecting_pseudounitary,
-    ensemble_connection,
-    maps_equal,
-    pad_to_signature,
-    to_base_map,
+__version__ = "0.1.0"
+
+# Loaded on first use (PEP 562), so only the commands that compare
+# decompositions compile and execute the equivalence module.
+_EQUIVALENCE = (
+    "ConnectionResult",
+    "SignedEnsemble",
+    "connecting_pseudounitary",
+    "ensemble_connection",
+    "maps_equal",
+    "pad_to_signature",
+    "to_base_map",
 )
 
-__version__ = "0.1.0"
+__all__ = sorted(
+    [name for name, obj in globals().items() if not name.startswith("_") and not isinstance(obj, _ModuleType)]
+    + list(_EQUIVALENCE)
+)
+
+
+def __getattr__(name: str):
+    if name in _EQUIVALENCE:
+        from . import equivalence
+
+        return getattr(equivalence, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EQUIVALENCE})

@@ -8,6 +8,13 @@ Subcommands:
 * ``equiv``     -- connect two equal maps by a pseudounitary mixing
 * ``reproduce-paper`` -- the worked three-qubit inverted bit-flip example
 
+``qec`` decides a channel from its terms on the code (``qec.on_code``):
+an ``a_matrix`` or ``b_matrix`` document is checked for Hermiticity on
+its whole ``B``, then reaches the analysis through the ``d r x d r``
+restricted dynamical matrix, never through ``operator_sum_from_b``.
+``reproduce-paper`` makes that record once for ``analyze`` and
+``verify_recovery``.
+
 Exit codes: 0 success, 2 input/validation error, 3 numerical failure.
 The working tolerance is the ``--tol`` flag if given, else the
 ``QEC_TOL`` environment variable, else ``1e-9``.  Every command passes it
@@ -34,7 +41,7 @@ from .documents import (
 )
 from .errors import MapsNotEqual, NumericalFailure, ZeroTrace
 from .pseudolinalg import DEFAULT_TOL, _check_tol, _cut
-from .qec import analyze, build_recovery, repetition_bitflip, verify_recovery
+from .qec import analyze, build_recovery, on_code, repetition_bitflip, verify_recovery
 from .superop import (
     AMatrix,
     BMatrix,
@@ -138,9 +145,9 @@ def cmd_qec(args: argparse.Namespace) -> int:
     code = _load_json(args.code, lambda obj: parse_code_document(obj, tol))
     if code.dim != channel.dim:
         raise ValueError(f"channel dimension {channel.dim} does not match code dimension {code.dim}")
-    ops = _as_operator_sum(channel, tol)
-    report = analyze(ops, code, tol)
-    _emit(analysis_document(report, ops.signature), args)
+    terms = on_code(channel, code, tol)
+    report = analyze(terms, code, tol)
+    _emit(analysis_document(report, terms.signature), args)
     return 0
 
 
@@ -180,6 +187,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
             f"c0={c0} and c1={c1} have the same sign; choose c0 < 0 or c0 > 1 for an inverted mixture"
         )
     ops, code = repetition_bitflip(3, c0)
+    terms = on_code(ops, code, tol)  # E B, once for analyze and verify_recovery
 
     # Outcome values tr(|f><f| E(rho)) for rho = a|000><000| + (1-a)|111><111|.
     outcome_kets = {"000": 0, "111": 7, "100": 4, "011": 3}
@@ -188,12 +196,12 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
         out = apply_map(ops, code.isometry @ np.diag([a_val, 1.0 - a_val]) @ code.isometry.conj().T)
         mixtures[f"a={a_val:g}"] = {k: float(out[i, i].real) for k, i in outcome_kets.items()}
 
-    report = analyze(ops, code, tol)
+    report = analyze(terms, code, tol)
     witness_probability = None if report.witness is None else report.witness.probability
     recovery_error = outcome = undecidable = None
     if report.syndromes:
         try:
-            recovery_error = verify_recovery(ops, build_recovery(report.syndromes), code, trials=20, tol=tol)
+            recovery_error = verify_recovery(terms, build_recovery(report.syndromes), code, trials=20, tol=tol)
             outcome = "restores" if recovery_error <= _cut(tol) else "does_not_restore"
         except ZeroTrace as exc:  # the recovered trace cancelled to rounding
             outcome, undecidable = "undecidable", exc

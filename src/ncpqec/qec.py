@@ -7,7 +7,13 @@ correctability conditions take the signed form
 map restricted to the code: one Hermitian eigendecomposition gives its
 canonical terms ``F = E T``, whose conditions are diagonal when the
 conditions hold.  The analysis reads the map only through the terms on
-the code, the ``n x d x r`` stack ``V_k = E_k B``.  The conditions come
+the code, the ``n x d x r`` stack ``V_k = E_k B``, held with the signs
+as one :class:`CodeTerms` record.  :func:`on_code` makes it once: from
+an operator sum as the product ``E B``, and from a ``B`` or ``A`` matrix
+as the signed eigenvectors of the ``d r x d r`` dynamical matrix of the
+map restricted to the code, with no ``d^2 x d^2`` eigendecomposition.
+Such terms need not be any ``E_k B`` of the map's own operator sum, so
+the diagonalizer and term indices refer to the record's terms.  The conditions come
 from one Gram GEMM of ``[V_1, V_2, ...]``, the ``r x r`` blocks
 ``V_k^dag V_l``, which also give the canonical blocks (an ``n x n``
 congruence by ``T``) and the trace check.  The syndromes are the polar
@@ -48,11 +54,12 @@ from .errors import (
     WitnessSearchFailed,
     ZeroTrace,
 )
-from .pseudolinalg import DEFAULT_TOL, _cut, _frozen, _max_abs, _signed_eigensystem
-from .superop import SignedOperatorSum
+from .pseudolinalg import DEFAULT_TOL, _check_tol, _cut, _frozen, _max_abs, _signed_eigensystem
+from .superop import AMatrix, BMatrix, SignedOperatorSum, _checked_b, _signed_factors, _SignedTerms, reshuffle
 
 __all__ = [
     "CodeSpace",
+    "CodeTerms",
     "ConditionMatrix",
     "Syndrome",
     "SyndromeSet",
@@ -62,6 +69,7 @@ __all__ = [
     "QecReport",
     "projector_from_basis",
     "repetition_bitflip",
+    "on_code",
     "cp_condition_matrix",
     "negative_part_on_code",
     "build_recovery",
@@ -70,6 +78,12 @@ __all__ = [
 ]
 
 _VERIFY_SEED = 424033
+
+
+def _held(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is complex, read-only and owns its memory, else a read-only complex copy."""
+    a = np.asarray(a)
+    return a if a.dtype == complex and not a.flags.writeable and a.base is None else _frozen(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +120,41 @@ class CodeSpace:
     def projector(self) -> np.ndarray:
         """The code projector ``B B^dag``."""
         return self.isometry @ self.isometry.conj().T
+
+
+@dataclass(frozen=True, eq=False)
+class CodeTerms(_SignedTerms):
+    """A map's signed terms on a code space, ``V_k = E_k B``: all that the analysis reads of the map.
+
+    ``signs`` (each +1 or -1, the +1 block first) and ``terms``, the
+    read-only ``(n, d, r)`` stack of the ``V_k``, which must be finite; a
+    ``terms`` input that is complex, read-only and owns its memory is held
+    without a copy.  ``dim`` (``d``), ``rank`` (``r``), ``n_terms`` and
+    ``signature`` read as on a :class:`~ncpqec.superop.SignedOperatorSum`.
+    :func:`on_code` makes the record once, so :func:`analyze`,
+    :func:`verify_recovery` and :func:`negative_part_on_code` share one
+    pass over the map's ``d x d`` terms; they read ``V`` as the terms on
+    the code they are given, checking only its shape.
+    """
+
+    signs: tuple[int, ...]
+    terms: np.ndarray
+
+    def __post_init__(self) -> None:
+        v = _held(self.terms)
+        if v.ndim != 3:
+            raise ValueError(f"terms have shape {v.shape}, expected (n, d, r)")
+        self._check_signs(v.shape[0], "terms")
+        self._check_finite(v, "terms")
+        object.__setattr__(self, "terms", v)
+
+    @property
+    def dim(self) -> int:
+        return self.terms.shape[1]
+
+    @property
+    def rank(self) -> int:
+        return self.terms.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,10 +213,7 @@ class Recovery:
     isometries: np.ndarray
 
     def __post_init__(self) -> None:
-        b, w = (
-            a if a.dtype == complex and not a.flags.writeable and a.base is None else _frozen(a)
-            for a in map(np.asarray, (self.code_isometry, self.isometries))
-        )
+        b, w = _held(self.code_isometry), _held(self.isometries)
         if b.ndim != 2 or w.ndim != 3 or w.shape[1:] != b.shape:
             raise ValueError(f"isometries of shape {w.shape} do not stack d x r like the code's {b.shape}")
         object.__setattr__(self, "code_isometry", b)
@@ -330,11 +376,73 @@ def repetition_bitflip(n: int, c0: float) -> tuple[SignedOperatorSum, CodeSpace]
     return ops, projector_from_basis([zeros, ones])
 
 
-def _on_code(ops: SignedOperatorSum, code: CodeSpace, start: int = 0) -> np.ndarray:
-    """Terms on the code ``V_k = E_k B`` for ``k >= start``, ``(n - start, d, r)``."""
+def _on_code(ops: SignedOperatorSum | CodeTerms, code: CodeSpace, start: int = 0) -> np.ndarray:
+    """Terms on the code ``V_k = E_k B`` for ``k >= start``, ``(n - start, d, r)``: a record's own, else one product."""
+    if isinstance(ops, CodeTerms):
+        if ops.terms.shape[1:] != code.isometry.shape:
+            raise ValueError(f"terms on the code of shape {ops.terms.shape[1:]} do not match the code's {code.isometry.shape}")
+        return ops.terms[start:]
     if ops.dim != code.dim:
         raise ValueError(f"operator dimension {ops.dim} does not match code dimension {code.dim}")
     return ops.operators[start:] @ code.isometry
+
+
+def _restricted_terms(b: BMatrix, code: CodeSpace, tol: float) -> CodeTerms:
+    """The terms on the code of the map restricted to it, from one ``d r x d r`` signed eigensystem.
+
+    ``R[i r + a, k r + c] = sum_jl Bmat[i d + j, k d + l] B[j, a] conj(B[l, c])``
+    is the dynamical matrix of ``sigma -> E(B sigma B^dag)``: for any
+    decomposition of the map it equals ``sum_k s_k vec(V_k) vec(V_k)^dag``.
+    So each signed eigenvector, unvec'ed to ``d x r`` and scaled by the
+    square root of its eigenvalue's magnitude, is a term ``V``.
+    """
+    m, iso = _checked_b(b, tol), code.isometry
+    if m.dtype == float and not iso.imag.any():
+        iso = iso.real
+    d, r = iso.shape
+    x = (m.reshape(d**3, d) @ iso.conj()).reshape(d, d, d * r)  # x[i, j, k r + c]: the l sum
+    restricted = (iso.T @ x).reshape(d * r, d * r)  # the j sum: row i r + a
+    signs, rows = _signed_factors((restricted + restricted.conj().T) / 2, tol)
+    return CodeTerms(signs, rows.reshape(-1, d, r))
+
+
+def on_code(channel: SignedOperatorSum | BMatrix | AMatrix, code: CodeSpace, tol: float = DEFAULT_TOL) -> CodeTerms:
+    """The map's terms on the code, ``V_k = E_k B``, as the record that the analysis reads.
+
+    A :class:`~ncpqec.superop.SignedOperatorSum` keeps its signs and
+    terms: ``V`` is the one product ``E B``, held without a copy.  A
+    :class:`~ncpqec.superop.BMatrix`, or an
+    :class:`~ncpqec.superop.AMatrix` reshuffled to one, must first pass
+    the Hermiticity gate of :func:`~ncpqec.superop.operator_sum_from_b`
+    on the whole ``B``.  Its terms are then those of the map restricted
+    to the code: the signed eigenvectors of the ``d r x d r`` dynamical
+    matrix ``(I x B)^dag Bmat (I x B)``, unvec'ed to ``d x r`` and scaled
+    by the square roots of their eigenvalues' magnitudes.  Eigenvalues up
+    to ``tol`` times the largest magnitude drop, and the rest are ordered
+    and given bases as in ``operator_sum_from_b``.  No ``d^2 x d^2``
+    eigendecomposition is taken, and the terms need not be any ``E_k B``
+    of the map's own operator sum.
+
+    Raises
+    ------
+    ValueError
+        For a NaN, infinite or negative ``tol``, or mismatched dimensions.
+    TypeError
+        For a channel of another type.
+    NotHermitian
+        If a matrix channel's ``B`` is not Hermitian within ``tol`` times
+        its largest entry.
+    """
+    _check_tol(tol)
+    if not isinstance(channel, (SignedOperatorSum, BMatrix, AMatrix)):
+        raise TypeError(f"expected SignedOperatorSum, BMatrix or AMatrix, got {type(channel).__name__}")
+    if channel.dim != code.dim:
+        raise ValueError(f"map dimension {channel.dim} does not match code dimension {code.dim}")
+    if isinstance(channel, SignedOperatorSum):
+        v = _on_code(channel, code)
+        v.setflags(write=False)  # held by the record without a copy
+        return CodeTerms(channel.signs, v)
+    return _restricted_terms(reshuffle(channel) if isinstance(channel, AMatrix) else channel, code, tol)
 
 
 def _blocks(v: np.ndarray) -> np.ndarray:
@@ -429,11 +537,12 @@ def _syndromes(v: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
     return w
 
 
-def negative_part_on_code(ops: SignedOperatorSum, code: CodeSpace) -> float:
+def negative_part_on_code(ops: SignedOperatorSum | CodeTerms, code: CodeSpace) -> float:
     """Largest Frobenius norm of ``E_k P = E_k B`` over the negative-sign block.
 
     Zero exactly when the negative part of the decomposition annihilates
-    the code space (the reversibility-with-positivity requirement).
+    the code space (the reversibility-with-positivity requirement).  A
+    :class:`CodeTerms` record gives its own terms ``V_k`` for ``E_k B``.
     """
     v = _on_code(ops, code, ops.signature.p)  # the -1 block comes last
     return max((float(np.linalg.norm(x)) for x in v), default=0.0)
@@ -470,8 +579,8 @@ def _witness(
     return NegativityWitness(b0, j, prob)
 
 
-def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -> QecReport:
-    """Decide reversibility of a signed operator sum on a code space.
+def analyze(ops: SignedOperatorSum | CodeTerms, code: CodeSpace, tol: float = DEFAULT_TOL) -> QecReport:
+    """Decide reversibility of a signed operator sum, or of its :class:`CodeTerms`, on a code space.
 
     The verdict is
 
@@ -488,7 +597,9 @@ def analyze(ops: SignedOperatorSum, code: CodeSpace, tol: float = DEFAULT_TOL) -
       ``recovery`` reads the syndromes' factored :class:`Recovery`.
 
     The verdict depends on the map and the code, not on the signed
-    decomposition that represents the map.
+    decomposition that represents the map.  ``ops`` enters only through
+    its terms on the code, ``V_k = E_k B``: a :class:`CodeTerms` record's
+    own, else the one product of :func:`on_code`.
 
     Raises
     ------
@@ -565,7 +676,7 @@ def _deviation(coords: np.ndarray, signs: np.ndarray, u: np.ndarray, tol: float)
 
 
 def verify_recovery(
-    ops: SignedOperatorSum,
+    ops: SignedOperatorSum | CodeTerms,
     recovery: SignedOperatorSum | Recovery,
     code: CodeSpace,
     trials: int = 20,
@@ -585,6 +696,9 @@ def verify_recovery(
     the coordinates of ``A`` in an orthonormal frame, with no ``d x d``
     state and no rank cut.
 
+    The map enters only through its terms on the code ``V_k = E_k B``, so
+    a :class:`CodeTerms` record made once for :func:`analyze` serves here
+    too and gives the value of its operator sum bit for bit.
     A dense :class:`~ncpqec.superop.SignedOperatorSum` recovery gets the
     frame from one thin Householder QR of ``A`` (accurate per column
     beside much larger ones), without the exactly zero blocks ``M_jk``.
@@ -602,8 +716,8 @@ def verify_recovery(
     ZeroTrace
         If a recovered trace ``t`` is at most ``tol`` times the unsigned
         trace ``sum_jk |s_jk| ||M_jk u||^2``: it has cancelled to
-        rounding (or the recovery annihilates the state), so the check
-        cannot decide.
+        rounding (or the map or the recovery annihilates the state, as a
+        map with no terms does), so the check cannot decide.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
         raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
@@ -611,12 +725,12 @@ def verify_recovery(
         raise ValueError("map, recovery and code must share one dimension")
     b = code.isometry
     d, r = b.shape
-    v = (ops.operators.reshape(-1, d) @ b).reshape(-1, d, r).transpose(1, 0, 2).reshape(d, -1)  # [E_1 B, E_2 B, ...]
+    v = _on_code(ops, code).transpose(1, 0, 2).reshape(d, -1)  # [E_1 B, E_2 B, ...]
     signs = np.outer(recovery.signs, ops.signs).ravel()  # s_jk, n = j K + k
     if isinstance(recovery, Recovery):
         left = recovery.code_isometry
         g = recovery.isometries.conj().swapaxes(1, 2).reshape(-1, d) @ v  # block (j, k): G_jk = W_j^dag V_k
-        g = g.reshape(-1, r, v.shape[1]).swapaxes(0, 1).reshape(r, -1)  # [G_11, G_12, ...]
+        g = g.reshape(recovery.n_terms, r, v.shape[1]).swapaxes(0, 1).reshape(r, -1)  # [G_11, G_12, ...]
         if left is b or np.array_equal(left, b):  # M_jk = B G_jk: the frame is B
             coords = np.concatenate([np.eye(r), g], axis=1)
         else:  # [B, L] = Q upper

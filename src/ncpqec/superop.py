@@ -114,24 +114,32 @@ class _SignedTerms:
         """
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        signs = tuple(self.signs)
         terms = [np.asarray(t) for t in getattr(self, field)]
-        if len(signs) != len(terms):
-            raise ValueError(f"{len(signs)} signs but {len(terms)} {field}")
+        self._check_signs(len(terms), field)
+        for k, t in enumerate(terms):
+            if t.shape != shape:
+                raise ValueError(f"{field[:-1]} {k} has shape {t.shape}, expected {shape}")
+        stack = _frozen(terms).reshape((len(terms),) + shape)
+        self._check_finite(stack, field)
+        object.__setattr__(self, field, stack)
+
+    def _check_signs(self, n: int, field: str) -> None:
+        """Validate ``signs`` for ``n`` terms in ``field``, then store them as a tuple of ints."""
+        signs = tuple(self.signs)
+        if len(signs) != n:
+            raise ValueError(f"{len(signs)} signs but {n} {field}")
         if any(isinstance(s, (bool, np.bool_)) or s not in (1, -1) for s in signs):
             raise ValueError(f"signs must be +1 or -1, got {signs}")
         signs = tuple(int(s) for s in signs)
         if any(a < b for a, b in zip(signs, signs[1:])):
             raise ValueError("positive-sign terms must precede negative-sign terms")
-        for k, t in enumerate(terms):
-            if t.shape != shape:
-                raise ValueError(f"{field[:-1]} {k} has shape {t.shape}, expected {shape}")
-        stack = _frozen(terms).reshape((len(terms),) + shape)
+        object.__setattr__(self, "signs", signs)
+
+    @staticmethod
+    def _check_finite(stack: np.ndarray, field: str) -> None:
         bad = ~np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
         if bad.any():
             raise ValueError(f"{field[:-1]} {int(np.argmax(bad))} contains non-finite entries")
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, field, stack)
 
     @property
     def n_terms(self) -> int:
@@ -253,19 +261,33 @@ def a_from_operator_sum(ops: SignedOperatorSum) -> AMatrix:
     return reshuffle(b_from_operator_sum(ops))
 
 
-def _hermitian_part(b: BMatrix, tol: float) -> np.ndarray:
-    """``(B + B^dag) / 2``, once ``B`` is Hermitian within ``tol`` times its largest entry.
+def _checked_b(b: BMatrix, tol: float) -> np.ndarray:
+    """``B``'s matrix, once it is Hermitian within ``tol`` times its largest entry.
 
-    The result is real (float64) when ``B`` has no imaginary part, as for
-    any signed mixture of Pauli strings, so its eigensolver runs in real
-    arithmetic.
+    It is real (float64) when ``B`` has no imaginary part, as for any
+    signed mixture of Pauli strings, so the arithmetic on it is real.
     """
     m = b.matrix
     if not _is_hermitian(m, tol):
         raise NotHermitian("B is not Hermitian: the map does not preserve Hermiticity")
-    if not m.imag.any():
-        m = m.real
+    return m if m.imag.any() else m.real
+
+
+def _hermitian_part(b: BMatrix, tol: float) -> np.ndarray:
+    """``(B + B^dag) / 2`` of the :func:`_checked_b` matrix."""
+    m = _checked_b(b, tol)
     return (m + m.conj().T) / 2
+
+
+def _signed_factors(h: np.ndarray, tol: float) -> tuple[tuple[int, ...], np.ndarray]:
+    """Signs and rows ``sqrt(|lambda|) v^T`` of the canonical signed eigensystem of the Hermitian ``h``.
+
+    Eigenvalues up to ``tol * max|lambda|`` drop; the rest are ordered and
+    their eigenspaces given bases as :func:`_signed_eigensystem` says.
+    """
+    lam, v = np.linalg.eigh(h)
+    values, basis = _signed_eigensystem(lam, v, _cut(tol, _max_abs(lam)))
+    return tuple(np.sign(values).astype(int)), (basis * np.sqrt(np.abs(values))).T
 
 
 def operator_sum_from_b(b: BMatrix, tol: float = DEFAULT_TOL) -> SignedOperatorSum:
@@ -289,10 +311,8 @@ def operator_sum_from_b(b: BMatrix, tol: float = DEFAULT_TOL) -> SignedOperatorS
         If ``B`` is not Hermitian within ``tol`` (scaled by the largest
         entry), i.e. the map does not preserve Hermiticity.
     """
-    lam, v = np.linalg.eigh(_hermitian_part(b, tol))
-    values, basis = _signed_eigensystem(lam, v, _cut(tol, _max_abs(lam)))
-    operators = (basis * np.sqrt(np.abs(values))).T.reshape(-1, b.dim, b.dim)
-    return SignedOperatorSum(b.dim, tuple(np.sign(values).astype(int)), operators)
+    signs, rows = _signed_factors(_hermitian_part(b, tol), tol)
+    return SignedOperatorSum(b.dim, signs, rows.reshape(-1, b.dim, b.dim))
 
 
 def apply_map(ops: SignedOperatorSum, rho: np.ndarray) -> np.ndarray:

@@ -157,6 +157,12 @@ def repetition_code() -> CodeSpace:
     return repetition_bitflip(3, 0.7)[1]
 
 
+def dynamical_on_code(signs, v: np.ndarray) -> np.ndarray:
+    """``sum_k s_k vec(V_k) vec(V_k)^dag`` of an ``(n, d, r)`` stack ``V``: the map on the code, whatever its terms."""
+    rows = v.reshape(len(signs), -1)
+    return (np.asarray(signs, dtype=float)[:, None] * rows).T @ rows.conj()
+
+
 def ph_conditions(ops: SignedOperatorSum, code: CodeSpace) -> np.ndarray:
     """The signed conditions ``c_ij`` of ``sign_i P E_i^dag E_j P = c_ij P``, from the unsigned fit."""
     return np.asarray(ops.signs)[:, None] * cp_condition_matrix(list(ops.operators), code).entries

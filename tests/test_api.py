@@ -7,6 +7,8 @@ change to this list.
 """
 
 import importlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -17,6 +19,7 @@ PUBLIC = {
     "AMatrix",
     "BMatrix",
     "CodeSpace",
+    "CodeTerms",
     "ConditionMatrix",
     "ConnectionResult",
     "DEFAULT_TOL",
@@ -62,6 +65,7 @@ PUBLIC = {
     "is_pseudounitary",
     "maps_equal",
     "negative_part_on_code",
+    "on_code",
     "operator_sum_from_b",
     "pad_to_signature",
     "projector_from_basis",
@@ -83,8 +87,31 @@ MODULES = ("cli", "documents", "equivalence", "errors", "pseudolinalg", "qec", "
 
 
 def test_package_namespace_is_pinned():
-    names = {n for n, obj in vars(ncpqec).items() if not n.startswith("_") and not isinstance(obj, types.ModuleType)}
+    # dir() and __all__ list the lazily loaded equivalence names too, and
+    # every public name is the object of the module that defines it.
+    names = {n for n in dir(ncpqec) if not n.startswith("_") and not isinstance(getattr(ncpqec, n), types.ModuleType)}
     assert names == PUBLIC
+    assert sorted(ncpqec.__all__) == sorted(PUBLIC)
+    for name in PUBLIC:
+        obj = getattr(ncpqec, name)
+        home = importlib.import_module(getattr(obj, "__module__", "ncpqec.pseudolinalg"))  # DEFAULT_TOL is a float
+        assert home.__name__.startswith("ncpqec.") and getattr(home, name) is obj
+
+
+def test_equivalence_is_loaded_only_on_use():
+    # Importing the CLI leaves the equivalence module unexecuted; the
+    # package still resolves its names on first use.
+    script = (
+        "import sys, ncpqec.cli\n"
+        "assert 'ncpqec.equivalence' not in sys.modules, 'imported eagerly'\n"
+        "from ncpqec import maps_equal\n"
+        "from ncpqec.equivalence import maps_equal as defined\n"
+        "assert maps_equal is defined\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        ncpqec.not_a_name
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -111,6 +138,7 @@ RECORDS = {
     "SignedEnsemble": lambda ops, code: ncpqec.SignedEnsemble(8, (1, -1), code.isometry.T),
     "ConnectionResult": lambda ops, code: ncpqec.connecting_pseudounitary(ops, ops),
     "CodeSpace": lambda ops, code: code,
+    "CodeTerms": lambda ops, code: ncpqec.on_code(ops, code),
     "ConditionMatrix": lambda ops, code: ncpqec.analyze(ops, code).condition,
     "Syndrome": lambda ops, code: ncpqec.analyze(ops, code).syndromes[0],
     "SyndromeSet": lambda ops, code: ncpqec.analyze(ops, code).syndromes,

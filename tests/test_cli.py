@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncpqec import cli, repetition_bitflip
+from ncpqec import cli, qec, repetition_bitflip
 from ncpqec.documents import channel_document, parse_analysis_document, parse_channel_document
 from ncpqec.superop import AMatrix, BMatrix, SignedOperatorSum, a_from_operator_sum, b_from_operator_sum
 
@@ -265,13 +265,50 @@ def test_qec_dimension_mismatch_exits_2(tmp_path, monkeypatch, capsys):
     proc = run_cli("qec", chan, "--code", code)
     assert proc.returncode == 2
     assert "does not match" in proc.stderr
-    # The dimensions are compared before a matrix channel is converted.
+    # The dimensions are compared before a matrix channel is converted, by
+    # the full eigendecomposition or by the restricted builder, which a
+    # matching channel does reach.
     calls = []
+    restricted = qec._restricted_terms
     monkeypatch.setattr(cli, "operator_sum_from_b", lambda *args: calls.append(args))
+    monkeypatch.setattr(qec, "_restricted_terms", lambda *args: calls.append(args) or restricted(*args))
     b_chan = write_channel(tmp_path / "b.json", b_from_operator_sum(identity))
     assert cli.main(["qec", b_chan, "--code", code]) == 2
     assert "does not match" in capsys.readouterr().err
     assert calls == []
+    matching = write_channel(tmp_path / "b8.json", b_from_operator_sum(bitflip_ops(-0.2)))
+    assert cli.main(["qec", matching, "--code", code, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "code_outside_domain"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("c0", [-0.2, 0.7])
+@pytest.mark.parametrize("form", [a_from_operator_sum, b_from_operator_sum])
+def test_qec_matrix_channel_is_decided_on_the_code(tmp_path, monkeypatch, capsys, form, c0):
+    # A matrix channel gets the operator sum's verdict, syndrome weights and
+    # witness probability, from the restricted terms: operator_sum_from_b
+    # is never called.
+    code = write_repetition_code(tmp_path / "code.json")
+    docs = []
+    for channel in (bitflip_ops(c0), form(bitflip_ops(c0))):
+        assert cli.main(["qec", write_channel(tmp_path / "chan.json", channel), "--code", code, "--json"]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+        monkeypatch.setattr(cli, "operator_sum_from_b", None)
+    base, matrix = docs
+    assert matrix["verdict"] == base["verdict"] and matrix["signature"] == base["signature"]
+    assert sorted(matrix["diagonal"]) == pytest.approx(sorted(base["diagonal"]), rel=1e-12)
+    if c0 < 0:
+        assert matrix["witness"]["probability"] == pytest.approx(base["witness"]["probability"], rel=1e-12)
+    parse_analysis_document(matrix)
+
+
+def test_qec_non_hermitian_matrix_channel_exits_3(tmp_path):
+    b = b_from_operator_sum(bitflip_ops(0.7)).matrix.copy()
+    b[0, 1] += 1e-3  # breaks B = B^dag far above tol times its largest entry
+    chan = write_channel(tmp_path / "chan.json", BMatrix(8, b))
+    proc = run_cli("qec", chan, "--code", write_repetition_code(tmp_path / "code.json"))
+    assert proc.returncode == 3
+    assert "NotHermitian" in proc.stderr
 
 
 def test_load_json_pauses_gc_and_restores_the_callers_state(tmp_path, monkeypatch, capsys):

@@ -7,8 +7,10 @@ trace-normalized CP maps, which are reversible.  Re-decomposing a map
 change neither the verdict nor the sorted weights ``d``; rescaling
 scales ``d`` and keeps the verdict except where trace preservation is
 lost.  The analysis's Gram GEMMs match their einsum forms on random
-stacks, and its syndrome isometries match the SVD polar oracle.  Runs are
-derandomized and keep no example database, so the suite is reproducible.
+stacks, and its syndrome isometries match the SVD polar oracle.  A map
+given as a ``B`` or ``A`` matrix, decided from its restricted terms on the
+code, gets the operator sum's outcome.  Runs are derandomized and keep no
+example database, so the suite is reproducible.
 """
 
 from unittest import mock
@@ -18,11 +20,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ncpqec import (
+    NumericalFailure,
     PseudoDiagonalizationFailure,
     SignedOperatorSum,
     Verdict,
+    a_from_operator_sum,
     analyze,
+    b_from_operator_sum,
+    build_recovery,
     eta_metric,
+    on_code,
     pseudo_diagonalize,
     to_base_map,
     transform_by_pseudounitary,
@@ -34,6 +41,7 @@ from ncpqec import qec
 from helpers import (
     bitflip_ops,
     conditioned_pauli_map,
+    dynamical_on_code,
     pauli_string,
     ph_conditions,
     polar_on_code,
@@ -209,6 +217,43 @@ def test_syndrome_isometries_match_the_svd_polar(case, near, boosted, factor):
         assert np.abs(gram - np.eye(2)).max() <= 1e-12
         if not boosted:  # a boost raises the Gram scale that the term cut is relative to
             assert len(syn) == ops.n_terms  # the term near the cut is kept
+
+
+def _outcome(fn):
+    """``fn()``, or the type of the numerical failure it raises."""
+    try:
+        return fn()
+    except NumericalFailure as exc:
+        return type(exc)
+
+
+@PROPERTY
+@given(maps(), st.booleans())
+def test_matrix_inputs_get_the_operator_sum_outcome(case, boosted):
+    # The restricted terms of the B and A matrices give the operator sum's
+    # verdict, syndrome count and witness probability, and the same map on
+    # the code, at every scale; the operator sum's own record verifies a
+    # recovery exactly as the sum does.
+    ops, rng = case
+    if boosted:
+        ops = transform_by_pseudounitary(ops, random_pu(rng, ops.signature), tol=1e-7)
+    for scale in (1e-150, 1e-12, 1.0, 1e150):
+        scaled = SignedOperatorSum(8, ops.signs, np.sqrt(scale) * ops.operators)
+        base = analyze(scaled, CODE)
+        exact = dynamical_on_code(scaled.signs, scaled.operators @ CODE.isometry)
+        for channel in (b_from_operator_sum(scaled), a_from_operator_sum(scaled)):
+            terms = on_code(channel, CODE)
+            assert np.abs(dynamical_on_code(terms.signs, terms.terms) - exact).max() <= 1e-12 * np.abs(exact).max()
+            report = analyze(terms, CODE)
+            assert report.verdict is base.verdict
+            assert len(report.syndromes or ()) == len(base.syndromes or ())
+            if base.witness is not None:
+                assert report.witness.probability == pytest.approx(base.witness.probability, rel=1e-12)
+        recovery = build_recovery(base.syndromes)
+        record = on_code(scaled, CODE)
+        assert _outcome(lambda: verify_recovery(record, recovery, CODE)) == _outcome(
+            lambda: verify_recovery(scaled, recovery, CODE)
+        )
 
 
 def test_known_redecompositions_get_base_verdicts():

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from ncpqec import (
+    BMatrix,
     CodeSpace,
+    CodeTerms,
     LinearDependence,
+    NotHermitian,
     OrthogonalityViolation,
     QecReport,
     Recovery,
@@ -38,6 +41,7 @@ from ncpqec import (
     is_pseudounitary,
     maps_equal,
     negative_part_on_code,
+    on_code,
     operator_sum_from_b,
     projector_from_basis,
     pseudo_diagonalize,
@@ -56,6 +60,7 @@ from ncpqec.qec import _VERIFY_SEED, _witness
 from helpers import (
     bitflip_ops,
     conditioned_pauli_map,
+    dynamical_on_code,
     ket,
     pauli_string,
     ph_conditions,
@@ -811,6 +816,21 @@ def test_verify_recovery_zero_map():
         verify_recovery(bitflip_ops(-0.2), zero, code)
 
 
+def test_verify_recovery_of_a_map_with_no_terms_raises_zero_trace():
+    # A map with no terms annihilates every state, so the recovered trace
+    # is zero: an empty sum, its record and the empty restricted record of
+    # its zero B, against both forms of a recovery.
+    code = repetition_code()
+    recovery = analyze(bitflip_ops(0.7), code).recovery
+    empty = SignedOperatorSum(8, (), np.zeros((0, 8, 8)))
+    maps = [empty, on_code(empty, code), on_code(b_from_operator_sum(empty), code)]
+    assert [m.n_terms for m in maps] == [0, 0, 0]
+    for ops in maps:
+        for rec in (recovery, SignedOperatorSum(8, recovery.signs, recovery.operators)):
+            with pytest.raises(ZeroTrace, match="cancels to 0.000e"):
+                verify_recovery(ops, rec, code)
+
+
 def _qr_shapes(monkeypatch):
     """Shapes of the matrices passed to ``np.linalg.qr`` from now on; any ``np.linalg.svd`` call fails."""
     shapes = []
@@ -1089,6 +1109,7 @@ TOLERANCE_CALLS = {
         SignedEnsemble(2, (1,), [ket(0, 2)]), SignedEnsemble(2, (1,), [ket(0, 2)]), tol
     ),
     "projector_from_basis": lambda tol: projector_from_basis([ket(0, 8), ket(7, 8)], tol),
+    "on_code": lambda tol: on_code(bitflip_ops(-0.2), repetition_code(), tol),
     "parse_code_document": lambda tol: parse_code_document([encode_vector(ket(0, 8)), encode_vector(ket(7, 8))], tol),
 }
 
@@ -1145,3 +1166,101 @@ def test_verify_recovery_peak_memory_holds_no_d_by_d_state():
     finally:
         tracemalloc.stop()
     assert peak < 0.4 * ops.operators.nbytes
+
+
+# ------------------------------------------------------------------ on_code
+
+
+@pytest.mark.parametrize("c0", [-0.2, 0.7])
+def test_code_terms_of_an_operator_sum_are_its_one_product(c0):
+    # The record holds E B without a copy, and every reader gives on it
+    # what it gives on the operator sum, bit for bit.
+    ops, code = repetition_bitflip(4, c0)
+    terms = on_code(ops, code)
+    assert isinstance(terms, CodeTerms) and terms.signs == ops.signs and terms.signature == ops.signature
+    assert (terms.dim, terms.rank, terms.n_terms) == (16, 2, 5)
+    assert np.array_equal(terms.terms, ops.operators @ code.isometry)
+    assert terms.terms.base is None and not terms.terms.flags.writeable
+    assert CodeTerms(terms.signs, terms.terms).terms is terms.terms
+    base, report = analyze(ops, code), analyze(terms, code)
+    assert report.verdict is base.verdict
+    assert np.array_equal(report.diagonalizer, base.diagonalizer)
+    assert np.array_equal(report.syndromes.isometries, base.syndromes.isometries)
+    rec = build_recovery(base.syndromes)
+    assert verify_recovery(terms, rec, code) == verify_recovery(ops, rec, code)
+    assert negative_part_on_code(terms, code) == negative_part_on_code(ops, code)
+
+
+def test_code_terms_validate_their_input():
+    v = np.ones((2, 4, 1))
+    held = CodeTerms((1, -1), v)
+    assert held.terms is not v and held.terms.dtype == complex and not held.terms.flags.writeable
+    v[0] = 2.0  # the writable input was copied
+    assert held.terms[0, 0, 0] == 1.0
+    for signs, terms, match in [
+        ((1,), v, "1 signs but 2 terms"),
+        ((-1, 1), v, "must precede"),
+        ((True, 1), v, "signs must be"),
+        ((1, 1), np.ones((2, 4)), "expected \\(n, d, r\\)"),
+        ((1, 1), np.full((2, 4, 1), np.nan), "term 0 contains non-finite"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            CodeTerms(signs, terms)
+
+
+def test_code_terms_must_match_the_code():
+    ops, code = repetition_bitflip(3, -0.2)
+    other = projector_from_basis([ket(0, 8)])  # same d, rank 1
+    terms = on_code(ops, code)
+    for call in (
+        lambda: analyze(terms, other),
+        lambda: negative_part_on_code(terms, other),
+        lambda: verify_recovery(terms, analyze(ops, code).syndromes.recovery, other),
+    ):
+        with pytest.raises(ValueError, match="do not match|share one dimension"):
+            call()
+    with pytest.raises(ValueError, match="does not match"):
+        on_code(bitflip_ops(-0.2), projector_from_basis([ket(0, 4)]))
+    with pytest.raises(TypeError, match="got CodeTerms"):
+        on_code(terms, code)
+
+
+@pytest.mark.parametrize("form", [a_from_operator_sum, b_from_operator_sum])
+def test_on_code_of_a_matrix_channel_takes_only_the_restricted_eigensystem(monkeypatch, form):
+    # The terms come from one eigh of the d r x d r restricted dynamical
+    # matrix, never of the d^2 x d^2 one, and reproduce the map on the
+    # code: sum_k s_k vec(V_k) vec(V_k)^dag is the same matrix.
+    ops, code = repetition_bitflip(4, -0.2)
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: shapes.append(a.shape) or eigh(a, *args))
+    terms = on_code(form(ops), code)
+    assert shapes == [(32, 32)]
+    assert terms.signature == ops.signature
+    exact = dynamical_on_code(ops.signs, ops.operators @ code.isometry)
+    assert np.abs(dynamical_on_code(terms.signs, terms.terms) - exact).max() <= 1e-14
+    report = analyze(terms, code)
+    assert report.verdict is Verdict.CODE_OUTSIDE_DOMAIN
+    assert report.witness.probability == pytest.approx(-0.2, rel=1e-13)
+
+
+@pytest.mark.parametrize("form", [a_from_operator_sum, b_from_operator_sum])
+def test_on_code_of_a_matrix_channel_on_a_complex_code(form):
+    # A complex map on a complex code: the restricted terms reproduce the
+    # map on the code, and give the operator sum's verdict and residual.
+    rng = np.random.default_rng(2)
+    ops, code = random_ops(rng, 4, 2, 2), random_code(rng, 4, 2)
+    terms = on_code(form(ops), code)
+    exact = dynamical_on_code(ops.signs, ops.operators @ code.isometry)
+    assert terms.signature == Signature(2, 2)
+    assert np.abs(dynamical_on_code(terms.signs, terms.terms) - exact).max() <= 1e-14 * np.abs(exact).max()
+    base, report = analyze(ops, code), analyze(terms, code)
+    assert report.verdict is base.verdict is Verdict.CONDITIONS_VIOLATED
+    assert report.condition.residual == pytest.approx(base.condition.residual, rel=1e-12)
+
+
+def test_on_code_gates_the_whole_b_on_hermiticity():
+    ops, code = repetition_bitflip(3, 0.7)
+    b = b_from_operator_sum(ops).matrix.copy()
+    b[1, 0] += 1e-3  # an entry that no code state reads: B[0 d + 1, 0 d + 0], and |1> is off the code
+    with pytest.raises(NotHermitian):
+        on_code(BMatrix(8, b), code)
