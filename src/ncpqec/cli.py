@@ -143,9 +143,7 @@ def cmd_qec(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
     channel = _load_json(args.input, parse_channel_document)
     code = _load_json(args.code, lambda obj: parse_code_document(obj, tol))
-    if code.dim != channel.dim:
-        raise ValueError(f"channel dimension {channel.dim} does not match code dimension {code.dim}")
-    terms = on_code(channel, code, tol)
+    terms = on_code(channel, code, tol)  # refuses a map of another dimension before any conversion
     report = analyze(terms, code, tol)
     _emit(analysis_document(report, terms.signature), args)
     return 0

@@ -147,45 +147,28 @@ def channel_document(channel: AMatrix | BMatrix | SignedOperatorSum) -> dict:
 
 
 def parse_channel_document(obj: Any) -> AMatrix | BMatrix | SignedOperatorSum:
-    """Parse and validate a channel document."""
+    """Parse a channel document: its JSON structure here, the rest in the record it builds.
+
+    The record checks the matrix shape, each operator's shape and the
+    sign count, values and order; its ``ValueError`` is prefixed
+    ``channel.payload:``.
+    """
     if not isinstance(obj, dict):
         raise ValueError("channel document must be a JSON object")
     _check_version(obj, "channel")
     dim = _check_dim(obj, "channel")
-    rep = _require(obj, "representation", "channel")
-    if rep not in REPRESENTATIONS:
-        raise ValueError(f"channel: unknown representation {rep!r}")
-    payload = _require(obj, "payload", "channel")
-    if not isinstance(payload, dict):
-        raise ValueError("channel.payload must be a JSON object")
-    if rep in ("a_matrix", "b_matrix"):
-        m = decode_matrix(_require(payload, "matrix", "channel.payload"), "channel.payload.matrix")
-        if m.shape != (dim * dim, dim * dim):
-            raise ValueError(
-                f"channel.payload.matrix: shape {m.shape} does not match dim {dim} "
-                f"(expected {(dim * dim, dim * dim)})"
-            )
-        return AMatrix(dim, m) if rep == "a_matrix" else BMatrix(dim, m)
-    signs = _require(payload, "signs", "channel.payload")
-    operators = _require(payload, "operators", "channel.payload")
-    if not isinstance(signs, list) or not isinstance(operators, list):
-        raise ValueError("channel.payload: signs and operators must be lists")
-    if len(signs) != len(operators):
-        raise ValueError(
-            f"channel.payload: {len(signs)} signs but {len(operators)} operators"
-        )
-    mats = []
-    for k, op in enumerate(operators):
-        m = decode_matrix(op, f"channel.payload.operators[{k}]")
-        if m.shape != (dim, dim):
-            raise ValueError(
-                f"channel.payload.operators[{k}]: shape {m.shape} does not match dim {dim}"
-            )
-        mats.append(m)
+    rep = _field(obj, "representation", "channel", str, f"one of {REPRESENTATIONS}", REPRESENTATIONS.__contains__)
+    payload, where = _field(obj, "payload", "channel", dict, "a JSON object"), "channel.payload"
+    if rep == "operator_sum":
+        signs = tuple(_field(payload, "signs", where, list, "a list"))
+        operators = _field(payload, "operators", where, list, "a list")
+        terms = signs, [decode_matrix(op, f"{where}.operators[{k}]") for k, op in enumerate(operators)]
+    else:
+        terms = (decode_matrix(_require(payload, "matrix", where), f"{where}.matrix"),)
     try:
-        return SignedOperatorSum(dim, tuple(signs), tuple(mats))
+        return {"a_matrix": AMatrix, "b_matrix": BMatrix, "operator_sum": SignedOperatorSum}[rep](dim, *terms)
     except ValueError as exc:
-        raise ValueError(f"channel.payload: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def parse_code_document(obj: Any, tol: float) -> CodeSpace:
@@ -248,25 +231,16 @@ def parse_analysis_document(obj: Any) -> dict:
     if not isinstance(obj, dict):
         raise ValueError("analysis document must be a JSON object")
     _check_version(obj, "analysis", _ANALYSIS_VERSION)
-    verdict = _require(obj, "verdict", "analysis")
     verdicts = ("reversible_positive", "code_outside_domain", "conditions_violated")
-    if verdict not in verdicts:
-        raise ValueError(f"analysis: unknown verdict {verdict!r}")
-    sig = _require(obj, "signature", "analysis")
-    if not isinstance(sig, dict):
-        raise ValueError("analysis.signature must be a JSON object")
+    verdict = _field(obj, "verdict", "analysis", str, f"one of {verdicts}", verdicts.__contains__)
+    sig = _field(obj, "signature", "analysis", dict, "a JSON object")
     where = "analysis.signature"
     p, q = (_field(sig, key, where, int, "a non-negative integer", lambda x: x >= 0) for key in "pq")
-    condition = _require(obj, "condition", "analysis")
-    if not isinstance(condition, dict):
-        raise ValueError("analysis.condition must be a JSON object")
-    entries = decode_matrix(_require(condition, "entries", "analysis.condition"), "analysis.condition.entries")
-    residual = _field(
-        condition, "residual", "analysis.condition", _NUMBER, "a non-negative number", lambda x: x >= 0
-    )
-    form = _require(condition, "form", "analysis.condition")
-    if form not in ("hermitian", "pseudohermitian"):
-        raise ValueError(f"analysis.condition.form: unknown form {form!r}")
+    condition, where = _field(obj, "condition", "analysis", dict, "a JSON object"), "analysis.condition"
+    entries = decode_matrix(_require(condition, "entries", where), f"{where}.entries")
+    residual = _field(condition, "residual", where, _NUMBER, "a non-negative number", lambda x: x >= 0)
+    forms = ("hermitian", "pseudohermitian")
+    form = _field(condition, "form", where, str, f"one of {forms}", forms.__contains__)
     out: dict[str, Any] = {
         "verdict": verdict,
         "signature": (p, q),
@@ -303,9 +277,7 @@ def parse_analysis_document(obj: Any) -> dict:
         out["syndromes"] = decoded
     syndromes = out.get("syndromes") or []
     if obj.get("recovery") is not None:
-        rec = obj["recovery"]
-        if not isinstance(rec, dict):
-            raise ValueError("analysis.recovery must be a JSON object")
+        rec = _field(obj, "recovery", "analysis", dict, "a JSON object")
         where = "analysis.recovery.code_isometry"
         b = decode_matrix(_require(rec, "code_isometry", "analysis.recovery"), where)
         shapes = sorted({s["isometry"].shape for s in syndromes})
@@ -315,9 +287,7 @@ def parse_analysis_document(obj: Any) -> dict:
         stack.setflags(write=False)  # held by the record without a second copy
         out["recovery"] = Recovery(b, stack)
     if witness is not None:
-        if not isinstance(witness, dict):
-            raise ValueError("analysis.witness must be a JSON object")
-        where = "analysis.witness"
+        witness, where = _field(obj, "witness", "analysis", dict, "a JSON object"), "analysis.witness"
         what = f"an index below the syndrome count {len(syndromes)}"
         index = _field(witness, "syndrome_index", where, int, what, lambda x: 0 <= x < len(syndromes))
         vector = decode_vector(_require(witness, "vector", where), f"{where}.vector")

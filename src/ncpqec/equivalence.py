@@ -32,7 +32,7 @@ from .pseudolinalg import DEFAULT_TOL, Signature, _cut, _max_abs, _signed_eigens
 from .superop import (
     SignedOperatorSum,
     _SignedTerms,
-    _signed_outer_sum,
+    _signed_gram,
     b_from_operator_sum,
     operator_sum_from_b,
 )
@@ -64,7 +64,7 @@ class SignedEnsemble(_SignedTerms):
 
     def operator(self) -> np.ndarray:
         """The Hermitian operator the ensemble assembles."""
-        return _signed_outer_sum(self.signs, self.vectors)
+        return _signed_gram(self.signs, self.vectors.reshape(self.n_terms, 1, self.dim).conj())
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,11 @@ an operator sum as the product ``E B``, and from a ``B`` or ``A`` matrix
 as the signed eigenvectors of the ``d r x d r`` dynamical matrix of the
 map restricted to the code, with no ``d^2 x d^2`` eigendecomposition.
 Such terms need not be any ``E_k B`` of the map's own operator sum, so
-the diagonalizer and term indices refer to the record's terms.  The
+the diagonalizer and term indices refer to the record's terms.
+:func:`analyze`, :func:`verify_recovery` and :func:`negative_part_on_code`
+take the record or any channel :func:`on_code` takes, through the one
+dispatch that :func:`on_code` uses, which checks the dimension and the
+type once; on a channel they give what they give on its record.  The
 conditions come from one Gram GEMM of ``[V_1, V_2, ...]``, the
 ``r x r`` blocks ``V_k^dag V_l``, which also give the canonical blocks
 (an ``n x n`` congruence by ``T``) and the trace check.  The syndromes are the polar
@@ -376,32 +380,43 @@ def repetition_bitflip(n: int, c0: float) -> tuple[SignedOperatorSum, CodeSpace]
     return ops, projector_from_basis([zeros, ones])
 
 
-def _on_code(ops: SignedOperatorSum | CodeTerms, code: CodeSpace, start: int = 0) -> np.ndarray:
-    """Terms on the code ``V_k = E_k B`` for ``k >= start``, ``(n - start, d, r)``: a record's own, else one GEMM.
+def _on_code(
+    channel: CodeTerms | SignedOperatorSum | BMatrix | AMatrix, code: CodeSpace, tol: float
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """The signs and the read-only ``(n, d, r)`` terms on the code ``V_k = E_k B`` of a channel or its record.
 
-    The GEMM is ``(n d x d) @ (d x r)``, written into an array that owns
-    its memory; at small ``d`` it beats numpy's batch of ``n`` products.
+    The one dispatch of :func:`on_code` and of every reader.  A
+    :class:`CodeTerms` record gives its own terms.  An operator sum gives
+    one GEMM ``(n d x d) @ (d x r)``, written into an array that owns its
+    memory; at small ``d`` it beats numpy's batch of ``n`` products.  A
+    matrix channel gives :func:`_restricted_terms`.
     """
-    if isinstance(ops, CodeTerms):
-        if ops.terms.shape[1:] != code.isometry.shape:
-            raise ValueError(f"terms of shape {ops.terms.shape[1:]} do not match the code's {code.isometry.shape}")
-        return ops.terms[start:]
-    if ops.dim != code.dim:
-        raise ValueError(f"operator dimension {ops.dim} does not match code dimension {code.dim}")
+    if not isinstance(channel, (CodeTerms, SignedOperatorSum, BMatrix, AMatrix)):
+        raise TypeError(f"expected SignedOperatorSum, BMatrix, AMatrix or CodeTerms, got {type(channel).__name__}")
+    if channel.dim != code.dim:
+        raise ValueError(f"map dimension {channel.dim} does not match code dimension {code.dim}")
+    if isinstance(channel, CodeTerms):
+        if channel.rank != code.rank:
+            raise ValueError(f"terms of rank {channel.rank} do not match the code's rank {code.rank}")
+        return channel.signs, channel.terms
+    if not isinstance(channel, SignedOperatorSum):
+        return _restricted_terms(reshuffle(channel) if isinstance(channel, AMatrix) else channel, code, tol)
     d, r = code.isometry.shape
-    v = np.empty((ops.n_terms - start, d, r), dtype=complex)
-    np.matmul(ops.operators[start:].reshape(-1, d), code.isometry, out=v.reshape(-1, r))
-    return v
+    v = np.empty((channel.n_terms, d, r), dtype=complex)
+    np.matmul(channel.operators.reshape(-1, d), code.isometry, out=v.reshape(-1, r))
+    v.setflags(write=False)  # held by a record without a copy
+    return channel.signs, v
 
 
-def _restricted_terms(b: BMatrix, code: CodeSpace, tol: float) -> CodeTerms:
+def _restricted_terms(b: BMatrix, code: CodeSpace, tol: float) -> tuple[tuple[int, ...], np.ndarray]:
     """The terms on the code of the map restricted to it, from one ``d r x d r`` signed eigensystem.
 
     ``R[i r + a, k r + c] = sum_jl Bmat[i d + j, k d + l] B[j, a] conj(B[l, c])``
     is the dynamical matrix of ``sigma -> E(B sigma B^dag)``: for any
     decomposition of the map it equals ``sum_k s_k vec(V_k) vec(V_k)^dag``.
     So each signed eigenvector, unvec'ed to ``d x r`` and scaled by the
-    square root of its eigenvalue's magnitude, is a term ``V``.
+    square root of its eigenvalue's magnitude, is a term ``V``, returned
+    complex, read-only and owning its memory, as a record holds it.
     """
     m, iso = _checked_b(b, tol), code.isometry
     if m.dtype == float and not iso.imag.any():
@@ -410,7 +425,7 @@ def _restricted_terms(b: BMatrix, code: CodeSpace, tol: float) -> CodeTerms:
     x = (m.reshape(d**3, d) @ iso.conj()).reshape(d, d, d * r)  # x[i, j, k r + c]: the l sum
     restricted = (iso.T @ x).reshape(d * r, d * r)  # the j sum: row i r + a
     signs, rows = _signed_factors((restricted + restricted.conj().T) / 2, tol)
-    return CodeTerms(signs, rows.reshape(-1, d, r))
+    return signs, _held(rows.reshape(-1, d, r))
 
 
 def on_code(channel: SignedOperatorSum | BMatrix | AMatrix, code: CodeSpace, tol: float = DEFAULT_TOL) -> CodeTerms:
@@ -425,28 +440,23 @@ def on_code(channel: SignedOperatorSum | BMatrix | AMatrix, code: CodeSpace, tol
     ``d r x d r`` dynamical matrix ``(I x B)^dag Bmat (I x B)`` of the map
     restricted to the code, cut, ordered and scaled as in
     ``operator_sum_from_b``; they need not be any ``E_k B`` of the map's
-    own operator sum.
+    own operator sum.  The readers take each of these channels through
+    the same terms, so a record made here gives their answers bit for bit.
 
     Raises
     ------
     ValueError
         For a NaN, infinite or negative ``tol``, or mismatched dimensions.
     TypeError
-        For a channel of another type.
+        For a channel of another type, a :class:`CodeTerms` record included.
     NotHermitian
         If a matrix channel's ``B`` is not Hermitian within ``tol`` times
         its largest entry.
     """
     _check_tol(tol)
-    if not isinstance(channel, (SignedOperatorSum, BMatrix, AMatrix)):
-        raise TypeError(f"expected SignedOperatorSum, BMatrix or AMatrix, got {type(channel).__name__}")
-    if channel.dim != code.dim:
-        raise ValueError(f"map dimension {channel.dim} does not match code dimension {code.dim}")
-    if isinstance(channel, SignedOperatorSum):
-        v = _on_code(channel, code)
-        v.setflags(write=False)  # held by the record without a copy
-        return CodeTerms(channel.signs, v)
-    return _restricted_terms(reshuffle(channel) if isinstance(channel, AMatrix) else channel, code, tol)
+    if isinstance(channel, CodeTerms):
+        raise TypeError("expected SignedOperatorSum, BMatrix or AMatrix, got CodeTerms")
+    return CodeTerms(*_on_code(channel, code, tol))
 
 
 def _blocks(v: np.ndarray) -> np.ndarray:
@@ -475,7 +485,7 @@ def cp_condition_matrix(operators: Sequence[np.ndarray], code: CodeSpace) -> Con
     if not len(operators):
         raise ValueError("at least one operator is required")
     ops = SignedOperatorSum(code.dim, (1,) * len(operators), operators)
-    return _condition_fit(_blocks(_on_code(ops, code)), None, "hermitian")
+    return _condition_fit(_blocks(_on_code(ops, code, DEFAULT_TOL)[1]), None, "hermitian")
 
 
 def _canonical_terms(
@@ -541,15 +551,26 @@ def _syndromes(v: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
     return w
 
 
-def negative_part_on_code(ops: SignedOperatorSum | CodeTerms, code: CodeSpace) -> float:
+def negative_part_on_code(ops: SignedOperatorSum | BMatrix | AMatrix | CodeTerms, code: CodeSpace) -> float:
     """Largest Frobenius norm of ``E_k P = E_k B`` over the negative-sign block.
 
     Zero exactly when the negative part of the decomposition annihilates
     the code space (the reversibility-with-positivity requirement).  A
-    :class:`CodeTerms` record gives its own terms ``V_k`` for ``E_k B``.
+    :class:`CodeTerms` record gives its own terms ``V_k`` for ``E_k B``, a
+    channel those :func:`on_code` makes of it at the default tolerance.
+
+    Raises
+    ------
+    ValueError
+        For mismatched dimensions.
+    TypeError
+        For a map of another type.
+    NotHermitian
+        If a matrix channel's ``B`` is not Hermitian within the default
+        tolerance times its largest entry.
     """
-    v = _on_code(ops, code, ops.signature.p)  # the -1 block comes last
-    return max((float(np.linalg.norm(x)) for x in v), default=0.0)
+    signs, v = _on_code(ops, code, DEFAULT_TOL)
+    return max((float(np.linalg.norm(x)) for x in v[signs.count(1) :]), default=0.0)  # the -1 block comes last
 
 
 def build_recovery(syndromes: SyndromeSet) -> Recovery:
@@ -583,8 +604,10 @@ def _witness(
     return NegativityWitness(b0, j, prob)
 
 
-def analyze(ops: SignedOperatorSum | CodeTerms, code: CodeSpace, tol: float = DEFAULT_TOL) -> QecReport:
-    """Decide reversibility of a signed operator sum, or of its :class:`CodeTerms`, on a code space.
+def analyze(
+    ops: SignedOperatorSum | BMatrix | AMatrix | CodeTerms, code: CodeSpace, tol: float = DEFAULT_TOL
+) -> QecReport:
+    """Decide reversibility of a map, or of its :class:`CodeTerms`, on a code space.
 
     The verdict is
 
@@ -603,12 +626,18 @@ def analyze(ops: SignedOperatorSum | CodeTerms, code: CodeSpace, tol: float = DE
     The verdict depends on the map and the code, not on the signed
     decomposition that represents the map.  ``ops`` enters only through
     its terms on the code, ``V_k = E_k B``: a :class:`CodeTerms` record's
-    own, else the one product of :func:`on_code`.
+    own, else those :func:`on_code` makes of the channel, the one product
+    ``E B`` of an operator sum or the restricted eigensystem of a matrix.
 
     Raises
     ------
     ValueError
         For a NaN, infinite or negative ``tol``, or mismatched dimensions.
+    TypeError
+        For a map of another type.
+    NotHermitian
+        If a matrix channel's ``B`` is not Hermitian within ``tol`` times
+        its largest entry.
     OrthogonalityViolation
         If a syndrome's block ``H_k = (F_k B)^dag F_k B`` has its smallest
         eigenvalue at most ``tol`` times its largest, so its polar
@@ -620,9 +649,9 @@ def analyze(ops: SignedOperatorSum | CodeTerms, code: CodeSpace, tol: float = DE
         If the witness's cross-checked probability is not at most ``-tol``
         times the largest syndrome weight.
     """
-    v = _on_code(ops, code)
+    signs, v = _on_code(ops, code, tol)
     blocks = _blocks(v)
-    signs, d, t, condition, scale = _canonical_terms(ops.signs, blocks, tol)
+    canonical_signs, d, t, condition, scale = _canonical_terms(signs, blocks, tol)
     if not d.size:
         zero = ConditionMatrix(np.zeros((1, 1)), 0.0, "pseudohermitian")
         return QecReport(zero, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
@@ -630,12 +659,12 @@ def analyze(ops: SignedOperatorSum | CodeTerms, code: CodeSpace, tol: float = DE
         return QecReport(condition, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
     keep = np.flatnonzero(d > _cut(tol, d.max()))  # lighter terms act trivially on the code space
     w = _syndromes(v, t[:, keep], tol)
-    syndromes = SyndromeSet(Recovery(code.isometry, w), d[keep], signs[keep], keep)
+    syndromes = SyndromeSet(Recovery(code.isometry, w), d[keep], canonical_signs[keep], keep)
     if (syndromes.signs < 0).any():
-        witness = _witness(ops.signs, v[:, :, 0], code.isometry[:, 0], syndromes, tol)
+        witness = _witness(signs, v[:, :, 0], code.isometry[:, 0], syndromes, tol)
         return QecReport(condition, t, d, syndromes, Verdict.CODE_OUTSIDE_DOMAIN, witness)
     # sum_k s_k V_k^dag V_k, from the diagonal blocks
-    if _max_abs(np.diagonal(blocks) @ np.asarray(ops.signs, dtype=float) - np.eye(code.rank)) > _cut(tol):
+    if _max_abs(np.diagonal(blocks) @ np.asarray(signs, dtype=float) - np.eye(code.rank)) > _cut(tol):
         return QecReport(condition, t, d, syndromes, Verdict.CONDITIONS_VIOLATED, None)
     return QecReport(condition, t, d, syndromes, Verdict.REVERSIBLE_POSITIVE, None)
 
@@ -680,7 +709,7 @@ def _deviation(coords: np.ndarray, signs: np.ndarray, u: np.ndarray, tol: float)
 
 
 def verify_recovery(
-    ops: SignedOperatorSum | CodeTerms,
+    ops: SignedOperatorSum | BMatrix | AMatrix | CodeTerms,
     recovery: SignedOperatorSum | Recovery,
     code: CodeSpace,
     trials: int = 20,
@@ -700,9 +729,10 @@ def verify_recovery(
     the coordinates of ``A`` in an orthonormal frame, with no ``d x d``
     state and no rank cut.
 
-    The map enters only through its terms on the code ``V_k = E_k B``, so
-    a :class:`CodeTerms` record made once for :func:`analyze` serves here
-    too and gives the value of its operator sum bit for bit.
+    The map enters only through its terms on the code ``V_k = E_k B``, as
+    in :func:`analyze`, so a :class:`CodeTerms` record made once for
+    :func:`analyze` serves here too and gives the value of its channel bit
+    for bit.
     A dense :class:`~ncpqec.superop.SignedOperatorSum` recovery gets the
     frame from one thin Householder QR of ``A`` (accurate per column
     beside much larger ones), without the exactly zero blocks ``M_jk``.
@@ -717,6 +747,11 @@ def verify_recovery(
     ValueError
         If ``tol`` is not a finite non-negative number, ``trials`` is not
         a non-negative integer, or the dimensions differ.
+    TypeError
+        For a map of another type.
+    NotHermitian
+        If a matrix channel's ``B`` is not Hermitian within ``tol`` times
+        its largest entry.
     ZeroTrace
         If a recovered trace ``t`` is at most ``tol`` times the unsigned
         trace ``sum_jk |s_jk| ||M_jk u||^2``: it has cancelled to
@@ -725,12 +760,13 @@ def verify_recovery(
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
         raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
-    if ops.dim != code.dim or recovery.dim != code.dim:
-        raise ValueError("map, recovery and code must share one dimension")
+    if recovery.dim != code.dim:
+        raise ValueError(f"recovery dimension {recovery.dim} does not match code dimension {code.dim}")
     b = code.isometry
     d, r = b.shape
-    v = _on_code(ops, code).transpose(1, 0, 2).reshape(d, -1)  # [E_1 B, E_2 B, ...]
-    signs = np.outer(recovery.signs, ops.signs).ravel()  # s_jk, n = j K + k
+    signs, v = _on_code(ops, code, tol)
+    v = v.transpose(1, 0, 2).reshape(d, -1)  # [E_1 B, E_2 B, ...]
+    signs = np.outer(recovery.signs, signs).ravel()  # s_jk, n = j K + k
     if isinstance(recovery, Recovery):
         left = recovery.code_isometry
         g = recovery.isometries.conj().swapaxes(1, 2).reshape(-1, d) @ v  # block (j, k): G_jk = W_j^dag V_k

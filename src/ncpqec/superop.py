@@ -235,25 +235,16 @@ def _signed_gram(signs: Sequence[int], terms: np.ndarray) -> np.ndarray:
     """``sum_k signs[k] terms[k]^dag terms[k]`` over a stack of matrices, +1 block first.
 
     One GEMM per sign block, so a negative block equal to the positive one cancels exactly.
+    The ``1 x m`` rows ``conj(v_k)`` give the signed outer sum ``sum_k signs[k] v_k v_k^dag``.
     """
     p = sum(1 for s in signs if s > 0)
     plus, minus = (block.reshape(-1, terms.shape[-1]) for block in (terms[:p], terms[p:]))
     return plus.conj().T @ plus - minus.conj().T @ minus
 
 
-def _signed_outer_sum(signs: Sequence[int], vectors: np.ndarray) -> np.ndarray:
-    """``sum_k signs[k] v_k v_k^dag`` over the rows ``v_k`` of ``vectors``, +1 block first.
-
-    One product per sign block, so a negative block equal to the positive one cancels exactly.
-    """
-    p = sum(1 for s in signs if s > 0)
-    plus, minus = vectors[:p], vectors[p:]
-    return plus.T @ plus.conj() - minus.T @ minus.conj()
-
-
 def b_from_operator_sum(ops: SignedOperatorSum) -> BMatrix:
     """Dynamical matrix ``sum_i sign_i vec(E_i) vec(E_i)^dag``."""
-    return BMatrix(ops.dim, _signed_outer_sum(ops.signs, ops.operators.reshape(ops.n_terms, ops.dim**2)))
+    return BMatrix(ops.dim, _signed_gram(ops.signs, ops.operators.reshape(ops.n_terms, 1, ops.dim**2).conj()))
 
 
 def a_from_operator_sum(ops: SignedOperatorSum) -> AMatrix:

@@ -525,3 +525,77 @@ def test_parse_analysis_document_malformed_recovery(field, value, hint):
     doc["recovery"][field] = value
     with pytest.raises(ValueError, match=hint):
         parse_analysis_document(doc)
+
+
+def _channel_doc(c0=-0.2):
+    return _roundtrip(channel_document(bitflip_ops(c0)))
+
+
+def _analysis_doc(c0):
+    return _roundtrip(analysis_document(*_report(c0)))
+
+
+def _set(doc, path, value):
+    """``doc`` with the field at ``path`` (keys and list indices) set to ``value``."""
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+# One malformed value per object, list or enumerated field of the two parsers.
+@pytest.mark.parametrize(
+    "make, path, value, hint",
+    [
+        (_channel_doc, ("payload",), 5, r"channel\.payload"),
+        (_channel_doc, ("payload",), [], r"channel\.payload"),
+        (_channel_doc, ("payload", "signs"), 1, r"channel\.payload.*signs"),
+        (_channel_doc, ("payload", "operators"), {}, r"channel\.payload.*operators"),
+        (lambda: _analysis_doc(-0.2), ("verdict",), "maybe", r"analysis.*verdict"),
+        (lambda: _analysis_doc(-0.2), ("verdict",), ["code_outside_domain"], r"analysis.*verdict"),
+        (lambda: _analysis_doc(-0.2), ("signature",), [3, 1], r"analysis\.signature"),
+        (lambda: _analysis_doc(-0.2), ("condition",), "hermitian", r"analysis\.condition"),
+        (lambda: _analysis_doc(-0.2), ("condition", "form"), "unitary", r"analysis\.condition\.form"),
+        (lambda: _analysis_doc(-0.2), ("condition", "form"), None, r"analysis\.condition\.form"),
+        (lambda: _analysis_doc(-0.2), ("syndromes", 0), [], r"analysis\.syndromes\[0\]"),
+        (lambda: _analysis_doc(0.7), ("recovery",), [1], r"analysis\.recovery"),
+        (lambda: _analysis_doc(-0.2), ("witness",), 0.5, r"analysis\.witness"),
+    ],
+)
+def test_parsers_name_a_malformed_field(make, path, value, hint):
+    doc = _set(make(), path, value)
+    parse = parse_channel_document if "payload" in doc else parse_analysis_document
+    with pytest.raises(ValueError, match=hint):
+        parse(doc)
+
+
+@pytest.mark.parametrize("obj", [[1, 2], "analysis", None])
+def test_parse_analysis_document_rejects_a_non_object(obj):
+    with pytest.raises(ValueError, match="analysis document must be a JSON object"):
+        parse_analysis_document(obj)
+
+
+def test_channel_document_rejects_another_type():
+    with pytest.raises(TypeError, match="got object"):
+        channel_document(object())
+
+
+@pytest.mark.parametrize(
+    "form, path, value, hint",
+    [
+        (None, ("dim",), 3, r"operator 0 has shape \(8, 8\), expected \(3, 3\)"),
+        (None, ("payload", "signs"), [1, 1], "2 signs but 4 operators"),
+        (None, ("payload", "signs"), [1, 1, -1, 1], "positive-sign terms must precede"),
+        (None, ("payload", "signs"), [1, 1, 1, 2], "signs must be"),
+        (b_from_operator_sum, ("payload", "matrix"), [[[1.0, 0.0]]], r"B-matrix for dim 8 must have shape \(64, 64\)"),
+        (a_from_operator_sum, ("dim",), 4, r"A-matrix for dim 4 must have shape \(16, 16\), got \(64, 64\)"),
+    ],
+)
+def test_channel_record_errors_name_the_payload(form, path, value, hint):
+    # Shapes and signs are checked once, by the record the parser builds,
+    # and its message is prefixed with the payload's path.
+    channel = bitflip_ops(-0.2) if form is None else form(bitflip_ops(-0.2))
+    with pytest.raises(ValueError, match=f"^channel\\.payload: {hint}"):
+        parse_channel_document(_set(_roundtrip(channel_document(channel)), path, value))

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 import warnings
@@ -52,7 +53,7 @@ from ncpqec import (
     validate_density_matrix,
     verify_recovery,
 )
-from ncpqec.documents import encode_vector, parse_code_document
+from ncpqec.documents import analysis_document, encode_vector, parse_code_document
 from ncpqec.pseudolinalg import DEFAULT_TOL
 from ncpqec import qec
 from ncpqec.qec import _VERIFY_SEED, _witness
@@ -525,8 +526,8 @@ def test_witness_search_failure_on_doctored_syndromes():
 def _syndrome_products():
     """The products ``F_k B`` of the inverted 3-qubit map (every term kept) and their weights ``d_k``."""
     ops, code = repetition_bitflip(3, -0.2)
-    v = qec._on_code(ops, code)
-    _, d, t, _, _ = qec._canonical_terms(ops.signs, qec._blocks(v), DEFAULT_TOL)
+    signs, v = qec._on_code(ops, code, DEFAULT_TOL)
+    _, d, t, _, _ = qec._canonical_terms(signs, qec._blocks(v), DEFAULT_TOL)
     return np.tensordot(t, v, axes=([0], [0])), d
 
 
@@ -1264,3 +1265,67 @@ def test_on_code_gates_the_whole_b_on_hermiticity():
     b[1, 0] += 1e-3  # an entry that no code state reads: B[0 d + 1, 0 d + 0], and |1> is off the code
     with pytest.raises(NotHermitian):
         on_code(BMatrix(8, b), code)
+
+
+def _identity_recovery(code):
+    """The recovery ``B W^dag`` with ``W = B``, one term that any code takes."""
+    return Recovery(code.isometry, code.isometry[None])
+
+
+READERS = {
+    "analyze": lambda channel, code: analyze(channel, code),
+    "verify_recovery": lambda channel, code: verify_recovery(channel, _identity_recovery(code), code),
+    "negative_part_on_code": lambda channel, code: negative_part_on_code(channel, code),
+}
+
+
+@pytest.mark.parametrize("form", [a_from_operator_sum, b_from_operator_sum])
+@pytest.mark.parametrize("c0", [-0.2, 0.7])
+def test_readers_take_a_matrix_channel_as_its_record(form, c0):
+    # A matrix channel reaches each reader through the restricted
+    # eigensystem of on_code: the same document bytes and values, bit for bit.
+    ops, code = repetition_bitflip(3, c0)
+    channel = form(ops)
+    terms = on_code(channel, code)
+    document = lambda x: json.dumps(analysis_document(analyze(x, code), terms.signature))  # noqa: E731
+    assert document(channel) == document(terms)
+    recovery = analyze(*repetition_bitflip(3, 0.7)).recovery
+    assert verify_recovery(channel, recovery, code) == verify_recovery(terms, recovery, code)
+    assert negative_part_on_code(channel, code) == negative_part_on_code(terms, code)
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_readers_refuse_another_type(reader):
+    with pytest.raises(TypeError, match="got object"):
+        READERS[reader](object(), repetition_code())
+
+
+@pytest.mark.parametrize("form", [lambda ops: ops, on_code, a_from_operator_sum, b_from_operator_sum])
+@pytest.mark.parametrize("reader", list(READERS))
+def test_readers_refuse_a_map_of_another_dimension(reader, form):
+    # Each form of a d = 8 map against a d = 4 code.
+    ops = bitflip_ops(-0.2)
+    channel = form(ops, repetition_code()) if form is on_code else form(ops)
+    with pytest.raises(ValueError, match="map dimension 8 does not match code dimension 4"):
+        READERS[reader](channel, projector_from_basis([ket(0, 4)]))
+
+
+def test_cp_conditions_refuse_operators_of_another_dimension():
+    # The operators are read as a sum on the code's dimension, which checks their shape.
+    with pytest.raises(ValueError, match=r"operator 0 has shape \(4, 4\), expected \(8, 8\)"):
+        cp_condition_matrix([np.eye(4)], repetition_code())
+
+
+def test_verify_recovery_refuses_a_recovery_of_another_dimension():
+    ops, code = repetition_bitflip(3, 0.7)
+    with pytest.raises(ValueError, match="recovery dimension 4 does not match code dimension 8"):
+        verify_recovery(ops, _identity_recovery(projector_from_basis([ket(0, 4)])), code)
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_readers_gate_a_matrix_channel_on_hermiticity(reader):
+    ops, code = repetition_bitflip(3, 0.7)
+    b = b_from_operator_sum(ops).matrix.copy()
+    b[1, 0] += 1e-3
+    with pytest.raises(NotHermitian):
+        READERS[reader](BMatrix(8, b), code)
