@@ -17,8 +17,9 @@ restricted dynamical matrix, never through ``operator_sum_from_b``.
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical failure.
 The working tolerance is the ``--tol`` flag if given, else the
-``QEC_TOL`` environment variable, else ``1e-9``.  Every command passes it
-to the library unchanged, which applies it relative to each gated
+``QEC_TOL`` environment variable, else ``1e-9``.  ``main`` resolves it
+once, before the command runs, into ``args.tol``.  Every command passes
+it to the library unchanged, which applies it relative to each gated
 input's own scale, except for trace preservation and pseudounitarity.
 """
 
@@ -91,7 +92,7 @@ def _load_json(path: str, parse):
 
 
 def _emit(doc: dict, args: argparse.Namespace) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(doc, separators=(",", ":")))
     else:
         print(json.dumps(doc, indent=2))
@@ -112,39 +113,36 @@ def _as_operator_sum(channel, tol: float) -> SignedOperatorSum:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
     channel = _load_json(args.input, parse_channel_document)
     if args.to == "a_matrix":
         out = reshuffle(_as_b_matrix(channel))
     elif args.to == "b_matrix":
         out = _as_b_matrix(channel)
     else:
-        out = _as_operator_sum(channel, tol)
+        out = _as_operator_sum(channel, args.tol)
     _emit(channel_document(out), args)
     return 0
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
     channel = _load_json(args.input, parse_channel_document)
     b = _as_b_matrix(channel)
-    kind = classify(b, tol)  # raises NotHermitian for a map that does not preserve Hermiticity
+    kind = classify(b, args.tol)  # raises NotHermitian for a map that does not preserve Hermiticity
     doc = {
         "schema_version": "1",
         "verdict": kind.kind,
         "signature": {"p": kind.signature.p, "q": kind.signature.q},
-        "trace_preserving": bool(check_trace_preserving(reshuffle(b), tol)),
+        "trace_preserving": bool(check_trace_preserving(reshuffle(b), args.tol)),
     }
     _emit(doc, args)
     return 0
 
 
 def cmd_qec(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
     channel = _load_json(args.input, parse_channel_document)
-    code = _load_json(args.code, lambda obj: parse_code_document(obj, tol))
-    terms = on_code(channel, code, tol)  # refuses a map of another dimension before any conversion
-    report = analyze(terms, code, tol)
+    code = _load_json(args.code, lambda obj: parse_code_document(obj, args.tol))
+    terms = on_code(channel, code, args.tol)  # refuses a map of another dimension before any conversion
+    report = analyze(terms, code, args.tol)
     _emit(analysis_document(report, terms.signature), args)
     return 0
 
@@ -152,13 +150,12 @@ def cmd_qec(args: argparse.Namespace) -> int:
 def cmd_equiv(args: argparse.Namespace) -> int:
     from .equivalence import connecting_pseudounitary
 
-    tol = _resolve_tol(args)
     first, second = (_load_json(path, parse_channel_document) for path in (args.first, args.second))
     if first.dim != second.dim:
         raise ValueError(f"dimension mismatch: {first.dim} vs {second.dim}")
-    first, second = _as_operator_sum(first, tol), _as_operator_sum(second, tol)
+    first, second = _as_operator_sum(first, args.tol), _as_operator_sum(second, args.tol)
     try:
-        result = connecting_pseudounitary(first, second, tol)
+        result = connecting_pseudounitary(first, second, args.tol)
     except MapsNotEqual:  # the maps_equal gate
         _emit({"schema_version": "1", "equal": False}, args)
         return 0
@@ -175,7 +172,6 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce_paper(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
     c0 = args.c0
     c1 = (1.0 - c0) / 3.0
     if abs(c0) < 1e-12 or abs(c1) < 1e-12:
@@ -185,7 +181,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
             f"c0={c0} and c1={c1} have the same sign; choose c0 < 0 or c0 > 1 for an inverted mixture"
         )
     ops, code = repetition_bitflip(3, c0)
-    terms = on_code(ops, code, tol)  # E B, once for analyze and verify_recovery
+    terms = on_code(ops, code, args.tol)  # E B, once for analyze and verify_recovery
 
     # Outcome values tr(|f><f| E(rho)) for rho = a|000><000| + (1-a)|111><111|.
     outcome_kets = {"000": 0, "111": 7, "100": 4, "011": 3}
@@ -194,13 +190,13 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
         out = apply_map(ops, code.isometry @ np.diag([a_val, 1.0 - a_val]) @ code.isometry.conj().T)
         mixtures[f"a={a_val:g}"] = {k: float(out[i, i].real) for k, i in outcome_kets.items()}
 
-    report = analyze(terms, code, tol)
+    report = analyze(terms, code, args.tol)
     witness_probability = None if report.witness is None else report.witness.probability
     recovery_error = outcome = undecidable = None
     if report.syndromes:
         try:
-            recovery_error = verify_recovery(terms, build_recovery(report.syndromes), code, trials=20, tol=tol)
-            outcome = "restores" if recovery_error <= _cut(tol) else "does_not_restore"
+            recovery_error = verify_recovery(terms, build_recovery(report.syndromes), code, trials=20, tol=args.tol)
+            outcome = "restores" if recovery_error <= _cut(args.tol) else "does_not_restore"
         except ZeroTrace as exc:  # the recovered trace cancelled to rounding
             outcome, undecidable = "undecidable", exc
 
@@ -214,30 +210,29 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
         "recovery_max_error": recovery_error,
         "recovery_outcome": outcome,
     }
-    if args.json:
-        print(json.dumps(doc, separators=(",", ":")))
-        return 0
-
-    print(f"inverted bit-flip mixture on three qubits: c0 = {c0:g}, c1 = {c1:g}")
-    print("outcome values tr(|f><f| E(rho)) for rho = a|000><000| + (1-a)|111><111|:")
-    for label, values in mixtures.items():
-        cells = "  ".join(f"|{k}>: {v: .6g}" for k, v in values.items())
-        print(f"  {label:7s} {cells}")
-    if witness_probability is not None:
-        print(
-            f"syndrome measurement returns negative probability {witness_probability:.6g} "
-            "on a code state: the code space lies outside the map's domain"
-        )
-    if outcome == "undecidable":
-        print(f"projective recovery does not restore the sampled code states verifiably: undecidable, {undecidable}")
-    elif outcome is not None:
-        print(
-            f"projective recovery {outcome.replace('_', ' ')} every sampled code state "
-            f"(largest Frobenius deviation {recovery_error:.3e} over 24 sample states, tol {tol:.1e})"
-        )
-    print(f"verdict: {report.verdict.value}")
-    print()
-    print(json.dumps(doc, indent=2))
+    if not args.json:
+        print(f"inverted bit-flip mixture on three qubits: c0 = {c0:g}, c1 = {c1:g}")
+        print("outcome values tr(|f><f| E(rho)) for rho = a|000><000| + (1-a)|111><111|:")
+        for label, values in mixtures.items():
+            cells = "  ".join(f"|{k}>: {v: .6g}" for k, v in values.items())
+            print(f"  {label:7s} {cells}")
+        if witness_probability is not None:
+            print(
+                f"syndrome measurement returns negative probability {witness_probability:.6g} "
+                "on a code state: the code space lies outside the map's domain"
+            )
+        if outcome == "undecidable":
+            print(
+                f"projective recovery does not restore the sampled code states verifiably: undecidable, {undecidable}"
+            )
+        elif outcome is not None:
+            print(
+                f"projective recovery {outcome.replace('_', ' ')} every sampled code state "
+                f"(largest Frobenius deviation {recovery_error:.3e} over 24 sample states, tol {args.tol:.1e})"
+            )
+        print(f"verdict: {report.verdict.value}")
+        print()
+    _emit(doc, args)
     return 0
 
 
@@ -292,6 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        args.tol = _resolve_tol(args)
         return args.func(args)
     except NumericalFailure as exc:
         print(f"ncpqec {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -33,6 +33,8 @@ __all__ = [
     "REPRESENTATIONS",
     "encode_matrix",
     "decode_matrix",
+    "encode_vector",
+    "decode_vector",
     "channel_document",
     "parse_channel_document",
     "parse_code_document",
@@ -49,12 +51,6 @@ def _finite(x: Any) -> bool:
 def _pair(z: Any) -> bool:
     """``z`` is a list or tuple ``[re, im]`` of two :func:`_finite` numbers."""
     return isinstance(z, (list, tuple)) and len(z) == 2 and _finite(z[0]) and _finite(z[1])
-
-
-def _pairs(a: np.ndarray) -> list:
-    """``a`` as nested lists of the same shape whose items are ``[re, im]`` pairs."""
-    a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _complex_array(pairs: list, shape: tuple[int, ...], where: str) -> np.ndarray:
@@ -76,9 +72,13 @@ def _complex_array(pairs: list, shape: tuple[int, ...], where: str) -> np.ndarra
     raise ValueError(f"{where}{at}: complex entries must be [re, im] pairs of finite numbers, got {z!r}")
 
 
-def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    """Encode a matrix as row-major nested ``[re, im]`` pairs."""
-    return _pairs(m)
+def encode_matrix(a: np.ndarray) -> list:
+    """Encode a matrix, a vector or a stack of either as nested lists of its shape of ``[re, im]`` pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+encode_vector = encode_matrix
 
 
 def decode_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
@@ -88,10 +88,6 @@ def decode_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
     if ncols == 0 or any(len(r) != ncols for r in obj):
         raise ValueError(f"{where}: rows must be non-empty and of equal length")
     return _complex_array(list(chain.from_iterable(obj)), (len(obj), ncols), where)
-
-
-def encode_vector(v: np.ndarray) -> list[list[float]]:
-    return _pairs(v)
 
 
 def decode_vector(obj: Any, where: str = "vector") -> np.ndarray:
@@ -134,7 +130,7 @@ def channel_document(channel: AMatrix | BMatrix | SignedOperatorSum) -> dict:
         rep = "operator_sum"
         payload = {
             "signs": list(channel.signs),
-            "operators": _pairs(channel.operators),
+            "operators": encode_matrix(channel.operators),
         }
     else:
         raise TypeError(f"expected AMatrix, BMatrix or SignedOperatorSum, got {type(channel).__name__}")
@@ -194,11 +190,11 @@ def analysis_document(report: QecReport, signature: Signature) -> dict:
     """Serialize a :class:`~ncpqec.qec.QecReport`; the recovery is stored as its ``B``."""
     syndromes = witness = None
     if (syn := report.syndromes) is not None:  # the whole W stack in one conversion
-        columns = _pairs(syn.isometries), syn.weights.tolist(), syn.signs.tolist(), syn.term_indices.tolist()
+        columns = encode_matrix(syn.isometries), syn.weights.tolist(), syn.signs.tolist(), syn.term_indices.tolist()
         syndromes = [{"isometry": w, "weight": x, "sign": s, "term_index": k} for w, x, s, k in zip(*columns)]
     if report.witness is not None:
         witness = {
-            "vector": encode_vector(report.witness.vector),
+            "vector": encode_matrix(report.witness.vector),
             "syndrome_index": int(report.witness.syndrome_index),
             "probability": float(report.witness.probability),
         }
@@ -214,7 +210,7 @@ def analysis_document(report: QecReport, signature: Signature) -> dict:
         "diagonalizer": None if report.diagonalizer is None else encode_matrix(report.diagonalizer),
         "diagonal": None if report.diagonal is None else np.asarray(report.diagonal, dtype=float).tolist(),
         "syndromes": syndromes,
-        "recovery": None if report.recovery is None else {"code_isometry": _pairs(report.recovery.code_isometry)},
+        "recovery": None if (rec := report.recovery) is None else {"code_isometry": encode_matrix(rec.code_isometry)},
         "witness": witness,
     }
 

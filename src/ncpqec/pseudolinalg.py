@@ -29,6 +29,18 @@ from .errors import (
     PseudoDiagonalizationFailure,
 )
 
+__all__ = [
+    "DEFAULT_TOL",
+    "Signature",
+    "PseudoDiagonalization",
+    "eta_metric",
+    "pseudo_inner",
+    "is_pseudohermitian",
+    "is_pseudounitary",
+    "pseudo_gram_schmidt",
+    "pseudo_diagonalize",
+]
+
 #: Default tolerance used across the package, applied as :func:`_cut` says.
 DEFAULT_TOL = 1e-9
 
@@ -172,17 +184,24 @@ def pseudo_gram_schmidt(
         at most ``tol`` (after unit Euclidean scaling), so it cannot be
         normalized.
     """
-    null = _cut(tol)  # the indefinite norm is taken on unit vectors
+    _check_tol(tol)
     vectors = [np.asarray(v, dtype=complex) for v in vectors]
     if not vectors:
         return []
     n = vectors[0].shape[0]
     eta = _check_metric(eta, n)
-    out: list[np.ndarray] = []
-    norms: list[float] = []
     for k, v in enumerate(vectors):
         if v.shape != (n,):
             raise ValueError(f"vector {k} has shape {v.shape}, expected ({n},)")
+    return _gram_schmidt(vectors, eta, tol)
+
+
+def _gram_schmidt(vectors: list[np.ndarray], eta: np.ndarray, tol: float) -> list[np.ndarray]:
+    """:func:`pseudo_gram_schmidt` of complex ``(n,)`` vectors on an ``n x n`` metric ``eta`` already checked."""
+    null = _cut(tol)  # the indefinite norm is taken on unit vectors
+    out: list[np.ndarray] = []
+    norms: list[float] = []
+    for k, v in enumerate(vectors):
         w = v.copy()
         for u, g in zip(out, norms):
             w = w - u * (complex(np.vdot(u, eta @ w)) / g)  # u^dag eta w: pseudo_inner on the metric checked once
@@ -314,7 +333,7 @@ def pseudo_diagonalize(
     for cluster in clusters:
         value = float(np.mean(lam[cluster]))
         try:
-            basis = pseudo_gram_schmidt([v[:, j] for j in cluster], eta, tol)
+            basis = _gram_schmidt([v[:, j] for j in cluster], eta, tol)
         except (NullNormEncountered, LinearDependence) as exc:
             raise PseudoDiagonalizationFailure(
                 f"eigenspace at {value:.6g} admits no indefinite-orthonormal basis: {exc}"

@@ -247,8 +247,8 @@ class SyndromeSet:
 
     ``recovery``, their Knill-Laflamme recovery, holds the code's ``B``
     and the ``(m, d, r)`` stack of the ``W_j``.  ``weights`` (float),
-    ``signs`` (each +1 or -1) and ``term_indices`` (int) are read-only
-    length-``m`` copies.  Indexing and iteration give the
+    ``signs`` (each +1 or -1, never a bool) and ``term_indices`` (int)
+    are read-only length-``m`` copies.  Indexing and iteration give the
     :class:`Syndrome` views.
     """
 
@@ -258,8 +258,9 @@ class SyndromeSet:
     term_indices: np.ndarray
 
     def __post_init__(self) -> None:
-        if not {*np.asarray(self.signs).tolist()} <= {1, -1}:
-            raise ValueError(f"syndrome signs must be +1 or -1, got {np.asarray(self.signs)}")
+        signs = np.asarray(self.signs, dtype=object).ravel().tolist()  # the raw elements: a bool stays a bool
+        if not {*signs} <= {1, -1} or {bool, np.bool_} & {*map(type, signs)}:
+            raise ValueError(f"syndrome signs must be +1 or -1, got {signs}")
         for name, dtype in (("weights", float), ("signs", int), ("term_indices", int)):
             object.__setattr__(self, name, a := _frozen(getattr(self, name), dtype))
             if a.shape != (len(self),):

@@ -20,6 +20,7 @@ from ncpqec import (
     pseudo_diagonalize,
     pseudo_gram_schmidt,
     pseudo_inner,
+    pseudolinalg,
     repetition_bitflip,
     superop,
 )
@@ -152,6 +153,14 @@ def test_pseudo_gram_schmidt_dependence():
         pseudo_gram_schmidt([np.array([1.0, 0]), np.zeros(2)], np.eye(2))
 
 
+def test_pseudo_gram_schmidt_checks_every_shape_first():
+    # A malformed input is refused before any vector is orthogonalized,
+    # even when an earlier vector would fail numerically.
+    for first in (np.array([1.0, 0]), np.zeros(2)):
+        with pytest.raises(ValueError, match=r"vector 1 has shape \(3,\), expected \(2,\)"):
+            pseudo_gram_schmidt([first, np.ones(3)], np.eye(2))
+
+
 def test_pseudo_gram_schmidt_pairwise_orthogonality():
     rng = np.random.default_rng(17)
     for _ in range(20):
@@ -191,6 +200,26 @@ def test_pseudo_diagonalize_complex_spectrum_fails():
     eta = eta_metric(Signature(1, 1))
     with pytest.raises(PseudoDiagonalizationFailure):
         pseudo_diagonalize(np.array([[1.0, 1], [-1, 1]]), eta)
+
+
+def test_pseudo_diagonalize_null_norm_eigenvector_fails():
+    # Pseudohermitian for diag(1, -1) and nilpotent: its one eigenvector
+    # (1, -1) has indefinite norm 0, so no pseudounitary diagonalizes it.
+    with pytest.raises(PseudoDiagonalizationFailure, match="null indefinite norm"):
+        pseudo_diagonalize(np.array([[1.0, 1], [-1, -1]]), eta_metric(Signature(1, 1)))
+
+
+def test_pseudo_diagonalize_empty_matrix():
+    res = pseudo_diagonalize(np.zeros((0, 0)), eta_metric(Signature(0, 0)))
+    assert res.transform.shape == (0, 0) and res.eigenvalues.shape == res.metric_signs.shape == (0,)
+    assert res.permutation == ()
+
+
+def test_pseudo_diagonalize_does_not_check_the_metric_per_cluster():
+    # Once for the call and once in is_pseudohermitian, not again per eigenvalue cluster.
+    with mock.patch.object(pseudolinalg, "_check_metric", wraps=pseudolinalg._check_metric) as spy:
+        res = pseudo_diagonalize(np.diag(np.arange(1.0, 9)), eta_metric(Signature(4, 4)))
+    assert spy.call_count == 2 and len(res.eigenvalues) == 8
 
 
 def test_pseudo_diagonalize_rejects_non_ph():

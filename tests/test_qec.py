@@ -404,15 +404,18 @@ def test_syndrome_set_is_one_record():
         syn[4]
     assert report.recovery is build_recovery(syn) is syn.recovery
     for name in arrays:
-        with pytest.raises(ValueError, match=name):
-            SyndromeSet(syn.recovery, **{**arrays, name: arrays[name][:3]})
+        for wrong in (arrays[name][:3], arrays[name][:, None]):
+            with pytest.raises(ValueError, match=name):
+                SyndromeSet(syn.recovery, **{**arrays, name: wrong})
     inverted = analyze(*repetition_bitflip(3, -0.2))
     with pytest.raises(ValueError, match="sign"):
         QecReport(report.condition, None, None, inverted.syndromes, Verdict.REVERSIBLE_POSITIVE, None)
     assert inverted.recovery is None and build_recovery(inverted.syndromes) is inverted.syndromes.recovery
 
 
-@pytest.mark.parametrize("signs", [[2, 2, 2, 2], [1, 1, 0, 1], [1, 1, 1, 1.5]])
+@pytest.mark.parametrize(
+    "signs", [[2, 2, 2, 2], [1, 1, 0, 1], [1, 1, 1, 1.5], [True] * 4, [1, 1, 1, True], np.ones(4, bool)]
+)
 def test_syndrome_set_refuses_signs_other_than_one(signs):
     syn = analyze(*repetition_bitflip(3, 0.7)).syndromes
     with pytest.raises(ValueError, match="signs must be"):
