@@ -13,7 +13,8 @@ an ``a_matrix`` or ``b_matrix`` document is checked for Hermiticity on
 its whole ``B``, then reaches the analysis through the ``d r x d r``
 restricted dynamical matrix, never through ``operator_sum_from_b``.
 ``reproduce-paper`` makes that record once for ``analyze`` and
-``verify_recovery``.
+``verify_recovery``, and names the size of the latter's one sample set.
+Every command prints its document as indented JSON, or one line with ``--json``.
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical failure.
 The working tolerance is the ``--tol`` flag if given, else the
@@ -34,6 +35,7 @@ import sys
 import numpy as np
 
 from .documents import (
+    REPRESENTATIONS,
     analysis_document,
     channel_document,
     encode_matrix,
@@ -42,13 +44,11 @@ from .documents import (
 )
 from .errors import MapsNotEqual, NumericalFailure, ZeroTrace
 from .pseudolinalg import DEFAULT_TOL, _check_tol, _cut
-from .qec import analyze, build_recovery, on_code, repetition_bitflip, verify_recovery
+from .qec import _recovery_samples, analyze, build_recovery, on_code, repetition_bitflip, verify_recovery
 from .superop import (
-    AMatrix,
-    BMatrix,
     SignedOperatorSum,
+    _as_b_matrix,
     apply_map,
-    b_from_operator_sum,
     check_trace_preserving,
     classify,
     operator_sum_from_b,
@@ -96,14 +96,6 @@ def _emit(doc: dict, args: argparse.Namespace) -> None:
         print(json.dumps(doc, separators=(",", ":")))
     else:
         print(json.dumps(doc, indent=2))
-
-
-def _as_b_matrix(channel: AMatrix | BMatrix | SignedOperatorSum) -> BMatrix:
-    if isinstance(channel, BMatrix):
-        return channel
-    if isinstance(channel, AMatrix):
-        return reshuffle(channel)
-    return b_from_operator_sum(channel)
 
 
 def _as_operator_sum(channel, tol: float) -> SignedOperatorSum:
@@ -195,7 +187,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     recovery_error = outcome = undecidable = None
     if report.syndromes:
         try:
-            recovery_error = verify_recovery(terms, build_recovery(report.syndromes), code, trials=20, tol=args.tol)
+            recovery_error = verify_recovery(terms, build_recovery(report.syndromes), code, tol=args.tol)
             outcome = "restores" if recovery_error <= _cut(args.tol) else "does_not_restore"
         except ZeroTrace as exc:  # the recovered trace cancelled to rounding
             outcome, undecidable = "undecidable", exc
@@ -228,7 +220,8 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
         elif outcome is not None:
             print(
                 f"projective recovery {outcome.replace('_', ' ')} every sampled code state "
-                f"(largest Frobenius deviation {recovery_error:.3e} over 24 sample states, tol {args.tol:.1e})"
+                f"(largest Frobenius deviation {recovery_error:.3e} over {len(_recovery_samples(code.rank))} "
+                f"sample states, tol {args.tol:.1e})"
             )
         print(f"verdict: {report.verdict.value}")
         print()
@@ -245,13 +238,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tol", type=float, default=None, help="working tolerance (default: QEC_TOL or 1e-9)")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="compact single-line JSON output")
-        fmt.add_argument("--pretty", action="store_true", help="indented JSON output (default)")
+        p.add_argument("--json", action="store_true", help="compact single-line JSON output (default: indented)")
 
     p_convert = sub.add_parser("convert", help="convert a channel document between representations")
     p_convert.add_argument("input", help="channel document (JSON)")
-    p_convert.add_argument("--to", required=True, choices=["a_matrix", "b_matrix", "operator_sum"])
+    p_convert.add_argument("--to", required=True, choices=REPRESENTATIONS)
     add_common(p_convert)
     p_convert.set_defaults(func=cmd_convert)
 

@@ -24,7 +24,8 @@ from .pseudolinalg import Signature
 
 SCHEMA_VERSION = "1"
 _ANALYSIS_VERSION = "3"
-REPRESENTATIONS = ("a_matrix", "b_matrix", "operator_sum")
+_CHANNEL_FORMS = {"a_matrix": AMatrix, "b_matrix": BMatrix, "operator_sum": SignedOperatorSum}
+REPRESENTATIONS = tuple(_CHANNEL_FORMS)
 _NUMBER = (int, float)
 _FLOAT_MAX = sys.float_info.max
 
@@ -122,18 +123,13 @@ def _check_dim(obj: dict, where: str) -> int:
 
 def channel_document(channel: AMatrix | BMatrix | SignedOperatorSum) -> dict:
     """Serialize a channel in its current representation."""
-    if isinstance(channel, AMatrix):
-        rep, payload = "a_matrix", {"matrix": encode_matrix(channel.matrix)}
-    elif isinstance(channel, BMatrix):
-        rep, payload = "b_matrix", {"matrix": encode_matrix(channel.matrix)}
-    elif isinstance(channel, SignedOperatorSum):
-        rep = "operator_sum"
-        payload = {
-            "signs": list(channel.signs),
-            "operators": encode_matrix(channel.operators),
-        }
-    else:
+    rep = next((name for name, form in _CHANNEL_FORMS.items() if isinstance(channel, form)), None)
+    if rep is None:
         raise TypeError(f"expected AMatrix, BMatrix or SignedOperatorSum, got {type(channel).__name__}")
+    if rep == "operator_sum":
+        payload = {"signs": list(channel.signs), "operators": encode_matrix(channel.operators)}
+    else:
+        payload = {"matrix": encode_matrix(channel.matrix)}
     return {
         "schema_version": SCHEMA_VERSION,
         "dim": channel.dim,
@@ -162,7 +158,7 @@ def parse_channel_document(obj: Any) -> AMatrix | BMatrix | SignedOperatorSum:
     else:
         terms = (decode_matrix(_require(payload, "matrix", where), f"{where}.matrix"),)
     try:
-        return {"a_matrix": AMatrix, "b_matrix": BMatrix, "operator_sum": SignedOperatorSum}[rep](dim, *terms)
+        return _CHANNEL_FORMS[rep](dim, *terms)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
@@ -222,7 +218,10 @@ def parse_analysis_document(obj: Any) -> dict:
     re-parse.  Returns a plain dict with numpy arrays in place of the
     encoded matrices; ``recovery`` is the factored
     :class:`~ncpqec.qec.Recovery` of the stored ``B`` and syndrome
-    isometries, with no dense terms.
+    isometries, with no dense terms.  Besides malformed fields it refuses
+    what no analysis gives: a syndrome weight that is not positive, a
+    syndrome of sign -1 under a ``reversible_positive`` verdict, and a
+    witness that does not name the first syndrome of sign -1.
     """
     if not isinstance(obj, dict):
         raise ValueError("analysis document must be a JSON object")
@@ -257,6 +256,9 @@ def parse_analysis_document(obj: Any) -> dict:
     if obj.get("syndromes") is not None:
         decoded, taken = [], set()
         fresh = lambda x: x >= 0 and x not in taken  # noqa: E731
+        kept = lambda x: 0 < x <= _FLOAT_MAX  # noqa: E731 -- analyze keeps only positive weights
+        reversible = verdict == "reversible_positive"  # its QecReport refuses a -1 syndrome
+        sign_what = "+1 under a reversible_positive verdict" if reversible else "+1 or -1"
         for k, s in enumerate(_field(obj, "syndromes", "analysis", list, "a list")):
             where = f"analysis.syndromes[{k}]"
             if not isinstance(s, dict):
@@ -264,8 +266,8 @@ def parse_analysis_document(obj: Any) -> dict:
             decoded.append(
                 {
                     "isometry": decode_matrix(_require(s, "isometry", where), f"{where}.isometry"),
-                    "weight": float(_field(s, "weight", where, _NUMBER, "a finite number", _finite)),
-                    "sign": _field(s, "sign", where, int, "+1 or -1", lambda x: x in (1, -1)),
+                    "weight": float(_field(s, "weight", where, _NUMBER, "a positive finite number", kept)),
+                    "sign": _field(s, "sign", where, int, sign_what, lambda x: x == 1 or x == -1 and not reversible),
                     "term_index": _field(s, "term_index", where, int, "a non-negative integer not used before", fresh),
                 }
             )
@@ -284,8 +286,9 @@ def parse_analysis_document(obj: Any) -> dict:
         out["recovery"] = Recovery(b, stack)
     if witness is not None:
         witness, where = _field(obj, "witness", "analysis", dict, "a JSON object"), "analysis.witness"
-        what = f"an index below the syndrome count {len(syndromes)}"
-        index = _field(witness, "syndrome_index", where, int, what, lambda x: 0 <= x < len(syndromes))
+        first = next((k for k, s in enumerate(syndromes) if s["sign"] == -1), None)  # analyze's witness names it
+        what = f"an index below the syndrome count {len(syndromes)}: that of the first syndrome of sign -1"
+        index = _field(witness, "syndrome_index", where, int, what, lambda x: x == first)
         vector = decode_vector(_require(witness, "vector", where), f"{where}.vector")
         rows = syndromes[index]["isometry"].shape[0]
         if vector.shape != (rows,):

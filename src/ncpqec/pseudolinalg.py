@@ -311,11 +311,10 @@ def pseudo_diagonalize(
         null indefinite norm, or the assembled transform fails its
         consistency checks (e.g. for defective matrices).
     """
-    h = _as_square(h, "H")
-    n = h.shape[0]
-    eta = _check_metric(eta, n)
-    if not is_pseudohermitian(h, eta, tol):
+    if not is_pseudohermitian(h, eta, tol):  # the one check of H, eta and tol
         raise NotPseudoHermitian("matrix is not pseudohermitian for the given metric")
+    h, eta = np.asarray(h, dtype=complex), np.asarray(eta, dtype=complex)
+    n = h.shape[0]
     if n == 0:
         return PseudoDiagonalization(np.zeros((0, 0), complex), np.zeros(0), np.zeros(0), ())
 

@@ -59,7 +59,7 @@ from .errors import (
     ZeroTrace,
 )
 from .pseudolinalg import DEFAULT_TOL, _check_tol, _cut, _frozen, _max_abs, _signed_eigensystem
-from .superop import AMatrix, BMatrix, SignedOperatorSum, _checked_b, _signed_factors, _SignedTerms, reshuffle
+from .superop import AMatrix, BMatrix, SignedOperatorSum, _as_b_matrix, _checked_b, _signed_factors, _SignedTerms
 
 __all__ = [
     "CodeSpace",
@@ -82,6 +82,7 @@ __all__ = [
 ]
 
 _VERIFY_SEED = 424033
+_RANDOM_SAMPLES = 20
 
 
 def _held(a: np.ndarray) -> np.ndarray:
@@ -401,7 +402,7 @@ def _on_code(
             raise ValueError(f"terms of rank {channel.rank} do not match the code's rank {code.rank}")
         return channel.signs, channel.terms
     if not isinstance(channel, SignedOperatorSum):
-        return _restricted_terms(reshuffle(channel) if isinstance(channel, AMatrix) else channel, code, tol)
+        return _restricted_terms(_as_b_matrix(channel), code, tol)
     d, r = code.isometry.shape
     v = np.empty((channel.n_terms, d, r), dtype=complex)
     np.matmul(channel.operators.reshape(-1, d), code.isometry, out=v.reshape(-1, r))
@@ -671,12 +672,12 @@ def analyze(
 
 
 @functools.lru_cache(maxsize=8)
-def _recovery_samples(r: int, trials: int) -> np.ndarray:
-    """Unit logical vectors ``u`` of the pure samples ``sigma = u u^dag``, read-only ``(s, r)``."""
+def _recovery_samples(r: int) -> np.ndarray:
+    """Unit logical vectors ``u`` of the pure samples ``sigma = u u^dag``, read-only ``(r^2 + 20, r)``."""
     eye = np.eye(r)
     coeffs = list(eye) + [eye[i] + phase * eye[j] for i in range(r) for j in range(i + 1, r) for phase in (1, 1j)]
     rng = random.Random(_VERIFY_SEED)  # stdlib, so no command imports numpy.random
-    coeffs += [[complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(r)] for _ in range(trials)]
+    coeffs += [[complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(r)] for _ in range(_RANDOM_SAMPLES)]
     c = np.array(coeffs)
     return _frozen(c / np.linalg.norm(c, axis=1, keepdims=True))
 
@@ -713,22 +714,22 @@ def verify_recovery(
     ops: SignedOperatorSum | BMatrix | AMatrix | CodeTerms,
     recovery: SignedOperatorSum | Recovery,
     code: CodeSpace,
-    trials: int = 20,
+    *,
     tol: float = DEFAULT_TOL,
 ) -> float:
     """Largest per-sample ``|| R(E(B sigma B^dag)) / t - B sigma B^dag ||_F``, to rounding.
 
     ``t`` normalizes the recovered state to unit trace, so a recovery
     that restores states only up to a constant factor still verifies.
-    Samples ``sigma`` are the logical basis states, their pairwise
-    superpositions with phases 1 and i, and ``trials`` reproducible
-    random logical states, whose real and imaginary parts are standard
-    normal draws from the stdlib ``random.Random`` at a fixed seed.  Map
-    and recovery enter only through the ``d x r`` terms
-    ``M_jk = R_j E_k B``: each deviation ``X = A Z A^dag`` lies in the
-    column span of ``A = [B, M_11, M_12, ...]``, and its norm is taken on
-    the coordinates of ``A`` in an orthonormal frame, with no ``d x d``
-    state and no rank cut.
+    The ``r^2 + 20`` samples ``sigma`` are the ``r`` logical basis
+    states, their pairwise superpositions with phases 1 and i, and 20
+    reproducible random logical states, whose real and imaginary parts
+    are standard normal draws from the stdlib ``random.Random`` at a
+    fixed seed.  ``tol`` is keyword-only.  Map and recovery enter only
+    through the ``d x r`` terms ``M_jk = R_j E_k B``: each deviation
+    ``X = A Z A^dag`` lies in the column span of ``A = [B, M_11, M_12,
+    ...]``, and its norm is taken on the coordinates of ``A`` in an
+    orthonormal frame, with no ``d x d`` state and no rank cut.
 
     The map enters only through its terms on the code ``V_k = E_k B``, as
     in :func:`analyze`, so a :class:`CodeTerms` record made once for
@@ -737,17 +738,17 @@ def verify_recovery(
     A dense :class:`~ncpqec.superop.SignedOperatorSum` recovery gets the
     frame from one thin Householder QR of ``A`` (accurate per column
     beside much larger ones), without the exactly zero blocks ``M_jk``.
-    A factored :class:`Recovery` with isometry ``L`` has ``M_jk = L G_jk``
-    with ``r x r`` blocks ``G_jk = W_j^dag E_k B``: its frame is ``B``
-    itself when ``L`` is ``B`` (orthonormal by the :class:`CodeSpace`
-    check; nothing ``d x d``), else from a QR of ``[B, L]``.  The
-    Frobenius norm bounds every entry of ``X``, leakage off the code included.
+    A factored :class:`Recovery` with ``d x r'`` isometry ``L`` has
+    ``M_jk = L G_jk`` with ``r' x r`` blocks ``G_jk = W_j^dag E_k B``: its
+    frame is ``B`` itself when ``L`` is ``B`` (orthonormal by the
+    :class:`CodeSpace` check; nothing ``d x d``), else from a QR of
+    ``[B, L]``, whatever ``r'``.  The Frobenius norm bounds every entry
+    of ``X``, leakage off the code included.
 
     Raises
     ------
     ValueError
-        If ``tol`` is not a finite non-negative number, ``trials`` is not
-        a non-negative integer, or the dimensions differ.
+        If ``tol`` is not a finite non-negative number, or the dimensions differ.
     TypeError
         For a map of another type.
     NotHermitian
@@ -759,8 +760,6 @@ def verify_recovery(
         rounding (or the map or the recovery annihilates the state, as a
         map with no terms does), so the check cannot decide.
     """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
-        raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
     if recovery.dim != code.dim:
         raise ValueError(f"recovery dimension {recovery.dim} does not match code dimension {code.dim}")
     b = code.isometry
@@ -770,8 +769,8 @@ def verify_recovery(
     signs = np.outer(recovery.signs, signs).ravel()  # s_jk, n = j K + k
     if isinstance(recovery, Recovery):
         left = recovery.code_isometry
-        g = recovery.isometries.conj().swapaxes(1, 2).reshape(-1, d) @ v  # block (j, k): G_jk = W_j^dag V_k
-        g = g.reshape(recovery.n_terms, r, v.shape[1]).swapaxes(0, 1).reshape(r, -1)  # [G_11, G_12, ...]
+        # Row a m + j is row a of W_j^dag [V_1, V_2, ...], so the r' rows of the reshape are [G_11, G_12, ...].
+        g = (recovery.isometries.conj().transpose(2, 0, 1).reshape(-1, d) @ v).reshape(left.shape[1], -1)
         if left is b or np.array_equal(left, b):  # M_jk = B G_jk: the frame is B
             coords = np.concatenate([np.eye(r), g], axis=1)
         else:  # [B, L] = Q upper
@@ -782,4 +781,4 @@ def verify_recovery(
         live = m.any(axis=(0, 2))  # kept out of the QR as well
         coords = np.linalg.qr(np.concatenate([b, m[:, live].reshape(d, -1)], axis=1), mode="r")
         signs = signs[live]
-    return _deviation(coords, signs, _recovery_samples(r, trials), tol)
+    return _deviation(coords, signs, _recovery_samples(r), tol)

@@ -252,6 +252,13 @@ def a_from_operator_sum(ops: SignedOperatorSum) -> AMatrix:
     return reshuffle(b_from_operator_sum(ops))
 
 
+def _as_b_matrix(channel: AMatrix | BMatrix | SignedOperatorSum) -> BMatrix:
+    """The dynamical matrix of a channel in any of the three forms; a :class:`BMatrix` is returned as it is."""
+    if isinstance(channel, SignedOperatorSum):
+        return b_from_operator_sum(channel)
+    return reshuffle(channel) if isinstance(channel, AMatrix) else channel
+
+
 def _checked_b(b: BMatrix, tol: float) -> np.ndarray:
     """``B``'s matrix, once it is Hermitian within ``tol`` times its largest entry.
 

@@ -524,6 +524,7 @@ def test_reproduce_paper_pretty_output():
     assert proc.returncode == 0, proc.stderr
     assert "verdict: code_outside_domain" in proc.stdout
     assert "negative probability" in proc.stdout
+    assert "over 24 sample states" in proc.stdout  # r^2 + 20 at r = 2, the size of verify_recovery's sample set
 
 
 @pytest.mark.parametrize("c0, shown", [("-0.2", "-0.2"), ("1e308", "1e+308")])
@@ -567,6 +568,7 @@ def test_json_flag_is_single_line(tmp_path):
     pretty = run_cli("classify", path)
     assert pretty.stdout.strip().count("\n") > 0
     assert json.loads(compact.stdout) == json.loads(pretty.stdout)
+    assert run_cli("classify", path, "--pretty").returncode == 2  # indented needs no flag
 
 
 @pytest.mark.parametrize("signs", [[1.5, -1.9], [True, "-1"]])

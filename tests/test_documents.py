@@ -441,6 +441,10 @@ def _break_weight_inf(doc):
     doc["syndromes"][0]["weight"] = float("inf")
 
 
+def _break_weight_negative(doc):
+    doc["syndromes"][0]["weight"] = -3  # analyze keeps only positive weights
+
+
 def _break_term_index(doc):
     doc["syndromes"][0]["term_index"] = -1
 
@@ -473,6 +477,10 @@ def _break_index_range(doc):
     doc["witness"]["syndrome_index"] = len(doc["syndromes"])
 
 
+def _break_index_sign(doc):
+    doc["witness"]["syndrome_index"] = 0  # a +1 syndrome; the witness names the first -1 one, index 3
+
+
 def _break_witness_vector_length(doc):
     doc["witness"]["vector"] = doc["witness"]["vector"][:3]
 
@@ -491,6 +499,7 @@ def _break_term_index_duplicate(doc):
         (_break_isometry, r"analysis.syndromes\[0\].isometry"),
         (_break_isometry_nan, r"analysis.syndromes\[0\].isometry\[3\]\[1\]"),
         (_break_weight_inf, r"analysis.syndromes\[0\].weight"),
+        (_break_weight_negative, r"analysis.syndromes\[0\].weight must be a positive finite number, got -3"),
         (_break_term_index, r"analysis.syndromes\[0\].term_index"),
         (_break_diagonal_nan, "analysis.diagonal"),
         (_break_witness_vector_inf, r"analysis.witness.vector\[0\]"),
@@ -499,6 +508,7 @@ def _break_term_index_duplicate(doc):
         (_break_index, "analysis.witness.syndrome_index"),
         (_break_negative_index, "analysis.witness.syndrome_index"),
         (_break_index_range, "analysis.witness.syndrome_index must be an index below the syndrome count 4"),
+        (_break_index_sign, "analysis.witness.syndrome_index must be .*: that of the first syndrome of sign -1, got 0"),
         (_break_witness_vector_length, "analysis.witness.vector: length 3 does not match the 8 rows"),
         (_break_term_index_duplicate, r"analysis.syndromes\[2\].term_index must be a non-negative integer not used before"),
     ],
@@ -561,6 +571,7 @@ def _set(doc, path, value):
         (lambda: _analysis_doc(-0.2), ("condition", "form"), None, r"analysis\.condition\.form"),
         (lambda: _analysis_doc(-0.2), ("syndromes", 0), [], r"analysis\.syndromes\[0\]"),
         (lambda: _analysis_doc(0.7), ("recovery",), [1], r"analysis\.recovery"),
+        (lambda: _analysis_doc(0.7), ("syndromes", 1, "sign"), -1, r"syndromes\[1\]\.sign must be \+1 under a"),
         (lambda: _analysis_doc(-0.2), ("witness",), 0.5, r"analysis\.witness"),
     ],
 )

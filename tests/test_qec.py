@@ -671,7 +671,7 @@ def test_analyze_cp_bitflip_reversible():
     report = analyze(bitflip_ops(0.7), repetition_code())
     assert report.verdict == Verdict.REVERSIBLE_POSITIVE
     assert report.witness is None
-    err = verify_recovery(bitflip_ops(0.7), report.recovery, repetition_code(), trials=20)
+    err = verify_recovery(bitflip_ops(0.7), report.recovery, repetition_code())
     assert err < 1e-9
 
 
@@ -726,7 +726,7 @@ def test_conditioned_cp_maps_recover_exactly():
         )
         report = analyze(scaled, code)
         assert report.verdict == Verdict.REVERSIBLE_POSITIVE
-        assert verify_recovery(scaled, report.recovery, code, trials=20) < 1e-8
+        assert verify_recovery(scaled, report.recovery, code) < 1e-8
         for _ in range(20):
             out = apply_map(scaled, random_code_state(rng, code))
             assert np.linalg.eigvalsh(out).min() > -1e-8
@@ -736,11 +736,11 @@ def test_verify_recovery_ncp_bitflip():
     ops = bitflip_ops(-0.2)
     code = repetition_code()
     rec = build_recovery(analyze(ops, code).syndromes)
-    assert verify_recovery(ops, rec, code, trials=20) < 1e-9
+    assert verify_recovery(ops, rec, code) < 1e-9
 
 
-def _per_sample_deviations(ops, recovery, code, trials):
-    """Largest Frobenius and max-abs entry of ``out / tr(out) - rho`` over the samples.
+def _per_sample_deviations(ops, recovery, code):
+    """Largest Frobenius and max-abs entry of ``out / tr(out) - rho`` over the ``r^2 + 20`` samples.
 
     Each sample state ``B sigma B^dag`` goes through two ``apply_map``
     calls, one at a time, as a full ``d x d`` matrix.
@@ -749,7 +749,7 @@ def _per_sample_deviations(ops, recovery, code, trials):
     coeffs = [np.eye(r)[i] for i in range(r)]
     coeffs += [np.eye(r)[i] + phase * np.eye(r)[j] for i in range(r) for j in range(i + 1, r) for phase in (1, 1j)]
     sample_rng = random.Random(_VERIFY_SEED)  # real, then imaginary part of each entry
-    for _ in range(trials):
+    for _ in range(20):
         coeffs.append(np.array([sample_rng.gauss(0.0, 1.0) + 1j * sample_rng.gauss(0.0, 1.0) for _ in range(r)]))
     frobenius = max_abs = 0.0
     for c in coeffs:
@@ -774,8 +774,8 @@ def test_verify_recovery_matches_per_sample_apply_map():
     worst_seen = []
     for k, ops in enumerate(maps):
         for recovery in (recoveries[k], recoveries[k - 1], maps[k - 1]):
-            frobenius, max_abs = _per_sample_deviations(ops, recovery, code, trials=7)
-            got = verify_recovery(ops, recovery, code, trials=7)
+            frobenius, max_abs = _per_sample_deviations(ops, recovery, code)
+            got = verify_recovery(ops, recovery, code)
             assert abs(got - frobenius) < 1e-12
             assert got >= max_abs - 1e-12  # at least the largest entry, up to the references' roundoff
             worst_seen.append(frobenius)
@@ -791,11 +791,37 @@ def test_verify_recovery_matches_per_sample_apply_map_at_other_ranks(rank):
     code = projector_from_basis(list(random_complex(rng, (rank, 4))))
     ops = SignedOperatorSum.from_terms([1, -1], [random_complex(rng, (4, 4)), 0.3 * random_complex(rng, (4, 4))])
     recovery = SignedOperatorSum.from_terms([1, 1, 1], list(random_complex(rng, (3, 4, 4))))
-    frobenius, max_abs = _per_sample_deviations(ops, recovery, code, trials=7)
-    got = verify_recovery(ops, recovery, code, trials=7)
+    frobenius, max_abs = _per_sample_deviations(ops, recovery, code)
+    got = verify_recovery(ops, recovery, code)
     assert abs(got - frobenius) < 1e-12
     assert got >= max_abs - 1e-12
     assert frobenius > 0.1
+
+
+def test_verify_recovery_reads_a_factored_recovery_at_its_own_rank():
+    # On the rank-2 three-qubit code, a factored recovery whose isometry L
+    # adds |001> to B has rank 3: its blocks W_j^dag V_k are 3 x 2, and the
+    # frame comes from the QR of [B, L].
+    ops, code = repetition_bitflip(3, 0.7)
+    rec = analyze(ops, code).recovery
+    left = np.column_stack([code.isometry, np.eye(8)[:, 1]])
+    extra = 0.2 * random_complex(np.random.default_rng(53), (rec.n_terms, 8, 1))
+    wide = Recovery(left, np.concatenate([rec.isometries, extra], axis=2))
+    frobenius, max_abs = _per_sample_deviations(ops, wide, code)
+    got = verify_recovery(ops, wide, code)
+    assert abs(got - frobenius) < 1e-12
+    assert got >= max_abs - 1e-12
+    assert frobenius > 0.01
+
+
+def test_verify_recovery_of_a_rank_one_recovery_raises_zero_trace():
+    # R_j = b_0 w_j^dag, with w_j the first column of W_j, sends |111> to
+    # nothing, so its recovered trace is zero.
+    ops, code = repetition_bitflip(3, 0.7)
+    rec = analyze(ops, code).recovery
+    narrow = Recovery(code.isometry[:, :1], rec.isometries[:, :, :1])
+    with pytest.raises(ZeroTrace):
+        verify_recovery(ops, narrow, code)
 
 
 def test_verify_recovery_counts_leakage_off_the_code():
@@ -807,8 +833,8 @@ def test_verify_recovery_counts_leakage_off_the_code():
     rotation[np.ix_([0, 1], [0, 1])] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
     ops = SignedOperatorSum.from_terms([1], [I8])
     leaky = SignedOperatorSum.from_terms([1], [rotation])
-    frobenius, _ = _per_sample_deviations(ops, leaky, code, trials=20)
-    got = verify_recovery(ops, leaky, code, trials=20)
+    frobenius, _ = _per_sample_deviations(ops, leaky, code)
+    got = verify_recovery(ops, leaky, code)
     assert abs(got - frobenius) < 1e-12
     assert got > 0.1
 
@@ -859,8 +885,8 @@ def test_verify_recovery_of_the_repetition_code_matches_per_sample_apply_map(n):
     # QR.
     ops, code = repetition_bitflip(n, 0.7)
     recovery = analyze(ops, code).recovery
-    frobenius, max_abs = _per_sample_deviations(ops, recovery, code, trials=20)
-    got = verify_recovery(ops, recovery, code, trials=20)
+    frobenius, max_abs = _per_sample_deviations(ops, recovery, code)
+    got = verify_recovery(ops, recovery, code)
     assert abs(got - frobenius) < 1e-12
     assert got >= max_abs - 1e-12
 
@@ -874,9 +900,9 @@ def test_verify_recovery_keeps_small_nonzero_blocks(monkeypatch, scale):
     recovery = analyze(ops, code).recovery
     noise = scale * random_complex(np.random.default_rng(29), (8, 8))
     noisy = SignedOperatorSum.from_terms((1,) * 5, [*recovery.operators, noise])
-    frobenius, max_abs = _per_sample_deviations(ops, noisy, code, trials=20)
+    frobenius, max_abs = _per_sample_deviations(ops, noisy, code)
     shapes = _qr_shapes(monkeypatch)
-    got = verify_recovery(ops, noisy, code, trials=20)
+    got = verify_recovery(ops, noisy, code)
     assert shapes == [(8, (1 + 8) * 2)]
     assert abs(got - frobenius) < 1e-12
     assert got >= max_abs - 1e-12
@@ -904,19 +930,14 @@ def test_verify_recovery_of_a_scaled_perfect_recovery(exponent):
     assert verify_recovery(ops, scaled, code) < 1e-14
 
 
-@pytest.mark.parametrize("trials", [2.5, -3, True, "20", None])
-def test_verify_recovery_rejects_malformed_trials(trials):
+def test_verify_recovery_takes_tol_by_keyword_only():
+    # A fourth positional argument, once the sample count, is refused
+    # rather than read as the tolerance.
     ops, code = bitflip_ops(0.7), repetition_code()
     recovery = analyze(ops, code).recovery
-    with pytest.raises(ValueError, match="trials"):
-        verify_recovery(ops, recovery, code, trials=trials)
-
-
-def test_verify_recovery_accepts_integral_trials():
-    ops, code = bitflip_ops(0.7), repetition_code()
-    recovery = analyze(ops, code).recovery
-    assert verify_recovery(ops, recovery, code, trials=np.int64(3)) == verify_recovery(ops, recovery, code, trials=3)
-    assert verify_recovery(ops, recovery, code, trials=0) < 1e-9
+    with pytest.raises(TypeError):
+        verify_recovery(ops, recovery, code, 20)
+    assert verify_recovery(ops, recovery, code, tol=1e-9) == verify_recovery(ops, recovery, code)
 
 
 def test_qec_report_consistency_enforced():
