@@ -571,8 +571,8 @@ def _set(doc, path, value):
         (lambda: _analysis_doc(-0.2), ("condition", "form"), None, r"analysis\.condition\.form"),
         (lambda: _analysis_doc(-0.2), ("syndromes", 0), [], r"analysis\.syndromes\[0\]"),
         (lambda: _analysis_doc(0.7), ("recovery",), [1], r"analysis\.recovery"),
-        (lambda: _analysis_doc(0.7), ("syndromes", 1, "sign"), -1, r"syndromes\[1\]\.sign must be \+1 under a"),
         (lambda: _analysis_doc(-0.2), ("witness",), 0.5, r"analysis\.witness"),
+        (lambda: _analysis_doc(0.7), ("syndromes", 1, "sign"), -1, r"syndromes\[1\]\.sign must be \+1 under a"),
     ],
 )
 def test_parsers_name_a_malformed_field(make, path, value, hint):
