@@ -219,7 +219,9 @@ def parse_analysis_document(obj: Any) -> dict:
     encoded matrices; ``recovery`` is the factored
     :class:`~ncpqec.qec.Recovery` of the stored ``B`` and syndrome
     isometries, with no dense terms.  Besides malformed fields it refuses
-    what no analysis gives: a syndrome weight that is not positive, a
+    what no analysis gives: a ``diagonal`` without one entry per
+    diagonalizer column, a syndrome ``term_index`` beyond it, a syndrome
+    weight that is not positive or not ``diagonal[term_index]``, a
     syndrome of sign -1 under a ``reversible_positive`` verdict, and a
     witness that does not name the first syndrome of sign -1.
     """
@@ -248,14 +250,18 @@ def parse_analysis_document(obj: Any) -> dict:
         raise ValueError("analysis: witness must be present iff verdict is code_outside_domain")
     if verdict == "reversible_positive" and obj.get("recovery") is None:
         raise ValueError("analysis: reversible_positive requires a recovery")
+    columns, diag = 0, []  # analyze writes one diagonal entry per diagonalizer column
     if obj.get("diagonalizer") is not None:
         out["diagonalizer"] = decode_matrix(obj["diagonalizer"], "analysis.diagonalizer")
+        columns = out["diagonalizer"].shape[1]
     if obj.get("diagonal") is not None:
-        diag = _field(obj, "diagonal", "analysis", list, "a list of finite numbers", lambda xs: all(map(_finite, xs)))
+        what = f"a list of {columns} finite numbers, one per diagonalizer column"
+        diag = _field(obj, "diagonal", "analysis", list, what, lambda xs: len(xs) == columns and all(map(_finite, xs)))
         out["diagonal"] = np.array(diag, dtype=float)
     if obj.get("syndromes") is not None:
         decoded, taken = [], set()
-        fresh = lambda x: x >= 0 and x not in taken  # noqa: E731
+        fresh = lambda x: 0 <= x < len(diag) and x not in taken  # noqa: E731
+        index_what = f"a non-negative integer not used before, below the diagonal's length {len(diag)}"
         kept = lambda x: 0 < x <= _FLOAT_MAX  # noqa: E731 -- analyze keeps only positive weights
         reversible = verdict == "reversible_positive"  # its QecReport refuses a -1 syndrome
         sign_what = "+1 under a reversible_positive verdict" if reversible else "+1 or -1"
@@ -263,15 +269,19 @@ def parse_analysis_document(obj: Any) -> dict:
             where = f"analysis.syndromes[{k}]"
             if not isinstance(s, dict):
                 raise ValueError(f"{where} must be a JSON object")
+            index = _field(s, "term_index", where, int, index_what, fresh)
+            _field(s, "weight", where, _NUMBER, "a positive finite number", kept)
+            # analyze stores weight = diagonal[term_index], which JSON floats keep exactly
+            weight = _field(s, "weight", where, _NUMBER, f"diagonal[{index}]", lambda x: x == diag[index])
             decoded.append(
                 {
                     "isometry": decode_matrix(_require(s, "isometry", where), f"{where}.isometry"),
-                    "weight": float(_field(s, "weight", where, _NUMBER, "a positive finite number", kept)),
+                    "weight": float(weight),
                     "sign": _field(s, "sign", where, int, sign_what, lambda x: x == 1 or x == -1 and not reversible),
-                    "term_index": _field(s, "term_index", where, int, "a non-negative integer not used before", fresh),
+                    "term_index": index,
                 }
             )
-            taken.add(decoded[-1]["term_index"])
+            taken.add(index)
         out["syndromes"] = decoded
     syndromes = out.get("syndromes") or []
     if obj.get("recovery") is not None:

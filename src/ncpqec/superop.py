@@ -34,18 +34,13 @@ __all__ = [
     "vec",
     "unvec",
     "reshuffle",
-    "check_hermiticity_preserving",
     "check_trace_preserving",
     "a_from_operator_sum",
     "b_from_operator_sum",
     "operator_sum_from_b",
     "apply_map",
-    "apply_a_matrix",
     "classify",
-    "split_cp_parts",
     "transform_by_pseudounitary",
-    "validate_density_matrix",
-    "is_positive_semidefinite",
 ]
 
 
@@ -210,11 +205,6 @@ def _is_hermitian(m: np.ndarray, tol: float) -> bool:
     return _max_abs(m - m.conj().T) <= _cut(tol, _max_abs(m))
 
 
-def check_hermiticity_preserving(a: AMatrix, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the map preserves Hermiticity: ``reshuffle(a)`` passes the Hermiticity gate of :func:`classify`."""
-    return _is_hermitian(reshuffle(a).matrix, tol)
-
-
 def check_trace_preserving(x: AMatrix | SignedOperatorSum, tol: float = DEFAULT_TOL) -> bool:
     """True iff the map preserves the trace of its input.
 
@@ -324,14 +314,6 @@ def apply_map(ops: SignedOperatorSum, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_a_matrix(a: AMatrix, rho: np.ndarray) -> np.ndarray:
-    """Evaluate the map in transition-matrix form: ``unvec(A vec(rho))``."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (a.dim, a.dim):
-        raise ValueError(f"state has shape {rho.shape}, expected ({a.dim}, {a.dim})")
-    return unvec(a.matrix @ vec(rho))
-
-
 def classify(b: BMatrix, tol: float = DEFAULT_TOL) -> MapClass:
     """Classify a Hermiticity-preserving map as CP or NCP.
 
@@ -350,18 +332,6 @@ def classify(b: BMatrix, tol: float = DEFAULT_TOL) -> MapClass:
     p, q = int(np.sum(lam > cut)), int(np.sum(lam < -cut))
     kind = "CP" if q == 0 else "NCP"
     return MapClass(kind, Signature(p, q))
-
-
-def split_cp_parts(ops: SignedOperatorSum) -> tuple[SignedOperatorSum, SignedOperatorSum]:
-    """Split into the two completely positive halves ``E = E1 - E2``.
-
-    Returns ``(E1, E2)`` where ``E1`` collects the +1 terms and ``E2``
-    the -1 terms with their signs flipped to +1.
-    """
-    p = ops.signature.p
-    e1 = SignedOperatorSum(ops.dim, (1,) * p, ops.operators[:p])
-    e2 = SignedOperatorSum(ops.dim, (1,) * (ops.n_terms - p), ops.operators[p:])
-    return e1, e2
 
 
 def transform_by_pseudounitary(
@@ -388,27 +358,3 @@ def transform_by_pseudounitary(
         raise NotPseudoUnitary("u does not preserve the metric of the term signature")
     mixed = np.tensordot(u, ops.operators, axes=([0], [0]))  # F_j = sum_k E_k u[k, j]
     return SignedOperatorSum(ops.dim, ops.signs, mixed)
-
-
-def validate_density_matrix(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Check Hermiticity (within ``tol`` times ``max|m|``) and unit trace, returning the array unchanged.
-
-    Positivity is deliberately not enforced -- intermediate states of a
-    non-completely-positive evolution may be non-positive.  Use
-    :func:`is_positive_semidefinite` to test it separately.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {m.shape}")
-    if not _is_hermitian(m, tol):
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(m) - 1.0) > _cut(tol):
-        raise ValueError(f"density matrix has trace {np.trace(m):.6g}, expected 1")
-    return m
-
-
-def is_positive_semidefinite(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian part of ``m`` has no eigenvalue below ``-tol`` times ``max|eigenvalue|``."""
-    m = np.asarray(m, dtype=complex)
-    lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    return bool(np.all(lam >= -_cut(tol, _max_abs(lam))))

@@ -10,11 +10,17 @@ from typing import NamedTuple
 import numpy as np
 
 from ncpqec import (
+    DEFAULT_TOL,
+    AMatrix,
+    BMatrix,
     CodeSpace,
+    NotHermitian,
     Signature,
     SignedOperatorSum,
+    classify,
     cp_condition_matrix,
     eta_metric,
+    operator_sum_from_b,
     projector_from_basis,
     repetition_bitflip,
 )
@@ -63,6 +69,27 @@ def polar_on_code(a: np.ndarray) -> PolarFactors:
         raise ValueError("products contain non-finite entries")
     left, sv, right_h = np.linalg.svd(a, full_matrices=False)
     return PolarFactors(left @ right_h, (right_h.conj().swapaxes(-1, -2) * sv[..., None, :]) @ right_h)
+
+
+def apply_a_matrix(a: AMatrix, rho: np.ndarray) -> np.ndarray:
+    """``unvec(A vec(rho))``: the map in transition-matrix form, an evaluation route independent of ``apply_map``."""
+    return (a.matrix @ np.asarray(rho).reshape(-1)).reshape(a.dim, a.dim)
+
+
+def b_signatures(b: BMatrix, tol: float = DEFAULT_TOL) -> tuple[Signature | None, Signature | None]:
+    """The signatures that ``classify`` and ``operator_sum_from_b`` give ``b``.
+
+    Each is ``None`` where the function raises ``NotHermitian``.  Both pass
+    ``b`` through one Hermiticity gate first, so both or neither raise.
+    """
+    out = []
+    for fn in (classify, operator_sum_from_b):
+        try:
+            out.append(fn(b, tol).signature)
+        except NotHermitian:
+            out.append(None)
+    assert (out[0] is None) == (out[1] is None), out
+    return tuple(out)
 
 
 def random_complex(rng, shape):

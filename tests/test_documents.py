@@ -573,6 +573,9 @@ def _set(doc, path, value):
         (lambda: _analysis_doc(0.7), ("recovery",), [1], r"analysis\.recovery"),
         (lambda: _analysis_doc(-0.2), ("witness",), 0.5, r"analysis\.witness"),
         (lambda: _analysis_doc(0.7), ("syndromes", 1, "sign"), -1, r"syndromes\[1\]\.sign must be \+1 under a"),
+        (lambda: _analysis_doc(-0.2), ("syndromes", 0, "term_index"), 99, r"term_index must .* length 4, got 99"),
+        (lambda: _analysis_doc(-0.2), ("diagonal",), [0.4], r"analysis\.diagonal must be a list of 4 finite numbers"),
+        (lambda: _analysis_doc(-0.2), ("syndromes", 0, "weight"), 5.0, r"\[0\]\.weight must be diagonal\[0\], got 5"),
     ],
 )
 def test_parsers_name_a_malformed_field(make, path, value, hint):

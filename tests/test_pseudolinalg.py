@@ -6,14 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from ncpqec import (
     AMatrix,
+    BMatrix,
     LinearDependence,
     NotPseudoHermitian,
     NullNormEncountered,
     PseudoDiagonalizationFailure,
     Signature,
-    check_hermiticity_preserving,
     eta_metric,
-    is_positive_semidefinite,
     is_pseudohermitian,
     is_pseudounitary,
     projector_from_basis,
@@ -22,11 +21,13 @@ from ncpqec import (
     pseudo_inner,
     pseudolinalg,
     repetition_bitflip,
+    reshuffle,
     superop,
 )
 from ncpqec.pseudolinalg import _max_abs, _signed_eigensystem
 
 from helpers import (
+    b_signatures,
     ket,
     polar_on_code,
     random_code,
@@ -332,12 +333,16 @@ def test_gates_give_the_scale_1_answer_at_every_scale(inputs, exponent):
     assert is_pseudohermitian(scale * h, eta) == is_pseudohermitian(h, eta)
     # rho -> eta H rho + rho eta H preserves Hermiticity exactly when eta H is
     # Hermitian, i.e. H is pseudohermitian; H^dag eta H is positive
-    # semidefinite exactly when eta has no -1 (or H is singular).
+    # semidefinite exactly when eta has no -1 (or H is singular).  The
+    # Hermitian parts of H and of H^dag eta H, zero-padded to k^2 x k^2,
+    # are B matrices, so their spectrum cuts decide the signatures.
     n, g = len(h), h.conj().T @ eta @ h
     a = np.kron(eta @ h, np.eye(n)) + np.kron(np.eye(n), (eta @ h).T)
-    assert check_hermiticity_preserving(AMatrix(n, scale * a)) == check_hermiticity_preserving(AMatrix(n, a))
+    assert b_signatures(reshuffle(AMatrix(n, scale * a))) == b_signatures(reshuffle(AMatrix(n, a)))
+    k = int(np.ceil(np.sqrt(n)))
+    padded = lambda m: BMatrix(k, np.pad((m + m.conj().T) / 2, (0, k * k - n)))  # noqa: E731
     for m in (h, g):
-        assert is_positive_semidefinite(scale * m) == is_positive_semidefinite(m)
+        assert b_signatures(padded(scale * m)) == b_signatures(padded(m))
     for fn, args, got_args in [
         (pseudo_diagonalize, (h, eta), (scale * h, eta)),
         (projector_from_basis, (vectors,), (scaled,)),

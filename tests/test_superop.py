@@ -9,20 +9,15 @@ from ncpqec import (
     Signature,
     SignedOperatorSum,
     a_from_operator_sum,
-    apply_a_matrix,
     apply_map,
     b_from_operator_sum,
-    check_hermiticity_preserving,
     check_trace_preserving,
     classify,
-    is_positive_semidefinite,
     operator_sum_from_b,
     repetition_bitflip,
     reshuffle,
-    split_cp_parts,
     transform_by_pseudounitary,
     unvec,
-    validate_density_matrix,
     vec,
 )
 from ncpqec.pseudolinalg import DEFAULT_TOL, _max_abs, _signed_eigensystem
@@ -32,6 +27,8 @@ from helpers import (
     I2,
     X,
     Z,
+    apply_a_matrix,
+    b_signatures,
     bitflip_ops,
     conditioned_pauli_map,
     ket,
@@ -88,10 +85,11 @@ def test_a_route_matches_operator_route():
 
 
 def test_hermiticity_preservation_checks():
+    # classify and operator_sum_from_b share one Hermiticity gate on B.
     rng = np.random.default_rng(53)
     ops = random_ops(rng, 3, 2, 1)
-    a = a_from_operator_sum(ops)
-    assert check_hermiticity_preserving(a)
+    b = b_from_operator_sum(ops)
+    assert b_signatures(b) == (Signature(2, 1), Signature(2, 1))
 
     # transpose map is Hermiticity preserving but not CP
     d = 2
@@ -103,21 +101,21 @@ def test_hermiticity_preservation_checks():
                     if r == sp and s == rp:
                         at[rp * d + sp, r * d + s] = 1.0
     transpose = AMatrix(d, at)
-    assert check_hermiticity_preserving(transpose)
+    assert None not in b_signatures(reshuffle(transpose))
     rho = random_hermitian(rng, d)
     assert np.abs(apply_a_matrix(transpose, rho) - rho.T).max() < 1e-12
 
-    # The gate is relative to max|A|: a nudge of twice the cut fails and one
+    # The gate is relative to max|B|: a nudge of twice the cut fails and one
     # of half the cut passes, at every scale.
     tol = 1e-9
     for scale in (1.0, 1e-12, 1e12):
         for factor, preserving in ((2.0, False), (0.5, True)):
-            nudged = scale * a.matrix
+            nudged = scale * b.matrix
             nudged[0, 1] += factor * tol * _max_abs(nudged)
-            assert check_hermiticity_preserving(AMatrix(3, nudged), tol) == preserving
+            assert (None not in b_signatures(BMatrix(3, nudged), tol)) == preserving
     m = random_complex(np.random.default_rng(97), (4, 4))
-    assert not check_hermiticity_preserving(AMatrix(2, m))
-    assert not check_hermiticity_preserving(AMatrix(2, 1e-12 * m))
+    assert b_signatures(reshuffle(AMatrix(2, m))) == (None, None)
+    assert b_signatures(reshuffle(AMatrix(2, 1e-12 * m))) == (None, None)
 
 
 def test_transpose_map_classification():
@@ -365,22 +363,6 @@ def test_cp_maps_give_psd_outputs():
         assert np.linalg.eigvalsh(out).min() > -1e-9
 
 
-def test_split_cp_parts():
-    rng = np.random.default_rng(83)
-    all_plus = random_ops(rng, 2, 3, 0)
-    e1, e2 = split_cp_parts(all_plus)
-    assert e2.n_terms == 0 and e1.n_terms == 3
-
-    ops = bitflip_ops(-0.2)
-    e1, e2 = split_cp_parts(ops)
-    assert e1.signature == Signature(3, 0) and e2.signature == Signature(1, 0)
-    assert np.abs(e2.operators[0] - np.sqrt(0.2) * np.eye(8)).max() < 1e-12
-    for _ in range(20):
-        rho = random_hermitian(rng, 8)
-        recomb = apply_map(e1, rho) - apply_map(e2, rho)
-        assert np.abs(apply_map(ops, rho) - recomb).max() < 1e-10
-
-
 def test_transform_identity_u():
     rng = np.random.default_rng(89)
     ops = random_ops(rng, 2, 2, 1)
@@ -464,32 +446,14 @@ def test_operators_are_one_frozen_array():
 
 
 def test_empty_sum_is_the_zero_map():
-    # The library builds empty sums itself: the B of a canceling pair, the
-    # negative part of an all-positive map, and the terms of a zero B.
+    # The library builds empty sums itself: the terms of a zero B, such as
+    # the B of a canceling pair.
     empty = operator_sum_from_b(BMatrix(2, np.zeros((4, 4))))
-    _, negative = split_cp_parts(SignedOperatorSum.from_terms([1], [X]))
-    for ops in (empty, negative, SignedOperatorSum(2, (), ())):
+    for ops in (empty, SignedOperatorSum(2, (), ())):
         assert ops.n_terms == 0 and ops.operators.shape == (0, 2, 2)
         assert np.array_equal(b_from_operator_sum(ops).matrix, np.zeros((4, 4)))
         assert np.array_equal(a_from_operator_sum(ops).matrix, np.zeros((4, 4)))
         assert np.array_equal(apply_map(ops, I2 / 2), np.zeros((2, 2)))
-
-
-def test_validate_density_matrix():
-    rng = np.random.default_rng(107)
-    validate_density_matrix(random_density(rng, 3))
-    # non-positive but Hermitian trace-one states pass (NCP outputs)
-    validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
-    with pytest.raises(ValueError):
-        validate_density_matrix(np.array([[1.0, 1], [0, 0]]))
-    with pytest.raises(ValueError):
-        validate_density_matrix(np.eye(2, dtype=complex))
-
-
-def test_is_positive_semidefinite():
-    assert is_positive_semidefinite(np.diag([0.5, 0.5]).astype(complex))
-    assert not is_positive_semidefinite(np.diag([1.5, -0.5]).astype(complex))
-    assert not is_positive_semidefinite(1e-12 * np.diag([1, -0.5]))  # the cut is relative to max|eigenvalue|
 
 
 @pytest.mark.parametrize("signs", [(1.0, -1.0), (np.float64(1.0), np.int64(-1)), (1, np.sign(-0.3))])
