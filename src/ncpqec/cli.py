@@ -16,6 +16,12 @@ restricted dynamical matrix, never through ``operator_sum_from_b``.
 ``verify_recovery``, and names the size of the latter's one sample set.
 Every command prints its document as indented JSON, or one line with ``--json``.
 
+Channel documents are read in either version: ``"2"``, whose payload
+array is one base64 string of its little-endian ``complex128`` bytes in
+the shape the document implies, and ``"1"``, whose payload is
+``[re, im]`` lists.  ``convert`` always writes ``"2"``
+(see ``documents``).  Code and analysis documents use the lists.
+
 Exit codes: 0 success, 2 input/validation error, 3 numerical failure.
 The working tolerance is the ``--tol`` flag if given, else the
 ``QEC_TOL`` environment variable, else ``1e-9``.  ``main`` resolves it

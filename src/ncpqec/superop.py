@@ -201,8 +201,18 @@ def reshuffle(x: AMatrix | BMatrix) -> BMatrix | AMatrix:
 
 
 def _is_hermitian(m: np.ndarray, tol: float) -> bool:
-    """True iff ``max|M - M^dag|`` is at most ``tol`` times ``max|M|``."""
-    return _max_abs(m - m.conj().T) <= _cut(tol, _max_abs(m))
+    """True iff ``max|M - M^dag|`` is at most ``tol`` times ``max|M|``.
+
+    The square ``M`` is compared in row bands of its upper triangle,
+    ``M[i:i+k, i:]`` against ``M[i:, i:i+k]^dag`` with ``k = 64``, so no
+    full-size ``M^dag`` or ``M - M^dag`` is formed and no strided
+    transpose spans the whole matrix.  The bands hold every value
+    ``|M_ij - conj(M_ji)|`` of the full difference (each pair up to the
+    order of its terms, which leaves the modulus unchanged), so the
+    decision is that of the full comparison; a NaN fails its band.
+    """
+    cut, k = _cut(tol, _max_abs(m)), 64
+    return all(_max_abs(m[i : i + k, i:] - m[i:, i : i + k].conj().T) <= cut for i in range(0, len(m), k))
 
 
 def check_trace_preserving(x: AMatrix | SignedOperatorSum, tol: float = DEFAULT_TOL) -> bool:

@@ -24,6 +24,7 @@ from ncpqec import (
     projector_from_basis,
     repetition_bitflip,
 )
+from ncpqec.documents import encode_matrix
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -90,6 +91,16 @@ def b_signatures(b: BMatrix, tol: float = DEFAULT_TOL) -> tuple[Signature | None
             out.append(None)
     assert (out[0] is None) == (out[1] is None), out
     return tuple(out)
+
+
+def list_channel_document(channel: AMatrix | BMatrix | SignedOperatorSum) -> dict:
+    """The version "1" channel document of ``channel``: its payload as ``[re, im]`` lists."""
+    if isinstance(channel, SignedOperatorSum):
+        rep, payload = "operator_sum", {"signs": list(channel.signs), "operators": encode_matrix(channel.operators)}
+    else:
+        rep = "a_matrix" if isinstance(channel, AMatrix) else "b_matrix"
+        payload = {"matrix": encode_matrix(channel.matrix)}
+    return {"schema_version": "1", "dim": channel.dim, "representation": rep, "payload": payload}
 
 
 def random_complex(rng, shape):

@@ -16,7 +16,7 @@ from ncpqec import cli, qec, repetition_bitflip
 from ncpqec.documents import channel_document, parse_analysis_document, parse_channel_document
 from ncpqec.superop import AMatrix, BMatrix, SignedOperatorSum, a_from_operator_sum, b_from_operator_sum
 
-from helpers import I2, X, bitflip_ops
+from helpers import I2, X, bitflip_ops, list_channel_document
 
 
 def run_cli(*argv, env_extra=None):
@@ -94,6 +94,27 @@ def test_convert_roundtrip_through_all_representations(tmp_path):
     b0 = b_from_operator_sum(ops).matrix
     b1 = b_from_operator_sum(recovered).matrix
     assert np.abs(b0 - b1).max() < 1e-9
+
+
+def test_convert_writes_packed_documents_and_qec_reads_both_versions(tmp_path, capsys):
+    # A convert round trip through the three forms writes version "2"
+    # documents, and qec prints the same bytes for the "1" list document
+    # and the "2" packed document of each.
+    code = write_repetition_code(tmp_path / "code.json")
+    path = write_channel(tmp_path / "start.json", bitflip_ops(-0.2))
+    for target in ("a_matrix", "b_matrix", "operator_sum"):
+        assert cli.main(["convert", path, "--to", target, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["schema_version"], doc["representation"]) == ("2", target)
+        path = str(tmp_path / f"{target}.json")
+        (tmp_path / f"{target}.json").write_text(json.dumps(doc))
+        (tmp_path / f"{target}-1.json").write_text(json.dumps(list_channel_document(parse_channel_document(doc))))
+        outputs = []
+        for chan in (path, str(tmp_path / f"{target}-1.json")):
+            assert cli.main(["qec", chan, "--code", code, "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["verdict"] == "code_outside_domain"
 
 
 def test_convert_malformed_json_exits_2(tmp_path):

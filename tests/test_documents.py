@@ -1,3 +1,5 @@
+import base64
+import binascii
 import copy
 import json
 import re
@@ -20,11 +22,11 @@ from ncpqec.documents import (
     parse_code_document,
 )
 from ncpqec import qec
-from ncpqec.pseudolinalg import Signature, _frozen
+from ncpqec.pseudolinalg import _frozen
 from ncpqec.qec import Recovery, analyze, repetition_bitflip, verify_recovery
 from ncpqec.superop import AMatrix, BMatrix, SignedOperatorSum, a_from_operator_sum, b_from_operator_sum
 
-from helpers import I2, X, Z, bitflip_ops, random_complex, repetition_code
+from helpers import I2, X, bitflip_ops, list_channel_document, random_complex, repetition_code
 
 
 def _roundtrip(doc):
@@ -150,7 +152,8 @@ def test_channel_document_complex_entries():
 
 
 def test_parse_channel_document_rejects_bad_input():
-    good = channel_document(SignedOperatorSum.from_terms([1], [I2]))
+    # A version "1" document: its list payload takes the edits below.
+    good = list_channel_document(SignedOperatorSum.from_terms([1], [I2]))
 
     with pytest.raises(ValueError):
         parse_channel_document([1, 2, 3])
@@ -609,7 +612,143 @@ def test_channel_document_rejects_another_type():
 )
 def test_channel_record_errors_name_the_payload(form, path, value, hint):
     # Shapes and signs are checked once, by the record the parser builds,
-    # and its message is prefixed with the payload's path.
+    # and its message is prefixed with the payload's path.  A version "1"
+    # document, so an edited size reaches the record: a packed payload of
+    # the wrong size is refused by its decoder (tests below).
     channel = bitflip_ops(-0.2) if form is None else form(bitflip_ops(-0.2))
     with pytest.raises(ValueError, match=f"^channel\\.payload: {hint}"):
-        parse_channel_document(_set(_roundtrip(channel_document(channel)), path, value))
+        parse_channel_document(_set(_roundtrip(list_channel_document(channel)), path, value))
+
+
+# Packed channel payloads: version "2" documents hold the matrix or the
+# operator stack as base64 text of their little-endian complex128 bytes.
+
+
+def _packed(raw):
+    """Base64 text of ``raw``, written without the library's encoder."""
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _edge_matrix(rng, n):
+    m = random_complex(rng, (n, n))
+    m.flat[:4] = [-0.0, 5e-324, -1.7976931348623157e308, complex(-0.0, -5e-324)]
+    return m
+
+
+def _packed_channels():
+    rng = np.random.default_rng(27)
+    ops = SignedOperatorSum.from_terms([1, 1, -1], [_edge_matrix(rng, 4) for _ in range(3)])
+    return {
+        "a_matrix": AMatrix(4, _edge_matrix(rng, 16)),
+        "b_matrix": BMatrix(4, _edge_matrix(rng, 16)),
+        "operator_sum": ops,
+        "empty_sum": SignedOperatorSum(2, (), ()),
+        "bitflip_b": b_from_operator_sum(bitflip_ops(-0.2)),
+    }
+
+
+def _same_record(got, want):
+    assert type(got) is type(want) and got.dim == want.dim
+    key = "operators" if isinstance(want, SignedOperatorSum) else "matrix"
+    if key == "operators":
+        assert got.signs == want.signs
+    a, b = getattr(got, key), getattr(want, key)
+    assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("name", sorted(_packed_channels()))
+def test_packed_channel_document_roundtrips_bit_for_bit(name):
+    channel = _packed_channels()[name]
+    doc = _roundtrip(channel_document(channel))
+    assert doc["schema_version"] == SCHEMA_VERSION == "2"
+    assert all(isinstance(v, str) for k, v in doc["payload"].items() if k != "signs")
+    _same_record(parse_channel_document(doc), channel)
+
+
+@pytest.mark.parametrize("name", sorted(_packed_channels()))
+def test_list_channel_document_still_parses_to_the_same_record(name):
+    channel = _packed_channels()[name]
+    doc = _roundtrip(list_channel_document(channel))
+    assert doc["schema_version"] == "1"
+    _same_record(parse_channel_document(doc), channel)
+    _same_record(parse_channel_document(doc), parse_channel_document(_roundtrip(channel_document(channel))))
+
+
+_B = np.arange(16).reshape(4, 4) * (1 + 0.5j)  # a dim-2 matrix payload: 256 bytes
+_RAW = _B.astype("<c16").tobytes()
+_NAN = _B.copy()
+_NAN[1, 2] = complex(0.0, float("nan"))
+_OPS = np.array([I2, 0.5 * X, 0.5 * X, 0.5 * I2])  # four dim-2 operators: 256 bytes
+_INF = _OPS.copy()
+_INF[1, 0, 1] = float("inf")
+
+
+def _packed_b_doc():
+    return _roundtrip(channel_document(BMatrix(2, _B)))
+
+
+def _packed_ops_doc():
+    return _roundtrip(channel_document(SignedOperatorSum.from_terms([1, 1, -1, -1], list(_OPS))))
+
+
+_MATRIX, _TEXT = ("payload", "matrix"), _packed(_RAW)
+
+
+@pytest.mark.parametrize(
+    "make, path, value, hint",
+    [
+        (_packed_b_doc, _MATRIX, encode_matrix(_B), r"matrix must be a string of packed complex128 bytes, got list$"),
+        (_packed_b_doc, _MATRIX, "not base64!", r"matrix: not base64 text"),
+        (_packed_b_doc, _MATRIX, _packed(_RAW[:-16]), r"matrix: holds 240 bytes, but shape \(4, 4\) needs 256$"),
+        (_packed_b_doc, _MATRIX, _packed(_RAW + b"\0"), r"matrix: holds 257 bytes, but shape \(4, 4\) needs 256$"),
+        (_packed_b_doc, ("dim",), 3, r"matrix: holds 256 bytes, but shape \(9, 9\) needs 1296$"),
+        (_packed_b_doc, ("dim",), 10**5, r"matrix: holds 256 bytes, but shape \(10000000000, 10000000000\) needs"),
+        (_packed_ops_doc, ("payload", "signs"), [1, 1, -1], r"operators: holds 256 bytes, but shape \(3, 2, 2\)"),
+        (_packed_ops_doc, ("payload", "signs"), [1] * 5, r"operators: holds 256 bytes, but shape \(5, 2, 2\)"),
+        (_packed_b_doc, _MATRIX, _packed(_NAN.tobytes()), r"matrix\[1\]\[2\]: complex entries must be finite, got nanj"),
+        (_packed_ops_doc, ("payload", "operators"), _packed(_INF.tobytes()), r"operators\[1\]\[0\]\[1\]: complex entries"),
+        (_packed_b_doc, _MATRIX, _TEXT[:100] + "\n" + _TEXT[100:], r"matrix: not canonical base64 text$"),
+        (_packed_b_doc, _MATRIX, _TEXT[:100] + "!" + _TEXT[100:], r"matrix: not canonical base64 text$"),
+        (_packed_b_doc, _MATRIX, _TEXT[:100] + "\u00e9" + _TEXT[100:], r"matrix: not base64 text"),
+    ],
+    ids=[
+        "not-a-string",
+        "bad-base64",
+        "truncated",
+        "extra-bytes",
+        "wrong-dim",
+        "huge-dim",
+        "fewer-signs",
+        "more-signs",
+        "nan",
+        "inf-operator",
+        "line-break",
+        "stray-character",
+        "non-ascii",
+    ],
+)
+def test_packed_payload_refusals_name_the_field(make, path, value, hint):
+    doc = make()
+    assert doc["schema_version"] == "2"
+    with pytest.raises(ValueError, match=r"^channel\.payload\." + hint):
+        parse_channel_document(_set(doc, path, value))
+
+
+def test_packed_decoder_runs_on_the_python_3_10_binascii(monkeypatch):
+    # The project supports Python 3.10, whose a2b_base64 takes no strict_mode.
+    lenient = binascii.a2b_base64
+    monkeypatch.setattr(binascii, "a2b_base64", lambda data: lenient(data))
+    _same_record(parse_channel_document(_packed_b_doc()), BMatrix(2, _B))
+    with pytest.raises(ValueError, match=r"^channel\.payload\.matrix: not canonical base64 text$"):
+        parse_channel_document(_set(_packed_b_doc(), _MATRIX, _TEXT[:100] + "\n" + _TEXT[100:]))
+
+
+@pytest.mark.parametrize(
+    "signs, hint",
+    [([1, 1, -1, 1], "positive-sign terms must precede"), ([1, 1, 1, 2], "signs must be")],
+)
+def test_packed_channel_record_errors_name_the_payload(signs, hint):
+    # The packed operators decode to the sign count, and the record checks the signs.
+    doc = _set(_roundtrip(channel_document(bitflip_ops(-0.2))), ("payload", "signs"), signs)
+    with pytest.raises(ValueError, match=f"^channel\\.payload: {hint}"):
+        parse_channel_document(doc)

@@ -21,7 +21,7 @@ from ncpqec import (
     vec,
 )
 from ncpqec.pseudolinalg import DEFAULT_TOL, _max_abs, _signed_eigensystem
-from ncpqec.superop import _signed_gram
+from ncpqec.superop import _is_hermitian, _signed_gram
 
 from helpers import (
     I2,
@@ -116,6 +116,18 @@ def test_hermiticity_preservation_checks():
     m = random_complex(np.random.default_rng(97), (4, 4))
     assert b_signatures(reshuffle(AMatrix(2, m))) == (None, None)
     assert b_signatures(reshuffle(AMatrix(2, 1e-12 * m))) == (None, None)
+
+
+@pytest.mark.parametrize("at", [(0, 255), (255, 0), (63, 64), (64, 63), (130, 200), (255, 254)])
+def test_hermiticity_gate_reads_every_band(at):
+    # A d = 16 map has a 256 x 256 B, which the gate reads in four bands. A
+    # nudge above or below the diagonal, on a band's edge or inside one, is
+    # judged as the full max|M - M^dag| judges it.
+    h, tol = random_hermitian(np.random.default_rng(59), 256), 1e-9
+    for factor, hermitian in ((2.0, False), (0.5, True)):
+        m = h.copy()
+        m[at] += factor * tol * _max_abs(h) * 1j
+        assert _is_hermitian(m, tol) == hermitian == (_max_abs(m - m.conj().T) <= tol * _max_abs(m))
 
 
 def test_transpose_map_classification():
