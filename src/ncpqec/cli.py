@@ -20,7 +20,9 @@ Channel documents are read in either version: ``"2"``, whose payload
 array is one base64 string of its little-endian ``complex128`` bytes in
 the shape the document implies, and ``"1"``, whose payload is
 ``[re, im]`` lists.  ``convert`` always writes ``"2"``
-(see ``documents``).  Code and analysis documents use the lists.
+(see ``documents``).  Code and analysis documents, and the ``u`` of
+``equiv`` (output version ``"2"``), use lists: a real array as plain
+numbers, any other as ``[re, im]`` pairs.
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical failure.
 The working tolerance is the ``--tol`` flag if given, else the
@@ -155,10 +157,10 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     try:
         result = connecting_pseudounitary(first, second, args.tol)
     except MapsNotEqual:  # the maps_equal gate
-        _emit({"schema_version": "1", "equal": False}, args)
+        _emit({"schema_version": "2", "equal": False}, args)
         return 0
     doc = {
-        "schema_version": "1",
+        "schema_version": "2",
         "equal": True,
         "u": encode_matrix(result.u),
         "signature": {"p": result.signature.p, "q": result.signature.q},

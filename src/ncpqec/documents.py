@@ -1,11 +1,15 @@
 """JSON document schemas for channels, codes and analysis reports.
 
-Complex scalars are encoded as two-element ``[re, im]`` arrays and
-matrices as row-major nested lists of those pairs, except in a channel
-document's payload.  Every document carries a ``schema_version`` so
-formats can evolve; parsing rejects unknown versions.  Analysis
-documents are version ``"3"``, which hold everything on the code in
-``d x r`` form; code documents are unversioned lists of vectors.
+Arrays are encoded as row-major nested lists of their shape, except in
+a channel document's payload.  An array whose imaginary parts are all
+``+0.0``, bit for bit, is written as its real parts; any other writes
+each entry as a two-element ``[re, im]`` list.  The form is chosen per
+array from its data, and both decode to the bits they were written
+from.  Every document carries a ``schema_version`` so formats can
+evolve; parsing rejects unknown versions.  Analysis documents are
+version ``"4"``, which hold everything on the code in ``d x r`` form;
+version ``"3"`` wrote every array as pairs, so it is read as a ``"4"``
+tree.  Code documents are unversioned lists of vectors in either form.
 
 Channel documents are written as version ``"2"``: the payload's
 ``matrix`` (``a_matrix``, ``b_matrix``) or ``operators``
@@ -42,7 +46,8 @@ from .pseudolinalg import Signature
 
 SCHEMA_VERSION = "2"
 _LIST_VERSION = "1"  # channel payloads as [re, im] lists, still read
-_ANALYSIS_VERSION = "3"
+_ANALYSIS_VERSION = "4"
+_PAIR_ANALYSIS_VERSION = "3"  # every entry as a pair, a valid "4" tree
 _CHANNEL_FORMS = {"a_matrix": AMatrix, "b_matrix": BMatrix, "operator_sum": SignedOperatorSum}
 REPRESENTATIONS = tuple(_CHANNEL_FORMS)
 _NUMBER = (int, float)
@@ -73,28 +78,40 @@ def _pair(z: Any) -> bool:
     return isinstance(z, (list, tuple)) and len(z) == 2 and _finite(z[0]) and _finite(z[1])
 
 
-def _complex_array(pairs: list, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """The row-major flat list ``pairs`` of ``[re, im]`` pairs read as a complex128 array of ``shape``.
+def _complex_array(entries: list, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """The row-major flat list ``entries`` read as a complex128 array of ``shape``.
 
-    The pairs and their entries are type-checked by whole-array scans and
-    decoded in one pass: one ``np.fromiter`` over the flat numbers, read
-    bit for bit as complex128.  Only a rejected input is searched for the
-    first entry that is not a pair of finite numbers, which is named.
+    The entries are all finite numbers, each the real part of an entry
+    whose imaginary part is ``+0.0``, or all ``[re, im]`` pairs; the
+    first entry decides which.  They are type-checked by whole-array
+    scans and decoded in one pass: one ``np.fromiter`` over the flat
+    numbers, read bit for bit as complex128.  Only a rejected input is
+    searched for the first entry that breaks its form, which is named.
     """
-    if all(issubclass(t, (list, tuple)) for t in set(map(type, pairs))) and set(map(len, pairs)) == {2}:
-        if all(issubclass(t, _NUMBER) and t is not bool for t in set(map(type, chain.from_iterable(pairs)))):
+    pairs = isinstance(entries[0], (list, tuple))
+    numbers = chain.from_iterable if pairs else iter
+    if not pairs or all(issubclass(t, (list, tuple)) for t in set(map(type, entries))) and set(map(len, entries)) == {2}:
+        if all(issubclass(t, _NUMBER) and t is not bool for t in set(map(type, numbers(entries)))):
             with suppress(OverflowError):  # an int beyond the float range
-                a = np.fromiter(chain.from_iterable(pairs), float, 2 * len(pairs))
+                a = np.fromiter(numbers(entries), float, (1 + pairs) * len(entries))
                 if np.isfinite(a).all():
-                    return a.view(complex).reshape(shape)
-    i, z = next((i, z) for i, z in enumerate(pairs) if not _pair(z))
+                    return (a.view(complex) if pairs else a.astype(complex)).reshape(shape)
+    ok, what = (_pair, "complex entries must be [re, im] pairs of") if pairs else (_finite, "real entries must be")
+    i, z = next((i, z) for i, z in enumerate(entries) if not ok(z))
     at = "".join(f"[{j}]" for j in np.unravel_index(i, shape))
-    raise ValueError(f"{where}{at}: complex entries must be [re, im] pairs of finite numbers, got {z!r}")
+    raise ValueError(f"{where}{at}: {what} finite numbers, got {z!r}")
 
 
 def encode_matrix(a: np.ndarray) -> list:
-    """Encode a matrix, a vector or a stack of either as nested lists of its shape of ``[re, im]`` pairs."""
+    """Encode a matrix, a vector or a stack of either as nested lists of its shape.
+
+    An array whose imaginary parts are all ``+0.0``, bit for bit, is
+    written as its real parts; any other as ``[re, im]`` pairs.  Either
+    form decodes to the same bits.
+    """
     a = np.asarray(a, dtype=complex)
+    if not a.imag.view(np.int64).any():
+        return a.real.tolist()
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
@@ -286,7 +303,7 @@ def parse_analysis_document(obj: Any) -> dict:
     """
     if not isinstance(obj, dict):
         raise ValueError("analysis document must be a JSON object")
-    _check_version(obj, "analysis", _ANALYSIS_VERSION)
+    _check_version(obj, "analysis", _ANALYSIS_VERSION, _PAIR_ANALYSIS_VERSION)
     verdicts = ("reversible_positive", "code_outside_domain", "conditions_violated")
     verdict = _field(obj, "verdict", "analysis", str, f"one of {verdicts}", verdicts.__contains__)
     sig = _field(obj, "signature", "analysis", dict, "a JSON object")

@@ -117,6 +117,22 @@ def _frozen(a: np.ndarray, dtype: type = complex) -> np.ndarray:
     return out
 
 
+def _held(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is complex, read-only and its memory cannot change, else a :func:`_frozen` copy.
+
+    Such memory is ``a``'s own, or an immutable ``bytes`` object at the end
+    of its base chain, as for ``np.frombuffer`` over decoded text: numpy
+    refuses to make that array writeable.
+    """
+    a = np.asarray(a)
+    base = a.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if a.dtype == complex and not a.flags.writeable and (a.base is None or isinstance(base, bytes)):
+        return a
+    return _frozen(a)
+
+
 def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -229,6 +245,11 @@ def _cluster_indices(values: list[float], gap: float) -> list[list[int]]:
     return clusters
 
 
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=0)`` by numpy's own formula, without its dispatch."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
+
+
 def _coordinate_basis(x: np.ndarray, floor: float) -> np.ndarray:
     """Gram-Schmidt of the columns of ``x`` (``k x m``) in index order, to a basis of ``C^k``.
 
@@ -237,10 +258,10 @@ def _coordinate_basis(x: np.ndarray, floor: float) -> np.ndarray:
     """
     k = x.shape[0]
     basis: list[np.ndarray] = []
-    for w in x.T[np.linalg.norm(x, axis=0) > floor]:
+    for w in x.T[_column_norms(x) > floor]:
         for b in basis:
             w = w - b * np.vdot(b, w)
-        wn = np.linalg.norm(w)
+        wn = np.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))  # np.linalg.norm(w), without its dispatch
         if wn > floor:
             basis.append(w / wn)
             if len(basis) == k:
@@ -274,14 +295,14 @@ def _signed_eigensystem(
     if candidates is None:
         x, floor = v.conj().T, 1e-8
     else:
-        x, floor = v.conj().T @ candidates, 1e-8 * float(np.max(np.linalg.norm(candidates, axis=0)))
+        x, floor = v.conj().T @ candidates, 1e-8 * float(np.max(_column_norms(candidates)))
     p = x[np.arange(len(order)), np.argmax(np.abs(x) > floor, axis=1)]
     values, basis = lam[order], v * (p / np.abs(p))
     start = 0
     for c in clusters:
         if len(c) > 1:
             block = slice(start, start + len(c))
-            values[block] = np.mean(lam[c])
+            values[block] = lam[c].sum() / len(c)  # np.mean's sum and division
             basis[:, block] = v[:, block] @ _coordinate_basis(x[block], floor)
         start += len(c)
     return values, basis

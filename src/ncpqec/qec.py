@@ -58,7 +58,7 @@ from .errors import (
     WitnessSearchFailed,
     ZeroTrace,
 )
-from .pseudolinalg import DEFAULT_TOL, _check_tol, _cut, _frozen, _max_abs, _signed_eigensystem
+from .pseudolinalg import DEFAULT_TOL, _check_tol, _cut, _frozen, _held, _max_abs, _signed_eigensystem
 from .superop import AMatrix, BMatrix, SignedOperatorSum, _as_b_matrix, _checked_b, _signed_factors, _SignedTerms
 
 __all__ = [
@@ -83,12 +83,6 @@ __all__ = [
 
 _VERIFY_SEED = 424033
 _RANDOM_SAMPLES = 20
-
-
-def _held(a: np.ndarray) -> np.ndarray:
-    """``a`` itself if it is complex, read-only and owns its memory, else a read-only complex copy."""
-    a = np.asarray(a)
-    return a if a.dtype == complex and not a.flags.writeable and a.base is None else _frozen(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,11 +455,17 @@ def on_code(channel: SignedOperatorSum | BMatrix | AMatrix, code: CodeSpace, tol
     return CodeTerms(*_on_code(channel, code, tol))
 
 
-def _blocks(v: np.ndarray) -> np.ndarray:
-    """The ``(n, n, r, r)`` blocks ``V_k^dag V_l`` of an ``(n, d, r)`` stack, as one Gram GEMM."""
+def _gram(v: np.ndarray) -> np.ndarray:
+    """The ``(n r, n r)`` Gram of the columns of an ``(n, d, r)`` stack, those of ``V_1`` first, as one GEMM."""
     n, d, r = v.shape
     rows = v.transpose(0, 2, 1).reshape(n * r, d)  # [V_1, V_2, ...]^T
-    return (rows.conj() @ rows.T).reshape(n, r, n, r).transpose(0, 2, 1, 3)
+    return rows.conj() @ rows.T
+
+
+def _blocks(v: np.ndarray) -> np.ndarray:
+    """The ``(n, n, r, r)`` blocks ``V_k^dag V_l`` of an ``(n, d, r)`` stack, as one Gram GEMM."""
+    n, _, r = v.shape
+    return _gram(v).reshape(n, r, n, r).transpose(0, 2, 1, 3)
 
 
 def _condition_fit(blocks: np.ndarray, signs: Sequence[int] | None, form: str) -> ConditionMatrix:
@@ -506,14 +506,14 @@ def _canonical_terms(
     mu, q = np.linalg.eigh(np.einsum("klaa->kl", blocks / r))
     scale = float(mu.max(initial=0.0))
     keep = mu > _cut(tol, scale)
-    root = np.sqrt(mu[keep])
-    factor = root[:, None] * q[:, keep].conj().T  # R, with G = R^dag R
+    root, q = np.sqrt(mu[keep]), q[:, keep]
+    factor = root[:, None] * q.conj().T  # R, with G = R^dag R
     lam, w = np.linalg.eigh((factor * np.asarray(signs)) @ factor.conj().T)
     # Each eigenspace gets the basis spanned by the input terms (columns
     # of R) in index order, so already-diagonal conditions give T = I.
     values, w_fixed = _signed_eigensystem(lam, w, _cut(tol, scale), factor)
     d, new_signs = np.abs(values), np.sign(values)
-    t = (q[:, keep] / root) @ w_fixed * np.sqrt(d)
+    t = (q / root) @ w_fixed * np.sqrt(d)
     # The traced part of T^dag blocks T is diag(d) by construction, so the
     # fit's residual is the deviation from diag(d) x identity.
     canonical = (t.conj().T @ blocks.transpose(2, 3, 0, 1) @ t).transpose(2, 3, 0, 1)
@@ -544,8 +544,10 @@ def _syndromes(v: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
         )
     w = products @ ((u / np.sqrt(lam)[:, None, :]) @ u.conj().swapaxes(1, 2))  # F_k B H_k^(-1/2)
     w.setflags(write=False)  # held by the record without a copy
-    errors = np.abs(_blocks(w) - np.eye(m)[:, :, None, None] * np.eye(r)).max(axis=(2, 3))
-    if errors.max(initial=0.0) > 10 * _cut(tol):
+    gram = _gram(w)
+    gram.ravel()[:: m * r + 1] -= 1.0  # W_a^dag W_c - delta_ac I, in place
+    if np.abs(gram).max(initial=0.0) > 10 * _cut(tol):
+        errors = np.abs(gram.reshape(m, r, m, r)).max(axis=(1, 3))  # per pair (a, c)
         a, c = np.unravel_index(np.argmax(errors), errors.shape)
         raise OrthogonalityViolation(
             f"syndromes {a} and {c} are not orthonormal: max|W_a^dag W_b - delta_ab I| = {errors[a, c]:.3e}"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NotHermitian, NotPseudoUnitary
 from .pseudolinalg import DEFAULT_TOL, Signature, eta_metric, is_pseudounitary
-from .pseudolinalg import _cut, _frozen, _max_abs, _signed_eigensystem
+from .pseudolinalg import _cut, _frozen, _held, _max_abs, _signed_eigensystem
 
 __all__ = [
     "AMatrix",
@@ -59,8 +59,8 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 
 def _check_map_matrix(x: AMatrix | BMatrix, name: str) -> None:
-    """Check that ``x.matrix`` is a finite ``d^2 x d^2`` array and freeze it."""
-    m = np.asarray(x.matrix, dtype=complex)
+    """Check that ``x.matrix`` is a finite ``d^2 x d^2`` array and hold it read-only (:func:`_held`)."""
+    m = _held(x.matrix)
     d2 = x.dim * x.dim
     if x.dim < 1:
         raise ValueError("dim must be positive")
@@ -68,7 +68,7 @@ def _check_map_matrix(x: AMatrix | BMatrix, name: str) -> None:
         raise ValueError(f"{name} for dim {x.dim} must have shape ({d2}, {d2}), got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
-    object.__setattr__(x, "matrix", _frozen(m))
+    object.__setattr__(x, "matrix", m)
 
 
 @dataclass(frozen=True, eq=False)

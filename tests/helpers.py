@@ -24,7 +24,6 @@ from ncpqec import (
     projector_from_basis,
     repetition_bitflip,
 )
-from ncpqec.documents import encode_matrix
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -93,13 +92,19 @@ def b_signatures(b: BMatrix, tol: float = DEFAULT_TOL) -> tuple[Signature | None
     return tuple(out)
 
 
+def pair_lists(a: np.ndarray) -> list:
+    """``a`` as nested lists of ``[re, im]`` pairs, whatever its imaginary parts."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
 def list_channel_document(channel: AMatrix | BMatrix | SignedOperatorSum) -> dict:
     """The version "1" channel document of ``channel``: its payload as ``[re, im]`` lists."""
     if isinstance(channel, SignedOperatorSum):
-        rep, payload = "operator_sum", {"signs": list(channel.signs), "operators": encode_matrix(channel.operators)}
+        rep, payload = "operator_sum", {"signs": list(channel.signs), "operators": pair_lists(channel.operators)}
     else:
         rep = "a_matrix" if isinstance(channel, AMatrix) else "b_matrix"
-        payload = {"matrix": encode_matrix(channel.matrix)}
+        payload = {"matrix": pair_lists(channel.matrix)}
     return {"schema_version": "1", "dim": channel.dim, "representation": rep, "payload": payload}
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ncpqec import cli, qec, repetition_bitflip
-from ncpqec.documents import channel_document, parse_analysis_document, parse_channel_document
+from ncpqec.documents import channel_document, decode_matrix, parse_analysis_document, parse_channel_document
 from ncpqec.superop import AMatrix, BMatrix, SignedOperatorSum, a_from_operator_sum, b_from_operator_sum
 
 from helpers import I2, X, bitflip_ops, list_channel_document
@@ -403,7 +403,7 @@ def test_equiv_boosted_pair(tmp_path):
     assert doc["signature"] == {"p": 1, "q": 1}
     assert doc["padding_added"] == [0, 0]
     assert doc["residual"] <= 1e-9
-    u = np.array([[complex(re, im) for re, im in row] for row in doc["u"]])
+    u = decode_matrix(doc["u"])
     eta = np.diag([1.0, -1.0])
     assert np.abs(u @ eta @ u.conj().T - eta).max() < 1e-9
 
@@ -413,7 +413,7 @@ def test_equiv_different_maps(tmp_path):
     p2 = write_channel(tmp_path / "b.json", SignedOperatorSum.from_terms([1], [X]))
     proc = run_cli("equiv", p1, p2, "--json")
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"schema_version": "1", "equal": False}
+    assert json.loads(proc.stdout) == {"schema_version": "2", "equal": False}
 
 
 def test_equiv_self_connection(tmp_path):

@@ -2,6 +2,7 @@ import base64
 import binascii
 import copy
 import json
+import math
 import re
 
 import numpy as np
@@ -21,12 +22,12 @@ from ncpqec.documents import (
     parse_channel_document,
     parse_code_document,
 )
-from ncpqec import qec
+from ncpqec import documents, pseudolinalg, qec
 from ncpqec.pseudolinalg import _frozen
 from ncpqec.qec import Recovery, analyze, repetition_bitflip, verify_recovery
 from ncpqec.superop import AMatrix, BMatrix, SignedOperatorSum, a_from_operator_sum, b_from_operator_sum
 
-from helpers import I2, X, bitflip_ops, list_channel_document, random_complex, repetition_code
+from helpers import I2, X, bitflip_ops, list_channel_document, pair_lists, random_complex, repetition_code
 
 
 def _roundtrip(doc):
@@ -66,17 +67,32 @@ _reals = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infi
 
 
 def _encode_per_entry(a):
-    """The per-entry encoder the whole-array codec must reproduce."""
-    if a.ndim == 1:
-        return [[float(complex(z).real), float(complex(z).imag)] for z in a]
-    return [_encode_per_entry(row) for row in a]
+    """The per-entry encoder the whole-array codec must reproduce.
+
+    The real parts alone when every imaginary part is ``+0.0``, else
+    ``[re, im]`` pairs.
+    """
+    real = all(math.copysign(1.0, complex(z).imag) == 1.0 and complex(z).imag == 0.0 for z in a.flat)
+
+    def rows(x):
+        if x.ndim > 1:
+            return [rows(row) for row in x]
+        return [float(complex(z).real) if real else [float(complex(z).real), float(complex(z).imag)] for z in x]
+
+    return rows(a)
 
 
 @st.composite
 def _complex_arrays(draw, rank):
+    """A complex array whose imaginary parts are drawn, all ``+0.0``, or all ``+0.0`` but one ``-0.0``."""
     shape = tuple(draw(st.integers(1, 6)) for _ in range(rank))
     a = np.empty(shape, dtype=complex)
     a.real, a.imag = (draw(arrays(np.float64, shape, elements=_reals)) for _ in range(2))
+    kind = draw(st.sampled_from(["drawn", "plus-zero", "one-minus-zero"]))
+    if kind != "drawn":
+        a.imag = 0.0
+    if kind == "one-minus-zero":
+        a.imag.flat[draw(st.integers(0, a.size - 1))] = -0.0
     return a
 
 
@@ -117,7 +133,7 @@ def test_decode_accepts_tuple_pairs():
 )
 def test_decode_names_a_bad_last_entry(bad):
     # The bad entry is the last of 256, so a check of the first row alone misses it.
-    m = encode_matrix(np.ones((16, 16)))
+    m = encode_matrix(np.full((16, 16), 1 + 1j))
     m[15][15] = bad
     message = f"complex entries must be [re, im] pairs of finite numbers, got {bad!r}"
     with pytest.raises(ValueError, match=re.escape(f"m[15][15]: {message}")):
@@ -248,7 +264,7 @@ def _report(c0):
 def test_analysis_document_outside_domain_roundtrip():
     report, sig = _report(-0.2)
     doc = _roundtrip(analysis_document(report, sig))
-    assert doc["schema_version"] == "3"
+    assert doc["schema_version"] == "4"
     assert doc["verdict"] == "code_outside_domain"
     assert doc["signature"] == {"p": 3, "q": 1}
     assert all(set(s) == {"isometry", "weight", "sign", "term_index"} for s in doc["syndromes"])
@@ -303,14 +319,16 @@ def test_parsed_recovery_copies_the_isometry_stack_once(monkeypatch):
     ops, code = repetition_bitflip(4, 0.7)
     doc = _roundtrip(analysis_document(analyze(ops, code), ops.signature))
     frozen = []
-    monkeypatch.setattr(qec, "_frozen", lambda a, *args: frozen.append(np.shape(a)) or _frozen(a, *args))
+    for owner in (qec, pseudolinalg):  # _held copies through pseudolinalg's own _frozen
+        monkeypatch.setattr(owner, "_frozen", lambda a, *args: frozen.append(np.shape(a)) or _frozen(a, *args))
     w = parse_analysis_document(doc)["recovery"].isometries
     assert w.dtype == complex and not w.flags.writeable and w.base is None
     assert w.shape not in frozen and all(len(shape) == 2 for shape in frozen)
 
 
-def _is_pair(z):
-    return isinstance(z, list) and len(z) == 2 and all(isinstance(x, (int, float)) for x in z)
+def _is_entry(z):
+    """``z`` is an encoded entry: a real number, or an ``[re, im]`` pair."""
+    return isinstance(z, (int, float)) or isinstance(z, list) and len(z) == 2 and all(isinstance(x, (int, float)) for x in z)
 
 
 def _matrix_widths(node, path=""):
@@ -319,9 +337,9 @@ def _matrix_widths(node, path=""):
         return [w for key, value in node.items() for w in _matrix_widths(value, f"{path}.{key}".lstrip("."))]
     if not isinstance(node, list) or not node:
         return []
-    if all(_is_pair(z) for z in node):
+    if all(_is_entry(z) for z in node):
         return [(path, 1)]
-    if all(isinstance(row, list) and row and all(_is_pair(z) for z in row) for row in node):
+    if all(isinstance(row, list) and row and all(_is_entry(z) for z in row) for row in node):
         return [(path, len(node[0]))]
     return [w for k, item in enumerate(node) for w in _matrix_widths(item, f"{path}[{k}]")]
 
@@ -752,3 +770,107 @@ def test_packed_channel_record_errors_name_the_payload(signs, hint):
     doc = _set(_roundtrip(channel_document(bitflip_ops(-0.2))), ("payload", "signs"), signs)
     with pytest.raises(ValueError, match=f"^channel\\.payload: {hint}"):
         parse_channel_document(doc)
+
+
+# Real arrays: an array whose imaginary parts are all +0.0 is written as
+# its real parts, and read back to the same bits.
+
+
+def test_encoder_writes_plus_zero_imaginary_parts_as_real_numbers():
+    assert encode_matrix(np.array([[1.0, -0.0], [5e-324, 2.0]])) == [[1.0, -0.0], [5e-324, 2.0]]
+    assert encode_vector(np.array([1.0, complex(2.0, -0.0)])) == [[1.0, 0.0], [2.0, -0.0]]
+    assert json.dumps(encode_vector(np.array([1.0, complex(2.0, -0.0)]))) == "[[1.0, 0.0], [2.0, -0.0]]"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["1", True, None, float("nan"), float("inf"), 10**400, [1.0, 0.0]],
+    ids=["str", "bool", "none", "nan", "inf", "huge-int", "pair"],
+)
+def test_decode_names_a_bad_last_entry_of_a_real_array(bad):
+    # The first entry is a number, so every entry must be one; the bad
+    # entry is the last of 256.
+    m = encode_matrix(np.ones((16, 16)))
+    m[15][15] = bad
+    message = f"real entries must be finite numbers, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(f"m[15][15]: {message}")):
+        decode_matrix(m, "m")
+    with pytest.raises(ValueError, match=re.escape(f"v[15]: {message}")):
+        decode_vector(m[15], "v")
+
+
+def _conditions_violated():
+    ops = SignedOperatorSum.from_terms(
+        [1, 1], [np.sqrt(0.8) * I2, np.sqrt(0.2) * np.array([[1, 0], [0, -1]], dtype=complex)]
+    )
+    return analyze(ops, parse_code_document([[1.0, 0.0], [0.0, 1.0]], tol=1e-9)), ops.signature
+
+
+def _bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _parsed_bits(parsed):
+    """A parsed analysis document with each array as its dtype, shape and bytes, for exact comparison."""
+    out = {key: _bits(value) if isinstance(value, np.ndarray) else value for key, value in parsed.items()}
+    if "syndromes" in parsed:
+        out["syndromes"] = [{k: _bits(v) if k == "isometry" else v for k, v in s.items()} for s in parsed["syndromes"]]
+    if "recovery" in parsed:
+        out["recovery"] = _bits(parsed["recovery"].code_isometry), _bits(parsed["recovery"].isometries)
+    if "witness" in parsed:
+        w = parsed["witness"]
+        out["witness"] = _bits(w.vector), w.syndrome_index, w.probability
+    return out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _report(0.7), lambda: _report(-0.2), _conditions_violated],
+    ids=["reversible_positive", "code_outside_domain", "conditions_violated"],
+)
+def test_pair_form_version_3_document_parses_as_its_version_4_form(monkeypatch, make):
+    # A version "3" document wrote every array as [re, im] pairs, as the
+    # encoder did before the real form; it reads to the same bits.
+    report, sig = make()
+    new = _roundtrip(analysis_document(report, sig))
+    monkeypatch.setattr(documents, "encode_matrix", pair_lists)
+    old = _set(_roundtrip(analysis_document(report, sig)), ("schema_version",), "3")
+    assert (old["schema_version"], new["schema_version"], old["verdict"]) == ("3", "4", report.verdict.value)
+    assert np.shape(old["condition"]["entries"]) == report.condition.entries.shape + (2,)
+    assert np.shape(new["condition"]["entries"]) == report.condition.entries.shape
+    assert _parsed_bits(parse_analysis_document(old)) == _parsed_bits(parse_analysis_document(new))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-12, 1e150])
+@pytest.mark.parametrize("c0", [-0.2, 0.7])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_real_analysis_documents_decode_to_the_reports_arrays(n, c0, scale):
+    # The bit-flip mixtures are real: every array takes the real form (the
+    # shape of its lists is its own) and decodes to the report's bits.
+    ops, code = repetition_bitflip(n, c0)
+    ops = SignedOperatorSum(ops.dim, ops.signs, np.sqrt(scale) * ops.operators)
+    report = analyze(ops, code)
+    doc = _roundtrip(analysis_document(report, ops.signature))
+    parsed = parse_analysis_document(doc)
+    arrays = [
+        (doc["condition"]["entries"], report.condition.entries, parsed["condition_entries"]),
+        (doc["diagonalizer"], report.diagonalizer, parsed["diagonalizer"]),
+        ([s["isometry"] for s in doc["syndromes"]], report.syndromes.isometries, [s["isometry"] for s in parsed["syndromes"]]),
+    ]
+    if report.recovery is not None:
+        arrays.append((doc["recovery"]["code_isometry"], report.recovery.code_isometry, parsed["recovery"].code_isometry))
+    if report.witness is not None:
+        arrays.append((doc["witness"]["vector"], report.witness.vector, parsed["witness"].vector))
+    for encoded, want, got in arrays:
+        assert np.shape(encoded) == want.shape
+        assert _bits(np.asarray(got)) == _bits(want)
+    assert _bits(parsed["diagonal"]) == _bits(report.diagonal)
+
+
+def test_packed_matrix_record_holds_the_decoded_bytes():
+    # The record keeps the read-only array over the decoded bytes: no copy.
+    b = parse_channel_document(_packed_b_doc()).matrix
+    base = b.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base, bytes) and not b.flags.writeable

@@ -483,3 +483,20 @@ def test_signed_operator_sum_rejects_inexact_signs(signs):
         SignedOperatorSum(2, signs, (np.eye(2), np.eye(2)))
     with pytest.raises(ValueError, match="signs"):
         SignedOperatorSum.from_terms(signs, (np.eye(2), np.eye(2)))
+
+
+@pytest.mark.parametrize("form", [AMatrix, BMatrix])
+def test_matrix_record_holds_a_bytes_backed_array_without_a_copy(form):
+    # An array over immutable bytes, as np.frombuffer gives a parser, cannot
+    # change, so the record holds it as it is; an array whose memory can
+    # change is copied once, read-only.
+    m = np.arange(16).reshape(4, 4) * (1 - 0.5j)
+    packed = np.frombuffer(m.astype("<c16").tobytes(), "<c16").reshape(4, 4)
+    assert form(2, packed).matrix is packed
+    view = m.view()
+    view.setflags(write=False)  # read-only, but its owner is writeable
+    over_bytearray = np.frombuffer(bytearray(packed.tobytes()), "<c16").reshape(4, 4)
+    for changeable in (m, view, over_bytearray):
+        held = form(2, changeable).matrix
+        assert not held.flags.writeable and not np.shares_memory(held, changeable)
+        assert np.array_equal(held, m)
