@@ -269,40 +269,57 @@ def _coordinate_basis(x: np.ndarray, floor: float) -> np.ndarray:
     raise RuntimeError("failed to construct a deterministic basis")  # pragma: no cover - candidates span
 
 
-def _signed_eigensystem(
-    lam: np.ndarray, vectors: np.ndarray, cut: float, candidates: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical ``(values, basis)`` from an ``eigh`` output, one value per basis column.
+def _signed_clusters(lam: np.ndarray, cut: float) -> tuple[list[list[int]], np.ndarray]:
+    """The canonical order of a signed spectrum: its kept clusters, and one value per kept index.
 
-    Keeps ``|lam| > cut``, clusters sorted gaps up to ``cut`` at their
-    mean, and orders the clusters positive first, then by descending
-    magnitude.  Each eigenspace's basis is the Gram-Schmidt, in index
-    order, of the projections of the columns of ``candidates`` (the
-    standard basis when ``None``) whose residual norm exceeds ``1e-8``
-    times the largest candidate norm.  It is formed from the candidates'
-    coordinates ``x = V^dag C`` in the eigenspace: a simple eigenvalue's
-    vector ``v`` becomes ``v p / |p|`` with ``p`` its first coordinate
-    above that floor.  The result ignores the eigensolver's basis choices.
+    Keeps ``|lam| > cut``, clusters sorted gaps up to ``cut`` (ties keep
+    index order) at their mean, and orders the clusters positive first,
+    then by descending magnitude.  Returns the clusters, each a list of
+    indices of ``lam`` in ascending value, and the values in the order of
+    their concatenation.
     """
     spectrum = lam.tolist()
     kept = [i for i, x in enumerate(spectrum) if abs(x) > cut]
     clusters = [[kept[j] for j in c] for c in _cluster_indices([spectrum[i] for i in kept], cut)]
     clusters.sort(key=lambda c: (spectrum[c[0]] < 0, -abs(spectrum[c[0]])))  # clusters are contiguous runs
+    values = lam[[i for c in clusters for i in c]]
+    start = 0
+    for c in clusters:
+        if len(c) > 1:
+            values[start : start + len(c)] = lam[c].sum() / len(c)  # np.mean's sum and division
+        start += len(c)
+    return clusters, values
+
+
+def _signed_eigensystem(
+    lam: np.ndarray, vectors: np.ndarray, cut: float, candidates: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical ``(values, basis)`` from an ``eigh`` output, one value per basis column.
+
+    The values and their order are :func:`_signed_clusters`'s.  Each
+    eigenspace's basis is the Gram-Schmidt, in index order, of the
+    projections of the columns of ``candidates`` (the standard basis
+    when ``None``) whose residual norm exceeds ``1e-8`` times the
+    largest candidate norm.  It is formed from the candidates'
+    coordinates ``x = V^dag C`` in the eigenspace: a simple eigenvalue's
+    vector ``v`` becomes ``v p / |p|`` with ``p`` its first coordinate
+    above that floor.  The result ignores the eigensolver's basis choices.
+    """
+    clusters, values = _signed_clusters(lam, cut)
     order = [i for c in clusters for i in c]
     v = vectors[:, order]
     if not order:
-        return lam[order], v
+        return values, v
     if candidates is None:
         x, floor = v.conj().T, 1e-8
     else:
         x, floor = v.conj().T @ candidates, 1e-8 * float(np.max(_column_norms(candidates)))
     p = x[np.arange(len(order)), np.argmax(np.abs(x) > floor, axis=1)]
-    values, basis = lam[order], v * (p / np.abs(p))
+    basis = v * (p / np.abs(p))
     start = 0
     for c in clusters:
         if len(c) > 1:
             block = slice(start, start + len(c))
-            values[block] = lam[c].sum() / len(c)  # np.mean's sum and division
             basis[:, block] = v[:, block] @ _coordinate_basis(x[block], floor)
         start += len(c)
     return values, basis

@@ -6,12 +6,17 @@ correctability conditions take the signed form
 ``sign_i P E_i^dag E_j P = c_ij P``.  :func:`analyze` decides them on the
 map restricted to the code: one Hermitian eigendecomposition gives its
 canonical terms ``F = E T``, whose conditions are diagonal when the
-conditions hold.  The analysis reads the map only through the terms on
-the code, the ``n x d x r`` stack ``V_k = E_k B``, held with the signs
-as one :class:`CodeTerms` record.  :func:`on_code` makes it once: from
-an operator sum as the product ``E B``, and from a ``B`` or ``A`` matrix
-as the signed eigenvectors of the ``d r x d r`` dynamical matrix of the
-map restricted to the code, with no ``d^2 x d^2`` eigendecomposition.
+conditions hold.  When the Gram of the terms on the code is already
+diagonal, every off-diagonal entry exactly zero (Pauli errors on a
+stabilizer code), the canonical terms are the kept input terms, read
+from its diagonal with no eigensolver; this route agrees with the
+eigendecomposition to rounding.  The analysis reads the map only
+through the terms on the code, the ``n x d x r`` stack ``V_k = E_k B``,
+held with the signs as one :class:`CodeTerms` record.  :func:`on_code`
+makes it once: from an operator sum as the product ``E B``, and from
+a ``B`` or ``A`` matrix as the signed eigenvectors of the ``d r x d r``
+dynamical matrix of the map restricted to the code, with no
+``d^2 x d^2`` eigendecomposition.
 Such terms need not be any ``E_k B`` of the map's own operator sum, so
 the diagonalizer and term indices refer to the record's terms.
 :func:`analyze`, :func:`verify_recovery` and :func:`negative_part_on_code`
@@ -58,7 +63,7 @@ from .errors import (
     WitnessSearchFailed,
     ZeroTrace,
 )
-from .pseudolinalg import DEFAULT_TOL, _check_tol, _cut, _frozen, _held, _max_abs, _signed_eigensystem
+from .pseudolinalg import DEFAULT_TOL, _check_tol, _cut, _frozen, _held, _max_abs, _signed_clusters, _signed_eigensystem
 from .superop import AMatrix, BMatrix, SignedOperatorSum, _as_b_matrix, _checked_b, _signed_factors, _SignedTerms
 
 __all__ = [
@@ -490,30 +495,71 @@ def cp_condition_matrix(operators: Sequence[np.ndarray], code: CodeSpace) -> Con
     return _condition_fit(_blocks(_on_code(ops, code, DEFAULT_TOL)[1]), None, "hermitian")
 
 
+def _term_cut(mu: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """The mask of the eigenvalues ``mu`` of ``G`` above the term cut ``tol * scale``, and ``scale = max mu``.
+
+    The cut of both routes; each then cuts the signed values at the same bound.
+    """
+    scale = float(mu.max(initial=0.0))
+    return mu > _cut(tol, scale), scale
+
+
+def _eigen_terms(signs: np.ndarray, g: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The signed values ``L``, ``T`` and the scale of the canonical terms of any Gram ``G``.
+
+    With ``G = R^dag R`` and ``R eta R^dag = W L W^dag`` (``L`` is the
+    spectrum of the restricted dynamical matrix over ``r``),
+    ``T = R^+ W |L|^(1/2)`` and ``scale = max eig G``.
+    """
+    mu, q = np.linalg.eigh(g)
+    keep, scale = _term_cut(mu, tol)
+    root, q = np.sqrt(mu[keep]), q[:, keep]
+    factor = root[:, None] * q.conj().T  # R, with G = R^dag R
+    lam, w = np.linalg.eigh((factor * signs) @ factor.conj().T)
+    # Each eigenspace gets the basis spanned by the input terms (columns
+    # of R) in index order, so already-diagonal conditions give T = I.
+    values, w_fixed = _signed_eigensystem(lam, w, _cut(tol, scale), factor)
+    return values, (q / root) @ w_fixed * np.sqrt(np.abs(values)), scale
+
+
+def _direct_terms(signs: np.ndarray, g: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """What :func:`_eigen_terms` gives, to rounding, for an exactly diagonal ``G``, with no eigensolver.
+
+    The eigenvalues of ``G`` are its diagonal ``mu``, and ``R eta R^dag``
+    is ``diag(s_k (sqrt mu_k)^2)``, so the kept terms are the input terms:
+    column ``j`` of ``T`` selects term ``k_j``, scaled by
+    ``sqrt(d_j) / sqrt(mu_k_j)``, in term order inside a cluster, as the
+    eigen route's Gram-Schmidt of the input terms orders them.
+    """
+    mu = g.diagonal().real
+    mask, scale = _term_cut(mu, tol)
+    keep = np.flatnonzero(mask)
+    root = np.sqrt(mu[keep])
+    clusters, values = _signed_clusters(signs[keep] * root * root, _cut(tol, scale))
+    rows = [i for c in clusters for i in sorted(c)]
+    t = np.zeros((g.shape[0], len(rows)), dtype=complex)
+    t[keep[rows], np.arange(len(rows))] = np.sqrt(np.abs(values)) / root[rows]
+    return values, t, scale
+
+
 def _canonical_terms(
     signs: Sequence[int], blocks: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ConditionMatrix, float]:
     """Canonical decomposition of the map restricted to the code.
 
-    With ``G = tr_r(blocks) / r = R^dag R`` the Gram matrix of the terms
-    on the code and ``R eta R^dag = W L W^dag`` (``L`` is the spectrum of
-    the restricted dynamical matrix over ``r``), returns ``(signs, d, T,
-    condition, scale)`` of the canonical terms ``F = E T``:
-    ``T = R^+ W |L|^(1/2)``, ``d = |L|``, ``signs = sign(L)`` and
-    ``scale = max eig G``.  Eigenvalues up to ``tol * scale`` drop.
+    With ``G = tr_r(blocks) / r`` the Gram matrix of the terms on the
+    code, returns ``(signs, d, T, condition, scale)`` of the canonical
+    terms ``F = E T``: ``d = |L|`` and ``signs = sign(L)`` for the signed
+    values ``L``, and ``scale = max eig G``.  Eigenvalues up to
+    ``tol * scale`` drop.  A ``G`` whose off-diagonal entries are all
+    exactly zero, as for Pauli errors on a stabilizer code, takes
+    :func:`_direct_terms`; every other ``G`` takes :func:`_eigen_terms`.
     """
     r = blocks.shape[-1]
-    mu, q = np.linalg.eigh(np.einsum("klaa->kl", blocks / r))
-    scale = float(mu.max(initial=0.0))
-    keep = mu > _cut(tol, scale)
-    root, q = np.sqrt(mu[keep]), q[:, keep]
-    factor = root[:, None] * q.conj().T  # R, with G = R^dag R
-    lam, w = np.linalg.eigh((factor * np.asarray(signs)) @ factor.conj().T)
-    # Each eigenspace gets the basis spanned by the input terms (columns
-    # of R) in index order, so already-diagonal conditions give T = I.
-    values, w_fixed = _signed_eigensystem(lam, w, _cut(tol, scale), factor)
+    g = np.einsum("klaa->kl", blocks / r)
+    route = _direct_terms if np.count_nonzero(g) == np.count_nonzero(g.diagonal()) else _eigen_terms
+    values, t, scale = route(np.asarray(signs), g, tol)
     d, new_signs = np.abs(values), np.sign(values)
-    t = (q / root) @ w_fixed * np.sqrt(d)
     # The traced part of T^dag blocks T is diag(d) by construction, so the
     # fit's residual is the deviation from diag(d) x identity.
     canonical = (t.conj().T @ blocks.transpose(2, 3, 0, 1) @ t).transpose(2, 3, 0, 1)

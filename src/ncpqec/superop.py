@@ -105,16 +105,19 @@ class _SignedTerms:
         Each sign must equal +1 or -1 exactly (bools are rejected), there
         must be one per term and the +1 block must come first; every term
         must be a finite array of ``shape``.  The terms are stored as one
-        read-only ``(n_terms, *shape)`` array, copied once.
+        read-only ``(n_terms, *shape)`` array: an ndarray input is held as
+        :func:`~ncpqec.pseudolinalg._held` holds it, any other input is
+        copied once.
         """
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        terms = [np.asarray(t) for t in getattr(self, field)]
+        raw = getattr(self, field)
+        terms = [np.asarray(t) for t in raw]
         self._check_signs(len(terms), field)
         for k, t in enumerate(terms):
             if t.shape != shape:
                 raise ValueError(f"{field[:-1]} {k} has shape {t.shape}, expected {shape}")
-        stack = _frozen(terms).reshape((len(terms),) + shape)
+        stack = (_held(raw) if isinstance(raw, np.ndarray) else _frozen(terms)).reshape((len(terms),) + shape)
         self._check_finite(stack, field)
         object.__setattr__(self, field, stack)
 
@@ -152,9 +155,11 @@ class SignedOperatorSum(_SignedTerms):
 
     Terms are stored with all +1 signs before all -1 signs; the
     signature ``(p, q)`` counts the two blocks.  ``operators`` is one
-    read-only ``(n_terms, dim, dim)`` array, copied from the input
-    sequence (``(0, dim, dim)`` for an empty sum), so instances are
-    immutable and safe to share.
+    read-only ``(n_terms, dim, dim)`` array (``(0, dim, dim)`` for an
+    empty sum), so instances are immutable and safe to share: a complex
+    read-only ndarray whose memory cannot change, such as the one a
+    packed channel document decodes to, is held without a copy, and
+    every other input is copied once.
     """
 
     dim: int

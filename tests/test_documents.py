@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -874,3 +875,43 @@ def test_packed_matrix_record_holds_the_decoded_bytes():
     while isinstance(base, np.ndarray):
         base = base.base
     assert isinstance(base, bytes) and not b.flags.writeable
+
+
+def test_packed_operator_sum_record_holds_the_decoded_bytes():
+    # The packed operators reach the record as the read-only array over the
+    # decoded bytes: no copy.
+    ops = parse_channel_document(channel_document(bitflip_ops(-0.2))).operators
+    base = ops.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base, bytes) and not ops.flags.writeable
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+def test_operator_sum_copies_a_writeable_or_list_input(as_list):
+    source = np.array(bitflip_ops(-0.2).operators)  # writeable
+    ops = SignedOperatorSum(8, bitflip_ops(-0.2).signs, list(source) if as_list else source)
+    before = ops.operators.copy()
+    source[:] = 7.0
+    assert np.array_equal(ops.operators, before) and not ops.operators.flags.writeable
+
+
+@pytest.mark.parametrize("c0", [-0.2, 0.7])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_bitflip_documents_are_the_eigen_routes(n, c0):
+    # The bit-flip maps take the direct route, whose T here is the exact
+    # selection matrix.  Their documents are the eigen route's byte for
+    # byte, the benchmark's n = 4 and n = 6 ones among them, except at
+    # n = 5 and 7 with c0 = 0.7: there the eigen route's Gram-Schmidt of the
+    # degenerate X cluster leaves T's ones a few ulps low, so T and the
+    # arrays formed from it differ in their last digits.
+    ops, code = repetition_bitflip(n, c0)
+    direct = analyze(ops, code)
+    with mock.patch.object(qec, "_direct_terms", qec._eigen_terms):
+        eigen = analyze(ops, code)
+    assert {*direct.diagonalizer.ravel().tolist()} == {0, 1}
+    texts = [json.dumps(analysis_document(report, ops.signature)) for report in (direct, eigen)]
+    if texts[0] != texts[1]:
+        assert (n, c0) in ((5, 0.7), (7, 0.7))
+        assert np.abs(direct.diagonalizer - eigen.diagonalizer).max() <= 4 * np.spacing(1.0)
+        assert np.abs(direct.syndromes.isometries - eigen.syndromes.isometries).max() <= 4 * np.spacing(1.0)

@@ -268,3 +268,72 @@ def test_known_redecompositions_get_base_verdicts():
     report = analyze(tiny, CODE)
     assert report.verdict is Verdict.CODE_OUTSIDE_DOMAIN
     assert report.witness.probability == pytest.approx(-0.2e-10, rel=1e-9)
+
+
+@st.composite
+def diagonal_maps(draw):
+    """A map on the code whose Gram ``G`` of terms is exactly diagonal, of one of seven kinds.
+
+    Conditioned Pauli maps of both signs; the same with equal weights, so
+    the canonical terms form degenerate clusters; with one term zero; with
+    its lightest term at 1.5-10 times the cut, or at 0.1-0.9 times it; the
+    lone negative identity; and the empty sum.
+    """
+    kind = draw(st.sampled_from(["ncp", "cp", "equal", "zero", "near-cut", "negative-identity", "empty"]))
+    if kind == "negative-identity":
+        return SignedOperatorSum(8, (-1,), [np.eye(8)])
+    if kind == "empty":
+        return SignedOperatorSum(8, (), np.zeros((0, 8, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = conditioned_pauli_map(rng, require_negative=kind != "cp")
+    terms = np.array(ops.operators)
+    weights = np.array([np.vdot(op, op).real for op in terms])
+    if kind == "cp":
+        terms /= np.sqrt(weights.sum() / 8)
+    elif kind == "equal":  # each term a Pauli string at weight 1 / n_terms
+        terms /= np.sqrt(weights * ops.n_terms / 8)[:, None, None]
+    elif kind == "zero":
+        terms[int(rng.integers(ops.n_terms))] = 0.0
+    else:
+        k = int(np.argmin(weights))
+        factor = draw(st.one_of(st.floats(1.5, 10.0), st.floats(0.1, 0.9)))
+        terms[k] *= np.sqrt(factor * DEFAULT_TOL * weights.max() / weights[k])
+    return SignedOperatorSum(8, ops.signs, terms)
+
+
+def assert_within_ulps(value, oracle, ulps):
+    """``value`` matches ``oracle`` within ``ulps`` units in the last place of the oracle's largest entry."""
+    assert value.shape == oracle.shape
+    assert np.abs(value - oracle).max(initial=0.0) <= ulps * np.spacing(np.abs(oracle).max(initial=0.0))
+
+
+@PROPERTY
+@given(diagonal_maps())
+def test_direct_route_gives_the_eigen_routes_answers(ops):
+    # An exactly diagonal G takes the direct route; forcing the eigen route
+    # on it must give the same decisions, and the same arrays to rounding.
+    # The condition entries are T^dag blocks T, quadratic in T, so they get
+    # twice T's bound.
+    for scale in (1e-150, 1e-12, 1.0, 1e150):
+        scaled = SignedOperatorSum(8, ops.signs, np.sqrt(scale) * ops.operators)
+        with mock.patch.object(qec, "_direct_terms", wraps=qec._direct_terms) as direct_route:
+            direct = _outcome(lambda: analyze(scaled, CODE))
+        assert direct_route.called
+        with mock.patch.object(qec, "_direct_terms", qec._eigen_terms):
+            eigen = _outcome(lambda: analyze(scaled, CODE))
+        if isinstance(eigen, type):
+            assert direct is eigen
+            continue
+        assert direct.verdict is eigen.verdict
+        assert (direct.witness is None) == (eigen.witness is None)
+        if eigen.witness is not None:
+            assert direct.witness.syndrome_index == eigen.witness.syndrome_index
+        assert_within_ulps(direct.condition.entries, eigen.condition.entries, 8)
+        assert (direct.diagonal is None) == (eigen.diagonal is None)
+        if eigen.diagonal is None:
+            continue
+        assert_within_ulps(direct.diagonal, eigen.diagonal, 4)
+        assert_within_ulps(direct.diagonalizer, eigen.diagonalizer, 4)
+        assert np.array_equal(direct.syndromes.signs, eigen.syndromes.signs)
+        assert np.array_equal(direct.syndromes.term_indices, eigen.syndromes.term_indices)
+        assert_within_ulps(direct.syndromes.isometries, eigen.syndromes.isometries, 4)

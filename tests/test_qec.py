@@ -3,6 +3,7 @@ import random
 import tracemalloc
 import warnings
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1347,3 +1348,22 @@ def test_readers_gate_a_matrix_channel_on_hermiticity(reader):
     b[1, 0] += 1e-3
     with pytest.raises(NotHermitian):
         READERS[reader](BMatrix(8, b), code)
+
+
+def test_one_off_diagonal_pair_in_g_takes_the_eigen_route():
+    # A term parallel to X_0 overlaps one term of the CP bit-flip map, so G
+    # has one nonzero off-diagonal pair: the eigen route merges the two
+    # into one canonical term, which no selection of input terms gives.
+    ops, code = repetition_bitflip(3, 0.7)
+    routes = {"_direct_terms": qec._direct_terms, "_eigen_terms": qec._eigen_terms}
+    for channel, route, weights in (
+        (ops, "_direct_terms", [0.1, 0.1, 0.1, 0.7]),
+        (SignedOperatorSum(8, (1,) * 5, [*ops.operators, 1e-3 * ops.operators[0]]), "_eigen_terms",
+         [0.1, 0.1, 0.1000001, 0.7]),
+    ):
+        g = np.einsum("klaa->kl", qec._blocks(on_code(channel, code).terms))
+        assert np.count_nonzero(g - np.diag(np.diagonal(g))) == (0 if route == "_direct_terms" else 2)
+        with mock.patch.multiple(qec, **{name: mock.Mock(wraps=fn) for name, fn in routes.items()}):
+            report = analyze(channel, code)
+            assert [getattr(qec, name).called for name in routes] == [name == route for name in routes]
+        assert np.sort(report.diagonal) == pytest.approx(weights, rel=1e-12)
