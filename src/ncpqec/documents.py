@@ -129,7 +129,7 @@ def decode_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
 
 def decode_vector(obj: Any, where: str = "vector") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
-        raise ValueError(f"{where}: expected a non-empty list of [re, im] pairs")
+        raise ValueError(f"{where}: expected a non-empty list of numbers or [re, im] pairs")
     return _complex_array(obj, (len(obj),), where)
 
 
@@ -367,9 +367,7 @@ def parse_analysis_document(obj: Any) -> dict:
         shapes = sorted({s["isometry"].shape for s in syndromes})
         if shapes != [b.shape]:
             raise ValueError(f"{where}: shape {b.shape} must be that of every syndrome isometry, got {shapes}")
-        stack = np.stack([s["isometry"] for s in syndromes])
-        stack.setflags(write=False)  # held by the record without a second copy
-        out["recovery"] = Recovery(b, stack)
+        out["recovery"] = Recovery(b, [s["isometry"] for s in syndromes])
     if witness is not None:
         witness, where = _field(obj, "witness", "analysis", dict, "a JSON object"), "analysis.witness"
         first = next((k for k, s in enumerate(syndromes) if s["sign"] == -1), None)  # analyze's witness names it

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MapsNotEqual, OperatorsNotEqual, SingularCoefficientMatrix
-from .pseudolinalg import DEFAULT_TOL, Signature, _cut, _max_abs, _signed_eigensystem
+from .pseudolinalg import DEFAULT_TOL, Signature, _cut, _frozen, _max_abs, _signed_eigensystem
 from .superop import (
     SignedOperatorSum,
     _SignedTerms,
@@ -81,6 +81,9 @@ class ConnectionResult:
     signature: Signature
     padding_added: tuple[int, int]
     residual: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "u", _frozen(self.u))
 
 
 def _differ(x: np.ndarray, y: np.ndarray, tol: float) -> bool:

@@ -106,31 +106,22 @@ def _max_abs(a: np.ndarray) -> float:
 
 
 def _frozen(a: np.ndarray, dtype: type = complex) -> np.ndarray:
-    """A read-only copy of ``a`` as ``dtype`` (complex by default), for the immutable records.
+    """``a`` as a read-only array of ``dtype`` (complex by default) that no write can change: what a record holds.
 
-    The records that hold such arrays are ``eq=False`` dataclasses: they
-    compare by identity and hash, as ``==`` on arrays has no truth value
-    (``maps_equal`` compares maps by value).
+    An array of ``dtype`` whose base chain ends at an immutable ``bytes``
+    object, as ``np.frombuffer`` gives a parser, is ``a`` itself: numpy
+    refuses to make it writeable.  Any other input is copied once into
+    such an array.  The records that hold these arrays are ``eq=False``
+    dataclasses: they compare by identity and hash, as ``==`` on arrays
+    has no truth value (``maps_equal`` compares maps by value).
     """
-    out = np.array(a, dtype=dtype, copy=True)
-    out.setflags(write=False)
-    return out
-
-
-def _held(a: np.ndarray) -> np.ndarray:
-    """``a`` itself if it is complex, read-only and its memory cannot change, else a :func:`_frozen` copy.
-
-    Such memory is ``a``'s own, or an immutable ``bytes`` object at the end
-    of its base chain, as for ``np.frombuffer`` over decoded text: numpy
-    refuses to make that array writeable.
-    """
-    a = np.asarray(a)
-    base = a.base
-    while isinstance(base, np.ndarray):
-        base = base.base
-    if a.dtype == complex and not a.flags.writeable and (a.base is None or isinstance(base, bytes)):
+    owner = a.base if isinstance(a, np.ndarray) else None
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    if isinstance(owner, bytes) and a.dtype == dtype:
         return a
-    return _frozen(a)
+    a = np.asarray(a, dtype=dtype)
+    return np.frombuffer(a.tobytes(), dtype).reshape(a.shape)
 
 
 def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:

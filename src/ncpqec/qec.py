@@ -63,7 +63,7 @@ from .errors import (
     WitnessSearchFailed,
     ZeroTrace,
 )
-from .pseudolinalg import DEFAULT_TOL, _check_tol, _cut, _frozen, _held, _max_abs, _signed_clusters, _signed_eigensystem
+from .pseudolinalg import DEFAULT_TOL, _check_tol, _cut, _frozen, _max_abs, _signed_clusters, _signed_eigensystem
 from .superop import AMatrix, BMatrix, SignedOperatorSum, _as_b_matrix, _checked_b, _signed_factors, _SignedTerms
 
 __all__ = [
@@ -131,9 +131,8 @@ class CodeTerms(_SignedTerms):
     """A map's signed terms on a code space, ``V_k = E_k B``: all that the analysis reads of the map.
 
     ``signs`` (each +1 or -1, the +1 block first) and ``terms``, the
-    read-only ``(n, d, r)`` stack of the ``V_k``, which must be finite; a
-    ``terms`` input that is complex, read-only and owns its memory is held
-    without a copy.  ``dim`` (``d``), ``rank`` (``r``), ``n_terms`` and
+    read-only ``(n, d, r)`` stack of the ``V_k``, which must be finite.
+    ``dim`` (``d``), ``rank`` (``r``), ``n_terms`` and
     ``signature`` read as on a :class:`~ncpqec.superop.SignedOperatorSum`.
     :func:`on_code` makes the record once, so :func:`analyze`,
     :func:`verify_recovery` and :func:`negative_part_on_code` share one
@@ -145,7 +144,7 @@ class CodeTerms(_SignedTerms):
     terms: np.ndarray
 
     def __post_init__(self) -> None:
-        v = _held(self.terms)
+        v = _frozen(self.terms)
         if v.ndim != 3:
             raise ValueError(f"terms have shape {v.shape}, expected (n, d, r)")
         self._check_signs(v.shape[0], "terms")
@@ -205,8 +204,7 @@ class Recovery:
 
     ``code_isometry`` is the code's ``d x r`` isometry ``B`` and
     ``isometries`` the read-only ``(m, d, r)`` stack of syndrome
-    isometries ``W_j``; an input that is read-only and owns its memory
-    is held without a copy.  Every term ``R_j = B W_j^dag`` has rank
+    isometries ``W_j``.  Every term ``R_j = B W_j^dag`` has rank
     ``r``.  ``dim``, ``signs`` (all +1) and ``n_terms`` read as on a
     :class:`~ncpqec.superop.SignedOperatorSum`, and ``operators`` forms
     the dense ``(m, d, d)`` terms on each read, so ``apply_map`` takes
@@ -217,7 +215,7 @@ class Recovery:
     isometries: np.ndarray
 
     def __post_init__(self) -> None:
-        b, w = _held(self.code_isometry), _held(self.isometries)
+        b, w = _frozen(self.code_isometry), _frozen(self.isometries)
         if b.ndim != 2 or w.ndim != 3 or w.shape[1:] != b.shape:
             raise ValueError(f"isometries of shape {w.shape} do not stack d x r like the code's {b.shape}")
         object.__setattr__(self, "code_isometry", b)
@@ -285,6 +283,9 @@ class NegativityWitness:
     syndrome_index: int
     probability: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "vector", _frozen(self.vector))
+
     @property
     def state(self) -> np.ndarray:
         """The witness density matrix ``v v^dag``."""
@@ -319,6 +320,9 @@ class QecReport:
     witness: NegativityWitness | None
 
     def __post_init__(self) -> None:
+        for name, dtype in (("diagonalizer", complex), ("diagonal", float)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
         if self.verdict == Verdict.REVERSIBLE_POSITIVE and (not self.syndromes or (self.syndromes.signs != 1).any()):
             raise ValueError("reversible verdict requires syndromes, all of sign +1")
         if (self.witness is None) == (self.verdict == Verdict.CODE_OUTSIDE_DOMAIN):
@@ -384,13 +388,12 @@ def repetition_bitflip(n: int, c0: float) -> tuple[SignedOperatorSum, CodeSpace]
 def _on_code(
     channel: CodeTerms | SignedOperatorSum | BMatrix | AMatrix, code: CodeSpace, tol: float
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """The signs and the read-only ``(n, d, r)`` terms on the code ``V_k = E_k B`` of a channel or its record.
+    """The signs and the ``(n, d, r)`` terms on the code ``V_k = E_k B`` of a channel or its record.
 
     The one dispatch of :func:`on_code` and of every reader.  A
     :class:`CodeTerms` record gives its own terms.  An operator sum gives
-    one GEMM ``(n d x d) @ (d x r)``, written into an array that owns its
-    memory; at small ``d`` it beats numpy's batch of ``n`` products.  A
-    matrix channel gives :func:`_restricted_terms`.
+    one GEMM ``(n d x d) @ (d x r)``; at small ``d`` it beats numpy's
+    batch of ``n`` products.  A matrix channel gives :func:`_restricted_terms`.
     """
     if not isinstance(channel, (CodeTerms, SignedOperatorSum, BMatrix, AMatrix)):
         raise TypeError(f"expected SignedOperatorSum, BMatrix, AMatrix or CodeTerms, got {type(channel).__name__}")
@@ -403,10 +406,7 @@ def _on_code(
     if not isinstance(channel, SignedOperatorSum):
         return _restricted_terms(_as_b_matrix(channel), code, tol)
     d, r = code.isometry.shape
-    v = np.empty((channel.n_terms, d, r), dtype=complex)
-    np.matmul(channel.operators.reshape(-1, d), code.isometry, out=v.reshape(-1, r))
-    v.setflags(write=False)  # held by a record without a copy
-    return channel.signs, v
+    return channel.signs, (channel.operators.reshape(-1, d) @ code.isometry).reshape(channel.n_terms, d, r)
 
 
 def _restricted_terms(b: BMatrix, code: CodeSpace, tol: float) -> tuple[tuple[int, ...], np.ndarray]:
@@ -417,7 +417,7 @@ def _restricted_terms(b: BMatrix, code: CodeSpace, tol: float) -> tuple[tuple[in
     decomposition of the map it equals ``sum_k s_k vec(V_k) vec(V_k)^dag``.
     So each signed eigenvector, unvec'ed to ``d x r`` and scaled by the
     square root of its eigenvalue's magnitude, is a term ``V``, returned
-    complex, read-only and owning its memory, as a record holds it.
+    complex, as a :class:`CodeTerms` record holds it.
     """
     m, iso = _checked_b(b, tol), code.isometry
     if m.dtype == float and not iso.imag.any():
@@ -426,14 +426,14 @@ def _restricted_terms(b: BMatrix, code: CodeSpace, tol: float) -> tuple[tuple[in
     x = (m.reshape(d**3, d) @ iso.conj()).reshape(d, d, d * r)  # x[i, j, k r + c]: the l sum
     restricted = (iso.T @ x).reshape(d * r, d * r)  # the j sum: row i r + a
     signs, rows = _signed_factors((restricted + restricted.conj().T) / 2, tol)
-    return signs, _held(rows.reshape(-1, d, r))
+    return signs, np.asarray(rows.reshape(-1, d, r), dtype=complex)
 
 
 def on_code(channel: SignedOperatorSum | BMatrix | AMatrix, code: CodeSpace, tol: float = DEFAULT_TOL) -> CodeTerms:
     """The map's terms on the code, ``V_k = E_k B``, as the record that the analysis reads.
 
     A :class:`~ncpqec.superop.SignedOperatorSum` keeps its signs and
-    terms: ``V`` is the one product ``E B``, held without a copy.  A
+    terms: ``V`` is the one product ``E B``.  A
     :class:`~ncpqec.superop.BMatrix`, or an
     :class:`~ncpqec.superop.AMatrix` reshuffled to one, must pass the
     Hermiticity gate of :func:`~ncpqec.superop.operator_sum_from_b` on
@@ -568,7 +568,7 @@ def _canonical_terms(
 
 
 def _syndromes(v: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
-    """The read-only ``(m, d, r)`` polar isometries ``W_k = F_k B H_k^(-1/2)``, ``H_k = (F_k B)^dag F_k B``.
+    """The ``(m, d, r)`` polar isometries ``W_k = F_k B H_k^(-1/2)``, ``H_k = (F_k B)^dag F_k B``.
 
     ``t`` holds the columns ``T_k`` of the ``m`` syndromes, so the products
     ``F_k B = (V T)_k`` are one GEMM of ``T^T`` with the ``(n, d r)`` stack
@@ -589,7 +589,6 @@ def _syndromes(v: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
             f"syndrome {j} has (F B)^dag F B with smallest eigenvalue {lam[j, 0]:.3e} of largest {lam[j, -1]:.3e}"
         )
     w = products @ ((u / np.sqrt(lam)[:, None, :]) @ u.conj().swapaxes(1, 2))  # F_k B H_k^(-1/2)
-    w.setflags(write=False)  # held by the record without a copy
     gram = _gram(w)
     gram.ravel()[:: m * r + 1] -= 1.0  # W_a^dag W_c - delta_ac I, in place
     if np.abs(gram).max(initial=0.0) > 10 * _cut(tol):
@@ -798,7 +797,7 @@ def verify_recovery(
     ValueError
         If ``tol`` is not a finite non-negative number, or the dimensions differ.
     TypeError
-        For a map of another type.
+        For a map or a recovery of another type.
     NotHermitian
         If a matrix channel's ``B`` is not Hermitian within ``tol`` times
         its largest entry.
@@ -808,6 +807,8 @@ def verify_recovery(
         rounding (or the map or the recovery annihilates the state, as a
         map with no terms does), so the check cannot decide.
     """
+    if not isinstance(recovery, (SignedOperatorSum, Recovery)):
+        raise TypeError(f"expected a SignedOperatorSum or Recovery recovery, got {type(recovery).__name__}")
     if recovery.dim != code.dim:
         raise ValueError(f"recovery dimension {recovery.dim} does not match code dimension {code.dim}")
     b = code.isometry

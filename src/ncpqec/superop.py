@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NotHermitian, NotPseudoUnitary
 from .pseudolinalg import DEFAULT_TOL, Signature, eta_metric, is_pseudounitary
-from .pseudolinalg import _cut, _frozen, _held, _max_abs, _signed_eigensystem
+from .pseudolinalg import _cut, _frozen, _max_abs, _signed_eigensystem
 
 __all__ = [
     "AMatrix",
@@ -59,8 +59,8 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 
 def _check_map_matrix(x: AMatrix | BMatrix, name: str) -> None:
-    """Check that ``x.matrix`` is a finite ``d^2 x d^2`` array and hold it read-only (:func:`_held`)."""
-    m = _held(x.matrix)
+    """Check that ``x.matrix`` is a finite ``d^2 x d^2`` array and hold it read-only (:func:`_frozen`)."""
+    m = _frozen(x.matrix)
     d2 = x.dim * x.dim
     if x.dim < 1:
         raise ValueError("dim must be positive")
@@ -105,9 +105,7 @@ class _SignedTerms:
         Each sign must equal +1 or -1 exactly (bools are rejected), there
         must be one per term and the +1 block must come first; every term
         must be a finite array of ``shape``.  The terms are stored as one
-        read-only ``(n_terms, *shape)`` array: an ndarray input is held as
-        :func:`~ncpqec.pseudolinalg._held` holds it, any other input is
-        copied once.
+        read-only ``(n_terms, *shape)`` array (:func:`~ncpqec.pseudolinalg._frozen`).
         """
         if self.dim < 1:
             raise ValueError("dim must be positive")
@@ -117,7 +115,7 @@ class _SignedTerms:
         for k, t in enumerate(terms):
             if t.shape != shape:
                 raise ValueError(f"{field[:-1]} {k} has shape {t.shape}, expected {shape}")
-        stack = (_held(raw) if isinstance(raw, np.ndarray) else _frozen(terms)).reshape((len(terms),) + shape)
+        stack = _frozen(raw).reshape((len(terms),) + shape)
         self._check_finite(stack, field)
         object.__setattr__(self, field, stack)
 
@@ -156,10 +154,7 @@ class SignedOperatorSum(_SignedTerms):
     Terms are stored with all +1 signs before all -1 signs; the
     signature ``(p, q)`` counts the two blocks.  ``operators`` is one
     read-only ``(n_terms, dim, dim)`` array (``(0, dim, dim)`` for an
-    empty sum), so instances are immutable and safe to share: a complex
-    read-only ndarray whose memory cannot change, such as the one a
-    packed channel document decodes to, is held without a copy, and
-    every other input is copied once.
+    empty sum), so instances are immutable and safe to share.
     """
 
     dim: int

@@ -38,6 +38,13 @@ def ket(index: int, dim: int) -> np.ndarray:
     return v
 
 
+def memory_owner(a: np.ndarray):
+    """The object at the end of ``a``'s base chain, whose memory ``a`` reads (``None`` if ``a`` owns it)."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.base
+
+
 def pauli_string(letters: str) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
     for c in letters:

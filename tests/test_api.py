@@ -8,12 +8,14 @@ to stay.
 """
 
 import ast
+import dataclasses
 import importlib
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ncpqec
@@ -187,3 +189,69 @@ def test_records_compare_by_identity(name):
     assert type(a).__name__ == name and a is not b
     assert (a == a) is True and (a == b) is False and (a != b) is True
     assert len({a, b, a}) == 2
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_arrays_refuse_writes(name):
+    # Every array a record holds lies over memory that no one can write, so
+    # nothing changes a record after its construction checked it.
+    record = RECORDS[name](*ncpqec.repetition_bitflip(3, -0.2))
+    arrays = [a for f in dataclasses.fields(record) if isinstance(a := getattr(record, f.name), np.ndarray)]
+    assert arrays
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+
+
+# A record built from a caller's array: (the array, the record of it, the field that holds it).
+FROM_CALLER = {
+    "BMatrix": (
+        lambda ops, code: ncpqec.b_from_operator_sum(ops).matrix,
+        lambda ops, a: ncpqec.BMatrix(8, a),
+        "matrix",
+    ),
+    "CodeSpace": (lambda ops, code: code.isometry, lambda ops, a: ncpqec.CodeSpace(a), "isometry"),
+    "CodeTerms": (
+        lambda ops, code: ops.operators @ code.isometry,
+        lambda ops, a: ncpqec.CodeTerms(ops.signs, a),
+        "terms",
+    ),
+    "Recovery": (
+        lambda ops, code: ncpqec.analyze(ops, code).syndromes.isometries,
+        lambda ops, a: ncpqec.Recovery(np.eye(8)[:, ::7], a),
+        "isometries",
+    ),
+    "SignedOperatorSum": (
+        lambda ops, code: ops.operators,
+        lambda ops, a: ncpqec.SignedOperatorSum(8, ops.signs, a),
+        "operators",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROM_CALLER))
+def test_records_copy_a_callers_read_only_array(name):
+    # A read-only array that owns its memory can be made writeable again by
+    # its caller, so the record copies it: a NaN written later leaves it as it was.
+    source, build, field = FROM_CALLER[name]
+    ops, code = ncpqec.repetition_bitflip(3, -0.2)
+    a = np.array(source(ops, code))
+    a.setflags(write=False)
+    held = getattr(build(ops, a), field)
+    before = held.copy()
+    a.setflags(write=True)
+    a[...] = np.nan
+    assert np.array_equal(held, before)
+
+
+def test_no_module_but_frozen_decides_how_a_record_holds_an_array():
+    # pseudolinalg._frozen alone keeps or copies what a record holds: no
+    # module sets an array's flags or names a second holding rule.
+    found = []
+    for path in sorted(Path(ncpqec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "setflags":
+                found.append(f"{path.name}:{node.lineno} setflags")
+            if "_held" in {getattr(node, key, None) for key in ("id", "name", "asname", "attr")}:
+                found.append(f"{path.name}:{node.lineno} _held")
+    assert found == []

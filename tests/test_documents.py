@@ -23,12 +23,12 @@ from ncpqec.documents import (
     parse_channel_document,
     parse_code_document,
 )
-from ncpqec import documents, pseudolinalg, qec
+from ncpqec import documents, qec
 from ncpqec.pseudolinalg import _frozen
 from ncpqec.qec import Recovery, analyze, repetition_bitflip, verify_recovery
 from ncpqec.superop import AMatrix, BMatrix, SignedOperatorSum, a_from_operator_sum, b_from_operator_sum
 
-from helpers import I2, X, bitflip_ops, list_channel_document, pair_lists, random_complex, repetition_code
+from helpers import I2, X, bitflip_ops, list_channel_document, memory_owner, pair_lists, random_complex, repetition_code
 
 
 def _roundtrip(doc):
@@ -315,16 +315,18 @@ def test_parsed_recovery_is_factored():
 
 
 def test_parsed_recovery_copies_the_isometry_stack_once(monkeypatch):
-    # The stacked isometries are held by the Recovery as they are: complex,
-    # read-only and owning their memory, never passed through _frozen.
+    # The decoded isometries reach the Recovery as one list, which _frozen
+    # stacks in its one copy: complex, read-only and over immutable bytes.
     ops, code = repetition_bitflip(4, 0.7)
     doc = _roundtrip(analysis_document(analyze(ops, code), ops.signature))
     frozen = []
-    for owner in (qec, pseudolinalg):  # _held copies through pseudolinalg's own _frozen
-        monkeypatch.setattr(owner, "_frozen", lambda a, *args: frozen.append(np.shape(a)) or _frozen(a, *args))
+    monkeypatch.setattr(qec, "_frozen", lambda a, *args: frozen.append(a) or _frozen(a, *args))
     w = parse_analysis_document(doc)["recovery"].isometries
-    assert w.dtype == complex and not w.flags.writeable and w.base is None
-    assert w.shape not in frozen and all(len(shape) == 2 for shape in frozen)
+    stacks = [a for a in frozen if np.ndim(a) == 3]
+    assert len(stacks) == 1 and isinstance(stacks[0], list) and len(stacks[0]) == w.shape[0] == 5
+    assert w.dtype == complex and isinstance(memory_owner(w), bytes)
+    with pytest.raises(ValueError):
+        w.setflags(write=True)
 
 
 def _is_entry(z):
@@ -598,6 +600,7 @@ def _set(doc, path, value):
         (lambda: _analysis_doc(-0.2), ("syndromes", 0, "term_index"), 99, r"term_index must .* length 4, got 99"),
         (lambda: _analysis_doc(-0.2), ("diagonal",), [0.4], r"analysis\.diagonal must be a list of 4 finite numbers"),
         (lambda: _analysis_doc(-0.2), ("syndromes", 0, "weight"), 5.0, r"\[0\]\.weight must be diagonal\[0\], got 5"),
+        (lambda: _analysis_doc(-0.2), ("witness", "vector"), [], r"vector: expected a non-empty list of numbers or \["),
     ],
 )
 def test_parsers_name_a_malformed_field(make, path, value, hint):
@@ -915,3 +918,11 @@ def test_bitflip_documents_are_the_eigen_routes(n, c0):
         assert (n, c0) in ((5, 0.7), (7, 0.7))
         assert np.abs(direct.diagonalizer - eigen.diagonalizer).max() <= 4 * np.spacing(1.0)
         assert np.abs(direct.syndromes.isometries - eigen.syndromes.isometries).max() <= 4 * np.spacing(1.0)
+
+
+def test_parsed_records_refuse_writes():
+    witness = parse_analysis_document(_analysis_doc(-0.2))["witness"]
+    recovery = parse_analysis_document(_analysis_doc(0.7))["recovery"]
+    for a in (witness.vector, recovery.code_isometry, recovery.isometries):
+        with pytest.raises(ValueError):
+            a.setflags(write=True)

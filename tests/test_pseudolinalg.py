@@ -24,11 +24,12 @@ from ncpqec import (
     reshuffle,
     superop,
 )
-from ncpqec.pseudolinalg import _max_abs, _signed_eigensystem
+from ncpqec.pseudolinalg import _frozen, _max_abs, _signed_eigensystem
 
 from helpers import (
     b_signatures,
     ket,
+    memory_owner,
     polar_on_code,
     random_code,
     random_complex,
@@ -563,3 +564,15 @@ def test_signed_eigensystem_skips_candidates_off_the_cluster():
     assert np.abs(values - [5.6, 0.8, 0.8, 0.8]).max() < 1e-12
     assert np.abs(basis[[0, 3], 1:]).max() < 1e-15
     assert np.abs(terms.operators - ops.operators[[3, 2, 1, 0]]).max() < 1e-12
+
+
+def test_frozen_holds_only_an_array_of_its_dtype_over_bytes():
+    # The one holding rule of the records: an array of the asked dtype over
+    # immutable bytes is kept; any other input is copied into such an array.
+    real = np.frombuffer(np.arange(4.0).tobytes(), float)
+    assert _frozen(real, float) is real
+    big_endian = np.frombuffer(real.astype(">f8").tobytes(), ">f8")
+    for a, dtype in ((real, complex), (big_endian, float), ([0.0, 1.0, 2.0, 3.0], float)):
+        held = _frozen(a, dtype)
+        assert held is not a and held.dtype == dtype and isinstance(memory_owner(held), bytes)
+        assert np.array_equal(held, real)

@@ -61,6 +61,7 @@ from helpers import (
     conditioned_pauli_map,
     dynamical_on_code,
     ket,
+    memory_owner,
     pauli_string,
     ph_conditions,
     polar_on_code,
@@ -588,7 +589,10 @@ def test_syndromes_gate_every_pair_on_the_returned_isometries(monkeypatch):
     # the pair, the diagonal ones included.
     products, d = _syndrome_products()
     w = _doctored_syndromes(products)
-    assert w.shape == (4, 8, 2) and not w.flags.writeable and w.base is None
+    held = Recovery(np.eye(8)[:, :2], w).isometries  # the record's one read-only copy, over bytes
+    assert w.shape == (4, 8, 2) and isinstance(memory_owner(held), bytes) and np.array_equal(held, w)
+    with pytest.raises(ValueError):
+        held.setflags(write=True)
     doctored = products.copy()
     doctored[2] += 1e-6 * np.sqrt(d[2] / d[0]) * products[0]
     with pytest.raises(OrthogonalityViolation, match="syndromes 0 and 2 are not orthonormal"):
@@ -1193,14 +1197,16 @@ def test_verify_recovery_peak_memory_holds_no_d_by_d_state():
 
 @pytest.mark.parametrize("c0", [-0.2, 0.7])
 def test_code_terms_of_an_operator_sum_are_its_one_product(c0):
-    # The record holds E B without a copy, and every reader gives on it
-    # what it gives on the operator sum, bit for bit.
+    # The record holds E B copied once over immutable bytes, and every
+    # reader gives on it what it gives on the operator sum, bit for bit.
     ops, code = repetition_bitflip(4, c0)
     terms = on_code(ops, code)
     assert isinstance(terms, CodeTerms) and terms.signs == ops.signs and terms.signature == ops.signature
     assert (terms.dim, terms.rank, terms.n_terms) == (16, 2, 5)
     assert np.array_equal(terms.terms, ops.operators @ code.isometry)
-    assert terms.terms.base is None and not terms.terms.flags.writeable
+    assert isinstance(memory_owner(terms.terms), bytes)
+    with pytest.raises(ValueError):
+        terms.terms.setflags(write=True)
     assert CodeTerms(terms.signs, terms.terms).terms is terms.terms
     base, report = analyze(ops, code), analyze(terms, code)
     assert report.verdict is base.verdict
@@ -1317,6 +1323,21 @@ def test_readers_take_a_matrix_channel_as_its_record(form, c0):
 def test_readers_refuse_another_type(reader):
     with pytest.raises(TypeError, match="got object"):
         READERS[reader](object(), repetition_code())
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (on_code, "CodeTerms"),
+        (lambda ops, code: b_from_operator_sum(ops), "BMatrix"),
+        (lambda *_: "B", "str"),
+        (lambda *_: None, "NoneType"),
+    ],
+)
+def test_verify_recovery_refuses_a_recovery_of_another_type(make, name):
+    ops, code = repetition_bitflip(3, -0.2)
+    with pytest.raises(TypeError, match=f"got {name}$"):
+        verify_recovery(ops, make(ops, code), code)
 
 
 @pytest.mark.parametrize("form", [lambda ops: ops, on_code, a_from_operator_sum, b_from_operator_sum])
