@@ -50,8 +50,6 @@ map's scale on the code, absolute for trace preservation and isometry.
 from __future__ import annotations
 
 import enum
-import functools
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,10 +83,6 @@ __all__ = [
     "analyze",
     "verify_recovery",
 ]
-
-_VERIFY_SEED = 424033
-_RANDOM_SAMPLES = 20
-
 
 @dataclass(frozen=True, eq=False)
 class CodeSpace:
@@ -184,13 +178,17 @@ class Syndrome:
     """One measurement branch of diagonal term ``F_k``, on the code space: a :class:`SyndromeSet` item.
 
     ``isometry``, a view of the set's stack, is the ``d x r`` polar
-    isometry ``W_k`` with ``F_k B = sqrt(weight) W_k``.
+    isometry ``W_k`` with ``F_k B = sqrt(weight) W_k``, held as every
+    record holds its arrays.
     """
 
     isometry: np.ndarray
     weight: float
     sign: int
     term_index: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "isometry", _frozen(self.isometry))
 
     @property
     def projector(self) -> np.ndarray:
@@ -204,8 +202,8 @@ class Recovery:
 
     ``code_isometry`` is the code's ``d x r`` isometry ``B`` and
     ``isometries`` the read-only ``(m, d, r)`` stack of syndrome
-    isometries ``W_j``.  Every term ``R_j = B W_j^dag`` has rank
-    ``r``.  ``dim``, ``signs`` (all +1) and ``n_terms`` read as on a
+    isometries ``W_j``, both finite.  Every term ``R_j = B W_j^dag`` has
+    rank ``r``.  ``dim``, ``signs`` (all +1) and ``n_terms`` read as on a
     :class:`~ncpqec.superop.SignedOperatorSum`, and ``operators`` forms
     the dense ``(m, d, d)`` terms on each read, so ``apply_map`` takes
     either.
@@ -218,6 +216,8 @@ class Recovery:
         b, w = _frozen(self.code_isometry), _frozen(self.isometries)
         if b.ndim != 2 or w.ndim != 3 or w.shape[1:] != b.shape:
             raise ValueError(f"isometries of shape {w.shape} do not stack d x r like the code's {b.shape}")
+        if not (np.isfinite(b).all() and np.isfinite(w).all()):
+            raise ValueError("recovery isometries contain non-finite entries")
         object.__setattr__(self, "code_isometry", b)
         object.__setattr__(self, "isometries", w)
 
@@ -244,10 +244,10 @@ class SyndromeSet:
     """The retained syndromes of the diagonal terms, held once as arrays.
 
     ``recovery``, their Knill-Laflamme recovery, holds the code's ``B``
-    and the ``(m, d, r)`` stack of the ``W_j``.  ``weights`` (float),
-    ``signs`` (each +1 or -1, never a bool) and ``term_indices`` (int)
-    are read-only length-``m`` copies.  Indexing and iteration give the
-    :class:`Syndrome` views.
+    and the ``(m, d, r)`` stack of the ``W_j``.  ``weights`` (float,
+    each positive and finite), ``signs`` (each +1 or -1, never a bool)
+    and ``term_indices`` (int) are read-only length-``m`` copies.
+    Indexing and iteration give the :class:`Syndrome` views.
     """
 
     recovery: Recovery
@@ -263,6 +263,8 @@ class SyndromeSet:
             object.__setattr__(self, name, a := _frozen(getattr(self, name), dtype))
             if a.shape != (len(self),):
                 raise ValueError(f"{name} has shape {a.shape}, expected ({len(self)},), one per isometry")
+        if not all(0.0 < x < np.inf for x in self.weights.tolist()):
+            raise ValueError(f"syndrome weights must be positive and finite, got {self.weights.tolist()}")
 
     @property
     def isometries(self) -> np.ndarray:
@@ -718,43 +720,37 @@ def analyze(
     return QecReport(condition, t, d, syndromes, Verdict.REVERSIBLE_POSITIVE, None)
 
 
-@functools.lru_cache(maxsize=8)
-def _recovery_samples(r: int) -> np.ndarray:
-    """Unit logical vectors ``u`` of the pure samples ``sigma = u u^dag``, read-only ``(r^2 + 20, r)``."""
-    eye = np.eye(r)
-    coeffs = list(eye) + [eye[i] + phase * eye[j] for i in range(r) for j in range(i + 1, r) for phase in (1, 1j)]
-    rng = random.Random(_VERIFY_SEED)  # stdlib, so no command imports numpy.random
-    coeffs += [[complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(r)] for _ in range(_RANDOM_SAMPLES)]
-    c = np.array(coeffs)
-    return _frozen(c / np.linalg.norm(c, axis=1, keepdims=True))
+def _deviation(coords: np.ndarray, signs: np.ndarray, r: int, tol: float) -> float:
+    """``||D||_2`` from the ``k x (1 + N) r`` coordinates of ``[B, M_1, ...]`` in one orthonormal frame.
 
-
-def _deviation(coords: np.ndarray, signs: np.ndarray, u: np.ndarray, tol: float) -> float:
-    """Largest ``||X||_F`` over the samples ``u``, from the ``k x (1 + N) r`` coordinates of ``[B, M_1, ...]``.
-
-    The coordinates are taken in one orthonormal frame ``Q``, so
-    ``X = sum_n s_n M_n u u^dag M_n^dag / t - B u u^dag B^dag`` has the
-    norm of its ``k x k`` image.  The terms are divided by their largest
-    entry, which leaves ``X`` unchanged and keeps every square finite at
-    any float scale.
+    ``X = sum_n s_n M_n sigma M_n^dag / c - B sigma B^dag`` has the norm of
+    its ``k x k`` image in the frame, and ``vec X = D vec sigma`` with the
+    ``k^2 x r^2`` matrix ``D = sum_n (s_n / c) M_n x conj(M_n) - B x conj(B)``,
+    so ``||X||_F <= ||D||_2 ||sigma||_F`` for every ``sigma``, with equality
+    at the top singular vector.  ``c = sum_n s_n ||M_n||_F^2 / r`` is the
+    recovered trace of the maximally mixed code state.  ``D`` is formed,
+    so its entries cancel before any square is taken; ``||D||_2`` is then
+    the root of the largest eigenvalue of ``D^dag D``.  The terms are
+    divided by their largest entry, which leaves ``D`` unchanged and keeps
+    every square finite at any float scale.
     """
-    k, r = coords.shape[0], u.shape[1]
+    k = coords.shape[0]
     blocks = coords[:, r:].reshape(k, -1, r)
-    live = blocks.any(axis=(0, 2))  # a zero block adds nothing to X
+    live = blocks.any(axis=(0, 2))  # a zero block adds nothing to D
     m, signs = blocks[:, live], signs[live]
-    y = np.concatenate([coords[:, None, :r], m / (_max_abs(m) or 1.0)], axis=1) @ u.T  # y[:, n] = [B u, M_1 u, ...]
-    power = np.einsum("kns,kns->ns", y[:, 1:], y[:, 1:].conj()).real  # ||M_n u||^2
-    t, unsigned = signs @ power, power.sum(axis=0)
-    small = np.abs(t) <= _cut(tol, unsigned)
-    if small.any():
-        i = int(np.argmax(small))
-        ratio = abs(t[i]) / unsigned[i] if unsigned[i] else 0.0
+    m = m / (_max_abs(m) or 1.0)
+    power = np.einsum("kns,kns->n", m, m.conj()).real / r  # ||M_n||_F^2 / r
+    c, unsigned = signs @ power, power.sum()
+    if abs(c) <= _cut(tol, unsigned):
+        ratio = abs(c) / unsigned if unsigned else 0.0
         raise ZeroTrace(
-            f"recovered trace cancels to {ratio:.3e} of its unsigned trace sum |s| ||M u||^2 (tol {tol:.1e})"
+            f"recovered trace cancels to {ratio:.3e} of its unsigned trace sum |s| ||M||^2 / r (tol {tol:.1e})"
         )
-    weights = np.concatenate([-np.ones((1, t.size)), signs[:, None] / t])
-    x = np.einsum("ans,ns,bns->sab", y, weights, y.conj())
-    return float(np.sqrt(np.einsum("sab,sab->s", x, x.conj()).real.max()))
+    y = np.concatenate([coords[:, None, :r], m], axis=1)  # y[:, n] = [B, M_1, ...]
+    left = (y * np.concatenate([[-1.0], signs / c])[:, None]).transpose(0, 2, 1).reshape(k * r, -1)  # row a r + i
+    right = y.conj().transpose(1, 0, 2).reshape(-1, k * r)  # column b r + j
+    d = (left @ right).reshape(k, r, k, r).transpose(0, 2, 1, 3).reshape(k * k, r * r)  # D[a k + b, i r + j]
+    return float(np.sqrt(max(np.linalg.eigvalsh(d.conj().T @ d)[-1], 0.0)))
 
 
 def verify_recovery(
@@ -764,18 +760,18 @@ def verify_recovery(
     *,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """Largest per-sample ``|| R(E(B sigma B^dag)) / t - B sigma B^dag ||_F``, to rounding.
+    """Largest ``|| R(E(B sigma B^dag)) / c - B sigma B^dag ||_F`` over ``||sigma||_F <= 1``, to rounding.
 
-    ``t`` normalizes the recovered state to unit trace, so a recovery
-    that restores states only up to a constant factor still verifies.
-    The ``r^2 + 20`` samples ``sigma`` are the ``r`` logical basis
-    states, their pairwise superpositions with phases 1 and i, and 20
-    reproducible random logical states, whose real and imaginary parts
-    are standard normal draws from the stdlib ``random.Random`` at a
-    fixed seed.  ``tol`` is keyword-only.  Map and recovery enter only
-    through the ``d x r`` terms ``M_jk = R_j E_k B``: each deviation
+    ``c`` is the recovered trace of the maximally mixed code state, so a
+    recovery that restores the code only up to a constant factor, the
+    Knill-Laflamme ``R E = c id`` on the code, still verifies.  ``R E`` is
+    linear, so the value is the spectral norm of one operator ``D`` on the
+    ``r x r`` logical ``sigma`` and bounds the deviation of every code
+    state, pure or mixed; it is zero exactly when ``R E = c id`` on the
+    code.  ``tol`` is keyword-only.  Map and recovery enter only through
+    the ``d x r`` terms ``M_jk = R_j E_k B``: each deviation
     ``X = A Z A^dag`` lies in the column span of ``A = [B, M_11, M_12,
-    ...]``, and its norm is taken on the coordinates of ``A`` in an
+    ...]``, and ``D`` is taken on the coordinates of ``A`` in an
     orthonormal frame, with no ``d x d`` state and no rank cut.
 
     The map enters only through its terms on the code ``V_k = E_k B``, as
@@ -802,10 +798,10 @@ def verify_recovery(
         If a matrix channel's ``B`` is not Hermitian within ``tol`` times
         its largest entry.
     ZeroTrace
-        If a recovered trace ``t`` is at most ``tol`` times the unsigned
-        trace ``sum_jk |s_jk| ||M_jk u||^2``: it has cancelled to
-        rounding (or the map or the recovery annihilates the state, as a
-        map with no terms does), so the check cannot decide.
+        If ``|c|`` is at most ``tol`` times the unsigned trace
+        ``sum_jk |s_jk| ||M_jk||_F^2 / r``: it has cancelled to rounding
+        (or the map or the recovery annihilates the code, as a map with
+        no terms does), so the check cannot decide.
     """
     if not isinstance(recovery, (SignedOperatorSum, Recovery)):
         raise TypeError(f"expected a SignedOperatorSum or Recovery recovery, got {type(recovery).__name__}")
@@ -830,4 +826,4 @@ def verify_recovery(
         live = m.any(axis=(0, 2))  # kept out of the QR as well
         coords = np.linalg.qr(np.concatenate([b, m[:, live].reshape(d, -1)], axis=1), mode="r")
         signs = signs[live]
-    return _deviation(coords, signs, _recovery_samples(r), tol)
+    return _deviation(coords, signs, r, tol)

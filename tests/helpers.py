@@ -15,8 +15,11 @@ from ncpqec import (
     BMatrix,
     CodeSpace,
     NotHermitian,
+    Recovery,
     Signature,
     SignedOperatorSum,
+    analyze,
+    apply_map,
     classify,
     cp_condition_matrix,
     eta_metric,
@@ -246,3 +249,54 @@ def conditioned_pauli_map(rng, require_negative: bool = True) -> SignedOperatorS
         terms.append((s, np.sqrt(w) * pauli_string(letters)))
     terms.sort(key=lambda t: -t[0])
     return SignedOperatorSum.from_terms([s for s, _ in terms], [op for _, op in terms])
+
+
+def recovery_deviations(ops, recovery, code: CodeSpace, inputs) -> list:
+    """``R(E(x)) / c - x`` for each ``d x d`` input ``x``, one at a time through two ``apply_map`` calls.
+
+    ``c`` is the recovered trace of the maximally mixed code state ``P / r``,
+    the normalization of ``verify_recovery``.
+    """
+    c = np.trace(apply_map(recovery, apply_map(ops, code.projector))).real / code.rank
+    return [apply_map(recovery, apply_map(ops, x)) / c - x for x in inputs]
+
+
+def dense_deviation(ops, recovery, code: CodeSpace) -> float:
+    """The oracle of ``verify_recovery``: the spectral norm of the ``d^2 x r^2`` deviation over the matrix units.
+
+    Column ``i r + j`` is the deviation of ``B e_i e_j^dag B^dag``, so the
+    norm is the largest ``||R(E(B sigma B^dag)) / c - B sigma B^dag||_F``
+    over ``||sigma||_F <= 1``.
+    """
+    b, r = code.isometry, code.rank
+    units = [np.outer(b[:, i], b[:, j].conj()) for i in range(r) for j in range(r)]
+    columns = [x.ravel() for x in recovery_deviations(ops, recovery, code, units)]
+    return float(np.linalg.norm(np.column_stack(columns), 2))
+
+
+def sample_deviations(ops, recovery, code: CodeSpace) -> np.ndarray:
+    """``||R(E(rho)) / c - rho||_F`` on ``r^2 + 20`` pure code states ``rho``.
+
+    The ``r`` logical basis states, their pairwise superpositions with
+    phases 1 and i, and 20 seeded random states: each a lower bound on the
+    value of ``verify_recovery``.
+    """
+    r, eye = code.rank, np.eye(code.rank)
+    coeffs = [*eye, *(eye[i] + p * eye[j] for i in range(r) for j in range(i + 1, r) for p in (1, 1j))]
+    coeffs += list(random_complex(np.random.default_rng(424033), (20, r)))
+    psis = [code.isometry @ (c / np.linalg.norm(c)) for c in coeffs]
+    states = [np.outer(psi, psi.conj()) for psi in psis]
+    return np.array([np.linalg.norm(x) for x in recovery_deviations(ops, recovery, code, states)])
+
+
+def wrong_recoveries():
+    """A 3-qubit CP recovery with one ``W_j`` moved by 1e-3, with another code's ``W``, or with another ``B``."""
+    ops, code = repetition_bitflip(3, 0.7)
+    rec = analyze(ops, code).recovery
+    w = np.array(rec.isometries)
+    w[1] += 1e-3 * random_complex(np.random.default_rng(3), w[1].shape)
+    other = projector_from_basis([ket(1, 8), ket(6, 8)])
+    yield "perturbed W_j", Recovery(code.isometry, w)
+    yield "another code's W", Recovery(code.isometry, analyze(ops, other).recovery.isometries)
+    yield "another code's B", Recovery(other.isometry, rec.isometries)
+    yield "logically flipped B", Recovery(code.isometry[:, ::-1], rec.isometries)

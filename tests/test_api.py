@@ -221,6 +221,11 @@ FROM_CALLER = {
         lambda ops, a: ncpqec.Recovery(np.eye(8)[:, ::7], a),
         "isometries",
     ),
+    "Syndrome": (
+        lambda ops, code: ncpqec.analyze(ops, code).syndromes.isometries[0],
+        lambda ops, a: ncpqec.Syndrome(a, 1.0, 1, 0),
+        "isometry",
+    ),
     "SignedOperatorSum": (
         lambda ops, code: ops.operators,
         lambda ops, a: ncpqec.SignedOperatorSum(8, ops.signs, a),
@@ -254,4 +259,31 @@ def test_no_module_but_frozen_decides_how_a_record_holds_an_array():
                 found.append(f"{path.name}:{node.lineno} setflags")
             if "_held" in {getattr(node, key, None) for key in ("id", "name", "asname", "attr")}:
                 found.append(f"{path.name}:{node.lineno} _held")
+    assert found == []
+
+
+def _random_uses(tree):
+    """``(line, name)`` of each import of ``random`` or ``numpy.random``, ``np.random`` and ``default_rng`` call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(f"{node.module}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}".replace("np.", "numpy.", 1)]
+        elif isinstance(node, ast.Call):
+            names = [getattr(node.func, "attr", getattr(node.func, "id", ""))]
+        else:
+            continue
+        for name in names:
+            if name in ("random", "numpy.random", "default_rng") or name.startswith(("random.", "numpy.random.")):
+                yield node.lineno, name
+
+
+def test_no_module_draws_random_numbers():
+    # Every value the package returns has a closed form, so no module
+    # imports random or numpy.random, reaches np.random, or calls default_rng.
+    found = []
+    for path in sorted(Path(ncpqec.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{line} {name}" for line, name in _random_uses(ast.parse(path.read_text()))]
     assert found == []

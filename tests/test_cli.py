@@ -520,8 +520,8 @@ def test_reproduce_paper_near_float_max():
 
 
 def test_reproduce_paper_does_not_import_numpy_random():
-    # verify_recovery draws its random samples from the stdlib generator,
-    # so the command never loads numpy.random.
+    # verify_recovery takes a closed-form norm and draws no random
+    # samples, so the command never loads numpy.random.
     script = (
         "import contextlib, io, sys\n"
         "from ncpqec import cli\n"
@@ -545,7 +545,10 @@ def test_reproduce_paper_pretty_output():
     assert proc.returncode == 0, proc.stderr
     assert "verdict: code_outside_domain" in proc.stdout
     assert "negative probability" in proc.stdout
-    assert "over 24 sample states" in proc.stdout  # r^2 + 20 at r = 2, the size of verify_recovery's sample set
+    # verify_recovery's value bounds the deviation of every code state, and the text says so with that value.
+    doc = json.loads(run_cli("reproduce-paper", "--json").stdout)
+    bound = f"Frobenius deviation at most {doc['recovery_max_error']:.3e} on any code state"
+    assert "projective recovery restores every code state (" + bound in proc.stdout
 
 
 @pytest.mark.parametrize("c0, shown", [("-0.2", "-0.2"), ("1e308", "1e+308")])
@@ -564,7 +567,7 @@ def test_reproduce_paper_claims_recovery_only_within_tol(c0, restores):
     # deviation is about 31: the text must not claim a restored state.
     proc = run_cli("reproduce-paper", f"--c0={c0}")
     assert proc.returncode == 0, proc.stderr
-    claim = "projective recovery restores every sampled code state"
+    claim = "projective recovery restores every code state"
     assert (claim in proc.stdout) == restores
     assert ("projective recovery does not restore" in proc.stdout) == (not restores)
 

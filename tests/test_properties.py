@@ -7,7 +7,10 @@ trace-normalized CP maps, which are reversible.  Re-decomposing a map
 change neither the verdict nor the sorted weights ``d``; rescaling
 scales ``d`` and keeps the verdict except where trace preservation is
 lost.  The analysis's Gram GEMMs match their einsum forms on random
-stacks, and its syndrome isometries match the SVD polar oracle.  A map
+stacks, and its syndrome isometries match the SVD polar oracle.
+``verify_recovery`` reads 0 on a reversible report's recovery at any
+float scale of the map, and bounds each sample state's deviation from
+above on a wrong one.  A map
 given as a ``B`` or ``A`` matrix, decided from its restricted terms on the
 code, gets the operator sum's outcome.  Runs are derandomized and keep no
 example database, so the suite is reproducible.
@@ -48,6 +51,8 @@ from helpers import (
     random_complex,
     random_pu,
     repetition_code,
+    sample_deviations,
+    wrong_recoveries,
 )
 
 CODE = repetition_code()
@@ -144,6 +149,22 @@ def test_factored_recovery_verifies_as_its_dense_terms(case):
     assume(recovery is not None)
     dense = SignedOperatorSum(8, recovery.signs, recovery.operators)
     assert abs(verify_recovery(ops, recovery, CODE) - verify_recovery(ops, dense, CODE)) < 1e-14
+
+
+@PROPERTY
+@given(maps())
+def test_verify_recovery_certifies_every_code_state(case):
+    # At any float scale of the map, a reversible report's recovery reads 0
+    # to rounding, and a wrong recovery reads at least the deviation of
+    # each sample state: the value bounds every code state.
+    ops, _ = case
+    recovery = analyze(ops, CODE).recovery
+    for scale in (1e-150, 1e-12, 1.0, 1e150):
+        scaled = SignedOperatorSum(8, ops.signs, np.sqrt(scale) * ops.operators)
+        if recovery is not None:
+            assert verify_recovery(scaled, recovery, CODE) < 1e-14
+        for _, wrong in wrong_recoveries():
+            assert verify_recovery(scaled, wrong, CODE) >= sample_deviations(scaled, wrong, CODE).max() - 1e-12
 
 
 @PROPERTY

@@ -1,5 +1,4 @@
 import json
-import random
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -53,12 +52,13 @@ from ncpqec import (
 from ncpqec.documents import analysis_document, encode_vector, parse_code_document
 from ncpqec.pseudolinalg import DEFAULT_TOL
 from ncpqec import qec
-from ncpqec.qec import _VERIFY_SEED, _witness
+from ncpqec.qec import _witness
 
 from helpers import (
     apply_a_matrix,
     bitflip_ops,
     conditioned_pauli_map,
+    dense_deviation,
     dynamical_on_code,
     ket,
     memory_owner,
@@ -72,6 +72,8 @@ from helpers import (
     random_pu,
     random_unitary,
     repetition_code,
+    sample_deviations,
+    wrong_recoveries,
 )
 
 X1, X2, X3 = (pauli_string(s) for s in ("XII", "IXI", "IIX"))
@@ -374,6 +376,18 @@ def test_recovery_rejects_mismatched_shapes(b, w):
         Recovery(b, w)
 
 
+@pytest.mark.parametrize("field", ["code_isometry", "isometries"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_recovery_refuses_non_finite_entries(field, bad):
+    # As CodeSpace and CodeTerms do: a NaN would otherwise reach
+    # verify_recovery's eigensolver.
+    b = np.eye(4, dtype=complex)[:, :2]
+    arrays = {"code_isometry": b, "isometries": np.array([b, b[::-1]])}
+    arrays[field][(0,) * arrays[field].ndim] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Recovery(**arrays)
+
+
 def test_recovery_copies_a_read_only_view():
     # A read-only view of a writable array is copied, so later writes to
     # the caller's array leave the record unchanged.
@@ -410,6 +424,29 @@ def test_syndrome_set_is_one_record():
     with pytest.raises(ValueError, match="sign"):
         QecReport(report.condition, None, None, inverted.syndromes, Verdict.REVERSIBLE_POSITIVE, None)
     assert inverted.recovery is None and build_recovery(inverted.syndromes) is inverted.syndromes.recovery
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.25, np.inf, np.nan])
+def test_syndrome_set_refuses_weights_that_are_not_positive_and_finite(bad):
+    # analyze stores only positive weights, and the document parser refuses the others.
+    syn = analyze(*repetition_bitflip(3, 0.7)).syndromes
+    weights = np.array(syn.weights)
+    weights[2] = bad
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
+        SyndromeSet(syn.recovery, weights, syn.signs, syn.term_indices)
+
+
+def test_syndrome_holds_its_isometry_frozen():
+    # A view of the set's stack lies over bytes and is kept as it is; a
+    # caller's writeable array is copied, so later writes leave the record.
+    syn = analyze(*repetition_bitflip(3, 0.7)).syndromes
+    assert np.shares_memory(syn[1].isometry, syn.isometries)
+    w = np.array(syn.isometries[1])
+    held = Syndrome(w, 1.0, 1, 0).isometry
+    w[0, 0] = np.nan
+    assert np.array_equal(held, syn.isometries[1])
+    with pytest.raises(ValueError):
+        held.setflags(write=True)
 
 
 @pytest.mark.parametrize(
@@ -453,25 +490,14 @@ def test_factored_and_dense_verification_agree(n, c0):
     assert abs(factored - verify_recovery(ops, _dense(rec), code)) < 1e-14
 
 
-def _wrong_recoveries():
-    """A 3-qubit CP recovery with one ``W_j`` moved by 1e-3, with another code's ``W``, or with another ``B``."""
-    ops, code = repetition_bitflip(3, 0.7)
-    rec = analyze(ops, code).recovery
-    w = np.array(rec.isometries)
-    w[1] += 1e-3 * random_complex(np.random.default_rng(3), w[1].shape)
-    other = projector_from_basis([ket(1, 8), ket(6, 8)])
-    yield "perturbed W_j", Recovery(code.isometry, w)
-    yield "another code's W", Recovery(code.isometry, analyze(ops, other).recovery.isometries)
-    yield "another code's B", Recovery(other.isometry, rec.isometries)
-    yield "logically flipped B", Recovery(code.isometry[:, ::-1], rec.isometries)
-
-
-@pytest.mark.parametrize("name, recovery", list(_wrong_recoveries()))
+@pytest.mark.parametrize("name, recovery", list(wrong_recoveries()))
 def test_factored_verification_reads_a_wrong_recovery(name, recovery):
     ops, code = repetition_bitflip(3, 0.7)
     factored, dense = (verify_recovery(ops, r, code) for r in (recovery, _dense(recovery)))
     assert factored > 1e-4 and dense > 1e-4
     assert abs(factored - dense) < 1e-14
+    assert abs(factored - dense_deviation(ops, recovery, code)) < 1e-12
+    assert factored >= sample_deviations(ops, recovery, code).max() - 1e-12
 
 
 def test_verify_recovery_gates_the_trace_against_the_unsigned_trace():
@@ -741,32 +767,10 @@ def test_verify_recovery_ncp_bitflip():
     assert verify_recovery(ops, rec, code) < 1e-9
 
 
-def _per_sample_deviations(ops, recovery, code):
-    """Largest Frobenius and max-abs entry of ``out / tr(out) - rho`` over the ``r^2 + 20`` samples.
-
-    Each sample state ``B sigma B^dag`` goes through two ``apply_map``
-    calls, one at a time, as a full ``d x d`` matrix.
-    """
-    r = code.rank
-    coeffs = [np.eye(r)[i] for i in range(r)]
-    coeffs += [np.eye(r)[i] + phase * np.eye(r)[j] for i in range(r) for j in range(i + 1, r) for phase in (1, 1j)]
-    sample_rng = random.Random(_VERIFY_SEED)  # real, then imaginary part of each entry
-    for _ in range(20):
-        coeffs.append(np.array([sample_rng.gauss(0.0, 1.0) + 1j * sample_rng.gauss(0.0, 1.0) for _ in range(r)]))
-    frobenius = max_abs = 0.0
-    for c in coeffs:
-        psi = code.isometry @ c / np.linalg.norm(c)
-        rho = np.outer(psi, psi.conj())
-        out = apply_map(recovery, apply_map(ops, rho))
-        x = out / np.trace(out).real - rho
-        frobenius = max(frobenius, np.linalg.norm(x))
-        max_abs = max(max_abs, np.abs(x).max())
-    return frobenius, max_abs
-
-
 def test_verify_recovery_matches_per_sample_apply_map():
     # Pairing a map with another map's recovery, or with a map whose
-    # output leaves the code, gives O(1) deviations.
+    # output leaves the code, gives O(1) deviations. The value is the
+    # dense oracle's, and at least the deviation of every sample state.
     rng = np.random.default_rng(163)
     code = repetition_code()
     maps = [conditioned_pauli_map(rng, require_negative=False) for _ in range(6)]
@@ -776,11 +780,11 @@ def test_verify_recovery_matches_per_sample_apply_map():
     worst_seen = []
     for k, ops in enumerate(maps):
         for recovery in (recoveries[k], recoveries[k - 1], maps[k - 1]):
-            frobenius, max_abs = _per_sample_deviations(ops, recovery, code)
+            oracle = dense_deviation(ops, recovery, code)
             got = verify_recovery(ops, recovery, code)
-            assert abs(got - frobenius) < 1e-12
-            assert got >= max_abs - 1e-12  # at least the largest entry, up to the references' roundoff
-            worst_seen.append(frobenius)
+            assert abs(got - oracle) < 1e-12
+            assert got >= sample_deviations(ops, recovery, code).max() - 1e-12  # up to the references' roundoff
+            worst_seen.append(oracle)
     assert max(worst_seen) > 0.1
     assert min(worst_seen) < 1e-12
 
@@ -793,11 +797,11 @@ def test_verify_recovery_matches_per_sample_apply_map_at_other_ranks(rank):
     code = projector_from_basis(list(random_complex(rng, (rank, 4))))
     ops = SignedOperatorSum.from_terms([1, -1], [random_complex(rng, (4, 4)), 0.3 * random_complex(rng, (4, 4))])
     recovery = SignedOperatorSum.from_terms([1, 1, 1], list(random_complex(rng, (3, 4, 4))))
-    frobenius, max_abs = _per_sample_deviations(ops, recovery, code)
+    oracle = dense_deviation(ops, recovery, code)
     got = verify_recovery(ops, recovery, code)
-    assert abs(got - frobenius) < 1e-12
-    assert got >= max_abs - 1e-12
-    assert frobenius > 0.1
+    assert abs(got - oracle) < 1e-12
+    assert got >= sample_deviations(ops, recovery, code).max() - 1e-12
+    assert oracle > 0.1
 
 
 def test_verify_recovery_reads_a_factored_recovery_at_its_own_rank():
@@ -809,21 +813,25 @@ def test_verify_recovery_reads_a_factored_recovery_at_its_own_rank():
     left = np.column_stack([code.isometry, np.eye(8)[:, 1]])
     extra = 0.2 * random_complex(np.random.default_rng(53), (rec.n_terms, 8, 1))
     wide = Recovery(left, np.concatenate([rec.isometries, extra], axis=2))
-    frobenius, max_abs = _per_sample_deviations(ops, wide, code)
+    oracle = dense_deviation(ops, wide, code)
     got = verify_recovery(ops, wide, code)
-    assert abs(got - frobenius) < 1e-12
-    assert got >= max_abs - 1e-12
-    assert frobenius > 0.01
+    assert abs(got - oracle) < 1e-12
+    assert got >= sample_deviations(ops, wide, code).max() - 1e-12
+    assert oracle > 0.01
 
 
-def test_verify_recovery_of_a_rank_one_recovery_raises_zero_trace():
+def test_verify_recovery_of_a_rank_one_recovery_reads_the_lost_state():
     # R_j = b_0 w_j^dag, with w_j the first column of W_j, sends |111> to
-    # nothing, so its recovered trace is zero.
+    # nothing: the recovered trace of the maximally mixed code state is
+    # 1/2, not zero, and |111><111| comes back as the zero matrix, a
+    # deviation of exactly 1.
     ops, code = repetition_bitflip(3, 0.7)
     rec = analyze(ops, code).recovery
     narrow = Recovery(code.isometry[:, :1], rec.isometries[:, :, :1])
-    with pytest.raises(ZeroTrace):
-        verify_recovery(ops, narrow, code)
+    got = verify_recovery(ops, narrow, code)
+    assert abs(got - 1.0) < 1e-12
+    assert abs(got - dense_deviation(ops, narrow, code)) < 1e-12
+    assert got >= sample_deviations(ops, narrow, code).max() - 1e-12
 
 
 def test_verify_recovery_counts_leakage_off_the_code():
@@ -835,9 +843,10 @@ def test_verify_recovery_counts_leakage_off_the_code():
     rotation[np.ix_([0, 1], [0, 1])] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
     ops = SignedOperatorSum.from_terms([1], [I8])
     leaky = SignedOperatorSum.from_terms([1], [rotation])
-    frobenius, _ = _per_sample_deviations(ops, leaky, code)
+    oracle = dense_deviation(ops, leaky, code)
     got = verify_recovery(ops, leaky, code)
-    assert abs(got - frobenius) < 1e-12
+    assert abs(got - oracle) < 1e-12
+    assert got >= sample_deviations(ops, leaky, code).max() - 1e-12
     assert got > 0.1
 
 
@@ -887,27 +896,27 @@ def test_verify_recovery_of_the_repetition_code_matches_per_sample_apply_map(n):
     # QR.
     ops, code = repetition_bitflip(n, 0.7)
     recovery = analyze(ops, code).recovery
-    frobenius, max_abs = _per_sample_deviations(ops, recovery, code)
+    oracle = dense_deviation(ops, recovery, code)
     got = verify_recovery(ops, recovery, code)
-    assert abs(got - frobenius) < 1e-12
-    assert got >= max_abs - 1e-12
+    assert abs(got - oracle) < 1e-12
+    assert got >= sample_deviations(ops, recovery, code).max() - 1e-12
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-4])
 def test_verify_recovery_keeps_small_nonzero_blocks(monkeypatch, scale):
     # An extra recovery term adds four small blocks R E_k B to the four
     # nonzero ones. Only exact zeros leave the QR, so these stay however
-    # small, and the result still matches the per-sample reference.
+    # small, and the result still matches the dense oracle.
     ops, code = repetition_bitflip(3, 0.7)
     recovery = analyze(ops, code).recovery
     noise = scale * random_complex(np.random.default_rng(29), (8, 8))
     noisy = SignedOperatorSum.from_terms((1,) * 5, [*recovery.operators, noise])
-    frobenius, max_abs = _per_sample_deviations(ops, noisy, code)
+    oracle, samples = dense_deviation(ops, noisy, code), sample_deviations(ops, noisy, code)
     shapes = _qr_shapes(monkeypatch)
     got = verify_recovery(ops, noisy, code)
     assert shapes == [(8, (1 + 8) * 2)]
-    assert abs(got - frobenius) < 1e-12
-    assert got >= max_abs - 1e-12
+    assert abs(got - oracle) < 1e-12
+    assert got >= samples.max() - 1e-12
 
 
 def test_verify_recovery_leaves_null_blocks_out_of_the_svd(monkeypatch):
@@ -1177,7 +1186,7 @@ def test_analyze_builds_no_dense_recovery():
 
 def test_verify_recovery_peak_memory_holds_no_d_by_d_state():
     # The deviation is taken on the coordinates of the d x r terms
-    # R_j E_k B, so no (samples, d, d) stack is formed: the peak
+    # R_j E_k B, so no d x d state is formed: the peak
     # allocation (0.024x at n = 8 for the factored recovery) stays below the
     # map's own n x d x d terms.
     ops, code = repetition_bitflip(8, 0.7)
