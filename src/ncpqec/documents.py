@@ -259,11 +259,14 @@ def parse_code_document(obj: Any, tol: float) -> CodeSpace:
 
 
 def analysis_document(report: QecReport, signature: Signature) -> dict:
-    """Serialize a :class:`~ncpqec.qec.QecReport`; the recovery is stored as its ``B``."""
+    """Serialize a :class:`~ncpqec.qec.QecReport`; the recovery is stored as its ``B``.
+
+    Syndrome ``k`` is canonical term ``k``: its ``term_index`` is its position.
+    """
     syndromes = witness = None
     if (syn := report.syndromes) is not None:  # the whole W stack in one conversion
-        columns = encode_matrix(syn.isometries), syn.weights.tolist(), syn.signs.tolist(), syn.term_indices.tolist()
-        syndromes = [{"isometry": w, "weight": x, "sign": s, "term_index": k} for w, x, s, k in zip(*columns)]
+        columns = enumerate(zip(encode_matrix(syn.isometries), syn.weights.tolist(), syn.signs.tolist()))
+        syndromes = [{"isometry": w, "weight": x, "sign": s, "term_index": k} for k, (w, x, s) in columns]
     if report.witness is not None:
         witness = {
             "vector": encode_matrix(report.witness.vector),
@@ -280,7 +283,7 @@ def analysis_document(report: QecReport, signature: Signature) -> dict:
             "form": report.condition.form,
         },
         "diagonalizer": None if report.diagonalizer is None else encode_matrix(report.diagonalizer),
-        "diagonal": None if report.diagonal is None else np.asarray(report.diagonal, dtype=float).tolist(),
+        "diagonal": None if report.diagonal is None else report.diagonal.tolist(),
         "syndromes": syndromes,
         "recovery": None if (rec := report.recovery) is None else {"code_isometry": encode_matrix(rec.code_isometry)},
         "witness": witness,
@@ -295,11 +298,15 @@ def parse_analysis_document(obj: Any) -> dict:
     encoded matrices; ``recovery`` is the factored
     :class:`~ncpqec.qec.Recovery` of the stored ``B`` and syndrome
     isometries, with no dense terms.  Besides malformed fields it refuses
-    what no analysis gives: a ``diagonal`` without one entry per
-    diagonalizer column, a syndrome ``term_index`` beyond it, a syndrome
-    weight that is not positive or not ``diagonal[term_index]``, a
-    syndrome of sign -1 under a ``reversible_positive`` verdict, and a
-    witness that does not name the first syndrome of sign -1.
+    what no analysis gives.  ``diagonalizer``, ``diagonal`` and
+    ``syndromes`` come together, with one diagonal entry per
+    diagonalizer column and one syndrome per diagonal entry: syndrome
+    ``k`` is canonical term ``k``, so its ``term_index`` is ``k`` and its
+    weight, positive and finite, is ``diagonal[k]``.  Every syndrome
+    isometry has one ``d x r`` shape, which the recovery's ``B`` and the
+    witness vector's length must match.  A syndrome of sign -1 under a
+    ``reversible_positive`` verdict, and a witness that does not name the
+    first syndrome of sign -1, are refused too.
     """
     if not isinstance(obj, dict):
         raise ValueError("analysis document must be a JSON object")
@@ -326,47 +333,41 @@ def parse_analysis_document(obj: Any) -> dict:
         raise ValueError("analysis: witness must be present iff verdict is code_outside_domain")
     if verdict == "reversible_positive" and obj.get("recovery") is None:
         raise ValueError("analysis: reversible_positive requires a recovery")
-    columns, diag = 0, []  # analyze writes one diagonal entry per diagonalizer column
-    if obj.get("diagonalizer") is not None:
+    terms = [obj.get(key) is not None for key in ("diagonalizer", "diagonal", "syndromes")]
+    if any(terms) and not all(terms):
+        raise ValueError("analysis: diagonalizer, diagonal and syndromes must be present together")
+    syndromes, shape = [], None
+    if all(terms):
         out["diagonalizer"] = decode_matrix(obj["diagonalizer"], "analysis.diagonalizer")
         columns = out["diagonalizer"].shape[1]
-    if obj.get("diagonal") is not None:
         what = f"a list of {columns} finite numbers, one per diagonalizer column"
         diag = _field(obj, "diagonal", "analysis", list, what, lambda xs: len(xs) == columns and all(map(_finite, xs)))
         out["diagonal"] = np.array(diag, dtype=float)
-    if obj.get("syndromes") is not None:
-        decoded, taken = [], set()
-        fresh = lambda x: 0 <= x < len(diag) and x not in taken  # noqa: E731
-        index_what = f"a non-negative integer not used before, below the diagonal's length {len(diag)}"
-        kept = lambda x: 0 < x <= _FLOAT_MAX  # noqa: E731 -- analyze keeps only positive weights
+        what, below = f"a list of {columns} syndromes, one per diagonal entry", f"below the diagonal's length {columns}"
         reversible = verdict == "reversible_positive"  # its QecReport refuses a -1 syndrome
         sign_what = "+1 under a reversible_positive verdict" if reversible else "+1 or -1"
-        for k, s in enumerate(_field(obj, "syndromes", "analysis", list, "a list")):
+        for k, s in enumerate(_field(obj, "syndromes", "analysis", list, what, lambda xs: len(xs) == columns)):
             where = f"analysis.syndromes[{k}]"
             if not isinstance(s, dict):
                 raise ValueError(f"{where} must be a JSON object")
-            index = _field(s, "term_index", where, int, index_what, fresh)
-            _field(s, "weight", where, _NUMBER, "a positive finite number", kept)
-            # analyze stores weight = diagonal[term_index], which JSON floats keep exactly
-            weight = _field(s, "weight", where, _NUMBER, f"diagonal[{index}]", lambda x: x == diag[index])
-            decoded.append(
-                {
-                    "isometry": decode_matrix(_require(s, "isometry", where), f"{where}.isometry"),
-                    "weight": float(weight),
-                    "sign": _field(s, "sign", where, int, sign_what, lambda x: x == 1 or x == -1 and not reversible),
-                    "term_index": index,
-                }
-            )
-            taken.add(index)
-        out["syndromes"] = decoded
-    syndromes = out.get("syndromes") or []
+            what = f"a non-negative integer not used before, the least such ({k}), {below}"
+            _field(s, "term_index", where, int, what, lambda x: x == k)
+            _field(s, "weight", where, _NUMBER, "a positive finite number", lambda x: 0 < x <= _FLOAT_MAX)
+            # analyze stores weight = diagonal[k], which JSON floats keep exactly
+            weight = _field(s, "weight", where, _NUMBER, f"diagonal[{k}]", lambda x: x == diag[k])
+            isometry = decode_matrix(_require(s, "isometry", where), f"{where}.isometry")
+            shape = shape or isometry.shape  # syndrome 0's
+            if isometry.shape != shape:
+                raise ValueError(f"{where}.isometry: shape {isometry.shape} must be that of syndrome 0, {shape}")
+            sign = _field(s, "sign", where, int, sign_what, lambda x: x == 1 or x == -1 and not reversible)
+            syndromes.append({"isometry": isometry, "weight": float(weight), "sign": sign})
+        out["syndromes"] = syndromes
     if obj.get("recovery") is not None:
         rec = _field(obj, "recovery", "analysis", dict, "a JSON object")
         where = "analysis.recovery.code_isometry"
         b = decode_matrix(_require(rec, "code_isometry", "analysis.recovery"), where)
-        shapes = sorted({s["isometry"].shape for s in syndromes})
-        if shapes != [b.shape]:
-            raise ValueError(f"{where}: shape {b.shape} must be that of every syndrome isometry, got {shapes}")
+        if b.shape != shape:
+            raise ValueError(f"{where}: shape {b.shape} must be that of the syndrome isometries, {shape}")
         out["recovery"] = Recovery(b, [s["isometry"] for s in syndromes])
     if witness is not None:
         witness, where = _field(obj, "witness", "analysis", dict, "a JSON object"), "analysis.witness"
@@ -374,8 +375,8 @@ def parse_analysis_document(obj: Any) -> dict:
         what = f"an index below the syndrome count {len(syndromes)}: that of the first syndrome of sign -1"
         index = _field(witness, "syndrome_index", where, int, what, lambda x: x == first)
         vector = decode_vector(_require(witness, "vector", where), f"{where}.vector")
-        rows = syndromes[index]["isometry"].shape[0]
-        if vector.shape != (rows,):
+        if vector.shape != shape[:1]:
+            rows = shape[0]
             raise ValueError(f"{where}.vector: length {vector.size} does not match the {rows} rows of the isometries")
         prob = _field(witness, "probability", where, _NUMBER, "a negative number", lambda x: x < 0)
         out["witness"] = NegativityWitness(vector, index, float(prob))

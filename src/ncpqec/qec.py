@@ -18,7 +18,7 @@ a ``B`` or ``A`` matrix as the signed eigenvectors of the ``d r x d r``
 dynamical matrix of the map restricted to the code, with no
 ``d^2 x d^2`` eigendecomposition.
 Such terms need not be any ``E_k B`` of the map's own operator sum, so
-the diagonalizer and term indices refer to the record's terms.
+the diagonalizer refers to the record's terms.
 :func:`analyze`, :func:`verify_recovery` and :func:`negative_part_on_code`
 take the record or any channel :func:`on_code` takes, through the one
 dispatch that :func:`on_code` uses, which checks the dimension and the
@@ -175,7 +175,7 @@ class ConditionMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Syndrome:
-    """One measurement branch of diagonal term ``F_k``, on the code space: a :class:`SyndromeSet` item.
+    """One measurement branch of canonical term ``F_k``, on the code space: item ``k`` of a :class:`SyndromeSet`.
 
     ``isometry``, a view of the set's stack, is the ``d x r`` polar
     isometry ``W_k`` with ``F_k B = sqrt(weight) W_k``, held as every
@@ -185,7 +185,6 @@ class Syndrome:
     isometry: np.ndarray
     weight: float
     sign: int
-    term_index: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "isometry", _frozen(self.isometry))
@@ -241,25 +240,24 @@ class Recovery:
 
 @dataclass(frozen=True, eq=False)
 class SyndromeSet:
-    """The retained syndromes of the diagonal terms, held once as arrays.
+    """The syndromes of the canonical terms, one per term in term order, held once as arrays.
 
     ``recovery``, their Knill-Laflamme recovery, holds the code's ``B``
     and the ``(m, d, r)`` stack of the ``W_j``.  ``weights`` (float,
-    each positive and finite), ``signs`` (each +1 or -1, never a bool)
-    and ``term_indices`` (int) are read-only length-``m`` copies.
-    Indexing and iteration give the :class:`Syndrome` views.
+    each positive and finite, the canonical ``d``) and ``signs`` (each +1
+    or -1, never a bool) are read-only length-``m`` copies.  Indexing and
+    iteration give the :class:`Syndrome` views.
     """
 
     recovery: Recovery
     weights: np.ndarray
     signs: np.ndarray
-    term_indices: np.ndarray
 
     def __post_init__(self) -> None:
         signs = np.asarray(self.signs, dtype=object).ravel().tolist()  # the raw elements: a bool stays a bool
         if not {*signs} <= {1, -1} or {bool, np.bool_} & {*map(type, signs)}:
             raise ValueError(f"syndrome signs must be +1 or -1, got {signs}")
-        for name, dtype in (("weights", float), ("signs", int), ("term_indices", int)):
+        for name, dtype in (("weights", float), ("signs", int)):
             object.__setattr__(self, name, a := _frozen(getattr(self, name), dtype))
             if a.shape != (len(self),):
                 raise ValueError(f"{name} has shape {a.shape}, expected ({len(self)},), one per isometry")
@@ -274,7 +272,7 @@ class SyndromeSet:
         return self.recovery.n_terms
 
     def __getitem__(self, j: int) -> Syndrome:
-        return Syndrome(self.isometries[j], float(self.weights[j]), int(self.signs[j]), int(self.term_indices[j]))
+        return Syndrome(self.isometries[j], float(self.weights[j]), int(self.signs[j]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,29 +304,35 @@ class QecReport:
 
     ``condition`` holds the canonical conditions that decided the
     verdict (the ``1 x 1`` zero matrix for a map that annihilates the
-    code).  ``diagonalizer`` (``T``), ``diagonal`` (``d``) and
-    ``syndromes`` belong to the canonical terms ``F = E T`` (never
-    formed) and are absent when the conditions fail.  ``witness`` is
-    present exactly for the outside-domain verdict; ``recovery`` is the
-    syndromes' own factored :class:`Recovery` for the reversible verdict
-    and ``None`` otherwise.
+    code).  ``diagonalizer`` (``T``) and ``syndromes`` belong to the
+    canonical terms ``F = E T`` (never formed) and are absent when the
+    conditions fail: column ``k`` of ``T`` is the term of syndrome ``k``,
+    and ``diagonal`` (``d``) reads the syndromes' weights.  ``witness``
+    is present exactly for the outside-domain verdict; ``recovery`` is
+    the syndromes' own factored :class:`Recovery` for the reversible
+    verdict and ``None`` otherwise.
     """
 
     condition: ConditionMatrix
     diagonalizer: np.ndarray | None
-    diagonal: np.ndarray | None
     syndromes: SyndromeSet | None
     verdict: Verdict
     witness: NegativityWitness | None
 
     def __post_init__(self) -> None:
-        for name, dtype in (("diagonalizer", complex), ("diagonal", float)):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        t, syndromes = self.diagonalizer, self.syndromes
+        if (t is None) != (syndromes is None) or t is not None and np.shape(t)[1:] != (len(syndromes),):
+            raise ValueError("a diagonalizer comes with its syndromes, one per column, and syndromes with it")
+        if t is not None:
+            object.__setattr__(self, "diagonalizer", _frozen(t))
         if self.verdict == Verdict.REVERSIBLE_POSITIVE and (not self.syndromes or (self.syndromes.signs != 1).any()):
             raise ValueError("reversible verdict requires syndromes, all of sign +1")
         if (self.witness is None) == (self.verdict == Verdict.CODE_OUTSIDE_DOMAIN):
             raise ValueError("the outside-domain verdict requires a witness, and no other verdict carries one")
+
+    @property
+    def diagonal(self) -> np.ndarray | None:
+        return None if self.syndromes is None else self.syndromes.weights
 
     @property
     def recovery(self) -> Recovery | None:
@@ -497,24 +501,18 @@ def cp_condition_matrix(operators: Sequence[np.ndarray], code: CodeSpace) -> Con
     return _condition_fit(_blocks(_on_code(ops, code, DEFAULT_TOL)[1]), None, "hermitian")
 
 
-def _term_cut(mu: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """The mask of the eigenvalues ``mu`` of ``G`` above the term cut ``tol * scale``, and ``scale = max mu``.
-
-    The cut of both routes; each then cuts the signed values at the same bound.
-    """
-    scale = float(mu.max(initial=0.0))
-    return mu > _cut(tol, scale), scale
-
-
 def _eigen_terms(signs: np.ndarray, g: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The signed values ``L``, ``T`` and the scale of the canonical terms of any Gram ``G``.
 
     With ``G = R^dag R`` and ``R eta R^dag = W L W^dag`` (``L`` is the
     spectrum of the restricted dynamical matrix over ``r``),
-    ``T = R^+ W |L|^(1/2)`` and ``scale = max eig G``.
+    ``T = R^+ W |L|^(1/2)`` and ``scale = max eig G``.  Eigenvalues of
+    ``G`` up to ``tol * scale`` drop, and the signed values are cut at
+    the same bound.
     """
     mu, q = np.linalg.eigh(g)
-    keep, scale = _term_cut(mu, tol)
+    scale = float(mu.max(initial=0.0))
+    keep = mu > _cut(tol, scale)
     root, q = np.sqrt(mu[keep]), q[:, keep]
     factor = root[:, None] * q.conj().T  # R, with G = R^dag R
     lam, w = np.linalg.eigh((factor * signs) @ factor.conj().T)
@@ -531,16 +529,16 @@ def _direct_terms(signs: np.ndarray, g: np.ndarray, tol: float) -> tuple[np.ndar
     is ``diag(s_k (sqrt mu_k)^2)``, so the kept terms are the input terms:
     column ``j`` of ``T`` selects term ``k_j``, scaled by
     ``sqrt(d_j) / sqrt(mu_k_j)``, in term order inside a cluster, as the
-    eigen route's Gram-Schmidt of the input terms orders them.
+    eigen route's Gram-Schmidt of the input terms orders them.  The one
+    cut is that of the signed values: ``|s_k mu_k| = mu_k``.
     """
     mu = g.diagonal().real
-    mask, scale = _term_cut(mu, tol)
-    keep = np.flatnonzero(mask)
-    root = np.sqrt(mu[keep])
-    clusters, values = _signed_clusters(signs[keep] * root * root, _cut(tol, scale))
+    scale = float(mu.max(initial=0.0))
+    root = np.sqrt(mu)
+    clusters, values = _signed_clusters(signs * root * root, _cut(tol, scale))
     rows = [i for c in clusters for i in sorted(c)]
     t = np.zeros((g.shape[0], len(rows)), dtype=complex)
-    t[keep[rows], np.arange(len(rows))] = np.sqrt(np.abs(values)) / root[rows]
+    t[rows, np.arange(len(rows))] = np.sqrt(np.abs(values)) / root[rows]
     return values, t, scale
 
 
@@ -553,9 +551,11 @@ def _canonical_terms(
     code, returns ``(signs, d, T, condition, scale)`` of the canonical
     terms ``F = E T``: ``d = |L|`` and ``signs = sign(L)`` for the signed
     values ``L``, and ``scale = max eig G``.  Eigenvalues up to
-    ``tol * scale`` drop.  A ``G`` whose off-diagonal entries are all
-    exactly zero, as for Pauli errors on a stabilizer code, takes
-    :func:`_direct_terms`; every other ``G`` takes :func:`_eigen_terms`.
+    ``tol * scale`` drop, and so do signed values up to it, so every
+    ``d_k`` exceeds ``tol * scale`` and each term is one syndrome.  A
+    ``G`` whose off-diagonal entries are all exactly zero, as for Pauli
+    errors on a stabilizer code, takes :func:`_direct_terms`; every other
+    ``G`` takes :func:`_eigen_terms`.
     """
     r = blocks.shape[-1]
     g = np.einsum("klaa->kl", blocks / r)
@@ -705,19 +705,17 @@ def analyze(
     canonical_signs, d, t, condition, scale = _canonical_terms(signs, blocks, tol)
     if not d.size:
         zero = ConditionMatrix(np.zeros((1, 1)), 0.0, "pseudohermitian")
-        return QecReport(zero, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
+        return QecReport(zero, None, None, Verdict.CONDITIONS_VIOLATED, None)
     if condition.residual > _cut(tol, scale):
-        return QecReport(condition, None, None, None, Verdict.CONDITIONS_VIOLATED, None)
-    keep = np.flatnonzero(d > _cut(tol, d.max()))  # lighter terms act trivially on the code space
-    w = _syndromes(v, t[:, keep], tol)
-    syndromes = SyndromeSet(Recovery(code.isometry, w), d[keep], canonical_signs[keep], keep)
+        return QecReport(condition, None, None, Verdict.CONDITIONS_VIOLATED, None)
+    syndromes = SyndromeSet(Recovery(code.isometry, _syndromes(v, t, tol)), d, canonical_signs)
     if (syndromes.signs < 0).any():
         witness = _witness(signs, v[:, :, 0], code.isometry[:, 0], syndromes, tol)
-        return QecReport(condition, t, d, syndromes, Verdict.CODE_OUTSIDE_DOMAIN, witness)
+        return QecReport(condition, t, syndromes, Verdict.CODE_OUTSIDE_DOMAIN, witness)
     # sum_k s_k V_k^dag V_k, from the diagonal blocks
     if _max_abs(np.diagonal(blocks) @ np.asarray(signs, dtype=float) - np.eye(code.rank)) > _cut(tol):
-        return QecReport(condition, t, d, syndromes, Verdict.CONDITIONS_VIOLATED, None)
-    return QecReport(condition, t, d, syndromes, Verdict.REVERSIBLE_POSITIVE, None)
+        return QecReport(condition, t, syndromes, Verdict.CONDITIONS_VIOLATED, None)
+    return QecReport(condition, t, syndromes, Verdict.REVERSIBLE_POSITIVE, None)
 
 
 def _deviation(coords: np.ndarray, signs: np.ndarray, r: int, tol: float) -> float:
@@ -778,15 +776,14 @@ def verify_recovery(
     in :func:`analyze`, so a :class:`CodeTerms` record made once for
     :func:`analyze` serves here too and gives the value of its channel bit
     for bit.
-    A dense :class:`~ncpqec.superop.SignedOperatorSum` recovery gets the
-    frame from one thin Householder QR of ``A`` (accurate per column
-    beside much larger ones), without the exactly zero blocks ``M_jk``.
-    A factored :class:`Recovery` with ``d x r'`` isometry ``L`` has
-    ``M_jk = L G_jk`` with ``r' x r`` blocks ``G_jk = W_j^dag E_k B``: its
-    frame is ``B`` itself when ``L`` is ``B`` (orthonormal by the
-    :class:`CodeSpace` check; nothing ``d x d``), else from a QR of
-    ``[B, L]``, whatever ``r'``.  The Frobenius norm bounds every entry
-    of ``X``, leakage off the code included.
+    The frame comes from one thin Householder QR of ``A`` (accurate per
+    column beside much larger ones), without the exactly zero blocks
+    ``M_jk``.  A factored :class:`Recovery` with ``d x r'`` isometry ``L``
+    has ``M_jk = L G_jk`` with ``r' x r`` blocks ``G_jk = W_j^dag E_k B``:
+    when ``L`` is ``B`` (orthonormal by the :class:`CodeSpace` check) the
+    frame is ``B`` itself and nothing ``d x d`` or QR is formed; any other
+    ``L`` forms the ``M_jk`` and takes that QR.  The Frobenius norm bounds
+    every entry of ``X``, leakage off the code included.
 
     Raises
     ------
@@ -817,13 +814,10 @@ def verify_recovery(
         # Row a m + j is row a of W_j^dag [V_1, V_2, ...], so the r' rows of the reshape are [G_11, G_12, ...].
         g = (recovery.isometries.conj().transpose(2, 0, 1).reshape(-1, d) @ v).reshape(left.shape[1], -1)
         if left is b or np.array_equal(left, b):  # M_jk = B G_jk: the frame is B
-            coords = np.concatenate([np.eye(r), g], axis=1)
-        else:  # [B, L] = Q upper
-            upper = np.linalg.qr(np.concatenate([b, left], axis=1), mode="r")
-            coords = np.concatenate([upper[:, :r], upper[:, r:] @ g], axis=1)
+            return _deviation(np.concatenate([np.eye(r), g], axis=1), signs, r, tol)
+        m = (left @ g).reshape(d, -1, r)  # m[:, n] = M_jk = L G_jk
     else:
         m = (recovery.operators @ v).transpose(1, 0, 2).reshape(d, -1, r)  # m[:, n] = M_jk
-        live = m.any(axis=(0, 2))  # kept out of the QR as well
-        coords = np.linalg.qr(np.concatenate([b, m[:, live].reshape(d, -1)], axis=1), mode="r")
-        signs = signs[live]
-    return _deviation(coords, signs, r, tol)
+    live = m.any(axis=(0, 2))  # kept out of the QR as well
+    coords = np.linalg.qr(np.concatenate([b, m[:, live].reshape(d, -1)], axis=1), mode="r")
+    return _deviation(coords, signs[live], r, tol)

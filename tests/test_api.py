@@ -223,7 +223,7 @@ FROM_CALLER = {
     ),
     "Syndrome": (
         lambda ops, code: ncpqec.analyze(ops, code).syndromes.isometries[0],
-        lambda ops, a: ncpqec.Syndrome(a, 1.0, 1, 0),
+        lambda ops, a: ncpqec.Syndrome(a, 1.0, 1),
         "isometry",
     ),
     "SignedOperatorSum": (
@@ -287,3 +287,89 @@ def test_no_module_draws_random_numbers():
     for path in sorted(Path(ncpqec.__file__).parent.glob("*.py")):
         found += [f"{path.name}:{line} {name}" for line, name in _random_uses(ast.parse(path.read_text()))]
     assert found == []
+
+
+_E8, _U8 = np.eye(8)[0], np.r_[0.0, np.ones(7)] / np.sqrt(7)  # e_1, and a unit vector orthogonal to it
+_E150, _U150 = np.eye(150)[0], np.r_[0.0, np.ones(149)] / np.sqrt(149)
+_TWO = ncpqec.SignedOperatorSum.from_terms([1], [np.eye(2)])
+
+# One refusal per row: (call, exception, message).  The numerical gates
+# get an input that reaches them: a Jordan block at tol 0 (the eigensolver
+# returns two null-like eigenvectors of one norm sign), a map near its
+# exceptional point (a transform too ill-conditioned to check at 1e-15),
+# and ensembles whose shared operator gains a direction within tol.
+REFUSALS = {
+    "square": (lambda: ncpqec.is_pseudohermitian(np.ones((2, 3)), np.eye(2)), ValueError, "H must be square"),
+    "finite": (lambda: ncpqec.is_pseudounitary([[np.nan]], np.eye(1)), ValueError, "U contains non-finite entries"),
+    "metric size": (lambda: ncpqec.pseudo_inner([1, 0], [0, 1], np.eye(3)), ValueError, "metric size 3 does not"),
+    "metric entries": (lambda: ncpqec.pseudo_inner([1, 0], [0, 1], np.diag([1, 2])), ValueError, "eta must be"),
+    "vectors": (lambda: ncpqec.pseudo_inner([1, 0], [1, 0, 0], np.eye(2)), ValueError, "two vectors of equal length"),
+    "inertia": (
+        lambda: ncpqec.pseudo_diagonalize([[1.0, 1.0], [-1.0, -1.0]], np.diag([1.0, -1.0]), tol=0.0),
+        ncpqec.PseudoDiagonalizationFailure,
+        "inertia mismatch: found 0 positive-norm eigenvectors, metric has 1",
+    ),
+    "consistency": (
+        lambda: ncpqec.pseudo_diagonalize([[1.0, 0.999999], [-0.999999, -1.0]], np.diag([1.0, -1.0]), tol=1e-15),
+        ncpqec.PseudoDiagonalizationFailure,
+        "assembled transform fails consistency checks",
+    ),
+    "unvec": (lambda: ncpqec.unvec(np.ones(3)), ValueError, "vector of length 3 is not a vectorized square matrix"),
+    "A dim": (lambda: ncpqec.AMatrix(0, np.zeros((0, 0))), ValueError, "dim must be positive"),
+    "B finite": (lambda: ncpqec.BMatrix(1, [[np.inf]]), ValueError, "B-matrix contains non-finite entries"),
+    "sum dim": (lambda: ncpqec.SignedOperatorSum(0, (), []), ValueError, "dim must be positive"),
+    "empty sum": (lambda: ncpqec.SignedOperatorSum.from_terms([], []), ValueError, "dim is required for an empty"),
+    "reshuffle": (lambda: ncpqec.reshuffle(_TWO), TypeError, "expected AMatrix or BMatrix, got SignedOperatorSum"),
+    "trace": (
+        lambda: ncpqec.check_trace_preserving(ncpqec.b_from_operator_sum(_TWO)),
+        TypeError,
+        "expected AMatrix or SignedOperatorSum, got BMatrix",
+    ),
+    "state": (lambda: ncpqec.apply_map(_TWO, np.eye(3)), ValueError, r"state has shape \(3, 3\), expected \(2, 2\)"),
+    "form": (lambda: ncpqec.ConditionMatrix(np.eye(2), 0.0, "unitary"), ValueError, "unknown condition form 'unitary'"),
+    "basis": (lambda: ncpqec.projector_from_basis([]), ValueError, "at least one basis vector is required"),
+    "operators": (
+        lambda: ncpqec.cp_condition_matrix([], ncpqec.repetition_bitflip(3, 0.7)[1]),
+        ValueError,
+        "at least one operator is required",
+    ),
+    "ensemble dims": (
+        lambda: ncpqec.ensemble_connection(
+            ncpqec.SignedEnsemble(2, (1,), [[1, 0]]), ncpqec.SignedEnsemble(3, (1,), [[1, 0, 0]])
+        ),
+        ValueError,
+        "dimension mismatch: 2 vs 3",
+    ),
+    "zero terms": (  # the second term adds 6 tol u u^dag, entries below tol: a has one + term for two directions
+        lambda: ncpqec.ensemble_connection(
+            ncpqec.SignedEnsemble(8, (1,), [_E8]), ncpqec.SignedEnsemble(8, (1, 1), [_E8, np.sqrt(6e-9) * _U8])
+        ),
+        ncpqec.SingularCoefficientMatrix,
+        "more zero terms than zero basis columns of matching sign",
+    ),
+    "spanned": (  # one term each, entries within 0.05, but their mean operator has two directions above the cut
+        lambda: ncpqec.ensemble_connection(
+            ncpqec.SignedEnsemble(150, (1,), [_E150]), ncpqec.SignedEnsemble(150, (1,), [_E150 + 0.5 * _U150]), tol=0.05
+        ),
+        ncpqec.SingularCoefficientMatrix,
+        r"shared eigenbasis signature \(2, 0\) exceeds the term signature \(1, 0\)",
+    ),
+    "canceling": (
+        lambda: ncpqec.ensemble_connection(
+            ncpqec.SignedEnsemble(2, (1, 1, -1), [[1, 0]] * 3), ncpqec.SignedEnsemble(2, (1,), [[1, 0]])
+        ),
+        ncpqec.SingularCoefficientMatrix,
+        "a coefficient matrix is singular after padding",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_input_refusals(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_pseudo_gram_schmidt_of_no_vectors_is_empty():
+    assert ncpqec.pseudo_gram_schmidt([], np.eye(2)) == []

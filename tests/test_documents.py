@@ -280,9 +280,9 @@ def test_analysis_document_outside_domain_roundtrip():
     assert np.abs(parsed["condition_entries"] - report.condition.entries).max() < 1e-15
     assert sorted(parsed["diagonal"]) == pytest.approx(sorted(report.diagonal))
     assert len(parsed["syndromes"]) == 4
-    for got, s in zip(parsed["syndromes"], report.syndromes):
+    for k, (got, s, written) in enumerate(zip(parsed["syndromes"], report.syndromes, doc["syndromes"])):
         assert np.abs(got["isometry"] - s.isometry).max() == 0
-        assert (got["weight"], got["sign"], got["term_index"]) == (s.weight, s.sign, s.term_index)
+        assert (got["weight"], got["sign"], written["term_index"]) == (s.weight, s.sign, k)
     doc["schema_version"] = "1"
     with pytest.raises(ValueError, match="schema_version"):
         parse_analysis_document(doc)
@@ -601,6 +601,17 @@ def _set(doc, path, value):
         (lambda: _analysis_doc(-0.2), ("diagonal",), [0.4], r"analysis\.diagonal must be a list of 4 finite numbers"),
         (lambda: _analysis_doc(-0.2), ("syndromes", 0, "weight"), 5.0, r"\[0\]\.weight must be diagonal\[0\], got 5"),
         (lambda: _analysis_doc(-0.2), ("witness", "vector"), [], r"vector: expected a non-empty list of numbers or \["),
+        (
+            lambda: _analysis_doc(-0.2),
+            ("syndromes", 1, "isometry"),
+            [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+            r"syndromes\[1\]\.isometry: shape \(4, 2\) must be that of syndrome 0, \(8, 2\)",
+        ),
+        *(
+            (lambda: _analysis_doc(0.7), (field,), None, "diagonalizer, diagonal and syndromes must be present together")
+            for field in ("diagonalizer", "diagonal", "syndromes")
+        ),
+        (lambda: _analysis_doc(0.7), ("syndromes",), [], r"syndromes must be a list of 4 syndromes, one per diagonal"),
     ],
 )
 def test_parsers_name_a_malformed_field(make, path, value, hint):
@@ -926,3 +937,16 @@ def test_parsed_records_refuse_writes():
     for a in (witness.vector, recovery.code_isometry, recovery.isometries):
         with pytest.raises(ValueError):
             a.setflags(write=True)
+
+
+def test_parser_ties_each_syndrome_to_the_term_at_its_position():
+    # Syndrome k is canonical term k. Syndromes 0 and 1 of the inverted map
+    # share the weight 0.4, so swapping their term indices keeps every
+    # weight equal to its diagonal entry, and only the position rule refuses it.
+    doc = _analysis_doc(-0.2)
+    assert [s["term_index"] for s in doc["syndromes"]] == [0, 1, 2, 3]
+    assert doc["diagonal"][0] == doc["diagonal"][1]
+    doc["syndromes"][0]["term_index"], doc["syndromes"][1]["term_index"] = 1, 0
+    with pytest.raises(ValueError, match=r"syndromes\[0\]\.term_index must be .* the least such \(0\).*, got 1"):
+        parse_analysis_document(doc)
+

@@ -232,7 +232,8 @@ def test_syndrome_isometries_match_the_svd_polar(case, near, boosted, factor):
         report = analyze(scaled, CODE)
         syn = report.syndromes
         vt = np.tensordot(report.diagonalizer, scaled.operators @ CODE.isometry, axes=([0], [0]))  # (V T)_k
-        oracle = polar_on_code(vt[syn.term_indices] / np.sqrt(syn.weights)[:, None, None]).isometry
+        assert vt.shape[0] == len(syn) and report.diagonal is syn.weights  # syndrome k is term k
+        oracle = polar_on_code(vt / np.sqrt(syn.weights)[:, None, None]).isometry
         assert np.abs(syn.isometries - oracle).max() <= 1e-12
         gram = np.einsum("kdi,kdj->kij", syn.isometries.conj(), syn.isometries)  # W_k^dag W_k
         assert np.abs(gram - np.eye(2)).max() <= 1e-12
@@ -356,5 +357,5 @@ def test_direct_route_gives_the_eigen_routes_answers(ops):
         assert_within_ulps(direct.diagonal, eigen.diagonal, 4)
         assert_within_ulps(direct.diagonalizer, eigen.diagonalizer, 4)
         assert np.array_equal(direct.syndromes.signs, eigen.syndromes.signs)
-        assert np.array_equal(direct.syndromes.term_indices, eigen.syndromes.term_indices)
+        assert len(direct.syndromes) == len(eigen.syndromes) == direct.diagonalizer.shape[1]
         assert_within_ulps(direct.syndromes.isometries, eigen.syndromes.isometries, 4)

@@ -266,8 +266,8 @@ def test_syndrome_f_p_factorization():
         ops = conditioned_pauli_map(rng)
         report = analyze(ops, code)
         f, syn = _canonical_operators(ops, report), report.syndromes
-        for s in syn:
-            f_k = f[s.term_index]
+        assert len(f) == len(syn)
+        for f_k, s in zip(f, syn):
             assert np.abs(f_k @ b - np.sqrt(s.weight) * s.isometry).max() < 1e-8
             lhs = f_k @ code.projector
             assert np.abs(lhs - np.sqrt(s.weight) * s.isometry @ b.conj().T).max() < 1e-8
@@ -325,7 +325,7 @@ def test_build_recovery_single_syndrome():
     code = repetition_code()
     p = code.projector
     b = code.isometry
-    rec = build_recovery(SyndromeSet(Recovery(b, b[None]), [1.0], [1], [0]))
+    rec = build_recovery(SyndromeSet(Recovery(b, b[None]), [1.0], [1]))
     rho = random_complex(np.random.default_rng(5), (8, 8))
     assert np.abs(apply_map(rec, rho) - p @ rho @ p).max() < 1e-12
 
@@ -405,13 +405,13 @@ def test_syndrome_set_is_one_record():
     ops, code = repetition_bitflip(3, 0.7)
     report = analyze(ops, code)
     syn = report.syndromes
-    arrays = {"weights": syn.weights, "signs": syn.signs, "term_indices": syn.term_indices}
-    for a, dtype in zip(arrays.values(), (float, int, int)):
+    arrays = {"weights": syn.weights, "signs": syn.signs}
+    for a, dtype in zip(arrays.values(), (float, int)):
         assert a.dtype == dtype and a.shape == (4,) and not a.flags.writeable
     assert len(syn) == 4 and set(syn.signs.tolist()) == {1}
-    assert [s.term_index for s in syn] == syn.term_indices.tolist()
+    assert report.diagonal is syn.weights and report.diagonalizer.shape == (4, 4)  # syndrome k is term k
     last = syn[-1]
-    assert type(last) is Syndrome and (last.weight, last.sign, last.term_index) == (syn.weights[3], 1, syn.term_indices[3])
+    assert type(last) is Syndrome and (last.weight, last.sign) == (syn.weights[3], 1)
     assert np.shares_memory(last.isometry, syn.isometries) and np.array_equal(last.isometry, syn.isometries[3])
     with pytest.raises(IndexError):
         syn[4]
@@ -422,7 +422,7 @@ def test_syndrome_set_is_one_record():
                 SyndromeSet(syn.recovery, **{**arrays, name: wrong})
     inverted = analyze(*repetition_bitflip(3, -0.2))
     with pytest.raises(ValueError, match="sign"):
-        QecReport(report.condition, None, None, inverted.syndromes, Verdict.REVERSIBLE_POSITIVE, None)
+        QecReport(report.condition, inverted.diagonalizer, inverted.syndromes, Verdict.REVERSIBLE_POSITIVE, None)
     assert inverted.recovery is None and build_recovery(inverted.syndromes) is inverted.syndromes.recovery
 
 
@@ -433,7 +433,7 @@ def test_syndrome_set_refuses_weights_that_are_not_positive_and_finite(bad):
     weights = np.array(syn.weights)
     weights[2] = bad
     with pytest.raises(ValueError, match="weights must be positive and finite"):
-        SyndromeSet(syn.recovery, weights, syn.signs, syn.term_indices)
+        SyndromeSet(syn.recovery, weights, syn.signs)
 
 
 def test_syndrome_holds_its_isometry_frozen():
@@ -442,7 +442,7 @@ def test_syndrome_holds_its_isometry_frozen():
     syn = analyze(*repetition_bitflip(3, 0.7)).syndromes
     assert np.shares_memory(syn[1].isometry, syn.isometries)
     w = np.array(syn.isometries[1])
-    held = Syndrome(w, 1.0, 1, 0).isometry
+    held = Syndrome(w, 1.0, 1).isometry
     w[0, 0] = np.nan
     assert np.array_equal(held, syn.isometries[1])
     with pytest.raises(ValueError):
@@ -455,7 +455,7 @@ def test_syndrome_holds_its_isometry_frozen():
 def test_syndrome_set_refuses_signs_other_than_one(signs):
     syn = analyze(*repetition_bitflip(3, 0.7)).syndromes
     with pytest.raises(ValueError, match="signs must be"):
-        SyndromeSet(syn.recovery, syn.weights, signs, syn.term_indices)
+        SyndromeSet(syn.recovery, syn.weights, signs)
 
 
 @pytest.mark.parametrize("c0", [-0.2, 0.7])
@@ -545,7 +545,7 @@ def test_witness_search_failure_on_doctored_syndromes():
     syn = analyze(ops, code).syndromes
     w = np.array(syn.isometries)
     w[syn.signs == -1] = syn.isometries[0]
-    wrong = SyndromeSet(Recovery(syn.recovery.code_isometry, w), syn.weights, syn.signs, syn.term_indices)
+    wrong = SyndromeSet(Recovery(syn.recovery.code_isometry, w), syn.weights, syn.signs)
     b0 = code.isometry[:, 0]
     with pytest.raises(WitnessSearchFailed):
         _witness(ops.signs, ops.operators @ b0, b0, wrong, DEFAULT_TOL)
@@ -652,7 +652,8 @@ def test_analyze_keeps_syndromes_isometric_on_a_boosted_map_near_the_cut():
         gram = np.einsum("kdi,kdj->kij", syn.isometries.conj(), syn.isometries)  # W_k^dag W_k
         assert np.abs(gram - np.eye(2)).max() <= 1e-12
         vt = np.tensordot(report.diagonalizer, scaled.operators @ code.isometry, axes=([0], [0]))  # (V T)_k
-        oracle = polar_on_code(vt[syn.term_indices] / np.sqrt(syn.weights)[:, None, None]).isometry
+        assert vt.shape[0] == len(syn) and report.diagonal is syn.weights  # syndrome k is term k
+        oracle = polar_on_code(vt / np.sqrt(syn.weights)[:, None, None]).isometry
         assert np.abs(syn.isometries - oracle).max() <= 1e-12
 
 
@@ -807,7 +808,7 @@ def test_verify_recovery_matches_per_sample_apply_map_at_other_ranks(rank):
 def test_verify_recovery_reads_a_factored_recovery_at_its_own_rank():
     # On the rank-2 three-qubit code, a factored recovery whose isometry L
     # adds |001> to B has rank 3: its blocks W_j^dag V_k are 3 x 2, and the
-    # frame comes from the QR of [B, L].
+    # frame comes from the QR of [B, M_11, M_12, ...], M_jk = L W_j^dag V_k.
     ops, code = repetition_bitflip(3, 0.7)
     rec = analyze(ops, code).recovery
     left = np.column_stack([code.isometry, np.eye(8)[:, 1]])
@@ -958,7 +959,6 @@ def test_qec_report_consistency_enforced():
         QecReport(
             condition=report.condition,
             diagonalizer=report.diagonalizer,
-            diagonal=report.diagonal,
             syndromes=report.syndromes,
             verdict=Verdict.REVERSIBLE_POSITIVE,
             witness=None,
@@ -967,7 +967,6 @@ def test_qec_report_consistency_enforced():
         QecReport(
             condition=report.condition,
             diagonalizer=report.diagonalizer,
-            diagonal=report.diagonal,
             syndromes=report.syndromes,
             verdict=Verdict.CODE_OUTSIDE_DOMAIN,
             witness=None,
@@ -975,10 +974,10 @@ def test_qec_report_consistency_enforced():
     # The recovery is read from the syndromes, so it needs them.
     cp = analyze(bitflip_ops(0.7), repetition_code())
     with pytest.raises(ValueError, match="syndromes"):
-        QecReport(cp.condition, cp.diagonalizer, cp.diagonal, None, Verdict.REVERSIBLE_POSITIVE, None)
+        QecReport(cp.condition, None, None, Verdict.REVERSIBLE_POSITIVE, None)
     for verdict in (Verdict.REVERSIBLE_POSITIVE, Verdict.CONDITIONS_VIOLATED):
         with pytest.raises(ValueError, match="witness"):
-            QecReport(cp.condition, cp.diagonalizer, cp.diagonal, cp.syndromes, verdict, report.witness)
+            QecReport(cp.condition, cp.diagonalizer, cp.syndromes, verdict, report.witness)
 
 
 def test_negative_condition_block_never_reversible():
@@ -1397,3 +1396,17 @@ def test_one_off_diagonal_pair_in_g_takes_the_eigen_route():
             report = analyze(channel, code)
             assert [getattr(qec, name).called for name in routes] == [name == route for name in routes]
         assert np.sort(report.diagonal) == pytest.approx(weights, rel=1e-12)
+
+
+def test_qec_report_holds_a_diagonalizer_only_with_its_syndromes():
+    # Column k of T is the canonical term of syndrome k, and d is read from the syndromes.
+    report = analyze(bitflip_ops(-0.2), repetition_code())
+    t, syn, witness = report.diagonalizer, report.syndromes, report.witness
+    assert report.diagonal is syn.weights and t.shape == (4, len(syn))
+    for wrong_t, wrong_syn in ((t, None), (None, syn), (t[:, :3], syn), (t[0], syn), (t[None], syn)):
+        with pytest.raises(ValueError, match="a diagonalizer comes with its syndromes, one per column"):
+            QecReport(report.condition, wrong_t, wrong_syn, Verdict.CODE_OUTSIDE_DOMAIN, witness)
+    rebuilt = QecReport(report.condition, t[:, ::-1], syn, Verdict.CODE_OUTSIDE_DOMAIN, witness)
+    assert rebuilt.diagonal is syn.weights and np.array_equal(rebuilt.diagonalizer, t[:, ::-1])
+    violated = analyze(SignedOperatorSum.from_terms([1, 1], [I8, pauli_string("ZII")]), repetition_code())
+    assert violated.diagonalizer is None and violated.diagonal is None

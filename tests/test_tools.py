@@ -1,9 +1,17 @@
 import importlib.util
 from pathlib import Path
 
-_SPEC = importlib.util.spec_from_file_location("src_lines", Path(__file__).parents[1] / "tools" / "src_lines.py")
-src_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(src_lines)
+ROOT = Path(__file__).parents[1]
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+src_lines, compare = _tool("src_lines"), _tool("compare")
 
 MODULE = '''"""A module.
 
@@ -30,3 +38,21 @@ def test_src_lines_main_sums_the_modules_in_its_all_row(tmp_path, capsys):
     assert header == ["module", "total", "code"]
     assert rows == [["a.py", "8", "2"], ["b.py", "5", "3"]]
     assert total == ["all", *(str(sum(int(row[i]) for row in rows)) for i in (1, 2))] == ["all", "13", "5"]
+
+
+def test_compare_finds_a_tree_identical_to_itself(capsys):
+    # One corpus seed at one map per stratum and two bit-flip maps, at all
+    # four scales and in every form: each tree in its own subprocess.
+    src = str(ROOT / "src")
+    assert compare.compare(src, src, seeds=(1,), per_stratum=1, bitflips=((3, -0.2), (3, 0.7))) == 0
+    *changed, documents, values, structural = capsys.readouterr().out.splitlines()
+    assert changed == []
+    assert documents == f"{4 * 3 * 40} of {4 * 3 * 40} analysis documents byte-identical"  # 40 inputs
+    n, _, m, *rest = values.split()
+    assert n == m and int(n) > 0 and rest == "verify_recovery values equal by float.hex".split()
+    assert structural == "0 verdict or structural changes"
+
+
+def test_compare_refuses_a_usage_without_two_trees(capsys):
+    assert compare.main(["compare.py", "src"]) == 2
+    assert "usage: python3 tools/compare.py PARENT_SRC CHANGE_SRC" in capsys.readouterr().err
