@@ -304,9 +304,9 @@ def parse_analysis_document(obj: Any) -> dict:
     ``k`` is canonical term ``k``, so its ``term_index`` is ``k`` and its
     weight, positive and finite, is ``diagonal[k]``.  Every syndrome
     isometry has one ``d x r`` shape, which the recovery's ``B`` and the
-    witness vector's length must match.  A syndrome of sign -1 under a
-    ``reversible_positive`` verdict, and a witness that does not name the
-    first syndrome of sign -1, are refused too.
+    witness vector's length must match.  A syndrome of sign -1 under any
+    verdict but ``code_outside_domain``, and a witness that does not name
+    the first syndrome of sign -1, are refused too.
     """
     if not isinstance(obj, dict):
         raise ValueError("analysis document must be a JSON object")
@@ -344,8 +344,8 @@ def parse_analysis_document(obj: Any) -> dict:
         diag = _field(obj, "diagonal", "analysis", list, what, lambda xs: len(xs) == columns and all(map(_finite, xs)))
         out["diagonal"] = np.array(diag, dtype=float)
         what, below = f"a list of {columns} syndromes, one per diagonal entry", f"below the diagonal's length {columns}"
-        reversible = verdict == "reversible_positive"  # its QecReport refuses a -1 syndrome
-        sign_what = "+1 under a reversible_positive verdict" if reversible else "+1 or -1"
+        outside = verdict == "code_outside_domain"  # a QecReport of any other verdict refuses a -1 syndrome
+        sign_what = "+1 or -1" if outside else f"+1 under a {verdict} verdict"
         for k, s in enumerate(_field(obj, "syndromes", "analysis", list, what, lambda xs: len(xs) == columns)):
             where = f"analysis.syndromes[{k}]"
             if not isinstance(s, dict):
@@ -359,7 +359,7 @@ def parse_analysis_document(obj: Any) -> dict:
             shape = shape or isometry.shape  # syndrome 0's
             if isometry.shape != shape:
                 raise ValueError(f"{where}.isometry: shape {isometry.shape} must be that of syndrome 0, {shape}")
-            sign = _field(s, "sign", where, int, sign_what, lambda x: x == 1 or x == -1 and not reversible)
+            sign = _field(s, "sign", where, int, sign_what, lambda x: x == 1 or x == -1 and outside)
             syndromes.append({"isometry": isometry, "weight": float(weight), "sign": sign})
         out["syndromes"] = syndromes
     if obj.get("recovery") is not None:

@@ -190,6 +190,13 @@ def random_code(rng, d: int, rank: int) -> CodeSpace:
     return projector_from_basis([u[:, k] for k in range(rank)])
 
 
+def supported_code(rng, d: int, size: int, rank: int) -> CodeSpace:
+    """A random rank-``rank`` code spanned on ``size`` random basis states: ``B`` is zero off those rows."""
+    isometry = np.zeros((d, rank), dtype=complex)
+    isometry[rng.choice(d, size, replace=False)] = random_unitary(rng, size)[:, :rank]
+    return CodeSpace(isometry)
+
+
 def random_code_state(rng, code: CodeSpace) -> np.ndarray:
     """Haar-random pure state in the code space, as a density matrix."""
     amps = random_complex(rng, code.rank)

@@ -621,6 +621,15 @@ def test_parsers_name_a_malformed_field(make, path, value, hint):
         parse(doc)
 
 
+def test_parser_keeps_a_negative_syndrome_to_the_outside_domain_verdict():
+    # analyze gives code_outside_domain, with a witness, whenever a syndrome
+    # is negative; the inverted document's syndrome 3 is.
+    doc = _set(_set(_analysis_doc(-0.2), ("verdict",), "conditions_violated"), ("witness",), None)
+    hint = r"analysis\.syndromes\[3\]\.sign must be \+1 under a conditions_violated verdict, got -1"
+    with pytest.raises(ValueError, match=hint):
+        parse_analysis_document(doc)
+
+
 @pytest.mark.parametrize("obj", [[1, 2], "analysis", None])
 def test_parse_analysis_document_rejects_a_non_object(obj):
     with pytest.raises(ValueError, match="analysis document must be a JSON object"):

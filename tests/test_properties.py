@@ -12,10 +12,14 @@ stacks, and its syndrome isometries match the SVD polar oracle.
 float scale of the map, and bounds each sample state's deviation from
 above on a wrong one.  A map
 given as a ``B`` or ``A`` matrix, decided from its restricted terms on the
-code, gets the operator sum's outcome.  Runs are derandomized and keep no
-example database, so the suite is reproducible.
+code, gets the operator sum's outcome.  ``on_code`` of an operator sum,
+read on the code's support or over all of ``d``, gives ``E B`` exactly on
+repetition codes and within 4 ulps on codes on few basis states, and
+the readers answer on it as on the exact terms.  Runs are derandomized
+and keep no example database, so the suite is reproducible.
 """
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -23,8 +27,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ncpqec import (
+    CodeTerms,
     NumericalFailure,
     PseudoDiagonalizationFailure,
+    Recovery,
     SignedOperatorSum,
     Verdict,
     a_from_operator_sum,
@@ -32,12 +38,15 @@ from ncpqec import (
     b_from_operator_sum,
     build_recovery,
     eta_metric,
+    negative_part_on_code,
     on_code,
+    repetition_bitflip,
     pseudo_diagonalize,
     to_base_map,
     transform_by_pseudounitary,
     verify_recovery,
 )
+from ncpqec.documents import analysis_document
 from ncpqec.pseudolinalg import DEFAULT_TOL
 from ncpqec import qec
 
@@ -49,9 +58,11 @@ from helpers import (
     ph_conditions,
     polar_on_code,
     random_complex,
+    random_ops,
     random_pu,
     repetition_code,
     sample_deviations,
+    supported_code,
     wrong_recoveries,
 )
 
@@ -92,6 +103,7 @@ def test_pseudounitary_boost_keeps_outcome(case):
     ops, rng = case
     moved = transform_by_pseudounitary(ops, random_pu(rng, ops.signature), tol=1e-7)
     assert_same_outcome(analyze(ops, CODE), analyze(moved, CODE))
+    assert negative_part_on_code(moved, CODE) == pytest.approx(negative_part_on_code(ops, CODE), rel=1e-9)
 
 
 @PROPERTY
@@ -103,6 +115,7 @@ def test_canceling_pair_keeps_outcome(case, dense):
     else:
         k = rng.uniform(0.1, 2.0) * ops.operators[int(rng.integers(ops.n_terms))]
     assert_same_outcome(analyze(ops, CODE), analyze(with_pair(ops, k), CODE))
+    assert negative_part_on_code(with_pair(ops, k), CODE) == pytest.approx(negative_part_on_code(ops, CODE), rel=1e-9)
 
 
 @PROPERTY
@@ -359,3 +372,48 @@ def test_direct_route_gives_the_eigen_routes_answers(ops):
         assert np.array_equal(direct.syndromes.signs, eigen.syndromes.signs)
         assert len(direct.syndromes) == len(eigen.syndromes) == direct.diagonalizer.shape[1]
         assert_within_ulps(direct.syndromes.isometries, eigen.syndromes.isometries, 4)
+
+
+def _answers(channel, code, recovery):
+    """``analyze``'s document, or the failure it raises, and ``verify_recovery`` of ``recovery``."""
+    report = _outcome(lambda: analyze(channel, code))
+    document = report if isinstance(report, type) else json.dumps(analysis_document(report, channel.signature))
+    return document, _outcome(lambda: verify_recovery(channel, recovery, code))
+
+
+@PROPERTY
+@given(st.integers(3, 8), st.sampled_from([-0.2, 0.3, 0.7]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_on_code_reads_a_repetition_code_bit_for_bit(n, c0, boosted, seed):
+    # Each column of B has one nonzero entry, so V = E B is exact whichever
+    # rows of E are read: from d = 64 (n = 6) on, those of B's support only.
+    # Only the sign of a zero entry may differ, which == ignores.
+    ops, code = repetition_bitflip(n, c0)
+    if boosted:
+        ops = transform_by_pseudounitary(ops, random_pu(np.random.default_rng(seed), ops.signature), tol=1e-7)
+    reference = ops.operators @ code.isometry
+    assert np.array_equal(on_code(ops, code).terms, reference)
+    record = CodeTerms(ops.signs, reference)
+    recovery = analyze(record, code).syndromes.recovery
+    assert _answers(ops, code, recovery) == _answers(record, code, recovery)
+
+
+@PROPERTY
+@given(st.sampled_from([32, 64, 128]), st.integers(1, 3), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_on_code_reads_a_code_on_few_basis_states_to_rounding(d, r, share, seed):
+    # A code spanned on at most d / 2 random basis states, under dense
+    # random signed operators: the support route (d >= 64, |S| <= d / 4)
+    # and the full GEMM both give E B within 4 ulps of its largest entry,
+    # and the readers' answers match those on the exact terms to rounding.
+    rng = np.random.default_rng(seed)
+    code = supported_code(rng, d, r + round(share * (d // 2 - r)), r)
+    ops = random_ops(rng, d, int(rng.integers(1, 4)), int(rng.integers(0, 3)))
+    reference = ops.operators @ code.isometry
+    assert_within_ulps(on_code(ops, code).terms, reference, 4)
+    record = CodeTerms(ops.signs, reference)
+    got, want = analyze(ops, code), analyze(record, code)
+    assert got.verdict is want.verdict
+    assert_within_ulps(got.condition.entries, want.condition.entries, 64)
+    assert got.condition.residual == pytest.approx(want.condition.residual, rel=1e-12)
+    isometries = np.linalg.qr(random_complex(rng, (2, d, r)))[0]
+    recovery = Recovery(code.isometry, isometries)
+    assert verify_recovery(ops, recovery, code) == pytest.approx(verify_recovery(record, recovery, code), rel=1e-12)

@@ -52,7 +52,7 @@ from ncpqec import (
 from ncpqec.documents import analysis_document, encode_vector, parse_code_document
 from ncpqec.pseudolinalg import DEFAULT_TOL
 from ncpqec import qec
-from ncpqec.qec import _witness
+from ncpqec.qec import NegativityWitness, _witness
 
 from helpers import (
     apply_a_matrix,
@@ -306,6 +306,19 @@ def test_negative_part_on_code():
 
     got = negative_part_on_code(bitflip_ops(-0.2), repetition_code())
     assert abs(got - np.sqrt(0.4)) < 1e-12
+
+
+def test_negative_part_on_code_reads_the_canonical_terms():
+    # The pair (+0.3 XII, -0.3 XII) cancels: the map, and so the value, is
+    # that of bitflip_ops(0.7), whose canonical terms are all positive.
+    ops, code = bitflip_ops(0.7), repetition_code()
+    pair = SignedOperatorSum.from_terms([1] * 5 + [-1], [*ops.operators, 0.3 * X1, 0.3 * X1])
+    assert negative_part_on_code(ops, code) == negative_part_on_code(pair, code) == 0.0
+    # A negative term split in two gives the one canonical term's norm.
+    inv = bitflip_ops(-0.2)
+    half = inv.operators[3] / np.sqrt(2)
+    split = SignedOperatorSum.from_terms((1,) * 3 + (-1,) * 2, [*inv.operators[:3], half, half])
+    assert negative_part_on_code(split, code) == pytest.approx(np.sqrt(0.4), rel=1e-12)
 
 
 def test_build_recovery_bitflip():
@@ -890,11 +903,11 @@ def _qr_shapes(monkeypatch):
     return shapes
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_verify_recovery_of_the_repetition_code_matches_per_sample_apply_map(n):
     # Syndrome j of the repetition code annihilates every bit flip but its
     # own, so all blocks R_j E_k B with j != k are zero and stay out of the
-    # QR.
+    # QR.  From n = 6 on, E B reads only the code's two basis states.
     ops, code = repetition_bitflip(n, 0.7)
     recovery = analyze(ops, code).recovery
     oracle = dense_deviation(ops, recovery, code)
@@ -978,6 +991,23 @@ def test_qec_report_consistency_enforced():
     for verdict in (Verdict.REVERSIBLE_POSITIVE, Verdict.CONDITIONS_VIOLATED):
         with pytest.raises(ValueError, match="witness"):
             QecReport(cp.condition, cp.diagonalizer, cp.syndromes, verdict, report.witness)
+
+
+def test_qec_report_holds_a_negative_syndrome_only_outside_the_domain():
+    # analyze returns code_outside_domain as soon as a syndrome is negative,
+    # and its witness names the first such syndrome.
+    r = analyze(bitflip_ops(-0.2), repetition_code())
+    assert r.syndromes.signs.tolist() == [1, 1, 1, -1] and r.witness.syndrome_index == 3
+    with pytest.raises(ValueError, match="sign -1 comes only with the outside-domain verdict"):
+        QecReport(r.condition, r.diagonalizer, r.syndromes, Verdict.CONDITIONS_VIOLATED, None)
+    named_plus = NegativityWitness(r.witness.vector, 0, r.witness.probability)
+    with pytest.raises(ValueError, match="the witness must name the first syndrome of sign -1"):
+        QecReport(r.condition, r.diagonalizer, r.syndromes, Verdict.CODE_OUTSIDE_DOMAIN, named_plus)
+    cp = analyze(bitflip_ops(0.7), repetition_code())
+    with pytest.raises(ValueError, match="the witness must name the first syndrome of sign -1"):
+        QecReport(cp.condition, cp.diagonalizer, cp.syndromes, Verdict.CODE_OUTSIDE_DOMAIN, r.witness)
+    with pytest.raises(ValueError, match="the witness must name the first syndrome of sign -1"):
+        QecReport(cp.condition, None, None, Verdict.CODE_OUTSIDE_DOMAIN, r.witness)
 
 
 def test_negative_condition_block_never_reversible():

@@ -41,13 +41,15 @@ def test_src_lines_main_sums_the_modules_in_its_all_row(tmp_path, capsys):
 
 
 def test_compare_finds_a_tree_identical_to_itself(capsys):
-    # One corpus seed at one map per stratum and two bit-flip maps, at all
-    # four scales and in every form: each tree in its own subprocess.
+    # One corpus seed at one map per stratum, two bit-flip maps and the six
+    # d = 64 maps on a code on few basis states, at all four scales and in
+    # every form: each tree in its own subprocess.
     src = str(ROOT / "src")
-    assert compare.compare(src, src, seeds=(1,), per_stratum=1, bitflips=((3, -0.2), (3, 0.7))) == 0
+    assert compare.compare(src, src, seeds=(1,), per_stratum=1, bitflips=((3, -0.2), (3, 0.7)), supported=(64,)) == 0
     *changed, documents, values, structural = capsys.readouterr().out.splitlines()
     assert changed == []
-    assert documents == f"{4 * 3 * 40} of {4 * 3 * 40} analysis documents byte-identical"  # 40 inputs
+    count = 4 * (3 * 40 + 2 * 6)  # 40 inputs in three forms, 6 in two (no b_matrix above d = 16)
+    assert documents == f"{count} of {count} analysis documents byte-identical"
     n, _, m, *rest = values.split()
     assert n == m and int(n) > 0 and rest == "verify_recovery values equal by float.hex".split()
     assert structural == "0 verdict or structural changes"

@@ -11,6 +11,13 @@ a subprocess on ``PARENT_SRC``, by ``bench/inputs.py`` and
 
 * corpus-small seeds 1-3 at ``per_stratum`` 4;
 * ``repetition_bitflip(n, c0)`` for n = 3-7 and c0 in {-0.2, 0.7};
+* at d = 64 and 128, for ranks r = 1 and 2 (seeded by d and r), three
+  signed sums on a code spanned on d / 4 random basis states, so that
+  ``E B`` reads several nonzero entries per column of ``B``: a dense
+  random sum of two +1 and one -1 terms, and two correctable sums
+  ``sqrt(|c_k|) U P_k`` (``U`` a random unitary, ``P_k`` permutations
+  that move the support to disjoint sets) with weights ``c`` of 0.4,
+  0.3, 0.2, 0.1 and of 0.6, 0.3, 0.2, -0.1;
 
 each at scales 1, 1e-150, 1e-12 and 1e150 (every operator times the
 scale's square root).  Each tree then runs in its own subprocess, with
@@ -42,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 PER_STRATUM = 4
 BITFLIPS = tuple((n, c0) for n in range(3, 8) for c0 in (-0.2, 0.7))
+SUPPORTED = (64, 128)
 SCALES = (1.0, 1e-150, 1e-12, 1e150)
 
 
@@ -60,13 +68,30 @@ def _build(src: str, out: str, spec: str) -> None:
     sys.path[1:1] = [str(ROOT / "tests"), str(ROOT / "bench")]
     import inputs
 
-    seeds, per_stratum, bitflips = json.loads(spec)
+    import helpers
+
+    seeds, per_stratum, bitflips, supported = json.loads(spec)
     items = []
     for seed in seeds:
         for item in inputs.corpus(np.random.default_rng(seed), per_stratum):
             items.append((f"s{seed}/{item.name}", item.ops, item.code))
     for n, c0 in bitflips:
         items.append((f"bitflip-n{n}-c0={c0}", *ncpqec.repetition_bitflip(n, c0)))
+    for d, rank in ((d, rank) for d in supported for rank in (1, 2)):
+        rng = np.random.default_rng([d, rank])
+        code, name = helpers.supported_code(rng, d, d // 4, rank), f"supported-d{d}-r{rank}"
+        items.append((f"{name}-random", helpers.random_ops(rng, d, 2, 1), code))
+        support = np.flatnonzero(code.isometry.any(axis=1))
+        others = rng.permutation(np.setdiff1d(np.arange(d), support)).reshape(3, -1)
+        swaps = [np.arange(d)]
+        for block in others:  # the permutation that swaps the support with this block
+            swaps.append(np.arange(d))
+            swaps[-1][support], swaps[-1][block] = block, support
+        u = helpers.random_unitary(rng, d)
+        for weights in ((0.4, 0.3, 0.2, 0.1), (0.6, 0.3, 0.2, -0.1)):
+            terms = [np.sqrt(abs(c)) * u[:, swap] for c, swap in zip(weights, swaps)]
+            ops = ncpqec.SignedOperatorSum.from_terms(np.sign(weights).astype(int).tolist(), terms)
+            items.append((f"{name}-c={weights}", ops, code))
     rows = [(name, ops.signs, np.array(ops.operators), np.array(code.isometry)) for name, ops, code in items]
     Path(out).write_bytes(pickle.dumps(rows))
 
@@ -145,11 +170,14 @@ def _said(kind: str, text: str) -> str:
     return text[:80] if kind == "error" else "a document"
 
 
-def compare(parent_src: str, change_src: str, seeds=SEEDS, per_stratum=PER_STRATUM, bitflips=BITFLIPS) -> int:
+def compare(
+    parent_src: str, change_src: str, seeds=SEEDS, per_stratum=PER_STRATUM, bitflips=BITFLIPS, supported=SUPPORTED
+) -> int:
     """Print the comparison of the two trees on the input set; return the exit status."""
     with tempfile.TemporaryDirectory() as tmp:
         inputs_path, outs = str(Path(tmp, "inputs.pickle")), [str(Path(tmp, f"{k}.json")) for k in range(2)]
-        _run("_build", parent_src, inputs_path, json.dumps([list(seeds), per_stratum, [list(b) for b in bitflips]]))
+        spec = json.dumps([list(seeds), per_stratum, [list(b) for b in bitflips], list(supported)])
+        _run("_build", parent_src, inputs_path, spec)
         for src, out in zip((parent_src, change_src), outs):
             _run("_answers", src, inputs_path, out)
         old, new = (json.loads(Path(out).read_text()) for out in outs)
