@@ -22,7 +22,8 @@ the shape the document implies, and ``"1"``, whose payload is
 ``[re, im]`` lists.  ``convert`` always writes ``"2"``
 (see ``documents``).  Code and analysis documents, and the ``u`` of
 ``equiv`` (output version ``"2"``), use lists: a real array as plain
-numbers, any other as ``[re, im]`` pairs.
+numbers, any other as ``[re, im]`` pairs.  An analysis document lists
+only the nonzero rows of its arrays on ``d`` rows when few are nonzero.
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical failure.
 The working tolerance is the ``--tol`` flag if given, else the

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 from ncpqec import cli, qec, repetition_bitflip
-from ncpqec.documents import channel_document, decode_matrix, parse_analysis_document, parse_channel_document
+from ncpqec.documents import (
+    analysis_document,
+    channel_document,
+    decode_matrix,
+    parse_analysis_document,
+    parse_channel_document,
+    parse_code_document,
+)
 from ncpqec.superop import AMatrix, BMatrix, SignedOperatorSum, a_from_operator_sum, b_from_operator_sum
 
 from helpers import I2, X, bitflip_ops, list_channel_document
@@ -232,6 +239,25 @@ def test_qec_bitflip_outside_domain(tmp_path):
     assert parsed["witness"].probability == pytest.approx(-0.2, abs=1e-9)
     assert doc["recovery"] is None
     assert sorted(parsed["diagonal"]) == pytest.approx([0.2, 0.4, 0.4, 0.4])
+
+
+@pytest.mark.parametrize("c0", [-0.2, 0.7])
+def test_qec_row_sparse_output_matches_the_in_process_document(tmp_path, c0):
+    # On the 6-qubit repetition code (d = 64) the arrays on d rows are
+    # row-sparse; the command's output parses and is the in-process document.
+    ops, _ = repetition_bitflip(6, c0)
+    chan = write_channel(tmp_path / "chan.json", ops)
+    basis = [[1.0 if i == k else 0.0 for i in range(64)] for k in (0, 63)]
+    (tmp_path / "code.json").write_text(json.dumps(basis))
+    proc = run_cli("qec", chan, "--code", str(tmp_path / "code.json"), "--json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    parse_analysis_document(doc)
+    report = qec.analyze(ops, parse_code_document(basis, 1e-9))
+    assert doc == json.loads(json.dumps(analysis_document(report, ops.signature)))
+    assert all(set(s["isometry"]) == {"shape", "rows", "values"} for s in doc["syndromes"])
+    field = doc["witness"]["vector"] if c0 < 0 else doc["recovery"]["code_isometry"]
+    assert set(field) == {"shape", "rows", "values"}
 
 
 def test_qec_cp_bitflip_reversible(tmp_path):

@@ -265,7 +265,7 @@ def _report(c0):
 def test_analysis_document_outside_domain_roundtrip():
     report, sig = _report(-0.2)
     doc = _roundtrip(analysis_document(report, sig))
-    assert doc["schema_version"] == "4"
+    assert doc["schema_version"] == "5"
     assert doc["verdict"] == "code_outside_domain"
     assert doc["signature"] == {"p": 3, "q": 1}
     assert all(set(s) == {"isometry", "weight", "sign", "term_index"} for s in doc["syndromes"])
@@ -315,15 +315,16 @@ def test_parsed_recovery_is_factored():
 
 
 def test_parsed_recovery_copies_the_isometry_stack_once(monkeypatch):
-    # The decoded isometries reach the Recovery as one list, which _frozen
-    # stacks in its one copy: complex, read-only and over immutable bytes.
+    # The decoded isometries reach the Recovery as the parser's one stack,
+    # which _frozen copies once: complex, read-only and over immutable bytes.
     ops, code = repetition_bitflip(4, 0.7)
     doc = _roundtrip(analysis_document(analyze(ops, code), ops.signature))
     frozen = []
     monkeypatch.setattr(qec, "_frozen", lambda a, *args: frozen.append(a) or _frozen(a, *args))
     w = parse_analysis_document(doc)["recovery"].isometries
     stacks = [a for a in frozen if np.ndim(a) == 3]
-    assert len(stacks) == 1 and isinstance(stacks[0], list) and len(stacks[0]) == w.shape[0] == 5
+    assert len(stacks) == 1 and isinstance(stacks[0], np.ndarray) and len(stacks[0]) == w.shape[0] == 5
+    assert stacks[0] is not w and np.array_equal(stacks[0], w)
     assert w.dtype == complex and isinstance(memory_owner(w), bytes)
     with pytest.raises(ValueError):
         w.setflags(write=True)
@@ -335,7 +336,9 @@ def _is_entry(z):
 
 
 def _matrix_widths(node, path=""):
-    """``(path, columns)`` of every encoded matrix or vector (one column) in a document."""
+    """``(path, columns)`` of every encoded matrix or vector (one column) in a document, dense or row-sparse."""
+    if isinstance(node, dict) and set(node) == {"shape", "rows", "values"}:
+        return [(path, node["shape"][1] if len(node["shape"]) == 2 else 1)]
     if isinstance(node, dict):
         return [w for key, value in node.items() for w in _matrix_widths(value, f"{path}.{key}".lstrip("."))]
     if not isinstance(node, list) or not node:
@@ -569,6 +572,12 @@ def _analysis_doc(c0):
     return _roundtrip(analysis_document(*_report(c0)))
 
 
+def _sparse_doc(c0):
+    """The analysis document of the 6-qubit bit-flip map, its arrays on d = 64 rows row-sparse."""
+    ops, code = repetition_bitflip(6, c0)
+    return _roundtrip(analysis_document(analyze(ops, code), ops.signature))
+
+
 def _set(doc, path, value):
     """``doc`` with the field at ``path`` (keys and list indices) set to ``value``."""
     *parents, last = path
@@ -612,6 +621,115 @@ def _set(doc, path, value):
             for field in ("diagonalizer", "diagonal", "syndromes")
         ),
         (lambda: _analysis_doc(0.7), ("syndromes",), [], r"syndromes must be a list of 4 syndromes, one per diagonal"),
+        # the row-sparse form
+        (
+            lambda: _sparse_doc(-0.2),
+            ("witness", "vector", "shape"),
+            [2**55],  # 2^59 bytes: more than any address space maps
+            rf"witness\.vector: shape \({2**55},\) is too large to decode",
+        ),
+        (
+            lambda: _sparse_doc(-0.2),
+            ("syndromes", 0, "isometry", "rows"),
+            [0, 64],
+            r"syndromes\[0\]\.isometry\.rows must be a strictly increasing list of row indices below 64, got \[0, 64\]",
+        ),
+        (
+            lambda: _sparse_doc(-0.2),
+            ("syndromes", 0, "isometry", "rows"),
+            [-1, 63],
+            r"syndromes\[0\]\.isometry\.rows must be a strictly increasing",
+        ),
+        (
+            lambda: _sparse_doc(-0.2),
+            ("syndromes", 0, "isometry", "rows"),
+            [0, 0],
+            r"syndromes\[0\]\.isometry\.rows must be a strictly increasing",
+        ),
+        (
+            lambda: _sparse_doc(-0.2),
+            ("syndromes", 0, "isometry", "rows"),
+            [63, 0],
+            r"syndromes\[0\]\.isometry\.rows must be a strictly increasing",
+        ),
+        (
+            lambda: _sparse_doc(-0.2),
+            ("syndromes", 0, "isometry", "rows"),
+            [0, True],
+            r"syndromes\[0\]\.isometry\.rows must be a strictly increasing",
+        ),
+        (
+            lambda: _sparse_doc(-0.2),
+            ("syndromes", 0, "isometry", "values"),
+            [[1.0, 0.0]],
+            r"syndromes\[0\]\.isometry\.values must be a list of 2 rows of 2 entries, one per listed row",
+        ),
+        (
+            lambda: _sparse_doc(-0.2),
+            ("syndromes", 0, "isometry", "values", 1),
+            [1.0],
+            r"syndromes\[0\]\.isometry\.values must be a list of 2 rows of 2 entries",
+        ),
+        (
+            lambda: _sparse_doc(-0.2),
+            ("syndromes", 0, "isometry", "values", 1, 0),
+            "x",
+            r"syndromes\[0\]\.isometry\.values\[1\]\[0\]: real entries must be finite numbers, got 'x'",
+        ),
+        (
+            lambda: _sparse_doc(-0.2),
+            ("syndromes", 1, "isometry", "shape"),
+            [128, 2],
+            r"syndromes\[1\]\.isometry: shape \(128, 2\) must be that of syndrome 0, \(64, 2\)",
+        ),
+        (
+            lambda: _sparse_doc(-0.2),
+            ("syndromes", 0, "isometry", "shape"),
+            [64],
+            r"syndromes\[0\]\.isometry\.shape must be a list of 2 positive integers",
+        ),
+        (
+            lambda: _sparse_doc(-0.2),
+            ("syndromes", 0, "isometry", "shape"),
+            [64, 0],
+            r"syndromes\[0\]\.isometry\.shape must be a list of 2 positive integers",
+        ),
+        (
+            lambda: _sparse_doc(-0.2),
+            ("syndromes", 0, "isometry", "rows"),
+            None,
+            r"syndromes\[0\]\.isometry\.rows must be a strictly increasing",
+        ),
+        (
+            lambda: _sparse_doc(-0.2),
+            ("witness", "vector", "values"),
+            [],
+            r"witness\.vector\.values must be a list of 1 entries, one per listed row",
+        ),
+        (
+            lambda: _sparse_doc(-0.2),
+            ("witness", "vector", "shape"),
+            [64, 1],
+            r"witness\.vector\.shape must be a list of 1 positive integers",
+        ),
+        (
+            lambda: _sparse_doc(-0.2),
+            ("witness", "vector", "shape"),
+            [128],
+            r"witness\.vector: length 128 does not match the 64 rows",
+        ),
+        (
+            lambda: _sparse_doc(0.7),
+            ("recovery", "code_isometry", "shape"),
+            [128, 2],
+            r"recovery\.code_isometry: shape \(128, 2\) must be that of the syndrome isometries, \(64, 2\)",
+        ),
+        (
+            lambda: _sparse_doc(0.7),
+            ("recovery", "code_isometry", "rows"),
+            [0, 64],
+            r"recovery\.code_isometry\.rows must be a strictly increasing list of row indices below 64",
+        ),
     ],
 )
 def test_parsers_name_a_malformed_field(make, path, value, hint):
@@ -859,10 +977,26 @@ def test_pair_form_version_3_document_parses_as_its_version_4_form(monkeypatch, 
     new = _roundtrip(analysis_document(report, sig))
     monkeypatch.setattr(documents, "encode_matrix", pair_lists)
     old = _set(_roundtrip(analysis_document(report, sig)), ("schema_version",), "3")
-    assert (old["schema_version"], new["schema_version"], old["verdict"]) == ("3", "4", report.verdict.value)
+    assert (old["schema_version"], new["schema_version"], old["verdict"]) == ("3", "5", report.verdict.value)
     assert np.shape(old["condition"]["entries"]) == report.condition.entries.shape + (2,)
     assert np.shape(new["condition"]["entries"]) == report.condition.entries.shape
     assert _parsed_bits(parse_analysis_document(old)) == _parsed_bits(parse_analysis_document(new))
+
+
+def _real_shape(encoded):
+    """The shape of an encoded array, or a list of them, whose entries are all real numbers.
+
+    Dense lists have the array's own shape; a row-sparse object's values
+    have one real number per entry of each listed row.
+    """
+    if isinstance(encoded, dict):
+        assert np.shape(encoded["values"]) == (len(encoded["rows"]), *encoded["shape"][1:])
+        return tuple(encoded["shape"])
+    if isinstance(encoded[0], dict):
+        shapes = {_real_shape(e) for e in encoded}
+        assert len(shapes) == 1
+        return (len(encoded), *shapes.pop())
+    return np.shape(encoded)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-12, 1e150])
@@ -870,11 +1004,13 @@ def test_pair_form_version_3_document_parses_as_its_version_4_form(monkeypatch, 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_real_analysis_documents_decode_to_the_reports_arrays(n, c0, scale):
     # The bit-flip mixtures are real: every array takes the real form (the
-    # shape of its lists is its own) and decodes to the report's bits.
+    # shape of its lists is its own) and decodes to the report's bits.  From
+    # d = 32 on, the arrays on d rows are row-sparse, their values real.
     ops, code = repetition_bitflip(n, c0)
     ops = SignedOperatorSum(ops.dim, ops.signs, np.sqrt(scale) * ops.operators)
     report = analyze(ops, code)
     doc = _roundtrip(analysis_document(report, ops.signature))
+    assert isinstance(doc["syndromes"][0]["isometry"], dict) == (n >= 5)
     parsed = parse_analysis_document(doc)
     arrays = [
         (doc["condition"]["entries"], report.condition.entries, parsed["condition_entries"]),
@@ -886,7 +1022,7 @@ def test_real_analysis_documents_decode_to_the_reports_arrays(n, c0, scale):
     if report.witness is not None:
         arrays.append((doc["witness"]["vector"], report.witness.vector, parsed["witness"].vector))
     for encoded, want, got in arrays:
-        assert np.shape(encoded) == want.shape
+        assert _real_shape(encoded) == want.shape
         assert _bits(np.asarray(got)) == _bits(want)
     assert _bits(parsed["diagonal"]) == _bits(report.diagonal)
 
@@ -959,3 +1095,53 @@ def test_parser_ties_each_syndrome_to_the_term_at_its_position():
     with pytest.raises(ValueError, match=r"syndromes\[0\]\.term_index must be .* the least such \(0\).*, got 1"):
         parse_analysis_document(doc)
 
+
+
+_ENTRIES = [1.0, -0.5, 0.0, -0.0, 1e-300, 3.25e150, 0.5j, complex(0.0, -0.0), complex(-0.0, 0.0), 3 - 4j]
+
+
+@st.composite
+def _row_stacks(draw):
+    """An ``(m, d, r)`` stack at d >= 64: chosen live rows, the rest zero, one live row only a -0.0."""
+    m, d, r = draw(st.integers(1, 3)), draw(st.sampled_from([64, 128])), draw(st.integers(1, 3))
+    live = sorted(draw(st.sets(st.integers(0, m * d - 1), min_size=1, max_size=m * d // 2 + 4)))
+    stack = np.zeros((m * d, r), complex)
+    stack[live] = draw(arrays(complex, (len(live), r), elements=st.sampled_from(_ENTRIES)))
+    stack[live[0]] = 0.0
+    stack[live[0], -1] = -0.0  # a row whose only nonzero bits are a sign bit
+    if not draw(st.booleans()):  # every imaginary part +0.0: the real form
+        stack = stack.real.astype(complex)
+    return stack.reshape(m, d, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_row_stacks(), st.booleans())
+def test_row_sparse_stacks_decode_bit_for_bit(stack, vector):
+    # Every array of the stack, as written and read back through JSON text,
+    # has the bits it was written from; the form is sparse exactly when at
+    # most half the stack's rows hold a set bit.
+    if vector:
+        stack = np.ascontiguousarray(stack[:, :, 0])
+    m, d = stack.shape[:2]
+    live = np.count_nonzero(stack.view(np.int64).reshape(m, d, -1).any(axis=2))
+    encoded = _roundtrip(documents._encode_rows(stack))
+    assert all(isinstance(e, dict) == (2 * live <= m * d) for e in encoded)
+    paths = [f"stack[{k}]" for k in range(m)]
+    assert _bits(documents._decode_rows(encoded, paths, stack.ndim - 1)) == _bits(stack)
+
+
+@pytest.mark.parametrize("pairs", [False, True], ids=["real", "pairs"])
+@pytest.mark.parametrize("c0", [-0.2, 0.7])
+def test_dense_version_4_document_parses_to_the_same_arrays(monkeypatch, c0, pairs):
+    # A version "4" document wrote every array as dense lists, real or pairs;
+    # it reads to the bits of the version "5" document of the same report.
+    ops, code = repetition_bitflip(6, c0)
+    report = analyze(ops, code)
+    new = _roundtrip(analysis_document(report, ops.signature))
+    assert isinstance(new["syndromes"][0]["isometry"], dict)
+    monkeypatch.setattr(documents, "_encode_rows", pair_lists if pairs else documents.encode_matrix)
+    if pairs:
+        monkeypatch.setattr(documents, "encode_matrix", pair_lists)
+    old = _set(_roundtrip(analysis_document(report, ops.signature)), ("schema_version",), "4")
+    assert np.shape(old["syndromes"][0]["isometry"]) == (64, 2, 2) if pairs else (64, 2)
+    assert _parsed_bits(parse_analysis_document(old)) == _parsed_bits(parse_analysis_document(new))

@@ -1100,6 +1100,21 @@ def test_code_space_holds_one_isometry():
     assert np.abs(code.projector - code.isometry @ code.isometry.conj().T).max() == 0
 
 
+def test_code_space_finds_its_support_once():
+    # The rows where B is nonzero are found on the first read, by the support
+    # route of analyze at d = 64, and held read-only: verify_recovery on the
+    # same code reads the same array.
+    ops, code = repetition_bitflip(6, 0.7)
+    assert "support" not in vars(code)
+    report = analyze(ops, code)
+    support = vars(code)["support"]
+    assert support.tolist() == [0, 63]
+    verify_recovery(ops, report.recovery, code)
+    assert code.support is support
+    with pytest.raises(ValueError):
+        support.setflags(write=True)
+
+
 B3 = np.eye(8)[:, [0, 7]]  # the 3-qubit repetition code
 
 

@@ -1,5 +1,11 @@
 import importlib.util
+import json
 from pathlib import Path
+
+import numpy as np
+
+from ncpqec import analyze, documents, repetition_bitflip
+from ncpqec.documents import analysis_document, parse_analysis_document
 
 ROOT = Path(__file__).parents[1]
 
@@ -46,10 +52,11 @@ def test_compare_finds_a_tree_identical_to_itself(capsys):
     # every form: each tree in its own subprocess.
     src = str(ROOT / "src")
     assert compare.compare(src, src, seeds=(1,), per_stratum=1, bitflips=((3, -0.2), (3, 0.7)), supported=(64,)) == 0
-    *changed, documents, values, structural = capsys.readouterr().out.splitlines()
+    *changed, documents, decoded, values, structural = capsys.readouterr().out.splitlines()
     assert changed == []
     count = 4 * (3 * 40 + 2 * 6)  # 40 inputs in three forms, 6 in two (no b_matrix above d = 16)
-    assert documents == f"{count} of {count} analysis documents byte-identical"
+    assert documents == f"{count} of {count} analysis documents byte-identical, +0 bytes in all"
+    assert decoded == f"{count} of {count} analysis documents decode to identical arrays"
     n, _, m, *rest = values.split()
     assert n == m and int(n) > 0 and rest == "verify_recovery values equal by float.hex".split()
     assert structural == "0 verdict or structural changes"
@@ -58,3 +65,35 @@ def test_compare_finds_a_tree_identical_to_itself(capsys):
 def test_compare_refuses_a_usage_without_two_trees(capsys):
     assert compare.main(["compare.py", "src"]) == 2
     assert "usage: python3 tools/compare.py PARENT_SRC CHANGE_SRC" in capsys.readouterr().err
+
+
+def _answer(doc):
+    """One tree's answer for a document, as ``compare`` records it."""
+    text = json.dumps(doc, separators=(",", ":"))
+    return ["value", text, None, compare._decoded(parse_analysis_document(json.loads(text)))]
+
+
+def test_compare_reads_a_change_of_form_as_decoded_identical_and_a_scalar_in_its_own_ulps(monkeypatch, capsys):
+    # The dense version "4" document and the row-sparse "5" one of one report
+    # differ in every byte but decode to the same arrays; a witness
+    # probability two floats away reads as 2 ulps, not as a fraction of the
+    # witness vector's ulps.
+    ops, code = repetition_bitflip(6, -0.2)
+    report = analyze(ops, code)
+    sparse = analysis_document(report, ops.signature)
+    with monkeypatch.context() as m:
+        m.setattr(documents, "_encode_rows", documents.encode_matrix)
+        dense = {**analysis_document(report, ops.signature), "schema_version": "4"}
+    moved = json.loads(json.dumps(sparse))
+    probability = moved["witness"]["probability"]
+    moved["witness"]["probability"] = np.nextafter(np.nextafter(probability, -1.0), -1.0).item()
+    old = {"form": _answer(dense), "probability": _answer(sparse)}
+    new = {"form": _answer(sparse), "probability": _answer(moved)}
+    assert compare._summary(old, new) == 0
+    changed, documents_line, decoded, values, structural = capsys.readouterr().out.splitlines()
+    assert changed == "probability: decoded arrays changed: witness.probability moved 2 ulps"
+    grown = len(_answer(sparse)[1]) - len(_answer(dense)[1])
+    assert grown < -4000
+    assert documents_line == f"0 of 2 analysis documents byte-identical, {grown:+d} bytes in all"
+    assert decoded == "1 of 2 analysis documents decode to identical arrays"
+    assert (values, structural) == ("0 of 0 verify_recovery values equal by float.hex", "0 verdict or structural changes")

@@ -23,18 +23,25 @@ each at scales 1, 1e-150, 1e-12 and 1e150 (every operator times the
 scale's square root).  Each tree then runs in its own subprocess, with
 one BLAS thread, over every input as an operator sum, as its ``on_code``
 record and, for d <= 16, as its ``b_matrix``.  It records the analysis
-document bytes, or the exception ``analyze`` raised, and on a report
+document bytes, or the exception ``analyze`` raised, what the tree's own
+``parse_analysis_document`` decodes from those bytes, and on a report
 with syndromes the ``verify_recovery`` value of their recovery.
 
-It prints how many documents are byte-identical, each changed document
-with its largest change in ulps of its field's largest entry, and every
-changed ``verify_recovery`` value by ``float.hex``.  It exits 1 on any
-change of verdict or structure (a document with every float blanked, an
+Documents are compared by what they decode to, so a change of form
+alone reads as decoded identical.  It prints how many documents are
+byte-identical and the total change in their bytes, how many decode to
+identical arrays, each document whose arrays changed, and every changed
+``verify_recovery`` value by ``float.hex``.  A changed array is given as
+how many of its floats moved and its largest move in ulps of its largest
+entry; a changed scalar (``condition.residual``, ``witness.probability``)
+as the number of floats between its two values.  It exits 1 on any change
+of verdict or structure (a decoded field, integer, shape or dtype, an
 exception type, a value that became an exception), else 0.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import pickle
@@ -103,10 +110,34 @@ def _outcome(fn) -> tuple[str, object]:
         return "error", f"{type(exc).__name__}: {exc}"
 
 
+def _decoded(parsed: dict) -> dict:
+    """A parsed analysis document as its structure, its arrays' bytes and its scalars' ``float.hex``."""
+    structure = {key: parsed[key] for key in ("verdict", "signature", "condition_form")}
+    arrays = {"condition.entries": parsed["condition_entries"]}
+    scalars = {"condition.residual": parsed["condition_residual"]}
+    if "syndromes" in parsed:
+        arrays["diagonalizer"], arrays["diagonal"] = parsed["diagonalizer"], parsed["diagonal"]
+        arrays["syndromes.isometry"] = np.array([s["isometry"] for s in parsed["syndromes"]])
+        arrays["syndromes.weight"] = np.array([s["weight"] for s in parsed["syndromes"]])
+        structure["syndromes.sign"] = [s["sign"] for s in parsed["syndromes"]]
+    if "recovery" in parsed:
+        arrays["recovery.code_isometry"] = parsed["recovery"].code_isometry
+    if "witness" in parsed:
+        arrays["witness.vector"] = parsed["witness"].vector
+        scalars["witness.probability"] = parsed["witness"].probability
+        structure["witness.syndrome_index"] = parsed["witness"].syndrome_index
+    structure["arrays"] = {key: [a.dtype.str, list(a.shape)] for key, a in arrays.items()}
+    return {
+        "structure": json.loads(json.dumps(structure)),
+        "arrays": {key: base64.b64encode(np.ascontiguousarray(a).tobytes()).decode() for key, a in arrays.items()},
+        "scalars": {key: float(x).hex() for key, x in scalars.items()},
+    }
+
+
 def _answers(src: str, inputs_path: str, out: str) -> None:
-    """Write ``{key: [kind, document or error, verify_recovery hex or error or None]}`` for every form."""
+    """Write ``{key: [kind, document or error, verify_recovery hex or error or None, decoded or None]}`` for every form."""
     ncpqec = _import_ncpqec(src)
-    from ncpqec.documents import analysis_document
+    from ncpqec.documents import analysis_document, parse_analysis_document
 
     answers = {}
     for name, signs, operators, isometry in pickle.loads(Path(inputs_path).read_bytes()):
@@ -119,7 +150,7 @@ def _answers(src: str, inputs_path: str, out: str) -> None:
             for form, channel in forms.items():
                 kind, report = _outcome(lambda: ncpqec.analyze(channel, code))
                 if kind == "error":
-                    answers[f"{name}@{scale:g}/{form}"] = [kind, report, None]
+                    answers[f"{name}@{scale:g}/{form}"] = [kind, report, None, None]
                     continue
                 terms = ncpqec.on_code(channel, code) if form == "b_matrix" else channel  # as the CLI signs it
                 text = json.dumps(analysis_document(report, terms.signature), separators=(",", ":"))
@@ -127,7 +158,8 @@ def _answers(src: str, inputs_path: str, out: str) -> None:
                 if report.syndromes is not None:
                     got = _outcome(lambda: ncpqec.verify_recovery(channel, report.syndromes.recovery, code))
                     verify = got[1].hex() if got[0] == "value" else got[1]
-                answers[f"{name}@{scale:g}/{form}"] = [kind, text, verify]
+                decoded = _decoded(parse_analysis_document(json.loads(text)))
+                answers[f"{name}@{scale:g}/{form}"] = [kind, text, verify, decoded]
     Path(out).write_text(json.dumps(answers))
 
 
@@ -138,31 +170,28 @@ def _run(function: str, *args: str) -> None:
     subprocess.run([sys.executable, "-c", call, *args], check=True, env=env)
 
 
-def _blank(node):
-    """The document with every float replaced by 0.0: its structure."""
-    if isinstance(node, dict):
-        return {k: _blank(v) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_blank(v) for v in node]
-    return 0.0 if isinstance(node, float) else node
+def _floats(encoded: str, dtype: str) -> np.ndarray:
+    """The floats of an array's bytes, real and imaginary parts apart."""
+    return np.frombuffer(base64.b64decode(encoded), np.dtype(dtype)).view(float)
 
 
-def _floats(node) -> list[float]:
-    if isinstance(node, dict):
-        return [x for v in node.values() for x in _floats(v)]
-    if isinstance(node, list):
-        return [x for v in node for x in _floats(v)]
-    return [node] if isinstance(node, float) else []
+def _ulps(a: float, b: float) -> int:
+    """The number of floats from ``a`` to ``b``: their bit patterns in the order of their values."""
+    ordered = [i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF) for i in np.array([a, b]).view(np.int64).tolist()]
+    return abs(ordered[0] - ordered[1])
 
 
 def _changes(old: dict, new: dict) -> str:
-    """Each changed field: how many floats moved, and the largest move in ulps of the old field's largest entry."""
+    """Each changed field: an array's moved floats and largest move in ulps of its largest entry; a scalar's ulps."""
     parts = []
-    for key in old:
-        a, b = np.array(_floats(old[key])), np.array(_floats(new[key]))
-        if moved := np.count_nonzero(a != b):
+    for key, (dtype, _) in old["structure"]["arrays"].items():
+        a, b = _floats(old["arrays"][key], dtype), _floats(new["arrays"][key], dtype)
+        if moved := np.count_nonzero(a.view(np.int64) != b.view(np.int64)):
             ulps = np.abs(a - b).max() / np.spacing(np.abs(a).max())
             parts.append(f"{key} {moved} of {a.size} floats, up to {ulps:.3g} ulps")
+    for key, a in old["scalars"].items():
+        if a != (b := new["scalars"][key]):
+            parts.append(f"{key} moved {_ulps(float.fromhex(a), float.fromhex(b))} ulps")
     return "; ".join(parts)
 
 
@@ -181,12 +210,17 @@ def compare(
         for src, out in zip((parent_src, change_src), outs):
             _run("_answers", src, inputs_path, out)
         old, new = (json.loads(Path(out).read_text()) for out in outs)
-    structural, identical, documents, verified, verify_equal = [], 0, 0, 0, 0
+    return _summary(old, new)
+
+
+def _summary(old: dict, new: dict) -> int:
+    """Print the comparison of two trees' answers; return the exit status."""
+    structural, identical, decoded, documents, verified, verify_equal, grown = [], 0, 0, 0, 0, 0, 0
     for key in sorted(old.keys() | new.keys()):
         if key not in old or key not in new:
             structural.append(f"{key}: present in only one tree")
             continue
-        (kind_a, a, va), (kind_b, b, vb) = old[key], new[key]
+        (kind_a, a, va, da), (kind_b, b, vb, db) = old[key], new[key]
         if kind_a == "error" or kind_b == "error":
             if kind_a != kind_b or a.split(":")[0] != b.split(":")[0]:
                 structural.append(f"{key}: {_said(kind_a, a)} -> {_said(kind_b, b)}")
@@ -194,14 +228,15 @@ def compare(
                 print(f"{key}: message changed: {a} -> {b}")
             continue
         documents += 1
-        if a == b:
-            identical += 1
+        identical += a == b
+        grown += len(b) - len(a)
+        if da["structure"] != db["structure"]:
+            verdicts = da["structure"]["verdict"], db["structure"]["verdict"]
+            structural.append(f"{key}: verdict or structure changed ({verdicts[0]} -> {verdicts[1]})")
+        elif da["arrays"] == db["arrays"] and da["scalars"] == db["scalars"]:
+            decoded += 1
         else:
-            da, db = json.loads(a), json.loads(b)
-            if da["verdict"] != db["verdict"] or _blank(da) != _blank(db):
-                structural.append(f"{key}: verdict or structure changed ({da['verdict']} -> {db['verdict']})")
-            else:
-                print(f"{key}: document changed: {_changes(da, db)}")
+            print(f"{key}: decoded arrays changed: {_changes(da, db)}")
         if va is not None or vb is not None:
             verified += 1
             if va == vb:
@@ -212,7 +247,8 @@ def compare(
                 print(f"{key}: verify_recovery {va} -> {vb} ({float.fromhex(va):.3e} -> {float.fromhex(vb):.3e})")
     for line in structural:
         print(f"STRUCTURAL {line}")
-    print(f"{identical} of {documents} analysis documents byte-identical")
+    print(f"{identical} of {documents} analysis documents byte-identical, {grown:+d} bytes in all")
+    print(f"{decoded} of {documents} analysis documents decode to identical arrays")
     print(f"{verify_equal} of {verified} verify_recovery values equal by float.hex")
     print(f"{len(structural)} verdict or structural changes")
     return 1 if structural else 0
