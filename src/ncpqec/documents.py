@@ -31,7 +31,11 @@ for hand-written input, so a ``"1"`` channel costs no second path.
 
 Parsers raise ``ValueError`` with a path-like hint for malformed input,
 including NaN and infinite numbers and a packed string that is not the
-canonical base64 text of exactly the implied number of bytes.
+canonical base64 text of exactly the implied number of bytes.  A rule
+that a record keeps is checked by the record's own code, not restated
+here: a channel's by the record the parser builds, an analysis
+document's verdict, syndrome signs and witness index by the outcome
+rule of :mod:`ncpqec.qec` and the sign rule of every signed record.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from typing import Any
 
 import numpy as np
 
-from .qec import CodeSpace, NegativityWitness, QecReport, Recovery, projector_from_basis
-from .superop import AMatrix, BMatrix, SignedOperatorSum
+from .qec import CodeSpace, NegativityWitness, QecReport, Recovery, Verdict, _check_outcome, projector_from_basis
+from .superop import AMatrix, BMatrix, SignedOperatorSum, _SignedTerms
 from .pseudolinalg import Signature
 
 SCHEMA_VERSION = "2"
@@ -344,7 +348,7 @@ def analysis_document(report: QecReport, signature: Signature) -> dict:
     """
     syndromes = witness = recovery = None
     if (syn := report.syndromes) is not None:  # the whole W stack in one conversion
-        columns = enumerate(zip(_encode_rows(syn.isometries), syn.weights.tolist(), syn.signs.tolist()))
+        columns = enumerate(zip(_encode_rows(syn.isometries), syn.weights.tolist(), syn.signs))
         syndromes = [{"isometry": w, "weight": x, "sign": s, "term_index": k} for k, (w, x, s) in columns]
     if report.recovery is not None:
         recovery = {"code_isometry": _encode_rows(report.recovery.code_isometry[None])[0]}
@@ -386,14 +390,19 @@ def parse_analysis_document(obj: Any) -> dict:
     ``k`` is canonical term ``k``, so its ``term_index`` is ``k`` and its
     weight, positive and finite, is ``diagonal[k]``.  Every syndrome
     isometry has one ``d x r`` shape, which the recovery's ``B`` and the
-    witness vector's length must match.  A syndrome of sign -1 under any
-    verdict but ``code_outside_domain``, and a witness that does not name
-    the first syndrome of sign -1, are refused too.
+    witness vector's length must match.  The verdict, the syndrome
+    signs and the witness's ``syndrome_index`` are held to the rules a
+    :class:`~ncpqec.qec.QecReport` keeps, by the functions that own them:
+    the outcome rule of :mod:`ncpqec.qec` (a syndrome of sign -1 only
+    under ``code_outside_domain``, a witness exactly there, naming the
+    first such syndrome) and then the sign rule of every signed record
+    (+1 or -1, the +1 block first).  Their messages come prefixed
+    ``analysis:``.
     """
     if not isinstance(obj, dict):
         raise ValueError("analysis document must be a JSON object")
     _check_version(obj, "analysis", _ANALYSIS_VERSION, *_DENSE_ANALYSIS_VERSIONS)
-    verdicts = ("reversible_positive", "code_outside_domain", "conditions_violated")
+    verdicts = tuple(v.value for v in Verdict)
     verdict = _field(obj, "verdict", "analysis", str, f"one of {verdicts}", verdicts.__contains__)
     sig = _field(obj, "signature", "analysis", dict, "a JSON object")
     where = "analysis.signature"
@@ -410,15 +419,12 @@ def parse_analysis_document(obj: Any) -> dict:
         "condition_residual": float(residual),
         "condition_form": form,
     }
-    witness = obj.get("witness")
-    if (witness is not None) != (verdict == "code_outside_domain"):
-        raise ValueError("analysis: witness must be present iff verdict is code_outside_domain")
     if verdict == "reversible_positive" and obj.get("recovery") is None:
         raise ValueError("analysis: reversible_positive requires a recovery")
     terms = [obj.get(key) is not None for key in ("diagonalizer", "diagonal", "syndromes")]
     if any(terms) and not all(terms):
         raise ValueError("analysis: diagonalizer, diagonal and syndromes must be present together")
-    syndromes, isometries, shape = [], [], None
+    syndromes, isometries, shape, index = [], [], None, None
     if all(terms):
         out["diagonalizer"] = decode_matrix(obj["diagonalizer"], "analysis.diagonalizer")
         columns = out["diagonalizer"].shape[1]
@@ -426,8 +432,6 @@ def parse_analysis_document(obj: Any) -> dict:
         diag = _field(obj, "diagonal", "analysis", list, what, lambda xs: len(xs) == columns and all(map(_finite, xs)))
         out["diagonal"] = np.array(diag, dtype=float)
         what, below = f"a list of {columns} syndromes, one per diagonal entry", f"below the diagonal's length {columns}"
-        outside = verdict == "code_outside_domain"  # a QecReport of any other verdict refuses a -1 syndrome
-        sign_what = "+1 or -1" if outside else f"+1 under a {verdict} verdict"
         for k, s in enumerate(_field(obj, "syndromes", "analysis", list, what, lambda xs: len(xs) == columns)):
             where = f"analysis.syndromes[{k}]"
             if not isinstance(s, dict):
@@ -438,13 +442,21 @@ def parse_analysis_document(obj: Any) -> dict:
             # analyze stores weight = diagonal[k], which JSON floats keep exactly
             weight = _field(s, "weight", where, _NUMBER, f"diagonal[{k}]", lambda x: x == diag[k])
             isometries.append(_require(s, "isometry", where))
-            sign = _field(s, "sign", where, int, sign_what, lambda x: x == 1 or x == -1 and outside)
+            sign = _field(s, "sign", where, int, "an integer")
             syndromes.append({"weight": float(weight), "sign": sign})
         stack = _decode_rows(isometries, [f"analysis.syndromes[{k}].isometry" for k in range(columns)], 2)
         shape = stack.shape[1:]
         for s, isometry in zip(syndromes, stack):
             s["isometry"] = isometry
         out["syndromes"] = syndromes
+    if (witness := obj.get("witness")) is not None:
+        witness = _field(obj, "witness", "analysis", dict, "a JSON object")
+        index = _field(witness, "syndrome_index", "analysis.witness", int, "an integer")
+    try:  # a QecReport's rules, the outcome's first, so that a misplaced -1 is named by its index
+        _check_outcome(Verdict(verdict), signs := [s["sign"] for s in syndromes], index)
+        _SignedTerms._check_signs(signs, len(signs), "syndromes")
+    except ValueError as exc:
+        raise ValueError(f"analysis: {exc}") from None
     if obj.get("recovery") is not None:
         rec = _field(obj, "recovery", "analysis", dict, "a JSON object")
         where = "analysis.recovery.code_isometry"
@@ -453,10 +465,7 @@ def parse_analysis_document(obj: Any) -> dict:
             raise ValueError(f"{where}: shape {b.shape} must be that of the syndrome isometries, {shape}")
         out["recovery"] = Recovery(b, stack)
     if witness is not None:
-        witness, where = _field(obj, "witness", "analysis", dict, "a JSON object"), "analysis.witness"
-        first = next((k for k, s in enumerate(syndromes) if s["sign"] == -1), None)  # analyze's witness names it
-        what = f"an index below the syndrome count {len(syndromes)}: that of the first syndrome of sign -1"
-        index = _field(witness, "syndrome_index", where, int, what, lambda x: x == first)
+        where = "analysis.witness"
         vector = _decode_rows([_require(witness, "vector", where)], [f"{where}.vector"], 1)[0]
         if vector.shape != shape[:1]:
             rows = shape[0]

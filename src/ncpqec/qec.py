@@ -46,6 +46,13 @@ positive output, and the recovery is the Knill-Laflamme one (PRA 55,
 ``B`` and the ``W_j``, so no ``d x d`` array is formed after ``V``.
 Every gate takes its bound from ``pseudolinalg._cut``: relative to the
 map's scale on the code, absolute for trace preservation and isometry.
+
+Each rule of the records is written once.  Every signed record, the
+:class:`SyndromeSet` included, holds its signs as a tuple of ints checked
+by ``superop._SignedTerms._check_signs``.  :func:`_check_outcome` states
+the outcomes above (a syndrome of sign -1 only outside the domain, a
+witness exactly there, naming the first such syndrome) for
+:class:`QecReport` and for the analysis document parser alike.
 """
 
 from __future__ import annotations
@@ -70,7 +77,6 @@ __all__ = [
     "CodeSpace",
     "CodeTerms",
     "ConditionMatrix",
-    "Syndrome",
     "SyndromeSet",
     "Recovery",
     "NegativityWitness",
@@ -150,7 +156,7 @@ class CodeTerms(_SignedTerms):
         v = _frozen(self.terms)
         if v.ndim != 3:
             raise ValueError(f"terms have shape {v.shape}, expected (n, d, r)")
-        self._check_signs(v.shape[0], "terms")
+        object.__setattr__(self, "signs", self._check_signs(self.signs, v.shape[0], "terms"))
         self._check_finite(v, "terms")
         object.__setattr__(self, "terms", v)
 
@@ -253,25 +259,24 @@ class SyndromeSet:
 
     ``recovery``, their Knill-Laflamme recovery, holds the code's ``B``
     and the ``(m, d, r)`` stack of the ``W_j``.  ``weights`` (float,
-    each positive and finite, the canonical ``d``) and ``signs`` (each +1
-    or -1, never a bool) are read-only length-``m`` copies.  Indexing and
+    each positive and finite, the canonical ``d``) is a read-only
+    length-``m`` copy.  ``signs`` is the tuple of ``m`` ints that every
+    signed record holds, each +1 or -1 and the +1 block first, checked
+    by the one sign rule, ``_SignedTerms._check_signs``.  Indexing and
     iteration give the :class:`Syndrome` views.
     """
 
     recovery: Recovery
     weights: np.ndarray
-    signs: np.ndarray
+    signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        signs = np.asarray(self.signs, dtype=object).ravel().tolist()  # the raw elements: a bool stays a bool
-        if not {*signs} <= {1, -1} or {bool, np.bool_} & {*map(type, signs)}:
-            raise ValueError(f"syndrome signs must be +1 or -1, got {signs}")
-        for name, dtype in (("weights", float), ("signs", int)):
-            object.__setattr__(self, name, a := _frozen(getattr(self, name), dtype))
-            if a.shape != (len(self),):
-                raise ValueError(f"{name} has shape {a.shape}, expected ({len(self)},), one per isometry")
-        if not all(0.0 < x < np.inf for x in self.weights.tolist()):
-            raise ValueError(f"syndrome weights must be positive and finite, got {self.weights.tolist()}")
+        object.__setattr__(self, "signs", _SignedTerms._check_signs(self.signs, len(self), "isometries"))
+        object.__setattr__(self, "weights", weights := _frozen(self.weights, float))
+        if weights.shape != (len(self),):
+            raise ValueError(f"weights has shape {weights.shape}, expected ({len(self)},), one per isometry")
+        if not all(0.0 < x < np.inf for x in weights.tolist()):
+            raise ValueError(f"syndrome weights must be positive and finite, got {weights.tolist()}")
 
     @property
     def isometries(self) -> np.ndarray:
@@ -281,7 +286,7 @@ class SyndromeSet:
         return self.recovery.n_terms
 
     def __getitem__(self, j: int) -> Syndrome:
-        return Syndrome(self.isometries[j], float(self.weights[j]), int(self.signs[j]))
+        return Syndrome(self.isometries[j], float(self.weights[j]), self.signs[j])
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,6 +312,28 @@ class Verdict(str, enum.Enum):
     CONDITIONS_VIOLATED = "conditions_violated"
 
 
+def _check_outcome(verdict: Verdict, signs: Sequence[int], witness: int | None) -> None:
+    """The outcome rule of a report and of an analysis document: raise ``ValueError`` unless it holds.
+
+    ``signs`` are the syndromes' signs, empty when there are none, and
+    ``witness`` is the witness's ``syndrome_index``, ``None`` when there
+    is no witness.  The reversible verdict has syndromes, whose recovery
+    it returns.  A syndrome of sign -1 returns a negative probability on
+    every code state, so only the outside-domain verdict may hold one,
+    exactly that verdict carries a witness, and the witness names the
+    first such syndrome, as :func:`analyze` picks it.
+    """
+    if verdict == Verdict.REVERSIBLE_POSITIVE and not signs:
+        raise ValueError("a reversible_positive verdict requires syndromes, got none")
+    outside, first = verdict == Verdict.CODE_OUTSIDE_DOMAIN, signs.index(-1) if -1 in signs else None
+    if first is not None and not outside:
+        raise ValueError(f"syndromes[{first}].sign must be +1 under a {verdict.value} verdict, got -1")
+    if (witness is None) == outside:
+        raise ValueError(f"a witness comes with code_outside_domain only, got index {witness} under {verdict.value}")
+    if outside and witness != first:
+        raise ValueError(f"witness.syndrome_index is {witness}: it must name the first syndrome of sign -1, {first}")
+
+
 @dataclass(frozen=True, eq=False)
 class QecReport:
     """Full outcome of :func:`analyze`.
@@ -316,10 +343,11 @@ class QecReport:
     code).  ``diagonalizer`` (``T``) and ``syndromes`` belong to the
     canonical terms ``F = E T`` (never formed) and are absent when the
     conditions fail: column ``k`` of ``T`` is the term of syndrome ``k``,
-    and ``diagonal`` (``d``) reads the syndromes' weights.  Only the
-    outside-domain verdict holds a syndrome of sign -1, and exactly that
-    verdict has a ``witness``, which names its first such syndrome, as
-    :func:`analyze` picks it.  ``recovery`` is the syndromes' own factored
+    and ``diagonal`` (``d``) reads the syndromes' weights.  The outcome
+    rule, :func:`_check_outcome`, which the analysis parser shares, holds:
+    only the outside-domain verdict holds a syndrome of sign -1, and
+    exactly that verdict has a ``witness``, which names its first such
+    syndrome, as :func:`analyze` picks it.  ``recovery`` is the syndromes' own factored
     :class:`Recovery` for the reversible verdict and ``None`` otherwise.
     """
 
@@ -335,17 +363,8 @@ class QecReport:
             raise ValueError("a diagonalizer comes with its syndromes, one per column, and syndromes with it")
         if t is not None:
             object.__setattr__(self, "diagonalizer", _frozen(t))
-        if self.verdict == Verdict.REVERSIBLE_POSITIVE and not self.syndromes:
-            raise ValueError("reversible verdict requires syndromes")
-        outside = self.verdict == Verdict.CODE_OUTSIDE_DOMAIN
-        signs = [] if syndromes is None else syndromes.signs.tolist()
-        first = signs.index(-1) if -1 in signs else None
-        if first is not None and not outside:
-            raise ValueError("a syndrome of sign -1 comes only with the outside-domain verdict")
-        if (self.witness is None) == outside:
-            raise ValueError("the outside-domain verdict requires a witness, and no other verdict carries one")
-        if outside and self.witness.syndrome_index != first:
-            raise ValueError("the witness must name the first syndrome of sign -1, as analyze picks it")
+        witness = None if self.witness is None else self.witness.syndrome_index
+        _check_outcome(self.verdict, () if syndromes is None else syndromes.signs, witness)
 
     @property
     def diagonal(self) -> np.ndarray | None:
@@ -667,6 +686,7 @@ def build_recovery(syndromes: SyndromeSet) -> Recovery:
     One (+1) term ``B W_j^dag`` per syndrome: measure the syndrome, then
     map its range back onto the code (``U_j^dag P_j`` in the polar form
     ``F_j P = sqrt(d_j) U_j P``).  Raises ``ValueError`` for an empty set.
+    ``syndromes.recovery`` is the same object, which the CLI reads.
     """
     if not syndromes:
         raise ValueError("cannot build a recovery from an empty syndrome set")
@@ -681,7 +701,7 @@ def _witness(
     Its outcome probability on a code state is ``-d_j``, cross-checked
     once on the input terms as ``sum_k s_k |W_j^dag E_k b_0|^2``.
     """
-    j = int(np.argmax(syndromes.signs < 0))
+    j = syndromes.signs.index(-1)
     amplitudes = first @ syndromes.isometries[j].conj()  # row k: W_j^dag E_k b_0
     prob = float(np.asarray(signs, dtype=float) @ np.sum(np.abs(amplitudes) ** 2, axis=1))
     if prob > -_cut(tol, syndromes.weights.max()):
@@ -745,8 +765,8 @@ def analyze(
         return QecReport(zero, None, None, Verdict.CONDITIONS_VIOLATED, None)
     if condition.residual > _cut(tol, scale):
         return QecReport(condition, None, None, Verdict.CONDITIONS_VIOLATED, None)
-    syndromes = SyndromeSet(Recovery(code.isometry, _syndromes(v, t, tol)), d, canonical_signs)
-    if (syndromes.signs < 0).any():
+    syndromes = SyndromeSet(Recovery(code.isometry, _syndromes(v, t, tol)), d, canonical_signs.tolist())
+    if -1 in syndromes.signs:
         witness = _witness(signs, v[:, :, 0], code.isometry[:, 0], syndromes, tol)
         return QecReport(condition, t, syndromes, Verdict.CODE_OUTSIDE_DOMAIN, witness)
     # sum_k s_k V_k^dag V_k, from the diagonal blocks

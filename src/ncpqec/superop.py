@@ -102,8 +102,7 @@ class _SignedTerms:
     def _check_terms(self, field: str, shape: tuple[int, ...]) -> None:
         """Validate ``signs`` and the terms in ``field``, then store both frozen.
 
-        Each sign must equal +1 or -1 exactly (bools are rejected), there
-        must be one per term and the +1 block must come first; every term
+        The signs pass :meth:`_check_signs`, one per term; every term
         must be a finite array of ``shape``.  The terms are stored as one
         read-only ``(n_terms, *shape)`` array (:func:`~ncpqec.pseudolinalg._frozen`).
         """
@@ -111,7 +110,7 @@ class _SignedTerms:
             raise ValueError("dim must be positive")
         raw = getattr(self, field)
         terms = [np.asarray(t) for t in raw]
-        self._check_signs(len(terms), field)
+        object.__setattr__(self, "signs", self._check_signs(self.signs, len(terms), field))
         for k, t in enumerate(terms):
             if t.shape != shape:
                 raise ValueError(f"{field[:-1]} {k} has shape {t.shape}, expected {shape}")
@@ -119,17 +118,21 @@ class _SignedTerms:
         self._check_finite(stack, field)
         object.__setattr__(self, field, stack)
 
-    def _check_signs(self, n: int, field: str) -> None:
-        """Validate ``signs`` for ``n`` terms in ``field``, then store them as a tuple of ints."""
-        signs = tuple(self.signs)
+    @staticmethod
+    def _check_signs(signs: Sequence[int], n: int, field: str) -> tuple[int, ...]:
+        """The sign rule of every signed record: ``signs`` for ``n`` terms in ``field``, as a tuple of ints.
+
+        Each sign must equal +1 or -1 exactly (bools and arrays are
+        rejected), there must be one per term and the +1 block must come first.
+        """
+        signs = tuple(signs)
         if len(signs) != n:
             raise ValueError(f"{len(signs)} signs but {n} {field}")
-        if any(isinstance(s, (bool, np.bool_)) or s not in (1, -1) for s in signs):
+        if any(isinstance(s, (bool, np.bool_, np.ndarray)) or s not in (1, -1) for s in signs):
             raise ValueError(f"signs must be +1 or -1, got {signs}")
-        signs = tuple(int(s) for s in signs)
         if any(a < b for a, b in zip(signs, signs[1:])):
-            raise ValueError("positive-sign terms must precede negative-sign terms")
-        object.__setattr__(self, "signs", signs)
+            raise ValueError(f"positive-sign terms must precede negative-sign terms, got {signs}")
+        return tuple(int(s) for s in signs)
 
     @staticmethod
     def _check_finite(stack: np.ndarray, field: str) -> None:

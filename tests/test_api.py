@@ -47,7 +47,6 @@ PUBLIC = {
     "SignedEnsemble",
     "SignedOperatorSum",
     "SingularCoefficientMatrix",
-    "Syndrome",
     "SyndromeSet",
     "Verdict",
     "WitnessSearchFailed",
@@ -223,7 +222,7 @@ FROM_CALLER = {
     ),
     "Syndrome": (
         lambda ops, code: ncpqec.analyze(ops, code).syndromes.isometries[0],
-        lambda ops, a: ncpqec.Syndrome(a, 1.0, 1),
+        lambda ops, a: ncpqec.qec.Syndrome(a, 1.0, 1),
         "isometry",
     ),
     "SignedOperatorSum": (

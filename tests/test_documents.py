@@ -508,6 +508,9 @@ def _break_index_sign(doc):
     doc["witness"]["syndrome_index"] = 0  # a +1 syndrome; the witness names the first -1 one, index 3
 
 
+_NAMES_3 = "it must name the first syndrome of sign -1, 3"  # the inverted document's first -1 syndrome
+
+
 def _break_witness_vector_length(doc):
     doc["witness"]["vector"] = doc["witness"]["vector"][:3]
 
@@ -522,7 +525,7 @@ def _break_term_index_duplicate(doc):
         (_break_syndromes, "analysis.syndromes"),
         (_break_weight, r"analysis.syndromes\[0\].weight"),
         (_break_sign, r"analysis.syndromes\[0\].sign"),
-        (_break_sign_value, r"analysis.syndromes\[0\].sign"),
+        (_break_sign_value, r"analysis: signs must be \+1 or -1, got \(2, 1, 1, -1\)"),
         (_break_isometry, r"analysis.syndromes\[0\].isometry"),
         (_break_isometry_nan, r"analysis.syndromes\[0\].isometry\[3\]\[1\]"),
         (_break_weight_inf, r"analysis.syndromes\[0\].weight"),
@@ -533,9 +536,9 @@ def _break_term_index_duplicate(doc):
         (_break_version, "analysis: unsupported schema_version '2'"),
         (_break_signature, "analysis.signature.q"),
         (_break_index, "analysis.witness.syndrome_index"),
-        (_break_negative_index, "analysis.witness.syndrome_index"),
-        (_break_index_range, "analysis.witness.syndrome_index must be an index below the syndrome count 4"),
-        (_break_index_sign, "analysis.witness.syndrome_index must be .*: that of the first syndrome of sign -1, got 0"),
+        (_break_negative_index, f"analysis: witness.syndrome_index is -1: {_NAMES_3}"),
+        (_break_index_range, f"analysis: witness.syndrome_index is 4: {_NAMES_3}"),
+        (_break_index_sign, f"analysis: witness.syndrome_index is 0: {_NAMES_3}"),
         (_break_witness_vector_length, "analysis.witness.vector: length 3 does not match the 8 rows"),
         (_break_term_index_duplicate, r"analysis.syndromes\[2\].term_index must be a non-negative integer not used before"),
     ],
@@ -743,9 +746,71 @@ def test_parser_keeps_a_negative_syndrome_to_the_outside_domain_verdict():
     # analyze gives code_outside_domain, with a witness, whenever a syndrome
     # is negative; the inverted document's syndrome 3 is.
     doc = _set(_set(_analysis_doc(-0.2), ("verdict",), "conditions_violated"), ("witness",), None)
-    hint = r"analysis\.syndromes\[3\]\.sign must be \+1 under a conditions_violated verdict, got -1"
+    hint = r"analysis: syndromes\[3\]\.sign must be \+1 under a conditions_violated verdict, got -1"
     with pytest.raises(ValueError, match=hint):
         parse_analysis_document(doc)
+
+
+# (verdict, syndrome signs or None for no syndromes, witness index or None, the message core or None to accept)
+_V = qec.Verdict
+_NEGATIVE = "syndromes[{}].sign must be +1 under a {} verdict, got -1"
+_WITNESS = "a witness comes with code_outside_domain only, got index {} under {}"
+_FIRST = "witness.syndrome_index is {}: it must name the first syndrome of sign -1, {}"
+_ORDER = "positive-sign terms must precede negative-sign terms, got {}"
+OUTCOMES = [
+    (_V.CODE_OUTSIDE_DOMAIN, (1, 1, 1, -1), 3, None),
+    (_V.CODE_OUTSIDE_DOMAIN, (1, 1, -1, -1), 2, None),
+    (_V.CODE_OUTSIDE_DOMAIN, (-1, -1, -1, -1), 0, None),
+    (_V.REVERSIBLE_POSITIVE, (1, 1, 1, 1), None, None),
+    (_V.CONDITIONS_VIOLATED, (1, 1, 1, 1), None, None),
+    (_V.CONDITIONS_VIOLATED, None, None, None),
+    (_V.REVERSIBLE_POSITIVE, None, None, "a reversible_positive verdict requires syndromes, got none"),
+    (_V.REVERSIBLE_POSITIVE, (1, 1, 1, -1), None, _NEGATIVE.format(3, "reversible_positive")),
+    (_V.CONDITIONS_VIOLATED, (1, 1, -1, -1), None, _NEGATIVE.format(2, "conditions_violated")),
+    (_V.CODE_OUTSIDE_DOMAIN, (1, 1, 1, -1), None, _WITNESS.format(None, "code_outside_domain")),
+    (_V.REVERSIBLE_POSITIVE, (1, 1, 1, 1), 3, _WITNESS.format(3, "reversible_positive")),
+    (_V.CONDITIONS_VIOLATED, None, 0, _WITNESS.format(0, "conditions_violated")),
+    (_V.CODE_OUTSIDE_DOMAIN, (1, 1, -1, -1), 3, _FIRST.format(3, 2)),
+    (_V.CODE_OUTSIDE_DOMAIN, (1, 1, 1, -1), -1, _FIRST.format(-1, 3)),
+    (_V.CODE_OUTSIDE_DOMAIN, (1, 1, 1, 1), 0, _FIRST.format(0, None)),
+    (_V.CODE_OUTSIDE_DOMAIN, None, 0, _FIRST.format(0, None)),
+    # A -1 syndrome before a +1 one: refused since SyndromeSet takes the sign rule of every signed record.
+    (_V.CODE_OUTSIDE_DOMAIN, (1, -1, 1, 1), 1, _ORDER.format((1, -1, 1, 1))),
+    (_V.CODE_OUTSIDE_DOMAIN, (-1, 1, 1, 1), 0, _ORDER.format((-1, 1, 1, 1))),
+]
+
+
+@pytest.mark.parametrize("verdict, signs, index, core", OUTCOMES)
+def test_report_and_parser_keep_one_outcome_rule(verdict, signs, index, core):
+    # QecReport and parse_analysis_document take the outcome rule and the sign
+    # rule from their one owner each, so they accept and refuse alike, with one
+    # message; the parser's comes prefixed "analysis:".
+    cp, inverted = analyze(bitflip_ops(0.7), repetition_code()), analyze(bitflip_ops(-0.2), repetition_code())
+    doc = _analysis_doc(0.7)
+    doc["verdict"] = verdict.value
+    if verdict is not _V.REVERSIBLE_POSITIVE:  # analysis_document stores B under that verdict only
+        doc["recovery"] = None
+    if signs is None:
+        doc["diagonalizer"] = doc["diagonal"] = doc["syndromes"] = None
+    for s, sign in zip(doc["syndromes"] or (), signs or ()):
+        s["sign"] = sign
+    if index is not None:
+        doc["witness"] = {**_analysis_doc(-0.2)["witness"], "syndrome_index": index}
+
+    def report():
+        syndromes = None if signs is None else qec.SyndromeSet(cp.syndromes.recovery, cp.diagonal, signs)
+        witness = None if index is None else qec.NegativityWitness(inverted.witness.vector, index, -0.2)
+        t = None if signs is None else cp.diagonalizer
+        return qec.QecReport(cp.condition, t, syndromes, verdict, witness)
+
+    if core is None:
+        assert report().verdict is verdict
+        assert parse_analysis_document(doc)["verdict"] == verdict.value
+        return
+    for build, message in ((report, core), (lambda: parse_analysis_document(doc), f"analysis: {core}")):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("obj", [[1, 2], "analysis", None])

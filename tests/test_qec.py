@@ -19,7 +19,6 @@ from ncpqec import (
     Signature,
     SignedEnsemble,
     SignedOperatorSum,
-    Syndrome,
     SyndromeSet,
     Verdict,
     WitnessSearchFailed,
@@ -52,7 +51,7 @@ from ncpqec import (
 from ncpqec.documents import analysis_document, encode_vector, parse_code_document
 from ncpqec.pseudolinalg import DEFAULT_TOL
 from ncpqec import qec
-from ncpqec.qec import NegativityWitness, _witness
+from ncpqec.qec import NegativityWitness, Syndrome, _witness
 
 from helpers import (
     apply_a_matrix,
@@ -419,9 +418,9 @@ def test_syndrome_set_is_one_record():
     report = analyze(ops, code)
     syn = report.syndromes
     arrays = {"weights": syn.weights, "signs": syn.signs}
-    for a, dtype in zip(arrays.values(), (float, int)):
-        assert a.dtype == dtype and a.shape == (4,) and not a.flags.writeable
-    assert len(syn) == 4 and set(syn.signs.tolist()) == {1}
+    assert syn.weights.dtype == float and syn.weights.shape == (4,) and not syn.weights.flags.writeable
+    assert syn.signs == (1, 1, 1, 1) and {*map(type, syn.signs)} == {int}  # the tuple every signed record holds
+    assert len(syn) == 4
     assert report.diagonal is syn.weights and report.diagonalizer.shape == (4, 4)  # syndrome k is term k
     last = syn[-1]
     assert type(last) is Syndrome and (last.weight, last.sign) == (syn.weights[3], 1)
@@ -430,7 +429,7 @@ def test_syndrome_set_is_one_record():
         syn[4]
     assert report.recovery is build_recovery(syn) is syn.recovery
     for name in arrays:
-        for wrong in (arrays[name][:3], arrays[name][:, None]):
+        for wrong in (arrays[name][:3], np.array(arrays[name])[:, None]):
             with pytest.raises(ValueError, match=name):
                 SyndromeSet(syn.recovery, **{**arrays, name: wrong})
     inverted = analyze(*repetition_bitflip(3, -0.2))
@@ -557,7 +556,7 @@ def test_witness_search_failure_on_doctored_syndromes():
     code = repetition_code()
     syn = analyze(ops, code).syndromes
     w = np.array(syn.isometries)
-    w[syn.signs == -1] = syn.isometries[0]
+    w[np.array(syn.signs) == -1] = syn.isometries[0]
     wrong = SyndromeSet(Recovery(syn.recovery.code_isometry, w), syn.weights, syn.signs)
     b0 = code.isometry[:, 0]
     with pytest.raises(WitnessSearchFailed):
@@ -997,16 +996,17 @@ def test_qec_report_holds_a_negative_syndrome_only_outside_the_domain():
     # analyze returns code_outside_domain as soon as a syndrome is negative,
     # and its witness names the first such syndrome.
     r = analyze(bitflip_ops(-0.2), repetition_code())
-    assert r.syndromes.signs.tolist() == [1, 1, 1, -1] and r.witness.syndrome_index == 3
-    with pytest.raises(ValueError, match="sign -1 comes only with the outside-domain verdict"):
+    assert r.syndromes.signs == (1, 1, 1, -1) and r.witness.syndrome_index == 3
+    with pytest.raises(ValueError, match=r"syndromes\[3\]\.sign must be \+1 under a conditions_violated verdict, got -1"):
         QecReport(r.condition, r.diagonalizer, r.syndromes, Verdict.CONDITIONS_VIOLATED, None)
     named_plus = NegativityWitness(r.witness.vector, 0, r.witness.probability)
-    with pytest.raises(ValueError, match="the witness must name the first syndrome of sign -1"):
+    hint = "witness.syndrome_index is {}: it must name the first syndrome of sign -1, {}"
+    with pytest.raises(ValueError, match=hint.format(0, 3)):
         QecReport(r.condition, r.diagonalizer, r.syndromes, Verdict.CODE_OUTSIDE_DOMAIN, named_plus)
     cp = analyze(bitflip_ops(0.7), repetition_code())
-    with pytest.raises(ValueError, match="the witness must name the first syndrome of sign -1"):
+    with pytest.raises(ValueError, match=hint.format(3, None)):
         QecReport(cp.condition, cp.diagonalizer, cp.syndromes, Verdict.CODE_OUTSIDE_DOMAIN, r.witness)
-    with pytest.raises(ValueError, match="the witness must name the first syndrome of sign -1"):
+    with pytest.raises(ValueError, match=hint.format(3, None)):
         QecReport(cp.condition, None, None, Verdict.CODE_OUTSIDE_DOMAIN, r.witness)
 
 

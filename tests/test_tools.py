@@ -54,12 +54,27 @@ def test_compare_finds_a_tree_identical_to_itself(capsys):
     assert compare.compare(src, src, seeds=(1,), per_stratum=1, bitflips=((3, -0.2), (3, 0.7)), supported=(64,)) == 0
     *changed, documents, decoded, values, structural = capsys.readouterr().out.splitlines()
     assert changed == []
-    count = 4 * (3 * 40 + 2 * 6)  # 40 inputs in three forms, 6 in two (no b_matrix above d = 16)
+    count = 4 * (4 * 40 + 2 * 6)  # 40 inputs in four forms, 6 in two (no matrix form above d = 16)
     assert documents == f"{count} of {count} analysis documents byte-identical, +0 bytes in all"
     assert decoded == f"{count} of {count} analysis documents decode to identical arrays"
     n, _, m, *rest = values.split()
     assert n == m and int(n) > 0 and rest == "verify_recovery values equal by float.hex".split()
     assert structural == "0 verdict or structural changes"
+
+
+def test_compare_runs_the_a_matrix_form_as_the_b_matrix_form(tmp_path):
+    # For d <= 16 the tool also analyzes each input as its a_matrix, which
+    # reaches the analysis through the reshuffle, an exact permutation: each
+    # of its answers is the b_matrix form's, bit for bit, at every scale.
+    src, inputs, out = str(ROOT / "src"), str(tmp_path / "inputs.pickle"), str(tmp_path / "answers.json")
+    compare._run("_build", src, inputs, json.dumps([[], 1, [[3, -0.2], [3, 0.7]], []]))
+    compare._run("_answers", src, inputs, out)
+    answers = json.loads(Path(out).read_text())
+    assert sorted({key.rsplit("/", 1)[1] for key in answers}) == ["a_matrix", "b_matrix", "on_code", "operator_sum"]
+    matrix = [key for key in answers if key.endswith("/a_matrix")]
+    assert len(matrix) == 2 * len(compare.SCALES)
+    for key in matrix:
+        assert answers[key][0] == "value" and answers[key] == answers[key.replace("/a_matrix", "/b_matrix")]
 
 
 def test_compare_refuses_a_usage_without_two_trees(capsys):

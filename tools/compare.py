@@ -22,7 +22,9 @@ a subprocess on ``PARENT_SRC``, by ``bench/inputs.py`` and
 each at scales 1, 1e-150, 1e-12 and 1e150 (every operator times the
 scale's square root).  Each tree then runs in its own subprocess, with
 one BLAS thread, over every input as an operator sum, as its ``on_code``
-record and, for d <= 16, as its ``b_matrix``.  It records the analysis
+record and, for d <= 16, as its ``b_matrix`` and its ``a_matrix``; a
+matrix form's document is signed by the ``on_code`` record of the
+matrix, as the CLI signs it.  It records the analysis
 document bytes, or the exception ``analyze`` raised, what the tree's own
 ``parse_analysis_document`` decodes from those bytes, and on a report
 with syndromes the ``verify_recovery`` value of their recovery.
@@ -147,12 +149,13 @@ def _answers(src: str, inputs_path: str, out: str) -> None:
             forms = {"operator_sum": ops, "on_code": ncpqec.on_code(ops, code)}
             if code.dim <= 16:
                 forms["b_matrix"] = ncpqec.b_from_operator_sum(ops)
+                forms["a_matrix"] = ncpqec.a_from_operator_sum(ops)
             for form, channel in forms.items():
                 kind, report = _outcome(lambda: ncpqec.analyze(channel, code))
                 if kind == "error":
                     answers[f"{name}@{scale:g}/{form}"] = [kind, report, None, None]
                     continue
-                terms = ncpqec.on_code(channel, code) if form == "b_matrix" else channel  # as the CLI signs it
+                terms = ncpqec.on_code(channel, code) if form.endswith("_matrix") else channel  # as the CLI signs it
                 text = json.dumps(analysis_document(report, terms.signature), separators=(",", ":"))
                 verify = None
                 if report.syndromes is not None:
