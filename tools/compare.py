@@ -21,13 +21,18 @@ a subprocess on ``PARENT_SRC``, by ``bench/inputs.py`` and
 
 each at scales 1, 1e-150, 1e-12 and 1e150 (every operator times the
 scale's square root).  Each tree then runs in its own subprocess, with
-one BLAS thread, over every input as an operator sum, as its ``on_code``
-record and, for d <= 16, as its ``b_matrix`` and its ``a_matrix``; a
-matrix form's document is signed by the ``on_code`` record of the
-matrix, as the CLI signs it.  It records the analysis
-document bytes, or the exception ``analyze`` raised, what the tree's own
-``parse_analysis_document`` decodes from those bytes, and on a report
-with syndromes the ``verify_recovery`` value of their recovery.
+one BLAS thread.  It makes each code with its own ``projector_from_basis``
+from the input's basis vectors, as the CLI makes a code from a code
+document, so a change to that builder shows in the answers: the two
+kets that ``repetition_bitflip`` spans, and the columns of the other
+inputs' isometries.  It
+runs over every input as an operator sum, as its ``on_code`` record and,
+for d <= 16, as its ``b_matrix`` and its ``a_matrix``; a matrix form's
+document is signed by the ``on_code`` record of the matrix, as the CLI
+signs it.  It records the analysis document bytes, or the exception
+``analyze`` raised, what the tree's own ``parse_analysis_document``
+decodes from those bytes, and on a report with syndromes the
+``verify_recovery`` value of their recovery.
 
 Documents are compared by what they decode to, so a change of form
 alone reads as decoded identical.  It prints how many documents are
@@ -72,7 +77,7 @@ def _import_ncpqec(src: str):
 
 
 def _build(src: str, out: str, spec: str) -> None:
-    """Write the inputs as ``(name, signs, operators, code isometry)`` tuples of plain arrays."""
+    """Write the inputs as ``(name, signs, operators, code basis vectors)`` tuples of plain arrays."""
     ncpqec = _import_ncpqec(src)
     sys.path[1:1] = [str(ROOT / "tests"), str(ROOT / "bench")]
     import inputs
@@ -83,13 +88,13 @@ def _build(src: str, out: str, spec: str) -> None:
     items = []
     for seed in seeds:
         for item in inputs.corpus(np.random.default_rng(seed), per_stratum):
-            items.append((f"s{seed}/{item.name}", item.ops, item.code))
-    for n, c0 in bitflips:
-        items.append((f"bitflip-n{n}-c0={c0}", *ncpqec.repetition_bitflip(n, c0)))
+            items.append((f"s{seed}/{item.name}", item.ops, item.code.isometry.T))
+    for n, c0 in bitflips:  # the code of the kets |0...0> and |1...1>, made as repetition_bitflip makes it
+        items.append((f"bitflip-n{n}-c0={c0}", ncpqec.repetition_bitflip(n, c0)[0], np.eye(2**n)[[0, -1]]))
     for d, rank in ((d, rank) for d in supported for rank in (1, 2)):
         rng = np.random.default_rng([d, rank])
         code, name = helpers.supported_code(rng, d, d // 4, rank), f"supported-d{d}-r{rank}"
-        items.append((f"{name}-random", helpers.random_ops(rng, d, 2, 1), code))
+        items.append((f"{name}-random", helpers.random_ops(rng, d, 2, 1), code.isometry.T))
         support = np.flatnonzero(code.isometry.any(axis=1))
         others = rng.permutation(np.setdiff1d(np.arange(d), support)).reshape(3, -1)
         swaps = [np.arange(d)]
@@ -100,8 +105,8 @@ def _build(src: str, out: str, spec: str) -> None:
         for weights in ((0.4, 0.3, 0.2, 0.1), (0.6, 0.3, 0.2, -0.1)):
             terms = [np.sqrt(abs(c)) * u[:, swap] for c, swap in zip(weights, swaps)]
             ops = ncpqec.SignedOperatorSum.from_terms(np.sign(weights).astype(int).tolist(), terms)
-            items.append((f"{name}-c={weights}", ops, code))
-    rows = [(name, ops.signs, np.array(ops.operators), np.array(code.isometry)) for name, ops, code in items]
+            items.append((f"{name}-c={weights}", ops, code.isometry.T))
+    rows = [(name, ops.signs, np.array(ops.operators), np.array(basis)) for name, ops, basis in items]
     Path(out).write_bytes(pickle.dumps(rows))
 
 
@@ -142,8 +147,8 @@ def _answers(src: str, inputs_path: str, out: str) -> None:
     from ncpqec.documents import analysis_document, parse_analysis_document
 
     answers = {}
-    for name, signs, operators, isometry in pickle.loads(Path(inputs_path).read_bytes()):
-        code = ncpqec.CodeSpace(isometry)
+    for name, signs, operators, basis in pickle.loads(Path(inputs_path).read_bytes()):
+        code = ncpqec.projector_from_basis(list(basis))
         for scale in SCALES:
             ops = ncpqec.SignedOperatorSum(code.dim, signs, np.sqrt(scale) * operators)
             forms = {"operator_sum": ops, "on_code": ncpqec.on_code(ops, code)}
