@@ -378,6 +378,8 @@ class QecReport:
 def projector_from_basis(vectors: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> CodeSpace:
     """The code space of ``vectors``, orthonormalized by Gram-Schmidt in input order.
 
+    The returned ``B`` holds no ``-0.0``: an entry that is zero is ``+0.0``.
+
     Raises
     ------
     LinearDependence
@@ -405,7 +407,9 @@ def projector_from_basis(vectors: Sequence[np.ndarray], tol: float = DEFAULT_TOL
     if small.any() or len(vecs) > dim:
         k = int(np.argmax(small)) if small.any() else dim
         raise LinearDependence(f"basis vector {k} lies in the span of its predecessors")
-    return CodeSpace(q * (diag / np.abs(diag)))  # the phases of Gram-Schmidt in input order
+    # The phases of Gram-Schmidt in input order; + 0.0 turns the QR's -0.0 entries into +0.0,
+    # so a zero row of B is all zero bits and a row-sparse document leaves it out.
+    return CodeSpace(q * (diag / np.abs(diag)) + 0.0)
 
 
 def repetition_bitflip(n: int, c0: float) -> tuple[SignedOperatorSum, CodeSpace]:

@@ -258,6 +258,7 @@ def test_qec_row_sparse_output_matches_the_in_process_document(tmp_path, c0):
     assert all(set(s["isometry"]) == {"shape", "rows", "values"} for s in doc["syndromes"])
     field = doc["witness"]["vector"] if c0 < 0 else doc["recovery"]["code_isometry"]
     assert set(field) == {"shape", "rows", "values"}
+    assert field["rows"] == ([0] if c0 < 0 else [0, 63])  # B holds no -0.0, so only its two live rows
 
 
 def test_qec_cp_bitflip_reversible(tmp_path):

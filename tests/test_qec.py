@@ -1092,6 +1092,16 @@ def test_projector_from_basis_rejects_malformed_vectors(vectors, hint):
         projector_from_basis(vectors)
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_projector_from_basis_returns_no_negative_zero(n):
+    # Householder QR leaves -0.0 entries in B; a zero row must be all zero
+    # bits, so that a row-sparse document leaves it out.
+    d = 2**n
+    basis = [[1.0 if i == k else 0.0 for i in range(d)] for k in (0, d - 1)]
+    for code in [repetition_bitflip(n, c0)[1] for c0 in (-0.2, 0.7)] + [parse_code_document(basis, 1e-9)]:
+        assert not np.signbit(code.isometry.view(float)).any()
+
+
 def test_code_space_holds_one_isometry():
     code = repetition_code()
     assert [f.name for f in fields(CodeSpace)] == ["isometry"]
