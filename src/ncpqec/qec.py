@@ -343,12 +343,13 @@ class QecReport:
     code).  ``diagonalizer`` (``T``) and ``syndromes`` belong to the
     canonical terms ``F = E T`` (never formed) and are absent when the
     conditions fail: column ``k`` of ``T`` is the term of syndrome ``k``,
-    and ``diagonal`` (``d``) reads the syndromes' weights.  The outcome
-    rule, :func:`_check_outcome`, which the analysis parser shares, holds:
-    only the outside-domain verdict holds a syndrome of sign -1, and
-    exactly that verdict has a ``witness``, which names its first such
-    syndrome, as :func:`analyze` picks it.  ``recovery`` is the syndromes' own factored
-    :class:`Recovery` for the reversible verdict and ``None`` otherwise.
+    and ``diagonal`` (``d``) reads the syndromes' weights.  Construction
+    checks the outcome rule, :func:`_check_outcome`, which the analysis
+    parser shares: only the outside-domain verdict holds a syndrome of
+    sign -1, and exactly that verdict has a ``witness``, which names its
+    first such syndrome, as :func:`analyze` picks it.  ``recovery`` is the
+    syndromes' own factored :class:`Recovery` for the reversible verdict
+    and ``None`` otherwise.
     """
 
     condition: ConditionMatrix
