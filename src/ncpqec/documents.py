@@ -7,14 +7,14 @@ each entry as a two-element ``[re, im]`` list.  The form is chosen per
 array from its data, and both decode to the bits they were written
 from.  Every document carries a ``schema_version`` so formats can
 evolve; parsing rejects unknown versions.  Analysis documents are
-version ``"5"``, which hold everything on the code in ``d x r`` form.
-Their arrays on ``d`` rows (each syndrome isometry, the recovery's ``B``
-and the witness vector) are row-sparse when few of their rows are
-nonzero: ``{"shape", "rows", "values"}``, the listed rows in the same
-real-or-pair form and every other entry ``+0.0``.  Versions ``"4"``
-(every array dense) and ``"3"`` (every entry a pair as well) are read
-as ``"5"`` trees.  Code documents are unversioned lists of vectors in
-either form.
+version ``"6"``, which hold everything on the code in ``d x r`` form and
+each field of the report's records once.  Their arrays on ``d`` rows
+(each syndrome isometry, the code's ``B`` and the witness vector) are
+row-sparse when few of their rows are nonzero: ``{"shape", "rows",
+"values"}``, the listed rows in the same real-or-pair form and every
+other entry ``+0.0``.  Older analysis versions are refused, naming
+``ncpqec qec``, which writes the document again from its inputs.  Code
+documents are unversioned lists of vectors in either form.
 
 Channel documents are written as version ``"2"``: the payload's
 ``matrix`` (``a_matrix``, ``b_matrix``) or ``operators``
@@ -31,36 +31,43 @@ for hand-written input, so a ``"1"`` channel costs no second path.
 
 Parsers raise ``ValueError`` with a path-like hint for malformed input,
 including NaN and infinite numbers and a packed string that is not the
-canonical base64 text of exactly the implied number of bytes.  A rule
-that a record keeps is checked by the record's own code, not restated
-here: a channel's by the record the parser builds, an analysis
-document's verdict, syndrome signs and witness index by the outcome
-rule of :mod:`ncpqec.qec` and the sign rule of every signed record.
+canonical base64 text of exactly the implied number of bytes.  They
+check the JSON: versions, types, entries and shapes.  Each parser
+builds the records its document holds, and a rule that a record keeps
+is checked by the record's own code, not restated here; its message
+comes prefixed with the path of the record's field.
 """
 
 from __future__ import annotations
 
 import binascii
 import math
-import sys
 from contextlib import suppress
 from itertools import chain
 from typing import Any
 
 import numpy as np
 
-from .qec import CodeSpace, NegativityWitness, QecReport, Recovery, Verdict, _check_outcome, projector_from_basis
-from .superop import AMatrix, BMatrix, SignedOperatorSum, _SignedTerms
+from .qec import (
+    _FLOAT_MAX,
+    CodeSpace,
+    ConditionMatrix,
+    NegativityWitness,
+    QecReport,
+    Recovery,
+    SyndromeSet,
+    Verdict,
+    projector_from_basis,
+)
+from .superop import AMatrix, BMatrix, SignedOperatorSum
 from .pseudolinalg import Signature
 
 SCHEMA_VERSION = "2"
 _LIST_VERSION = "1"  # channel payloads as [re, im] lists, still read
-_ANALYSIS_VERSION = "5"
-_DENSE_ANALYSIS_VERSIONS = ("4", "3")  # every array as lists ("3": every entry a pair), valid "5" trees
+_ANALYSIS_VERSION = "6"
 _CHANNEL_FORMS = {"a_matrix": AMatrix, "b_matrix": BMatrix, "operator_sum": SignedOperatorSum}
 REPRESENTATIONS = tuple(_CHANNEL_FORMS)
 _NUMBER = (int, float)
-_FLOAT_MAX = sys.float_info.max
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -188,10 +195,10 @@ def _field(obj: dict, key: str, where: str, kind: type | tuple, what: str, ok=la
     return value
 
 
-def _check_version(obj: dict, where: str, *accepted: str) -> str:
+def _check_version(obj: dict, where: str, *accepted: str, hint: str = "") -> str:
     version = _require(obj, "schema_version", where)
     if version not in accepted:
-        raise ValueError(f"{where}: unsupported schema_version {version!r}")
+        raise ValueError(f"{where}: unsupported schema_version {version!r}{hint}")
     return version
 
 
@@ -242,10 +249,7 @@ def parse_channel_document(obj: Any) -> AMatrix | BMatrix | SignedOperatorSum:
     else:
         matrix, at = _require(payload, "matrix", where), f"{where}.matrix"
         terms = (_unpack(matrix, (dim * dim, dim * dim), at) if packed else decode_matrix(matrix, at),)
-    try:
-        return _CHANNEL_FORMS[rep](dim, *terms)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+    return _record(where, _CHANNEL_FORMS[rep], dim, *terms)
 
 
 def parse_code_document(obj: Any, tol: float) -> CodeSpace:
@@ -340,18 +344,21 @@ def _decode_rows(objs: list, paths: list[str], ndim: int) -> np.ndarray:
 
 
 def analysis_document(report: QecReport, signature: Signature) -> dict:
-    """Serialize a :class:`~ncpqec.qec.QecReport`; the recovery is stored as its ``B``.
+    """Serialize a :class:`~ncpqec.qec.QecReport` as version ``"6"``, each field of its records once.
 
-    Syndrome ``k`` is canonical term ``k``: its ``term_index`` is its position.
-    The arrays on ``d`` rows (each syndrome isometry, ``B`` and the
-    witness vector) are row-sparse when few of their rows are nonzero.
+    Syndrome ``k`` is canonical term ``k``, column ``k`` of the
+    diagonalizer, and its weight is the report's ``diagonal[k]``.  With the
+    syndromes comes the code's ``B`` (``code_isometry``), so the document
+    holds their whole :class:`~ncpqec.qec.SyndromeSet`.  The arrays on
+    ``d`` rows (the ``W`` stack, ``B`` and the witness vector) are
+    row-sparse when few of their rows are nonzero.  ``B`` takes its own
+    real-or-pair form: a real code under complex ``W_k`` stays real.
     """
-    syndromes = witness = recovery = None
+    syndromes = code_isometry = witness = None
     if (syn := report.syndromes) is not None:  # the whole W stack in one conversion
-        columns = enumerate(zip(_encode_rows(syn.isometries), syn.weights.tolist(), syn.signs))
-        syndromes = [{"isometry": w, "weight": x, "sign": s, "term_index": k} for k, (w, x, s) in columns]
-    if report.recovery is not None:
-        recovery = {"code_isometry": _encode_rows(report.recovery.code_isometry[None])[0]}
+        columns = zip(_encode_rows(syn.isometries), syn.weights.tolist(), syn.signs)
+        syndromes = [{"isometry": w, "weight": x, "sign": s} for w, x, s in columns]
+        code_isometry = _encode_rows(syn.recovery.code_isometry[None])[0]
     if report.witness is not None:
         witness = {
             "vector": _encode_rows(report.witness.vector[None])[0],
@@ -368,108 +375,87 @@ def analysis_document(report: QecReport, signature: Signature) -> dict:
             "form": report.condition.form,
         },
         "diagonalizer": None if report.diagonalizer is None else encode_matrix(report.diagonalizer),
-        "diagonal": None if report.diagonal is None else report.diagonal.tolist(),
         "syndromes": syndromes,
-        "recovery": recovery,
+        "code_isometry": code_isometry,
         "witness": witness,
     }
 
 
-def parse_analysis_document(obj: Any) -> dict:
-    """Validate an analysis document, returning decoded arrays.
+def _record(where: str, make, *args: Any) -> Any:
+    """``make(*args)``, a record whose ``ValueError`` comes prefixed ``where:``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
-    Used to close the serialization loop: every emitted document must
-    re-parse.  Returns a plain dict with numpy arrays in place of the
-    encoded matrices, the syndrome isometries views of one decoded stack;
-    ``recovery`` is the factored
-    :class:`~ncpqec.qec.Recovery` of the stored ``B`` and syndrome
-    isometries, with no dense terms.  Besides malformed fields it refuses
-    what no analysis gives.  ``diagonalizer``, ``diagonal`` and
-    ``syndromes`` come together, with one diagonal entry per
-    diagonalizer column and one syndrome per diagonal entry: syndrome
-    ``k`` is canonical term ``k``, so its ``term_index`` is ``k`` and its
-    weight, positive and finite, is ``diagonal[k]``.  Every syndrome
-    isometry has one ``d x r`` shape, which the recovery's ``B`` and the
-    witness vector's length must match.  The verdict, the syndrome
-    signs and the witness's ``syndrome_index`` are held to the rules a
-    :class:`~ncpqec.qec.QecReport` keeps, by the functions that own them:
-    the outcome rule of :mod:`ncpqec.qec` (a syndrome of sign -1 only
-    under ``code_outside_domain``, a witness exactly there, naming the
-    first such syndrome) and then the sign rule of every signed record
-    (+1 or -1, the +1 block first).  Their messages come prefixed
-    ``analysis:``.
+
+def parse_analysis_document(obj: Any) -> dict:
+    """Parse a version ``"6"`` analysis document into the records of its report.
+
+    The parser checks the JSON: the version, each field's type, the
+    entries and row-sparse form of every array, and one ``d x r`` shape
+    for every syndrome isometry and ``code_isometry``.  It builds the
+    :class:`~ncpqec.qec.ConditionMatrix`, the
+    :class:`~ncpqec.qec.SyndromeSet` with its
+    :class:`~ncpqec.qec.Recovery` of ``B`` and the decoded ``W`` stack, the
+    :class:`~ncpqec.qec.NegativityWitness` and the
+    :class:`~ncpqec.qec.QecReport` that holds them, so every other rule
+    is checked by the record that owns it, its ``ValueError`` prefixed
+    with the field's path: ``analysis.condition:`` (the form),
+    ``analysis.syndromes:`` (each weight positive and finite, the sign
+    rule of every signed record), ``analysis.witness:`` (a negative
+    probability) and ``analysis:`` (a diagonalizer column per syndrome,
+    the outcome rule and the witness vector's length).  Versions ``"3"``
+    to ``"5"`` are refused: ``ncpqec qec`` writes the document again from
+    its inputs.
+
+    Returns a dict of the records: ``verdict`` (a
+    :class:`~ncpqec.qec.Verdict`, which is a ``str``), ``signature`` (a
+    :class:`~ncpqec.pseudolinalg.Signature`), ``condition``,
+    ``diagonalizer``, ``syndromes``, ``recovery`` (the report's) and
+    ``witness``, ``None`` where the report has none.
     """
     if not isinstance(obj, dict):
         raise ValueError("analysis document must be a JSON object")
-    _check_version(obj, "analysis", _ANALYSIS_VERSION, *_DENSE_ANALYSIS_VERSIONS)
-    verdicts = tuple(v.value for v in Verdict)
-    verdict = _field(obj, "verdict", "analysis", str, f"one of {verdicts}", verdicts.__contains__)
-    sig = _field(obj, "signature", "analysis", dict, "a JSON object")
-    where = "analysis.signature"
-    p, q = (_field(sig, key, where, int, "a non-negative integer", lambda x: x >= 0) for key in "pq")
+    again = f"; `ncpqec qec` writes version {_ANALYSIS_VERSION!r} from the channel and code documents"
+    _check_version(obj, "analysis", _ANALYSIS_VERSION, hint=again)
+    verdict = _record("analysis.verdict", Verdict, _field(obj, "verdict", "analysis", str, "a string"))
+    sig, where = _field(obj, "signature", "analysis", dict, "a JSON object"), "analysis.signature"
+    signature = _record(where, Signature, *(_field(sig, key, where, int, "an integer") for key in "pq"))
     condition, where = _field(obj, "condition", "analysis", dict, "a JSON object"), "analysis.condition"
     entries = decode_matrix(_require(condition, "entries", where), f"{where}.entries")
-    residual = _field(condition, "residual", where, _NUMBER, "a non-negative number", lambda x: x >= 0)
-    forms = ("hermitian", "pseudohermitian")
-    form = _field(condition, "form", where, str, f"one of {forms}", forms.__contains__)
-    out: dict[str, Any] = {
-        "verdict": verdict,
-        "signature": (p, q),
-        "condition_entries": entries,
-        "condition_residual": float(residual),
-        "condition_form": form,
-    }
-    if verdict == "reversible_positive" and obj.get("recovery") is None:
-        raise ValueError("analysis: reversible_positive requires a recovery")
-    terms = [obj.get(key) is not None for key in ("diagonalizer", "diagonal", "syndromes")]
-    if any(terms) and not all(terms):
-        raise ValueError("analysis: diagonalizer, diagonal and syndromes must be present together")
-    syndromes, isometries, shape, index = [], [], None, None
-    if all(terms):
-        out["diagonalizer"] = decode_matrix(obj["diagonalizer"], "analysis.diagonalizer")
-        columns = out["diagonalizer"].shape[1]
-        what = f"a list of {columns} finite numbers, one per diagonalizer column"
-        diag = _field(obj, "diagonal", "analysis", list, what, lambda xs: len(xs) == columns and all(map(_finite, xs)))
-        out["diagonal"] = np.array(diag, dtype=float)
-        what, below = f"a list of {columns} syndromes, one per diagonal entry", f"below the diagonal's length {columns}"
-        for k, s in enumerate(_field(obj, "syndromes", "analysis", list, what, lambda xs: len(xs) == columns)):
+    residual = _field(condition, "residual", where, _NUMBER, "a non-negative finite number", lambda x: 0 <= x <= _FLOAT_MAX)
+    form = _field(condition, "form", where, str, "a string")
+    condition = _record(where, ConditionMatrix, entries, float(residual), form)
+    diagonalizer = syndromes = witness = None
+    if obj.get("diagonalizer") is not None:
+        diagonalizer = decode_matrix(obj["diagonalizer"], "analysis.diagonalizer")
+    if obj.get("syndromes") is not None:
+        isometries, weights, signs = [], [], []
+        for k, s in enumerate(_field(obj, "syndromes", "analysis", list, "a list")):
             where = f"analysis.syndromes[{k}]"
             if not isinstance(s, dict):
                 raise ValueError(f"{where} must be a JSON object")
-            what = f"a non-negative integer not used before, the least such ({k}), {below}"
-            _field(s, "term_index", where, int, what, lambda x: x == k)
-            _field(s, "weight", where, _NUMBER, "a positive finite number", lambda x: 0 < x <= _FLOAT_MAX)
-            # analyze stores weight = diagonal[k], which JSON floats keep exactly
-            weight = _field(s, "weight", where, _NUMBER, f"diagonal[{k}]", lambda x: x == diag[k])
             isometries.append(_require(s, "isometry", where))
-            sign = _field(s, "sign", where, int, "an integer")
-            syndromes.append({"weight": float(weight), "sign": sign})
-        stack = _decode_rows(isometries, [f"analysis.syndromes[{k}].isometry" for k in range(columns)], 2)
-        shape = stack.shape[1:]
-        for s, isometry in zip(syndromes, stack):
-            s["isometry"] = isometry
-        out["syndromes"] = syndromes
-    if (witness := obj.get("witness")) is not None:
-        witness = _field(obj, "witness", "analysis", dict, "a JSON object")
-        index = _field(witness, "syndrome_index", "analysis.witness", int, "an integer")
-    try:  # a QecReport's rules, the outcome's first, so that a misplaced -1 is named by its index
-        _check_outcome(Verdict(verdict), signs := [s["sign"] for s in syndromes], index)
-        _SignedTerms._check_signs(signs, len(signs), "syndromes")
-    except ValueError as exc:
-        raise ValueError(f"analysis: {exc}") from None
-    if obj.get("recovery") is not None:
-        rec = _field(obj, "recovery", "analysis", dict, "a JSON object")
-        where = "analysis.recovery.code_isometry"
-        b = _decode_rows([_require(rec, "code_isometry", "analysis.recovery")], [where], 2)[0]
-        if b.shape != shape:
-            raise ValueError(f"{where}: shape {b.shape} must be that of the syndrome isometries, {shape}")
-        out["recovery"] = Recovery(b, stack)
-    if witness is not None:
-        where = "analysis.witness"
-        vector = _decode_rows([_require(witness, "vector", where)], [f"{where}.vector"], 1)[0]
-        if vector.shape != shape[:1]:
-            rows = shape[0]
-            raise ValueError(f"{where}.vector: length {vector.size} does not match the {rows} rows of the isometries")
-        prob = _field(witness, "probability", where, _NUMBER, "a negative number", lambda x: x < 0)
-        out["witness"] = NegativityWitness(vector, index, float(prob))
-    return out
+            weights.append(_field(s, "weight", where, _NUMBER, "a number"))
+            signs.append(_field(s, "sign", where, int, "an integer"))
+        paths = [f"analysis.syndromes[{k}].isometry" for k in range(len(isometries))] + ["analysis.code_isometry"]
+        stack = _decode_rows([*isometries, obj.get("code_isometry")], paths, 2)
+        syndromes = _record("analysis.syndromes", SyndromeSet, Recovery(stack[-1], stack[:-1]), weights, signs)
+    elif obj.get("code_isometry") is not None:
+        raise ValueError("analysis.code_isometry must be null when there are no syndromes")
+    if obj.get("witness") is not None:
+        w, where = _field(obj, "witness", "analysis", dict, "a JSON object"), "analysis.witness"
+        vector = _decode_rows([_require(w, "vector", where)], [f"{where}.vector"], 1)[0]
+        index = _field(w, "syndrome_index", where, int, "an integer")
+        witness = _record(where, NegativityWitness, vector, index, _field(w, "probability", where, _NUMBER, "a number"))
+    report = _record("analysis", QecReport, condition, diagonalizer, syndromes, verdict, witness)
+    return {
+        "verdict": verdict,
+        "signature": signature,
+        "condition": condition,
+        "diagonalizer": report.diagonalizer,
+        "syndromes": syndromes,
+        "recovery": report.recovery,
+        "witness": witness,
+    }

@@ -47,17 +47,19 @@ positive output, and the recovery is the Knill-Laflamme one (PRA 55,
 Every gate takes its bound from ``pseudolinalg._cut``: relative to the
 map's scale on the code, absolute for trace preservation and isometry.
 
-Each rule of the records is written once.  Every signed record, the
-:class:`SyndromeSet` included, holds its signs as a tuple of ints checked
-by ``superop._SignedTerms._check_signs``.  :func:`_check_outcome` states
-the outcomes above (a syndrome of sign -1 only outside the domain, a
-witness exactly there, naming the first such syndrome) for
-:class:`QecReport` and for the analysis document parser alike.
+Each rule of the records is written once, in the record that owns it.
+Every signed record, the :class:`SyndromeSet` included, holds its signs
+as a tuple of ints checked by ``superop._SignedTerms._check_signs``.
+:class:`QecReport` states the outcomes above (a syndrome of sign -1 only
+outside the domain, a witness exactly there, naming the first such
+syndrome).  The analysis document parser builds these records, so it
+states none of their rules again.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -72,6 +74,8 @@ from .errors import (
 )
 from .pseudolinalg import DEFAULT_TOL, _check_tol, _cut, _frozen, _max_abs, _signed_clusters, _signed_eigensystem
 from .superop import AMatrix, BMatrix, SignedOperatorSum, _as_b_matrix, _checked_b, _signed_factors, _SignedTerms
+
+_FLOAT_MAX = sys.float_info.max
 
 __all__ = [
     "CodeSpace",
@@ -258,9 +262,11 @@ class SyndromeSet:
     """The syndromes of the canonical terms, one per term in term order, held once as arrays.
 
     ``recovery``, their Knill-Laflamme recovery, holds the code's ``B``
-    and the ``(m, d, r)`` stack of the ``W_j``.  ``weights`` (float,
-    each positive and finite, the canonical ``d``) is a read-only
-    length-``m`` copy.  ``signs`` is the tuple of ``m`` ints that every
+    and the ``(m, d, r)`` stack of the ``W_j``.  ``weights``, the
+    canonical ``d``, is a read-only length-``m`` float copy: each given
+    weight must be a positive number that a float holds finitely, so a
+    bool or an int beyond the float range raises ``ValueError``.
+    ``signs`` is the tuple of ``m`` ints that every
     signed record holds, each +1 or -1 and the +1 block first, checked
     by the one sign rule, ``_SignedTerms._check_signs``.  Indexing and
     iteration give the :class:`Syndrome` views.
@@ -272,11 +278,12 @@ class SyndromeSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signs", _SignedTerms._check_signs(self.signs, len(self), "isometries"))
-        object.__setattr__(self, "weights", weights := _frozen(self.weights, float))
+        weights = np.asarray(self.weights, dtype=object)  # as given, before any float conversion
         if weights.shape != (len(self),):
             raise ValueError(f"weights has shape {weights.shape}, expected ({len(self)},), one per isometry")
-        if not all(0.0 < x < np.inf for x in weights.tolist()):
+        if not all(not isinstance(x, (bool, np.bool_)) and 0 < x <= _FLOAT_MAX for x in weights.tolist()):
             raise ValueError(f"syndrome weights must be positive and finite, got {weights.tolist()}")
+        object.__setattr__(self, "weights", _frozen(self.weights, float))
 
     @property
     def isometries(self) -> np.ndarray:
@@ -291,14 +298,21 @@ class SyndromeSet:
 
 @dataclass(frozen=True, eq=False)
 class NegativityWitness:
-    """Pure code state ``vector`` whose syndrome outcome has negative probability."""
+    """Pure code state ``vector`` whose syndrome outcome has negative probability.
+
+    ``probability`` must be a negative number that a float holds
+    finitely; it is held as a float.
+    """
 
     vector: np.ndarray
     syndrome_index: int
     probability: float
 
     def __post_init__(self) -> None:
+        if not -_FLOAT_MAX <= self.probability < 0:  # also NaN, and an int beyond the float range
+            raise ValueError(f"witness probability must be negative and finite, got {self.probability!r}")
         object.__setattr__(self, "vector", _frozen(self.vector))
+        object.__setattr__(self, "probability", float(self.probability))
 
     @property
     def state(self) -> np.ndarray:
@@ -312,28 +326,6 @@ class Verdict(str, enum.Enum):
     CONDITIONS_VIOLATED = "conditions_violated"
 
 
-def _check_outcome(verdict: Verdict, signs: Sequence[int], witness: int | None) -> None:
-    """The outcome rule of a report and of an analysis document: raise ``ValueError`` unless it holds.
-
-    ``signs`` are the syndromes' signs, empty when there are none, and
-    ``witness`` is the witness's ``syndrome_index``, ``None`` when there
-    is no witness.  The reversible verdict has syndromes, whose recovery
-    it returns.  A syndrome of sign -1 returns a negative probability on
-    every code state, so only the outside-domain verdict may hold one,
-    exactly that verdict carries a witness, and the witness names the
-    first such syndrome, as :func:`analyze` picks it.
-    """
-    if verdict == Verdict.REVERSIBLE_POSITIVE and not signs:
-        raise ValueError("a reversible_positive verdict requires syndromes, got none")
-    outside, first = verdict == Verdict.CODE_OUTSIDE_DOMAIN, signs.index(-1) if -1 in signs else None
-    if first is not None and not outside:
-        raise ValueError(f"syndromes[{first}].sign must be +1 under a {verdict.value} verdict, got -1")
-    if (witness is None) == outside:
-        raise ValueError(f"a witness comes with code_outside_domain only, got index {witness} under {verdict.value}")
-    if outside and witness != first:
-        raise ValueError(f"witness.syndrome_index is {witness}: it must name the first syndrome of sign -1, {first}")
-
-
 @dataclass(frozen=True, eq=False)
 class QecReport:
     """Full outcome of :func:`analyze`.
@@ -344,12 +336,14 @@ class QecReport:
     canonical terms ``F = E T`` (never formed) and are absent when the
     conditions fail: column ``k`` of ``T`` is the term of syndrome ``k``,
     and ``diagonal`` (``d``) reads the syndromes' weights.  Construction
-    checks the outcome rule, :func:`_check_outcome`, which the analysis
-    parser shares: only the outside-domain verdict holds a syndrome of
-    sign -1, and exactly that verdict has a ``witness``, which names its
-    first such syndrome, as :func:`analyze` picks it.  ``recovery`` is the
-    syndromes' own factored :class:`Recovery` for the reversible verdict
-    and ``None`` otherwise.
+    checks the outcome rule, raising ``ValueError`` unless it holds.  The
+    reversible verdict has syndromes, whose recovery it returns.  A
+    syndrome of sign -1 returns a negative probability on every code
+    state, so only the outside-domain verdict may hold one, exactly that
+    verdict has a ``witness``, and the witness names the first such
+    syndrome, as :func:`analyze` picks it, with one entry per row of the
+    syndrome isometries.  ``recovery`` is the syndromes' own factored
+    :class:`Recovery` for the reversible verdict and ``None`` otherwise.
     """
 
     condition: ConditionMatrix
@@ -364,8 +358,19 @@ class QecReport:
             raise ValueError("a diagonalizer comes with its syndromes, one per column, and syndromes with it")
         if t is not None:
             object.__setattr__(self, "diagonalizer", _frozen(t))
+        verdict, signs = self.verdict, () if syndromes is None else syndromes.signs
         witness = None if self.witness is None else self.witness.syndrome_index
-        _check_outcome(self.verdict, () if syndromes is None else syndromes.signs, witness)
+        if verdict == Verdict.REVERSIBLE_POSITIVE and not signs:
+            raise ValueError("a reversible_positive verdict requires syndromes, got none")
+        outside, first = verdict == Verdict.CODE_OUTSIDE_DOMAIN, signs.index(-1) if -1 in signs else None
+        if first is not None and not outside:
+            raise ValueError(f"syndromes[{first}].sign must be +1 under a {verdict.value} verdict, got -1")
+        if (witness is None) == outside:
+            raise ValueError(f"a witness comes with code_outside_domain only, got index {witness} under {verdict.value}")
+        if outside and witness != first:
+            raise ValueError(f"witness.syndrome_index is {witness}: it must name the first syndrome of sign -1, {first}")
+        if outside and (shape := self.witness.vector.shape) != (rows := syndromes.recovery.dim,):
+            raise ValueError(f"witness.vector: shape {shape} does not match the {rows} rows of the isometries")
 
     @property
     def diagonal(self) -> np.ndarray | None:

@@ -326,6 +326,11 @@ REFUSALS = {
     ),
     "state": (lambda: ncpqec.apply_map(_TWO, np.eye(3)), ValueError, r"state has shape \(3, 3\), expected \(2, 2\)"),
     "form": (lambda: ncpqec.ConditionMatrix(np.eye(2), 0.0, "unitary"), ValueError, "unknown condition form 'unitary'"),
+    "witness": (
+        lambda: ncpqec.NegativityWitness(np.array([1.0, 0.0]), 0, 0.5),
+        ValueError,
+        "witness probability must be negative and finite, got 0.5",
+    ),
     "basis": (lambda: ncpqec.projector_from_basis([]), ValueError, "at least one basis vector is required"),
     "operators": (
         lambda: ncpqec.cp_condition_matrix([], ncpqec.repetition_bitflip(3, 0.7)[1]),

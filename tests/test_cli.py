@@ -237,8 +237,8 @@ def test_qec_bitflip_outside_domain(tmp_path):
     parsed = parse_analysis_document(doc)
     assert parsed["verdict"] == "code_outside_domain"
     assert parsed["witness"].probability == pytest.approx(-0.2, abs=1e-9)
-    assert doc["recovery"] is None
-    assert sorted(parsed["diagonal"]) == pytest.approx([0.2, 0.4, 0.4, 0.4])
+    assert parsed["recovery"] is None and np.shape(doc["code_isometry"]) == (8, 2)
+    assert sorted(parsed["syndromes"].weights) == pytest.approx([0.2, 0.4, 0.4, 0.4])
 
 
 @pytest.mark.parametrize("c0", [-0.2, 0.7])
@@ -256,9 +256,10 @@ def test_qec_row_sparse_output_matches_the_in_process_document(tmp_path, c0):
     report = qec.analyze(ops, parse_code_document(basis, 1e-9))
     assert doc == json.loads(json.dumps(analysis_document(report, ops.signature)))
     assert all(set(s["isometry"]) == {"shape", "rows", "values"} for s in doc["syndromes"])
-    field = doc["witness"]["vector"] if c0 < 0 else doc["recovery"]["code_isometry"]
-    assert set(field) == {"shape", "rows", "values"}
-    assert field["rows"] == ([0] if c0 < 0 else [0, 63])  # B holds no -0.0, so only its two live rows
+    assert set(doc["code_isometry"]) == {"shape", "rows", "values"}
+    assert doc["code_isometry"]["rows"] == [0, 63]  # B holds no -0.0, so only its two live rows
+    if c0 < 0:
+        assert set(doc["witness"]["vector"]) == {"shape", "rows", "values"} and doc["witness"]["vector"]["rows"] == [0]
 
 
 def test_qec_cp_bitflip_reversible(tmp_path):
@@ -344,7 +345,8 @@ def test_qec_matrix_channel_is_decided_on_the_code(tmp_path, monkeypatch, capsys
         monkeypatch.setattr(cli, "operator_sum_from_b", None)
     base, matrix = docs
     assert matrix["verdict"] == base["verdict"] and matrix["signature"] == base["signature"]
-    assert sorted(matrix["diagonal"]) == pytest.approx(sorted(base["diagonal"]), rel=1e-12)
+    weights = [sorted(s["weight"] for s in doc["syndromes"]) for doc in (matrix, base)]
+    assert weights[0] == pytest.approx(weights[1], rel=1e-12)
     if c0 < 0:
         assert matrix["witness"]["probability"] == pytest.approx(base["witness"]["probability"], rel=1e-12)
     parse_analysis_document(matrix)

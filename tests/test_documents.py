@@ -265,24 +265,29 @@ def _report(c0):
 def test_analysis_document_outside_domain_roundtrip():
     report, sig = _report(-0.2)
     doc = _roundtrip(analysis_document(report, sig))
-    assert doc["schema_version"] == "5"
+    assert doc["schema_version"] == "6"
+    fields = {"schema_version", "verdict", "signature", "condition", "diagonalizer", "syndromes", "code_isometry", "witness"}
+    assert set(doc) == fields  # no diagonal, which restates the weights
     assert doc["verdict"] == "code_outside_domain"
     assert doc["signature"] == {"p": 3, "q": 1}
-    assert all(set(s) == {"isometry", "weight", "sign", "term_index"} for s in doc["syndromes"])
+    assert all(set(s) == {"isometry", "weight", "sign"} for s in doc["syndromes"])
     assert set(doc["witness"]) == {"vector", "syndrome_index", "probability"}
-    assert doc["recovery"] is None
+    assert np.shape(doc["code_isometry"]) == (8, 2)  # B comes with the syndromes, whatever the verdict
     parsed = parse_analysis_document(doc)
-    assert parsed["verdict"] == "code_outside_domain"
+    assert set(parsed) == {"verdict", "signature", "condition", "diagonalizer", "syndromes", "recovery", "witness"}
+    assert parsed["verdict"] is qec.Verdict.CODE_OUTSIDE_DOMAIN and parsed["verdict"] == "code_outside_domain"
+    assert parsed["signature"] == sig and parsed["recovery"] is None
     assert parsed["witness"].probability == pytest.approx(-0.2, abs=1e-9)
     assert np.abs(parsed["witness"].vector - report.witness.vector).max() == 0
     assert np.abs(parsed["witness"].state - report.witness.state).max() == 0
     assert parsed["witness"].syndrome_index == report.witness.syndrome_index
-    assert np.abs(parsed["condition_entries"] - report.condition.entries).max() < 1e-15
-    assert sorted(parsed["diagonal"]) == pytest.approx(sorted(report.diagonal))
+    assert np.abs(parsed["condition"].entries - report.condition.entries).max() < 1e-15
+    assert sorted(parsed["syndromes"].weights) == pytest.approx(sorted(report.diagonal))
     assert len(parsed["syndromes"]) == 4
-    for k, (got, s, written) in enumerate(zip(parsed["syndromes"], report.syndromes, doc["syndromes"])):
-        assert np.abs(got["isometry"] - s.isometry).max() == 0
-        assert (got["weight"], got["sign"], written["term_index"]) == (s.weight, s.sign, k)
+    for got, s in zip(parsed["syndromes"], report.syndromes):  # syndrome k is term k, as written
+        assert np.abs(got.isometry - s.isometry).max() == 0
+        assert (got.weight, got.sign) == (s.weight, s.sign)
+    assert np.array_equal(parsed["syndromes"].recovery.code_isometry, report.syndromes.recovery.code_isometry)
     doc["schema_version"] = "1"
     with pytest.raises(ValueError, match="schema_version"):
         parse_analysis_document(doc)
@@ -293,8 +298,9 @@ def test_analysis_document_reversible_roundtrip():
     doc = _roundtrip(analysis_document(report, sig))
     assert doc["verdict"] == "reversible_positive"
     assert doc["witness"] is None
-    assert set(doc["recovery"]) == {"code_isometry"}
+    assert np.shape(doc["code_isometry"]) == (8, 2)
     parsed = parse_analysis_document(doc)
+    assert parsed["recovery"] is parsed["syndromes"].recovery
     rec = parsed["recovery"]
     assert rec.n_terms == report.recovery.n_terms
     assert rec.signs == report.recovery.signs
@@ -356,14 +362,13 @@ def test_analysis_document_is_code_sized(c0):
     report = analyze(ops, code)
     doc = _roundtrip(analysis_document(report, ops.signature))
     widths = dict(_matrix_widths(doc))
-    assert {"syndromes[0].isometry", "condition.entries", "diagonalizer"} <= set(widths)
+    assert {"syndromes[0].isometry", "condition.entries", "diagonalizer", "code_isometry"} <= set(widths)
     assert ("witness.vector" in widths) == (c0 < 0)
-    assert ("recovery.code_isometry" in widths) == (c0 > 0)
     wide = {path for path, cols in widths.items() if cols > code.rank}
     assert wide <= {"condition.entries", "diagonalizer"}
     parsed = parse_analysis_document(doc)
     if report.recovery is None:
-        assert "recovery" not in parsed
+        assert parsed["recovery"] is None
     else:
         assert parsed["recovery"].signs == report.recovery.signs
         assert all(np.array_equal(a, b) for a, b in zip(parsed["recovery"].operators, report.recovery.operators))
@@ -377,10 +382,10 @@ def test_analysis_document_conditions_violated_roundtrip():
     report = analyze(ops, code)
     doc = _roundtrip(analysis_document(report, ops.signature))
     assert doc["verdict"] == "conditions_violated"
-    assert doc["syndromes"] is None
-    assert doc["recovery"] is None
+    assert doc["syndromes"] is doc["code_isometry"] is doc["diagonalizer"] is None
     parsed = parse_analysis_document(doc)
-    assert parsed["condition_residual"] > 0.1
+    assert parsed["condition"].residual > 0.1
+    assert parsed["syndromes"] is parsed["recovery"] is parsed["diagonalizer"] is None
 
 
 def test_analysis_document_witness_verdict_consistency():
@@ -401,10 +406,15 @@ def test_analysis_document_witness_verdict_consistency():
 
 
 def test_analysis_document_reversible_requires_recovery():
+    # The recovery is the syndromes' B and W stack: without B, or without
+    # the syndromes, a reversible document has none.
     report, sig = _report(0.7)
     doc = analysis_document(report, sig)
-    doc["recovery"] = None
-    with pytest.raises(ValueError, match="recovery"):
+    doc["code_isometry"] = None
+    with pytest.raises(ValueError, match=r"analysis\.code_isometry: expected a non-empty list of rows"):
+        parse_analysis_document(doc)
+    doc["diagonalizer"] = doc["syndromes"] = None
+    with pytest.raises(ValueError, match="analysis: a reversible_positive verdict requires syndromes, got none"):
         parse_analysis_document(doc)
 
 
@@ -412,7 +422,7 @@ def test_analysis_document_rejects_positive_witness_probability():
     report, sig = _report(-0.2)
     doc = analysis_document(report, sig)
     doc["witness"]["probability"] = 0.3
-    with pytest.raises(ValueError, match="probability"):
+    with pytest.raises(ValueError, match="analysis.witness: witness probability must be negative and finite, got 0.3"):
         parse_analysis_document(doc)
 
 
@@ -472,12 +482,16 @@ def _break_weight_negative(doc):
     doc["syndromes"][0]["weight"] = -3  # analyze keeps only positive weights
 
 
-def _break_term_index(doc):
-    doc["syndromes"][0]["term_index"] = -1
+def _break_weight_bool(doc):
+    doc["syndromes"][0]["weight"] = True
 
 
-def _break_diagonal_nan(doc):
-    doc["diagonal"][1] = float("nan")
+def _break_weight_huge(doc):
+    doc["syndromes"][1]["weight"] = 10**400  # an int beyond the float range
+
+
+def _break_probability_huge(doc):
+    doc["witness"]["probability"] = -(10**400)
 
 
 def _break_witness_vector_inf(doc):
@@ -515,32 +529,28 @@ def _break_witness_vector_length(doc):
     doc["witness"]["vector"] = doc["witness"]["vector"][:3]
 
 
-def _break_term_index_duplicate(doc):
-    doc["syndromes"][2]["term_index"] = doc["syndromes"][0]["term_index"]
-
-
 @pytest.mark.parametrize(
     "breaker, hint",
     [
         (_break_syndromes, "analysis.syndromes"),
         (_break_weight, r"analysis.syndromes\[0\].weight"),
         (_break_sign, r"analysis.syndromes\[0\].sign"),
-        (_break_sign_value, r"analysis: signs must be \+1 or -1, got \(2, 1, 1, -1\)"),
+        (_break_sign_value, r"analysis\.syndromes: signs must be \+1 or -1, got \(2, 1, 1, -1\)"),
         (_break_isometry, r"analysis.syndromes\[0\].isometry"),
         (_break_isometry_nan, r"analysis.syndromes\[0\].isometry\[3\]\[1\]"),
-        (_break_weight_inf, r"analysis.syndromes\[0\].weight"),
-        (_break_weight_negative, r"analysis.syndromes\[0\].weight must be a positive finite number, got -3"),
-        (_break_term_index, r"analysis.syndromes\[0\].term_index"),
-        (_break_diagonal_nan, "analysis.diagonal"),
+        (_break_weight_inf, r"analysis\.syndromes: syndrome weights must be positive and finite, got \[inf, "),
+        (_break_weight_negative, r"analysis\.syndromes: syndrome weights must be positive and finite, got \[-3, "),
+        (_break_weight_bool, r"analysis\.syndromes\[0\]\.weight must be a number, got True"),
+        (_break_weight_huge, rf"analysis\.syndromes: syndrome weights must be positive and finite, got \[0\.4\d*, {10**400}, "),
+        (_break_probability_huge, rf"analysis\.witness: witness probability must be negative and finite, got {-(10**400)}$"),
         (_break_witness_vector_inf, r"analysis.witness.vector\[0\]"),
-        (_break_version, "analysis: unsupported schema_version '2'"),
+        (_break_version, "analysis: unsupported schema_version '2'; `ncpqec qec` writes version '6'"),
         (_break_signature, "analysis.signature.q"),
         (_break_index, "analysis.witness.syndrome_index"),
         (_break_negative_index, f"analysis: witness.syndrome_index is -1: {_NAMES_3}"),
         (_break_index_range, f"analysis: witness.syndrome_index is 4: {_NAMES_3}"),
         (_break_index_sign, f"analysis: witness.syndrome_index is 0: {_NAMES_3}"),
-        (_break_witness_vector_length, "analysis.witness.vector: length 3 does not match the 8 rows"),
-        (_break_term_index_duplicate, r"analysis.syndromes\[2\].term_index must be a non-negative integer not used before"),
+        (_break_witness_vector_length, r"analysis: witness\.vector: shape \(3,\) does not match the 8 rows"),
     ],
 )
 def test_parse_analysis_document_malformed_outside_domain(breaker, hint):
@@ -554,15 +564,15 @@ def test_parse_analysis_document_malformed_outside_domain(breaker, hint):
 @pytest.mark.parametrize(
     "field, value, hint",
     [
-        ("code_isometry", 5, "analysis.recovery.code_isometry"),
-        ("code_isometry", [[[1.0, 0.0]] * 3] * 8, r"analysis.recovery.code_isometry: shape \(8, 3\)"),
-        ("code_isometry", [[[float("nan"), 0.0]] * 2] * 8, r"analysis.recovery.code_isometry\[0\]\[0\]"),
+        ("code_isometry", 5, r"analysis\.code_isometry: expected a non-empty list of rows"),
+        ("code_isometry", [[[1.0, 0.0]] * 3] * 8, r"analysis.code_isometry: shape \(8, 3\) must be that of syndrome 0, \(8, 2\)"),
+        ("code_isometry", [[[float("nan"), 0.0]] * 2] * 8, r"analysis.code_isometry\[0\]\[0\]"),
     ],
 )
 def test_parse_analysis_document_malformed_recovery(field, value, hint):
     report, sig = _report(0.7)
     doc = _roundtrip(analysis_document(report, sig))
-    doc["recovery"][field] = value
+    doc[field] = value
     with pytest.raises(ValueError, match=hint):
         parse_analysis_document(doc)
 
@@ -591,6 +601,9 @@ def _set(doc, path, value):
     return doc
 
 
+_COLUMNS = "a diagonalizer comes with its syndromes, one per column, and syndromes with it"
+
+
 # One malformed value per object, list or enumerated field of the two parsers.
 @pytest.mark.parametrize(
     "make, path, value, hint",
@@ -603,15 +616,20 @@ def _set(doc, path, value):
         (lambda: _analysis_doc(-0.2), ("verdict",), ["code_outside_domain"], r"analysis.*verdict"),
         (lambda: _analysis_doc(-0.2), ("signature",), [3, 1], r"analysis\.signature"),
         (lambda: _analysis_doc(-0.2), ("condition",), "hermitian", r"analysis\.condition"),
-        (lambda: _analysis_doc(-0.2), ("condition", "form"), "unitary", r"analysis\.condition\.form"),
+        (lambda: _analysis_doc(-0.2), ("condition", "form"), "unitary", r"analysis\.condition: unknown condition form 'unitary'"),
         (lambda: _analysis_doc(-0.2), ("condition", "form"), None, r"analysis\.condition\.form"),
         (lambda: _analysis_doc(-0.2), ("syndromes", 0), [], r"analysis\.syndromes\[0\]"),
-        (lambda: _analysis_doc(0.7), ("recovery",), [1], r"analysis\.recovery"),
+        (lambda: _analysis_doc(0.7), ("code_isometry",), [1], r"analysis\.code_isometry: expected a non-empty list of rows"),
         (lambda: _analysis_doc(-0.2), ("witness",), 0.5, r"analysis\.witness"),
-        (lambda: _analysis_doc(0.7), ("syndromes", 1, "sign"), -1, r"syndromes\[1\]\.sign must be \+1 under a"),
-        (lambda: _analysis_doc(-0.2), ("syndromes", 0, "term_index"), 99, r"term_index must .* length 4, got 99"),
-        (lambda: _analysis_doc(-0.2), ("diagonal",), [0.4], r"analysis\.diagonal must be a list of 4 finite numbers"),
-        (lambda: _analysis_doc(-0.2), ("syndromes", 0, "weight"), 5.0, r"\[0\]\.weight must be diagonal\[0\], got 5"),
+        (lambda: _analysis_doc(0.7), ("syndromes", 3, "sign"), -1, r"analysis: syndromes\[3\]\.sign must be \+1 under a"),
+        (lambda: _analysis_doc(-0.2), ("syndromes", 0, "weight"), "0.4", r"syndromes\[0\]\.weight must be a number, got '0\.4'"),
+        (
+            lambda: _analysis_doc(-0.2),
+            ("witness", "probability"),
+            float("nan"),
+            r"analysis\.witness: witness probability must be negative and finite, got nan",
+        ),
+        (lambda: _analysis_doc(-0.2), ("witness", "probability"), "-0.2", r"witness\.probability must be a number, got '-0\.2'"),
         (lambda: _analysis_doc(-0.2), ("witness", "vector"), [], r"vector: expected a non-empty list of numbers or \["),
         (
             lambda: _analysis_doc(-0.2),
@@ -619,11 +637,10 @@ def _set(doc, path, value):
             [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
             r"syndromes\[1\]\.isometry: shape \(4, 2\) must be that of syndrome 0, \(8, 2\)",
         ),
-        *(
-            (lambda: _analysis_doc(0.7), (field,), None, "diagonalizer, diagonal and syndromes must be present together")
-            for field in ("diagonalizer", "diagonal", "syndromes")
-        ),
-        (lambda: _analysis_doc(0.7), ("syndromes",), [], r"syndromes must be a list of 4 syndromes, one per diagonal"),
+        (lambda: _analysis_doc(0.7), ("diagonalizer",), None, f"analysis: {_COLUMNS}"),
+        (lambda: _analysis_doc(0.7), ("diagonalizer",), [[1.0]], f"analysis: {_COLUMNS}"),
+        (lambda: _analysis_doc(0.7), ("syndromes",), None, "analysis.code_isometry must be null when there are no syndromes"),
+        (lambda: _analysis_doc(0.7), ("syndromes",), [], f"analysis: {_COLUMNS}"),
         # the row-sparse form
         (
             lambda: _sparse_doc(-0.2),
@@ -719,19 +736,30 @@ def _set(doc, path, value):
             lambda: _sparse_doc(-0.2),
             ("witness", "vector", "shape"),
             [128],
-            r"witness\.vector: length 128 does not match the 64 rows",
+            r"witness\.vector: shape \(128,\) does not match the 64 rows of the isometries",
         ),
         (
             lambda: _sparse_doc(0.7),
-            ("recovery", "code_isometry", "shape"),
+            ("code_isometry", "shape"),
             [128, 2],
-            r"recovery\.code_isometry: shape \(128, 2\) must be that of the syndrome isometries, \(64, 2\)",
+            r"analysis\.code_isometry: shape \(128, 2\) must be that of syndrome 0, \(64, 2\)",
         ),
         (
             lambda: _sparse_doc(0.7),
-            ("recovery", "code_isometry", "rows"),
+            ("code_isometry", "rows"),
             [0, 64],
-            r"recovery\.code_isometry\.rows must be a strictly increasing list of row indices below 64",
+            r"analysis\.code_isometry\.rows must be a strictly increasing list of row indices below 64",
+        ),
+        # An analysis document is an output: an older version is refused
+        # with the command that writes it again from its inputs.
+        *(
+            (
+                lambda: _analysis_doc(0.7),
+                ("schema_version",),
+                version,
+                f"analysis: unsupported schema_version '{version}'; `ncpqec qec` writes version '6' from the channel",
+            )
+            for version in ("3", "4", "5")
         ),
     ],
 )
@@ -782,16 +810,15 @@ OUTCOMES = [
 
 @pytest.mark.parametrize("verdict, signs, index, core", OUTCOMES)
 def test_report_and_parser_keep_one_outcome_rule(verdict, signs, index, core):
-    # QecReport and parse_analysis_document take the outcome rule and the sign
-    # rule from their one owner each, so they accept and refuse alike, with one
-    # message; the parser's comes prefixed "analysis:".
+    # parse_analysis_document builds the SyndromeSet and the QecReport, so it
+    # accepts and refuses as they do, with their message prefixed by the
+    # path of the record's field: "analysis.syndromes:" for the sign rule,
+    # "analysis:" for the outcome rule.
     cp, inverted = analyze(bitflip_ops(0.7), repetition_code()), analyze(bitflip_ops(-0.2), repetition_code())
     doc = _analysis_doc(0.7)
     doc["verdict"] = verdict.value
-    if verdict is not _V.REVERSIBLE_POSITIVE:  # analysis_document stores B under that verdict only
-        doc["recovery"] = None
     if signs is None:
-        doc["diagonalizer"] = doc["diagonal"] = doc["syndromes"] = None
+        doc["diagonalizer"] = doc["syndromes"] = doc["code_isometry"] = None
     for s, sign in zip(doc["syndromes"] or (), signs or ()):
         s["sign"] = sign
     if index is not None:
@@ -805,9 +832,10 @@ def test_report_and_parser_keep_one_outcome_rule(verdict, signs, index, core):
 
     if core is None:
         assert report().verdict is verdict
-        assert parse_analysis_document(doc)["verdict"] == verdict.value
+        assert parse_analysis_document(doc)["verdict"] is verdict
         return
-    for build, message in ((report, core), (lambda: parse_analysis_document(doc), f"analysis: {core}")):
+    where = "analysis.syndromes" if core.startswith(_ORDER[:20]) else "analysis"
+    for build, message in ((report, core), (lambda: parse_analysis_document(doc), f"{where}: {core}")):
         with pytest.raises(ValueError) as caught:
             build()
         assert str(caught.value) == message
@@ -1018,34 +1046,18 @@ def _bits(a):
 
 
 def _parsed_bits(parsed):
-    """A parsed analysis document with each array as its dtype, shape and bytes, for exact comparison."""
-    out = {key: _bits(value) if isinstance(value, np.ndarray) else value for key, value in parsed.items()}
-    if "syndromes" in parsed:
-        out["syndromes"] = [{k: _bits(v) if k == "isometry" else v for k, v in s.items()} for s in parsed["syndromes"]]
-    if "recovery" in parsed:
-        out["recovery"] = _bits(parsed["recovery"].code_isometry), _bits(parsed["recovery"].isometries)
-    if "witness" in parsed:
-        w = parsed["witness"]
-        out["witness"] = _bits(w.vector), w.syndrome_index, w.probability
+    """The records of a parsed analysis document as their arrays' dtype, shape and bytes, for exact comparison."""
+    condition, syndromes, witness = parsed["condition"], parsed["syndromes"], parsed["witness"]
+    out = {key: parsed[key] for key in ("verdict", "signature")}
+    out["condition"] = _bits(condition.entries), condition.residual, condition.form
+    out["recovery"] = parsed["recovery"] is not None and parsed["recovery"] is syndromes.recovery
+    if syndromes is not None:
+        out["diagonalizer"] = _bits(parsed["diagonalizer"])
+        recovery = syndromes.recovery
+        out["syndromes"] = _bits(recovery.code_isometry), _bits(recovery.isometries), _bits(syndromes.weights), syndromes.signs
+    if witness is not None:
+        out["witness"] = _bits(witness.vector), witness.syndrome_index, witness.probability
     return out
-
-
-@pytest.mark.parametrize(
-    "make",
-    [lambda: _report(0.7), lambda: _report(-0.2), _conditions_violated],
-    ids=["reversible_positive", "code_outside_domain", "conditions_violated"],
-)
-def test_pair_form_version_3_document_parses_as_its_version_4_form(monkeypatch, make):
-    # A version "3" document wrote every array as [re, im] pairs, as the
-    # encoder did before the real form; it reads to the same bits.
-    report, sig = make()
-    new = _roundtrip(analysis_document(report, sig))
-    monkeypatch.setattr(documents, "encode_matrix", pair_lists)
-    old = _set(_roundtrip(analysis_document(report, sig)), ("schema_version",), "3")
-    assert (old["schema_version"], new["schema_version"], old["verdict"]) == ("3", "5", report.verdict.value)
-    assert np.shape(old["condition"]["entries"]) == report.condition.entries.shape + (2,)
-    assert np.shape(new["condition"]["entries"]) == report.condition.entries.shape
-    assert _parsed_bits(parse_analysis_document(old)) == _parsed_bits(parse_analysis_document(new))
 
 
 def _real_shape(encoded):
@@ -1071,25 +1083,31 @@ def test_real_analysis_documents_decode_to_the_reports_arrays(n, c0, scale):
     # The bit-flip mixtures are real: every array takes the real form (the
     # shape of its lists is its own) and decodes to the report's bits.  From
     # d = 32 on, the arrays on d rows are row-sparse, their values real.
+    # B comes with the syndromes under every verdict that has them: the
+    # inverted map's code_outside_domain, and at scales other than 1 the CP
+    # map's conditions_violated, which the trace check gives.
     ops, code = repetition_bitflip(n, c0)
     ops = SignedOperatorSum(ops.dim, ops.signs, np.sqrt(scale) * ops.operators)
     report = analyze(ops, code)
+    verdict = _V.CODE_OUTSIDE_DOMAIN if c0 < 0 else _V.REVERSIBLE_POSITIVE if scale == 1.0 else _V.CONDITIONS_VIOLATED
+    assert report.verdict is verdict
     doc = _roundtrip(analysis_document(report, ops.signature))
-    assert isinstance(doc["syndromes"][0]["isometry"], dict) == (n >= 5)
+    assert isinstance(doc["syndromes"][0]["isometry"], dict) == isinstance(doc["code_isometry"], dict) == (n >= 5)
     parsed = parse_analysis_document(doc)
+    syndromes = parsed["syndromes"]
     arrays = [
-        (doc["condition"]["entries"], report.condition.entries, parsed["condition_entries"]),
+        (doc["condition"]["entries"], report.condition.entries, parsed["condition"].entries),
         (doc["diagonalizer"], report.diagonalizer, parsed["diagonalizer"]),
-        ([s["isometry"] for s in doc["syndromes"]], report.syndromes.isometries, [s["isometry"] for s in parsed["syndromes"]]),
+        ([s["isometry"] for s in doc["syndromes"]], report.syndromes.isometries, syndromes.isometries),
+        (doc["code_isometry"], report.syndromes.recovery.code_isometry, syndromes.recovery.code_isometry),
     ]
-    if report.recovery is not None:
-        arrays.append((doc["recovery"]["code_isometry"], report.recovery.code_isometry, parsed["recovery"].code_isometry))
     if report.witness is not None:
         arrays.append((doc["witness"]["vector"], report.witness.vector, parsed["witness"].vector))
     for encoded, want, got in arrays:
         assert _real_shape(encoded) == want.shape
-        assert _bits(np.asarray(got)) == _bits(want)
-    assert _bits(parsed["diagonal"]) == _bits(report.diagonal)
+        assert _bits(got) == _bits(want)
+    assert _bits(syndromes.weights) == _bits(report.diagonal)
+    assert parsed["verdict"] is verdict and (parsed["recovery"] is None) == (report.recovery is None)
 
 
 def test_packed_matrix_record_holds_the_decoded_bytes():
@@ -1149,18 +1167,6 @@ def test_parsed_records_refuse_writes():
             a.setflags(write=True)
 
 
-def test_parser_ties_each_syndrome_to_the_term_at_its_position():
-    # Syndrome k is canonical term k. Syndromes 0 and 1 of the inverted map
-    # share the weight 0.4, so swapping their term indices keeps every
-    # weight equal to its diagonal entry, and only the position rule refuses it.
-    doc = _analysis_doc(-0.2)
-    assert [s["term_index"] for s in doc["syndromes"]] == [0, 1, 2, 3]
-    assert doc["diagonal"][0] == doc["diagonal"][1]
-    doc["syndromes"][0]["term_index"], doc["syndromes"][1]["term_index"] = 1, 0
-    with pytest.raises(ValueError, match=r"syndromes\[0\]\.term_index must be .* the least such \(0\).*, got 1"):
-        parse_analysis_document(doc)
-
-
 
 _ENTRIES = [1.0, -0.5, 0.0, -0.0, 1e-300, 3.25e150, 0.5j, complex(0.0, -0.0), complex(-0.0, 0.0), 3 - 4j]
 
@@ -1197,16 +1203,18 @@ def test_row_sparse_stacks_decode_bit_for_bit(stack, vector):
 
 @pytest.mark.parametrize("pairs", [False, True], ids=["real", "pairs"])
 @pytest.mark.parametrize("c0", [-0.2, 0.7])
-def test_dense_version_4_document_parses_to_the_same_arrays(monkeypatch, c0, pairs):
-    # A version "4" document wrote every array as dense lists, real or pairs;
-    # it reads to the bits of the version "5" document of the same report.
+def test_dense_lists_parse_to_the_arrays_of_the_row_sparse_form(monkeypatch, c0, pairs):
+    # The parser reads each array on d rows as dense lists at any d, real or
+    # pairs: at d = 64 they decode to the bits of the row-sparse document of
+    # the same report.
     ops, code = repetition_bitflip(6, c0)
     report = analyze(ops, code)
-    new = _roundtrip(analysis_document(report, ops.signature))
-    assert isinstance(new["syndromes"][0]["isometry"], dict)
+    sparse = _roundtrip(analysis_document(report, ops.signature))
+    assert isinstance(sparse["syndromes"][0]["isometry"], dict) and isinstance(sparse["code_isometry"], dict)
     monkeypatch.setattr(documents, "_encode_rows", pair_lists if pairs else documents.encode_matrix)
     if pairs:
         monkeypatch.setattr(documents, "encode_matrix", pair_lists)
-    old = _set(_roundtrip(analysis_document(report, ops.signature)), ("schema_version",), "4")
-    assert np.shape(old["syndromes"][0]["isometry"]) == (64, 2, 2) if pairs else (64, 2)
-    assert _parsed_bits(parse_analysis_document(old)) == _parsed_bits(parse_analysis_document(new))
+    dense = _roundtrip(analysis_document(report, ops.signature))
+    assert dense["schema_version"] == "6"
+    assert np.shape(dense["syndromes"][0]["isometry"]) == np.shape(dense["code_isometry"]) == ((64, 2, 2) if pairs else (64, 2))
+    assert _parsed_bits(parse_analysis_document(dense)) == _parsed_bits(parse_analysis_document(sparse))

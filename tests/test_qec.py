@@ -438,11 +438,12 @@ def test_syndrome_set_is_one_record():
     assert inverted.recovery is None and build_recovery(inverted.syndromes) is inverted.syndromes.recovery
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.25, np.inf, np.nan])
+@pytest.mark.parametrize("bad", [0.0, -0.25, np.inf, np.nan, True, 10**400])
 def test_syndrome_set_refuses_weights_that_are_not_positive_and_finite(bad):
-    # analyze stores only positive weights, and the document parser refuses the others.
+    # analyze stores only positive weights; the record refuses the others, a
+    # bool and an int beyond the float range included, with ValueError.
     syn = analyze(*repetition_bitflip(3, 0.7)).syndromes
-    weights = np.array(syn.weights)
+    weights = syn.weights.tolist()
     weights[2] = bad
     with pytest.raises(ValueError, match="weights must be positive and finite"):
         SyndromeSet(syn.recovery, weights, syn.signs)
@@ -1008,6 +1009,9 @@ def test_qec_report_holds_a_negative_syndrome_only_outside_the_domain():
         QecReport(cp.condition, cp.diagonalizer, cp.syndromes, Verdict.CODE_OUTSIDE_DOMAIN, r.witness)
     with pytest.raises(ValueError, match=hint.format(3, None)):
         QecReport(cp.condition, None, None, Verdict.CODE_OUTSIDE_DOMAIN, r.witness)
+    short = NegativityWitness(r.witness.vector[:4], 3, r.witness.probability)  # one entry per row of W: 8
+    with pytest.raises(ValueError, match=r"witness\.vector: shape \(4,\) does not match the 8 rows of the isometries"):
+        QecReport(r.condition, r.diagonalizer, r.syndromes, Verdict.CODE_OUTSIDE_DOMAIN, short)
 
 
 def test_negative_condition_block_never_reversible():

@@ -89,16 +89,17 @@ def _answer(doc):
 
 
 def test_compare_reads_a_change_of_form_as_decoded_identical_and_a_scalar_in_its_own_ulps(monkeypatch, capsys):
-    # The dense version "4" document and the row-sparse "5" one of one report
-    # differ in every byte but decode to the same arrays; a witness
-    # probability two floats away reads as 2 ulps, not as a fraction of the
-    # witness vector's ulps.
+    # The dense-list and the row-sparse document of one report, both version
+    # "6", differ in every array's bytes but decode to the same arrays; a
+    # witness probability two floats away reads as 2 ulps, not as a fraction
+    # of the witness vector's ulps.
     ops, code = repetition_bitflip(6, -0.2)
     report = analyze(ops, code)
     sparse = analysis_document(report, ops.signature)
     with monkeypatch.context() as m:
         m.setattr(documents, "_encode_rows", documents.encode_matrix)
-        dense = {**analysis_document(report, ops.signature), "schema_version": "4"}
+        dense = analysis_document(report, ops.signature)
+    assert dense["schema_version"] == sparse["schema_version"] == "6" and dense != sparse
     moved = json.loads(json.dumps(sparse))
     probability = moved["witness"]["probability"]
     moved["witness"]["probability"] = np.nextafter(np.nextafter(probability, -1.0), -1.0).item()
@@ -112,3 +113,27 @@ def test_compare_reads_a_change_of_form_as_decoded_identical_and_a_scalar_in_its
     assert documents_line == f"0 of 2 analysis documents byte-identical, {grown:+d} bytes in all"
     assert decoded == "1 of 2 analysis documents decode to identical arrays"
     assert (values, structural) == ("0 of 0 verify_recovery values equal by float.hex", "0 verdict or structural changes")
+
+
+def test_compare_reads_the_fields_of_a_parser_before_schema_6_as_the_records():
+    # A tree before analysis schema "6" parses a document into decoded fields,
+    # with the recovery's B under the reversible verdict only; read under the
+    # records' names they decode as the records do, so the tool compares two
+    # trees across that change.
+    for c0 in (-0.2, 0.7):
+        ops, code = repetition_bitflip(3, c0)
+        parsed = parse_analysis_document(json.loads(json.dumps(analysis_document(analyze(ops, code), ops.signature))))
+        syndromes = parsed["syndromes"]
+        older = {
+            "verdict": parsed["verdict"].value,
+            "signature": (parsed["signature"].p, parsed["signature"].q),
+            "condition_entries": parsed["condition"].entries,
+            "condition_residual": parsed["condition"].residual,
+            "condition_form": parsed["condition"].form,
+            "diagonalizer": parsed["diagonalizer"],
+            "diagonal": syndromes.weights,
+            "syndromes": [{"isometry": s.isometry, "weight": s.weight, "sign": s.sign} for s in syndromes],
+        }
+        older.update({key: parsed[key] for key in ("recovery", "witness") if parsed[key] is not None})
+        assert compare._decoded(older) == compare._decoded(parsed)
+        assert ("witness.vector" in compare._decoded(parsed)["arrays"]) == (c0 < 0)
