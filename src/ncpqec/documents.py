@@ -7,8 +7,11 @@ each entry as a two-element ``[re, im]`` list.  The form is chosen per
 array from its data, and both decode to the bits they were written
 from.  Every document carries a ``schema_version`` so formats can
 evolve; parsing rejects unknown versions.  Analysis documents are
-version ``"6"``, which hold everything on the code in ``d x r`` form and
-each field of the report's records once.  Their arrays on ``d`` rows
+version ``"7"``, which hold everything on the code in ``d x r`` form and
+each field of the report's records once: the signed canonical values
+``sign_k d_k``, as ``condition.values``, give the conditions
+``diag(values)`` and each syndrome's weight and sign, and each syndrome
+is its isometry alone.  Their arrays on ``d`` rows
 (each syndrome isometry, the code's ``B`` and the witness vector) are
 row-sparse when few of their rows are nonzero: ``{"shape", "rows",
 "values"}``, the listed rows in the same real-or-pair form and every
@@ -64,7 +67,7 @@ from .pseudolinalg import Signature
 
 SCHEMA_VERSION = "2"
 _LIST_VERSION = "1"  # channel payloads as [re, im] lists, still read
-_ANALYSIS_VERSION = "6"
+_ANALYSIS_VERSION = "7"
 _CHANNEL_FORMS = {"a_matrix": AMatrix, "b_matrix": BMatrix, "operator_sum": SignedOperatorSum}
 REPRESENTATIONS = tuple(_CHANNEL_FORMS)
 _NUMBER = (int, float)
@@ -344,20 +347,22 @@ def _decode_rows(objs: list, paths: list[str], ndim: int) -> np.ndarray:
 
 
 def analysis_document(report: QecReport, signature: Signature) -> dict:
-    """Serialize a :class:`~ncpqec.qec.QecReport` as version ``"6"``, each field of its records once.
+    """Serialize a :class:`~ncpqec.qec.QecReport` as version ``"7"``, each field of its records once.
 
-    Syndrome ``k`` is canonical term ``k``, column ``k`` of the
-    diagonalizer, and its weight is the report's ``diagonal[k]``.  With the
-    syndromes comes the code's ``B`` (``code_isometry``), so the document
-    holds their whole :class:`~ncpqec.qec.SyndromeSet`.  The arrays on
-    ``d`` rows (the ``W`` stack, ``B`` and the witness vector) are
-    row-sparse when few of their rows are nonzero.  ``B`` takes its own
-    real-or-pair form: a real code under complex ``W_k`` stays real.
+    The canonical conditions are ``diag(values)``, and ``values``, written
+    once as ``condition.values``, also give each syndrome its weight
+    ``|values[k]|`` and its sign.  Syndrome ``k`` is canonical term ``k``,
+    column ``k`` of the diagonalizer, written as its isometry ``W_k``.  With
+    the syndromes comes the code's ``B`` (``code_isometry``), so the
+    document holds their whole :class:`~ncpqec.qec.SyndromeSet`.  The
+    arrays on ``d`` rows (the ``W`` stack, ``B`` and the witness vector)
+    are row-sparse when few of their rows are nonzero.  ``B`` takes its
+    own real-or-pair form: a real code under complex ``W_k`` stays real.
     """
+    condition = report.condition
     syndromes = code_isometry = witness = None
     if (syn := report.syndromes) is not None:  # the whole W stack in one conversion
-        columns = zip(_encode_rows(syn.isometries), syn.weights.tolist(), syn.signs)
-        syndromes = [{"isometry": w, "weight": x, "sign": s} for w, x, s in columns]
+        syndromes = _encode_rows(syn.isometries)
         code_isometry = _encode_rows(syn.recovery.code_isometry[None])[0]
     if report.witness is not None:
         witness = {
@@ -369,11 +374,7 @@ def analysis_document(report: QecReport, signature: Signature) -> dict:
         "schema_version": _ANALYSIS_VERSION,
         "verdict": report.verdict.value,
         "signature": {"p": signature.p, "q": signature.q},
-        "condition": {
-            "entries": encode_matrix(report.condition.entries),
-            "residual": float(report.condition.residual),
-            "form": report.condition.form,
-        },
+        "condition": {"values": condition.entries.diagonal().real.tolist(), "residual": float(condition.residual)},
         "diagonalizer": None if report.diagonalizer is None else encode_matrix(report.diagonalizer),
         "syndromes": syndromes,
         "code_isometry": code_isometry,
@@ -390,24 +391,24 @@ def _record(where: str, make, *args: Any) -> Any:
 
 
 def parse_analysis_document(obj: Any) -> dict:
-    """Parse a version ``"6"`` analysis document into the records of its report.
+    """Parse a version ``"7"`` analysis document into the records of its report.
 
     The parser checks the JSON: the version, each field's type, the
-    entries and row-sparse form of every array, and one ``d x r`` shape
-    for every syndrome isometry and ``code_isometry``.  It builds the
-    :class:`~ncpqec.qec.ConditionMatrix`, the
-    :class:`~ncpqec.qec.SyndromeSet` with its
-    :class:`~ncpqec.qec.Recovery` of ``B`` and the decoded ``W`` stack, the
-    :class:`~ncpqec.qec.NegativityWitness` and the
+    ``condition.values`` plain finite numbers (no ``[re, im]`` pairs),
+    the entries and row-sparse form of every array, and one ``d x r``
+    shape for every syndrome isometry and ``code_isometry``.  It builds
+    the :class:`~ncpqec.qec.ConditionMatrix` ``diag(values)``, the
+    :class:`~ncpqec.qec.SyndromeSet` of the weights ``|values|`` and their
+    signs, with its :class:`~ncpqec.qec.Recovery` of ``B`` and the decoded
+    ``W`` stack, the :class:`~ncpqec.qec.NegativityWitness` and the
     :class:`~ncpqec.qec.QecReport` that holds them, so every other rule
     is checked by the record that owns it, its ``ValueError`` prefixed
-    with the field's path: ``analysis.condition:`` (the form),
-    ``analysis.syndromes:`` (each weight positive and finite, the sign
-    rule of every signed record), ``analysis.witness:`` (a negative
-    probability) and ``analysis:`` (a diagonalizer column per syndrome,
-    the outcome rule and the witness vector's length).  Versions ``"3"``
-    to ``"5"`` are refused: ``ncpqec qec`` writes the document again from
-    its inputs.
+    with the field's path: ``analysis.condition.values:`` (one value per
+    syndrome, each nonzero, the sign rule of every signed record),
+    ``analysis.witness:`` (a negative probability) and ``analysis:`` (a
+    diagonalizer column per syndrome, the outcome rule and the witness
+    vector's length).  Versions ``"3"`` to ``"6"`` are refused:
+    ``ncpqec qec`` writes the document again from its inputs.
 
     Returns a dict of the records: ``verdict`` (a
     :class:`~ncpqec.qec.Verdict`, which is a ``str``), ``signature`` (a
@@ -423,25 +424,21 @@ def parse_analysis_document(obj: Any) -> dict:
     sig, where = _field(obj, "signature", "analysis", dict, "a JSON object"), "analysis.signature"
     signature = _record(where, Signature, *(_field(sig, key, where, int, "an integer") for key in "pq"))
     condition, where = _field(obj, "condition", "analysis", dict, "a JSON object"), "analysis.condition"
-    entries = decode_matrix(_require(condition, "entries", where), f"{where}.entries")
+    finite = "a non-empty list of finite numbers"
+    values = _field(condition, "values", where, list, finite, lambda v: v and all(map(_finite, v)))
     residual = _field(condition, "residual", where, _NUMBER, "a non-negative finite number", lambda x: 0 <= x <= _FLOAT_MAX)
-    form = _field(condition, "form", where, str, "a string")
-    condition = _record(where, ConditionMatrix, entries, float(residual), form)
+    values = np.array(values, float)
+    condition = ConditionMatrix(np.diag(values), float(residual))
     diagonalizer = syndromes = witness = None
     if obj.get("diagonalizer") is not None:
         diagonalizer = decode_matrix(obj["diagonalizer"], "analysis.diagonalizer")
     if obj.get("syndromes") is not None:
-        isometries, weights, signs = [], [], []
-        for k, s in enumerate(_field(obj, "syndromes", "analysis", list, "a list")):
-            where = f"analysis.syndromes[{k}]"
-            if not isinstance(s, dict):
-                raise ValueError(f"{where} must be a JSON object")
-            isometries.append(_require(s, "isometry", where))
-            weights.append(_field(s, "weight", where, _NUMBER, "a number"))
-            signs.append(_field(s, "sign", where, int, "an integer"))
-        paths = [f"analysis.syndromes[{k}].isometry" for k in range(len(isometries))] + ["analysis.code_isometry"]
+        isometries = _field(obj, "syndromes", "analysis", list, "a list")
+        paths = [f"analysis.syndromes[{k}]" for k in range(len(isometries))] + ["analysis.code_isometry"]
         stack = _decode_rows([*isometries, obj.get("code_isometry")], paths, 2)
-        syndromes = _record("analysis.syndromes", SyndromeSet, Recovery(stack[-1], stack[:-1]), weights, signs)
+        recovery = Recovery(stack[-1], stack[:-1])
+        signs = np.sign(values).astype(int).tolist()
+        syndromes = _record("analysis.condition.values", SyndromeSet, recovery, np.abs(values), signs)
     elif obj.get("code_isometry") is not None:
         raise ValueError("analysis.code_isometry must be null when there are no syndromes")
     if obj.get("witness") is not None:

@@ -50,6 +50,10 @@ map's scale on the code, absolute for trace preservation and isometry.
 Each rule of the records is written once, in the record that owns it.
 Every signed record, the :class:`SyndromeSet` included, holds its signs
 as a tuple of ints checked by ``superop._SignedTerms._check_signs``.
+The canonical conditions are exactly ``diag(sign_k d_k)``, the signed
+values of the canonical terms, which :class:`QecReport` ties to its
+syndromes' weights and signs; only the fit's residual is computed
+from the canonical blocks.
 :class:`QecReport` states the outcomes above (a syndrome of sign -1 only
 outside the domain, a witness exactly there, naming the first such
 syndrome).  The analysis document parser builds these records, so it
@@ -177,18 +181,15 @@ class CodeTerms(_SignedTerms):
 class ConditionMatrix:
     """Correctability condition coefficients and the residual of the fit.
 
-    ``form`` is ``"hermitian"`` for the unsigned (CP) conditions and
-    ``"pseudohermitian"`` for the signed ones, where ``eta entries`` is
-    Hermitian instead of ``entries`` itself.
+    :func:`cp_condition_matrix` gives the fitted ``c_ij`` of the unsigned
+    conditions; :func:`analyze` gives the signed canonical conditions,
+    exactly ``diag(sign_k d_k)``.
     """
 
     entries: np.ndarray
     residual: float
-    form: str
 
     def __post_init__(self) -> None:
-        if self.form not in ("hermitian", "pseudohermitian"):
-            raise ValueError(f"unknown condition form {self.form!r}")
         object.__setattr__(self, "entries", _frozen(self.entries))
 
 
@@ -331,12 +332,14 @@ class QecReport:
     """Full outcome of :func:`analyze`.
 
     ``condition`` holds the canonical conditions that decided the
-    verdict (the ``1 x 1`` zero matrix for a map that annihilates the
-    code).  ``diagonalizer`` (``T``) and ``syndromes`` belong to the
-    canonical terms ``F = E T`` (never formed) and are absent when the
-    conditions fail: column ``k`` of ``T`` is the term of syndrome ``k``,
-    and ``diagonal`` (``d``) reads the syndromes' weights.  Construction
-    checks the outcome rule, raising ``ValueError`` unless it holds.  The
+    verdict, a real diagonal matrix (the ``1 x 1`` zero matrix for a map
+    that annihilates the code); with syndromes, its diagonal is their
+    signed weights ``sign_k d_k``, bit for bit.  ``diagonalizer`` (``T``)
+    and ``syndromes`` belong to the canonical terms ``F = E T`` (never
+    formed) and are absent when the conditions fail: column ``k`` of ``T``
+    is the term of syndrome ``k``, and ``diagonal`` (``d``) reads the
+    syndromes' weights.  Construction checks these rules and the outcome
+    rule, raising ``ValueError`` unless they hold.  The
     reversible verdict has syndromes, whose recovery it returns.  A
     syndrome of sign -1 returns a negative probability on every code
     state, so only the outside-domain verdict may hold one, exactly that
@@ -371,6 +374,10 @@ class QecReport:
             raise ValueError(f"witness.syndrome_index is {witness}: it must name the first syndrome of sign -1, {first}")
         if outside and (shape := self.witness.vector.shape) != (rows := syndromes.recovery.dim,):
             raise ValueError(f"witness.vector: shape {shape} does not match the {rows} rows of the isometries")
+        entries = self.condition.entries
+        values = entries.diagonal().real if syndromes is None else np.multiply(signs, syndromes.weights)
+        if not np.array_equal(entries, np.diag(values)):
+            raise ValueError(f"condition.entries must be the real diagonal matrix diag({values.tolist()})")
 
     @property
     def diagonal(self) -> np.ndarray | None:
@@ -540,13 +547,11 @@ def _blocks(v: np.ndarray) -> np.ndarray:
     return _gram(v).reshape(n, r, n, r).transpose(0, 2, 1, 3)
 
 
-def _condition_fit(blocks: np.ndarray, signs: Sequence[int] | None, form: str) -> ConditionMatrix:
+def _condition_fit(blocks: np.ndarray) -> tuple[np.ndarray, float]:
+    """The ``c_kl = tr(blocks_kl) / r`` and the largest entry of any ``blocks_kl - c_kl I``."""
     r = blocks.shape[-1]
     entries = np.einsum("klaa->kl", blocks / r)  # divided first: the sum of r entries may overflow
-    residual = _max_abs(blocks - entries[:, :, None, None] * np.eye(r))
-    if signs is not None:
-        entries = np.asarray(signs)[:, None] * entries
-    return ConditionMatrix(entries, residual, form)
+    return entries, _max_abs(blocks - entries[:, :, None, None] * np.eye(r))
 
 
 def cp_condition_matrix(operators: Sequence[np.ndarray], code: CodeSpace) -> ConditionMatrix:
@@ -559,7 +564,7 @@ def cp_condition_matrix(operators: Sequence[np.ndarray], code: CodeSpace) -> Con
     if not len(operators):
         raise ValueError("at least one operator is required")
     ops = SignedOperatorSum(code.dim, (1,) * len(operators), operators)
-    return _condition_fit(_blocks(_on_code(ops, code, DEFAULT_TOL)[1]), None, "hermitian")
+    return ConditionMatrix(*_condition_fit(_blocks(_on_code(ops, code, DEFAULT_TOL)[1])))
 
 
 def _eigen_terms(signs: np.ndarray, g: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -603,31 +608,28 @@ def _direct_terms(signs: np.ndarray, g: np.ndarray, tol: float) -> tuple[np.ndar
     return values, t, scale
 
 
-def _canonical_terms(
-    signs: Sequence[int], blocks: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, ConditionMatrix, float]:
+def _canonical_terms(signs: Sequence[int], blocks: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Canonical decomposition of the map restricted to the code.
 
     With ``G = tr_r(blocks) / r`` the Gram matrix of the terms on the
-    code, returns ``(signs, d, T, condition, scale)`` of the canonical
-    terms ``F = E T``: ``d = |L|`` and ``signs = sign(L)`` for the signed
-    values ``L``, and ``scale = max eig G``.  Eigenvalues up to
-    ``tol * scale`` drop, and so do signed values up to it, so every
-    ``d_k`` exceeds ``tol * scale`` and each term is one syndrome.  A
-    ``G`` whose off-diagonal entries are all exactly zero, as for Pauli
-    errors on a stabilizer code, takes :func:`_direct_terms`; every other
-    ``G`` takes :func:`_eigen_terms`.
+    code, returns ``(values, T, residual, scale)`` of the canonical terms
+    ``F = E T``: the signed values ``L``, whose ``d = |L|`` and
+    ``sign(L)`` are the terms' weights and signs, and ``scale = max eig
+    G``.  ``residual`` is how far each canonical block
+    ``T_k^dag (V^dag V) T_l`` is from a multiple of ``I``: the largest
+    entry of any block less its trace over ``r`` times ``I``.
+    Eigenvalues up to ``tol * scale`` drop, and so do signed values up
+    to it, so every ``d_k`` exceeds ``tol * scale`` and each term is one
+    syndrome.  A ``G`` whose off-diagonal entries are all exactly zero,
+    as for Pauli errors on a stabilizer code, takes
+    :func:`_direct_terms`; every other ``G`` takes :func:`_eigen_terms`.
     """
     r = blocks.shape[-1]
     g = np.einsum("klaa->kl", blocks / r)
     route = _direct_terms if np.count_nonzero(g) == np.count_nonzero(g.diagonal()) else _eigen_terms
     values, t, scale = route(np.asarray(signs), g, tol)
-    d, new_signs = np.abs(values), np.sign(values)
-    # The traced part of T^dag blocks T is diag(d) by construction, so the
-    # fit's residual is the deviation from diag(d) x identity.
     canonical = (t.conj().T @ blocks.transpose(2, 3, 0, 1) @ t).transpose(2, 3, 0, 1)
-    condition = _condition_fit(canonical, new_signs, "pseudohermitian")
-    return new_signs, d, t, condition, scale
+    return values, t, _condition_fit(canonical)[1], scale
 
 
 def _syndromes(v: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
@@ -640,12 +642,12 @@ def _syndromes(v: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
     An ``H_k`` whose smallest eigenvalue is not above ``tol`` times its
     largest is refused before any square root, and the Gram of the
     returned ``W`` must be the identity, every pair and the diagonal
-    included, within ``10 tol``.
+    included, within ``10 tol``; either gate refuses a NaN.
     """
     (n, dim, r), m = v.shape, t.shape[1]
     products = (t.T @ v.reshape(n, dim * r)).reshape(m, dim, r)  # F_k B = (V T)_k
     lam, u = np.linalg.eigh(products.conj().swapaxes(1, 2) @ products)  # H_k, eigenvalues ascending
-    low = lam[:, 0] <= _cut(tol, lam[:, -1])
+    low = ~(lam[:, 0] > _cut(tol, lam[:, -1]))
     if low.any():
         j = int(np.argmax(low))
         raise OrthogonalityViolation(
@@ -654,7 +656,7 @@ def _syndromes(v: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
     w = products @ ((u / np.sqrt(lam)[:, None, :]) @ u.conj().swapaxes(1, 2))  # F_k B H_k^(-1/2)
     gram = _gram(w)
     gram.ravel()[:: m * r + 1] -= 1.0  # W_a^dag W_c - delta_ac I, in place
-    if np.abs(gram).max(initial=0.0) > 10 * _cut(tol):
+    if not np.abs(gram).max(initial=0.0) <= 10 * _cut(tol):
         errors = np.abs(gram.reshape(m, r, m, r)).max(axis=(1, 3))  # per pair (a, c)
         a, c = np.unravel_index(np.argmax(errors), errors.shape)
         raise OrthogonalityViolation(
@@ -685,9 +687,9 @@ def negative_part_on_code(ops: SignedOperatorSum | BMatrix | AMatrix | CodeTerms
         tolerance times its largest entry.
     """
     signs, v = _on_code(ops, code, DEFAULT_TOL)
-    canonical_signs, d, *_ = _canonical_terms(signs, _blocks(v), DEFAULT_TOL)
+    values = _canonical_terms(signs, _blocks(v), DEFAULT_TOL)[0]
     # ||F_k B||_F^2 = tr H_k = r d_k: the traced canonical blocks are diag(d)
-    return float(np.sqrt(code.rank * d[canonical_signs < 0].max(initial=0.0)))
+    return float(np.sqrt(code.rank * (-values).max(initial=0.0)))
 
 
 def build_recovery(syndromes: SyndromeSet) -> Recovery:
@@ -714,7 +716,7 @@ def _witness(
     j = syndromes.signs.index(-1)
     amplitudes = first @ syndromes.isometries[j].conj()  # row k: W_j^dag E_k b_0
     prob = float(np.asarray(signs, dtype=float) @ np.sum(np.abs(amplitudes) ** 2, axis=1))
-    if prob > -_cut(tol, syndromes.weights.max()):
+    if not prob <= -_cut(tol, syndromes.weights.max()):  # NaN too
         raise WitnessSearchFailed(
             f"negative syndrome {j} has probability {prob:.3e} on the first logical basis state, "
             f"expected {-syndromes.weights[j]:.3e}"
@@ -769,13 +771,14 @@ def analyze(
     """
     signs, v = _on_code(ops, code, tol)
     blocks = _blocks(v)
-    canonical_signs, d, t, condition, scale = _canonical_terms(signs, blocks, tol)
-    if not d.size:
-        zero = ConditionMatrix(np.zeros((1, 1)), 0.0, "pseudohermitian")
-        return QecReport(zero, None, None, Verdict.CONDITIONS_VIOLATED, None)
-    if condition.residual > _cut(tol, scale):
+    values, t, residual, scale = _canonical_terms(signs, blocks, tol)
+    if not values.size:
+        return QecReport(ConditionMatrix(np.zeros((1, 1)), 0.0), None, None, Verdict.CONDITIONS_VIOLATED, None)
+    condition = ConditionMatrix(np.diag(values), residual)
+    if residual > _cut(tol, scale):
         return QecReport(condition, None, None, Verdict.CONDITIONS_VIOLATED, None)
-    syndromes = SyndromeSet(Recovery(code.isometry, _syndromes(v, t, tol)), d, canonical_signs.tolist())
+    w = _syndromes(v, t, tol)
+    syndromes = SyndromeSet(Recovery(code.isometry, w), np.abs(values), np.sign(values).astype(int).tolist())
     if -1 in syndromes.signs:
         witness = _witness(signs, v[:, :, 0], code.isometry[:, 0], syndromes, tol)
         return QecReport(condition, t, syndromes, Verdict.CODE_OUTSIDE_DOMAIN, witness)

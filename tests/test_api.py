@@ -325,7 +325,18 @@ REFUSALS = {
         "expected AMatrix or SignedOperatorSum, got BMatrix",
     ),
     "state": (lambda: ncpqec.apply_map(_TWO, np.eye(3)), ValueError, r"state has shape \(3, 3\), expected \(2, 2\)"),
-    "form": (lambda: ncpqec.ConditionMatrix(np.eye(2), 0.0, "unitary"), ValueError, "unknown condition form 'unitary'"),
+    "condition": (  # the canonical conditions are diagonal: a fitted c_ij matrix is not a report's
+        lambda: ncpqec.QecReport(ncpqec.ConditionMatrix(np.ones((2, 2)), 0.0), None, None, ncpqec.Verdict.CONDITIONS_VIOLATED, None),
+        ValueError,
+        r"condition.entries must be the real diagonal matrix diag\(\[1\.0, 1\.0\]\)",
+    ),
+    "signed weights": (  # with syndromes, the diagonal is sign_k d_k itself
+        lambda: dataclasses.replace(
+            ncpqec.analyze(*ncpqec.repetition_bitflip(3, 0.7)), condition=ncpqec.ConditionMatrix(np.eye(4), 0.0)
+        ),
+        ValueError,
+        r"condition.entries must be the real diagonal matrix diag\(\[0\.7\d*, 0\.1\d*, 0\.1\d*, 0\.1\d*\]\)",
+    ),
     "witness": (
         lambda: ncpqec.NegativityWitness(np.array([1.0, 0.0]), 0, 0.5),
         ValueError,

@@ -255,7 +255,7 @@ def test_qec_row_sparse_output_matches_the_in_process_document(tmp_path, c0):
     parse_analysis_document(doc)
     report = qec.analyze(ops, parse_code_document(basis, 1e-9))
     assert doc == json.loads(json.dumps(analysis_document(report, ops.signature)))
-    assert all(set(s["isometry"]) == {"shape", "rows", "values"} for s in doc["syndromes"])
+    assert all(set(w) == {"shape", "rows", "values"} for w in doc["syndromes"])
     assert set(doc["code_isometry"]) == {"shape", "rows", "values"}
     assert doc["code_isometry"]["rows"] == [0, 63]  # B holds no -0.0, so only its two live rows
     if c0 < 0:
@@ -345,8 +345,8 @@ def test_qec_matrix_channel_is_decided_on_the_code(tmp_path, monkeypatch, capsys
         monkeypatch.setattr(cli, "operator_sum_from_b", None)
     base, matrix = docs
     assert matrix["verdict"] == base["verdict"] and matrix["signature"] == base["signature"]
-    weights = [sorted(s["weight"] for s in doc["syndromes"]) for doc in (matrix, base)]
-    assert weights[0] == pytest.approx(weights[1], rel=1e-12)
+    weights = [sorted(np.abs(doc["condition"]["values"])) for doc in (matrix, base)]
+    assert len(matrix["syndromes"]) == len(weights[0]) and weights[0] == pytest.approx(weights[1], rel=1e-12)
     if c0 < 0:
         assert matrix["witness"]["probability"] == pytest.approx(base["witness"]["probability"], rel=1e-12)
     parse_analysis_document(matrix)
@@ -567,6 +567,15 @@ def test_reproduce_paper_rejects_plain_mixture():
     proc = run_cli("reproduce-paper", "--c0", "0.4")
     assert proc.returncode == 2
     assert "same sign" in proc.stderr
+
+
+@pytest.mark.parametrize("c0", ["0", "1"])
+def test_reproduce_paper_refuses_a_degenerate_mixture(c0):
+    # c0 = 0 leaves only the X terms and c0 = 1 only the identity: one of
+    # the two weights is zero, which the command refuses as invalid input.
+    proc = run_cli("reproduce-paper", "--c0", c0, "--json")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"c0={float(c0)} gives a degenerate mixture" in proc.stderr and "both weights must be nonzero" in proc.stderr
 
 
 def test_reproduce_paper_pretty_output():

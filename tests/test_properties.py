@@ -221,7 +221,7 @@ def test_gram_gemms_match_their_einsum_forms(case):
     blocks = qec._blocks(v)
     assert_close(blocks, np.einsum("kda,ldb->klab", v.conj(), v))
     with mock.patch.object(qec, "_condition_fit", wraps=qec._condition_fit) as fit:
-        t = qec._canonical_terms(signs, blocks, DEFAULT_TOL)[2]
+        t = qec._canonical_terms(signs, blocks, DEFAULT_TOL)[1]
     assert_close(fit.call_args.args[0], np.einsum("ki,klab,lj->ijab", t.conj(), blocks, t))
 
 

@@ -24,7 +24,7 @@ from ncpqec import (
     reshuffle,
     superop,
 )
-from ncpqec.pseudolinalg import _frozen, _max_abs, _signed_eigensystem
+from ncpqec.pseudolinalg import _frozen, _max_abs, _signed_clusters, _signed_eigensystem
 
 from helpers import (
     b_signatures,
@@ -433,6 +433,24 @@ def test_polar_on_code_batch_matches_single_products():
 def test_polar_on_code_rejects_malformed_products(products, hint):
     with pytest.raises(ValueError, match=hint):
         polar_on_code(products)
+
+
+def test_signed_clusters_take_np_mean_bits_and_stay_finite_near_the_float_limit():
+    # A cluster's value is np.mean of its members, bit for bit.  Near the
+    # float limit the plain sum of five members overflows; there the sum is
+    # taken on the members scaled by a power of two, which is exact, so the
+    # values are those at a lower scale times the power of two between them.
+    rng = np.random.default_rng(7)
+    lam = np.concatenate([-0.3 - 1e-12 * rng.random(3), 1 + 1e-12 * rng.random(5)])
+    clusters, values = _signed_clusters(lam, 1e-9)
+    assert [sorted(c) for c in clusters] == [[3, 4, 5, 6, 7], [0, 1, 2]]
+    assert values.tolist() == [np.mean(lam[3:])] * 5 + [np.mean(lam[:3])] * 3
+    big = np.ldexp(lam, 1023)
+    with np.errstate(over="ignore"):
+        assert np.mean(big[3:]) == np.inf
+    values = _signed_clusters(big, np.ldexp(1e-9, 1023))[1]
+    assert values.tolist() == np.ldexp(_signed_clusters(np.ldexp(lam, 1000), np.ldexp(1e-9, 1000))[1], 23).tolist()
+    assert np.isfinite(values).all()
 
 
 # ------------------------------------------------------- _signed_eigensystem

@@ -118,7 +118,7 @@ def test_cp_conditions_repetition_code():
     cond = cp_condition_matrix([I8, X1, X2, X3], code)
     assert cond.residual < 1e-12
     assert np.abs(cond.entries - np.eye(4)).max() < 1e-12
-    assert cond.form == "hermitian"
+    assert [f.name for f in fields(cond)] == ["entries", "residual"]
 
 
 def test_cp_conditions_weighted():
@@ -156,9 +156,10 @@ def test_ph_conditions_bitflip():
     ops, code = bitflip_ops(-0.2), repetition_code()
     want = np.diag([0.4, 0.4, 0.4, -0.2])
     assert np.abs(ph_conditions(ops, code) - want).max() < 1e-12
-    cond = analyze(ops, code).condition  # already diagonal, so T = I
+    report = analyze(ops, code)  # already diagonal, so T = I
+    cond, syndromes = report.condition, report.syndromes
     assert cond.residual < 1e-12
-    assert cond.form == "pseudohermitian"
+    assert np.array_equal(cond.entries, np.diag(np.multiply(syndromes.signs, syndromes.weights)))  # bit for bit
     assert np.abs(cond.entries - want).max() < 1e-12
 
 
@@ -568,8 +569,8 @@ def _syndrome_products():
     """The products ``F_k B`` of the inverted 3-qubit map (every term kept) and their weights ``d_k``."""
     ops, code = repetition_bitflip(3, -0.2)
     signs, v = qec._on_code(ops, code, DEFAULT_TOL)
-    _, d, t, _, _ = qec._canonical_terms(signs, qec._blocks(v), DEFAULT_TOL)
-    return np.tensordot(t, v, axes=([0], [0])), d
+    values, t, _, _ = qec._canonical_terms(signs, qec._blocks(v), DEFAULT_TOL)
+    return np.tensordot(t, v, axes=([0], [0])), np.abs(values)
 
 
 def _doctored_syndromes(products):
@@ -640,6 +641,44 @@ def test_syndromes_gate_every_pair_on_the_returned_isometries(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda h: (eigh(h)[0] * (1 + 1e-6), eigh(h)[1]))
     with pytest.raises(OrthogonalityViolation, match=r"syndromes (\d) and \1 are not orthonormal"):
         _doctored_syndromes(products)
+
+
+def test_syndrome_and_witness_gates_refuse_a_nan(monkeypatch):
+    # Each gate is written so that a NaN fails it: an inf in T makes H_k
+    # NaN, a NaN eigenbasis makes the Gram of W NaN, and a NaN sign makes
+    # the witness probability NaN.
+    products, _ = _syndrome_products()
+    t = np.eye(len(products), dtype=complex)
+    t[0, 0] = np.inf
+    with warnings.catch_warnings(), pytest.raises(OrthogonalityViolation, match="syndrome 0 has .* smallest eigenvalue nan"):
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf * 0 in F B = V T
+        qec._syndromes(products, t, DEFAULT_TOL)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: (eigh(h)[0], np.full_like(eigh(h)[1], np.nan)))
+    with pytest.raises(OrthogonalityViolation, match=r"max\|W_a\^dag W_b - delta_ab I\| = nan"):
+        qec._syndromes(products, np.eye(len(products)), DEFAULT_TOL)
+    monkeypatch.undo()
+    ops, code = bitflip_ops(-0.2), repetition_code()
+    b0 = code.isometry[:, 0]
+    with pytest.raises(WitnessSearchFailed, match="has probability nan"):
+        _witness((1, 1, 1, np.nan), ops.operators @ b0, b0, analyze(ops, code).syndromes, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_a_map_near_the_float_limit_is_decided_as_at_scale_one(n):
+    # Every operator times sqrt(1.5e308): a cluster of canonical values,
+    # three of 6e307 at n = 3 and six of 3e307 at n = 6, sums past the float
+    # range.  Its mean, taken on the values scaled by a power of two, stays
+    # finite, so the map is decided: outside the domain, its witness -0.2
+    # times the scale.
+    ops, code = repetition_bitflip(n, -0.2)
+    big = SignedOperatorSum(ops.dim, ops.signs, np.sqrt(1.5e308) * ops.operators)
+    report, small = analyze(big, code), analyze(ops, code)
+    assert report.verdict is Verdict.CODE_OUTSIDE_DOMAIN
+    assert report.witness.probability == pytest.approx(-0.2 * 1.5e308, rel=1e-12)
+    assert report.syndromes.signs == small.syndromes.signs
+    assert report.syndromes.weights == pytest.approx(1.5e308 * small.syndromes.weights, rel=1e-12)
+    assert np.isfinite(report.syndromes.isometries).all()
 
 
 def test_analyze_keeps_syndromes_isometric_on_a_boosted_map_near_the_cut():

@@ -90,7 +90,7 @@ def _answer(doc):
 
 def test_compare_reads_a_change_of_form_as_decoded_identical_and_a_scalar_in_its_own_ulps(monkeypatch, capsys):
     # The dense-list and the row-sparse document of one report, both version
-    # "6", differ in every array's bytes but decode to the same arrays; a
+    # "7", differ in every array's bytes but decode to the same arrays; a
     # witness probability two floats away reads as 2 ulps, not as a fraction
     # of the witness vector's ulps.
     ops, code = repetition_bitflip(6, -0.2)
@@ -99,7 +99,7 @@ def test_compare_reads_a_change_of_form_as_decoded_identical_and_a_scalar_in_its
     with monkeypatch.context() as m:
         m.setattr(documents, "_encode_rows", documents.encode_matrix)
         dense = analysis_document(report, ops.signature)
-    assert dense["schema_version"] == sparse["schema_version"] == "6" and dense != sparse
+    assert dense["schema_version"] == sparse["schema_version"] == "7" and dense != sparse
     moved = json.loads(json.dumps(sparse))
     probability = moved["witness"]["probability"]
     moved["witness"]["probability"] = np.nextafter(np.nextafter(probability, -1.0), -1.0).item()
@@ -115,25 +115,23 @@ def test_compare_reads_a_change_of_form_as_decoded_identical_and_a_scalar_in_its
     assert (values, structural) == ("0 of 0 verify_recovery values equal by float.hex", "0 verdict or structural changes")
 
 
-def test_compare_reads_the_fields_of_a_parser_before_schema_6_as_the_records():
-    # A tree before analysis schema "6" parses a document into decoded fields,
-    # with the recovery's B under the reversible verdict only; read under the
-    # records' names they decode as the records do, so the tool compares two
-    # trees across that change.
+def test_compare_reports_a_moved_code_isometry_under_every_verdict_with_syndromes(capsys):
+    # B is compared with the syndromes, not only under the reversible
+    # verdict: one float of the outside-domain document's B, one float away,
+    # reads as a changed array, and the reversible document's B is compared too.
+    answers = {}
     for c0 in (-0.2, 0.7):
         ops, code = repetition_bitflip(3, c0)
-        parsed = parse_analysis_document(json.loads(json.dumps(analysis_document(analyze(ops, code), ops.signature))))
-        syndromes = parsed["syndromes"]
-        older = {
-            "verdict": parsed["verdict"].value,
-            "signature": (parsed["signature"].p, parsed["signature"].q),
-            "condition_entries": parsed["condition"].entries,
-            "condition_residual": parsed["condition"].residual,
-            "condition_form": parsed["condition"].form,
-            "diagonalizer": parsed["diagonalizer"],
-            "diagonal": syndromes.weights,
-            "syndromes": [{"isometry": s.isometry, "weight": s.weight, "sign": s.sign} for s in syndromes],
-        }
-        older.update({key: parsed[key] for key in ("recovery", "witness") if parsed[key] is not None})
-        assert compare._decoded(older) == compare._decoded(parsed)
-        assert ("witness.vector" in compare._decoded(parsed)["arrays"]) == (c0 < 0)
+        doc = json.loads(json.dumps(analysis_document(analyze(ops, code), ops.signature)))
+        moved = json.loads(json.dumps(doc))
+        moved["code_isometry"][0][0] = np.nextafter(doc["code_isometry"][0][0], 2.0).item()
+        answers[c0] = _answer(doc), _answer(moved)
+        assert "syndromes.recovery.code_isometry" in answers[c0][0][3]["arrays"]
+    old, new = ({f"c0={c0}": pair[k] for c0, pair in answers.items()} for k in (0, 1))
+    assert compare._summary(old, new) == 0
+    *changed, documents_line, decoded, _, structural = capsys.readouterr().out.splitlines()
+    assert changed == [
+        f"c0={c0}: decoded arrays changed: syndromes.recovery.code_isometry 1 of 32 floats, up to 1 ulps" for c0 in (-0.2, 0.7)
+    ]
+    assert decoded == "0 of 2 analysis documents decode to identical arrays"
+    assert structural == "0 verdict or structural changes"

@@ -32,10 +32,10 @@ document is signed by the ``on_code`` record of the matrix, as the CLI
 signs it.  It records the analysis document bytes, or the exception
 ``analyze`` raised, what the tree's own ``parse_analysis_document``
 decodes from those bytes, and on a report with syndromes the
-``verify_recovery`` value of their recovery.  A tree whose parser
-returns decoded fields rather than records (before analysis schema
-``"6"``) has them read under the records' names, so two trees on either
-side of that change compare.
+``verify_recovery`` value of their recovery.  Both trees' parsers must
+return the records (analysis schema ``"6"`` or later); the code's ``B``
+is compared as ``syndromes.recovery.code_isometry`` under every verdict
+that has syndromes.
 
 Documents are compared by what they decode to, so a change of form
 alone reads as decoded identical.  It prints how many documents are
@@ -59,7 +59,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -121,51 +120,18 @@ def _outcome(fn) -> tuple[str, object]:
         return "error", f"{type(exc).__name__}: {exc}"
 
 
-def _records(parsed: dict) -> dict:
-    """An older tree's parsed analysis document under the keys of the records that schema "6" parses into.
-
-    A tree before schema "6" returns decoded fields (``condition_entries``,
-    a list of syndrome dicts and so on); read as the records' attributes,
-    its answers compare with a newer tree's field by field.
-    """
-    syndromes = parsed.get("syndromes")
-    if syndromes is not None:
-        isometries = np.array([s["isometry"] for s in syndromes])
-        syndromes = SimpleNamespace(
-            isometries=isometries, weights=np.array([s["weight"] for s in syndromes]), signs=[s["sign"] for s in syndromes]
-        )
-    return {
-        "verdict": parsed["verdict"],
-        "signature": SimpleNamespace(p=parsed["signature"][0], q=parsed["signature"][1]),
-        "condition": SimpleNamespace(
-            entries=parsed["condition_entries"], residual=parsed["condition_residual"], form=parsed["condition_form"]
-        ),
-        "diagonalizer": parsed.get("diagonalizer"),
-        "syndromes": syndromes,
-        "recovery": parsed.get("recovery"),
-        "witness": parsed.get("witness"),
-    }
-
-
 def _decoded(parsed: dict) -> dict:
     """A parsed analysis document as its structure, its arrays' bytes and its scalars' ``float.hex``."""
-    if "condition_entries" in parsed:  # a tree before schema "6"
-        parsed = _records(parsed)
-    condition, syndromes, recovery, witness = (parsed[key] for key in ("condition", "syndromes", "recovery", "witness"))
-    structure = {
-        "verdict": getattr(parsed["verdict"], "value", parsed["verdict"]),
-        "signature": [parsed["signature"].p, parsed["signature"].q],
-        "condition_form": condition.form,
-    }
+    condition, syndromes, witness = (parsed[key] for key in ("condition", "syndromes", "witness"))
+    structure = {"verdict": parsed["verdict"].value, "signature": [parsed["signature"].p, parsed["signature"].q]}
     arrays = {"condition.entries": condition.entries}
     scalars = {"condition.residual": condition.residual}
     if syndromes is not None:
         arrays["diagonalizer"] = parsed["diagonalizer"]
         arrays["syndromes.isometry"] = syndromes.isometries
         arrays["syndromes.weight"] = syndromes.weights
+        arrays["syndromes.recovery.code_isometry"] = syndromes.recovery.code_isometry
         structure["syndromes.sign"] = list(syndromes.signs)
-    if recovery is not None:
-        arrays["recovery.code_isometry"] = recovery.code_isometry
     if witness is not None:
         arrays["witness.vector"] = witness.vector
         scalars["witness.probability"] = witness.probability
