@@ -398,9 +398,8 @@ def parse_analysis_document(obj: Any) -> dict:
     the entries and row-sparse form of every array, and one ``d x r``
     shape for every syndrome isometry and ``code_isometry``.  It builds
     the :class:`~ncpqec.qec.ConditionMatrix` ``diag(values)``, the
-    :class:`~ncpqec.qec.SyndromeSet` of the weights ``|values|`` and their
-    signs, with its :class:`~ncpqec.qec.Recovery` of ``B`` and the decoded
-    ``W`` stack, the :class:`~ncpqec.qec.NegativityWitness` and the
+    :class:`~ncpqec.qec.SyndromeSet` of those signed weights, with its
+    :class:`~ncpqec.qec.Recovery` of ``B`` and the decoded ``W`` stack, the :class:`~ncpqec.qec.NegativityWitness` and the
     :class:`~ncpqec.qec.QecReport` that holds them, so every other rule
     is checked by the record that owns it, its ``ValueError`` prefixed
     with the field's path: ``analysis.condition.values:`` (one value per
@@ -437,8 +436,7 @@ def parse_analysis_document(obj: Any) -> dict:
         paths = [f"analysis.syndromes[{k}]" for k in range(len(isometries))] + ["analysis.code_isometry"]
         stack = _decode_rows([*isometries, obj.get("code_isometry")], paths, 2)
         recovery = Recovery(stack[-1], stack[:-1])
-        signs = np.sign(values).astype(int).tolist()
-        syndromes = _record("analysis.condition.values", SyndromeSet, recovery, np.abs(values), signs)
+        syndromes = _record("analysis.condition.values", SyndromeSet.from_values, recovery, values)
     elif obj.get("code_isometry") is not None:
         raise ValueError("analysis.code_isometry must be null when there are no syndromes")
     if obj.get("witness") is not None:

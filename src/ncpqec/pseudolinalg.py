@@ -278,14 +278,10 @@ def _signed_clusters(lam: np.ndarray, cut: float) -> tuple[list[list[int]], np.n
     start = 0
     for c in clusters:
         if len(c) > 1:
-            # np.mean's sum and division.  A sum that may near the float range
-            # is taken on the values scaled by a power of two, which is exact.
-            top = max(abs(spectrum[c[0]]), abs(spectrum[c[-1]]))  # a cluster is sorted and of one sign
-            if top * len(c) < 2.0**1023:
-                values[start : start + len(c)] = lam[c].sum() / len(c)
-            else:
-                e = math.frexp(top)[1]
-                values[start : start + len(c)] = np.ldexp(np.ldexp(lam[c], -e).sum() / len(c), e)
+            # np.mean's sum and division, on the values scaled by a power of
+            # two: exact, so the bits are np.mean's and the sum stays finite.
+            e = math.frexp(max(abs(spectrum[c[0]]), abs(spectrum[c[-1]])))[1]  # a cluster is sorted, one sign
+            values[start : start + len(c)] = np.ldexp(np.ldexp(lam[c], -e).sum() / len(c), e)
         start += len(c)
     return clusters, values
 

@@ -52,7 +52,7 @@ Every signed record, the :class:`SyndromeSet` included, holds its signs
 as a tuple of ints checked by ``superop._SignedTerms._check_signs``.
 The canonical conditions are exactly ``diag(sign_k d_k)``, the signed
 values of the canonical terms, which :class:`QecReport` ties to its
-syndromes' weights and signs; only the fit's residual is computed
+syndromes' ``values``; only the fit's residual is computed
 from the canonical blocks.
 :class:`QecReport` states the outcomes above (a syndrome of sign -1 only
 outside the domain, a witness exactly there, naming the first such
@@ -269,7 +269,9 @@ class SyndromeSet:
     bool or an int beyond the float range raises ``ValueError``.
     ``signs`` is the tuple of ``m`` ints that every
     signed record holds, each +1 or -1 and the +1 block first, checked
-    by the one sign rule, ``_SignedTerms._check_signs``.  Indexing and
+    by the one sign rule, ``_SignedTerms._check_signs``.  ``values`` are
+    the signed weights ``sign_k d_k``, the canonical spectrum, and
+    :meth:`from_values` builds the set from them.  Indexing and
     iteration give the :class:`Syndrome` views.
     """
 
@@ -285,6 +287,14 @@ class SyndromeSet:
         if not all(not isinstance(x, (bool, np.bool_)) and 0 < x <= _FLOAT_MAX for x in weights.tolist()):
             raise ValueError(f"syndrome weights must be positive and finite, got {weights.tolist()}")
         object.__setattr__(self, "weights", _frozen(self.weights, float))
+
+    @classmethod
+    def from_values(cls, recovery: Recovery, values: np.ndarray) -> SyndromeSet:
+        return cls(recovery, np.abs(values), np.sign(values).astype(int).tolist())
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.multiply(self.signs, self.weights)
 
     @property
     def isometries(self) -> np.ndarray:
@@ -375,7 +385,7 @@ class QecReport:
         if outside and (shape := self.witness.vector.shape) != (rows := syndromes.recovery.dim,):
             raise ValueError(f"witness.vector: shape {shape} does not match the {rows} rows of the isometries")
         entries = self.condition.entries
-        values = entries.diagonal().real if syndromes is None else np.multiply(signs, syndromes.weights)
+        values = entries.diagonal().real if syndromes is None else syndromes.values
         if not np.array_equal(entries, np.diag(values)):
             raise ValueError(f"condition.entries must be the real diagonal matrix diag({values.tolist()})")
 
@@ -778,7 +788,7 @@ def analyze(
     if residual > _cut(tol, scale):
         return QecReport(condition, None, None, Verdict.CONDITIONS_VIOLATED, None)
     w = _syndromes(v, t, tol)
-    syndromes = SyndromeSet(Recovery(code.isometry, w), np.abs(values), np.sign(values).astype(int).tolist())
+    syndromes = SyndromeSet.from_values(Recovery(code.isometry, w), values)
     if -1 in syndromes.signs:
         witness = _witness(signs, v[:, :, 0], code.isometry[:, 0], syndromes, tol)
         return QecReport(condition, t, syndromes, Verdict.CODE_OUTSIDE_DOMAIN, witness)

@@ -436,9 +436,9 @@ def test_polar_on_code_rejects_malformed_products(products, hint):
 
 
 def test_signed_clusters_take_np_mean_bits_and_stay_finite_near_the_float_limit():
-    # A cluster's value is np.mean of its members, bit for bit.  Near the
-    # float limit the plain sum of five members overflows; there the sum is
-    # taken on the members scaled by a power of two, which is exact, so the
+    # A cluster's value is np.mean of its members, bit for bit.  The sum is
+    # taken on the members scaled by a power of two, which is exact, so near
+    # the float limit, where the plain sum of five members overflows, the
     # values are those at a lower scale times the power of two between them.
     rng = np.random.default_rng(7)
     lam = np.concatenate([-0.3 - 1e-12 * rng.random(3), 1 + 1e-12 * rng.random(5)])

@@ -160,6 +160,9 @@ def test_ph_conditions_bitflip():
     cond, syndromes = report.condition, report.syndromes
     assert cond.residual < 1e-12
     assert np.array_equal(cond.entries, np.diag(np.multiply(syndromes.signs, syndromes.weights)))  # bit for bit
+    assert np.array_equal(syndromes.values, cond.entries.diagonal())
+    again = SyndromeSet.from_values(syndromes.recovery, syndromes.values)
+    assert np.array_equal(again.weights, syndromes.weights) and again.signs == syndromes.signs == (1, 1, 1, -1)
     assert np.abs(cond.entries - want).max() < 1e-12
 
 
