@@ -196,7 +196,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     recovery_error = outcome = undecidable = None
     if report.syndromes:
         try:
-            recovery_error = verify_recovery(terms, report.syndromes.recovery, code, tol=args.tol)
+            recovery_error = verify_recovery(terms, report.syndromes, code, tol=args.tol)
             outcome = "restores" if recovery_error <= _cut(args.tol) else "does_not_restore"
         except ZeroTrace as exc:  # the recovered trace cancelled to rounding
             outcome, undecidable = "undecidable", exc

@@ -8,10 +8,10 @@ array from its data, and both decode to the bits they were written
 from.  Every document carries a ``schema_version`` so formats can
 evolve; parsing rejects unknown versions.  Analysis documents are
 version ``"7"``, which hold everything on the code in ``d x r`` form and
-each field of the report's records once: the signed canonical values
-``sign_k d_k``, as ``condition.values``, give the conditions
-``diag(values)`` and each syndrome's weight and sign, and each syndrome
-is its isometry alone.  Their arrays on ``d`` rows
+each field of the report's records once: the report's ``values``, the
+signed canonical values ``sign_k d_k``, written as ``condition.values``
+beside its ``residual``, give the conditions ``diag(values)`` and each
+syndrome's weight and sign, and each syndrome is its isometry alone.  Their arrays on ``d`` rows
 (each syndrome isometry, the code's ``B`` and the witness vector) are
 row-sparse when few of their rows are nonzero: ``{"shape", "rows",
 "values"}``, the listed rows in the same real-or-pair form and every
@@ -54,11 +54,9 @@ import numpy as np
 from .qec import (
     _FLOAT_MAX,
     CodeSpace,
-    ConditionMatrix,
     NegativityWitness,
     QecReport,
     Recovery,
-    SyndromeSet,
     Verdict,
     projector_from_basis,
 )
@@ -349,21 +347,21 @@ def _decode_rows(objs: list, paths: list[str], ndim: int) -> np.ndarray:
 def analysis_document(report: QecReport, signature: Signature) -> dict:
     """Serialize a :class:`~ncpqec.qec.QecReport` as version ``"7"``, each field of its records once.
 
-    The canonical conditions are ``diag(values)``, and ``values``, written
-    once as ``condition.values``, also give each syndrome its weight
-    ``|values[k]|`` and its sign.  Syndrome ``k`` is canonical term ``k``,
-    column ``k`` of the diagonalizer, written as its isometry ``W_k``.  With
-    the syndromes comes the code's ``B`` (``code_isometry``), so the
-    document holds their whole :class:`~ncpqec.qec.SyndromeSet`.  The
-    arrays on ``d`` rows (the ``W`` stack, ``B`` and the witness vector)
-    are row-sparse when few of their rows are nonzero.  ``B`` takes its
-    own real-or-pair form: a real code under complex ``W_k`` stays real.
+    The report's ``values``, written once as ``condition.values`` with
+    its ``residual``, give the canonical conditions ``diag(values)`` and
+    each syndrome its weight ``|values[k]|`` and its sign.  Syndrome
+    ``k`` is canonical term ``k``, column ``k`` of the diagonalizer,
+    written as its isometry ``W_k``.  With the syndromes comes the code's
+    ``B`` (``code_isometry``), so the document holds their whole
+    :class:`~ncpqec.qec.Recovery`.  The arrays on ``d`` rows (the ``W``
+    stack, ``B`` and the witness vector) are row-sparse when few of their
+    rows are nonzero.  ``B`` takes its own real-or-pair form: a real code
+    under complex ``W_k`` stays real.
     """
-    condition = report.condition
     syndromes = code_isometry = witness = None
     if (syn := report.syndromes) is not None:  # the whole W stack in one conversion
         syndromes = _encode_rows(syn.isometries)
-        code_isometry = _encode_rows(syn.recovery.code_isometry[None])[0]
+        code_isometry = _encode_rows(syn.code_isometry[None])[0]
     if report.witness is not None:
         witness = {
             "vector": _encode_rows(report.witness.vector[None])[0],
@@ -374,7 +372,7 @@ def analysis_document(report: QecReport, signature: Signature) -> dict:
         "schema_version": _ANALYSIS_VERSION,
         "verdict": report.verdict.value,
         "signature": {"p": signature.p, "q": signature.q},
-        "condition": {"values": condition.entries.diagonal().real.tolist(), "residual": float(condition.residual)},
+        "condition": {"values": report.values.tolist(), "residual": report.residual},
         "diagonalizer": None if report.diagonalizer is None else encode_matrix(report.diagonalizer),
         "syndromes": syndromes,
         "code_isometry": code_isometry,
@@ -397,23 +395,24 @@ def parse_analysis_document(obj: Any) -> dict:
     ``condition.values`` plain finite numbers (no ``[re, im]`` pairs),
     the entries and row-sparse form of every array, and one ``d x r``
     shape for every syndrome isometry and ``code_isometry``.  It builds
-    the :class:`~ncpqec.qec.ConditionMatrix` ``diag(values)``, the
-    :class:`~ncpqec.qec.SyndromeSet` of those signed weights, with its
-    :class:`~ncpqec.qec.Recovery` of ``B`` and the decoded ``W`` stack, the :class:`~ncpqec.qec.NegativityWitness` and the
-    :class:`~ncpqec.qec.QecReport` that holds them, so every other rule
-    is checked by the record that owns it, its ``ValueError`` prefixed
-    with the field's path: ``analysis.condition.values:`` (one value per
-    syndrome, each nonzero, the sign rule of every signed record),
-    ``analysis.witness:`` (a negative probability) and ``analysis:`` (a
-    diagonalizer column per syndrome, the outcome rule and the witness
-    vector's length).  Versions ``"3"`` to ``"6"`` are refused:
+    the :class:`~ncpqec.qec.Recovery` of ``B`` and the decoded ``W``
+    stack, the :class:`~ncpqec.qec.NegativityWitness` and the
+    :class:`~ncpqec.qec.QecReport` that holds them with the values and
+    the residual, so every other rule is checked by the record that owns
+    it, its ``ValueError`` prefixed with the field's path:
+    ``analysis.verdict:``, ``analysis.signature:``,
+    ``analysis.witness:`` (a negative probability) and ``analysis:``
+    (one nonzero value per syndrome and the sign rule of every signed
+    record, a diagonalizer column per syndrome, the outcome rule and the
+    witness vector's length).  Versions ``"3"`` to ``"6"`` are refused:
     ``ncpqec qec`` writes the document again from its inputs.
 
     Returns a dict of the records: ``verdict`` (a
     :class:`~ncpqec.qec.Verdict`, which is a ``str``), ``signature`` (a
-    :class:`~ncpqec.pseudolinalg.Signature`), ``condition``,
-    ``diagonalizer``, ``syndromes``, ``recovery`` (the report's) and
-    ``witness``, ``None`` where the report has none.
+    :class:`~ncpqec.pseudolinalg.Signature`), ``values`` (the report's
+    read-only float array), ``residual``, ``diagonalizer``,
+    ``syndromes``, ``recovery`` (the report's) and ``witness``, ``None``
+    where the report has none.
     """
     if not isinstance(obj, dict):
         raise ValueError("analysis document must be a JSON object")
@@ -426,8 +425,6 @@ def parse_analysis_document(obj: Any) -> dict:
     finite = "a non-empty list of finite numbers"
     values = _field(condition, "values", where, list, finite, lambda v: v and all(map(_finite, v)))
     residual = _field(condition, "residual", where, _NUMBER, "a non-negative finite number", lambda x: 0 <= x <= _FLOAT_MAX)
-    values = np.array(values, float)
-    condition = ConditionMatrix(np.diag(values), float(residual))
     diagonalizer = syndromes = witness = None
     if obj.get("diagonalizer") is not None:
         diagonalizer = decode_matrix(obj["diagonalizer"], "analysis.diagonalizer")
@@ -435,8 +432,7 @@ def parse_analysis_document(obj: Any) -> dict:
         isometries = _field(obj, "syndromes", "analysis", list, "a list")
         paths = [f"analysis.syndromes[{k}]" for k in range(len(isometries))] + ["analysis.code_isometry"]
         stack = _decode_rows([*isometries, obj.get("code_isometry")], paths, 2)
-        recovery = Recovery(stack[-1], stack[:-1])
-        syndromes = _record("analysis.condition.values", SyndromeSet.from_values, recovery, values)
+        syndromes = Recovery(stack[-1], stack[:-1])
     elif obj.get("code_isometry") is not None:
         raise ValueError("analysis.code_isometry must be null when there are no syndromes")
     if obj.get("witness") is not None:
@@ -444,11 +440,12 @@ def parse_analysis_document(obj: Any) -> dict:
         vector = _decode_rows([_require(w, "vector", where)], [f"{where}.vector"], 1)[0]
         index = _field(w, "syndrome_index", where, int, "an integer")
         witness = _record(where, NegativityWitness, vector, index, _field(w, "probability", where, _NUMBER, "a number"))
-    report = _record("analysis", QecReport, condition, diagonalizer, syndromes, verdict, witness)
+    report = _record("analysis", QecReport, values, float(residual), diagonalizer, syndromes, verdict, witness)
     return {
         "verdict": verdict,
         "signature": signature,
-        "condition": condition,
+        "values": report.values,
+        "residual": report.residual,
         "diagonalizer": report.diagonalizer,
         "syndromes": syndromes,
         "recovery": report.recovery,

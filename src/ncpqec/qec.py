@@ -42,18 +42,18 @@ a physical evolution, and :func:`analyze` reports it as a witness.
 Otherwise the evolution restricted to the code is reversible with
 positive output, and the recovery is the Knill-Laflamme one (PRA 55,
 900, 1997): measure syndrome ``j``, then undo its isometry,
-``R_j = B W_j^dag``.  The :class:`SyndromeSet` holds it once, factored as
-``B`` and the ``W_j``, so no ``d x d`` array is formed after ``V``.
+``R_j = B W_j^dag``.  The :class:`Recovery` holds the syndromes and that
+recovery once, factored as ``B`` and the ``W_j``, so no ``d x d`` array
+is formed after ``V``.
 Every gate takes its bound from ``pseudolinalg._cut``: relative to the
 map's scale on the code, absolute for trace preservation and isometry.
 
 Each rule of the records is written once, in the record that owns it.
-Every signed record, the :class:`SyndromeSet` included, holds its signs
-as a tuple of ints checked by ``superop._SignedTerms._check_signs``.
 The canonical conditions are exactly ``diag(sign_k d_k)``, the signed
-values of the canonical terms, which :class:`QecReport` ties to its
-syndromes' ``values``; only the fit's residual is computed
-from the canonical blocks.
+values of the canonical terms, which :class:`QecReport` holds once as
+``values``: they give each syndrome its weight and its sign, checked by
+``superop._SignedTerms._check_signs``, the sign rule of every signed
+record.  Only the fit's residual is computed from the canonical blocks.
 :class:`QecReport` states the outcomes above (a syndrome of sign -1 only
 outside the domain, a witness exactly there, naming the first such
 syndrome).  The analysis document parser builds these records, so it
@@ -66,6 +66,7 @@ import enum
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -85,7 +86,6 @@ __all__ = [
     "CodeSpace",
     "CodeTerms",
     "ConditionMatrix",
-    "SyndromeSet",
     "Recovery",
     "NegativityWitness",
     "Verdict",
@@ -179,11 +179,10 @@ class CodeTerms(_SignedTerms):
 
 @dataclass(frozen=True, eq=False)
 class ConditionMatrix:
-    """Correctability condition coefficients and the residual of the fit.
+    """The fitted ``c_ij`` of the unsigned conditions and the fit's residual.
 
-    :func:`cp_condition_matrix` gives the fitted ``c_ij`` of the unsigned
-    conditions; :func:`analyze` gives the signed canonical conditions,
-    exactly ``diag(sign_k d_k)``.
+    What :func:`cp_condition_matrix` returns; a :class:`QecReport` holds
+    the signed canonical conditions as their diagonal, ``values``.
     """
 
     entries: np.ndarray
@@ -195,16 +194,14 @@ class ConditionMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Syndrome:
-    """One measurement branch of canonical term ``F_k``, on the code space: item ``k`` of a :class:`SyndromeSet`.
+    """One measurement branch of canonical term ``F_k``, on the code space: item ``k`` of a :class:`Recovery`.
 
-    ``isometry``, a view of the set's stack, is the ``d x r`` polar
-    isometry ``W_k`` with ``F_k B = sqrt(weight) W_k``, held as every
+    ``isometry``, a view of the recovery's stack, is the ``d x r`` polar
+    isometry ``W_k`` with ``F_k B = sqrt(d_k) W_k``, held as every
     record holds its arrays.
     """
 
     isometry: np.ndarray
-    weight: float
-    sign: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "isometry", _frozen(self.isometry))
@@ -217,7 +214,7 @@ class Syndrome:
 
 @dataclass(frozen=True, eq=False)
 class Recovery:
-    """The syndrome recovery ``rho -> sum_j B W_j^dag rho W_j B^dag``, in factored form.
+    """The syndromes and their recovery ``rho -> sum_j B W_j^dag rho W_j B^dag``, in factored form.
 
     ``code_isometry`` is the code's ``d x r`` isometry ``B`` and
     ``isometries`` the read-only ``(m, d, r)`` stack of syndrome
@@ -225,7 +222,8 @@ class Recovery:
     rank ``r``.  ``dim``, ``signs`` (all +1) and ``n_terms`` read as on a
     :class:`~ncpqec.superop.SignedOperatorSum`, and ``operators`` forms
     the dense ``(m, d, d)`` terms on each read, so ``apply_map`` takes
-    either.
+    either.  Its length is ``m``, and indexing and iteration give the
+    :class:`Syndrome` views.
     """
 
     code_isometry: np.ndarray
@@ -257,54 +255,11 @@ class Recovery:
         """The dense terms ``B W_j^dag``, ``(m, d, d)``."""
         return self.code_isometry @ self.isometries.conj().swapaxes(1, 2)
 
-
-@dataclass(frozen=True, eq=False)
-class SyndromeSet:
-    """The syndromes of the canonical terms, one per term in term order, held once as arrays.
-
-    ``recovery``, their Knill-Laflamme recovery, holds the code's ``B``
-    and the ``(m, d, r)`` stack of the ``W_j``.  ``weights``, the
-    canonical ``d``, is a read-only length-``m`` float copy: each given
-    weight must be a positive number that a float holds finitely, so a
-    bool or an int beyond the float range raises ``ValueError``.
-    ``signs`` is the tuple of ``m`` ints that every
-    signed record holds, each +1 or -1 and the +1 block first, checked
-    by the one sign rule, ``_SignedTerms._check_signs``.  ``values`` are
-    the signed weights ``sign_k d_k``, the canonical spectrum, and
-    :meth:`from_values` builds the set from them.  Indexing and
-    iteration give the :class:`Syndrome` views.
-    """
-
-    recovery: Recovery
-    weights: np.ndarray
-    signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "signs", _SignedTerms._check_signs(self.signs, len(self), "isometries"))
-        weights = np.asarray(self.weights, dtype=object)  # as given, before any float conversion
-        if weights.shape != (len(self),):
-            raise ValueError(f"weights has shape {weights.shape}, expected ({len(self)},), one per isometry")
-        if not all(not isinstance(x, (bool, np.bool_)) and 0 < x <= _FLOAT_MAX for x in weights.tolist()):
-            raise ValueError(f"syndrome weights must be positive and finite, got {weights.tolist()}")
-        object.__setattr__(self, "weights", _frozen(self.weights, float))
-
-    @classmethod
-    def from_values(cls, recovery: Recovery, values: np.ndarray) -> SyndromeSet:
-        return cls(recovery, np.abs(values), np.sign(values).astype(int).tolist())
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.multiply(self.signs, self.weights)
-
-    @property
-    def isometries(self) -> np.ndarray:
-        return self.recovery.isometries
-
     def __len__(self) -> int:
-        return self.recovery.n_terms
+        return self.n_terms
 
     def __getitem__(self, j: int) -> Syndrome:
-        return Syndrome(self.isometries[j], float(self.weights[j]), self.signs[j])
+        return Syndrome(self.isometries[j])
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,38 +296,52 @@ class Verdict(str, enum.Enum):
 class QecReport:
     """Full outcome of :func:`analyze`.
 
-    ``condition`` holds the canonical conditions that decided the
-    verdict, a real diagonal matrix (the ``1 x 1`` zero matrix for a map
-    that annihilates the code); with syndromes, its diagonal is their
-    signed weights ``sign_k d_k``, bit for bit.  ``diagonalizer`` (``T``)
-    and ``syndromes`` belong to the canonical terms ``F = E T`` (never
-    formed) and are absent when the conditions fail: column ``k`` of ``T``
-    is the term of syndrome ``k``, and ``diagonal`` (``d``) reads the
-    syndromes' weights.  Construction checks these rules and the outcome
-    rule, raising ``ValueError`` unless they hold.  The
-    reversible verdict has syndromes, whose recovery it returns.  A
-    syndrome of sign -1 returns a negative probability on every code
-    state, so only the outside-domain verdict may hold one, exactly that
-    verdict has a ``witness``, and the witness names the first such
-    syndrome, as :func:`analyze` picks it, with one entry per row of the
-    syndrome isometries.  ``recovery`` is the syndromes' own factored
-    :class:`Recovery` for the reversible verdict and ``None`` otherwise.
+    ``values`` is the canonical spectrum that decided the verdict, the
+    signed values ``sign_k d_k`` of the canonical terms, held once as a
+    read-only 1-D float array: the canonical conditions are
+    ``diag(values)``.  There is at least one value, and each value given
+    must be a real number that a float holds finitely, so a bool or an
+    int beyond the float range raises; a map that annihilates the code
+    has ``values = [0.0]``.
+    ``residual`` is the fit's residual on the canonical blocks.
+    ``diagonalizer`` (``T``) and ``syndromes`` (a :class:`Recovery`)
+    belong to the canonical terms ``F = E T`` (never formed) and are
+    absent when the conditions fail: column ``k`` of ``T`` is the term of
+    syndrome ``k``, whose weight and sign are those of ``values[k]``.  So
+    with syndromes there is one nonzero value per isometry, and their
+    signs pass ``superop._SignedTerms._check_signs``, the sign rule of
+    every signed record; ``diagonal`` (``d``) reads ``|values|``.
+    Construction checks these rules and the outcome rule, raising
+    ``ValueError`` unless they hold.  The reversible verdict has
+    syndromes.  A syndrome of sign -1 returns a negative probability on
+    every code state, so only the outside-domain verdict may hold one,
+    exactly that verdict has a ``witness``, and the witness names the
+    first such syndrome, as :func:`analyze` picks it, with one entry per
+    row of the syndrome isometries.  ``recovery`` is ``syndromes`` for
+    the reversible verdict and ``None`` otherwise.
     """
 
-    condition: ConditionMatrix
+    values: np.ndarray
+    residual: float
     diagonalizer: np.ndarray | None
-    syndromes: SyndromeSet | None
+    syndromes: Recovery | None
     verdict: Verdict
     witness: NegativityWitness | None
 
     def __post_init__(self) -> None:
-        t, syndromes = self.diagonalizer, self.syndromes
+        given = np.asarray(self.values, dtype=object)  # as given, before any float conversion
+        finite = lambda x: isinstance(x, Real) and not isinstance(x, (bool, np.bool_)) and -_FLOAT_MAX <= x <= _FLOAT_MAX
+        if given.ndim != 1 or not given.size or not all(map(finite, given.tolist())):
+            raise ValueError(f"values must be a non-empty list of finite numbers, got {given.tolist()}")
+        values, t, syndromes, signs = _frozen(self.values, float), self.diagonalizer, self.syndromes, ()
+        object.__setattr__(self, "values", values)
+        if syndromes is not None:
+            signs = _SignedTerms._check_signs(np.sign(values).astype(int).tolist(), len(syndromes), "isometries")
         if (t is None) != (syndromes is None) or t is not None and np.shape(t)[1:] != (len(syndromes),):
             raise ValueError("a diagonalizer comes with its syndromes, one per column, and syndromes with it")
         if t is not None:
             object.__setattr__(self, "diagonalizer", _frozen(t))
-        verdict, signs = self.verdict, () if syndromes is None else syndromes.signs
-        witness = None if self.witness is None else self.witness.syndrome_index
+        verdict, witness = self.verdict, None if self.witness is None else self.witness.syndrome_index
         if verdict == Verdict.REVERSIBLE_POSITIVE and not signs:
             raise ValueError("a reversible_positive verdict requires syndromes, got none")
         outside, first = verdict == Verdict.CODE_OUTSIDE_DOMAIN, signs.index(-1) if -1 in signs else None
@@ -382,20 +351,16 @@ class QecReport:
             raise ValueError(f"a witness comes with code_outside_domain only, got index {witness} under {verdict.value}")
         if outside and witness != first:
             raise ValueError(f"witness.syndrome_index is {witness}: it must name the first syndrome of sign -1, {first}")
-        if outside and (shape := self.witness.vector.shape) != (rows := syndromes.recovery.dim,):
+        if outside and (shape := self.witness.vector.shape) != (rows := syndromes.dim,):
             raise ValueError(f"witness.vector: shape {shape} does not match the {rows} rows of the isometries")
-        entries = self.condition.entries
-        values = entries.diagonal().real if syndromes is None else syndromes.values
-        if not np.array_equal(entries, np.diag(values)):
-            raise ValueError(f"condition.entries must be the real diagonal matrix diag({values.tolist()})")
 
     @property
     def diagonal(self) -> np.ndarray | None:
-        return None if self.syndromes is None else self.syndromes.weights
+        return None if self.syndromes is None else np.abs(self.values)
 
     @property
     def recovery(self) -> Recovery | None:
-        return self.syndromes.recovery if self.verdict == Verdict.REVERSIBLE_POSITIVE else None
+        return self.syndromes if self.verdict == Verdict.REVERSIBLE_POSITIVE else None
 
 
 def projector_from_basis(vectors: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> CodeSpace:
@@ -440,10 +405,13 @@ def repetition_bitflip(n: int, c0: float) -> tuple[SignedOperatorSum, CodeSpace]
 
     ``c0 < 0`` gives the paper's inverted (NCP) mixture.  The terms are
     ``sqrt(|c|)`` times ``X_0 .. X_{n-1}`` (qubit 0 leftmost) and ``I``,
-    signed like their weights ``c``, with the +1 block first.
+    signed like their weights ``c``, with the +1 block first.  Raises
+    ``ValueError`` for ``n < 1`` or a NaN or infinite ``c0``.
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
+    if not np.isfinite(c0):
+        raise ValueError(f"c0 must be a finite number, got c0={c0}")
     d, x = 2**n, np.array([[0, 1], [1, 0]], dtype=complex)
     weighted = [((1.0 - c0) / n, np.kron(np.kron(np.eye(2**k), x), np.eye(2 ** (n - k - 1)))) for k in range(n)]
     weighted.append((c0, np.eye(d, dtype=complex)))
@@ -702,34 +670,37 @@ def negative_part_on_code(ops: SignedOperatorSum | BMatrix | AMatrix | CodeTerms
     return float(np.sqrt(code.rank * (-values).max(initial=0.0)))
 
 
-def build_recovery(syndromes: SyndromeSet) -> Recovery:
-    """Recovery channel ``rho -> sum_j B W_j^dag rho W_j B^dag``: the set's own factored :class:`Recovery`.
+def build_recovery(syndromes: Recovery) -> Recovery:
+    """Recovery channel ``rho -> sum_j B W_j^dag rho W_j B^dag``: the syndromes' own factored :class:`Recovery`.
 
     One (+1) term ``B W_j^dag`` per syndrome: measure the syndrome, then
     map its range back onto the code (``U_j^dag P_j`` in the polar form
-    ``F_j P = sqrt(d_j) U_j P``).  Raises ``ValueError`` for an empty set.
-    ``syndromes.recovery`` is the same object, which the CLI reads.
+    ``F_j P = sqrt(d_j) U_j P``).  A report's syndromes are already that
+    record, so it is returned as given.  Raises ``ValueError`` for an
+    empty set.
     """
     if not syndromes:
         raise ValueError("cannot build a recovery from an empty syndrome set")
-    return syndromes.recovery
+    return syndromes
 
 
 def _witness(
-    signs: Sequence[int], first: np.ndarray, b0: np.ndarray, syndromes: SyndromeSet, tol: float
+    signs: Sequence[int], first: np.ndarray, b0: np.ndarray, values: np.ndarray, w: np.ndarray, tol: float
 ) -> NegativityWitness:
     """Witness ``b_0`` against the first negative syndrome ``j``, from the ``(n, d)`` terms ``E_k b_0``.
 
-    Its outcome probability on a code state is ``-d_j``, cross-checked
-    once on the input terms as ``sum_k s_k |W_j^dag E_k b_0|^2``.
+    ``values`` are the signed canonical values and ``w`` the ``(m, d, r)``
+    stack of syndrome isometries.  The outcome probability on a code state
+    is ``values[j] = -d_j``, cross-checked once on the input terms as
+    ``sum_k s_k |W_j^dag E_k b_0|^2``.
     """
-    j = syndromes.signs.index(-1)
-    amplitudes = first @ syndromes.isometries[j].conj()  # row k: W_j^dag E_k b_0
+    j = int(np.argmax(values < 0))
+    amplitudes = first @ w[j].conj()  # row k: W_j^dag E_k b_0
     prob = float(np.asarray(signs, dtype=float) @ np.sum(np.abs(amplitudes) ** 2, axis=1))
-    if not prob <= -_cut(tol, syndromes.weights.max()):  # NaN too
+    if not prob <= -_cut(tol, np.abs(values).max()):  # NaN too
         raise WitnessSearchFailed(
             f"negative syndrome {j} has probability {prob:.3e} on the first logical basis state, "
-            f"expected {-syndromes.weights[j]:.3e}"
+            f"expected {values[j]:.3e}"
         )
     return NegativityWitness(b0, j, prob)
 
@@ -751,7 +722,7 @@ def analyze(
       negative outcome probability is attached;
     * ``reversible_positive`` when the conditions hold and every
       canonical term acting on the code space is positive --
-      ``recovery`` reads the syndromes' factored :class:`Recovery`.
+      ``recovery`` is the syndromes' factored :class:`Recovery`.
 
     The verdict depends on the map and the code, not on the signed
     decomposition that represents the map.  ``ops`` enters only through
@@ -783,19 +754,18 @@ def analyze(
     blocks = _blocks(v)
     values, t, residual, scale = _canonical_terms(signs, blocks, tol)
     if not values.size:
-        return QecReport(ConditionMatrix(np.zeros((1, 1)), 0.0), None, None, Verdict.CONDITIONS_VIOLATED, None)
-    condition = ConditionMatrix(np.diag(values), residual)
+        return QecReport(np.zeros(1), 0.0, None, None, Verdict.CONDITIONS_VIOLATED, None)
     if residual > _cut(tol, scale):
-        return QecReport(condition, None, None, Verdict.CONDITIONS_VIOLATED, None)
+        return QecReport(values, residual, None, None, Verdict.CONDITIONS_VIOLATED, None)
     w = _syndromes(v, t, tol)
-    syndromes = SyndromeSet.from_values(Recovery(code.isometry, w), values)
-    if -1 in syndromes.signs:
-        witness = _witness(signs, v[:, :, 0], code.isometry[:, 0], syndromes, tol)
-        return QecReport(condition, t, syndromes, Verdict.CODE_OUTSIDE_DOMAIN, witness)
+    syndromes = Recovery(code.isometry, w)
+    if values[-1] < 0:  # the +1 block comes first
+        witness = _witness(signs, v[:, :, 0], code.isometry[:, 0], values, w, tol)
+        return QecReport(values, residual, t, syndromes, Verdict.CODE_OUTSIDE_DOMAIN, witness)
     # sum_k s_k V_k^dag V_k, from the diagonal blocks
     if _max_abs(np.diagonal(blocks) @ np.asarray(signs, dtype=float) - np.eye(code.rank)) > _cut(tol):
-        return QecReport(condition, t, syndromes, Verdict.CONDITIONS_VIOLATED, None)
-    return QecReport(condition, t, syndromes, Verdict.REVERSIBLE_POSITIVE, None)
+        return QecReport(values, residual, t, syndromes, Verdict.CONDITIONS_VIOLATED, None)
+    return QecReport(values, residual, t, syndromes, Verdict.REVERSIBLE_POSITIVE, None)
 
 
 def _deviation(coords: np.ndarray, signs: np.ndarray, r: int, tol: float) -> float:

@@ -10,6 +10,7 @@ to stay.
 import ast
 import dataclasses
 import importlib
+import json
 import subprocess
 import sys
 import types
@@ -47,7 +48,6 @@ PUBLIC = {
     "SignedEnsemble",
     "SignedOperatorSum",
     "SingularCoefficientMatrix",
-    "SyndromeSet",
     "Verdict",
     "WitnessSearchFailed",
     "ZeroTrace",
@@ -172,9 +172,8 @@ RECORDS = {
     "ConnectionResult": lambda ops, code: ncpqec.connecting_pseudounitary(ops, ops),
     "CodeSpace": lambda ops, code: code,
     "CodeTerms": lambda ops, code: ncpqec.on_code(ops, code),
-    "ConditionMatrix": lambda ops, code: ncpqec.analyze(ops, code).condition,
+    "ConditionMatrix": lambda ops, code: ncpqec.cp_condition_matrix(ops.operators, code),
     "Syndrome": lambda ops, code: ncpqec.analyze(ops, code).syndromes[0],
-    "SyndromeSet": lambda ops, code: ncpqec.analyze(ops, code).syndromes,
     "NegativityWitness": lambda ops, code: ncpqec.analyze(ops, code).witness,
     "Recovery": lambda ops, code: ncpqec.build_recovery(ncpqec.analyze(ops, code).syndromes),
     "QecReport": lambda ops, code: ncpqec.analyze(ops, code),
@@ -222,7 +221,7 @@ FROM_CALLER = {
     ),
     "Syndrome": (
         lambda ops, code: ncpqec.analyze(ops, code).syndromes.isometries[0],
-        lambda ops, a: ncpqec.qec.Syndrome(a, 1.0, 1),
+        lambda ops, a: ncpqec.qec.Syndrome(a),
         "isometry",
     ),
     "SignedOperatorSum": (
@@ -325,17 +324,15 @@ REFUSALS = {
         "expected AMatrix or SignedOperatorSum, got BMatrix",
     ),
     "state": (lambda: ncpqec.apply_map(_TWO, np.eye(3)), ValueError, r"state has shape \(3, 3\), expected \(2, 2\)"),
-    "condition": (  # the canonical conditions are diagonal: a fitted c_ij matrix is not a report's
-        lambda: ncpqec.QecReport(ncpqec.ConditionMatrix(np.ones((2, 2)), 0.0), None, None, ncpqec.Verdict.CONDITIONS_VIOLATED, None),
+    "condition": (  # the canonical spectrum is finite
+        lambda: ncpqec.QecReport([0.5, np.inf], 0.0, None, None, ncpqec.Verdict.CONDITIONS_VIOLATED, None),
         ValueError,
-        r"condition.entries must be the real diagonal matrix diag\(\[1\.0, 1\.0\]\)",
+        r"values must be a non-empty list of finite numbers, got \[0\.5, inf\]",
     ),
-    "signed weights": (  # with syndromes, the diagonal is sign_k d_k itself
-        lambda: dataclasses.replace(
-            ncpqec.analyze(*ncpqec.repetition_bitflip(3, 0.7)), condition=ncpqec.ConditionMatrix(np.eye(4), 0.0)
-        ),
+    "signed weights": (  # with syndromes, one nonzero value sign_k d_k per isometry
+        lambda: dataclasses.replace(ncpqec.analyze(*ncpqec.repetition_bitflip(3, 0.7)), values=[0.7, 0.1, 0.1]),
         ValueError,
-        r"condition.entries must be the real diagonal matrix diag\(\[0\.7\d*, 0\.1\d*, 0\.1\d*, 0\.1\d*\]\)",
+        "3 signs but 4 isometries",
     ),
     "witness": (
         lambda: ncpqec.NegativityWitness(np.array([1.0, 0.0]), 0, 0.5),
@@ -388,3 +385,23 @@ def test_input_refusals(name):
 
 def test_pseudo_gram_schmidt_of_no_vectors_is_empty():
     assert ncpqec.pseudo_gram_schmidt([], np.eye(2)) == []
+
+
+def test_the_benchmark_reads_these_fields_of_a_report_and_a_document():
+    # The bench oracle and worker read the verdict, the witness, syndrome j's
+    # projector, the recovery's signs and dense terms, and a parsed
+    # document's verdict and witness probability: a rename breaks the benchmark.
+    from ncpqec.documents import analysis_document, parse_analysis_document
+
+    ops, code = ncpqec.repetition_bitflip(3, -0.2)
+    inverted, cp = ncpqec.analyze(ops, code), ncpqec.analyze(*ncpqec.repetition_bitflip(3, 0.7))
+    assert (inverted.verdict.value, cp.verdict.value) == ("code_outside_domain", "reversible_positive")
+    witness = inverted.witness
+    assert witness.syndrome_index == 3 and witness.vector.shape == (8,) and witness.probability == pytest.approx(-0.2)
+    for j, w in enumerate(inverted.syndromes.isometries):
+        assert np.array_equal(inverted.syndromes[j].projector, w @ w.conj().T)
+    recovery = cp.recovery
+    assert recovery.signs == (1,) * 4
+    assert np.array_equal(recovery.operators, code.isometry @ cp.syndromes.isometries.conj().swapaxes(1, 2))
+    doc = parse_analysis_document(json.loads(json.dumps(analysis_document(inverted, ops.signature))))
+    assert doc["verdict"] == "code_outside_domain" and doc["witness"].probability == witness.probability

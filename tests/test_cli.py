@@ -238,7 +238,7 @@ def test_qec_bitflip_outside_domain(tmp_path):
     assert parsed["verdict"] == "code_outside_domain"
     assert parsed["witness"].probability == pytest.approx(-0.2, abs=1e-9)
     assert parsed["recovery"] is None and np.shape(doc["code_isometry"]) == (8, 2)
-    assert sorted(parsed["syndromes"].weights) == pytest.approx([0.2, 0.4, 0.4, 0.4])
+    assert sorted(np.abs(parsed["values"])) == pytest.approx([0.2, 0.4, 0.4, 0.4]) and len(parsed["syndromes"]) == 4
 
 
 @pytest.mark.parametrize("c0", [-0.2, 0.7])
@@ -576,6 +576,13 @@ def test_reproduce_paper_refuses_a_degenerate_mixture(c0):
     proc = run_cli("reproduce-paper", "--c0", c0, "--json")
     assert proc.returncode == 2 and proc.stdout == ""
     assert f"c0={float(c0)} gives a degenerate mixture" in proc.stderr and "both weights must be nonzero" in proc.stderr
+
+
+def test_reproduce_paper_refuses_an_infinite_c0():
+    # One line on stderr names c0: no numpy warning comes before it.
+    proc = run_cli("reproduce-paper", "--c0", "inf", "--json")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["ncpqec reproduce-paper: invalid input: c0 must be a finite number, got c0=inf"]
 
 
 def test_reproduce_paper_pretty_output():

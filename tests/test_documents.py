@@ -272,25 +272,24 @@ def test_analysis_document_outside_domain_roundtrip():
     assert doc["signature"] == {"p": 3, "q": 1}
     # The signed canonical values, once: the conditions and each syndrome's weight and sign.
     assert set(doc["condition"]) == {"values", "residual"}
-    assert doc["condition"]["values"] == np.multiply(report.syndromes.signs, report.diagonal).tolist()
+    assert doc["condition"]["values"] == report.values.tolist() == pytest.approx([0.4, 0.4, 0.4, -0.2])
     assert all(np.shape(w) == (8, 2) for w in doc["syndromes"])  # each syndrome is its isometry alone
     assert set(doc["witness"]) == {"vector", "syndrome_index", "probability"}
     assert np.shape(doc["code_isometry"]) == (8, 2)  # B comes with the syndromes, whatever the verdict
     parsed = parse_analysis_document(doc)
-    assert set(parsed) == {"verdict", "signature", "condition", "diagonalizer", "syndromes", "recovery", "witness"}
+    fields = {"verdict", "signature", "values", "residual", "diagonalizer", "syndromes", "recovery", "witness"}
+    assert set(parsed) == fields
     assert parsed["verdict"] is qec.Verdict.CODE_OUTSIDE_DOMAIN and parsed["verdict"] == "code_outside_domain"
     assert parsed["signature"] == sig and parsed["recovery"] is None
     assert parsed["witness"].probability == pytest.approx(-0.2, abs=1e-9)
     assert np.abs(parsed["witness"].vector - report.witness.vector).max() == 0
     assert np.abs(parsed["witness"].state - report.witness.state).max() == 0
     assert parsed["witness"].syndrome_index == report.witness.syndrome_index
-    assert _bits(parsed["condition"].entries) == _bits(report.condition.entries)
-    assert _bits(parsed["syndromes"].weights) == _bits(report.diagonal)
+    assert _bits(parsed["values"]) == _bits(report.values) and parsed["residual"] == report.residual
     assert len(parsed["syndromes"]) == 4
     for got, s in zip(parsed["syndromes"], report.syndromes):  # syndrome k is term k, as written
         assert np.abs(got.isometry - s.isometry).max() == 0
-        assert (got.weight, got.sign) == (s.weight, s.sign)
-    assert np.array_equal(parsed["syndromes"].recovery.code_isometry, report.syndromes.recovery.code_isometry)
+    assert np.array_equal(parsed["syndromes"].code_isometry, report.syndromes.code_isometry)
     doc["schema_version"] = "1"
     with pytest.raises(ValueError, match="schema_version"):
         parse_analysis_document(doc)
@@ -303,7 +302,7 @@ def test_analysis_document_reversible_roundtrip():
     assert doc["witness"] is None
     assert np.shape(doc["code_isometry"]) == (8, 2)
     parsed = parse_analysis_document(doc)
-    assert parsed["recovery"] is parsed["syndromes"].recovery
+    assert parsed["recovery"] is parsed["syndromes"]
     rec = parsed["recovery"]
     assert rec.n_terms == report.recovery.n_terms
     assert rec.signs == report.recovery.signs
@@ -388,8 +387,8 @@ def test_analysis_document_conditions_violated_roundtrip():
     assert doc["syndromes"] is doc["code_isometry"] is doc["diagonalizer"] is None
     assert set(doc["condition"]) == {"values", "residual"}
     parsed = parse_analysis_document(doc)
-    assert parsed["condition"].residual == report.condition.residual > 0.1
-    assert _bits(parsed["condition"].entries) == _bits(report.condition.entries)
+    assert parsed["residual"] == report.residual > 0.1
+    assert _bits(parsed["values"]) == _bits(report.values)
     assert parsed["syndromes"] is parsed["recovery"] is parsed["diagonalizer"] is None
 
 
@@ -550,11 +549,11 @@ def _break_witness_vector_length(doc):
         (_break_syndromes, "analysis.syndromes"),
         (_break_weight, rf"{_VALUES} must be {_FINITE}, got \[\[1\], 0\.4"),
         (_break_sign, rf"{_VALUES} must be {_FINITE}, got \[0\.4\d*, 0\.4\d*, 0\.4\d*, '-1'\]"),
-        (_break_sign_value, rf"{_VALUES}: signs must be \+1 or -1, got \(0, 1, 1, -1\)"),
+        (_break_sign_value, r"analysis: signs must be \+1 or -1, got \(0, 1, 1, -1\)"),
         (_break_isometry, r"analysis.syndromes\[0\]: expected a non-empty list of rows"),
         (_break_isometry_nan, r"analysis.syndromes\[0\]\[3\]\[1\]"),
         (_break_weight_inf, rf"{_VALUES} must be {_FINITE}, got \[inf, "),
-        (_break_weight_negative, rf"{_VALUES}: positive-sign terms must precede negative-sign terms, got \(-1, 1, 1, -1\)"),
+        (_break_weight_negative, r"analysis: positive-sign terms must precede negative-sign terms, got \(-1, 1, 1, -1\)"),
         (_break_weight_bool, rf"{_VALUES} must be {_FINITE}, got \[True, "),
         (_break_weight_huge, rf"{_VALUES} must be {_FINITE}, got \[0\.4\d*, {10**400}, "),
         (_break_probability_huge, rf"analysis\.witness: witness probability must be negative and finite, got {-(10**400)}$"),
@@ -567,7 +566,7 @@ def _break_witness_vector_length(doc):
         (_break_index_sign, f"analysis: witness.syndrome_index is 0: {_NAMES_3}"),
         (_break_witness_vector_length, r"analysis: witness\.vector: shape \(3,\) does not match the 8 rows"),
         (_break_values_pair, rf"{_VALUES} must be {_FINITE}, got \[\[0\.4, 0\.0\], "),
-        (_break_values_count, rf"{_VALUES}: 3 signs but 4 isometries$"),
+        (_break_values_count, r"analysis: 3 signs but 4 isometries$"),
     ],
 )
 def test_parse_analysis_document_malformed_outside_domain(breaker, hint):
@@ -657,7 +656,7 @@ _COLUMNS = "a diagonalizer comes with its syndromes, one per column, and syndrom
         (lambda: _analysis_doc(0.7), ("diagonalizer",), None, f"analysis: {_COLUMNS}"),
         (lambda: _analysis_doc(0.7), ("diagonalizer",), [[1.0]], f"analysis: {_COLUMNS}"),
         (lambda: _analysis_doc(0.7), ("syndromes",), None, "analysis.code_isometry must be null when there are no syndromes"),
-        (lambda: _analysis_doc(0.7), ("syndromes",), [], rf"{_VALUES}: 4 signs but 0 isometries"),
+        (lambda: _analysis_doc(0.7), ("syndromes",), [], r"analysis: 4 signs but 0 isometries"),
         # the row-sparse form
         (
             lambda: _sparse_doc(-0.2),
@@ -819,7 +818,7 @@ OUTCOMES = [
     (_V.CODE_OUTSIDE_DOMAIN, (1, 1, 1, -1), -1, _FIRST.format(-1, 3)),
     (_V.CODE_OUTSIDE_DOMAIN, (1, 1, 1, 1), 0, _FIRST.format(0, None)),
     (_V.CODE_OUTSIDE_DOMAIN, None, 0, _FIRST.format(0, None)),
-    # A -1 syndrome before a +1 one: refused since SyndromeSet takes the sign rule of every signed record.
+    # A -1 syndrome before a +1 one: refused since the report takes the sign rule of every signed record.
     (_V.CODE_OUTSIDE_DOMAIN, (1, -1, 1, 1), 1, _ORDER.format((1, -1, 1, 1))),
     (_V.CODE_OUTSIDE_DOMAIN, (-1, 1, 1, 1), 0, _ORDER.format((-1, 1, 1, 1))),
 ]
@@ -827,10 +826,9 @@ OUTCOMES = [
 
 @pytest.mark.parametrize("verdict, signs, index, core", OUTCOMES)
 def test_report_and_parser_keep_one_outcome_rule(verdict, signs, index, core):
-    # parse_analysis_document builds the SyndromeSet and the QecReport, so it
-    # accepts and refuses as they do, with their message prefixed by the
-    # path of the record's field: "analysis.condition.values:" for the sign
-    # rule, "analysis:" for the outcome rule.  The signs are those of the
+    # parse_analysis_document builds the QecReport, so it accepts and
+    # refuses as the report does, with its message prefixed "analysis:", for
+    # the sign rule and the outcome rule alike.  The signs are those of the
     # values, which give the conditions and the syndromes alike.
     cp, inverted = analyze(bitflip_ops(0.7), repetition_code()), analyze(bitflip_ops(-0.2), repetition_code())
     values = cp.diagonal if signs is None else np.multiply(signs, cp.diagonal)
@@ -843,17 +841,15 @@ def test_report_and_parser_keep_one_outcome_rule(verdict, signs, index, core):
         doc["witness"] = {**_analysis_doc(-0.2)["witness"], "syndrome_index": index}
 
     def report():
-        syndromes = None if signs is None else qec.SyndromeSet(cp.syndromes.recovery, cp.diagonal, signs)
+        syndromes, t = (None, None) if signs is None else (cp.syndromes, cp.diagonalizer)
         witness = None if index is None else qec.NegativityWitness(inverted.witness.vector, index, -0.2)
-        t = None if signs is None else cp.diagonalizer
-        return qec.QecReport(qec.ConditionMatrix(np.diag(values), 0.0), t, syndromes, verdict, witness)
+        return qec.QecReport(values, 0.0, t, syndromes, verdict, witness)
 
     if core is None:
         assert report().verdict is verdict
         assert parse_analysis_document(doc)["verdict"] is verdict
         return
-    where = "analysis.condition.values" if core.startswith(_ORDER[:20]) else "analysis"
-    for build, message in ((report, core), (lambda: parse_analysis_document(doc), f"{where}: {core}")):
+    for build, message in ((report, core), (lambda: parse_analysis_document(doc), f"analysis: {core}")):
         with pytest.raises(ValueError) as caught:
             build()
         assert str(caught.value) == message
@@ -1065,14 +1061,13 @@ def _bits(a):
 
 def _parsed_bits(parsed):
     """The records of a parsed analysis document as their arrays' dtype, shape and bytes, for exact comparison."""
-    condition, syndromes, witness = parsed["condition"], parsed["syndromes"], parsed["witness"]
-    out = {key: parsed[key] for key in ("verdict", "signature")}
-    out["condition"] = _bits(condition.entries), condition.residual
-    out["recovery"] = parsed["recovery"] is not None and parsed["recovery"] is syndromes.recovery
+    syndromes, witness = parsed["syndromes"], parsed["witness"]
+    out = {key: parsed[key] for key in ("verdict", "signature", "residual")}
+    out["values"] = _bits(parsed["values"])
+    out["recovery"] = parsed["recovery"] is not None and parsed["recovery"] is syndromes
     if syndromes is not None:
         out["diagonalizer"] = _bits(parsed["diagonalizer"])
-        recovery = syndromes.recovery
-        out["syndromes"] = _bits(recovery.code_isometry), _bits(recovery.isometries), _bits(syndromes.weights), syndromes.signs
+        out["syndromes"] = _bits(syndromes.code_isometry), _bits(syndromes.isometries)
     if witness is not None:
         out["witness"] = _bits(witness.vector), witness.syndrome_index, witness.probability
     return out
@@ -1113,22 +1108,19 @@ def test_real_analysis_documents_decode_to_the_reports_arrays(n, c0, scale):
     assert isinstance(doc["syndromes"][0], dict) == isinstance(doc["code_isometry"], dict) == (n >= 5)
     parsed = parse_analysis_document(doc)
     syndromes = parsed["syndromes"]
-    # The conditions are diag(sign_k d_k), bit for bit, stored once as the values.
-    assert np.array_equal(report.condition.entries, np.diag(np.multiply(report.syndromes.signs, report.diagonal)))
-    assert doc["condition"]["values"] == report.condition.entries.diagonal().real.tolist()
-    assert _bits(parsed["condition"].entries) == _bits(report.condition.entries)
-    assert parsed["condition"].residual == report.condition.residual and syndromes.signs == report.syndromes.signs
+    # The conditions are diag(sign_k d_k), stored once as the values, bit for bit.
+    assert doc["condition"]["values"] == report.values.tolist()
+    assert _bits(parsed["values"]) == _bits(report.values) and parsed["residual"] == report.residual
     arrays = [
         (doc["diagonalizer"], report.diagonalizer, parsed["diagonalizer"]),
         (doc["syndromes"], report.syndromes.isometries, syndromes.isometries),
-        (doc["code_isometry"], report.syndromes.recovery.code_isometry, syndromes.recovery.code_isometry),
+        (doc["code_isometry"], report.syndromes.code_isometry, syndromes.code_isometry),
     ]
     if report.witness is not None:
         arrays.append((doc["witness"]["vector"], report.witness.vector, parsed["witness"].vector))
     for encoded, want, got in arrays:
         assert _real_shape(encoded) == want.shape
         assert _bits(got) == _bits(want)
-    assert _bits(syndromes.weights) == _bits(report.diagonal)
     assert parsed["verdict"] is verdict and (parsed["recovery"] is None) == (report.recovery is None)
 
 

@@ -245,8 +245,8 @@ def test_syndrome_isometries_match_the_svd_polar(case, near, boosted, factor):
         report = analyze(scaled, CODE)
         syn = report.syndromes
         vt = np.tensordot(report.diagonalizer, scaled.operators @ CODE.isometry, axes=([0], [0]))  # (V T)_k
-        assert vt.shape[0] == len(syn) and report.diagonal is syn.weights  # syndrome k is term k
-        oracle = polar_on_code(vt / np.sqrt(syn.weights)[:, None, None]).isometry
+        assert vt.shape[0] == len(syn) == len(report.values)  # syndrome k is term k
+        oracle = polar_on_code(vt / np.sqrt(report.diagonal)[:, None, None]).isometry
         assert np.abs(syn.isometries - oracle).max() <= 1e-12
         gram = np.einsum("kdi,kdj->kij", syn.isometries.conj(), syn.isometries)  # W_k^dag W_k
         assert np.abs(gram - np.eye(2)).max() <= 1e-12
@@ -363,13 +363,13 @@ def test_direct_route_gives_the_eigen_routes_answers(ops):
         assert (direct.witness is None) == (eigen.witness is None)
         if eigen.witness is not None:
             assert direct.witness.syndrome_index == eigen.witness.syndrome_index
-        assert_within_ulps(direct.condition.entries, eigen.condition.entries, 8)
+        assert_within_ulps(direct.values, eigen.values, 8)
         assert (direct.diagonal is None) == (eigen.diagonal is None)
         if eigen.diagonal is None:
             continue
         assert_within_ulps(direct.diagonal, eigen.diagonal, 4)
         assert_within_ulps(direct.diagonalizer, eigen.diagonalizer, 4)
-        assert np.array_equal(direct.syndromes.signs, eigen.syndromes.signs)
+        assert np.array_equal(np.sign(direct.values), np.sign(eigen.values))
         assert len(direct.syndromes) == len(eigen.syndromes) == direct.diagonalizer.shape[1]
         assert_within_ulps(direct.syndromes.isometries, eigen.syndromes.isometries, 4)
 
@@ -393,7 +393,7 @@ def test_on_code_reads_a_repetition_code_bit_for_bit(n, c0, boosted, seed):
     reference = ops.operators @ code.isometry
     assert np.array_equal(on_code(ops, code).terms, reference)
     record = CodeTerms(ops.signs, reference)
-    recovery = analyze(record, code).syndromes.recovery
+    recovery = analyze(record, code).syndromes
     assert _answers(ops, code, recovery) == _answers(record, code, recovery)
 
 
@@ -412,8 +412,8 @@ def test_on_code_reads_a_code_on_few_basis_states_to_rounding(d, r, share, seed)
     record = CodeTerms(ops.signs, reference)
     got, want = analyze(ops, code), analyze(record, code)
     assert got.verdict is want.verdict
-    assert_within_ulps(got.condition.entries, want.condition.entries, 64)
-    assert got.condition.residual == pytest.approx(want.condition.residual, rel=1e-12)
+    assert_within_ulps(got.values, want.values, 64)
+    assert got.residual == pytest.approx(want.residual, rel=1e-12)
     isometries = np.linalg.qr(random_complex(rng, (2, d, r)))[0]
     recovery = Recovery(code.isometry, isometries)
     assert verify_recovery(ops, recovery, code) == pytest.approx(verify_recovery(record, recovery, code), rel=1e-12)

@@ -19,7 +19,6 @@ from ncpqec import (
     Signature,
     SignedEnsemble,
     SignedOperatorSum,
-    SyndromeSet,
     Verdict,
     WitnessSearchFailed,
     ZeroTrace,
@@ -157,13 +156,11 @@ def test_ph_conditions_bitflip():
     want = np.diag([0.4, 0.4, 0.4, -0.2])
     assert np.abs(ph_conditions(ops, code) - want).max() < 1e-12
     report = analyze(ops, code)  # already diagonal, so T = I
-    cond, syndromes = report.condition, report.syndromes
-    assert cond.residual < 1e-12
-    assert np.array_equal(cond.entries, np.diag(np.multiply(syndromes.signs, syndromes.weights)))  # bit for bit
-    assert np.array_equal(syndromes.values, cond.entries.diagonal())
-    again = SyndromeSet.from_values(syndromes.recovery, syndromes.values)
-    assert np.array_equal(again.weights, syndromes.weights) and again.signs == syndromes.signs == (1, 1, 1, -1)
-    assert np.abs(cond.entries - want).max() < 1e-12
+    values = report.values  # the canonical conditions diag(values), held once
+    assert report.residual < 1e-12
+    assert values.dtype == float and values.shape == (4,) and not values.flags.writeable
+    assert np.array_equal(report.diagonal, np.abs(values)) and np.sign(values).tolist() == [1, 1, 1, -1]
+    assert np.abs(np.diag(values) - want).max() < 1e-12
 
 
 def test_ph_condition_entries_pseudohermitian():
@@ -251,9 +248,7 @@ def test_syndromes_bitflip():
         assert np.abs(s.isometry.conj().T @ s.isometry - np.eye(2)).max() < 1e-12
         assert np.abs(s.projector - want).max() < 1e-9
         assert np.abs(s.projector - s.isometry @ s.isometry.conj().T).max() == 0
-    assert syn.recovery.code_isometry is code.isometry  # one B, the code's own
-    assert [s.sign for s in syn] == [1, 1, 1, -1]
-    assert np.abs(np.array([s.weight for s in syn]) - [0.4, 0.4, 0.4, 0.2]).max() < 1e-9
+    assert syn.code_isometry is code.isometry  # one B, the code's own
     for i in range(4):
         for j in range(i):
             assert np.abs(syn[i].isometry.conj().T @ syn[j].isometry).max() < 1e-9
@@ -270,10 +265,10 @@ def test_syndrome_f_p_factorization():
         report = analyze(ops, code)
         f, syn = _canonical_operators(ops, report), report.syndromes
         assert len(f) == len(syn)
-        for f_k, s in zip(f, syn):
-            assert np.abs(f_k @ b - np.sqrt(s.weight) * s.isometry).max() < 1e-8
+        for f_k, s, d_k in zip(f, syn, report.diagonal):
+            assert np.abs(f_k @ b - np.sqrt(d_k) * s.isometry).max() < 1e-8
             lhs = f_k @ code.projector
-            assert np.abs(lhs - np.sqrt(s.weight) * s.isometry @ b.conj().T).max() < 1e-8
+            assert np.abs(lhs - np.sqrt(d_k) * s.isometry @ b.conj().T).max() < 1e-8
             assert np.abs(lhs - s.projector @ lhs).max() < 1e-8
 
 
@@ -282,7 +277,7 @@ def test_syndromes_identity_map():
     syn = analyze(SignedOperatorSum.from_terms([1], [I8]), code).syndromes
     assert len(syn) == 1
     assert np.abs(syn[0].projector - code.projector).max() < 1e-12
-    assert np.abs(syn[0].isometry - syn.recovery.code_isometry).max() < 1e-12
+    assert np.abs(syn[0].isometry - syn.code_isometry).max() < 1e-12
 
 
 def _negative_term_misses_code():
@@ -293,8 +288,8 @@ def _negative_term_misses_code():
 
 
 def test_build_syndromes_drops_annihilating_terms():
-    syn = analyze(*_negative_term_misses_code()).syndromes
-    assert len(syn) == 1 and syn[0].sign == 1
+    report = analyze(*_negative_term_misses_code())
+    assert len(report.syndromes) == 1 and report.values[0] > 0
 
 
 def test_negative_part_on_code():
@@ -341,7 +336,7 @@ def test_build_recovery_single_syndrome():
     code = repetition_code()
     p = code.projector
     b = code.isometry
-    rec = build_recovery(SyndromeSet(Recovery(b, b[None]), [1.0], [1]))
+    rec = build_recovery(Recovery(b, b[None]))
     rho = random_complex(np.random.default_rng(5), (8, 8))
     assert np.abs(apply_map(rec, rho) - p @ rho @ p).max() < 1e-12
 
@@ -357,9 +352,9 @@ def test_recovery_proportionality_constant():
     code = repetition_code()
     for _ in range(10):
         ops = conditioned_pauli_map(rng, require_negative=False)
-        syn = analyze(ops, code).syndromes
-        rec = build_recovery(syn)
-        total = sum(s.weight for s in syn)
+        report = analyze(ops, code)
+        rec = build_recovery(report.syndromes)
+        total = report.diagonal.sum()
         for _ in range(5):
             rho = random_code_state(rng, code)
             out = apply_map(rec, apply_map(ops, rho))
@@ -372,7 +367,7 @@ def test_recovery_is_factored():
     report = analyze(ops, code)
     rec = report.recovery
     assert type(rec) is Recovery
-    assert rec.code_isometry is code.isometry
+    assert rec is report.syndromes and rec.code_isometry is code.isometry
     assert rec.isometries.shape == (5, 16, 2) and not rec.isometries.flags.writeable
     assert all(np.shares_memory(rec.isometries, s.isometry) for s in report.syndromes)
     assert (rec.dim, rec.n_terms, rec.signs) == (16, 5, (1,) * 5)
@@ -418,61 +413,85 @@ def test_recovery_copies_a_read_only_view():
 
 
 def test_syndrome_set_is_one_record():
+    # The syndromes are the report's Recovery: B and the W stack, indexed as
+    # Syndrome views; their weights and signs are those of the report's values.
     ops, code = repetition_bitflip(3, 0.7)
     report = analyze(ops, code)
     syn = report.syndromes
-    arrays = {"weights": syn.weights, "signs": syn.signs}
-    assert syn.weights.dtype == float and syn.weights.shape == (4,) and not syn.weights.flags.writeable
-    assert syn.signs == (1, 1, 1, 1) and {*map(type, syn.signs)} == {int}  # the tuple every signed record holds
-    assert len(syn) == 4
-    assert report.diagonal is syn.weights and report.diagonalizer.shape == (4, 4)  # syndrome k is term k
+    assert type(syn) is Recovery and len(syn) == 4
+    assert report.diagonalizer.shape == (4, 4)  # syndrome k is term k
     last = syn[-1]
-    assert type(last) is Syndrome and (last.weight, last.sign) == (syn.weights[3], 1)
+    assert type(last) is Syndrome
     assert np.shares_memory(last.isometry, syn.isometries) and np.array_equal(last.isometry, syn.isometries[3])
     with pytest.raises(IndexError):
         syn[4]
-    assert report.recovery is build_recovery(syn) is syn.recovery
-    for name in arrays:
-        for wrong in (arrays[name][:3], np.array(arrays[name])[:, None]):
-            with pytest.raises(ValueError, match=name):
-                SyndromeSet(syn.recovery, **{**arrays, name: wrong})
+    assert report.recovery is build_recovery(syn) is syn
+    for wrong in (report.values[:3], report.values[:, None]):
+        with pytest.raises(ValueError, match="values|signs"):
+            QecReport(wrong, 0.0, report.diagonalizer, syn, Verdict.REVERSIBLE_POSITIVE, None)
     inverted = analyze(*repetition_bitflip(3, -0.2))
     with pytest.raises(ValueError, match="sign"):
-        QecReport(report.condition, inverted.diagonalizer, inverted.syndromes, Verdict.REVERSIBLE_POSITIVE, None)
-    assert inverted.recovery is None and build_recovery(inverted.syndromes) is inverted.syndromes.recovery
+        QecReport(inverted.values, 0.0, inverted.diagonalizer, inverted.syndromes, Verdict.REVERSIBLE_POSITIVE, None)
+    assert inverted.recovery is None and build_recovery(inverted.syndromes) is inverted.syndromes
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.25, np.inf, np.nan, True, 10**400])
+_VALUE_RULES = r"values must be a non-empty list of finite numbers|signs must be \+1 or -1|must precede negative-sign"
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.25, np.inf, np.nan, True, 10**400, 0.4j])
 def test_syndrome_set_refuses_weights_that_are_not_positive_and_finite(bad):
-    # analyze stores only positive weights; the record refuses the others, a
-    # bool and an int beyond the float range included, with ValueError.
-    syn = analyze(*repetition_bitflip(3, 0.7)).syndromes
-    weights = syn.weights.tolist()
-    weights[2] = bad
-    with pytest.raises(ValueError, match="weights must be positive and finite"):
-        SyndromeSet(syn.recovery, weights, syn.signs)
+    # A syndrome's weight is |values[k]|: the report refuses a zero value, a
+    # -1 sign ahead of a +1 one, and a value that is not a finite real
+    # number (a bool, an int beyond the float range and a complex number
+    # included), with ValueError.
+    report = analyze(*repetition_bitflip(3, 0.7))
+    values = report.values.tolist()
+    values[2] = bad
+    with pytest.raises(ValueError, match=_VALUE_RULES):
+        QecReport(values, 0.0, report.diagonalizer, report.syndromes, Verdict.REVERSIBLE_POSITIVE, None)
+
+
+_KILL = np.diag([0.0, 1, 1, 1, 1, 1, 1, 0]).astype(complex)  # sends |000> and |111> to zero
+
+
+@pytest.mark.parametrize(
+    "ops, verdict",
+    [
+        (bitflip_ops(-0.2), Verdict.CODE_OUTSIDE_DOMAIN),
+        (bitflip_ops(0.7), Verdict.REVERSIBLE_POSITIVE),
+        (SignedOperatorSum.from_terms([1, 1], [I8, pauli_string("ZII")]), Verdict.CONDITIONS_VIOLATED),
+        (SignedOperatorSum.from_terms([1, -1], [_KILL, 0.5 * _KILL]), Verdict.CONDITIONS_VIOLATED),
+    ],
+    ids=["outside_domain", "reversible", "violated", "annihilating"],
+)
+def test_report_holds_the_canonical_spectrum_once(ops, verdict):
+    # values is the one copy of sign_k d_k: no other field holds the
+    # spectrum, d reads |values|, and a map that annihilates the code keeps
+    # the one value 0.0.
+    report = analyze(ops, repetition_code())
+    assert report.verdict is verdict
+    assert [f.name for f in fields(report)] == ["values", "residual", "diagonalizer", "syndromes", "verdict", "witness"]
+    values = report.values
+    assert values.dtype == float and values.ndim == 1 and not values.flags.writeable
+    if report.syndromes is None:
+        assert report.diagonal is None and report.recovery is None
+    else:
+        assert len(report.syndromes) == values.size and np.array_equal(report.diagonal, np.abs(values))
+    if np.array_equal(ops.operators[0], _KILL):
+        assert values.tolist() == [0.0] and report.residual == 0.0
 
 
 def test_syndrome_holds_its_isometry_frozen():
-    # A view of the set's stack lies over bytes and is kept as it is; a
+    # A view of the recovery's stack lies over bytes and is kept as it is; a
     # caller's writeable array is copied, so later writes leave the record.
     syn = analyze(*repetition_bitflip(3, 0.7)).syndromes
     assert np.shares_memory(syn[1].isometry, syn.isometries)
     w = np.array(syn.isometries[1])
-    held = Syndrome(w, 1.0, 1).isometry
+    held = Syndrome(w).isometry
     w[0, 0] = np.nan
     assert np.array_equal(held, syn.isometries[1])
     with pytest.raises(ValueError):
         held.setflags(write=True)
-
-
-@pytest.mark.parametrize(
-    "signs", [[2, 2, 2, 2], [1, 1, 0, 1], [1, 1, 1, 1.5], [True] * 4, [1, 1, 1, True], np.ones(4, bool)]
-)
-def test_syndrome_set_refuses_signs_other_than_one(signs):
-    syn = analyze(*repetition_bitflip(3, 0.7)).syndromes
-    with pytest.raises(ValueError, match="signs must be"):
-        SyndromeSet(syn.recovery, syn.weights, signs)
 
 
 @pytest.mark.parametrize("c0", [-0.2, 0.7])
@@ -538,7 +557,7 @@ def test_domain_witness_bitflip():
     w, syn = report.witness, report.syndromes
     assert w is not None
     assert abs(w.probability + 0.2) < 1e-10
-    assert syn[w.syndrome_index].sign == -1
+    assert report.values[w.syndrome_index] < 0
     assert np.abs(w.state - np.outer(ket(0, 8), ket(0, 8))).max() < 1e-12
     # mixtures in the code space carry the same negative outcome
     mix = 0.5 * np.outer(ket(0, 8), ket(0, 8)) + 0.5 * np.outer(ket(7, 8), ket(7, 8))
@@ -559,13 +578,12 @@ def test_witness_search_failure_on_doctored_syndromes():
     """
     ops = bitflip_ops(-0.2)
     code = repetition_code()
-    syn = analyze(ops, code).syndromes
-    w = np.array(syn.isometries)
-    w[np.array(syn.signs) == -1] = syn.isometries[0]
-    wrong = SyndromeSet(Recovery(syn.recovery.code_isometry, w), syn.weights, syn.signs)
+    report = analyze(ops, code)
+    w = np.array(report.syndromes.isometries)
+    w[report.values < 0] = w[0]
     b0 = code.isometry[:, 0]
     with pytest.raises(WitnessSearchFailed):
-        _witness(ops.signs, ops.operators @ b0, b0, wrong, DEFAULT_TOL)
+        _witness(ops.signs, ops.operators @ b0, b0, report.values, w, DEFAULT_TOL)
 
 
 def _syndrome_products():
@@ -663,8 +681,9 @@ def test_syndrome_and_witness_gates_refuse_a_nan(monkeypatch):
     monkeypatch.undo()
     ops, code = bitflip_ops(-0.2), repetition_code()
     b0 = code.isometry[:, 0]
+    report = analyze(ops, code)
     with pytest.raises(WitnessSearchFailed, match="has probability nan"):
-        _witness((1, 1, 1, np.nan), ops.operators @ b0, b0, analyze(ops, code).syndromes, DEFAULT_TOL)
+        _witness((1, 1, 1, np.nan), ops.operators @ b0, b0, report.values, report.syndromes.isometries, DEFAULT_TOL)
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -679,8 +698,7 @@ def test_a_map_near_the_float_limit_is_decided_as_at_scale_one(n):
     report, small = analyze(big, code), analyze(ops, code)
     assert report.verdict is Verdict.CODE_OUTSIDE_DOMAIN
     assert report.witness.probability == pytest.approx(-0.2 * 1.5e308, rel=1e-12)
-    assert report.syndromes.signs == small.syndromes.signs
-    assert report.syndromes.weights == pytest.approx(1.5e308 * small.syndromes.weights, rel=1e-12)
+    assert report.values == pytest.approx(1.5e308 * small.values, rel=1e-12)
     assert np.isfinite(report.syndromes.isometries).all()
 
 
@@ -707,8 +725,8 @@ def test_analyze_keeps_syndromes_isometric_on_a_boosted_map_near_the_cut():
         gram = np.einsum("kdi,kdj->kij", syn.isometries.conj(), syn.isometries)  # W_k^dag W_k
         assert np.abs(gram - np.eye(2)).max() <= 1e-12
         vt = np.tensordot(report.diagonalizer, scaled.operators @ code.isometry, axes=([0], [0]))  # (V T)_k
-        assert vt.shape[0] == len(syn) and report.diagonal is syn.weights  # syndrome k is term k
-        oracle = polar_on_code(vt / np.sqrt(syn.weights)[:, None, None]).isometry
+        assert vt.shape[0] == len(syn) == len(report.values)  # syndrome k is term k
+        oracle = polar_on_code(vt / np.sqrt(report.diagonal)[:, None, None]).isometry
         assert np.abs(syn.isometries - oracle).max() <= 1e-12
 
 
@@ -747,7 +765,7 @@ def test_analyze_bitflip_outside_domain():
     assert report.verdict == Verdict.CODE_OUTSIDE_DOMAIN
     assert report.recovery is None
     assert abs(report.witness.probability + 0.2) < 1e-10
-    assert report.condition.residual < 1e-10
+    assert report.residual < 1e-10
     assert np.abs(np.array(report.diagonal) - [0.4, 0.4, 0.4, 0.2]).max() < 1e-9
 
 
@@ -777,7 +795,7 @@ def test_analyze_conditions_violated():
     report = analyze(ops, repetition_code())
     assert report.verdict == Verdict.CONDITIONS_VIOLATED
     assert report.witness is None and report.recovery is None
-    assert report.condition.residual > 0.1
+    assert report.residual > 0.1
 
 
 def test_witness_survives_a_matrix_reevaluation():
@@ -1012,7 +1030,8 @@ def test_qec_report_consistency_enforced():
     # A negative syndrome is never reversible.
     with pytest.raises(ValueError, match="sign"):
         QecReport(
-            condition=report.condition,
+            values=report.values,
+            residual=report.residual,
             diagonalizer=report.diagonalizer,
             syndromes=report.syndromes,
             verdict=Verdict.REVERSIBLE_POSITIVE,
@@ -1020,40 +1039,45 @@ def test_qec_report_consistency_enforced():
         )
     with pytest.raises(ValueError):
         QecReport(
-            condition=report.condition,
+            values=report.values,
+            residual=report.residual,
             diagonalizer=report.diagonalizer,
             syndromes=report.syndromes,
             verdict=Verdict.CODE_OUTSIDE_DOMAIN,
             witness=None,
         )
+    # Every report has a value, so every document it writes parses: an
+    # annihilating map has the one value 0.0.
+    with pytest.raises(ValueError, match=r"values must be a non-empty list of finite numbers, got \[\]"):
+        QecReport([], 0.0, None, None, Verdict.CONDITIONS_VIOLATED, None)
     # The recovery is read from the syndromes, so it needs them.
     cp = analyze(bitflip_ops(0.7), repetition_code())
     with pytest.raises(ValueError, match="syndromes"):
-        QecReport(cp.condition, None, None, Verdict.REVERSIBLE_POSITIVE, None)
+        QecReport(cp.values, 0.0, None, None, Verdict.REVERSIBLE_POSITIVE, None)
     for verdict in (Verdict.REVERSIBLE_POSITIVE, Verdict.CONDITIONS_VIOLATED):
         with pytest.raises(ValueError, match="witness"):
-            QecReport(cp.condition, cp.diagonalizer, cp.syndromes, verdict, report.witness)
+            QecReport(cp.values, 0.0, cp.diagonalizer, cp.syndromes, verdict, report.witness)
 
 
 def test_qec_report_holds_a_negative_syndrome_only_outside_the_domain():
     # analyze returns code_outside_domain as soon as a syndrome is negative,
     # and its witness names the first such syndrome.
     r = analyze(bitflip_ops(-0.2), repetition_code())
-    assert r.syndromes.signs == (1, 1, 1, -1) and r.witness.syndrome_index == 3
+    assert np.sign(r.values).tolist() == [1, 1, 1, -1] and r.witness.syndrome_index == 3
     with pytest.raises(ValueError, match=r"syndromes\[3\]\.sign must be \+1 under a conditions_violated verdict, got -1"):
-        QecReport(r.condition, r.diagonalizer, r.syndromes, Verdict.CONDITIONS_VIOLATED, None)
+        QecReport(r.values, 0.0, r.diagonalizer, r.syndromes, Verdict.CONDITIONS_VIOLATED, None)
     named_plus = NegativityWitness(r.witness.vector, 0, r.witness.probability)
     hint = "witness.syndrome_index is {}: it must name the first syndrome of sign -1, {}"
     with pytest.raises(ValueError, match=hint.format(0, 3)):
-        QecReport(r.condition, r.diagonalizer, r.syndromes, Verdict.CODE_OUTSIDE_DOMAIN, named_plus)
+        QecReport(r.values, 0.0, r.diagonalizer, r.syndromes, Verdict.CODE_OUTSIDE_DOMAIN, named_plus)
     cp = analyze(bitflip_ops(0.7), repetition_code())
     with pytest.raises(ValueError, match=hint.format(3, None)):
-        QecReport(cp.condition, cp.diagonalizer, cp.syndromes, Verdict.CODE_OUTSIDE_DOMAIN, r.witness)
+        QecReport(cp.values, 0.0, cp.diagonalizer, cp.syndromes, Verdict.CODE_OUTSIDE_DOMAIN, r.witness)
     with pytest.raises(ValueError, match=hint.format(3, None)):
-        QecReport(cp.condition, None, None, Verdict.CODE_OUTSIDE_DOMAIN, r.witness)
+        QecReport(cp.values, 0.0, None, None, Verdict.CODE_OUTSIDE_DOMAIN, r.witness)
     short = NegativityWitness(r.witness.vector[:4], 3, r.witness.probability)  # one entry per row of W: 8
     with pytest.raises(ValueError, match=r"witness\.vector: shape \(4,\) does not match the 8 rows of the isometries"):
-        QecReport(r.condition, r.diagonalizer, r.syndromes, Verdict.CODE_OUTSIDE_DOMAIN, short)
+        QecReport(r.values, 0.0, r.diagonalizer, r.syndromes, Verdict.CODE_OUTSIDE_DOMAIN, short)
 
 
 def test_negative_condition_block_never_reversible():
@@ -1212,6 +1236,14 @@ def test_repetition_bitflip_rejects_no_qubits():
         repetition_bitflip(0, -0.2)
 
 
+@pytest.mark.parametrize("c0", [np.inf, -np.inf, np.nan])
+def test_repetition_bitflip_refuses_a_non_finite_c0(c0):
+    # Refused before any weight is formed: an infinite weight times the
+    # zeros of X_k would make NaN terms, with a numpy warning on the way.
+    with pytest.raises(ValueError, match=rf"^c0 must be a finite number, got c0={c0}$"):
+        repetition_bitflip(3, c0)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
 def test_analyze_rejects_invalid_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance"):
@@ -1350,7 +1382,7 @@ def test_code_terms_must_match_the_code():
     for call in (
         lambda: analyze(terms, other),
         lambda: negative_part_on_code(terms, other),
-        lambda: verify_recovery(terms, analyze(ops, code).syndromes.recovery, other),
+        lambda: verify_recovery(terms, analyze(ops, code).syndromes, other),
     ):
         with pytest.raises(ValueError, match="do not match|share one dimension"):
             call()
@@ -1390,7 +1422,7 @@ def test_on_code_of_a_matrix_channel_on_a_complex_code(form):
     assert np.abs(dynamical_on_code(terms.signs, terms.terms) - exact).max() <= 1e-14 * np.abs(exact).max()
     base, report = analyze(ops, code), analyze(terms, code)
     assert report.verdict is base.verdict is Verdict.CONDITIONS_VIOLATED
-    assert report.condition.residual == pytest.approx(base.condition.residual, rel=1e-12)
+    assert report.residual == pytest.approx(base.residual, rel=1e-12)
 
 
 def test_on_code_gates_the_whole_b_on_hermiticity():
@@ -1500,14 +1532,14 @@ def test_one_off_diagonal_pair_in_g_takes_the_eigen_route():
 
 
 def test_qec_report_holds_a_diagonalizer_only_with_its_syndromes():
-    # Column k of T is the canonical term of syndrome k, and d is read from the syndromes.
+    # Column k of T is the canonical term of syndrome k, and d is read from the values.
     report = analyze(bitflip_ops(-0.2), repetition_code())
     t, syn, witness = report.diagonalizer, report.syndromes, report.witness
-    assert report.diagonal is syn.weights and t.shape == (4, len(syn))
+    assert np.array_equal(report.diagonal, np.abs(report.values)) and t.shape == (4, len(syn))
     for wrong_t, wrong_syn in ((t, None), (None, syn), (t[:, :3], syn), (t[0], syn), (t[None], syn)):
         with pytest.raises(ValueError, match="a diagonalizer comes with its syndromes, one per column"):
-            QecReport(report.condition, wrong_t, wrong_syn, Verdict.CODE_OUTSIDE_DOMAIN, witness)
-    rebuilt = QecReport(report.condition, t[:, ::-1], syn, Verdict.CODE_OUTSIDE_DOMAIN, witness)
-    assert rebuilt.diagonal is syn.weights and np.array_equal(rebuilt.diagonalizer, t[:, ::-1])
+            QecReport(report.values, 0.0, wrong_t, wrong_syn, Verdict.CODE_OUTSIDE_DOMAIN, witness)
+    rebuilt = QecReport(report.values, 0.0, t[:, ::-1], syn, Verdict.CODE_OUTSIDE_DOMAIN, witness)
+    assert np.array_equal(rebuilt.diagonal, report.diagonal) and np.array_equal(rebuilt.diagonalizer, t[:, ::-1])
     violated = analyze(SignedOperatorSum.from_terms([1, 1], [I8, pauli_string("ZII")]), repetition_code())
     assert violated.diagonalizer is None and violated.diagonal is None

@@ -1,10 +1,11 @@
 import importlib.util
 import json
+import types
 from pathlib import Path
 
 import numpy as np
 
-from ncpqec import analyze, documents, repetition_bitflip
+from ncpqec import SignedOperatorSum, analyze, documents, repetition_bitflip
 from ncpqec.documents import analysis_document, parse_analysis_document
 
 ROOT = Path(__file__).parents[1]
@@ -135,3 +136,22 @@ def test_compare_reports_a_moved_code_isometry_under_every_verdict_with_syndrome
     ]
     assert decoded == "0 of 2 analysis documents decode to identical arrays"
     assert structural == "0 verdict or structural changes"
+
+
+def test_compare_reads_a_tree_whose_parser_returns_a_condition_record():
+    # A tree whose parser returns a ConditionMatrix diag(values) and a
+    # SyndromeSet of the Recovery decodes, through the bridge, to what the
+    # values, the residual and the Recovery decode to, under each verdict.
+    zii = np.kron(np.diag([1.0, -1.0]), np.eye(4))
+    for ops, code in (
+        repetition_bitflip(3, -0.2),
+        repetition_bitflip(3, 0.7),
+        (SignedOperatorSum.from_terms([1, 1], [np.sqrt(0.8) * np.eye(8), np.sqrt(0.2) * zii]), repetition_bitflip(3, 0.7)[1]),
+    ):
+        text = json.dumps(analysis_document(analyze(ops, code), ops.signature))
+        parsed = parse_analysis_document(json.loads(text))
+        old = {key: value for key, value in parsed.items() if key not in ("values", "residual")}
+        old["condition"] = types.SimpleNamespace(entries=np.diag(parsed["values"]).astype(complex), residual=parsed["residual"])
+        old["syndromes"] = None if parsed["syndromes"] is None else types.SimpleNamespace(recovery=parsed["syndromes"])
+        assert compare._decoded(old) == compare._decoded(parsed)
+    assert parsed["syndromes"] is None and parsed["verdict"] == "conditions_violated"

@@ -33,9 +33,13 @@ signs it.  It records the analysis document bytes, or the exception
 ``analyze`` raised, what the tree's own ``parse_analysis_document``
 decodes from those bytes, and on a report with syndromes the
 ``verify_recovery`` value of their recovery.  Both trees' parsers must
-return the records (analysis schema ``"6"`` or later); the code's ``B``
-is compared as ``syndromes.recovery.code_isometry`` under every verdict
-that has syndromes.
+return the records (analysis schema ``"6"`` or later): the report's
+``values`` and ``residual`` are compared as ``condition.values`` and
+``condition.residual``, and under every verdict that has syndromes
+their ``W`` stack and the code's ``B`` as ``syndromes.isometry`` and
+``syndromes.recovery.code_isometry``.  A tree whose parser still returns
+a ``condition`` record and a ``SyndromeSet`` is read through one short
+bridge to those fields.
 
 Documents are compared by what they decode to, so a change of form
 alone reads as decoded identical.  It prints how many documents are
@@ -122,16 +126,19 @@ def _outcome(fn) -> tuple[str, object]:
 
 def _decoded(parsed: dict) -> dict:
     """A parsed analysis document as its structure, its arrays' bytes and its scalars' ``float.hex``."""
-    condition, syndromes, witness = (parsed[key] for key in ("condition", "syndromes", "witness"))
+    if "condition" in parsed:  # a tree whose parser returns a ConditionMatrix and a SyndromeSet
+        condition, syndromes = parsed["condition"], parsed["syndromes"]
+        recovery = None if syndromes is None else syndromes.recovery
+        values, residual = condition.entries.diagonal().real, condition.residual
+        parsed = {**parsed, "values": values, "residual": residual, "syndromes": recovery}
+    syndromes, witness = parsed["syndromes"], parsed["witness"]
     structure = {"verdict": parsed["verdict"].value, "signature": [parsed["signature"].p, parsed["signature"].q]}
-    arrays = {"condition.entries": condition.entries}
-    scalars = {"condition.residual": condition.residual}
+    arrays = {"condition.values": parsed["values"]}
+    scalars = {"condition.residual": parsed["residual"]}
     if syndromes is not None:
         arrays["diagonalizer"] = parsed["diagonalizer"]
         arrays["syndromes.isometry"] = syndromes.isometries
-        arrays["syndromes.weight"] = syndromes.weights
-        arrays["syndromes.recovery.code_isometry"] = syndromes.recovery.code_isometry
-        structure["syndromes.sign"] = list(syndromes.signs)
+        arrays["syndromes.recovery.code_isometry"] = syndromes.code_isometry
     if witness is not None:
         arrays["witness.vector"] = witness.vector
         scalars["witness.probability"] = witness.probability
@@ -167,7 +174,8 @@ def _answers(src: str, inputs_path: str, out: str) -> None:
                 text = json.dumps(analysis_document(report, terms.signature), separators=(",", ":"))
                 verify = None
                 if report.syndromes is not None:
-                    got = _outcome(lambda: ncpqec.verify_recovery(channel, report.syndromes.recovery, code))
+                    recovery = ncpqec.build_recovery(report.syndromes)  # the report's Recovery in either tree
+                    got = _outcome(lambda: ncpqec.verify_recovery(channel, recovery, code))
                     verify = got[1].hex() if got[0] == "value" else got[1]
                 decoded = _decoded(parse_analysis_document(json.loads(text)))
                 answers[f"{name}@{scale:g}/{form}"] = [kind, text, verify, decoded]
