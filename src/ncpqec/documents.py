@@ -11,11 +11,11 @@ version ``"7"``, which hold everything on the code in ``d x r`` form and
 each field of the report's records once: the report's ``values``, the
 signed canonical values ``sign_k d_k``, written as ``condition.values``
 beside its ``residual``, give the conditions ``diag(values)`` and each
-syndrome's weight and sign, and each syndrome is its isometry alone.  Their arrays on ``d`` rows
-(each syndrome isometry, the code's ``B`` and the witness vector) are
-row-sparse when few of their rows are nonzero: ``{"shape", "rows",
-"values"}``, the listed rows in the same real-or-pair form and every
-other entry ``+0.0``.  Older analysis versions are refused, naming
+syndrome's weight and sign, and each syndrome is its isometry alone.
+Their arrays on ``d`` rows (each syndrome isometry, the code's ``B`` and
+the witness vector) are row-sparse when few of their rows are nonzero:
+``{"shape", "rows", "values"}``, the listed rows in the same
+real-or-pair form and every other entry ``+0.0``.  Older analysis versions are refused, naming
 ``ncpqec qec``, which writes the document again from its inputs.  Code
 documents are unversioned lists of vectors in either form.
 

@@ -239,7 +239,8 @@ def test_diagonal_conditions_property_random():
 
 def test_syndromes_bitflip():
     code = repetition_code()
-    syn = analyze(bitflip_ops(-0.2), code).syndromes
+    report = analyze(bitflip_ops(-0.2), code)
+    syn = report.syndromes
     assert len(syn) == 4
     p = code.projector
     expected = [x @ p @ x for x in (X1, X2, X3)] + [p]
@@ -249,6 +250,8 @@ def test_syndromes_bitflip():
         assert np.abs(s.projector - want).max() < 1e-9
         assert np.abs(s.projector - s.isometry @ s.isometry.conj().T).max() == 0
     assert syn.code_isometry is code.isometry  # one B, the code's own
+    assert np.sign(report.values).tolist() == [1, 1, 1, -1]  # each syndrome's sign and weight, from the values
+    assert np.abs(report.diagonal - [0.4, 0.4, 0.4, 0.2]).max() < 1e-9
     for i in range(4):
         for j in range(i):
             assert np.abs(syn[i].isometry.conj().T @ syn[j].isometry).max() < 1e-9
